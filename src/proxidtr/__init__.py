@@ -51,14 +51,13 @@ from .identify import (
     value_from_density,
 )
 from .policy import Regime, RegimeClass, enumerate_class, q_learning_regime, value_maximize
-from .tables import CondMatrix, JointPmf, broadcast_product, cond_matrix, condition, invert2or4, marginalize
+from .tables import JointPmf, conditional, invert2or4, marginalize
 
 __version__ = "0.1.0"
 
 __all__ = [
     "BridgeSet",
     "CANONICAL_ORDER",
-    "CondMatrix",
     "Dataset",
     "DgpParams",
     "ExperimentConfig",
@@ -76,9 +75,7 @@ __all__ = [
     "ValueEstimate",
     "bridge_collapse_check",
     "bridges",
-    "broadcast_product",
-    "cond_matrix",
-    "condition",
+    "conditional",
     "cross_fit",
     "density_pha",
     "density_pipw",

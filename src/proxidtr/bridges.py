@@ -4,8 +4,11 @@ Outcome bridges (h22, h21, h11) and treatment bridges (q11, q22) are the
 functions of proxy variables that stand in for the hidden-confounder
 adjustment. In the all-binary setting they solve small linear systems built
 from conditional-probability matrices of the observed law, so they admit
-closed forms; the same formulas applied to an empirical table give the
-maximum-likelihood plug-in estimates.
+closed forms. Each family is one batched product over the proxy matrices
+that ``tables.conditional`` stacks per history cell, inverted together by
+``tables.invert2or4``; the residual checks use the same layout. The same
+formulas applied to an empirical table give the maximum-likelihood plug-in
+estimates.
 
 Table layouts (all axes binary, C order):
 
@@ -30,13 +33,7 @@ from typing import Iterable, Mapping
 
 import numpy as np
 
-from .tables import (
-    JointPmf,
-    ZeroProbabilityError,
-    broadcast_product,
-    cond_matrix,
-    invert2or4,
-)
+from .tables import JointPmf, ZeroProbabilityError, conditional, invert2or4
 
 RESIDUAL_TOL = 1e-8
 
@@ -165,91 +162,61 @@ class BridgeSet:
         )
 
 
-def _reciprocal_row(row: np.ndarray, what: str) -> np.ndarray:
-    if np.any(row <= 0.0):
-        raise ZeroProbabilityError(f"positivity fails: {what} has a zero entry")
-    return 1.0 / row
+# einsum letters, as in ``identify``:
+#   a=y0 b=y1 c=y2 d=w1 g=w2 e=a1 f=a2 h=z1 i=z2
 
 
-def solve_q(pmf: JointPmf) -> TreatmentBridge:
-    """Treatment bridges by the reciprocal-propensity/proxy-inversion chain.
-
-    q11 row (over z1)  = P(a1|W1,y0)^-1  P(Z1|W1,a1,y0)^-1
-    q22 row (over z2b) = q11 P(Z1|a1,W2b,y1b) . P(a2|W2b,a1,y1b)^-1 P(Z2b|a2b,W2b,y1b)^-1
-
-    where a row vector's ^-1 is the element-wise reciprocal and a square
-    matrix's ^-1 the ordinary inverse (bars denote the stage-2 pairs).
-    """
-    q11 = np.zeros(_SHAPES["q11"])
-    for y0 in (0, 1):
-        pa1 = cond_matrix(pmf, ("A1",), ("W1",), {"Y0": y0}).entries
-        for a1 in (0, 1):
-            recip = _reciprocal_row(pa1[a1, :], f"P(A1={a1}|W1,Y0={y0})")
-            m = cond_matrix(pmf, ("Z1",), ("W1",), {"A1": a1, "Y0": y0}).entries
-            inv = invert2or4(m, role=f"P(Z1|W1) at (Y0={y0},A1={a1})")
-            q11[y0, a1, :] = recip @ inv
-    q22 = np.zeros(_SHAPES["q22"])
-    for y0 in (0, 1):
-        for y1 in (0, 1):
-            for a1 in (0, 1):
-                fixed = {"Y0": y0, "Y1": y1, "A1": a1}
-                mz1 = cond_matrix(pmf, ("Z1",), ("W1", "W2"), fixed).entries
-                row_w = q11[y0, a1, :] @ mz1
-                pa2 = cond_matrix(pmf, ("A2",), ("W1", "W2"), fixed).entries
-                for a2 in (0, 1):
-                    recip = _reciprocal_row(pa2[a2, :], f"P(A2={a2}|W1,W2,{fixed})")
-                    row = broadcast_product(row_w, recip)
-                    m = cond_matrix(pmf, ("Z1", "Z2"), ("W1", "W2"), {**fixed, "A2": a2}).entries
-                    inv = invert2or4(m, role=f"P(Z1,Z2|W1,W2) at (Y0={y0},Y1={y1},A1={a1},A2={a2})")
-                    q22[y0, y1, a1, a2] = (row @ inv).reshape(2, 2)
-    return TreatmentBridge(q11, q22)
-
-
-def solve_h(pmf: JointPmf) -> OutcomeBridge:
-    """Outcome bridges by proxy-matrix inversion.
-
-    h22 row (over w2b) = P(y2|Z2b,y1b,a2b) P(W2b|Z2b,y1b,a2b)^-1
-    h21 row (over w1)  = h22 P(W2b,y1|Z1,y0,a1) P(W1|Z1,y0,a1)^-1
-    h11 row (over w1)  = P(y1|Z1,y0,a1) P(W1|Z1,y0,a1)^-1
-    """
-    h22 = np.zeros(_SHAPES["h22"])
-    for y0 in (0, 1):
-        for y1 in (0, 1):
-            for a1 in (0, 1):
-                for a2 in (0, 1):
-                    fixed = {"Y0": y0, "Y1": y1, "A1": a1, "A2": a2}
-                    mw = cond_matrix(pmf, ("W1", "W2"), ("Z1", "Z2"), fixed).entries
-                    inv = invert2or4(mw, role=f"P(W1,W2|Z1,Z2) at {fixed}")
-                    py2 = cond_matrix(pmf, ("Y2",), ("Z1", "Z2"), fixed).entries
-                    for y2 in (0, 1):
-                        h22[y0, y1, y2, :, :, a1, a2] = (py2[y2, :] @ inv).reshape(2, 2)
-    h21 = np.zeros(_SHAPES["h21"])
-    h11 = np.zeros(_SHAPES["h11"])
-    for y0 in (0, 1):
-        for a1 in (0, 1):
-            fixed1 = {"Y0": y0, "A1": a1}
-            mw1 = cond_matrix(pmf, ("W1",), ("Z1",), fixed1).entries
-            inv_w1 = invert2or4(mw1, role=f"P(W1|Z1) at {fixed1}")
-            # rows (w1, w2, y1), cols z1
-            joint_w2y1 = cond_matrix(pmf, ("W1", "W2", "Y1"), ("Z1",), fixed1).entries
-            joint_w2y1 = joint_w2y1.reshape(2, 2, 2, 2)  # [w1, w2, y1, z1]
-            py1 = cond_matrix(pmf, ("Y1",), ("Z1",), fixed1).entries
-            for y1 in (0, 1):
-                mid = joint_w2y1[:, :, y1, :].reshape(4, 2)  # [(w1,w2), z1]
-                for a2 in (0, 1):
-                    for y2 in (0, 1):
-                        chain = h22[y0, y1, y2, :, :, a1, a2].reshape(4)
-                        h21[y0, y1, y2, :, a1, a2] = (chain @ mid) @ inv_w1
-                h11[y0, y1, :, a1] = py1[y1, :] @ inv_w1
-    return OutcomeBridge(h22, h21, h11)
+def _reciprocal(pmf: JointPmf, target: tuple[str, ...], given: tuple[str, ...]) -> np.ndarray:
+    """1 / P(target | given), indexed [given..., target...]; positivity must hold."""
+    p = conditional(pmf, target, given)
+    zero = np.argwhere(p <= 0.0)
+    if zero.size:
+        cell = dict(zip(given + target, map(int, zero[0])))
+        what = f"P({','.join(target)}|{','.join(given)})"
+        raise ZeroProbabilityError(f"positivity fails: {what} is zero at {cell}", cell)
+    return 1.0 / p
 
 
 def solve_bridges(pmf: JointPmf, provenance: str = "solved-from-truth") -> BridgeSet:
-    """Solve all components from one law and tag them with its provenance."""
-    outcome = solve_h(pmf)
-    treatment = solve_q(pmf)
+    """Solve all components from one law and tag them with its provenance.
+
+    Each family is one batched product over stacked proxy matrices:
+
+        h22 row (over w2b) = P(y2|Z2b,y1b,a2b) P(W2b|Z2b,y1b,a2b)^-1
+        h21 row (over w1)  = h22 P(W2b,y1|Z1,y0,a1) P(W1|Z1,y0,a1)^-1
+        h11 row (over w1)  = P(y1|Z1,y0,a1) P(W1|Z1,y0,a1)^-1
+        q11 row (over z1)  = P(a1|W1,y0)^-1 P(Z1|W1,a1,y0)^-1
+        q22 row (over z2b) = q11 P(Z1|a1,W2b,y1b) . P(a2|W2b,a1,y1b)^-1 P(Z2b|a2b,W2b,y1b)^-1
+
+    where a row vector's ^-1 is the element-wise reciprocal, a square
+    matrix's the ordinary inverse, and bars denote the stage-2 pairs.
+    """
+    def inverse(target, given, batch):
+        """Inverses of the column-stochastic P(target|given) stacked over
+        ``batch``, indexed [batch..., given cell, target cell]."""
+        m = conditional(pmf, target, batch + given)
+        m = m.reshape((2,) * len(batch) + (2 ** len(given), 2 ** len(target)))
+        role = f"P({','.join(target)}|{','.join(given)})"
+        inv = invert2or4(np.swapaxes(m, -1, -2), role, batch)
+        return inv.reshape((2,) * (len(batch) + len(given) + len(target)))
+
+    stage1, stage2 = ("Y0", "A1"), ("Y0", "Y1", "A1", "A2")
+    inv_w = inverse(("W1", "W2"), ("Z1", "Z2"), stage2)
+    py2 = conditional(pmf, ("Y2",), stage2 + ("Z1", "Z2"))
+    h22 = np.einsum("abefhic,abefhidg->abcdgef", py2, inv_w)
+    inv_w1 = inverse(("W1",), ("Z1",), stage1)
+    chain = np.einsum("abcdgef,aehdgb->abcefh", h22, conditional(pmf, ("W1", "W2", "Y1"), stage1 + ("Z1",)))
+    h21 = np.einsum("abcefh,aehd->abcdef", chain, inv_w1)
+    h11 = np.einsum("aehb,aehd->abde", conditional(pmf, ("Y1",), stage1 + ("Z1",)), inv_w1)
+
+    given_w2 = ("Y0", "Y1", "A1", "W1", "W2")
+    q11 = np.einsum("ade,aedh->aeh", _reciprocal(pmf, ("A1",), ("Y0", "W1")), inverse(("Z1",), ("W1",), stage1))
+    row_w = np.einsum("aeh,abedgh->abedg", q11, conditional(pmf, ("Z1",), given_w2))
+    inv_z = inverse(("Z1", "Z2"), ("W1", "W2"), stage2)
+    q22 = np.einsum("abedg,abedgf,abefdghi->abefhi", row_w, _reciprocal(pmf, ("A2",), given_w2), inv_z)
+
     prov = {name: provenance for name in ("h22", "h21", "h11", "q11", "q22")}
-    return BridgeSet(outcome, treatment, prov)
+    return BridgeSet(OutcomeBridge(h22, h21, h11), TreatmentBridge(q11, q22), prov)
 
 
 def _component_rng(seed: int, index: int) -> np.random.Generator:
@@ -324,48 +291,20 @@ def verify_bridges(b: BridgeSet, pmf: JointPmf, tol: float = RESIDUAL_TOL) -> Re
     nested), so corrupting q11 surfaces in both treatment families.
     """
     b.require("h22", "h21", "q11", "q22")
-    r_q11 = r_q22 = r_h22 = r_h21 = 0.0
-    for y0 in (0, 1):
-        # rows (z1, a1), cols w1
-        fz1a1 = cond_matrix(pmf, ("Z1", "A1"), ("W1",), {"Y0": y0}).entries.reshape(2, 2, 2)
-        for a1 in (0, 1):
-            for w1 in (0, 1):
-                acc = sum(b.q11[y0, a1, z1] * fz1a1[z1, a1, w1] for z1 in (0, 1))
-                r_q11 = max(r_q11, abs(acc - 1.0))
-    for y0 in (0, 1):
-        for y1 in (0, 1):
-            for a1 in (0, 1):
-                fixed = {"Y0": y0, "Y1": y1, "A1": a1}
-                # rows (z1, z2, a2), cols (w1, w2)
-                fza = cond_matrix(pmf, ("Z1", "Z2", "A2"), ("W1", "W2"), fixed).entries.reshape(2, 2, 2, 4)
-                fz1 = cond_matrix(pmf, ("Z1",), ("W1", "W2"), fixed).entries
-                for a2 in (0, 1):
-                    lhs = np.einsum("zt,ztw->w", b.q22[y0, y1, a1, a2], fza[:, :, a2, :])
-                    rhs = b.q11[y0, a1, :] @ fz1
-                    r_q22 = max(r_q22, float(np.abs(lhs - rhs).max()))
-    for y0 in (0, 1):
-        for y1 in (0, 1):
-            for a1 in (0, 1):
-                for a2 in (0, 1):
-                    fixed = {"Y0": y0, "Y1": y1, "A1": a1, "A2": a2}
-                    fy2 = cond_matrix(pmf, ("Y2",), ("Z1", "Z2"), fixed).entries
-                    fw = cond_matrix(pmf, ("W1", "W2"), ("Z1", "Z2"), fixed).entries
-                    for y2 in (0, 1):
-                        rhs = b.h22[y0, y1, y2, :, :, a1, a2].reshape(4) @ fw
-                        r_h22 = max(r_h22, float(np.abs(fy2[y2, :] - rhs).max()))
-    for y0 in (0, 1):
-        for a1 in (0, 1):
-            fixed1 = {"Y0": y0, "A1": a1}
-            fw2y1 = cond_matrix(pmf, ("W1", "W2", "Y1"), ("Z1",), fixed1).entries.reshape(2, 2, 2, 2)
-            fw1 = cond_matrix(pmf, ("W1",), ("Z1",), fixed1).entries
-            for y1 in (0, 1):
-                mid = fw2y1[:, :, y1, :].reshape(4, 2)
-                for a2 in (0, 1):
-                    for y2 in (0, 1):
-                        lhs = b.h22[y0, y1, y2, :, :, a1, a2].reshape(4) @ mid
-                        rhs = b.h21[y0, y1, y2, :, a1, a2] @ fw1
-                        r_h21 = max(r_h21, float(np.abs(lhs - rhs).max()))
-    return ResidualReport(r_q11, r_q22, r_h22, r_h21, tol)
+    fz1a1 = conditional(pmf, ("Z1", "A1"), ("Y0", "W1"))
+    r_q11 = np.abs(np.einsum("aeh,adhe->aed", b.q11, fz1a1) - 1.0).max()
+    given_w2 = ("Y0", "Y1", "A1", "W1", "W2")
+    lhs = np.einsum("abefhi,abedghif->abefdg", b.q22, conditional(pmf, ("Z1", "Z2", "A2"), given_w2))
+    rhs = np.einsum("aeh,abedgh->abedg", b.q11, conditional(pmf, ("Z1",), given_w2))
+    r_q22 = np.abs(lhs - rhs[:, :, :, None]).max()
+    given_z2 = ("Y0", "Y1", "A1", "A2", "Z1", "Z2")
+    rhs = np.einsum("abcdgef,abefhidg->abefhic", b.h22, conditional(pmf, ("W1", "W2"), given_z2))
+    r_h22 = np.abs(conditional(pmf, ("Y2",), given_z2) - rhs).max()
+    given_z1 = ("Y0", "A1", "Z1")
+    lhs = np.einsum("abcdgef,aehdgb->abcefh", b.h22, conditional(pmf, ("W1", "W2", "Y1"), given_z1))
+    rhs = np.einsum("abcdef,aehd->abcefh", b.h21, conditional(pmf, ("W1",), given_z1))
+    r_h21 = np.abs(lhs - rhs).max()
+    return ResidualReport(float(r_q11), float(r_q22), float(r_h22), float(r_h21), tol)
 
 
 @dataclass(frozen=True)
@@ -385,18 +324,9 @@ def bridge_collapse_check(b: OutcomeBridge, pmf: JointPmf) -> CollapseReport:
     """
     if b.h21 is None:
         raise MissingBridgeError("bridge component 'h21' is missing")
-    collapsed = b.h21.sum(axis=2)  # [y0, y1, w1, a2_position...] -> [y0, y1, w1, a1, a2]
-    eq_res = 0.0
-    for y0 in (0, 1):
-        for a1 in (0, 1):
-            fixed1 = {"Y0": y0, "A1": a1}
-            fy1 = cond_matrix(pmf, ("Y1",), ("Z1",), fixed1).entries
-            fw1 = cond_matrix(pmf, ("W1",), ("Z1",), fixed1).entries
-            for y1 in (0, 1):
-                for a2 in (0, 1):
-                    rhs = collapsed[y0, y1, :, a1, a2] @ fw1
-                    eq_res = max(eq_res, float(np.abs(fy1[y1, :] - rhs).max()))
-    gap = None
-    if b.h11 is not None:
-        gap = float(max(np.abs(collapsed[..., a2] - b.h11).max() for a2 in (0, 1)))
+    collapsed = b.h21.sum(axis=2)  # [y0, y1, w1, a1, a2]
+    given_z1 = ("Y0", "A1", "Z1")
+    rhs = np.einsum("abdef,aehd->aehbf", collapsed, conditional(pmf, ("W1",), given_z1))
+    eq_res = float(np.abs(conditional(pmf, ("Y1",), given_z1)[..., None] - rhs).max())
+    gap = None if b.h11 is None else float(np.abs(collapsed - b.h11[..., None]).max())
     return CollapseReport(eq_res, gap)

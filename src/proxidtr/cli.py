@@ -153,7 +153,7 @@ def main(argv: list[str] | None = None) -> int:
     except FileNotFoundError as err:
         print(f"error: {err}", file=sys.stderr)
         return USAGE_ERROR
-    except (json.JSONDecodeError, ValueError) as err:
+    except (ValueError, OverflowError) as err:
         print(f"error: {err}", file=sys.stderr)
         return USAGE_ERROR
 

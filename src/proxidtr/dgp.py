@@ -22,12 +22,12 @@ from __future__ import annotations
 import csv
 import io
 from dataclasses import dataclass, field
-from typing import Mapping, Sequence
+from typing import Mapping
 
 import numpy as np
 
 from .policy import Regime, RegimeClass, enumerate_class, value_maximize
-from .tables import JointPmf, ZeroProbabilityError, marginalize
+from .tables import JointPmf, conditional, marginalize
 
 CANONICAL_ORDER = ("Y0", "U0", "Z1", "W1", "A1", "Y1", "U1", "Z2", "W2", "A2", "Y2")
 OBSERVED_ORDER = ("Y0", "Z1", "W1", "A1", "Y1", "Z2", "W2", "A2", "Y2")
@@ -174,7 +174,7 @@ class Dataset:
     @classmethod
     def from_csv(cls, text: str, seed: int = 0) -> "Dataset":
         reader = csv.reader(io.StringIO(text))
-        header = [h.strip().lower() for h in next(reader)]
+        header = [h.strip().lower() for h in next(reader, [])]
         expected = [n.lower() for n in OBSERVED_ORDER]
         with_hidden = expected + [n.lower() for n in HIDDEN_ORDER]
         if header == with_hidden:
@@ -184,6 +184,10 @@ class Dataset:
         else:
             raise ValueError(f"unexpected CSV header {header}")
         rows = np.asarray([[int(v) for v in row] for row in reader if row], dtype=np.int8)
+        if rows.shape[0] == 0:
+            raise ValueError("CSV has a header but no data rows")
+        if rows.shape[1] != len(header):
+            raise ValueError(f"every CSV row must have {len(header)} values")
         obs = rows[:, :9]
         hid = rows[:, 9:11] if hidden_in_file else np.zeros((rows.shape[0], 2), dtype=np.int8)
         return cls(obs, hid, seed)
@@ -248,6 +252,8 @@ def sample(params: DgpParams, n: int, seed: int) -> Dataset:
     """Ancestral sampling with the counter-based Philox generator."""
     if n < 1:
         raise ValueError("n must be >= 1")
+    if not 0 <= seed < 2 ** 64:
+        raise ValueError(f"seed must be in [0, 2**64), got {seed}")
     rng = np.random.Generator(np.random.Philox(key=np.uint64(seed)))
     columns: dict[str, np.ndarray] = {}
     for name in SAMPLING_ORDER:
@@ -259,20 +265,6 @@ def sample(params: DgpParams, n: int, seed: int) -> Dataset:
     return Dataset(observed, hidden, seed)
 
 
-def _conditional(pmf: JointPmf, target: Sequence[str], given: Sequence[str]) -> np.ndarray:
-    """P(target | given) as an array indexed [given..., target...]."""
-    sub = marginalize(pmf, tuple(given) + tuple(target))
-    order = [sub.axis(n) for n in given] + [sub.axis(n) for n in target]
-    joint = np.transpose(sub.mass, order)
-    k = len(given)
-    den = joint.sum(axis=tuple(range(k, joint.ndim)), keepdims=True)
-    if np.any(den <= 0.0):
-        raise ZeroProbabilityError(
-            f"zero-probability conditioning cell among {tuple(given)} while computing P({tuple(target)}|{tuple(given)})"
-        )
-    return joint / den
-
-
 def oracle_density_from_joint(pmf: JointPmf) -> PotentialDensity:
     """Potential-outcome density by standardizing over the hidden confounders.
 
@@ -282,10 +274,10 @@ def oracle_density_from_joint(pmf: JointPmf) -> PotentialDensity:
     computed from the (true or empirical) 11-variable joint law. Raises on
     zero-probability conditioning cells rather than imputing.
     """
-    p_u0 = _conditional(pmf, ("U0",), ("Y0",))                     # [y0, u0]
-    p_y1 = _conditional(pmf, ("Y1",), ("Y0", "U0", "A1"))           # [y0, u0, a1, y1]
-    p_u1 = _conditional(pmf, ("U1",), ("Y0", "Y1", "U0", "A1"))     # [y0, y1, u0, a1, u1]
-    p_y2 = _conditional(pmf, ("Y2",), ("Y0", "Y1", "U0", "U1", "A1", "A2"))  # [y0,y1,u0,u1,a1,a2,y2]
+    p_u0 = conditional(pmf, ("U0",), ("Y0",))                      # [y0, u0]
+    p_y1 = conditional(pmf, ("Y1",), ("Y0", "U0", "A1"))            # [y0, u0, a1, y1]
+    p_u1 = conditional(pmf, ("U1",), ("Y0", "Y1", "U0", "A1"))      # [y0, y1, u0, a1, u1]
+    p_y2 = conditional(pmf, ("Y2",), ("Y0", "Y1", "U0", "U1", "A1", "A2"))  # [y0,y1,u0,u1,a1,a2,y2]
     # axis letters: a=y0 b=y1 c=u0 d=u1 e=a1 f=a2 g=y2
     g = np.einsum("abcdefg,abced,aceb,ac->efgba", p_y2, p_u1, p_y1, p_u0)
     g1 = np.einsum("aceb,ac->eba", p_y1, p_u0)

@@ -1,7 +1,9 @@
 """Sample-level value estimators, cross-fitting, and baseline comparators.
 
 Every estimator is an empirical average of a per-row summand built from the
-bridge tables:
+bridge tables; since the summand depends on a row only through its cell, the
+average is computed as a count-weighted sum over the 512 observed cells, so
+no estimate depends on row order:
 
   POR   the h21-weighted stage-1 term alone
   PHA   stage-1 compliance * q11 * the y2-weighted h22 term
@@ -12,8 +14,8 @@ bridge tables:
 In the categorical setting each empirical average coincides exactly with the
 corresponding plug-in value on the empirical cell-frequency table, which the
 test suite exploits as an algebraic cross-check. A telescoped rearrangement
-of the PMR summand is implemented separately and must agree to 1e-12 row by
-row.
+of the PMR summand is implemented separately and must agree to 1e-12 cell by
+cell.
 
 The SRA baseline ignores unmeasured confounding (a plain g-formula on the
 observed conditionals); the Oracle baseline standardizes over the hidden
@@ -29,12 +31,13 @@ from typing import Mapping
 import numpy as np
 
 from .bridges import BridgeSet, pseudo_bridges, solve_bridges
-from .dgp import CANONICAL_ORDER, OBSERVED_ORDER, Dataset, oracle_density_from_joint
+from .dgp import CANONICAL_ORDER, HIDDEN_ORDER, OBSERVED_ORDER, Dataset, oracle_density_from_joint
 from .identify import IdentifiedDensity, observed_conditional, value_from_density
 from .policy import Regime
 from .tables import JointPmf, SingularMatrixError, ZeroProbabilityError
 
 ESTIMATOR_METHODS = ("POR", "PHA", "PIPW", "PMR")
+_CANONICAL_COLUMNS = [(OBSERVED_ORDER + HIDDEN_ORDER).index(n) for n in CANONICAL_ORDER]
 
 
 @dataclass(frozen=True)
@@ -75,25 +78,21 @@ class ValueEstimate:
         return json.dumps(payload)
 
 
+def _cell_counts(data: Dataset, rows: np.ndarray | None = None, include_hidden: bool = False) -> np.ndarray:
+    """Row count of every cell, in C order over OBSERVED_ORDER (CANONICAL_ORDER
+    with the hidden columns)."""
+    cols = np.hstack([data.observed, data.hidden])[:, _CANONICAL_COLUMNS] if include_hidden else data.observed
+    if rows is not None:
+        cols = cols[rows]
+    weights = (1 << np.arange(cols.shape[1] - 1, -1, -1)).astype(np.int64)
+    return np.bincount(cols.astype(np.int64) @ weights, minlength=2 ** cols.shape[1])
+
+
 def empirical_pmf(data: Dataset, rows: np.ndarray | None = None, laplace: float = 0.0,
                   include_hidden: bool = False) -> JointPmf:
     """Cell-frequency table of a dataset (optionally Laplace-smoothed)."""
-    obs = data.observed if rows is None else data.observed[rows]
-    if include_hidden:
-        hid = data.hidden if rows is None else data.hidden[rows]
-        names = CANONICAL_ORDER
-        cols = np.column_stack([
-            hid[:, 1] if n == "U1" else hid[:, 0] if n == "U0" else obs[:, OBSERVED_ORDER.index(n)]
-            for n in names
-        ])
-    else:
-        names = OBSERVED_ORDER
-        cols = obs
-    m = len(names)
-    weights = (1 << np.arange(m - 1, -1, -1)).astype(np.int64)
-    codes = cols.astype(np.int64) @ weights
-    counts = np.bincount(codes, minlength=2 ** m).astype(float) + laplace
-    return JointPmf(names, counts / counts.sum())
+    counts = _cell_counts(data, rows, include_hidden).astype(float) + laplace
+    return JointPmf(CANONICAL_ORDER if include_hidden else OBSERVED_ORDER, counts / counts.sum())
 
 
 def fold_assignments(data: Dataset, folds: int) -> np.ndarray:
@@ -129,13 +128,17 @@ def fit_bridges(data: Dataset, opts: FitOptions = FitOptions(),
     return pmf, solved
 
 
-def _columns(data: Dataset, rows: np.ndarray | None = None) -> dict[str, np.ndarray]:
-    obs = data.observed if rows is None else data.observed[rows]
-    return {name: obs[:, i].astype(np.int64) for i, name in enumerate(OBSERVED_ORDER)}
+# every observed cell once, in C order over OBSERVED_ORDER: the rows of ``_cell_counts``
+_CELLS = {name: col for name, col in zip(OBSERVED_ORDER, np.indices((2,) * 9).reshape(9, -1).astype(np.int64))}
+
+
+def _count_mean(counts: np.ndarray, summand: np.ndarray) -> float:
+    """Row average of a cell summand, as a count-weighted sum over the cells."""
+    return float(counts @ summand / counts.sum())
 
 
 def _summands(method: str, cols: Mapping[str, np.ndarray], b: BridgeSet, regime: Regime) -> np.ndarray:
-    """Per-row estimator summand; the empirical mean is the value estimate."""
+    """Estimator summand per row (or per cell); its mean over rows is the value estimate."""
     y0, z1, w1, a1 = cols["Y0"], cols["Z1"], cols["W1"], cols["A1"]
     y1, z2, w2, a2, y2 = cols["Y1"], cols["Z2"], cols["W2"], cols["A2"], cols["Y2"]
     d1 = np.asarray(regime.d1, dtype=np.int64)
@@ -193,14 +196,12 @@ def _pmr_telescoped(cols: Mapping[str, np.ndarray], b: BridgeSet, regime: Regime
 
 def v_hat(method: str, data: Dataset, b: BridgeSet, regime: Regime) -> ValueEstimate:
     """Empirical-average value estimate for one method."""
-    summand = _summands(method, _columns(data), b, regime)
-    return ValueEstimate(method, float(summand.mean()))
+    return ValueEstimate(method, _count_mean(_cell_counts(data), _summands(method, _CELLS, b, regime)))
 
 
 def v_hat_pmr_alt(data: Dataset, b: BridgeSet, regime: Regime) -> ValueEstimate:
     """Telescoped PMR form; equals ``v_hat("PMR", ...)`` to 1e-12 always."""
-    summand = _pmr_telescoped(_columns(data), b, regime)
-    return ValueEstimate("PMR", float(summand.mean()))
+    return ValueEstimate("PMR", _count_mean(_cell_counts(data), _pmr_telescoped(_CELLS, b, regime)))
 
 
 def cross_fit(method: str, data: Dataset, opts: FitOptions, regime: Regime) -> ValueEstimate:
@@ -215,8 +216,8 @@ def cross_fit(method: str, data: Dataset, opts: FitOptions, regime: Regime) -> V
             _, b = fit_bridges(data, opts, exclude_fold=fold)
         except (SingularMatrixError, ZeroProbabilityError) as err:
             raise type(err)(f"off-fold fit failed for fold {fold}: {err}") from err
-        cols = _columns(data, assignments == fold)
-        fold_values.append(float(_summands(method, cols, b, regime).mean()))
+        counts = _cell_counts(data, assignments == fold)
+        fold_values.append(_count_mean(counts, _summands(method, _CELLS, b, regime)))
     return ValueEstimate(method, float(np.mean(fold_values)), fold_estimates=tuple(fold_values))
 
 
@@ -226,9 +227,9 @@ def if_variance(data: Dataset, b: BridgeSet, regime: Regime) -> float:
     Centering uses the plug-in point estimate, so the empirical mean of the
     influence terms is zero by construction.
     """
-    summand = _summands("PMR", _columns(data), b, regime)
-    centered = summand - summand.mean()
-    return float((centered ** 2).mean())
+    counts = _cell_counts(data)
+    summand = _summands("PMR", _CELLS, b, regime)
+    return _count_mean(counts, (summand - _count_mean(counts, summand)) ** 2)
 
 
 def population_v(method: str, pmf: JointPmf, b: BridgeSet, regime: Regime) -> float:
@@ -239,9 +240,7 @@ def population_v(method: str, pmf: JointPmf, b: BridgeSet, regime: Regime) -> fl
     """
     cond, p_y0 = observed_conditional(pmf)
     weights = (cond * p_y0[(slice(None),) + (None,) * 8]).reshape(-1)
-    grid = np.indices((2,) * 9).reshape(9, -1)
-    cols = {name: grid[i].astype(np.int64) for i, name in enumerate(OBSERVED_ORDER)}
-    return float(np.dot(weights, _summands(method, cols, b, regime)))
+    return float(np.dot(weights, _summands(method, _CELLS, b, regime)))
 
 
 def sra_density(pmf: JointPmf) -> IdentifiedDensity:

@@ -1,8 +1,11 @@
 """Monte Carlo experiment orchestration: scenarios x methods x repetitions.
 
-One repetition samples a dataset, fits bridges under a misspecification
-scenario, picks a regime either by value maximization over an enumerated
-class or by Q-learning on the estimated density, and scores it two ways:
+One repetition samples a dataset and fits the empirical law and bridges
+once (once per fold when cross-fitting). Each misspecification scenario
+swaps its pseudo components into that fit; the SRA and Oracle densities are
+computed once. For every (scenario, method) it picks a regime either by
+value maximization over an enumerated class or by Q-learning on the
+estimated density, and scores it two ways:
 
   regret         V(d*) - V(d_hat), both under the true law, where d* is the
                  optimum of the class searched (the Boolean-class optimum
@@ -30,24 +33,25 @@ import io
 import json
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields
 from functools import partial
 
 import numpy as np
 
 from . import identify
-from .bridges import MissingBridgeError, pseudo_bridges, solve_bridges, verify_bridges
+from .bridges import BridgeSet, MissingBridgeError, pseudo_bridges, solve_bridges, verify_bridges
 from .dgp import DgpParams, marginal_y0, oracle_potential_density, regime_value, sample, true_joint
 from .estimators import (
     FitOptions,
     empirical_pmf,
     fit_bridges,
+    fold_assignments,
     oracle_density,
     sra_density,
 )
 from .identify import q_functions
 from .policy import Regime, enumerate_class, q_learning_regime, value_maximize
-from .tables import TableError
+from .tables import JointPmf, TableError
 
 EPSILON = 1e-10  # values below this render as "<eps"
 DEFAULT_PSEUDO_SEED = 20
@@ -113,13 +117,23 @@ class ExperimentConfig:
             raise ValueError("regime_class must be 'linear' or 'all-boolean'")
         if self.reps < 1 or self.n < 1:
             raise ValueError("n and reps must be >= 1")
+        if self.folds < 1:
+            raise ValueError("folds must be >= 1")
+        if self.laplace < 0:
+            raise ValueError("laplace smoothing must be >= 0")
 
     def to_json(self) -> str:
         return json.dumps(self.__dict__, indent=2)
 
     @classmethod
     def from_json(cls, text: str) -> "ExperimentConfig":
-        return cls(**json.loads(text))
+        payload = json.loads(text)
+        if not isinstance(payload, dict):
+            raise ValueError("config must be a JSON object")
+        unknown = sorted(set(payload) - {f.name for f in fields(cls)})
+        if unknown:
+            raise ValueError(f"unknown config keys {unknown}")
+        return cls(**payload)
 
 
 @dataclass(frozen=True)
@@ -180,53 +194,60 @@ class _Truth:
         return self.true_values[(regime.d1, regime.d2)]
 
 
-def _cf_density_tables(data, opts: FitOptions, method: str):
-    """Per-fold (density, p_y0) pairs for the cross-fit value function."""
-    from .estimators import fold_assignments
-
-    tables = []
-    assignments = fold_assignments(data, opts.folds)
-    for fold in range(opts.folds):
-        _, bridges_l = fit_bridges(data, opts, exclude_fold=fold)
-        pmf_l = empirical_pmf(data, assignments == fold, laplace=opts.laplace)
-        g_l = _DENSITY_FN[method](pmf_l, bridges_l).g
-        cond, p_y0_l = identify.observed_conditional(pmf_l)
-        del cond
-        tables.append((g_l, p_y0_l))
-    return tables
+def _fitted(fn, *args):
+    """``fn(*args)``, or the failure message a cell records instead."""
+    try:
+        return fn(*args)
+    except (TableError, MissingBridgeError) as err:
+        return f"fit failed: {err}"
 
 
-def _estimated_tables(data, scenario: Scenario, config: ExperimentConfig) -> dict[str, tuple[np.ndarray, np.ndarray]]:
-    """(g, p_y0) per requested method; value function is their contraction."""
-    opts = FitOptions(
-        folds=config.folds,
-        laplace=config.laplace,
-        pseudo_components=scenario.pseudo_components,
-        pseudo_seed=scenario.pseudo_seed,
-    )
-    out: dict[str, tuple[np.ndarray, np.ndarray]] = {}
-    bridge_methods = [m for m in config.methods if m in BRIDGE_METHODS]
-    if bridge_methods:
-        if config.folds == 1:
-            pmf, bridges_hat = fit_bridges(data, opts)
-            _, p_y0 = identify.observed_conditional(pmf)
-            for method in bridge_methods:
-                out[method] = (_DENSITY_FN[method](pmf, bridges_hat).g, p_y0)
-        else:
-            for method in bridge_methods:
-                tables = _cf_density_tables(data, opts, method)
-                p_bar = sum(p for _, p in tables) / len(tables)
-                g_bar = sum(g * p[None, None, None, None, :] for g, p in tables) / len(tables)
-                out[method] = (g_bar / p_bar[None, None, None, None, :], p_bar)
-    if "SRA" in config.methods:
-        pmf_obs = empirical_pmf(data, laplace=config.laplace)
-        _, p_y0 = identify.observed_conditional(pmf_obs)
-        out["SRA"] = (sra_density(pmf_obs).g, p_y0)
-    if "ORACLE" in config.methods:
-        pmf_full = empirical_pmf(data, laplace=config.laplace, include_hidden=True)
-        _, p_y0 = identify.observed_conditional(pmf_full)
-        out["ORACLE"] = (oracle_density(pmf_full).g, p_y0)
+def _bridge_fits(data, config: ExperimentConfig) -> list[tuple[JointPmf, BridgeSet]]:
+    """(scoring law, solved bridges) per fold, shared by every scenario.
+
+    With one fold both come from the whole sample; with more, each fold's own
+    rows are scored with bridges fitted on the other folds.
+    """
+    opts = FitOptions(folds=config.folds, laplace=config.laplace)
+    if config.folds == 1:
+        return [fit_bridges(data, opts)]
+    assignments = fold_assignments(data, config.folds)
+    return [
+        (empirical_pmf(data, assignments == fold, laplace=config.laplace),
+         fit_bridges(data, opts, exclude_fold=fold)[1])
+        for fold in range(config.folds)
+    ]
+
+
+def _bridge_tables(fits, scenario: Scenario, methods) -> dict[str, tuple[np.ndarray, np.ndarray]]:
+    """(g, p_y0) per bridge method under one scenario's pseudo substitutions;
+    fold tables are averaged with P(y0) weights."""
+    pseudo = pseudo_bridges(scenario.pseudo_seed, scenario.pseudo_components)
+    per_fold = []
+    for pmf, solved in fits:
+        b = solved.merged(pseudo)
+        _, p_y0 = identify.observed_conditional(pmf)
+        per_fold.append(({m: _DENSITY_FN[m](pmf, b).g for m in methods}, p_y0))
+    if len(per_fold) == 1:
+        g, p_y0 = per_fold[0]
+        return {m: (g[m], p_y0) for m in methods}
+    p_bar = sum(p for _, p in per_fold) / len(per_fold)
+    out = {}
+    for m in methods:
+        g_bar = sum(g[m] * p[None, None, None, None, :] for g, p in per_fold) / len(per_fold)
+        out[m] = (g_bar / p_bar[None, None, None, None, :], p_bar)
     return out
+
+
+def _baseline_table(data, config: ExperimentConfig, method: str) -> tuple[np.ndarray, np.ndarray]:
+    """(g, p_y0) of SRA (observed columns) or the Oracle (with hidden columns)."""
+    if method == "SRA":
+        pmf = empirical_pmf(data, laplace=config.laplace)
+        g = sra_density(pmf).g
+    else:
+        pmf = empirical_pmf(data, laplace=config.laplace, include_hidden=True)
+        g = oracle_density(pmf).g
+    return g, identify.observed_conditional(pmf)[1]
 
 
 def _score_regime(truth: _Truth, g: np.ndarray, p_y0: np.ndarray, optimizer: str):
@@ -247,31 +268,16 @@ def _score_regime(truth: _Truth, g: np.ndarray, p_y0: np.ndarray, optimizer: str
 def _run_rep(config: ExperimentConfig, truth: _Truth, rep: int):
     """All (scenario, method) results for one repetition; errors per cell."""
     data = sample(truth.params, config.n, config.base_seed + rep)
+    bridge_methods = [m for m in config.methods if m in BRIDGE_METHODS]
+    tables = {m: _fitted(_baseline_table, data, config, m)
+              for m in config.methods if m not in BRIDGE_METHODS}
+    fits = _fitted(_bridge_fits, data, config) if bridge_methods else None
     results: dict[tuple[str, str], tuple[float, float] | str] = {}
-    baseline_cache: dict[str, tuple[np.ndarray, np.ndarray] | str] = {}
     for tag in config.scenarios:
-        scenario = Scenario(tag, config.pseudo_seed)
-        tables: dict[str, tuple[np.ndarray, np.ndarray] | str] = {}
-        bridge_methods = [m for m in config.methods if m in BRIDGE_METHODS]
-        baselines = [m for m in config.methods if m not in BRIDGE_METHODS]
         if bridge_methods:
-            try:
-                fitted = _estimated_tables(
-                    data, scenario, replace(config, methods=tuple(bridge_methods))
-                )
-                tables.update(fitted)
-            except (TableError, MissingBridgeError) as err:
-                for method in bridge_methods:
-                    tables[method] = f"fit failed: {err}"
-        for method in baselines:
-            if method not in baseline_cache:
-                try:
-                    baseline_cache[method] = _estimated_tables(
-                        data, scenario, replace(config, methods=(method,))
-                    )[method]
-                except (TableError, MissingBridgeError) as err:
-                    baseline_cache[method] = f"fit failed: {err}"
-            tables[method] = baseline_cache[method]
+            scenario = Scenario(tag, config.pseudo_seed)
+            fitted = fits if isinstance(fits, str) else _fitted(_bridge_tables, fits, scenario, bridge_methods)
+            tables.update({m: fitted if isinstance(fitted, str) else fitted[m] for m in bridge_methods})
         for method in config.methods:
             entry = tables[method]
             if isinstance(entry, str):
@@ -322,18 +328,9 @@ def run_experiment(config: ExperimentConfig, params: DgpParams | None = None) ->
     cells = []
     for tag in config.scenarios:
         for method in config.methods:
-            regrets: list[float] = []
-            overalls: list[float] = []
-            failures = 0
-            for rep in range(config.reps):
-                outcome = rep_results[rep][(tag, method)]
-                if isinstance(outcome, str):
-                    failures += 1
-                else:
-                    regrets.append(outcome[0])
-                    overalls.append(outcome[1])
-            cells.append(CellSummary(tag, method, len(regrets), failures,
-                                     _summary(regrets), _summary(overalls)))
+            scored = [r[(tag, method)] for r in rep_results if not isinstance(r[(tag, method)], str)]
+            cells.append(CellSummary(tag, method, len(scored), config.reps - len(scored),
+                                     _summary([s[0] for s in scored]), _summary([s[1] for s in scored])))
     return ExperimentReport(config, tuple(cells))
 
 

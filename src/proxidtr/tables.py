@@ -5,12 +5,11 @@ dense float64 array of shape (2,) * m; flattening it in C order lists cells
 with the *last* variable fastest, which is the normative cell-to-index
 convention for this package (including JSON serialization).
 
-Conditional-probability matrices follow a fixed orientation: rows index the
-target assignment, columns index the conditioning assignment, so each column
-is a probability vector over the target. The companion operators resolve the
-overloaded "inverse" notation used throughout the bridge solver: applied to a
-row vector it means the element-wise reciprocal, applied to a square matrix it
-means the ordinary matrix inverse.
+Conditionals are dense arrays indexed [given..., target...]: ``conditional``
+returns P(target | given) with one conditional pmf per given cell, so stacks
+of proxy matrices over the remaining history come out as leading axes.
+``invert2or4`` inverts such stacks of 2x2 / 4x4 matrices and refuses
+(near-)singular blocks instead of falling back to a pseudo-inverse.
 
 All objects are immutable value types; operations return new tables and never
 mutate their inputs.
@@ -19,13 +18,12 @@ mutate their inputs.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 import numpy as np
 
 MASS_TOL = 1e-12        # joint tables must sum to 1 within this
-COLUMN_TOL = 1e-10      # conditional columns must sum to 1 within this
 DET_TOL = 1e-12         # below this |det| a matrix is treated as singular
 
 
@@ -102,31 +100,6 @@ class JointPmf:
         return cls(tuple(payload["order"]), np.asarray(payload["mass"], dtype=float))
 
 
-@dataclass(frozen=True)
-class CondMatrix:
-    """P(target = row | given = col, fixed), one conditional pmf per column."""
-
-    rows: tuple[str, ...]
-    cols: tuple[str, ...]
-    fixed: Mapping[str, int] = field(default_factory=dict)
-    entries: np.ndarray = field(default=None)  # type: ignore[assignment]
-
-    def __post_init__(self):
-        entries = np.asarray(self.entries, dtype=float)
-        shape = (2 ** len(self.rows), 2 ** len(self.cols))
-        if entries.shape != shape:
-            raise TableError(f"entries shape {entries.shape}, expected {shape}")
-        if np.any(entries < -COLUMN_TOL) or np.any(entries > 1 + COLUMN_TOL):
-            raise TableError("conditional entries outside [0, 1]")
-        colsums = entries.sum(axis=0)
-        if np.any(np.abs(colsums - 1.0) > COLUMN_TOL):
-            raise TableError(f"conditional columns sum to {colsums}, not 1")
-        object.__setattr__(self, "rows", tuple(self.rows))
-        object.__setattr__(self, "cols", tuple(self.cols))
-        object.__setattr__(self, "fixed", dict(self.fixed))
-        object.__setattr__(self, "entries", _as_readonly(entries))
-
-
 def marginalize(pmf: JointPmf, keep: Sequence[str]) -> JointPmf:
     """Sum out every variable not in ``keep``.
 
@@ -140,96 +113,48 @@ def marginalize(pmf: JointPmf, keep: Sequence[str]) -> JointPmf:
     return JointPmf(kept, pmf.mass.sum(axis=drop_axes) if drop_axes else pmf.mass)
 
 
-def condition(pmf: JointPmf, evidence: Mapping[str, int]) -> JointPmf:
-    """Restrict to ``evidence`` and renormalize over the remaining variables."""
-    if not evidence:
-        return pmf
-    idx: list[object] = [slice(None)] * len(pmf.names)
-    for name, value in evidence.items():
-        idx[pmf.axis(name)] = int(value)
-    sliced = pmf.mass[tuple(idx)]
-    total = float(sliced.sum())
-    if total <= 0.0:
-        raise ZeroProbabilityError(f"conditioning event has probability zero: {dict(evidence)}", evidence)
-    remaining = tuple(n for n in pmf.names if n not in evidence)
-    return JointPmf(remaining, sliced / total)
+def conditional(pmf: JointPmf, target: Sequence[str], given: Sequence[str]) -> np.ndarray:
+    """P(target | given) as a dense array indexed [given..., target...].
 
-
-def _tuple_index(values: int, nvars: int) -> tuple[int, ...]:
-    """Decode a row/column index into a bit tuple, last variable fastest."""
-    return tuple((values >> (nvars - 1 - i)) & 1 for i in range(nvars))
-
-
-def cond_matrix(
-    pmf: JointPmf,
-    target: Sequence[str],
-    given: Sequence[str],
-    fixed: Mapping[str, int] | None = None,
-) -> CondMatrix:
-    """Conditional-probability matrix P(target = r | given = c, fixed)."""
-    fixed = dict(fixed) if fixed else {}
-    target = tuple(target)
-    given = tuple(given)
-    for name in (*target, *given, *fixed):
-        pmf.axis(name)
-    if set(fixed) & (set(target) | set(given)):
-        raise TableError("fixed variables overlap target/given")
-    if target == given:
-        # self-conditioning: P(X=r | X=c) is the identity by definition
-        return CondMatrix(target, given, fixed, np.eye(2 ** len(target)))
-    if set(target) & set(given):
-        raise TableError("target and given variables overlap")
-
-    reduced = condition(pmf, fixed) if fixed else pmf
-    sub = marginalize(reduced, tuple(target) + tuple(given))
-    # joint[target..., given...] with each group in the requested argument order
-    order = [sub.axis(n) for n in target] + [sub.axis(n) for n in given]
-    joint = np.transpose(sub.mass, order).reshape(2 ** len(target), 2 ** len(given))
-    colsums = joint.sum(axis=0)
-    for c in range(colsums.size):
-        if colsums[c] <= 0.0:
-            assignment = dict(zip(given, _tuple_index(c, len(given)))) | fixed
-            raise ZeroProbabilityError(
-                f"zero-probability conditioning column {assignment} for P({','.join(target)}|{','.join(given)})",
-                assignment,
-            )
-    return CondMatrix(target, given, fixed, joint / colsums)
-
-
-def broadcast_product(a, b) -> np.ndarray:
-    """Element-wise broadcast product of a row vector across a matrix's rows.
-
-    Accepts the two operands in either order; two vectors of equal length
-    multiply element-wise. T[i, j] = M[i, j] * v[j].
+    Each slice over the target axes is a conditional pmf; the axes within each
+    group follow the requested argument order. A given cell of probability
+    zero raises, naming the first such cell in C order.
     """
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    if a.ndim == 1 and b.ndim == 1:
-        if a.shape != b.shape:
-            raise TableError(f"length mismatch {a.shape} vs {b.shape}")
-        return a * b
-    if a.ndim == 1:
-        v, m = a, b
-    elif b.ndim == 1:
-        v, m = b, a
-    else:
-        raise TableError("broadcast product needs at least one 1-D operand")
-    if m.ndim != 2 or m.shape[1] != v.shape[0]:
-        raise TableError(f"cannot broadcast vector of length {v.shape[0]} across matrix {m.shape}")
-    return m * v[np.newaxis, :]
+    target, given = tuple(target), tuple(given)
+    if set(target) & set(given):
+        raise TableError(f"target {target} and given {given} overlap")
+    sub = marginalize(pmf, given + target)
+    joint = np.transpose(sub.mass, [sub.axis(n) for n in given + target])
+    den = joint.sum(axis=tuple(range(len(given), joint.ndim)), keepdims=True)
+    zero = np.argwhere(np.atleast_1d(den.reshape(joint.shape[:len(given)])) <= 0.0)
+    if zero.size:
+        assignment = dict(zip(given, map(int, zero[0])))
+        raise ZeroProbabilityError(
+            f"zero-probability conditioning cell {assignment} for P({','.join(target)}|{','.join(given)})",
+            assignment,
+        )
+    return joint / den
 
 
-def invert2or4(m: np.ndarray, role: str = "conditional matrix") -> np.ndarray:
-    """Invert a 2x2 or 4x4 matrix, failing loudly when it is singular.
+def invert2or4(m: np.ndarray, role: str = "conditional matrix", axes: Sequence[str] = ()) -> np.ndarray:
+    """Invert a stack of 2x2 or 4x4 matrices, failing loudly on a singular one.
 
-    A singular matrix here signals a violated completeness/rank condition
-    (or an empirical table with too little data), which must surface rather
-    than be patched by a pseudo-inverse.
+    ``m`` has shape (..., k, k); ``axes`` names the leading stack axes so the
+    error can name the first singular block in C order. A singular matrix
+    here signals a violated completeness/rank condition (or an empirical table
+    with too little data), which must surface rather than be patched by a
+    pseudo-inverse.
     """
     m = np.asarray(m, dtype=float)
-    if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] not in (2, 4):
-        raise TableError(f"{role}: expected a 2x2 or 4x4 matrix, got {m.shape}")
-    det = float(np.linalg.det(m))
-    if abs(det) < DET_TOL:
-        raise SingularMatrixError(f"{role} is singular (|det|={abs(det):.3e}); rank condition fails")
+    if m.ndim < 2 or m.shape[-1] != m.shape[-2] or m.shape[-1] not in (2, 4):
+        raise TableError(f"{role}: expected stacked 2x2 or 4x4 matrices, got {m.shape}")
+    det = np.abs(np.linalg.det(m))
+    bad = np.argwhere(np.atleast_1d(det) < DET_TOL)
+    if bad.size:
+        block = tuple(int(i) for i in bad[0][:det.ndim])
+        names = tuple(axes) or tuple(f"axis{i}" for i in range(len(block)))
+        where = f" at ({', '.join(f'{n}={v}' for n, v in zip(names, block))})" if block else ""
+        raise SingularMatrixError(
+            f"{role}{where} is singular (|det|={det[block]:.3e}); rank condition fails"
+        )
     return np.linalg.inv(m)

@@ -17,12 +17,10 @@ from proxidtr.bridges import (
     bridge_collapse_check,
     pseudo_bridges,
     solve_bridges,
-    solve_h,
-    solve_q,
     verify_bridges,
 )
 from proxidtr.dgp import CANONICAL_ORDER, DgpParams, LogisticModel
-from proxidtr.tables import JointPmf, cond_matrix
+from proxidtr.tables import JointPmf, SingularMatrixError, conditional
 
 
 @pytest.fixture(scope="module")
@@ -48,39 +46,44 @@ def test_solved_bridges_satisfy_equations_at_truth(solved, joint):
 
 
 def test_q11_perfect_proxy_degeneracy(perfect_proxy_pmf):
-    q = solve_q(perfect_proxy_pmf)
+    q = solve_bridges(perfect_proxy_pmf)
+    pa1 = conditional(perfect_proxy_pmf, ("A1",), ("Y0", "U0"))  # [y0, u0, a1]
     for y0 in (0, 1):
-        pa1 = cond_matrix(perfect_proxy_pmf, ("A1",), ("U0",), {"Y0": y0}).entries
         for a1 in (0, 1):
             for z1 in (0, 1):
-                assert q.q11[y0, a1, z1] == pytest.approx(1.0 / pa1[a1, z1], abs=1e-10)
+                assert q.q11[y0, a1, z1] == pytest.approx(1.0 / pa1[y0, z1, a1], abs=1e-10)
 
 
 def test_h22_perfect_proxy_degeneracy(perfect_proxy_pmf):
-    h = solve_h(perfect_proxy_pmf)
+    h = solve_bridges(perfect_proxy_pmf)
+    py2 = conditional(perfect_proxy_pmf, ("Y2",), ("Y0", "Y1", "A1", "A2", "U0", "U1"))
     for y0, y1, a1, a2 in np.ndindex(2, 2, 2, 2):
-        py2 = cond_matrix(
-            perfect_proxy_pmf, ("Y2",), ("U0", "U1"),
-            {"Y0": y0, "Y1": y1, "A1": a1, "A2": a2},
-        ).entries
         for y2 in (0, 1):
             for u0, u1 in np.ndindex(2, 2):
                 assert h.h22[y0, y1, y2, u0, u1, a1, a2] == pytest.approx(
-                    py2[y2, 2 * u0 + u1], abs=1e-10
+                    py2[y0, y1, a1, a2, u0, u1, y2], abs=1e-10
                 )
 
 
 def test_q22_matches_latent_reciprocal_propensity_chain(solved, joint):
     # with the hidden confounders visible, the q chain must reproduce
     # sum_z1 q11 f(z1|a1,u,y) / f(a2|u,a1,y) cell by cell
+    fz2_u = conditional(joint, ("Z1", "Z2"), ("Y0", "Y1", "A1", "A2", "U0", "U1"))
+    fz1_u = conditional(joint, ("Z1",), ("Y0", "Y1", "A1", "U0", "U1"))
+    fa2_u = conditional(joint, ("A2",), ("Y0", "Y1", "A1", "U0", "U1"))
     for y0, y1, a1, a2 in np.ndindex(2, 2, 2, 2):
-        fixed = {"Y0": y0, "Y1": y1, "A1": a1}
-        fz2_u = cond_matrix(joint, ("Z1", "Z2"), ("U0", "U1"), {**fixed, "A2": a2}).entries
-        fz1_u = cond_matrix(joint, ("Z1",), ("U0", "U1"), fixed).entries
-        fa2_u = cond_matrix(joint, ("A2",), ("U0", "U1"), fixed).entries
-        lhs = solved.q22[y0, y1, a1, a2].reshape(4) @ fz2_u
-        rhs = (solved.q11[y0, a1, :] @ fz1_u) / fa2_u[a2, :]
+        lhs = fz2_u[y0, y1, a1, a2].reshape(4, 4) @ solved.q22[y0, y1, a1, a2].reshape(4)
+        rhs = (fz1_u[y0, y1, a1].reshape(4, 2) @ solved.q11[y0, a1, :]) / fa2_u[y0, y1, a1, :, :, a2].reshape(4)
         np.testing.assert_allclose(lhs, rhs, atol=1e-10)
+
+
+def test_uninformative_proxy_names_singular_cell(joint):
+    # Z1 replaced by an independent fair coin: every proxy matrix over Z1
+    # has equal columns, and the first stacked block is reported
+    axis = joint.names.index("Z1")
+    coin = np.repeat(joint.mass.sum(axis=axis, keepdims=True) / 2, 2, axis=axis)
+    with pytest.raises(SingularMatrixError, match=r"P\(W1,W2\|Z1,Z2\) at \(Y0=0, Y1=0, A1=0, A2=0\)"):
+        solve_bridges(JointPmf(joint.names, coin))
 
 
 def test_q11_positive_at_truth(solved):
@@ -176,12 +179,12 @@ def test_collapse_check_flags_pseudo_h21(joint, solved):
 def test_scalar_outcome_bridge_identity(solved, joint):
     # sum_y2 y2*h22 must serve as the scalar (mean-outcome) bridge
     h22o = solved.h22[:, :, 1, :, :, :, :]  # [y0, y1, w1, w2, a1, a2]
+    given = ("Y0", "Y1", "A1", "A2", "Z1", "Z2")
+    fy2 = conditional(joint, ("Y2",), given)
+    fw = conditional(joint, ("W1", "W2"), given)
     for y0, y1, a1, a2 in np.ndindex(2, 2, 2, 2):
-        fixed = {"Y0": y0, "Y1": y1, "A1": a1, "A2": a2}
-        fy2 = cond_matrix(joint, ("Y2",), ("Z1", "Z2"), fixed).entries
-        fw = cond_matrix(joint, ("W1", "W2"), ("Z1", "Z2"), fixed).entries
-        lhs = fy2[1, :]  # sum_y2 y2 f(y2|...)
-        rhs = h22o[y0, y1, :, :, a1, a2].reshape(4) @ fw
+        lhs = fy2[y0, y1, a1, a2].reshape(4, 2)[:, 1]  # sum_y2 y2 f(y2|...)
+        rhs = fw[y0, y1, a1, a2].reshape(4, 4) @ h22o[y0, y1, :, :, a1, a2].reshape(4)
         np.testing.assert_allclose(lhs, rhs, atol=1e-10)
 
 

@@ -136,3 +136,53 @@ def test_bad_config_json(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text("{not json")
     assert main(["experiment", "--config", str(cfg), "-o", str(tmp_path / "r.csv")]) == 1
+
+
+def _one_line_error(capsys) -> str:
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert len(err.strip().splitlines()) == 1
+    return err
+
+
+def test_header_only_csv_is_usage_error(tmp_path, regime_file, capsys):
+    data_file = tmp_path / "empty.csv"
+    data_file.write_text("y0,z1,w1,a1,y1,z2,w2,a2,y2\n")
+    code = main([
+        "estimate", "--data", str(data_file), "--method", "pmr",
+        "--regime", str(regime_file),
+    ])
+    assert code == 1
+    assert "no data rows" in _one_line_error(capsys)
+
+
+def test_out_of_range_csv_value_is_usage_error(tmp_path, regime_file, capsys):
+    data_file = tmp_path / "big.csv"
+    data_file.write_text("y0,z1,w1,a1,y1,z2,w2,a2,y2\n300,0,0,0,0,0,0,0,0\n")
+    code = main([
+        "estimate", "--data", str(data_file), "--method", "sra",
+        "--regime", str(regime_file),
+    ])
+    assert code == 1
+    _one_line_error(capsys)
+
+
+def test_unknown_config_key_is_usage_error(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"n": 2000, "reps": 1, "sample_size": 5}))
+    assert main(["experiment", "--config", str(cfg), "-o", str(tmp_path / "r.csv")]) == 1
+    assert "sample_size" in _one_line_error(capsys)
+
+
+def test_non_object_config_is_usage_error(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text("[1, 2]")
+    assert main(["experiment", "--config", str(cfg), "-o", str(tmp_path / "r.csv")]) == 1
+    assert "JSON object" in _one_line_error(capsys)
+
+
+def test_negative_seed_is_usage_error(tmp_path, capsys):
+    out = tmp_path / "a.csv"
+    assert main(["simulate", "--n", "10", "--seed", "-1", "-o", str(out)]) == 1
+    assert "seed" in _one_line_error(capsys)
+    assert not out.exists()

@@ -43,6 +43,10 @@ def test_config_validation():
         ExperimentConfig(methods=("NOPE",))
     with pytest.raises(ValueError):
         ExperimentConfig(optimizer="gradient")
+    with pytest.raises(ValueError, match="folds"):
+        ExperimentConfig(folds=0)
+    with pytest.raises(ValueError, match="laplace"):
+        ExperimentConfig(laplace=-0.5)
     cfg = ExperimentConfig(methods=("pmr",))
     assert cfg.methods == ("PMR",)
 

@@ -1,5 +1,5 @@
-"""Probability-table core: marginalize, condition, conditional matrices,
-the broadcast product, and small-matrix inversion.
+"""Probability-table core: marginalize, conditionals, and stacked small-matrix
+inversion.
 
 Derived expectations are computed by independent brute force over the
 2^11-cell law (plain Python loops), never through the code paths they check.
@@ -11,15 +11,12 @@ import numpy as np
 import pytest
 
 from proxidtr.tables import (
-    CondMatrix,
     JointPmf,
     SingularMatrixError,
     TableError,
     UnknownVariableError,
     ZeroProbabilityError,
-    broadcast_product,
-    cond_matrix,
-    condition,
+    conditional,
     invert2or4,
     marginalize,
 )
@@ -95,29 +92,28 @@ def test_marginalize_keeps_pmf_order(joint):
     assert out.names == ("Y0", "Y2")
 
 
-# -- condition -----------------------------------------------------------------
+# -- conditional: conditioning and conditional matrices -----------------------
 
 def test_condition_empty_evidence(joint):
-    assert condition(joint, {}) is joint
+    np.testing.assert_allclose(conditional(joint, joint.names, ()), joint.mass, rtol=1e-15, atol=0)
 
 
 def test_condition_on_independent_variable():
     # product law: conditioning on A leaves B's marginal untouched
     mass = np.outer([0.3, 0.7], [0.6, 0.4])
     pmf = JointPmf(("A", "B"), mass)
-    np.testing.assert_allclose(condition(pmf, {"A": 1}).mass, [0.6, 0.4], atol=1e-15)
+    np.testing.assert_allclose(conditional(pmf, ("B",), ("A",))[1], [0.6, 0.4], atol=1e-15)
 
 
 def test_condition_then_marginalize_y0_given_u0(joint):
-    cond = condition(joint, {"U0": 0})
-    assert marginalize(cond, ("Y0",)).mass[1] == pytest.approx(EXPIT_MINUS_ONE, abs=1e-12)
+    assert conditional(joint, ("Y0",), ("U0",))[0, 1] == pytest.approx(EXPIT_MINUS_ONE, abs=1e-12)
 
 
 def test_condition_zero_probability_event():
     mass = np.array([[0.5, 0.5], [0.0, 0.0]])
     pmf = JointPmf(("A", "B"), mass)
     with pytest.raises(ZeroProbabilityError) as err:
-        condition(pmf, {"A": 1})
+        conditional(pmf, ("B",), ("A",))
     assert err.value.assignment == {"A": 1}
 
 
@@ -126,30 +122,23 @@ def test_total_probability_reconstruction(joint):
     given = ("U0", "A1")
     rest = tuple(n for n in joint.names if n not in given)
     direct = marginalize(joint, rest).mass
+    cond = conditional(joint, rest, given)
     rebuilt = np.zeros_like(direct)
     for u0 in (0, 1):
         for a1 in (0, 1):
-            ev = {"U0": u0, "A1": a1}
-            weight = joint.prob(ev)
-            rebuilt += weight * condition(joint, ev).mass
+            rebuilt += joint.prob({"U0": u0, "A1": a1}) * cond[u0, a1]
     np.testing.assert_allclose(rebuilt, direct, atol=1e-12)
 
 
-# -- cond_matrix ---------------------------------------------------------------
-
-def test_cond_matrix_self_conditioning(joint):
-    m = cond_matrix(joint, ("Y1",), ("Y1",))
-    np.testing.assert_array_equal(m.entries, np.eye(2))
-
-
 def test_cond_matrix_columns_are_pmfs(joint):
-    m = cond_matrix(joint, ("W1",), ("U0",), {"Y0": 0})
-    assert np.all(m.entries >= 0)
-    np.testing.assert_allclose(m.entries.sum(axis=0), [1.0, 1.0], atol=1e-10)
+    m = conditional(joint, ("W1",), ("Y0", "U0"))
+    assert m.shape == (2, 2, 2)
+    assert np.all(m >= 0)
+    np.testing.assert_allclose(m.sum(axis=-1), 1.0, atol=1e-10)
 
 
 def test_cond_matrix_against_brute_force(joint):
-    m = cond_matrix(joint, ("Z1",), ("W1",), {"A1": 1, "Y0": 0})
+    m = conditional(joint, ("Z1",), ("A1", "Y0", "W1"))
     names = joint.names
     num = 0.0
     den = 0.0
@@ -159,72 +148,22 @@ def test_cond_matrix_against_brute_force(joint):
             den += joint.mass[idx]
             if cell["Z1"] == 1:
                 num += joint.mass[idx]
-    assert m.entries[1, 1] == pytest.approx(num / den, abs=1e-12)
+    assert m[1, 0, 1, 1] == pytest.approx(num / den, abs=1e-12)
 
 
 def test_cond_matrix_zero_column_errors():
-    mass = np.zeros((2, 2))
-    mass[0, 0] = 0.5
-    mass[0, 1] = 0.5
-    pmf = JointPmf(("A", "B"), mass)
-    with pytest.raises(ZeroProbabilityError, match="A.*1"):
-        cond_matrix(pmf, ("B",), ("A",))
+    mass = np.zeros((2, 2, 2))
+    mass[0, :, :] = 0.2
+    mass[1, :, 0] = 0.1  # (A=1, C=1) has probability zero
+    pmf = JointPmf(("A", "B", "C"), mass)
+    with pytest.raises(ZeroProbabilityError, match="A.*1.*C.*1") as err:
+        conditional(pmf, ("B",), ("A", "C"))
+    assert err.value.assignment == {"A": 1, "C": 1}
 
 
 def test_cond_matrix_role_overlap_rejected(joint):
     with pytest.raises(TableError):
-        cond_matrix(joint, ("Y1",), ("Z1",), {"Y1": 0})
-
-
-def test_cond_matrix_validation():
-    with pytest.raises(TableError):
-        CondMatrix(("A",), ("B",), {}, np.array([[0.5, 0.9], [0.5, 0.4]]))
-
-
-# -- broadcast product ----------------------------------------------------------
-
-def test_broadcast_ones_vector_is_identity():
-    rng = np.random.default_rng(0)
-    m = rng.random((4, 4))
-    np.testing.assert_array_equal(broadcast_product(np.ones(4), m), m)
-
-
-def test_broadcast_all_ones_matrix():
-    v = np.array([0.3, 0.7])
-    out = broadcast_product(v, np.ones((3, 2)))
-    for row in out:
-        np.testing.assert_array_equal(row, v)
-
-
-def test_broadcast_commutes_and_matches_double_loop():
-    rng = np.random.default_rng(42)
-    for _ in range(20):
-        v = rng.random(4)
-        m = rng.random((3, 4))
-        left = broadcast_product(v, m)
-        right = broadcast_product(m, v)
-        expected = np.empty_like(m)
-        for i in range(m.shape[0]):
-            for j in range(m.shape[1]):
-                expected[i, j] = m[i, j] * v[j]
-        np.testing.assert_array_equal(left, right)
-        np.testing.assert_allclose(left, expected, atol=0)
-
-
-def test_broadcast_is_bilinear():
-    rng = np.random.default_rng(3)
-    v, w = rng.random(4), rng.random(4)
-    m = rng.random((2, 4))
-    np.testing.assert_allclose(
-        broadcast_product(v + 2 * w, m),
-        broadcast_product(v, m) + 2 * broadcast_product(w, m),
-        atol=1e-14,
-    )
-
-
-def test_broadcast_dimension_mismatch():
-    with pytest.raises(TableError):
-        broadcast_product(np.ones(3), np.ones((2, 4)))
+        conditional(joint, ("Y1", "Z1"), ("Y1",))
 
 
 # -- invert2or4 ------------------------------------------------------------------
@@ -239,17 +178,23 @@ def test_invert_diagonal():
 
 def test_invert_round_trip_well_conditioned():
     rng = np.random.default_rng(7)
-    for _ in range(50):
-        m = rng.random((4, 4)) + 4.0 * np.eye(4)  # diagonally dominant
-        assert np.linalg.cond(m) < 1e6
-        residual = np.abs(m @ invert2or4(m) - np.eye(4)).max()
-        assert residual <= 1e-9
+    stack = rng.random((50, 4, 4)) + 4.0 * np.eye(4)  # diagonally dominant
+    assert np.linalg.cond(stack).max() < 1e6
+    residual = np.abs(stack @ invert2or4(stack) - np.eye(4)).max()
+    assert residual <= 1e-9
 
 
 def test_invert_singular_raises_with_role():
     singular = np.array([[1.0, 1.0], [1.0, 1.0]])
     with pytest.raises(SingularMatrixError, match="proxy block"):
         invert2or4(singular, role="proxy block")
+
+
+def test_invert_stack_names_singular_block():
+    stack = np.tile(np.eye(2), (2, 2, 1, 1))
+    stack[1, 0] = [[0.5, 0.5], [0.5, 0.5]]
+    with pytest.raises(SingularMatrixError, match=r"proxy block at \(Y0=1, A1=0\)"):
+        invert2or4(stack, role="proxy block", axes=("Y0", "A1"))
 
 
 def test_invert_rejects_other_shapes():
