@@ -14,7 +14,9 @@ The module constructs the exact 2^11 joint law, samples ancestrally with a
 counter-based generator, and evaluates ground truth by sequential
 standardization (g-formula) over the hidden confounders: the conditional
 joint density of potential outcomes, the true value of any regime, and the
-class optima found by exhaustive policy enumeration.
+class optima found by exhaustive policy enumeration. ``class_values`` scores
+every member of a regime class against one density as a single array
+gather, with the same products and summation order as ``regime_value``.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .policy import Regime, RegimeClass, enumerate_class, value_maximize
+from .policy import Regime, RegimeClass, enumerate_class, first_maximizer
 from .tables import JointPmf, conditional, marginalize
 
 CANONICAL_ORDER = ("Y0", "U0", "Z1", "W1", "A1", "Y1", "U1", "Z2", "W2", "A2", "Y2")
@@ -302,21 +304,32 @@ def regime_value(g: np.ndarray, p_y0: np.ndarray, regime: Regime) -> float:
     return float(total)
 
 
+def class_values(g: np.ndarray, p_y0: np.ndarray, cls: RegimeClass) -> np.ndarray:
+    """``regime_value`` of every member of ``cls``, shape (K,), bit for bit.
+
+    Each member's four terms P(y0) * g[...] are added left to right in
+    ``regime_value``'s (y0, y1) order, so members that differ only off-path
+    tie exactly and ``first_maximizer`` keeps the first-maximizer rule.
+    """
+    terms = np.asarray(p_y0)[[0, 0, 1, 1], None] * np.asarray(g).reshape(-1)[cls.density_index]
+    return ((terms[0] + terms[1]) + terms[2]) + terms[3]
+
+
 def marginal_y0(pmf: JointPmf) -> np.ndarray:
     return marginalize(pmf, ("Y0",)).mass
 
 
 def true_value(params: DgpParams, regime: Regime) -> float:
     """Exact value of a regime under the true law."""
-    density = oracle_potential_density(params)
-    return regime_value(density.g, marginal_y0(true_joint(params)), regime)
+    joint = true_joint(params)
+    return regime_value(oracle_density_from_joint(joint).g, marginal_y0(joint), regime)
 
 
 def optimal_value(params: DgpParams, cls: str | RegimeClass) -> tuple[float, Regime]:
     """Exhaustive maximum of the true value over a regime class."""
     if isinstance(cls, str):
         cls = enumerate_class(cls)
-    density = oracle_potential_density(params)
-    p_y0 = marginal_y0(true_joint(params))
-    regime, value = value_maximize(lambda r: regime_value(density.g, p_y0, r), cls)
-    return value, regime
+    joint = true_joint(params)
+    values = class_values(oracle_density_from_joint(joint).g, marginal_y0(joint), cls)
+    best = first_maximizer(values)
+    return float(values[best]), cls.members[best]

@@ -4,8 +4,9 @@ One repetition samples a dataset and fits the empirical law and bridges
 once (once per fold when cross-fitting). Each misspecification scenario
 swaps its pseudo components into that fit; the SRA and Oracle densities are
 computed once. For every (scenario, method) it picks a regime either by
-value maximization over an enumerated class or by Q-learning on the
-estimated density, and scores it two ways:
+value maximization over an enumerated class (all members' values from one
+array gather, ``dgp.class_values``) or by Q-learning on the estimated
+density, and scores it two ways:
 
   regret         V(d*) - V(d_hat), both under the true law, where d* is the
                  optimum of the class searched (the Boolean-class optimum
@@ -19,11 +20,16 @@ pair (m2-correct); all-correct and all-wrong bracket them. The corrupted
 components are replaced by pseudo bridges drawn once per experiment from a
 fixed seed, so repetitions share one corruption.
 
+True values come from one array over the 1024-member Boolean class,
+computed once per experiment; a chosen regime's true value is read at its
+Boolean index ``d1_index << 8 | d2_index``.
+
 Everything is deterministic in the config: repetition seeds are
-base_seed + index, aggregation runs in index order, and table emission is
-byte-stable. Repetition failures (rank/positivity errors on sparse tables)
-are counted and excluded, never silently dropped. ``PROXIDTR_THREADS``
-caps worker processes; the default is serial.
+base_seed + index, and each repetition's results are folded into per-cell
+arrays as they arrive, in index order, so table emission is byte-stable.
+Repetition failures (rank/positivity errors on sparse tables) are counted
+and excluded, never silently dropped. ``PROXIDTR_THREADS`` caps worker
+processes; the default is serial.
 """
 
 from __future__ import annotations
@@ -34,13 +40,20 @@ import json
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, fields
-from functools import partial
 
 import numpy as np
 
 from . import identify
 from .bridges import BridgeSet, MissingBridgeError, pseudo_bridges, solve_bridges, verify_bridges
-from .dgp import DgpParams, marginal_y0, oracle_potential_density, regime_value, sample, true_joint
+from .dgp import (
+    DgpParams,
+    class_values,
+    marginal_y0,
+    oracle_density_from_joint,
+    regime_value,
+    sample,
+    true_joint,
+)
 from .estimators import (
     FitOptions,
     empirical_pmf,
@@ -50,7 +63,7 @@ from .estimators import (
     sra_density,
 )
 from .identify import q_functions
-from .policy import Regime, enumerate_class, q_learning_regime, value_maximize
+from .policy import Regime, RegimeClass, enumerate_class, first_maximizer, q_learning_regime
 from .tables import JointPmf, TableError
 
 EPSILON = 1e-10  # values below this render as "<eps"
@@ -165,10 +178,9 @@ class ExperimentReport:
         raise KeyError((scenario, method))
 
 
-def _summary(values: list[float]) -> MetricSummary:
-    if not values:
+def _summary(arr: np.ndarray) -> MetricSummary:
+    if not arr.size:
         return MetricSummary(float("nan"), float("nan"), float("nan"))
-    arr = np.asarray(values, dtype=float)
     se = float(arr.std(ddof=1) / np.sqrt(arr.size)) if arr.size > 1 else 0.0
     return MetricSummary(float(arr.mean()), se, float(np.sqrt((arr ** 2).mean())))
 
@@ -180,18 +192,20 @@ class _Truth:
         self.params = params
         joint = true_joint(params)
         self.p_y0 = marginal_y0(joint)
-        self.oracle_g = oracle_potential_density(params).g
+        self.oracle_g = oracle_density_from_joint(joint).g
         self.search_class = enumerate_class(regime_class)
-        self.boolean_class = enumerate_class("all-boolean")
-        self.true_values = {
-            (r.d1, r.d2): regime_value(self.oracle_g, self.p_y0, r)
-            for r in self.boolean_class.members
-        }
-        _, self.optimum_value = value_maximize(self._true_value, self.search_class)
-        _, self.boolean_optimum = value_maximize(self._true_value, self.boolean_class)
+        boolean_class = enumerate_class("all-boolean")
+        # (1024,), indexed d1_index << 8 | d2_index: the Boolean enumeration order
+        self.true_values = class_values(self.oracle_g, self.p_y0, boolean_class)
+        self.optimum_value = self._optimum(self.search_class)
+        self.boolean_optimum = self._optimum(boolean_class)
 
-    def _true_value(self, regime: Regime) -> float:
-        return self.true_values[(regime.d1, regime.d2)]
+    def true_value(self, regime: Regime) -> float:
+        return float(self.true_values[(regime.d1_index << 8) | regime.d2_index])
+
+    def _optimum(self, cls: RegimeClass) -> float:
+        values = self.true_values[[(r.d1_index << 8) | r.d2_index for r in cls.members]]
+        return float(values[first_maximizer(values)])
 
 
 def _fitted(fn, *args):
@@ -253,16 +267,17 @@ def _baseline_table(data, config: ExperimentConfig, method: str) -> tuple[np.nda
 def _score_regime(truth: _Truth, g: np.ndarray, p_y0: np.ndarray, optimizer: str):
     """Pick a regime from an estimated density and score it against truth."""
     if optimizer == "value-max":
-        d_hat, v_hat_opt = value_maximize(partial(regime_value, g, p_y0), truth.search_class)
+        values = class_values(g, p_y0, truth.search_class)
+        best = first_maximizer(values)
+        d_hat = truth.search_class.members[best]
         benchmark = truth.optimum_value
-        estimated = v_hat_opt
+        estimated = float(values[best])
     else:
         q2, q1 = q_functions(g)
         d_hat = q_learning_regime(q2, q1)
         benchmark = truth.boolean_optimum
         estimated = regime_value(g, p_y0, d_hat)
-    true_v = truth.true_values[(d_hat.d1, d_hat.d2)]
-    return benchmark - true_v, abs(benchmark - estimated)
+    return benchmark - truth.true_value(d_hat), abs(benchmark - estimated)
 
 
 def _run_rep(config: ExperimentConfig, truth: _Truth, rep: int):
@@ -315,22 +330,35 @@ def worker_count() -> int:
         return 1
 
 
+def _rep_results(config: ExperimentConfig, truth: _Truth, workers: int):
+    """Each repetition's per-cell results, one at a time, in index order."""
+    if workers > 1 and config.reps > 1:
+        with ProcessPoolExecutor(max_workers=min(workers, config.reps)) as pool:
+            yield from pool.map(_worker, [(config, r) for r in range(config.reps)])
+    else:
+        for rep in range(config.reps):
+            yield _run_rep(config, truth, rep)
+
+
 def run_experiment(config: ExperimentConfig, params: DgpParams | None = None) -> ExperimentReport:
     """Run the full grid and aggregate regret / overall error per cell."""
     truth = _Truth(params, config.regime_class) if params is not None else _truth_context(config)
     # worker processes rebuild the default-law context; custom laws run serially
     workers = worker_count() if params is None else 1
-    if workers > 1 and config.reps > 1:
-        with ProcessPoolExecutor(max_workers=min(workers, config.reps)) as pool:
-            rep_results = list(pool.map(_worker, [(config, r) for r in range(config.reps)]))
-    else:
-        rep_results = [_run_rep(config, truth, rep) for rep in range(config.reps)]
+    keys = [(tag, method) for tag in config.scenarios for method in config.methods]
+    scores = np.zeros((len(keys), 2, config.reps))  # [cell, (regret, overall error), rep]
+    scored = np.zeros((len(keys), config.reps), dtype=bool)
+    for rep, results in enumerate(_rep_results(config, truth, workers)):
+        for i, key in enumerate(keys):
+            if not isinstance(results[key], str):
+                scores[i, :, rep] = results[key]
+                scored[i, rep] = True
     cells = []
-    for tag in config.scenarios:
-        for method in config.methods:
-            scored = [r[(tag, method)] for r in rep_results if not isinstance(r[(tag, method)], str)]
-            cells.append(CellSummary(tag, method, len(scored), config.reps - len(scored),
-                                     _summary([s[0] for s in scored]), _summary([s[1] for s in scored])))
+    for i, (tag, method) in enumerate(keys):
+        regret, overall = scores[i][:, scored[i]]
+        count = int(scored[i].sum())
+        cells.append(CellSummary(tag, method, count, config.reps - count,
+                                 _summary(regret), _summary(overall)))
     return ExperimentReport(config, tuple(cells))
 
 
@@ -425,7 +453,7 @@ def identify_check(params: DgpParams | None = None, pseudo: tuple[str, ...] = ()
     bridges_hat = solve_bridges(joint, provenance="solved-from-truth")
     if pseudo:
         bridges_hat = bridges_hat.merged(pseudo_bridges(pseudo_seed, pseudo))
-    oracle_g = oracle_potential_density(params).g
+    oracle_g = oracle_density_from_joint(joint).g
     deviations = {}
     densities = {}
     for method, fn in _DENSITY_FN.items():

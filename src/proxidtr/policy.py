@@ -16,6 +16,11 @@ any value function over the class is an exact, solver-free fold.
 Tie-breaking is normative: a threshold at exactly zero maps to action 0, and
 value maximization returns the first maximizer in canonical enumeration order
 (d1 index ascending, then d2 truth-table integer ascending).
+
+A class also carries, per member, the flat indices of the four density cells
+its value reads, so the values of all members under one density are a single
+array gather (``dgp.class_values``); ``first_maximizer`` then applies the same
+rule as ``value_maximize``, which is kept for arbitrary value functions.
 """
 
 from __future__ import annotations
@@ -23,7 +28,7 @@ from __future__ import annotations
 import itertools
 import json
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -117,6 +122,26 @@ class RegimeClass:
     tag: str
     members: tuple[Regime, ...]
 
+    @cached_property
+    def density_index(self) -> np.ndarray:
+        """(4, K) flat indices into a (2,)*5 density ``g[a1, a2, y2, y1, y0]``.
+
+        Row ``2*y0 + y1`` holds, for every member, the cell
+        ``g[d1(y0), d2(y0, y1, d1(y0)), 1, y1, y0]``: the four terms of
+        ``regime_value`` in its loop order.
+        """
+        d1 = np.array([r.d1 for r in self.members], dtype=np.intp).reshape(-1, 2)
+        d2 = np.array([r.d2 for r in self.members], dtype=np.intp).reshape(-1, 8)
+        rows = []
+        for y0 in (0, 1):
+            a1 = d1[:, y0]
+            for y1 in (0, 1):
+                a2 = d2[np.arange(len(d2)), (y0 << 2) | (y1 << 1) | a1]
+                rows.append(np.ravel_multi_index((a1, a2, 1, y1, y0), (2,) * 5))
+        index = np.stack(rows)
+        index.flags.writeable = False
+        return index
+
 
 def _unit(vec: Sequence[int]) -> tuple[float, ...]:
     arr = np.asarray(vec, dtype=float)
@@ -190,6 +215,21 @@ def value_maximize(value_fn: Callable[[Regime], float], cls: RegimeClass) -> tup
         if value > best_value:
             best, best_value = regime, value
     return best, best_value
+
+
+def first_maximizer(values: np.ndarray) -> int:
+    """Index of the member ``value_maximize`` picks from these values.
+
+    The first maximum wins ties; as with its strict ``>``, a NaN in first
+    place is kept and a NaN anywhere else never wins.
+    """
+    values = np.asarray(values, dtype=float)
+    if values.size == 0:
+        raise ValueError("empty regime class")
+    best = int(np.argmax(values))
+    if np.isnan(values[best]):  # argmax stops at the first NaN
+        best = 0 if np.isnan(values[0]) else int(np.nanargmax(values))
+    return best
 
 
 def q_learning_regime(q2: np.ndarray, q1: np.ndarray) -> Regime:

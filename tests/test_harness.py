@@ -1,11 +1,19 @@
 """Experiment orchestration: determinism, failure accounting, table output."""
 
+from functools import partial
+
+import numpy as np
 import pytest
 
+from proxidtr import harness
+from proxidtr.dgp import DgpParams, regime_value, sample
 from proxidtr.harness import (
     ALL_METHODS,
+    BRIDGE_METHODS,
+    CellSummary,
     ExperimentConfig,
     ExperimentReport,
+    MetricSummary,
     Scenario,
     emit_tables,
     identify_check,
@@ -13,6 +21,7 @@ from proxidtr.harness import (
     run_experiment,
     worker_count,
 )
+from proxidtr.policy import value_maximize
 
 SMALL = ExperimentConfig(
     scenarios=("all-correct", "all-wrong"),
@@ -155,3 +164,52 @@ def test_cross_fit_experiment_runs():
     report = run_experiment(cfg)
     cell = report.cell("all-correct", "PMR")
     assert cell.count + cell.failures == 1
+
+
+def _loop_score(truth, g, p_y0):
+    """Value-max scores by the ``value_maximize`` + ``regime_value`` loop."""
+    d_hat, estimated = value_maximize(partial(regime_value, g, p_y0), truth.search_class)
+    _, optimum = value_maximize(partial(regime_value, truth.oracle_g, truth.p_y0), truth.search_class)
+    return optimum - regime_value(truth.oracle_g, truth.p_y0, d_hat), abs(optimum - estimated)
+
+
+def test_score_regime_matches_loop_on_one_repetition():
+    config = ExperimentConfig(n=35000)
+    data = sample(DgpParams.default(), config.n, config.base_seed)
+    fits = harness._bridge_fits(data, config)
+    tables = [harness._baseline_table(data, config, m) for m in ("SRA", "ORACLE")]
+    for tag in config.scenarios:
+        tables += harness._bridge_tables(fits, Scenario(tag), BRIDGE_METHODS).values()
+    for regime_class in ("linear", "all-boolean"):
+        truth = harness._truth_context(ExperimentConfig(regime_class=regime_class))
+        densities = tables + [(truth.oracle_g, truth.p_y0)]
+        assert len(densities) == 23
+        for g, p_y0 in densities:
+            assert harness._score_regime(truth, g, p_y0, "value-max") == _loop_score(truth, g, p_y0)
+
+
+def _list_summary(values):
+    if not values:
+        return MetricSummary(float("nan"), float("nan"), float("nan"))
+    arr = np.asarray(values, dtype=float)
+    se = float(arr.std(ddof=1) / np.sqrt(arr.size)) if arr.size > 1 else 0.0
+    return MetricSummary(float(arr.mean()), se, float(np.sqrt((arr ** 2).mean())))
+
+
+def test_streamed_aggregation_matches_list_aggregation():
+    config = ExperimentConfig(n=600, reps=6, laplace=0.0)
+    truth = harness._truth_context(config)
+    per_rep = [harness._run_rep(config, truth, rep) for rep in range(config.reps)]
+    cells = []
+    for tag in config.scenarios:
+        for method in config.methods:
+            scored = [r[(tag, method)] for r in per_rep if not isinstance(r[(tag, method)], str)]
+            cells.append(CellSummary(tag, method, len(scored), config.reps - len(scored),
+                                     _list_summary([s[0] for s in scored]),
+                                     _list_summary([s[1] for s in scored])))
+    expected = ExperimentReport(config, tuple(cells))
+    assert any(0 < c.failures < config.reps for c in expected.cells)
+    assert any(c.failures == config.reps for c in expected.cells)
+    report = run_experiment(config)
+    assert [(c.count, c.failures) for c in report.cells] == [(c.count, c.failures) for c in expected.cells]
+    assert emit_tables(report) == emit_tables(expected)

@@ -3,18 +3,24 @@
 The linear-class membership is re-derived here with an independent
 separability search (different weight grid, different scoring path) to
 confirm the canonical 104 count and that no separable table is missed.
+The array search (``dgp.class_values`` + ``first_maximizer``) is checked
+member by member against the ``regime_value`` / ``value_maximize`` loop.
 """
 
 import itertools
+from functools import partial
 
 import numpy as np
 import pytest
 
 from proxidtr import dgp
+from proxidtr.estimators import empirical_pmf, sra_density
+from proxidtr.identify import observed_conditional
 from proxidtr.policy import (
     D2_CELLS,
     Regime,
     enumerate_class,
+    first_maximizer,
     q_learning_regime,
     regime_equivalence_key,
     value_maximize,
@@ -162,3 +168,62 @@ def test_equal_keys_imply_equal_true_value(boolean_class, true_values):
         by_key.setdefault(regime_equivalence_key(r), []).append(true_values[(r.d1, r.d2)])
     for values in by_key.values():
         assert max(values) - min(values) <= 1e-12
+
+
+@pytest.fixture(scope="module")
+def densities(oracle, p_y0, big_data):
+    """(g, p_y0) pairs: the oracle, the SRA density of ``big_data`` and 5 random tables."""
+    sra_pmf = empirical_pmf(big_data)
+    out = [(oracle.g, p_y0), (sra_density(sra_pmf).g, observed_conditional(sra_pmf)[1])]
+    rng = np.random.default_rng(404)
+    for _ in range(5):
+        p = rng.random(2)
+        out.append((rng.random((2,) * 5), p / p.sum()))
+    return out
+
+
+def test_class_index_shape_and_cache(linear_class, boolean_class):
+    for cls in (linear_class, boolean_class):
+        index = cls.density_index
+        assert index.shape == (4, len(cls.members))
+        assert cls.density_index is index
+        assert not index.flags.writeable
+    assert linear_class == enumerate_class("linear")
+
+
+def test_class_values_equal_regime_value_loop(densities, linear_class, boolean_class):
+    for cls in (linear_class, boolean_class):
+        for g, p in densities:
+            values = dgp.class_values(g, p, cls)
+            assert values.tolist() == [dgp.regime_value(g, p, r) for r in cls.members]
+            best = first_maximizer(values)
+            regime, value = value_maximize(partial(dgp.regime_value, g, p), cls)
+            assert cls.members[best] is regime
+            assert values[best] == value
+
+
+def test_equal_keys_give_exactly_equal_class_values(densities, boolean_class):
+    keys = np.array([regime_equivalence_key(r) for r in boolean_class.members])
+    for g, p in densities:
+        values = dgp.class_values(g, p, boolean_class)
+        for key in np.unique(keys):
+            assert len(set(values[keys == key].tolist())) == 1
+
+
+def test_constant_density_returns_first_member(linear_class, boolean_class):
+    g = np.full((2,) * 5, 0.5)
+    for cls in (linear_class, boolean_class):
+        values = dgp.class_values(g, np.array([0.3, 0.7]), cls)
+        assert first_maximizer(values) == 0
+
+
+def test_nan_cell_follows_value_maximize(oracle, p_y0, linear_class, boolean_class):
+    for cls in (linear_class, boolean_class):
+        winner = first_maximizer(dgp.class_values(oracle.g, p_y0, cls))
+        for member in (0, winner, len(cls.members) - 1):
+            g = oracle.g.copy()
+            g.flat[cls.density_index[3, member]] = np.nan
+            values = dgp.class_values(g, p_y0, cls)
+            regime, _ = value_maximize(partial(dgp.regime_value, g, p_y0), cls)
+            assert np.isnan(values[member])
+            assert cls.members[first_maximizer(values)] is regime
