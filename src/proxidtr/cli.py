@@ -150,10 +150,7 @@ def main(argv: list[str] | None = None) -> int:
     except (TableError, MissingBridgeError) as err:
         print(f"numerical failure: {err}", file=sys.stderr)
         return NUMERICAL_ERROR
-    except FileNotFoundError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return USAGE_ERROR
-    except (ValueError, OverflowError) as err:
+    except (OSError, ValueError, OverflowError) as err:
         print(f"error: {err}", file=sys.stderr)
         return USAGE_ERROR
 

@@ -17,6 +17,15 @@ joint density of potential outcomes, the true value of any regime, and the
 class optima found by exhaustive policy enumeration. ``class_values`` scores
 every member of a regime class against one density as a single array
 gather, with the same products and summation order as ``regime_value``.
+
+The sampler draws each variable in SAMPLING_ORDER as one Philox uniform per
+row, compared with a prefix table P(var = 1 | the variables sampled before
+it) read at the row's earlier values. The tables are built once per
+``DgpParams`` by ``prob1`` on the 0/1 grid, the same float operations the
+per-row model applies, so the stream and the rows of a seed are
+byte-stable: they are those of the per-row sampler. A ``Dataset`` keeps its
+rows' canonical cell codes and the 2^11 cell counts, the sufficient
+statistic of every estimator, computed once on first use.
 """
 
 from __future__ import annotations
@@ -24,6 +33,7 @@ from __future__ import annotations
 import csv
 import io
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Mapping
 
 import numpy as np
@@ -103,6 +113,23 @@ class DgpParams:
                 return m
         raise KeyError(target)
 
+    @cached_property
+    def sampling_tables(self) -> tuple[np.ndarray, ...]:
+        """P(var = 1 | the variables sampled before it), per variable of
+        SAMPLING_ORDER: a flat table of 2^k entries indexed by the earlier
+        values read as bits, the first sampled the most significant.
+
+        Each entry is ``prob1`` on one 0/1 grid cell, the same float
+        operations the per-row model applies to a row with those values.
+        """
+        tables = []
+        for k, name in enumerate(SAMPLING_ORDER):
+            grid = dict(zip(SAMPLING_ORDER[:k], np.indices((2,) * k)))
+            table = np.array(np.broadcast_to(self.model(name).prob1(grid), (2,) * k)).reshape(-1)
+            table.flags.writeable = False
+            tables.append(table)
+        return tuple(tables)
+
     @classmethod
     def default(cls) -> "DgpParams":
         b = LogisticModel.build
@@ -131,11 +158,14 @@ class Dataset:
     """Sampled rows: observed block, plus a hidden (U0, U1) block for Oracle use.
 
     Estimators other than the Oracle must be built from ``observed`` alone.
+    ``has_hidden`` is false when the hidden block was not recorded (a CSV
+    without u0, u1 columns); the block then holds zeros.
     """
 
     observed: np.ndarray  # (n, 9) int8, columns OBSERVED_ORDER
     hidden: np.ndarray    # (n, 2) int8, columns HIDDEN_ORDER
     seed: int
+    has_hidden: bool = True
 
     def __post_init__(self):
         obs = np.asarray(self.observed, dtype=np.int8)
@@ -144,7 +174,7 @@ class Dataset:
             raise ValueError(f"observed block must be (n, {len(OBSERVED_ORDER)})")
         if hid.shape != (obs.shape[0], len(HIDDEN_ORDER)):
             raise ValueError("hidden block must be (n, 2)")
-        if np.any((obs != 0) & (obs != 1)) or np.any((hid != 0) & (hid != 1)):
+        if np.any(obs.view(np.uint8) > 1) or np.any(hid.view(np.uint8) > 1):  # int8 -1 reads 255
             raise ValueError("all cells must be 0/1")
         obs.flags.writeable = False
         hid.flags.writeable = False
@@ -162,9 +192,29 @@ class Dataset:
         raise KeyError(name)
 
     def subset(self, rows: np.ndarray) -> "Dataset":
-        return Dataset(self.observed[rows], self.hidden[rows], self.seed)
+        return Dataset(self.observed[rows], self.hidden[rows], self.seed, self.has_hidden)
+
+    @cached_property
+    def cell_code(self) -> np.ndarray:
+        """Each row's cell: its CANONICAL_ORDER values read as bits, Y0 the
+        most significant, so the code is the row's C-order index in the 2^11 grid."""
+        code = np.zeros(len(self), dtype=np.int16)  # 11 bits fit
+        for name in CANONICAL_ORDER:
+            code = (code << 1) | self.column(name)
+        code.flags.writeable = False
+        return code
+
+    @cached_property
+    def cell_counts(self) -> np.ndarray:
+        """Row count of each of the 2^11 cells, in C order over CANONICAL_ORDER:
+        the sufficient statistic of every estimator."""
+        counts = np.bincount(self.cell_code, minlength=2 ** len(CANONICAL_ORDER))
+        counts.flags.writeable = False
+        return counts
 
     def to_csv(self, include_hidden: bool = False) -> str:
+        if include_hidden and not self.has_hidden:
+            raise ValueError("the dataset has no hidden columns u0,u1 to write")
         names = OBSERVED_ORDER + HIDDEN_ORDER if include_hidden else OBSERVED_ORDER
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
@@ -192,7 +242,7 @@ class Dataset:
             raise ValueError(f"every CSV row must have {len(header)} values")
         obs = rows[:, :9]
         hid = rows[:, 9:11] if hidden_in_file else np.zeros((rows.shape[0], 2), dtype=np.int8)
-        return cls(obs, hid, seed)
+        return cls(obs, hid, seed, hidden_in_file)
 
 
 @dataclass(frozen=True)
@@ -251,17 +301,22 @@ def interventional_joint(params: DgpParams, a1: int, a2: int) -> JointPmf:
 
 
 def sample(params: DgpParams, n: int, seed: int) -> Dataset:
-    """Ancestral sampling with the counter-based Philox generator."""
+    """Ancestral sampling with the counter-based Philox generator.
+
+    Each variable takes one uniform draw per row, compared with its prefix
+    table read at the row's earlier values (``DgpParams.sampling_tables``).
+    """
     if n < 1:
         raise ValueError("n must be >= 1")
     if not 0 <= seed < 2 ** 64:
         raise ValueError(f"seed must be in [0, 2**64), got {seed}")
     rng = np.random.Generator(np.random.Philox(key=np.uint64(seed)))
     columns: dict[str, np.ndarray] = {}
-    for name in SAMPLING_ORDER:
-        p1 = params.model(name).prob1(columns)
-        p1 = np.broadcast_to(p1, (n,))
-        columns[name] = (rng.random(n) < p1).astype(np.int8)
+    code = np.zeros(n, dtype=np.intp)
+    for name, table in zip(SAMPLING_ORDER, params.sampling_tables):
+        bit = rng.random(n) < table[code]
+        code = (code << 1) | bit
+        columns[name] = bit.view(np.int8)
     observed = np.column_stack([columns[name] for name in OBSERVED_ORDER])
     hidden = np.column_stack([columns[name] for name in HIDDEN_ORDER])
     return Dataset(observed, hidden, seed)

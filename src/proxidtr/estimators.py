@@ -37,7 +37,7 @@ from .policy import Regime
 from .tables import JointPmf, SingularMatrixError, ZeroProbabilityError
 
 ESTIMATOR_METHODS = ("POR", "PHA", "PIPW", "PMR")
-_CANONICAL_COLUMNS = [(OBSERVED_ORDER + HIDDEN_ORDER).index(n) for n in CANONICAL_ORDER]
+_HIDDEN_AXES = tuple(CANONICAL_ORDER.index(n) for n in HIDDEN_ORDER)
 
 
 @dataclass(frozen=True)
@@ -80,12 +80,21 @@ class ValueEstimate:
 
 def _cell_counts(data: Dataset, rows: np.ndarray | None = None, include_hidden: bool = False) -> np.ndarray:
     """Row count of every cell, in C order over OBSERVED_ORDER (CANONICAL_ORDER
-    with the hidden columns)."""
-    cols = np.hstack([data.observed, data.hidden])[:, _CANONICAL_COLUMNS] if include_hidden else data.observed
-    if rows is not None:
-        cols = cols[rows]
-    weights = (1 << np.arange(cols.shape[1] - 1, -1, -1)).astype(np.int64)
-    return np.bincount(cols.astype(np.int64) @ weights, minlength=2 ** cols.shape[1])
+    with the hidden columns).
+
+    The dataset's 2^11 count tensor, or one bincount of the selected rows'
+    cell codes, summed over U0 and U1 unless the hidden columns are kept.
+    """
+    if include_hidden and not data.has_hidden:
+        raise ValueError("the oracle needs the hidden columns u0,u1; "
+                         "write them with `proxidtr simulate --oracle`")
+    if rows is None:
+        counts = data.cell_counts
+    else:
+        counts = np.bincount(data.cell_code[rows], minlength=2 ** len(CANONICAL_ORDER))
+    if include_hidden:
+        return counts
+    return counts.reshape((2,) * len(CANONICAL_ORDER)).sum(axis=_HIDDEN_AXES).reshape(-1)
 
 
 def empirical_pmf(data: Dataset, rows: np.ndarray | None = None, laplace: float = 0.0,
@@ -105,16 +114,19 @@ def fold_assignments(data: Dataset, folds: int) -> np.ndarray:
     return out
 
 
-def fit_bridges(data: Dataset, opts: FitOptions = FitOptions(),
-                exclude_fold: int | None = None) -> tuple[JointPmf, BridgeSet]:
+def fit_bridges(data: Dataset, opts: FitOptions = FitOptions(), exclude_fold: int | None = None,
+                assignments: np.ndarray | None = None) -> tuple[JointPmf, BridgeSet]:
     """Empirical law plus closed-form bridges, with scenario substitutions.
 
     With ``exclude_fold`` set, only rows outside that fold enter the fit
-    (the cross-fitting "off-fold" nuisance estimate).
+    (the cross-fitting "off-fold" nuisance estimate); ``assignments`` passes
+    ``fold_assignments(data, opts.folds)`` when the caller already has it.
     """
     rows = None
     if exclude_fold is not None:
-        rows = fold_assignments(data, opts.folds) != exclude_fold
+        if assignments is None:
+            assignments = fold_assignments(data, opts.folds)
+        rows = assignments != exclude_fold
     pmf = empirical_pmf(data, rows, laplace=opts.laplace)
     try:
         solved = solve_bridges(pmf, provenance="solved-from-sample")
@@ -213,7 +225,7 @@ def cross_fit(method: str, data: Dataset, opts: FitOptions, regime: Regime) -> V
     fold_values = []
     for fold in range(opts.folds):
         try:
-            _, b = fit_bridges(data, opts, exclude_fold=fold)
+            _, b = fit_bridges(data, opts, exclude_fold=fold, assignments=assignments)
         except (SingularMatrixError, ZeroProbabilityError) as err:
             raise type(err)(f"off-fold fit failed for fold {fold}: {err}") from err
         counts = _cell_counts(data, assignments == fold)
@@ -246,7 +258,11 @@ def population_v(method: str, pmf: JointPmf, b: BridgeSet, regime: Regime) -> fl
 def sra_density(pmf: JointPmf) -> IdentifiedDensity:
     """No-unmeasured-confounding g-formula on the observed conditionals:
     g(a1,a2,y2,y1,y0) = f(y2|y0,y1,a1,a2) f(y1|y0,a1)."""
-    cond, _ = observed_conditional(pmf)
+    return sra_from_conditional(observed_conditional(pmf)[0])
+
+
+def sra_from_conditional(cond: np.ndarray) -> IdentifiedDensity:
+    """``sra_density`` from the observed table given Y0, ``observed_conditional(pmf)[0]``."""
     joint5 = cond.sum(axis=(1, 2, 5, 6))  # [y0, a1, y1, a2, y2]
     den2 = joint5.sum(axis=4, keepdims=True)
     if np.any(den2 <= 0.0):

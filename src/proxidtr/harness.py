@@ -1,12 +1,15 @@
 """Monte Carlo experiment orchestration: scenarios x methods x repetitions.
 
-One repetition samples a dataset and fits the empirical law and bridges
-once (once per fold when cross-fitting). Each misspecification scenario
-swaps its pseudo components into that fit; the SRA and Oracle densities are
-computed once. For every (scenario, method) it picks a regime either by
-value maximization over an enumerated class (all members' values from one
-array gather, ``dgp.class_values``) or by Q-learning on the estimated
-density, and scores it two ways:
+One repetition samples a dataset, counts its cells once (the dataset's
+2^11 count tensor feeds every table), and fits the empirical law and
+bridges once (once per fold when cross-fitting). Each scoring law, the
+fitted law of each fold, SRA's and the Oracle's, is conditioned on Y0 once,
+and every density of the repetition is identified from that conditional.
+Each misspecification scenario swaps its pseudo components into the fit;
+the SRA and Oracle densities are computed once. For every (scenario,
+method) it picks a regime either by value maximization over an enumerated
+class (all members' values from one array gather, ``dgp.class_values``) or
+by Q-learning on the estimated density, and scores it two ways:
 
   regret         V(d*) - V(d_hat), both under the true law, where d* is the
                  optimum of the class searched (the Boolean-class optimum
@@ -18,7 +21,8 @@ Scenario tags name which submodel stays correct: the outcome-bridge pair
 (m0-correct), the hybrid pair h22+q11 (m1-correct), or the treatment-bridge
 pair (m2-correct); all-correct and all-wrong bracket them. The corrupted
 components are replaced by pseudo bridges drawn once per experiment from a
-fixed seed, so repetitions share one corruption.
+fixed seed (``_scenario_pseudo``, handed to every repetition and pool
+worker), so repetitions share one corruption.
 
 True values come from one array over the 1024-member Boolean class,
 computed once per experiment; a chosen regime's true value is read at its
@@ -37,9 +41,11 @@ from __future__ import annotations
 import csv
 import io
 import json
+import numbers
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, fields
+from functools import partial
 
 import numpy as np
 
@@ -60,11 +66,11 @@ from .estimators import (
     fit_bridges,
     fold_assignments,
     oracle_density,
-    sra_density,
+    sra_from_conditional,
 )
 from .identify import q_functions
 from .policy import Regime, RegimeClass, enumerate_class, first_maximizer, q_learning_regime
-from .tables import JointPmf, TableError
+from .tables import TableError
 
 EPSILON = 1e-10  # values below this render as "<eps"
 DEFAULT_PSEUDO_SEED = 20
@@ -80,12 +86,8 @@ SCENARIO_PSEUDO = {
 BRIDGE_METHODS = ("POR", "PHA", "PIPW", "PMR")
 ALL_METHODS = BRIDGE_METHODS + ("SRA", "ORACLE")
 
-_DENSITY_FN = {
-    "POR": identify.density_por,
-    "PHA": identify.density_pha,
-    "PIPW": identify.density_pipw,
-    "PMR": identify.density_pmr,
-}
+# (cond, bridges) -> IdentifiedDensity, per bridge method
+_DENSITY_FN = {method: partial(identify.density_from_conditional, method) for method in BRIDGE_METHODS}
 
 
 @dataclass(frozen=True)
@@ -116,6 +118,17 @@ class ExperimentConfig:
     regime_class: str = "linear"
 
     def __post_init__(self):
+        for name in ("scenarios", "methods"):
+            value = getattr(self, name)
+            if not isinstance(value, (list, tuple)) or not all(isinstance(v, str) for v in value):
+                raise ValueError(f"config field {name!r} must be a list of names, got {value!r}")
+        for name in ("n", "reps", "base_seed", "pseudo_seed", "folds"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise ValueError(f"config field {name!r} must be an integer, got {value!r}")
+            object.__setattr__(self, name, int(value))
+        if isinstance(self.laplace, bool) or not isinstance(self.laplace, numbers.Real):
+            raise ValueError(f"config field 'laplace' must be a number, got {self.laplace!r}")
         object.__setattr__(self, "scenarios", tuple(self.scenarios))
         object.__setattr__(self, "methods", tuple(m.upper() for m in self.methods))
         for scenario in self.scenarios:
@@ -216,32 +229,40 @@ def _fitted(fn, *args):
         return f"fit failed: {err}"
 
 
-def _bridge_fits(data, config: ExperimentConfig) -> list[tuple[JointPmf, BridgeSet]]:
-    """(scoring law, solved bridges) per fold, shared by every scenario.
+def _scenario_pseudo(config: ExperimentConfig) -> dict[str, BridgeSet]:
+    """Each scenario's pseudo bridges, drawn once per experiment; none are
+    needed without a bridge method."""
+    if not any(m in BRIDGE_METHODS for m in config.methods):
+        return {}
+    return {tag: pseudo_bridges(config.pseudo_seed, SCENARIO_PSEUDO[tag]) for tag in config.scenarios}
 
-    With one fold both come from the whole sample; with more, each fold's own
-    rows are scored with bridges fitted on the other folds.
+
+def _bridge_fits(data, config: ExperimentConfig) -> list[tuple[np.ndarray, np.ndarray, BridgeSet]]:
+    """(cond, p_y0, solved bridges) per fold, shared by every scenario, where
+    (cond, p_y0) is the scoring law conditioned on Y0, computed once.
+
+    With one fold the law and the bridges come from the whole sample; with
+    more, each fold's own rows are scored with bridges fitted on the other folds.
     """
     opts = FitOptions(folds=config.folds, laplace=config.laplace)
     if config.folds == 1:
-        return [fit_bridges(data, opts)]
+        pmf, solved = fit_bridges(data, opts)
+        return [(*identify.observed_conditional(pmf), solved)]
     assignments = fold_assignments(data, config.folds)
     return [
-        (empirical_pmf(data, assignments == fold, laplace=config.laplace),
-         fit_bridges(data, opts, exclude_fold=fold)[1])
+        (*identify.observed_conditional(empirical_pmf(data, assignments == fold, laplace=config.laplace)),
+         fit_bridges(data, opts, exclude_fold=fold, assignments=assignments)[1])
         for fold in range(config.folds)
     ]
 
 
-def _bridge_tables(fits, scenario: Scenario, methods) -> dict[str, tuple[np.ndarray, np.ndarray]]:
-    """(g, p_y0) per bridge method under one scenario's pseudo substitutions;
-    fold tables are averaged with P(y0) weights."""
-    pseudo = pseudo_bridges(scenario.pseudo_seed, scenario.pseudo_components)
+def _bridge_tables(fits, pseudo: BridgeSet, methods) -> dict[str, tuple[np.ndarray, np.ndarray]]:
+    """(g, p_y0) per bridge method with one scenario's pseudo bridges swapped
+    in; fold tables are averaged with P(y0) weights."""
     per_fold = []
-    for pmf, solved in fits:
+    for cond, p_y0, solved in fits:
         b = solved.merged(pseudo)
-        _, p_y0 = identify.observed_conditional(pmf)
-        per_fold.append(({m: _DENSITY_FN[m](pmf, b).g for m in methods}, p_y0))
+        per_fold.append(({m: _DENSITY_FN[m](cond, b).g for m in methods}, p_y0))
     if len(per_fold) == 1:
         g, p_y0 = per_fold[0]
         return {m: (g[m], p_y0) for m in methods}
@@ -254,14 +275,13 @@ def _bridge_tables(fits, scenario: Scenario, methods) -> dict[str, tuple[np.ndar
 
 
 def _baseline_table(data, config: ExperimentConfig, method: str) -> tuple[np.ndarray, np.ndarray]:
-    """(g, p_y0) of SRA (observed columns) or the Oracle (with hidden columns)."""
+    """(g, p_y0) of SRA (observed columns) or the Oracle (with hidden columns),
+    each law conditioned on Y0 once."""
     if method == "SRA":
-        pmf = empirical_pmf(data, laplace=config.laplace)
-        g = sra_density(pmf).g
-    else:
-        pmf = empirical_pmf(data, laplace=config.laplace, include_hidden=True)
-        g = oracle_density(pmf).g
-    return g, identify.observed_conditional(pmf)[1]
+        cond, p_y0 = identify.observed_conditional(empirical_pmf(data, laplace=config.laplace))
+        return sra_from_conditional(cond).g, p_y0
+    pmf = empirical_pmf(data, laplace=config.laplace, include_hidden=True)
+    return oracle_density(pmf).g, identify.observed_conditional(pmf)[1]
 
 
 def _score_regime(truth: _Truth, g: np.ndarray, p_y0: np.ndarray, optimizer: str):
@@ -280,8 +300,11 @@ def _score_regime(truth: _Truth, g: np.ndarray, p_y0: np.ndarray, optimizer: str
     return benchmark - truth.true_value(d_hat), abs(benchmark - estimated)
 
 
-def _run_rep(config: ExperimentConfig, truth: _Truth, rep: int):
-    """All (scenario, method) results for one repetition; errors per cell."""
+def _run_rep(config: ExperimentConfig, truth: _Truth, rep: int, pseudo: dict[str, BridgeSet]):
+    """All (scenario, method) results for one repetition; errors per cell.
+
+    ``pseudo`` holds each scenario's pseudo bridges (``_scenario_pseudo``).
+    """
     data = sample(truth.params, config.n, config.base_seed + rep)
     bridge_methods = [m for m in config.methods if m in BRIDGE_METHODS]
     tables = {m: _fitted(_baseline_table, data, config, m)
@@ -290,8 +313,7 @@ def _run_rep(config: ExperimentConfig, truth: _Truth, rep: int):
     results: dict[tuple[str, str], tuple[float, float] | str] = {}
     for tag in config.scenarios:
         if bridge_methods:
-            scenario = Scenario(tag, config.pseudo_seed)
-            fitted = fits if isinstance(fits, str) else _fitted(_bridge_tables, fits, scenario, bridge_methods)
+            fitted = fits if isinstance(fits, str) else _fitted(_bridge_tables, fits, pseudo[tag], bridge_methods)
             tables.update({m: fitted if isinstance(fitted, str) else fitted[m] for m in bridge_methods})
         for method in config.methods:
             entry = tables[method]
@@ -307,9 +329,9 @@ def _run_rep(config: ExperimentConfig, truth: _Truth, rep: int):
 
 
 def _worker(args):
-    config, rep = args
+    config, rep, pseudo = args
     truth = _truth_context(config)
-    return _run_rep(config, truth, rep)
+    return _run_rep(config, truth, rep, pseudo)
 
 
 _TRUTH_CACHE: dict[tuple, _Truth] = {}
@@ -332,12 +354,13 @@ def worker_count() -> int:
 
 def _rep_results(config: ExperimentConfig, truth: _Truth, workers: int):
     """Each repetition's per-cell results, one at a time, in index order."""
+    pseudo = _scenario_pseudo(config)
     if workers > 1 and config.reps > 1:
         with ProcessPoolExecutor(max_workers=min(workers, config.reps)) as pool:
-            yield from pool.map(_worker, [(config, r) for r in range(config.reps)])
+            yield from pool.map(_worker, [(config, r, pseudo) for r in range(config.reps)])
     else:
         for rep in range(config.reps):
-            yield _run_rep(config, truth, rep)
+            yield _run_rep(config, truth, rep, pseudo)
 
 
 def run_experiment(config: ExperimentConfig, params: DgpParams | None = None) -> ExperimentReport:
@@ -454,10 +477,11 @@ def identify_check(params: DgpParams | None = None, pseudo: tuple[str, ...] = ()
     if pseudo:
         bridges_hat = bridges_hat.merged(pseudo_bridges(pseudo_seed, pseudo))
     oracle_g = oracle_density_from_joint(joint).g
+    cond, _ = identify.observed_conditional(joint)
     deviations = {}
     densities = {}
     for method, fn in _DENSITY_FN.items():
-        densities[method] = fn(joint, bridges_hat)
+        densities[method] = fn(cond, bridges_hat)
         deviations[method] = float(np.abs(densities[method].g - oracle_g).max())
     residuals = verify_bridges(bridges_hat, joint)
     passed = all(dev <= tolerance for dev in deviations.values())

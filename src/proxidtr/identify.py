@@ -9,11 +9,15 @@ density f(Y2(a1,a2)=y2, Y1(a1)=y1 | Y0=y0):
   PIPW  treatment bridges only:      sum_{z1,z2} q22 f(y1,y2,a1,a2,z1,z2|y0)
   PMR   multiply robust combination: PIPW residual + stage-1 correction + POR
 
-POR, PHA and PIPW are the k = 0, 1, 2 rungs of one hybrid formula and share
-a single code path here, so the degeneration of the hybrid to either end is
-exact by construction. The PMR combination equals the truth whenever any one
-of the bridge subsets {h22,h21}, {h22,q11}, {q11,q22} is correct; the other
-three methods each require their own bridges.
+Every method reads the law only through its observed table given Y0
+(``observed_conditional``): ``density_from_conditional`` takes that table,
+so one conditioning serves all four, and ``density_por/pha/pipw/pmr`` wrap
+it for a law. POR, PHA and PIPW are the k = 0, 1, 2 rungs of one hybrid
+formula and share a single code path here, so the degeneration of the
+hybrid to either end is exact by construction. The PMR combination equals
+the truth whenever any one of the bridge subsets {h22,h21}, {h22,q11},
+{q11,q22} is correct; the other three methods each require their own
+bridges.
 
 Identified densities are reported raw: misspecified bridges can push cells
 negative or break normalization, and downstream consumers see that rather
@@ -102,29 +106,42 @@ def _hybrid_density(cond: np.ndarray, b: BridgeSet, k: int) -> np.ndarray:
     raise ValueError(f"hybrid rung k must be 0, 1 or 2, got {k}")
 
 
+_BRIDGES_NEEDED = {
+    "POR": ("h21",),
+    "PHA": ("h22", "q11"),
+    "PIPW": ("q22",),
+    "PMR": ("h22", "h21", "q11", "q22"),
+}
+
+
+def density_from_conditional(method: str, cond: np.ndarray, b: BridgeSet) -> IdentifiedDensity:
+    """The ``method`` density from the observed table given Y0,
+    ``observed_conditional(pmf)[0]``, so one conditioning serves every method."""
+    b.require(*_BRIDGES_NEEDED[method])
+    # POR, PHA and PIPW, in METHODS order, are the hybrid rungs k = 0, 1, 2
+    g = _pmr_density(cond, b) if method == "PMR" else _hybrid_density(cond, b, METHODS.index(method))
+    return IdentifiedDensity(g, method, b.provenance)
+
+
 def density_por(pmf: JointPmf, b: BridgeSet) -> IdentifiedDensity:
-    b.require("h21")
-    cond, _ = observed_conditional(pmf)
-    return IdentifiedDensity(_hybrid_density(cond, b, 0), "POR", b.provenance)
+    return density_from_conditional("POR", observed_conditional(pmf)[0], b)
 
 
 def density_pha(pmf: JointPmf, b: BridgeSet) -> IdentifiedDensity:
-    b.require("h22", "q11")
-    cond, _ = observed_conditional(pmf)
-    return IdentifiedDensity(_hybrid_density(cond, b, 1), "PHA", b.provenance)
+    return density_from_conditional("PHA", observed_conditional(pmf)[0], b)
 
 
 def density_pipw(pmf: JointPmf, b: BridgeSet) -> IdentifiedDensity:
-    b.require("q22")
-    cond, _ = observed_conditional(pmf)
-    return IdentifiedDensity(_hybrid_density(cond, b, 2), "PIPW", b.provenance)
+    return density_from_conditional("PIPW", observed_conditional(pmf)[0], b)
 
 
 def density_pmr(pmf: JointPmf, b: BridgeSet) -> IdentifiedDensity:
+    return density_from_conditional("PMR", observed_conditional(pmf)[0], b)
+
+
+def _pmr_density(cond: np.ndarray, b: BridgeSet) -> np.ndarray:
     """Multiply robust density: each correction term vanishes identically
     when the bridge it guards is correct, leaving the truth behind."""
-    b.require("h22", "h21", "q11", "q22")
-    cond, _ = observed_conditional(pmf)
     f_obs = cond.sum(axis=(2, 6))        # [y0, z1, a1, y1, z2, a2, y2]
     f_all = cond.sum(axis=8)             # [y0, z1, w1, a1, y1, z2, w2, a2]
     f_mid = cond.sum(axis=(5, 7, 8))     # [y0, z1, w1, a1, y1, w2]
@@ -139,7 +156,7 @@ def density_pmr(pmf: JointPmf, b: BridgeSet) -> IdentifiedDensity:
     term_k1 = np.einsum("aeh,ahbefc->efcba", b.q11, mid_pos - mid_neg)
 
     term_k0 = np.einsum("abcdef,ad->efcba", b.h21, f_w1)
-    return IdentifiedDensity(term_k2 + term_k1 + term_k0, "PMR", b.provenance)
+    return term_k2 + term_k1 + term_k0
 
 
 def pipw_marginal_stage1(pmf: JointPmf, b: BridgeSet) -> np.ndarray:
@@ -168,12 +185,13 @@ def q_functions(g: IdentifiedDensity | np.ndarray) -> tuple[np.ndarray, np.ndarr
     """
     arr = g.g if isinstance(g, IdentifiedDensity) else np.asarray(g, dtype=float)
     den2 = arr.sum(axis=2)  # [a1, a2, y1, y0]
-    for a1, a2, y1, y0 in np.ndindex(2, 2, 2, 2):
-        if den2[a1, a2, y1, y0] == 0.0:
-            raise ZeroProbabilityError(
-                f"zero stage-2 denominator at (y0={y0}, y1={y1}, a1={a1}, a2={a2}); "
-                f"f(Y1({a1})={y1}|Y0={y0}) is degenerate"
-            )
+    zero = np.argwhere(den2 == 0.0)  # C order: the first zero cell in (a1, a2, y1, y0) order
+    if zero.size:
+        a1, a2, y1, y0 = map(int, zero[0])
+        raise ZeroProbabilityError(
+            f"zero stage-2 denominator at (y0={y0}, y1={y1}, a1={a1}, a2={a2}); "
+            f"f(Y1({a1})={y1}|Y0={y0}) is degenerate"
+        )
     q2 = np.transpose(arr[:, :, 1, :, :] / den2, (3, 2, 0, 1))  # [y0, y1, a1, a2]
     weights = np.transpose(den2[:, 0, :, :], (2, 1, 0))  # [y0, y1, a1] at a2=0
     total = weights.sum(axis=1, keepdims=True)  # [y0, 1, a1]

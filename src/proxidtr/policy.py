@@ -109,6 +109,8 @@ class Regime:
     @classmethod
     def from_json(cls, text: str) -> "Regime":
         payload = json.loads(text)
+        if not isinstance(payload, dict) or not all(isinstance(payload.get(k), list) for k in ("d1", "d2")):
+            raise ValueError("a regime must be a JSON object with bit lists 'd1' and 'd2'")
         return cls(
             tuple(payload["d1"]),
             tuple(payload["d2"]),

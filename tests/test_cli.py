@@ -186,3 +186,39 @@ def test_negative_seed_is_usage_error(tmp_path, capsys):
     assert main(["simulate", "--n", "10", "--seed", "-1", "-o", str(out)]) == 1
     assert "seed" in _one_line_error(capsys)
     assert not out.exists()
+
+
+@pytest.mark.parametrize("text", ["{}", "[1, 2]", '{"d1": [0, 1], "d2": 5}'])
+def test_malformed_regime_json_is_usage_error(tmp_path, capsys, text):
+    data_file = tmp_path / "d.csv"
+    main(["simulate", "--n", "500", "--seed", "3", "-o", str(data_file)])
+    regime = tmp_path / "regime.json"
+    regime.write_text(text)
+    capsys.readouterr()
+    code = main(["estimate", "--data", str(data_file), "--method", "sra", "--regime", str(regime)])
+    assert code == 1
+    assert "d1" in _one_line_error(capsys)
+
+
+@pytest.mark.parametrize("payload", [{"n": "abc"}, {"scenarios": 5}, {"reps": 1.5}])
+def test_wrongly_typed_config_value_is_usage_error(tmp_path, capsys, payload):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(payload))
+    assert main(["experiment", "--config", str(cfg), "-o", str(tmp_path / "r.csv")]) == 1
+    assert next(iter(payload)) in _one_line_error(capsys)
+
+
+def test_data_path_is_a_directory_is_usage_error(tmp_path, regime_file, capsys):
+    code = main(["estimate", "--data", str(tmp_path), "--method", "pmr", "--regime", str(regime_file)])
+    assert code == 1
+    assert "directory" in _one_line_error(capsys)
+
+
+def test_oracle_without_hidden_columns_is_usage_error(tmp_path, regime_file, capsys):
+    data_file = tmp_path / "d.csv"
+    main(["simulate", "--n", "35000", "--seed", "3", "-o", str(data_file)])
+    capsys.readouterr()
+    code = main(["estimate", "--data", str(data_file), "--method", "oracle", "--regime", str(regime_file)])
+    assert code == 1
+    err = _one_line_error(capsys)
+    assert "u0,u1" in err and "simulate --oracle" in err

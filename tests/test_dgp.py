@@ -191,3 +191,87 @@ def test_csv_round_trip(params):
 def test_csv_rejects_unknown_header():
     with pytest.raises(ValueError):
         dgp.Dataset.from_csv("a,b,c\n0,1,0\n")
+
+
+def _rowwise_sample(params, n, seed):
+    """The per-row sampler the prefix tables replaced: each variable's model
+    evaluated on the sampled columns, one uniform per row."""
+    rng = np.random.Generator(np.random.Philox(key=np.uint64(seed)))
+    columns = {}
+    for name in dgp.SAMPLING_ORDER:
+        p1 = np.broadcast_to(params.model(name).prob1(columns), (n,))
+        columns[name] = (rng.random(n) < p1).astype(np.int8)
+    observed = np.column_stack([columns[name] for name in dgp.OBSERVED_ORDER])
+    hidden = np.column_stack([columns[name] for name in dgp.HIDDEN_ORDER])
+    return observed, hidden
+
+
+HARNESS_SEEDS = tuple(range(20240601, 20240611))
+
+
+@pytest.mark.parametrize("n", [1, 35000])
+@pytest.mark.parametrize("seed", (0, 1, 2 ** 64 - 1) + HARNESS_SEEDS)
+def test_prefix_table_sampler_equals_rowwise(params, seed, n):
+    data = dgp.sample(params, n, seed)
+    observed, hidden = _rowwise_sample(params, n, seed)
+    assert np.array_equal(data.observed, observed)
+    assert np.array_equal(data.hidden, hidden)
+
+
+def _other_params():
+    """A non-default law: every coefficient changed, A1 without parents."""
+    b = dgp.LogisticModel.build
+    return dgp.DgpParams((
+        b("U0", -0.3),
+        b("Y0", 0.4, {"U0": 1.1}),
+        b("Z1", 0.7, {"U0": -2.5, "Y0": 0.6}),
+        b("A1", 0.35),
+        b("W1", -1.1, {"U0": 2.9, "Y0": -0.4}),
+        b("Y1", -0.2, {"A1": 1.3, "W1": -0.8, "U0": 0.5, ("A1", "Z1", "Y0"): -1.7}),
+        b("U1", 0.9, {"A1": -0.6, "U0": 0.4, "Y1": 1.2}),
+        b("W2", 0.3, {"U1": -3.1, "W1": 0.9}),
+        b("Z2", -0.9, {"U1": 2.2, "Z1": 1.4, "W2": -0.3}),
+        b("A2", 0.1, {"Y1": -1.5, "Z2": 0.8, ("A1", "U1"): 0.6}),
+        b("Y2", 0.2, {"A2": -1.2, "U1": 1.7, ("Y1", "A2", "W2"): 2.4, "U0": -0.9}),
+    ))
+
+
+@pytest.mark.parametrize("n", [1, 35000])
+@pytest.mark.parametrize("seed", [0, 3, 2 ** 64 - 1])
+def test_prefix_table_sampler_equals_rowwise_non_default_law(seed, n):
+    params = _other_params()
+    data = dgp.sample(params, n, seed)
+    observed, hidden = _rowwise_sample(params, n, seed)
+    assert np.array_equal(data.observed, observed)
+    assert np.array_equal(data.hidden, hidden)
+
+
+def test_sampling_tables_shape_and_cache(params):
+    tables = params.sampling_tables
+    assert tables is params.sampling_tables
+    assert [t.shape for t in tables] == [(2 ** k,) for k in range(len(dgp.SAMPLING_ORDER))]
+    assert not any(t.flags.writeable for t in tables)
+    # Z1's table is indexed by (U0, Y0), U0 the high bit: entry 0b10 is U0 = 1, Y0 = 0
+    assert tables[2][0b10] == pytest.approx(local_expit(-2.0 + 5.0), rel=1e-15)
+    assert params == dgp.DgpParams.default()
+
+
+def test_cell_counts_match_columns(params):
+    data = dgp.sample(params, 3000, seed=12)
+    code = np.zeros(len(data), dtype=np.int64)
+    for name in dgp.CANONICAL_ORDER:
+        code = code * 2 + data.column(name)
+    assert np.array_equal(data.cell_code, code)
+    assert np.array_equal(data.cell_counts, np.bincount(code, minlength=2 ** 11))
+    assert data.cell_counts is data.cell_counts
+    assert data.cell_counts.sum() == len(data)
+
+
+def test_csv_without_hidden_columns_is_marked(params):
+    data = dgp.sample(params, 50, seed=8)
+    assert data.has_hidden
+    assert not dgp.Dataset.from_csv(data.to_csv()).has_hidden
+    assert dgp.Dataset.from_csv(data.to_csv(include_hidden=True)).has_hidden
+    assert not dgp.Dataset.from_csv(data.to_csv()).subset(np.arange(5)).has_hidden
+    with pytest.raises(ValueError, match="u0,u1"):
+        dgp.Dataset.from_csv(data.to_csv()).to_csv(include_hidden=True)

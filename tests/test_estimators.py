@@ -22,9 +22,11 @@ from proxidtr.estimators import (
     oracle_value,
     population_v,
     sra_density,
+    sra_from_conditional,
     sra_value,
     v_hat,
     v_hat_pmr_alt,
+    _cell_counts,
 )
 from proxidtr.policy import Regime
 from proxidtr.tables import SingularMatrixError, ZeroProbabilityError
@@ -259,3 +261,51 @@ def test_value_estimate_json():
 
     payload = json.loads(ValueEstimate("PMR", 0.4, 0.01, (0.39, 0.41)).to_json())
     assert payload == {"method": "PMR", "estimate": 0.4, "variance": 0.01, "folds": [0.39, 0.41]}
+
+
+def _bincount_reference(data, rows=None, include_hidden=False):
+    """Cell counts straight from the columns: a row's cell code in C order."""
+    names = dgp.CANONICAL_ORDER if include_hidden else dgp.OBSERVED_ORDER
+    cols = np.column_stack([data.column(name) for name in names]).astype(np.int64)
+    if rows is not None:
+        cols = cols[rows]
+    weights = 1 << np.arange(len(names) - 1, -1, -1)
+    return np.bincount(cols @ weights, minlength=2 ** len(names))
+
+
+def test_cell_counts_equal_bincount_reference(big_data):
+    assert np.array_equal(_cell_counts(big_data), _bincount_reference(big_data))
+    assert np.array_equal(_cell_counts(big_data, include_hidden=True),
+                          _bincount_reference(big_data, include_hidden=True))
+    no_rows = np.zeros(len(big_data), dtype=bool)
+    assert np.array_equal(_cell_counts(big_data, no_rows), np.zeros(2 ** 9, dtype=np.int64))
+    assignments = fold_assignments(big_data, 5)
+    for fold in range(5):
+        rows = assignments == fold
+        assert np.array_equal(_cell_counts(big_data, rows), _bincount_reference(big_data, rows))
+        assert np.array_equal(_cell_counts(big_data, ~rows, include_hidden=True),
+                              _bincount_reference(big_data, ~rows, include_hidden=True))
+
+
+def test_oracle_without_hidden_columns_is_refused(big_data, linear_class):
+    observed_only = Dataset.from_csv(big_data.to_csv())
+    with pytest.raises(ValueError, match="u0,u1"):
+        oracle_value(observed_only, linear_class.members[0])
+    # the observed columns still serve every other estimator
+    assert np.array_equal(_cell_counts(observed_only), _cell_counts(big_data))
+
+
+def test_sra_from_conditional_equals_sra_density(big_data):
+    pmf = empirical_pmf(big_data)
+    cond, _ = identify.observed_conditional(pmf)
+    assert np.array_equal(sra_from_conditional(cond).g, sra_density(pmf).g)
+
+
+def test_fit_bridges_reuses_passed_fold_assignments(big_data):
+    opts = FitOptions(folds=5)
+    assignments = fold_assignments(big_data, 5)
+    for fold in (0, 4):
+        pmf, b = fit_bridges(big_data, opts, exclude_fold=fold)
+        pmf_a, b_a = fit_bridges(big_data, opts, exclude_fold=fold, assignments=assignments)
+        assert np.array_equal(pmf.mass, pmf_a.mass)
+        assert all(np.array_equal(getattr(b, n), getattr(b_a, n)) for n in ("h22", "h21", "q11", "q22"))

@@ -177,9 +177,10 @@ def test_score_regime_matches_loop_on_one_repetition():
     config = ExperimentConfig(n=35000)
     data = sample(DgpParams.default(), config.n, config.base_seed)
     fits = harness._bridge_fits(data, config)
+    pseudo = harness._scenario_pseudo(config)
     tables = [harness._baseline_table(data, config, m) for m in ("SRA", "ORACLE")]
     for tag in config.scenarios:
-        tables += harness._bridge_tables(fits, Scenario(tag), BRIDGE_METHODS).values()
+        tables += harness._bridge_tables(fits, pseudo[tag], BRIDGE_METHODS).values()
     for regime_class in ("linear", "all-boolean"):
         truth = harness._truth_context(ExperimentConfig(regime_class=regime_class))
         densities = tables + [(truth.oracle_g, truth.p_y0)]
@@ -199,7 +200,8 @@ def _list_summary(values):
 def test_streamed_aggregation_matches_list_aggregation():
     config = ExperimentConfig(n=600, reps=6, laplace=0.0)
     truth = harness._truth_context(config)
-    per_rep = [harness._run_rep(config, truth, rep) for rep in range(config.reps)]
+    pseudo = harness._scenario_pseudo(config)
+    per_rep = [harness._run_rep(config, truth, rep, pseudo) for rep in range(config.reps)]
     cells = []
     for tag in config.scenarios:
         for method in config.methods:
@@ -213,3 +215,47 @@ def test_streamed_aggregation_matches_list_aggregation():
     report = run_experiment(config)
     assert [(c.count, c.failures) for c in report.cells] == [(c.count, c.failures) for c in expected.cells]
     assert emit_tables(report) == emit_tables(expected)
+
+
+def _counting(monkeypatch, owner, name):
+    calls = []
+    original = getattr(owner, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("folds, laws", [(1, 3), (5, 7)])
+def test_one_observed_conditional_per_scoring_law(monkeypatch, folds, laws):
+    """The fitted law (one per fold), SRA and the Oracle are each conditioned
+    on Y0 once per repetition, however many scenarios and methods read them."""
+    config = ExperimentConfig(n=35000, folds=folds)
+    truth = harness._truth_context(config)
+    pseudo = harness._scenario_pseudo(config)
+    calls = _counting(monkeypatch, harness.identify, "observed_conditional")
+    results = harness._run_rep(config, truth, 0, pseudo)
+    assert not any(isinstance(r, str) for r in results.values())
+    assert len(calls) == laws
+
+
+def test_pseudo_bridges_drawn_once_per_scenario_per_experiment(monkeypatch):
+    calls = _counting(monkeypatch, harness, "pseudo_bridges")
+    config = ExperimentConfig(scenarios=("all-correct", "m1-correct", "all-wrong"),
+                              methods=("PMR", "SRA"), n=4000, reps=4, base_seed=31)
+    run_experiment(config)
+    assert sorted(args[1] for args in calls) == sorted(
+        harness.SCENARIO_PSEUDO[tag] for tag in config.scenarios)
+    calls.clear()
+    run_experiment(ExperimentConfig(methods=("SRA", "ORACLE"), n=4000, reps=2, base_seed=31))
+    assert calls == []
+
+
+@pytest.mark.parametrize("payload", [{"n": "abc"}, {"scenarios": 5}, {"reps": 1.5},
+                                     {"methods": [1]}, {"laplace": "x"}, {"folds": True}])
+def test_config_rejects_wrongly_typed_values(payload):
+    with pytest.raises(ValueError, match="config field"):
+        ExperimentConfig(**payload)
