@@ -26,6 +26,17 @@ per-row model applies, so the stream and the rows of a seed are
 byte-stable: they are those of the per-row sampler. A ``Dataset`` keeps its
 rows' canonical cell codes and the 2^11 cell counts, the sufficient
 statistic of every estimator, computed once on first use.
+
+``Dataset.from_csv`` reads a header naming OBSERVED_ORDER (optionally
+followed by u0,u1), then lines of k comma-separated digits 0 or 1, k being
+the header's length; CRLF line ends, blank lines, a missing final newline
+and spaces or tabs around values are allowed. The body is checked and
+converted as one byte array: reshaped to (rows, 2k), digits in the even
+slots, commas between them and a newline last. A body already in that
+layout (what ``to_csv`` writes) is checked as it stands; any other is first
+stripped of spaces, tabs, carriage returns and blank lines and given a
+final newline. Only a rejected file is scanned line by line, to name the
+first bad line.
 """
 
 from __future__ import annotations
@@ -225,8 +236,14 @@ class Dataset:
 
     @classmethod
     def from_csv(cls, text: str, seed: int = 0) -> "Dataset":
-        reader = csv.reader(io.StringIO(text))
-        header = [h.strip().lower() for h in next(reader, [])]
+        """Rows of a CSV in the grammar of the module docstring; a rejected
+        data row raises ValueError naming its line."""
+        # one byte per character, so byte offsets are character offsets
+        data = text.encode("ascii", "replace")
+        end = data.find(b"\n")
+        if end < 0:
+            end = len(data)
+        header = [h.strip().lower() for h in text[:end].split(",")]
         expected = [n.lower() for n in OBSERVED_ORDER]
         with_hidden = expected + [n.lower() for n in HIDDEN_ORDER]
         if header == with_hidden:
@@ -235,14 +252,57 @@ class Dataset:
             hidden_in_file = False
         else:
             raise ValueError(f"unexpected CSV header {header}")
-        rows = np.asarray([[int(v) for v in row] for row in reader if row], dtype=np.int8)
-        if rows.shape[0] == 0:
-            raise ValueError("CSV has a header but no data rows")
-        if rows.shape[1] != len(header):
-            raise ValueError(f"every CSV row must have {len(header)} values")
+        k = len(header)
+        body = np.frombuffer(data, np.uint8)[end + 1:]
+        rows = _csv_values(body, k)
+        if rows is None:
+            body = _canonical_body(body)
+            if body.size == 0:
+                raise ValueError("CSV has a header but no data rows")
+            rows = _csv_values(body, k)
+            if rows is None:
+                raise ValueError(_csv_row_error(text, k))
         obs = rows[:, :9]
         hid = rows[:, 9:11] if hidden_in_file else np.zeros((rows.shape[0], 2), dtype=np.int8)
         return cls(obs, hid, seed, hidden_in_file)
+
+
+def _csv_values(body: np.ndarray, k: int) -> np.ndarray | None:
+    """The (rows, k) int8 values of the bytes ``body`` if they are exactly
+    lines of k comma-separated 0/1 digits, each ending in a newline; else None."""
+    width = 2 * k
+    if body.size == 0 or body.size % width:
+        return None
+    rows = body.reshape(-1, width)
+    values = rows[:, ::2] - ord("0")  # bytes below "0" wrap past 1
+    # with a digit in every even slot and a newline in every last slot, the
+    # other odd slots all hold commas exactly when there are rows * (k - 1) commas
+    if (values.max() > 1 or np.any(rows[:, -1] != ord("\n"))
+            or np.count_nonzero(body == ord(",")) != len(rows) * (k - 1)):
+        return None
+    return values.view(np.int8)
+
+
+def _canonical_body(body: np.ndarray) -> np.ndarray:
+    """The bytes ``body`` without spaces, tabs, carriage returns and blank
+    lines, each line ending in a newline."""
+    raw = np.frombuffer(body.tobytes().translate(None, b" \t\r") + b"\n", np.uint8)
+    newline = raw == ord("\n")
+    keep = ~newline
+    keep[1:] |= ~newline[:-1]  # a newline ends a line only after a non-newline byte
+    return raw[keep]
+
+
+_CSV_SPACES = str.maketrans("", "", " \t\r")
+
+
+def _csv_row_error(text: str, k: int) -> str:
+    """Message naming the first data line that is not k comma-separated 0/1 values."""
+    for number, line in enumerate(text.split("\n")[1:], start=2):
+        values = line.translate(_CSV_SPACES).split(",")
+        if values != [""] and (len(values) != k or not set(values) <= {"0", "1"}):
+            return f"CSV line {number}: expected {k} comma-separated values 0/1"
+    return f"CSV rows must hold {k} comma-separated values 0/1"
 
 
 @dataclass(frozen=True)

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Mapping
+from typing import Iterator, Mapping
 
 import numpy as np
 
@@ -100,8 +100,14 @@ def _cell_counts(data: Dataset, rows: np.ndarray | None = None, include_hidden: 
 def empirical_pmf(data: Dataset, rows: np.ndarray | None = None, laplace: float = 0.0,
                   include_hidden: bool = False) -> JointPmf:
     """Cell-frequency table of a dataset (optionally Laplace-smoothed)."""
-    counts = _cell_counts(data, rows, include_hidden).astype(float) + laplace
-    return JointPmf(CANONICAL_ORDER if include_hidden else OBSERVED_ORDER, counts / counts.sum())
+    return count_pmf(_cell_counts(data, rows, include_hidden), laplace,
+                     CANONICAL_ORDER if include_hidden else OBSERVED_ORDER)
+
+
+def count_pmf(counts: np.ndarray, laplace: float = 0.0, names: tuple[str, ...] = OBSERVED_ORDER) -> JointPmf:
+    """Cell-frequency table of cell counts in C order over ``names``."""
+    counts = counts.astype(float) + laplace
+    return JointPmf(names, counts / counts.sum())
 
 
 def fold_assignments(data: Dataset, folds: int) -> np.ndarray:
@@ -114,6 +120,16 @@ def fold_assignments(data: Dataset, folds: int) -> np.ndarray:
     return out
 
 
+def fold_counts(data: Dataset, folds: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """(the fold's own observed counts, the off-fold counts) per fold, in
+    fold order: one bincount per fold, the off-fold table by subtraction."""
+    assignments = fold_assignments(data, folds)
+    total = _cell_counts(data)
+    for fold in range(folds):
+        own = _cell_counts(data, assignments == fold)
+        yield own, total - own
+
+
 def fit_bridges(data: Dataset, opts: FitOptions = FitOptions(), exclude_fold: int | None = None,
                 assignments: np.ndarray | None = None) -> tuple[JointPmf, BridgeSet]:
     """Empirical law plus closed-form bridges, with scenario substitutions.
@@ -122,12 +138,17 @@ def fit_bridges(data: Dataset, opts: FitOptions = FitOptions(), exclude_fold: in
     (the cross-fitting "off-fold" nuisance estimate); ``assignments`` passes
     ``fold_assignments(data, opts.folds)`` when the caller already has it.
     """
-    rows = None
+    counts = _cell_counts(data)
     if exclude_fold is not None:
         if assignments is None:
             assignments = fold_assignments(data, opts.folds)
-        rows = assignments != exclude_fold
-    pmf = empirical_pmf(data, rows, laplace=opts.laplace)
+        counts = counts - _cell_counts(data, assignments == exclude_fold)
+    return fit_counts(counts, opts)
+
+
+def fit_counts(counts: np.ndarray, opts: FitOptions) -> tuple[JointPmf, BridgeSet]:
+    """``fit_bridges`` on observed cell counts (C order over OBSERVED_ORDER)."""
+    pmf = count_pmf(counts, opts.laplace)
     try:
         solved = solve_bridges(pmf, provenance="solved-from-sample")
     except (SingularMatrixError, ZeroProbabilityError) as err:
@@ -221,15 +242,13 @@ def cross_fit(method: str, data: Dataset, opts: FitOptions, regime: Regime) -> V
     if opts.folds == 1:
         _, b = fit_bridges(data, opts)
         return v_hat(method, data, b, regime)
-    assignments = fold_assignments(data, opts.folds)
     fold_values = []
-    for fold in range(opts.folds):
+    for fold, (own, off_fold) in enumerate(fold_counts(data, opts.folds)):
         try:
-            _, b = fit_bridges(data, opts, exclude_fold=fold, assignments=assignments)
+            _, b = fit_counts(off_fold, opts)
         except (SingularMatrixError, ZeroProbabilityError) as err:
             raise type(err)(f"off-fold fit failed for fold {fold}: {err}") from err
-        counts = _cell_counts(data, assignments == fold)
-        fold_values.append(_count_mean(counts, _summands(method, _CELLS, b, regime)))
+        fold_values.append(_count_mean(own, _summands(method, _CELLS, b, regime)))
     return ValueEstimate(method, float(np.mean(fold_values)), fold_estimates=tuple(fold_values))
 
 

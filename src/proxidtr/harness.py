@@ -2,9 +2,11 @@
 
 One repetition samples a dataset, counts its cells once (the dataset's
 2^11 count tensor feeds every table), and fits the empirical law and
-bridges once (once per fold when cross-fitting). Each scoring law, the
-fitted law of each fold, SRA's and the Oracle's, is conditioned on Y0 once,
-and every density of the repetition is identified from that conditional.
+bridges once (once per fold when cross-fitting, where each fold's rows are
+counted once and the off-fold table is the total minus them). Each scoring
+law, the fitted law of each fold, SRA's and the Oracle's, is conditioned on
+Y0 once, and every density of the repetition is identified from that
+conditional; with one fold SRA's law is the fitted law and shares it.
 Each misspecification scenario swaps its pseudo components into the fit;
 the SRA and Oracle densities are computed once. For every (scenario,
 method) it picks a regime either by value maximization over an enumerated
@@ -62,9 +64,11 @@ from .dgp import (
 )
 from .estimators import (
     FitOptions,
+    count_pmf,
     empirical_pmf,
     fit_bridges,
-    fold_assignments,
+    fit_counts,
+    fold_counts,
     oracle_density,
     sra_from_conditional,
 )
@@ -248,11 +252,9 @@ def _bridge_fits(data, config: ExperimentConfig) -> list[tuple[np.ndarray, np.nd
     if config.folds == 1:
         pmf, solved = fit_bridges(data, opts)
         return [(*identify.observed_conditional(pmf), solved)]
-    assignments = fold_assignments(data, config.folds)
     return [
-        (*identify.observed_conditional(empirical_pmf(data, assignments == fold, laplace=config.laplace)),
-         fit_bridges(data, opts, exclude_fold=fold, assignments=assignments)[1])
-        for fold in range(config.folds)
+        (*identify.observed_conditional(count_pmf(own, config.laplace)), fit_counts(off_fold, opts)[1])
+        for own, off_fold in fold_counts(data, config.folds)
     ]
 
 
@@ -274,11 +276,15 @@ def _bridge_tables(fits, pseudo: BridgeSet, methods) -> dict[str, tuple[np.ndarr
     return out
 
 
-def _baseline_table(data, config: ExperimentConfig, method: str) -> tuple[np.ndarray, np.ndarray]:
+def _baseline_table(data, config: ExperimentConfig, method: str, fits=None) -> tuple[np.ndarray, np.ndarray]:
     """(g, p_y0) of SRA (observed columns) or the Oracle (with hidden columns),
-    each law conditioned on Y0 once."""
+    each law conditioned on Y0 once. With one fold, SRA reads the whole-sample
+    law that ``_bridge_fits`` conditioned, when ``fits`` holds it."""
     if method == "SRA":
-        cond, p_y0 = identify.observed_conditional(empirical_pmf(data, laplace=config.laplace))
+        if config.folds == 1 and isinstance(fits, list):
+            cond, p_y0, _ = fits[0]
+        else:
+            cond, p_y0 = identify.observed_conditional(empirical_pmf(data, laplace=config.laplace))
         return sra_from_conditional(cond).g, p_y0
     pmf = empirical_pmf(data, laplace=config.laplace, include_hidden=True)
     return oracle_density(pmf).g, identify.observed_conditional(pmf)[1]
@@ -307,9 +313,9 @@ def _run_rep(config: ExperimentConfig, truth: _Truth, rep: int, pseudo: dict[str
     """
     data = sample(truth.params, config.n, config.base_seed + rep)
     bridge_methods = [m for m in config.methods if m in BRIDGE_METHODS]
-    tables = {m: _fitted(_baseline_table, data, config, m)
-              for m in config.methods if m not in BRIDGE_METHODS}
     fits = _fitted(_bridge_fits, data, config) if bridge_methods else None
+    tables = {m: _fitted(_baseline_table, data, config, m, fits)
+              for m in config.methods if m not in BRIDGE_METHODS}
     results: dict[tuple[str, str], tuple[float, float] | str] = {}
     for tag in config.scenarios:
         if bridge_methods:

@@ -1,11 +1,13 @@
 """CLI subcommands exercised through main(); exit codes per contract."""
 
 import json
+from dataclasses import replace
 
 import pytest
 
 from proxidtr.cli import main
-from proxidtr.dgp import Dataset
+from proxidtr.dgp import Dataset, sample
+from proxidtr.estimators import FitOptions, cross_fit
 from proxidtr.policy import Regime
 
 
@@ -164,7 +166,36 @@ def test_out_of_range_csv_value_is_usage_error(tmp_path, regime_file, capsys):
         "--regime", str(regime_file),
     ])
     assert code == 1
-    _one_line_error(capsys)
+    assert "CSV line 2" in _one_line_error(capsys)
+
+
+_GOOD_ROW = "0,1,0,1,1,0,0,1,1"
+
+
+@pytest.mark.parametrize("row", [
+    "0,1,0", _GOOD_ROW + ",", "2" + _GOOD_ROW[1:], "-1" + _GOOD_ROW[1:], "300" + _GOOD_ROW[1:],
+    "1.0" + _GOOD_ROW[1:], '"1"' + _GOOD_ROW[1:], "+1" + _GOOD_ROW[1:], "01" + _GOOD_ROW[1:],
+    "-0" + _GOOD_ROW[1:], "\u0661" + _GOOD_ROW[1:],
+], ids=["ragged", "trailing-comma", "two", "minus-one", "300", "decimal", "quoted", "plus",
+        "leading-zero", "minus-zero", "arabic-indic-one"])
+def test_rejected_csv_row_names_its_line(tmp_path, regime_file, capsys, row):
+    data_file = tmp_path / "bad.csv"
+    data_file.write_text(f"y0,z1,w1,a1,y1,z2,w2,a2,y2\n{_GOOD_ROW}\n{row}\n{_GOOD_ROW}\n", encoding="utf-8")
+    code = main(["estimate", "--data", str(data_file), "--method", "sra", "--regime", str(regime_file)])
+    assert code == 1
+    err = _one_line_error(capsys)
+    assert "CSV line 3: expected 9 comma-separated values 0/1" in err
+
+
+def test_cross_fit_estimate_prints_what_cross_fit_returns(tmp_path, regime_file, capsys, params):
+    data = sample(params, 35000, 3)
+    data_file = tmp_path / "d.csv"
+    data_file.write_text(data.to_csv())
+    assert main(["estimate", "--data", str(data_file), "--method", "pmr",
+                 "--regime", str(regime_file), "--folds", "5"]) == 0
+    regime = Regime.from_json(regime_file.read_text())
+    in_memory = replace(data, seed=0)  # the CLI reads the file with seed 0, which picks the folds
+    assert capsys.readouterr().out == cross_fit("PMR", in_memory, FitOptions(folds=5), regime).to_json() + "\n"
 
 
 def test_unknown_config_key_is_usage_error(tmp_path, capsys):

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from proxidtr import dgp, identify
-from proxidtr.bridges import pseudo_bridges, verify_bridges
+from proxidtr.bridges import pseudo_bridges, solve_bridges, verify_bridges
 from proxidtr.dgp import Dataset
 from proxidtr.estimators import (
     FitOptions,
@@ -18,6 +18,7 @@ from proxidtr.estimators import (
     empirical_pmf,
     fit_bridges,
     fold_assignments,
+    fold_counts,
     if_variance,
     oracle_value,
     population_v,
@@ -309,3 +310,28 @@ def test_fit_bridges_reuses_passed_fold_assignments(big_data):
         pmf_a, b_a = fit_bridges(big_data, opts, exclude_fold=fold, assignments=assignments)
         assert np.array_equal(pmf.mass, pmf_a.mass)
         assert all(np.array_equal(getattr(b, n), getattr(b_a, n)) for n in ("h22", "h21", "q11", "q22"))
+
+
+def test_fold_counts_subtract_each_fold_from_the_total(big_data):
+    assignments = fold_assignments(big_data, 5)
+    pairs = list(fold_counts(big_data, 5))
+    assert len(pairs) == 5
+    for fold, (own, off_fold) in enumerate(pairs):
+        rows = assignments == fold
+        assert np.array_equal(own, _bincount_reference(big_data, rows))
+        assert np.array_equal(off_fold, _bincount_reference(big_data, ~rows))
+        pmf, _ = fit_bridges(big_data, FitOptions(folds=5, laplace=0.5), exclude_fold=fold)
+        assert np.array_equal(pmf.mass, empirical_pmf(big_data, ~rows, laplace=0.5).mass)
+
+
+def test_cross_fit_equals_masked_off_fold_fits(big_data):
+    """Each fold value is the fold's rows scored with bridges solved on a
+    masked count of the other folds' rows, exactly."""
+    opts = FitOptions(folds=5)
+    assignments = fold_assignments(big_data, 5)
+    expected = []
+    for fold in range(5):
+        rows = assignments == fold
+        b = solve_bridges(empirical_pmf(big_data, ~rows), provenance="solved-from-sample")
+        expected.append(v_hat("PMR", big_data.subset(rows), b, REGIME).estimate)
+    assert cross_fit("PMR", big_data, opts, REGIME).fold_estimates == tuple(expected)
