@@ -22,9 +22,7 @@ from .dgp import (
     OBSERVED_ORDER,
     Dataset,
     DgpParams,
-    PotentialDensity,
     optimal_value,
-    oracle_potential_density,
     sample,
     true_joint,
     true_value,
@@ -40,7 +38,7 @@ from .estimators import (
     v_hat,
     v_hat_pmr_alt,
 )
-from .harness import ExperimentConfig, ExperimentReport, Scenario, emit_tables, identify_check, run_experiment
+from .harness import ExperimentConfig, ExperimentReport, emit_tables, identify_check, run_experiment
 from .identify import (
     IdentifiedDensity,
     density_pha,
@@ -67,10 +65,8 @@ __all__ = [
     "JointPmf",
     "OBSERVED_ORDER",
     "OutcomeBridge",
-    "PotentialDensity",
     "Regime",
     "RegimeClass",
-    "Scenario",
     "TreatmentBridge",
     "ValueEstimate",
     "bridge_collapse_check",
@@ -93,7 +89,6 @@ __all__ = [
     "invert2or4",
     "marginalize",
     "optimal_value",
-    "oracle_potential_density",
     "oracle_value",
     "policy",
     "pseudo_bridges",

@@ -17,6 +17,9 @@ joint density of potential outcomes, the true value of any regime, and the
 class optima found by exhaustive policy enumeration. ``class_values`` scores
 every member of a regime class against one density as a single array
 gather, with the same products and summation order as ``regime_value``.
+Every potential-outcome density, the Oracle's here and those of SRA and
+the bridge methods, is an ``IdentifiedDensity`` (here because ``identify``
+imports this module).
 
 The sampler draws each variable in SAMPLING_ORDER as one Philox uniform per
 row, compared with a prefix table P(var = 1 | the variables sampled before
@@ -28,21 +31,22 @@ rows' canonical cell codes and the 2^11 cell counts, the sufficient
 statistic of every estimator, computed once on first use.
 
 ``Dataset.from_csv`` reads a header naming OBSERVED_ORDER (optionally
-followed by u0,u1), then lines of k comma-separated digits 0 or 1, k being
-the header's length; CRLF line ends, blank lines, a missing final newline
-and spaces or tabs around values are allowed. The body is checked and
-converted as one byte array: reshaped to (rows, 2k), digits in the even
-slots, commas between them and a newline last. A body already in that
-layout (what ``to_csv`` writes) is checked as it stands; any other is first
-stripped of spaces, tabs, carriage returns and blank lines and given a
-final newline. Only a rejected file is scanned line by line, to name the
-first bad line.
+followed by u0,u1 and led by a byte-order mark), then lines of k
+comma-separated digits 0 or 1, k being the header's length; CRLF line
+ends, blank lines, a missing final newline and spaces or tabs around
+values are allowed. The body is checked and converted as one byte array:
+reshaped to (rows, 2k), digits in the even slots, commas between them and
+a newline last. A body already in that layout (what ``to_csv`` writes) is
+checked as it stands; any other is first stripped of spaces, tabs,
+carriage returns and blank lines and given a final newline. Only a
+rejected file is scanned line by line, to name the first bad line.
 """
 
 from __future__ import annotations
 
 import csv
 import io
+import json
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Mapping
@@ -50,7 +54,7 @@ from typing import Mapping
 import numpy as np
 
 from .policy import Regime, RegimeClass, enumerate_class, first_maximizer
-from .tables import JointPmf, conditional, marginalize
+from .tables import JointPmf, _mass_over, conditional
 
 CANONICAL_ORDER = ("Y0", "U0", "Z1", "W1", "A1", "Y1", "U1", "Z2", "W2", "A2", "Y2")
 OBSERVED_ORDER = ("Y0", "Z1", "W1", "A1", "Y1", "Z2", "W2", "A2", "Y2")
@@ -238,6 +242,7 @@ class Dataset:
     def from_csv(cls, text: str, seed: int = 0) -> "Dataset":
         """Rows of a CSV in the grammar of the module docstring; a rejected
         data row raises ValueError naming its line."""
+        text = text.removeprefix("\ufeff")  # the byte-order mark spreadsheet programs write
         # one byte per character, so byte offsets are character offsets
         data = text.encode("ascii", "replace")
         end = data.find(b"\n")
@@ -306,40 +311,60 @@ def _csv_row_error(text: str, k: int) -> str:
 
 
 @dataclass(frozen=True)
-class PotentialDensity:
-    """f(Y2(a1,a2)=y2, Y1(a1)=y1 | Y0=y0) and the stage-1 marginal.
+class IdentifiedDensity:
+    """A potential-outcome density f(Y2(a1,a2)=y2, Y1(a1)=y1 | Y0=y0) with
+    the method that produced it and the provenance of its bridges.
 
-    ``g[a1, a2, y2, y1, y0]`` and ``g1[a1, y1, y0]``.
+    ``g[a1, a2, y2, y1, y0]``; slices sum to one only when the bridges behind
+    the method are correct for the supplied law.
     """
 
     g: np.ndarray
-    g1: np.ndarray
+    method: str
+    provenance: Mapping[str, str] = field(default_factory=dict)
 
     def __post_init__(self):
         g = np.asarray(self.g, dtype=float)
-        g1 = np.asarray(self.g1, dtype=float)
-        if g.shape != (2,) * 5 or g1.shape != (2,) * 3:
-            raise ValueError("g must be (2,)*5 and g1 (2,)*3")
+        if g.shape != (2,) * 5:
+            raise ValueError(f"g must have shape (2,)*5, got {g.shape}")
         g.flags.writeable = False
-        g1.flags.writeable = False
         object.__setattr__(self, "g", g)
-        object.__setattr__(self, "g1", g1)
+        object.__setattr__(self, "provenance", dict(self.provenance))
+
+    @property
+    def g1(self) -> np.ndarray:
+        """Stage-1 marginal f(Y1(a1)=y1 | Y0=y0) at a2 = 0, ``g1[a1, y1, y0]``."""
+        return self.g[:, 0].sum(axis=1)
+
+    def slice_sums(self) -> np.ndarray:
+        """sum over (y2, y1) per (a1, a2, y0); equals 1 at a correct law."""
+        return self.g.sum(axis=(2, 3))
+
+    def to_json(self) -> str:
+        return json.dumps({
+            "method": self.method,
+            "provenance": dict(self.provenance),
+            "g": {",".join(map(str, idx)): float(self.g[idx]) for idx in np.ndindex(self.g.shape)},
+        })
 
 
-def _grid_values() -> dict[str, np.ndarray]:
-    axes = np.indices((2,) * len(CANONICAL_ORDER))
-    return {name: axes[i] for i, name in enumerate(CANONICAL_ORDER)}
+def _factor_product(params: DgpParams, skip: tuple[str, ...] = ()) -> tuple[dict[str, np.ndarray], np.ndarray]:
+    """(grid values, the product on the 2^11 grid of every model factor but
+    those of ``skip``), multiplied in model order."""
+    values = dict(zip(CANONICAL_ORDER, np.indices((2,) * len(CANONICAL_ORDER))))
+    mass = np.ones((2,) * len(CANONICAL_ORDER))
+    for model in params.models:
+        if model.target in skip:
+            continue
+        p1 = model.prob1(values)
+        target = values[model.target]
+        mass = mass * np.where(target == 1, p1, 1.0 - p1)
+    return values, mass
 
 
 def true_joint(params: DgpParams) -> JointPmf:
     """Exact joint law: the product of all eleven model factors on the 2^11 grid."""
-    values = _grid_values()
-    mass = np.ones((2,) * len(CANONICAL_ORDER))
-    for model in params.models:
-        p1 = model.prob1(values)
-        target = values[model.target]
-        mass = mass * np.where(target == 1, p1, 1.0 - p1)
-    return JointPmf(CANONICAL_ORDER, mass)
+    return JointPmf(CANONICAL_ORDER, _factor_product(params)[1])
 
 
 def interventional_joint(params: DgpParams, a1: int, a2: int) -> JointPmf:
@@ -348,14 +373,7 @@ def interventional_joint(params: DgpParams, a1: int, a2: int) -> JointPmf:
     The result is still indexed over all eleven variables; cells with
     (A1, A2) different from (a1, a2) carry zero mass.
     """
-    values = _grid_values()
-    mass = np.ones((2,) * len(CANONICAL_ORDER))
-    for model in params.models:
-        if model.target in ("A1", "A2"):
-            continue
-        p1 = model.prob1(values)
-        target = values[model.target]
-        mass = mass * np.where(target == 1, p1, 1.0 - p1)
+    values, mass = _factor_product(params, skip=("A1", "A2"))
     mass = mass * (values["A1"] == a1) * (values["A2"] == a2)
     return JointPmf(CANONICAL_ORDER, mass)
 
@@ -382,7 +400,7 @@ def sample(params: DgpParams, n: int, seed: int) -> Dataset:
     return Dataset(observed, hidden, seed)
 
 
-def oracle_density_from_joint(pmf: JointPmf) -> PotentialDensity:
+def oracle_density_from_joint(pmf: JointPmf) -> IdentifiedDensity:
     """Potential-outcome density by standardizing over the hidden confounders.
 
     g(a1,a2,y2,y1,y0) = sum_{u0,u1} P(y2|y0,y1,u0,u1,a1,a2) P(u1|y0,y1,u0,a1)
@@ -397,12 +415,7 @@ def oracle_density_from_joint(pmf: JointPmf) -> PotentialDensity:
     p_y2 = conditional(pmf, ("Y2",), ("Y0", "Y1", "U0", "U1", "A1", "A2"))  # [y0,y1,u0,u1,a1,a2,y2]
     # axis letters: a=y0 b=y1 c=u0 d=u1 e=a1 f=a2 g=y2
     g = np.einsum("abcdefg,abced,aceb,ac->efgba", p_y2, p_u1, p_y1, p_u0)
-    g1 = np.einsum("aceb,ac->eba", p_y1, p_u0)
-    return PotentialDensity(g, g1)
-
-
-def oracle_potential_density(params: DgpParams) -> PotentialDensity:
-    return oracle_density_from_joint(true_joint(params))
+    return IdentifiedDensity(g, "ORACLE")
 
 
 def regime_value(g: np.ndarray, p_y0: np.ndarray, regime: Regime) -> float:
@@ -431,7 +444,7 @@ def class_values(g: np.ndarray, p_y0: np.ndarray, cls: RegimeClass) -> np.ndarra
 
 
 def marginal_y0(pmf: JointPmf) -> np.ndarray:
-    return marginalize(pmf, ("Y0",)).mass
+    return _mass_over(pmf, ("Y0",))
 
 
 def true_value(params: DgpParams, regime: Regime) -> float:

@@ -15,11 +15,13 @@ In the categorical setting each empirical average coincides exactly with the
 corresponding plug-in value on the empirical cell-frequency table, which the
 test suite exploits as an algebraic cross-check. A telescoped rearrangement
 of the PMR summand is implemented separately and must agree to 1e-12 cell by
-cell.
+cell; it shares only the regime indexing (``_regime_cells``).
 
-The SRA baseline ignores unmeasured confounding (a plain g-formula on the
-observed conditionals); the Oracle baseline standardizes over the hidden
-confounder columns and is only available when those are carried.
+The SRA baseline ignores unmeasured confounding (``sra_from_conditional``, a
+plain g-formula on the observed table given Y0); the Oracle baseline
+(``oracle_density``) standardizes over the hidden confounder columns and is
+only available when those are carried. ``sra_value`` and ``oracle_value``
+score them on a law or on sampled rows.
 """
 
 from __future__ import annotations
@@ -130,20 +132,9 @@ def fold_counts(data: Dataset, folds: int) -> Iterator[tuple[np.ndarray, np.ndar
         yield own, total - own
 
 
-def fit_bridges(data: Dataset, opts: FitOptions = FitOptions(), exclude_fold: int | None = None,
-                assignments: np.ndarray | None = None) -> tuple[JointPmf, BridgeSet]:
-    """Empirical law plus closed-form bridges, with scenario substitutions.
-
-    With ``exclude_fold`` set, only rows outside that fold enter the fit
-    (the cross-fitting "off-fold" nuisance estimate); ``assignments`` passes
-    ``fold_assignments(data, opts.folds)`` when the caller already has it.
-    """
-    counts = _cell_counts(data)
-    if exclude_fold is not None:
-        if assignments is None:
-            assignments = fold_assignments(data, opts.folds)
-        counts = counts - _cell_counts(data, assignments == exclude_fold)
-    return fit_counts(counts, opts)
+def fit_bridges(data: Dataset, opts: FitOptions = FitOptions()) -> tuple[JointPmf, BridgeSet]:
+    """Empirical law plus closed-form bridges, with scenario substitutions."""
+    return fit_counts(_cell_counts(data), opts)
 
 
 def fit_counts(counts: np.ndarray, opts: FitOptions) -> tuple[JointPmf, BridgeSet]:
@@ -170,25 +161,31 @@ def _count_mean(counts: np.ndarray, summand: np.ndarray) -> float:
     return float(counts @ summand / counts.sum())
 
 
-def _summands(method: str, cols: Mapping[str, np.ndarray], b: BridgeSet, regime: Regime) -> np.ndarray:
-    """Estimator summand per row (or per cell); its mean over rows is the value estimate."""
-    y0, z1, w1, a1 = cols["Y0"], cols["Z1"], cols["W1"], cols["A1"]
-    y1, z2, w2, a2, y2 = cols["Y1"], cols["Z2"], cols["W2"], cols["A2"], cols["Y2"]
+def _regime_cells(cols: Mapping[str, np.ndarray], b: BridgeSet, regime: Regime):
+    """The regime indexing every summand shares, per row (or cell): d2[y0, y1, a1],
+    a1* = d1(y0), the stage-1 and full compliance indicators, and j1*(), h21
+    summed over the counterfactual stage-1 outcome with a2 pinned by the regime."""
+    y0, w1, a1, y1, a2 = cols["Y0"], cols["W1"], cols["A1"], cols["Y1"], cols["A2"]
     d1 = np.asarray(regime.d1, dtype=np.int64)
     d2 = np.asarray(regime.d2, dtype=np.int64).reshape(2, 2, 2)
     a1_star = d1[y0]
     comply1 = (a1 == a1_star).astype(float)
-    a2_star = d2[y0, y1, a1]
-    comply2 = comply1 * (a2 == a2_star)
+    comply2 = comply1 * (a2 == d2[y0, y1, a1])
 
     def j1_star() -> np.ndarray:
-        # sum over the counterfactual stage-1 outcome, a2 pinned by the regime
         total = np.zeros(y0.shape, dtype=float)
         for y1v in (0, 1):
-            a2v = d2[y0, y1v, a1_star]
-            total = total + b.h21[y0, y1v, 1, w1, a1_star, a2v]
+            total = total + b.h21[y0, y1v, 1, w1, a1_star, d2[y0, y1v, a1_star]]
         return total
 
+    return d2, a1_star, comply1, comply2, j1_star
+
+
+def _summands(method: str, cols: Mapping[str, np.ndarray], b: BridgeSet, regime: Regime) -> np.ndarray:
+    """Estimator summand per row (or per cell); its mean over rows is the value estimate."""
+    y0, z1, w1, a1 = cols["Y0"], cols["Z1"], cols["W1"], cols["A1"]
+    y1, z2, w2, a2, y2 = cols["Y1"], cols["Z2"], cols["W2"], cols["A2"], cols["Y2"]
+    d2, _, comply1, comply2, j1_star = _regime_cells(cols, b, regime)
     if method == "POR":
         b.require("h21")
         return j1_star()
@@ -215,16 +212,11 @@ def _pmr_telescoped(cols: Mapping[str, np.ndarray], b: BridgeSet, regime: Regime
     b.require("h22", "h21", "q11", "q22")
     y0, z1, w1, a1 = cols["Y0"], cols["Z1"], cols["W1"], cols["A1"]
     y1, z2, w2, a2, y2 = cols["Y1"], cols["Z2"], cols["W2"], cols["A2"], cols["Y2"]
-    d1 = np.asarray(regime.d1, dtype=np.int64)
-    d2 = np.asarray(regime.d2, dtype=np.int64).reshape(2, 2, 2)
-    a1_star = d1[y0]
-    c1 = (a1 == a1_star) * b.q11[y0, a1, z1]
-    c2 = (a1 == a1_star) * (a2 == d2[y0, y1, a1]) * b.q22[y0, y1, a1, a2, z1, z2]
+    d2, a1_star, comply1, comply2, j1_star = _regime_cells(cols, b, regime)
+    c1 = comply1 * b.q11[y0, a1, z1]
+    c2 = comply2 * b.q22[y0, y1, a1, a2, z1, z2]
     j2 = b.h22[y0, y1, 1, w1, w2, a1_star, d2[y0, y1, a1_star]]
-    j1 = np.zeros(y0.shape, dtype=float)
-    for y1v in (0, 1):
-        j1 = j1 + b.h21[y0, y1v, 1, w1, a1_star, d2[y0, y1v, a1_star]]
-    return c2 * y2 + (c1 - c2) * j2 + (1.0 - c1) * j1
+    return c2 * y2 + (c1 - c2) * j2 + (1.0 - c1) * j1_star()
 
 
 def v_hat(method: str, data: Dataset, b: BridgeSet, regime: Regime) -> ValueEstimate:
@@ -274,14 +266,16 @@ def population_v(method: str, pmf: JointPmf, b: BridgeSet, regime: Regime) -> fl
     return float(np.dot(weights, _summands(method, _CELLS, b, regime)))
 
 
-def sra_density(pmf: JointPmf) -> IdentifiedDensity:
-    """No-unmeasured-confounding g-formula on the observed conditionals:
-    g(a1,a2,y2,y1,y0) = f(y2|y0,y1,a1,a2) f(y1|y0,a1)."""
-    return sra_from_conditional(observed_conditional(pmf)[0])
+def _law(source: Dataset | JointPmf, laplace: float, include_hidden: bool = False) -> JointPmf:
+    """A baseline's law: the table itself, or the cell frequencies of sampled rows."""
+    if isinstance(source, Dataset):
+        return empirical_pmf(source, laplace=laplace, include_hidden=include_hidden)
+    return source
 
 
 def sra_from_conditional(cond: np.ndarray) -> IdentifiedDensity:
-    """``sra_density`` from the observed table given Y0, ``observed_conditional(pmf)[0]``."""
+    """No-unmeasured-confounding g-formula on the observed table given Y0,
+    ``observed_conditional(pmf)[0]``: g(a1,a2,y2,y1,y0) = f(y2|y0,y1,a1,a2) f(y1|y0,a1)."""
     joint5 = cond.sum(axis=(1, 2, 5, 6))  # [y0, a1, y1, a2, y2]
     den2 = joint5.sum(axis=4, keepdims=True)
     if np.any(den2 <= 0.0):
@@ -299,23 +293,15 @@ def sra_from_conditional(cond: np.ndarray) -> IdentifiedDensity:
 def oracle_density(source: Dataset | JointPmf, laplace: float = 0.0) -> IdentifiedDensity:
     """Hidden-confounder-adjusted density, from the true law or from sampled
     rows that carry the hidden columns."""
-    if isinstance(source, Dataset):
-        pmf = empirical_pmf(source, laplace=laplace, include_hidden=True)
-    else:
-        pmf = source
-    dens = oracle_density_from_joint(pmf)
-    return IdentifiedDensity(dens.g, "ORACLE")
+    return oracle_density_from_joint(_law(source, laplace, include_hidden=True))
 
 
 def sra_value(source: Dataset | JointPmf, regime: Regime, laplace: float = 0.0) -> ValueEstimate:
-    pmf = empirical_pmf(source, laplace=laplace) if isinstance(source, Dataset) else source
-    return ValueEstimate("SRA", value_from_density(sra_density(pmf), pmf, regime))
+    pmf = _law(source, laplace)
+    dens = sra_from_conditional(observed_conditional(pmf)[0])
+    return ValueEstimate("SRA", value_from_density(dens, pmf, regime))
 
 
 def oracle_value(source: Dataset | JointPmf, regime: Regime, laplace: float = 0.0) -> ValueEstimate:
-    if isinstance(source, Dataset):
-        pmf = empirical_pmf(source, laplace=laplace, include_hidden=True)
-    else:
-        pmf = source
-    dens = oracle_density_from_joint(pmf)
-    return ValueEstimate("ORACLE", value_from_density(dens.g, pmf, regime))
+    pmf = _law(source, laplace, include_hidden=True)
+    return ValueEstimate("ORACLE", value_from_density(oracle_density(pmf), pmf, regime))

@@ -19,7 +19,8 @@ by Q-learning on the estimated density, and scores it two ways:
   overall error  |V(d*) - V_hat(d_hat)|, charging the estimated value of the
                  chosen regime against the true optimum
 
-Scenario tags name which submodel stays correct: the outcome-bridge pair
+Scenario tags, the keys of ``SCENARIO_PSEUDO`` that ``ExperimentConfig``
+checks, name which submodel stays correct: the outcome-bridge pair
 (m0-correct), the hybrid pair h22+q11 (m1-correct), or the treatment-bridge
 pair (m2-correct); all-correct and all-wrong bracket them. The corrupted
 components are replaced by pseudo bridges drawn once per experiment from a
@@ -92,20 +93,6 @@ ALL_METHODS = BRIDGE_METHODS + ("SRA", "ORACLE")
 
 # (cond, bridges) -> IdentifiedDensity, per bridge method
 _DENSITY_FN = {method: partial(identify.density_from_conditional, method) for method in BRIDGE_METHODS}
-
-
-@dataclass(frozen=True)
-class Scenario:
-    tag: str
-    pseudo_seed: int = DEFAULT_PSEUDO_SEED
-
-    def __post_init__(self):
-        if self.tag not in SCENARIO_PSEUDO:
-            raise ValueError(f"unknown scenario {self.tag!r}; choose from {sorted(SCENARIO_PSEUDO)}")
-
-    @property
-    def pseudo_components(self) -> tuple[str, ...]:
-        return SCENARIO_PSEUDO[self.tag]
 
 
 @dataclass(frozen=True)

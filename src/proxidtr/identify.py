@@ -19,57 +19,22 @@ the truth whenever any one of the bridge subsets {h22,h21}, {h22,q11},
 {q11,q22} is correct; the other three methods each require their own
 bridges.
 
-Identified densities are reported raw: misspecified bridges can push cells
+Every method returns a ``dgp.IdentifiedDensity`` (re-exported here), as do
+SRA and the Oracle, and reports it raw: misspecified bridges can push cells
 negative or break normalization, and downstream consumers see that rather
 than a silently repaired table.
 """
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass, field
-from typing import Mapping
-
 import numpy as np
 
 from .bridges import BridgeSet
-from .dgp import OBSERVED_ORDER, regime_value
+from .dgp import OBSERVED_ORDER, IdentifiedDensity, marginal_y0, regime_value
 from .policy import Regime
-from .tables import JointPmf, ZeroProbabilityError, marginalize
+from .tables import JointPmf, ZeroProbabilityError, _mass_over
 
 METHODS = ("POR", "PHA", "PIPW", "PMR")
-
-
-@dataclass(frozen=True)
-class IdentifiedDensity:
-    """A potential-outcome density candidate with its method and provenance.
-
-    ``g[a1, a2, y2, y1, y0]``; slices sum to one only when the bridges behind
-    the method are correct for the supplied law.
-    """
-
-    g: np.ndarray
-    method: str
-    provenance: Mapping[str, str] = field(default_factory=dict)
-
-    def __post_init__(self):
-        g = np.asarray(self.g, dtype=float)
-        if g.shape != (2,) * 5:
-            raise ValueError(f"g must have shape (2,)*5, got {g.shape}")
-        g.flags.writeable = False
-        object.__setattr__(self, "g", g)
-        object.__setattr__(self, "provenance", dict(self.provenance))
-
-    def slice_sums(self) -> np.ndarray:
-        """sum over (y2, y1) per (a1, a2, y0); equals 1 at a correct law."""
-        return self.g.sum(axis=(2, 3))
-
-    def to_json(self) -> str:
-        return json.dumps({
-            "method": self.method,
-            "provenance": dict(self.provenance),
-            "g": {",".join(map(str, idx)): float(self.g[idx]) for idx in np.ndindex(self.g.shape)},
-        })
 
 
 def observed_conditional(pmf: JointPmf) -> tuple[np.ndarray, np.ndarray]:
@@ -78,9 +43,7 @@ def observed_conditional(pmf: JointPmf) -> tuple[np.ndarray, np.ndarray]:
     Returns (cond, p_y0) where cond[y0, z1, w1, a1, y1, z2, w2, a2, y2] is
     the joint law of the remaining observed variables given Y0 = y0.
     """
-    sub = marginalize(pmf, OBSERVED_ORDER)
-    order = [sub.axis(n) for n in OBSERVED_ORDER]
-    arr = np.transpose(sub.mass, order)
+    arr = _mass_over(pmf, OBSERVED_ORDER)
     p_y0 = arr.sum(axis=tuple(range(1, 9)))
     if np.any(p_y0 <= 0.0):
         raise ZeroProbabilityError("P(Y0=y0) = 0 for some y0; cannot condition")
@@ -170,8 +133,7 @@ def pipw_marginal_stage1(pmf: JointPmf, b: BridgeSet) -> np.ndarray:
 def value_from_density(g: IdentifiedDensity | np.ndarray, pmf: JointPmf, regime: Regime) -> float:
     """Indicator-weighted value of a regime under an identified density."""
     arr = g.g if isinstance(g, IdentifiedDensity) else np.asarray(g, dtype=float)
-    p_y0 = marginalize(pmf, ("Y0",)).mass
-    return regime_value(arr, p_y0, regime)
+    return regime_value(arr, marginal_y0(pmf), regime)
 
 
 def q_functions(g: IdentifiedDensity | np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -12,7 +12,8 @@ of proxy matrices over the remaining history come out as leading axes.
 (near-)singular blocks instead of falling back to a pseudo-inverse.
 
 All objects are immutable value types; operations return new tables and never
-mutate their inputs.
+mutate their inputs. ``conditional`` sums a table's mass without building and
+validating an intermediate table.
 """
 
 from __future__ import annotations
@@ -100,17 +101,23 @@ class JointPmf:
         return cls(tuple(payload["order"]), np.asarray(payload["mass"], dtype=float))
 
 
+def _mass_over(pmf: JointPmf, names: Sequence[str]) -> np.ndarray:
+    """The mass summed over every variable not in ``names``, axes in
+    ``names`` order: a bare array, not a new table."""
+    axes = [pmf.axis(n) for n in names]  # raises UnknownVariableError with the offending name
+    drop_axes = tuple(i for i in range(len(pmf.names)) if i not in axes)
+    summed = pmf.mass.sum(axis=drop_axes) if drop_axes else pmf.mass
+    kept = sorted(axes)
+    return np.transpose(summed, [kept.index(a) for a in axes])
+
+
 def marginalize(pmf: JointPmf, keep: Sequence[str]) -> JointPmf:
     """Sum out every variable not in ``keep``.
 
     The result keeps the pmf's own variable order restricted to ``keep``.
     """
-    keep_set = set(keep)
-    for name in keep_set:
-        pmf.axis(name)  # raises UnknownVariableError with the offending name
-    kept = tuple(n for n in pmf.names if n in keep_set)
-    drop_axes = tuple(i for i, n in enumerate(pmf.names) if n not in keep_set)
-    return JointPmf(kept, pmf.mass.sum(axis=drop_axes) if drop_axes else pmf.mass)
+    kept = sorted(set(keep), key=pmf.axis)
+    return JointPmf(tuple(kept), _mass_over(pmf, kept))
 
 
 def conditional(pmf: JointPmf, target: Sequence[str], given: Sequence[str]) -> np.ndarray:
@@ -123,8 +130,7 @@ def conditional(pmf: JointPmf, target: Sequence[str], given: Sequence[str]) -> n
     target, given = tuple(target), tuple(given)
     if set(target) & set(given):
         raise TableError(f"target {target} and given {given} overlap")
-    sub = marginalize(pmf, given + target)
-    joint = np.transpose(sub.mass, [sub.axis(n) for n in given + target])
+    joint = _mass_over(pmf, given + target)
     den = joint.sum(axis=tuple(range(len(given), joint.ndim)), keepdims=True)
     zero = np.argwhere(np.atleast_1d(den.reshape(joint.shape[:len(given)])) <= 0.0)
     if zero.size:

@@ -23,8 +23,8 @@ def solved(joint):
 
 
 @pytest.fixture(scope="session")
-def oracle(params):
-    return dgp.oracle_potential_density(params)
+def oracle(joint):
+    return dgp.oracle_density_from_joint(joint)
 
 
 @pytest.fixture(scope="session")

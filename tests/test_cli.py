@@ -187,6 +187,18 @@ def test_rejected_csv_row_names_its_line(tmp_path, regime_file, capsys, row):
     assert "CSV line 3: expected 9 comma-separated values 0/1" in err
 
 
+def test_estimate_reads_a_csv_led_by_a_byte_order_mark(tmp_path, regime_file, capsys, params):
+    text = sample(params, 5000, 3).to_csv()
+    outputs = []
+    for name, content in (("plain.csv", text), ("bom.csv", "\ufeff" + text)):
+        data_file = tmp_path / name
+        data_file.write_text(content)
+        assert main(["estimate", "--data", str(data_file), "--method", "sra",
+                     "--regime", str(regime_file)]) == 0
+        outputs.append(capsys.readouterr().out)
+    assert outputs[0] == outputs[1]
+
+
 def test_cross_fit_estimate_prints_what_cross_fit_returns(tmp_path, regime_file, capsys, params):
     data = sample(params, 35000, 3)
     data_file = tmp_path / "d.csv"

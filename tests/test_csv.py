@@ -101,3 +101,17 @@ def test_header_is_checked_and_rows_are_required():
     with pytest.raises(ValueError, match="unexpected CSV header"):
         Dataset.from_csv(GOOD_ROW + "\n" + GOOD_ROW + "\n")
     assert len(Dataset.from_csv(f" {header.upper()} \n{GOOD_ROW}")) == 1
+
+
+@pytest.mark.parametrize("hidden", [False, True])
+def test_leading_byte_order_mark_is_skipped(sampled, hidden):
+    text = "\ufeff" + sampled.to_csv(include_hidden=hidden)
+    got = Dataset.from_csv(text)
+    assert got.has_hidden == hidden
+    assert np.array_equal(got.observed, sampled.observed)
+    assert np.array_equal(got.hidden, sampled.hidden if hidden else np.zeros_like(sampled.hidden))
+    header = ",".join(n.lower() for n in OBSERVED_ORDER)
+    with pytest.raises(ValueError, match="^CSV line 3: "):
+        Dataset.from_csv(f"\ufeff{header}\n{GOOD_ROW}\n0,1\n")
+    with pytest.raises(ValueError, match="unexpected CSV header"):
+        Dataset.from_csv(f"{header}\ufeff\n{GOOD_ROW}\n")

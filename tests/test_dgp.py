@@ -14,7 +14,7 @@ import pytest
 
 from proxidtr import dgp
 from proxidtr.policy import Regime
-from proxidtr.tables import marginalize
+from proxidtr.tables import conditional, marginalize
 
 
 def local_expit(x):
@@ -109,11 +109,15 @@ def test_oracle_slices_are_pmfs(oracle):
     np.testing.assert_allclose(sums, 1.0, atol=1e-12)
 
 
-def test_stage1_marginal_consistency_no_anticipation(oracle):
+def test_stage1_marginal_consistency_no_anticipation(joint, oracle):
+    # f(Y1(a1)=y1 | y0) = sum_u0 P(y1|y0,u0,a1) P(u0|y0), whichever a2 the
+    # density is read at
+    p_y1 = conditional(joint, ("Y1",), ("Y0", "U0", "A1"))  # [y0, u0, a1, y1]
+    p_u0 = conditional(joint, ("U0",), ("Y0",))  # [y0, u0]
+    expected = np.einsum("acbd,ac->bda", p_y1, p_u0)  # [a1, y1, y0]
+    np.testing.assert_allclose(oracle.g1, expected, atol=1e-12)
     for a2 in (0, 1):
-        np.testing.assert_allclose(
-            oracle.g[:, a2].sum(axis=1), oracle.g1, atol=1e-12
-        )
+        np.testing.assert_allclose(oracle.g[:, a2].sum(axis=1), expected, atol=1e-12)
 
 
 def test_interventional_joint_pins_treatments(params):

@@ -17,12 +17,12 @@ from proxidtr.estimators import (
     cross_fit,
     empirical_pmf,
     fit_bridges,
+    fit_counts,
     fold_assignments,
     fold_counts,
     if_variance,
     oracle_value,
     population_v,
-    sra_density,
     sra_from_conditional,
     sra_value,
     v_hat,
@@ -30,7 +30,7 @@ from proxidtr.estimators import (
     _cell_counts,
 )
 from proxidtr.policy import Regime
-from proxidtr.tables import SingularMatrixError, ZeroProbabilityError
+from proxidtr.tables import SingularMatrixError, ZeroProbabilityError, conditional
 
 METHODS = ("POR", "PHA", "PIPW", "PMR")
 REGIME = Regime((1, 0), (0, 1, 1, 0, 1, 0, 0, 1))
@@ -163,7 +163,7 @@ def test_cross_fit_five_folds(big_data):
 
 def test_off_fold_bridge_sets_differ(big_data):
     opts = FitOptions(folds=5)
-    sets = [fit_bridges(big_data, opts, exclude_fold=fold)[1] for fold in range(5)]
+    sets = [fit_counts(off_fold, opts)[1] for _, off_fold in fold_counts(big_data, 5)]
     for i in range(4):
         assert np.abs(sets[i].h21 - sets[i + 1].h21).max() > 1e-12
 
@@ -208,7 +208,7 @@ def test_sra_value_is_confounded(params, big_data, joint):
 
 
 def test_sra_density_normalizes(joint):
-    d = sra_density(joint)
+    d = sra_from_conditional(identify.observed_conditional(joint)[0])
     np.testing.assert_allclose(d.slice_sums(), 1.0, atol=1e-12)
 
 
@@ -296,20 +296,26 @@ def test_oracle_without_hidden_columns_is_refused(big_data, linear_class):
     assert np.array_equal(_cell_counts(observed_only), _cell_counts(big_data))
 
 
-def test_sra_from_conditional_equals_sra_density(big_data):
+def test_sra_from_conditional_equals_test_side_g_formula(big_data):
+    """g(a1,a2,y2,y1,y0) = P(y2|y0,a1,y1,a2) P(y1|y0,a1), from ``tables.conditional``."""
     pmf = empirical_pmf(big_data)
+    f_y2 = conditional(pmf, ("Y2",), ("Y0", "A1", "Y1", "A2"))  # [y0, a1, y1, a2, y2]
+    f_y1 = conditional(pmf, ("Y1",), ("Y0", "A1"))  # [y0, a1, y1]
+    expected = np.einsum("aebfc,aeb->efcba", f_y2, f_y1)
     cond, _ = identify.observed_conditional(pmf)
-    assert np.array_equal(sra_from_conditional(cond).g, sra_density(pmf).g)
+    np.testing.assert_allclose(sra_from_conditional(cond).g, expected, rtol=0, atol=1e-12)
+    assert sra_value(big_data, REGIME).estimate == pytest.approx(
+        identify.value_from_density(expected, pmf, REGIME), abs=1e-12)
 
 
-def test_fit_bridges_reuses_passed_fold_assignments(big_data):
+def test_off_fold_fit_equals_fit_on_the_other_folds_rows(big_data):
     opts = FitOptions(folds=5)
     assignments = fold_assignments(big_data, 5)
-    for fold in (0, 4):
-        pmf, b = fit_bridges(big_data, opts, exclude_fold=fold)
-        pmf_a, b_a = fit_bridges(big_data, opts, exclude_fold=fold, assignments=assignments)
-        assert np.array_equal(pmf.mass, pmf_a.mass)
-        assert all(np.array_equal(getattr(b, n), getattr(b_a, n)) for n in ("h22", "h21", "q11", "q22"))
+    for fold, (_, off_fold) in enumerate(fold_counts(big_data, 5)):
+        pmf, b = fit_counts(off_fold, opts)
+        pmf_rows, b_rows = fit_bridges(big_data.subset(assignments != fold), opts)
+        assert np.array_equal(pmf.mass, pmf_rows.mass)
+        assert all(np.array_equal(getattr(b, n), getattr(b_rows, n)) for n in ("h22", "h21", "q11", "q22"))
 
 
 def test_fold_counts_subtract_each_fold_from_the_total(big_data):
@@ -320,7 +326,7 @@ def test_fold_counts_subtract_each_fold_from_the_total(big_data):
         rows = assignments == fold
         assert np.array_equal(own, _bincount_reference(big_data, rows))
         assert np.array_equal(off_fold, _bincount_reference(big_data, ~rows))
-        pmf, _ = fit_bridges(big_data, FitOptions(folds=5, laplace=0.5), exclude_fold=fold)
+        pmf, _ = fit_counts(off_fold, FitOptions(folds=5, laplace=0.5))
         assert np.array_equal(pmf.mass, empirical_pmf(big_data, ~rows, laplace=0.5).mass)
 
 

@@ -10,11 +10,11 @@ from proxidtr.dgp import DgpParams, regime_value, sample
 from proxidtr.harness import (
     ALL_METHODS,
     BRIDGE_METHODS,
+    SCENARIO_PSEUDO,
     CellSummary,
     ExperimentConfig,
     ExperimentReport,
     MetricSummary,
-    Scenario,
     emit_tables,
     identify_check,
     parse_report_csv,
@@ -38,13 +38,13 @@ def small_report():
 
 
 def test_scenario_pseudo_components():
-    assert Scenario("all-correct").pseudo_components == ()
-    assert Scenario("m0-correct").pseudo_components == ("q11", "q22")
-    assert Scenario("m1-correct").pseudo_components == ("h21", "q22")
-    assert Scenario("m2-correct").pseudo_components == ("h22", "h21")
-    assert set(Scenario("all-wrong").pseudo_components) == {"h22", "h21", "q11", "q22"}
-    with pytest.raises(ValueError):
-        Scenario("m3-correct")
+    assert SCENARIO_PSEUDO["all-correct"] == ()
+    assert SCENARIO_PSEUDO["m0-correct"] == ("q11", "q22")
+    assert SCENARIO_PSEUDO["m1-correct"] == ("h21", "q22")
+    assert SCENARIO_PSEUDO["m2-correct"] == ("h22", "h21")
+    assert set(SCENARIO_PSEUDO["all-wrong"]) == {"h22", "h21", "q11", "q22"}
+    with pytest.raises(ValueError, match="m3-correct"):
+        ExperimentConfig(scenarios=("m3-correct",))
 
 
 def test_config_validation():

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from proxidtr import dgp
-from proxidtr.estimators import empirical_pmf, sra_density
+from proxidtr.estimators import empirical_pmf, sra_from_conditional
 from proxidtr.identify import observed_conditional
 from proxidtr.policy import (
     D2_CELLS,
@@ -173,8 +173,8 @@ def test_equal_keys_imply_equal_true_value(boolean_class, true_values):
 @pytest.fixture(scope="module")
 def densities(oracle, p_y0, big_data):
     """(g, p_y0) pairs: the oracle, the SRA density of ``big_data`` and 5 random tables."""
-    sra_pmf = empirical_pmf(big_data)
-    out = [(oracle.g, p_y0), (sra_density(sra_pmf).g, observed_conditional(sra_pmf)[1])]
+    cond, sra_p_y0 = observed_conditional(empirical_pmf(big_data))
+    out = [(oracle.g, p_y0), (sra_from_conditional(cond).g, sra_p_y0)]
     rng = np.random.default_rng(404)
     for _ in range(5):
         p = rng.random(2)
