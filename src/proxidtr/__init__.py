@@ -10,8 +10,6 @@ Carlo harness for regret / overall-error studies.
 from . import bridges, dgp, estimators, harness, identify, policy, tables
 from .bridges import (
     BridgeSet,
-    OutcomeBridge,
-    TreatmentBridge,
     bridge_collapse_check,
     pseudo_bridges,
     solve_bridges,
@@ -64,10 +62,8 @@ __all__ = [
     "IdentifiedDensity",
     "JointPmf",
     "OBSERVED_ORDER",
-    "OutcomeBridge",
     "Regime",
     "RegimeClass",
-    "TreatmentBridge",
     "ValueEstimate",
     "bridge_collapse_check",
     "bridges",

@@ -21,8 +21,13 @@ Table layouts (all axes binary, C order):
 The defining residual equations (see ``verify_bridges``) hold at 1e-10 when
 solved from an exact law and at 1e-8 when solved from an empirical one.
 Deliberately wrong "pseudo" bridges, drawn at random per component, support
-misspecification studies; provenance strings record where every component
-came from.
+misspecification studies.
+
+One ``BridgeSet`` carries all five tables, each optional, with a provenance
+string per component recording where it came from; ``merged`` swaps in the
+components another set carries, and ``outcome`` drops the treatment
+components. The component table ``_SHAPES`` drives validation,
+merging and the JSON form.
 """
 
 from __future__ import annotations
@@ -33,86 +38,53 @@ from typing import Iterable, Mapping
 
 import numpy as np
 
-from .tables import JointPmf, ZeroProbabilityError, conditional, invert2or4
+from .tables import JointPmf, ZeroProbabilityError, _as_readonly, conditional, invert2or4
 
 RESIDUAL_TOL = 1e-8
 
-_COMPONENTS = ("h22", "h21", "q11", "q22")
+# every component and its table shape, in the order of ``to_json`` and provenance
 _SHAPES = {
-    "q11": (2, 2, 2),
-    "q22": (2,) * 6,
     "h22": (2,) * 7,
     "h21": (2,) * 6,
     "h11": (2,) * 4,
+    "q11": (2, 2, 2),
+    "q22": (2,) * 6,
 }
+# the components ``pseudo_bridges`` draws; a component's index picks its substream
+_COMPONENTS = tuple(name for name in _SHAPES if name != "h11")
 
 
 class MissingBridgeError(ValueError):
     """An operation needs a bridge component the set does not carry."""
 
 
-def _frozen(arr: np.ndarray | None, name: str) -> np.ndarray | None:
-    if arr is None:
-        return None
-    out = np.array(arr, dtype=float)
-    if out.shape != _SHAPES[name]:
-        raise ValueError(f"{name} must have shape {_SHAPES[name]}, got {out.shape}")
-    out.flags.writeable = False
-    return out
-
-
 @dataclass(frozen=True)
-class TreatmentBridge:
-    q11: np.ndarray | None = None
-    q22: np.ndarray | None = None
+class BridgeSet:
+    """Outcome (h22, h21, h11) and treatment (q11, q22) bridge tables, each
+    optional and stored read-only, with per-component provenance."""
 
-    def __post_init__(self):
-        object.__setattr__(self, "q11", _frozen(self.q11, "q11"))
-        object.__setattr__(self, "q22", _frozen(self.q22, "q22"))
-
-
-@dataclass(frozen=True)
-class OutcomeBridge:
     h22: np.ndarray | None = None
     h21: np.ndarray | None = None
     h11: np.ndarray | None = None
-
-    def __post_init__(self):
-        object.__setattr__(self, "h22", _frozen(self.h22, "h22"))
-        object.__setattr__(self, "h21", _frozen(self.h21, "h21"))
-        object.__setattr__(self, "h11", _frozen(self.h11, "h11"))
-
-
-@dataclass(frozen=True)
-class BridgeSet:
-    """Outcome and treatment bridges with per-component provenance."""
-
-    outcome: OutcomeBridge = field(default_factory=OutcomeBridge)
-    treatment: TreatmentBridge = field(default_factory=TreatmentBridge)
+    q11: np.ndarray | None = None
+    q22: np.ndarray | None = None
     provenance: Mapping[str, str] = field(default_factory=dict)
 
     def __post_init__(self):
+        for name, shape in _SHAPES.items():
+            arr = getattr(self, name)
+            if arr is None:
+                continue
+            arr = _as_readonly(arr)
+            if arr.shape != shape:
+                raise ValueError(f"{name} must have shape {shape}, got {arr.shape}")
+            object.__setattr__(self, name, arr)
         object.__setattr__(self, "provenance", dict(self.provenance))
 
     @property
-    def h22(self):
-        return self.outcome.h22
-
-    @property
-    def h21(self):
-        return self.outcome.h21
-
-    @property
-    def h11(self):
-        return self.outcome.h11
-
-    @property
-    def q11(self):
-        return self.treatment.q11
-
-    @property
-    def q22(self):
-        return self.treatment.q22
+    def outcome(self) -> "BridgeSet":
+        """The outcome components alone."""
+        return replace(self, q11=None, q22=None)
 
     def require(self, *names: str) -> None:
         for name in names:
@@ -121,45 +93,28 @@ class BridgeSet:
 
     def merged(self, override: "BridgeSet") -> "BridgeSet":
         """New set taking every component that ``override`` carries."""
-        out = self.outcome
-        tr = self.treatment
-        prov = dict(self.provenance)
-        for name in ("h22", "h21", "h11"):
-            if getattr(override.outcome, name) is not None:
-                out = replace(out, **{name: getattr(override.outcome, name)})
-                prov[name] = override.provenance.get(name, "overridden")
-        for name in ("q11", "q22"):
-            if getattr(override.treatment, name) is not None:
-                tr = replace(tr, **{name: getattr(override.treatment, name)})
-                prov[name] = override.provenance.get(name, "overridden")
-        return BridgeSet(out, tr, prov)
+        taken = {name: getattr(override, name) for name in _SHAPES if getattr(override, name) is not None}
+        prov = {**self.provenance, **{name: override.provenance.get(name, "overridden") for name in taken}}
+        return replace(self, **taken, provenance=prov)
 
     def to_json(self) -> str:
         payload: dict = {"provenance": dict(self.provenance)}
-        for name in ("h22", "h21", "h11", "q11", "q22"):
+        for name in _SHAPES:
             arr = getattr(self, name)
-            if arr is None:
-                continue
-            payload[name] = {
-                ",".join(map(str, idx)): float(arr[idx]) for idx in np.ndindex(arr.shape)
-            }
+            if arr is not None:
+                payload[name] = {",".join(map(str, idx)): float(arr[idx]) for idx in np.ndindex(arr.shape)}
         return json.dumps(payload)
 
     @classmethod
     def from_json(cls, text: str) -> "BridgeSet":
         payload = json.loads(text)
-        arrays: dict[str, np.ndarray | None] = {n: None for n in _SHAPES}
-        for name in _SHAPES:
+        arrays = {}
+        for name, shape in _SHAPES.items():
             if name in payload:
-                arr = np.zeros(_SHAPES[name])
+                arr = arrays[name] = np.zeros(shape)
                 for key, value in payload[name].items():
                     arr[tuple(int(b) for b in key.split(","))] = value
-                arrays[name] = arr
-        return cls(
-            OutcomeBridge(arrays["h22"], arrays["h21"], arrays["h11"]),
-            TreatmentBridge(arrays["q11"], arrays["q22"]),
-            payload.get("provenance", {}),
-        )
+        return cls(**arrays, provenance=payload.get("provenance", {}))
 
 
 # einsum letters, as in ``identify``:
@@ -215,8 +170,7 @@ def solve_bridges(pmf: JointPmf, provenance: str = "solved-from-truth") -> Bridg
     inv_z = inverse(("Z1", "Z2"), ("W1", "W2"), stage2)
     q22 = np.einsum("abedg,abedgf,abefdghi->abefhi", row_w, _reciprocal(pmf, ("A2",), given_w2), inv_z)
 
-    prov = {name: provenance for name in ("h22", "h21", "h11", "q11", "q22")}
-    return BridgeSet(OutcomeBridge(h22, h21, h11), TreatmentBridge(q11, q22), prov)
+    return BridgeSet(h22, h21, h11, q11, q22, dict.fromkeys(_SHAPES, provenance))
 
 
 def _component_rng(seed: int, index: int) -> np.random.Generator:
@@ -249,12 +203,7 @@ def pseudo_bridges(seed: int, which: Iterable[str] = _COMPONENTS) -> BridgeSet:
             arrays[name] = raw / raw.sum(axis=(1, 2), keepdims=True)
         else:
             arrays[name] = rng.uniform(0.5, 4.0, size=_SHAPES[name])
-    prov = {name: f"pseudo({seed})" for name in arrays}
-    return BridgeSet(
-        OutcomeBridge(arrays.get("h22"), arrays.get("h21"), None),
-        TreatmentBridge(arrays.get("q11"), arrays.get("q22")),
-        prov,
-    )
+    return BridgeSet(**arrays, provenance=dict.fromkeys(arrays, f"pseudo({seed})"))
 
 
 @dataclass(frozen=True)
@@ -315,15 +264,14 @@ class CollapseReport:
     h11_gap: float | None
 
 
-def bridge_collapse_check(b: OutcomeBridge, pmf: JointPmf) -> CollapseReport:
+def bridge_collapse_check(b: BridgeSet, pmf: JointPmf) -> CollapseReport:
     """Sum h21 over y2 and test it against the h11 defining equation.
 
     The collapsed table nominally still carries an a2 argument; at a law
     where the bridges are exact it must satisfy the one-stage equation for
     both a2 values and coincide with h11 (which is unique here).
     """
-    if b.h21 is None:
-        raise MissingBridgeError("bridge component 'h21' is missing")
+    b.require("h21")
     collapsed = b.h21.sum(axis=2)  # [y0, y1, w1, a1, a2]
     given_z1 = ("Y0", "A1", "Z1")
     rhs = np.einsum("abdef,aehd->aehbf", collapsed, conditional(pmf, ("W1",), given_z1))

@@ -23,7 +23,8 @@ from pathlib import Path
 from .bridges import MissingBridgeError
 from .dgp import Dataset, DgpParams, sample
 from .estimators import FitOptions, cross_fit, if_variance, fit_bridges, oracle_value, sra_value, v_hat
-from .harness import ExperimentConfig, emit_tables, identify_check, run_experiment
+from .harness import (ALL_METHODS, DEFAULT_PSEUDO_SEED, ExperimentConfig, emit_tables, identify_check,
+                      run_experiment)
 from .policy import Regime
 from .tables import TableError
 
@@ -52,7 +53,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_chk = sub.add_parser("identify-check", help="oracle-equivalence diagnostic")
     p_chk.add_argument("--pseudo", default="",
                        help="comma-separated bridge components to corrupt (h22,h21,q11,q22)")
-    p_chk.add_argument("--pseudo-seed", type=int, default=None)
+    p_chk.add_argument("--pseudo-seed", type=int, default=DEFAULT_PSEUDO_SEED)
     p_chk.add_argument("--dump-bridges", type=Path, default=None,
                        help="write the bridge tables used by the check as JSON")
     p_chk.add_argument("--dump-densities", type=Path, default=None,
@@ -61,7 +62,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_est = sub.add_parser("estimate", help="estimate a regime's value from data")
     p_est.add_argument("--data", type=Path, required=True)
     p_est.add_argument("--method", required=True,
-                       choices=["por", "pha", "pipw", "pmr", "sra", "oracle"])
+                       choices=[m.lower() for m in ALL_METHODS])
     p_est.add_argument("--regime", type=Path, required=True)
     p_est.add_argument("--folds", type=int, default=1)
     p_est.add_argument("--laplace", type=float, default=0.0)
@@ -81,11 +82,7 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_identify_check(args) -> int:
-    pseudo = tuple(p for p in args.pseudo.split(",") if p)
-    kwargs = {"pseudo": pseudo}
-    if args.pseudo_seed is not None:
-        kwargs["pseudo_seed"] = args.pseudo_seed
-    result = identify_check(**kwargs)
+    result = identify_check(pseudo=tuple(p for p in args.pseudo.split(",") if p), pseudo_seed=args.pseudo_seed)
     for method, dev in result.deviations.items():
         status = "ok" if dev <= result.tolerance else "FAIL"
         print(f"{method:5s} max deviation from oracle: {dev:.3e}  [{status}]")
@@ -105,22 +102,21 @@ def _cmd_identify_check(args) -> int:
 
 
 def _cmd_estimate(args) -> int:
+    opts = FitOptions(folds=args.folds, laplace=args.laplace)
     data = Dataset.from_csv(args.data.read_text())
     regime = Regime.from_json(args.regime.read_text())
     method = args.method.upper()
     if method == "SRA":
-        estimate = sra_value(data, regime, laplace=args.laplace)
+        estimate = sra_value(data, regime, laplace=opts.laplace)
     elif method == "ORACLE":
-        estimate = oracle_value(data, regime, laplace=args.laplace)
+        estimate = oracle_value(data, regime, laplace=opts.laplace)
+    elif opts.folds > 1:
+        estimate = cross_fit(method, data, opts, regime)
     else:
-        opts = FitOptions(folds=args.folds, laplace=args.laplace)
-        if args.folds > 1:
-            estimate = cross_fit(method, data, opts, regime)
-        else:
-            _, bridges_hat = fit_bridges(data, opts)
-            estimate = v_hat(method, data, bridges_hat, regime)
-            if method == "PMR":
-                estimate = replace(estimate, variance=if_variance(data, bridges_hat, regime))
+        _, bridges_hat = fit_bridges(data, opts)
+        estimate = v_hat(method, data, bridges_hat, regime)
+        if method == "PMR":
+            estimate = replace(estimate, variance=if_variance(data, bridges_hat, regime))
     print(estimate.to_json())
     return 0
 

@@ -15,7 +15,15 @@ In the categorical setting each empirical average coincides exactly with the
 corresponding plug-in value on the empirical cell-frequency table, which the
 test suite exploits as an algebraic cross-check. A telescoped rearrangement
 of the PMR summand is implemented separately and must agree to 1e-12 cell by
-cell; it shares only the regime indexing (``_regime_cells``).
+cell; it shares only the regime indexing (``_regime_cells``). Each summand
+checks that the set carries the components ``identify.BRIDGES_NEEDED``
+lists for its method.
+
+``fit_bridges`` solves the bridges on the whole sample. With folds,
+``fold_fits`` fits each fold's bridges on the other folds (the total counts
+minus the fold's own) and is the one off-fold loop, shared by ``cross_fit``
+and the harness. Fitting never substitutes pseudo bridges; the harness
+merges each scenario's into the fitted set.
 
 The SRA baseline ignores unmeasured confounding (``sra_from_conditional``, a
 plain g-formula on the observed table given Y0); the Oracle baseline
@@ -27,41 +35,38 @@ score them on a law or on sampled rows.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from typing import Iterator, Mapping
 
 import numpy as np
 
-from .bridges import BridgeSet, pseudo_bridges, solve_bridges
+from .bridges import BridgeSet, solve_bridges
 from .dgp import CANONICAL_ORDER, HIDDEN_ORDER, OBSERVED_ORDER, Dataset, oracle_density_from_joint
-from .identify import IdentifiedDensity, observed_conditional, value_from_density
+from .identify import BRIDGES_NEEDED, METHODS, IdentifiedDensity, observed_conditional, value_from_density
 from .policy import Regime
 from .tables import JointPmf, SingularMatrixError, ZeroProbabilityError
 
-ESTIMATOR_METHODS = ("POR", "PHA", "PIPW", "PMR")
 _HIDDEN_AXES = tuple(CANONICAL_ORDER.index(n) for n in HIDDEN_ORDER)
 
 
 @dataclass(frozen=True)
 class FitOptions:
-    """Bridge-fitting configuration: folds, smoothing, misspecification.
+    """Bridge-fitting configuration: folds and smoothing, checked here for
+    every caller.
 
     ``laplace`` is the additive cell smoothing constant (0 = raw maximum
-    likelihood). ``pseudo_components`` names the bridge components replaced
-    by random pseudo versions drawn from ``pseudo_seed``.
+    likelihood); NaN and infinity are refused.
     """
 
     folds: int = 1
     laplace: float = 0.0
-    pseudo_components: tuple[str, ...] = ()
-    pseudo_seed: int = 0
 
     def __post_init__(self):
         if self.folds < 1:
             raise ValueError("folds must be >= 1")
-        if self.laplace < 0:
-            raise ValueError("laplace smoothing must be >= 0")
-        object.__setattr__(self, "pseudo_components", tuple(self.pseudo_components))
+        if not 0 <= self.laplace < math.inf:
+            raise ValueError(f"laplace smoothing must be finite and >= 0, got {self.laplace!r}")
 
 
 @dataclass(frozen=True)
@@ -133,7 +138,7 @@ def fold_counts(data: Dataset, folds: int) -> Iterator[tuple[np.ndarray, np.ndar
 
 
 def fit_bridges(data: Dataset, opts: FitOptions = FitOptions()) -> tuple[JointPmf, BridgeSet]:
-    """Empirical law plus closed-form bridges, with scenario substitutions."""
+    """Empirical law plus closed-form bridges."""
     return fit_counts(_cell_counts(data), opts)
 
 
@@ -147,9 +152,18 @@ def fit_counts(counts: np.ndarray, opts: FitOptions) -> tuple[JointPmf, BridgeSe
             f"{err}; the empirical table is too sparse to solve the bridges - "
             "increase n or enable Laplace smoothing"
         ) from err
-    if opts.pseudo_components:
-        solved = solved.merged(pseudo_bridges(opts.pseudo_seed, opts.pseudo_components))
     return pmf, solved
+
+
+def fold_fits(data: Dataset, opts: FitOptions) -> Iterator[tuple[np.ndarray, BridgeSet]]:
+    """(the fold's own observed counts, bridges fitted on the other folds) per
+    fold, in fold order."""
+    for fold, (own, off_fold) in enumerate(fold_counts(data, opts.folds)):
+        try:
+            _, b = fit_counts(off_fold, opts)
+        except (SingularMatrixError, ZeroProbabilityError) as err:
+            raise type(err)(f"off-fold fit failed for fold {fold}: {err}") from err
+        yield own, b
 
 
 # every observed cell once, in C order over OBSERVED_ORDER: the rows of ``_cell_counts``
@@ -185,31 +199,27 @@ def _summands(method: str, cols: Mapping[str, np.ndarray], b: BridgeSet, regime:
     """Estimator summand per row (or per cell); its mean over rows is the value estimate."""
     y0, z1, w1, a1 = cols["Y0"], cols["Z1"], cols["W1"], cols["A1"]
     y1, z2, w2, a2, y2 = cols["Y1"], cols["Z2"], cols["W2"], cols["A2"], cols["Y2"]
+    if method not in BRIDGES_NEEDED:
+        raise ValueError(f"unknown method {method!r}; expected one of {METHODS}")
+    b.require(*BRIDGES_NEEDED[method])
     d2, _, comply1, comply2, j1_star = _regime_cells(cols, b, regime)
     if method == "POR":
-        b.require("h21")
         return j1_star()
-    if method == "PHA":
-        b.require("h22", "q11")
-        j2c = b.h22[y0, y1, 1, w1, w2, a1, d2[y0, y1, a1]]
-        return comply1 * b.q11[y0, a1, z1] * j2c
     if method == "PIPW":
-        b.require("q22")
         return comply2 * b.q22[y0, y1, a1, a2, z1, z2] * y2
-    if method == "PMR":
-        b.require("h22", "h21", "q11", "q22")
-        j2_obs = b.h22[y0, y1, 1, w1, w2, a1, a2]
-        j2c = b.h22[y0, y1, 1, w1, w2, a1, d2[y0, y1, a1]]
-        j1 = j1_star()
-        c2 = comply2 * b.q22[y0, y1, a1, a2, z1, z2]
-        c1 = comply1 * b.q11[y0, a1, z1]
-        return c2 * (y2 - j2_obs) + c1 * (j2c - j1) + j1
-    raise ValueError(f"unknown method {method!r}; expected one of {ESTIMATOR_METHODS}")
+    j2c = b.h22[y0, y1, 1, w1, w2, a1, d2[y0, y1, a1]]
+    c1 = comply1 * b.q11[y0, a1, z1]
+    if method == "PHA":
+        return c1 * j2c
+    j2_obs = b.h22[y0, y1, 1, w1, w2, a1, a2]
+    j1 = j1_star()
+    c2 = comply2 * b.q22[y0, y1, a1, a2, z1, z2]
+    return c2 * (y2 - j2_obs) + c1 * (j2c - j1) + j1
 
 
 def _pmr_telescoped(cols: Mapping[str, np.ndarray], b: BridgeSet, regime: Regime) -> np.ndarray:
     """The telescoped PMR summand: weighted differences of coarsening levels."""
-    b.require("h22", "h21", "q11", "q22")
+    b.require(*BRIDGES_NEEDED["PMR"])
     y0, z1, w1, a1 = cols["Y0"], cols["Z1"], cols["W1"], cols["A1"]
     y1, z2, w2, a2, y2 = cols["Y1"], cols["Z2"], cols["W2"], cols["A2"], cols["Y2"]
     d2, a1_star, comply1, comply2, j1_star = _regime_cells(cols, b, regime)
@@ -234,13 +244,7 @@ def cross_fit(method: str, data: Dataset, opts: FitOptions, regime: Regime) -> V
     if opts.folds == 1:
         _, b = fit_bridges(data, opts)
         return v_hat(method, data, b, regime)
-    fold_values = []
-    for fold, (own, off_fold) in enumerate(fold_counts(data, opts.folds)):
-        try:
-            _, b = fit_counts(off_fold, opts)
-        except (SingularMatrixError, ZeroProbabilityError) as err:
-            raise type(err)(f"off-fold fit failed for fold {fold}: {err}") from err
-        fold_values.append(_count_mean(own, _summands(method, _CELLS, b, regime)))
+    fold_values = [_count_mean(own, _summands(method, _CELLS, b, regime)) for own, b in fold_fits(data, opts)]
     return ValueEstimate(method, float(np.mean(fold_values)), fold_estimates=tuple(fold_values))
 
 

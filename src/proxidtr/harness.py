@@ -68,8 +68,7 @@ from .estimators import (
     count_pmf,
     empirical_pmf,
     fit_bridges,
-    fit_counts,
-    fold_counts,
+    fold_fits,
     oracle_density,
     sra_from_conditional,
 )
@@ -88,7 +87,7 @@ SCENARIO_PSEUDO = {
     "all-wrong": ("h22", "h21", "q11", "q22"),
 }
 
-BRIDGE_METHODS = ("POR", "PHA", "PIPW", "PMR")
+BRIDGE_METHODS = identify.METHODS
 ALL_METHODS = BRIDGE_METHODS + ("SRA", "ORACLE")
 
 # (cond, bridges) -> IdentifiedDensity, per bridge method
@@ -134,10 +133,7 @@ class ExperimentConfig:
             raise ValueError("regime_class must be 'linear' or 'all-boolean'")
         if self.reps < 1 or self.n < 1:
             raise ValueError("n and reps must be >= 1")
-        if self.folds < 1:
-            raise ValueError("folds must be >= 1")
-        if self.laplace < 0:
-            raise ValueError("laplace smoothing must be >= 0")
+        FitOptions(self.folds, self.laplace)  # raises on a bad folds or laplace
 
     def to_json(self) -> str:
         return json.dumps(self.__dict__, indent=2)
@@ -239,10 +235,8 @@ def _bridge_fits(data, config: ExperimentConfig) -> list[tuple[np.ndarray, np.nd
     if config.folds == 1:
         pmf, solved = fit_bridges(data, opts)
         return [(*identify.observed_conditional(pmf), solved)]
-    return [
-        (*identify.observed_conditional(count_pmf(own, config.laplace)), fit_counts(off_fold, opts)[1])
-        for own, off_fold in fold_counts(data, config.folds)
-    ]
+    return [(*identify.observed_conditional(count_pmf(own, config.laplace)), b)
+            for own, b in fold_fits(data, opts)]
 
 
 def _bridge_tables(fits, pseudo: BridgeSet, methods) -> dict[str, tuple[np.ndarray, np.ndarray]]:

@@ -17,7 +17,9 @@ formula and share a single code path here, so the degeneration of the
 hybrid to either end is exact by construction. The PMR combination equals
 the truth whenever any one of the bridge subsets {h22,h21}, {h22,q11},
 {q11,q22} is correct; the other three methods each require their own
-bridges.
+bridges. ``BRIDGES_NEEDED`` lists the components each method reads and is
+the one place the method names are written; ``METHODS`` is its key order,
+which the estimators, the harness and the CLI share.
 
 Every method returns a ``dgp.IdentifiedDensity`` (re-exported here), as do
 SRA and the Oracle, and reports it raw: misspecified bridges can push cells
@@ -34,7 +36,14 @@ from .dgp import OBSERVED_ORDER, IdentifiedDensity, marginal_y0, regime_value
 from .policy import Regime
 from .tables import JointPmf, ZeroProbabilityError, _mass_over
 
-METHODS = ("POR", "PHA", "PIPW", "PMR")
+# method -> the bridge components it reads; the one list of the bridge methods
+BRIDGES_NEEDED = {
+    "POR": ("h21",),
+    "PHA": ("h22", "q11"),
+    "PIPW": ("q22",),
+    "PMR": ("h22", "h21", "q11", "q22"),
+}
+METHODS = tuple(BRIDGES_NEEDED)
 
 
 def observed_conditional(pmf: JointPmf) -> tuple[np.ndarray, np.ndarray]:
@@ -69,18 +78,10 @@ def _hybrid_density(cond: np.ndarray, b: BridgeSet, k: int) -> np.ndarray:
     raise ValueError(f"hybrid rung k must be 0, 1 or 2, got {k}")
 
 
-_BRIDGES_NEEDED = {
-    "POR": ("h21",),
-    "PHA": ("h22", "q11"),
-    "PIPW": ("q22",),
-    "PMR": ("h22", "h21", "q11", "q22"),
-}
-
-
 def density_from_conditional(method: str, cond: np.ndarray, b: BridgeSet) -> IdentifiedDensity:
     """The ``method`` density from the observed table given Y0,
     ``observed_conditional(pmf)[0]``, so one conditioning serves every method."""
-    b.require(*_BRIDGES_NEEDED[method])
+    b.require(*BRIDGES_NEEDED[method])
     # POR, PHA and PIPW, in METHODS order, are the hybrid rungs k = 0, 1, 2
     g = _pmr_density(cond, b) if method == "PMR" else _hybrid_density(cond, b, METHODS.index(method))
     return IdentifiedDensity(g, method, b.provenance)

@@ -40,10 +40,10 @@ D2_CELLS = tuple(itertools.product((0, 1), repeat=3))
 
 
 def _check_bits(bits: Iterable[int], n: int, label: str) -> tuple[int, ...]:
-    out = tuple(int(b) for b in bits)
-    if len(out) != n or any(b not in (0, 1) for b in out):
-        raise ValueError(f"{label} must be {n} bits, got {out}")
-    return out
+    bits = tuple(bits)
+    if len(bits) != n or any(b not in (0, 1) for b in bits):  # checked before int(), which would truncate 0.5
+        raise ValueError(f"{label} must be {n} bits, got {bits}")
+    return tuple(int(b) for b in bits)
 
 
 @dataclass(frozen=True)
@@ -111,12 +111,13 @@ class Regime:
         payload = json.loads(text)
         if not isinstance(payload, dict) or not all(isinstance(payload.get(k), list) for k in ("d1", "d2")):
             raise ValueError("a regime must be a JSON object with bit lists 'd1' and 'd2'")
-        return cls(
-            tuple(payload["d1"]),
-            tuple(payload["d2"]),
-            tuple(payload["theta1"]) if payload.get("theta1") else None,
-            tuple(payload["theta2"]) if payload.get("theta2") else None,
-        )
+        thetas = []
+        for key in ("theta1", "theta2"):
+            theta = payload.get(key) or None
+            if theta is not None and not (isinstance(theta, list) and all(type(v) in (int, float) for v in theta)):
+                raise ValueError(f"{key} must be a list of numbers, got {theta!r}")
+            thetas.append(None if theta is None else tuple(theta))
+        return cls(tuple(payload["d1"]), tuple(payload["d2"]), *thetas)
 
 
 @dataclass(frozen=True)

@@ -74,7 +74,7 @@ class JointPmf:
         if np.any(mass < 0):
             raise TableError("negative probability mass")
         total = float(mass.sum())
-        if abs(total - 1.0) > MASS_TOL:
+        if not abs(total - 1.0) <= MASS_TOL:  # NaN and infinity fail too
             raise TableError(f"mass sums to {total!r}, not 1")
         object.__setattr__(self, "names", names)
         object.__setattr__(self, "mass", _as_readonly(mass))

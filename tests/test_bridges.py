@@ -195,6 +195,12 @@ def test_bridge_set_json_round_trip(solved):
     assert again.provenance == solved.provenance
 
 
+@pytest.mark.parametrize("name", ["h22", "h21", "h11", "q11", "q22"])
+def test_bridge_set_rejects_wrong_shape(name):
+    with pytest.raises(ValueError, match=f"{name} must have shape"):
+        BridgeSet(**{name: np.zeros((2, 3))})
+
+
 def test_missing_component_error():
     partial = pseudo_bridges(1, ("h22",))
     with pytest.raises(MissingBridgeError, match="q11"):

@@ -1,13 +1,15 @@
 """CLI subcommands exercised through main(); exit codes per contract."""
 
+import argparse
 import json
 from dataclasses import replace
 
 import pytest
 
-from proxidtr.cli import main
+from proxidtr.cli import build_parser, main
 from proxidtr.dgp import Dataset, sample
 from proxidtr.estimators import FitOptions, cross_fit
+from proxidtr.harness import ALL_METHODS
 from proxidtr.policy import Regime
 
 
@@ -231,19 +233,51 @@ def test_negative_seed_is_usage_error(tmp_path, capsys):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("text", ["{}", "[1, 2]", '{"d1": [0, 1], "d2": 5}'])
-def test_malformed_regime_json_is_usage_error(tmp_path, capsys, text):
+def _estimate_with_regime(tmp_path, text: str) -> int:
     data_file = tmp_path / "d.csv"
     main(["simulate", "--n", "500", "--seed", "3", "-o", str(data_file)])
     regime = tmp_path / "regime.json"
     regime.write_text(text)
-    capsys.readouterr()
-    code = main(["estimate", "--data", str(data_file), "--method", "sra", "--regime", str(regime)])
+    return main(["estimate", "--data", str(data_file), "--method", "sra", "--regime", str(regime)])
+
+
+D2 = "[0, 1, 1, 0, 1, 0, 0, 1]"
+
+
+@pytest.mark.parametrize("text", ["{}", "[1, 2]", '{"d1": [0, 1], "d2": 5}',
+                                  '{"d1": [1, [0]], "d2": %s}' % D2, '{"d1": [1, 0.5], "d2": %s}' % D2])
+def test_malformed_regime_json_is_usage_error(tmp_path, capsys, text):
+    code = _estimate_with_regime(tmp_path, text)
     assert code == 1
     assert "d1" in _one_line_error(capsys)
 
 
-@pytest.mark.parametrize("payload", [{"n": "abc"}, {"scenarios": 5}, {"reps": 1.5}])
+@pytest.mark.parametrize("theta1", ["5", '[[1], 0]', '[0.6, "x"]', "[true, false]"])
+def test_malformed_regime_theta_is_usage_error(tmp_path, capsys, theta1):
+    text = '{"d1": [1, 0], "d2": %s, "theta1": %s, "theta2": [1, 0, 0, 0]}' % (D2, theta1)
+    assert _estimate_with_regime(tmp_path, text) == 1
+    assert "theta1" in _one_line_error(capsys)
+
+
+@pytest.mark.parametrize("method", ["pmr", "sra"])
+@pytest.mark.parametrize("laplace", ["nan", "inf"])
+def test_non_finite_laplace_is_usage_error(tmp_path, regime_file, capsys, method, laplace):
+    data_file = tmp_path / "d.csv"
+    main(["simulate", "--n", "500", "--seed", "3", "-o", str(data_file)])
+    capsys.readouterr()
+    code = main(["estimate", "--data", str(data_file), "--method", method, "--regime", str(regime_file),
+                 "--laplace", laplace])
+    assert code == 1
+    assert "laplace" in _one_line_error(capsys)
+
+
+def test_method_choices_are_the_harness_methods():
+    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    method = next(a for a in sub.choices["estimate"]._actions if a.dest == "method")
+    assert method.choices == [m.lower() for m in ALL_METHODS]
+
+
+@pytest.mark.parametrize("payload", [{"n": "abc"}, {"scenarios": 5}, {"reps": 1.5}, {"laplace": float("nan")}])
 def test_wrongly_typed_config_value_is_usage_error(tmp_path, capsys, payload):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps(payload))

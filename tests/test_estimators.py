@@ -20,6 +20,7 @@ from proxidtr.estimators import (
     fit_counts,
     fold_assignments,
     fold_counts,
+    fold_fits,
     if_variance,
     oracle_value,
     population_v,
@@ -63,8 +64,7 @@ def test_fit_bridges_residuals_on_empirical_pmf(fitted):
 
 
 def test_fit_bridges_scenario_provenance(big_data):
-    opts = FitOptions(pseudo_components=("h22", "h21"), pseudo_seed=3)
-    _, bridges_hat = fit_bridges(big_data, opts)
+    bridges_hat = fit_bridges(big_data)[1].merged(pseudo_bridges(3, ("h22", "h21")))
     assert bridges_hat.provenance["h22"] == "pseudo(3)"
     assert bridges_hat.provenance["q11"] == "solved-from-sample"
 
@@ -144,6 +144,18 @@ def test_if_variance_nonnegative_and_centering(big_data, fitted):
     summand = _summands("PMR", cols, bridges_hat, REGIME)
     point = v_hat("PMR", big_data, bridges_hat, REGIME).estimate
     assert (summand - point).mean() == pytest.approx(0.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("laplace", [-0.5, float("nan"), float("inf")])
+def test_fit_options_refuse_bad_laplace(laplace):
+    with pytest.raises(ValueError, match="laplace"):
+        FitOptions(laplace=laplace)
+
+
+def test_fold_fits_name_the_failing_fold(params):
+    tiny = dgp.sample(params, 300, seed=5)
+    with pytest.raises((SingularMatrixError, ZeroProbabilityError), match="off-fold fit failed for fold 0"):
+        next(fold_fits(tiny, FitOptions(folds=5)))
 
 
 def test_cross_fit_degenerate_single_fold(big_data):

@@ -81,6 +81,12 @@ def test_theta_must_reproduce_tables():
         Regime((1, 1), (0,) * 8, theta1=(1.0, 0.0), theta2=(1.0, 0.0, 0.0, 0.0))
 
 
+@pytest.mark.parametrize("d1", [(1, 0.5), (1, 2), (1, [0]), (1, "1")])
+def test_regime_bits_are_checked_before_conversion(d1):
+    with pytest.raises(ValueError, match="d1 must be 2 bits"):
+        Regime(d1, (0,) * 8)
+
+
 def test_regime_json_round_trip(linear_class):
     r = linear_class.members[37]
     again = Regime.from_json(r.to_json())

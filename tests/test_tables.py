@@ -37,6 +37,12 @@ def test_mass_must_sum_to_one():
         JointPmf(("A",), np.array([0.5, 0.6]))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_mass_rejected(bad):
+    with pytest.raises(TableError, match="mass sums to"):
+        JointPmf(("A",), np.array([0.5, bad]))
+
+
 def test_mass_must_be_nonnegative():
     with pytest.raises(TableError):
         JointPmf(("A",), np.array([1.1, -0.1]))
