@@ -61,7 +61,8 @@ class MissingBridgeError(ValueError):
 @dataclass(frozen=True)
 class BridgeSet:
     """Outcome (h22, h21, h11) and treatment (q11, q22) bridge tables, each
-    optional and stored read-only, with per-component provenance."""
+    optional, stored read-only and possibly led by stack axes, with
+    per-component provenance."""
 
     h22: np.ndarray | None = None
     h21: np.ndarray | None = None
@@ -76,7 +77,7 @@ class BridgeSet:
             if arr is None:
                 continue
             arr = _as_readonly(arr)
-            if arr.shape != shape:
+            if arr.shape[arr.ndim - len(shape):] != shape:
                 raise ValueError(f"{name} must have shape {shape}, got {arr.shape}")
             object.__setattr__(self, name, arr)
         object.__setattr__(self, "provenance", dict(self.provenance))
@@ -126,7 +127,7 @@ def _reciprocal(pmf: JointPmf, target: tuple[str, ...], given: tuple[str, ...]) 
     p = conditional(pmf, target, given)
     zero = np.argwhere(p <= 0.0)
     if zero.size:
-        cell = dict(zip(given + target, map(int, zero[0])))
+        cell = dict(zip(given + target, map(int, zero[0][p.ndim - len(given + target):])))
         what = f"P({','.join(target)}|{','.join(given)})"
         raise ZeroProbabilityError(f"positivity fails: {what} is zero at {cell}", cell)
     return 1.0 / p
@@ -144,31 +145,37 @@ def solve_bridges(pmf: JointPmf, provenance: str = "solved-from-truth") -> Bridg
         q22 row (over z2b) = q11 P(Z1|a1,W2b,y1b) . P(a2|W2b,a1,y1b)^-1 P(Z2b|a2b,W2b,y1b)^-1
 
     where a row vector's ^-1 is the element-wise reciprocal, a square
-    matrix's the ordinary inverse, and bars denote the stage-2 pairs.
+    matrix's the ordinary inverse, and bars denote the stage-2 pairs. A
+    stack of laws is solved in one pass: every product carries its stack
+    axes as ``...``, and every table leads with them.
     """
     def inverse(target, given, batch):
         """Inverses of the column-stochastic P(target|given) stacked over
-        ``batch``, indexed [batch..., given cell, target cell]."""
+        ``batch``, indexed [stack..., batch..., given cell, target cell]."""
         m = conditional(pmf, target, batch + given)
-        m = m.reshape((2,) * len(batch) + (2 ** len(given), 2 ** len(target)))
+        stack = m.shape[:m.ndim - len(batch + given + target)]
+        m = m.reshape(stack + (2,) * len(batch) + (2 ** len(given), 2 ** len(target)))
         role = f"P({','.join(target)}|{','.join(given)})"
         inv = invert2or4(np.swapaxes(m, -1, -2), role, batch)
-        return inv.reshape((2,) * (len(batch) + len(given) + len(target)))
+        return inv.reshape(stack + (2,) * (len(batch) + len(given) + len(target)))
 
     stage1, stage2 = ("Y0", "A1"), ("Y0", "Y1", "A1", "A2")
     inv_w = inverse(("W1", "W2"), ("Z1", "Z2"), stage2)
     py2 = conditional(pmf, ("Y2",), stage2 + ("Z1", "Z2"))
-    h22 = np.einsum("abefhic,abefhidg->abcdgef", py2, inv_w)
+    h22 = np.einsum("...abefhic,...abefhidg->...abcdgef", py2, inv_w)
     inv_w1 = inverse(("W1",), ("Z1",), stage1)
-    chain = np.einsum("abcdgef,aehdgb->abcefh", h22, conditional(pmf, ("W1", "W2", "Y1"), stage1 + ("Z1",)))
-    h21 = np.einsum("abcefh,aehd->abcdef", chain, inv_w1)
-    h11 = np.einsum("aehb,aehd->abde", conditional(pmf, ("Y1",), stage1 + ("Z1",)), inv_w1)
+    chain = np.einsum("...abcdgef,...aehdgb->...abcefh", h22,
+                      conditional(pmf, ("W1", "W2", "Y1"), stage1 + ("Z1",)))
+    h21 = np.einsum("...abcefh,...aehd->...abcdef", chain, inv_w1)
+    h11 = np.einsum("...aehb,...aehd->...abde", conditional(pmf, ("Y1",), stage1 + ("Z1",)), inv_w1)
 
     given_w2 = ("Y0", "Y1", "A1", "W1", "W2")
-    q11 = np.einsum("ade,aedh->aeh", _reciprocal(pmf, ("A1",), ("Y0", "W1")), inverse(("Z1",), ("W1",), stage1))
-    row_w = np.einsum("aeh,abedgh->abedg", q11, conditional(pmf, ("Z1",), given_w2))
+    q11 = np.einsum("...ade,...aedh->...aeh", _reciprocal(pmf, ("A1",), ("Y0", "W1")),
+                    inverse(("Z1",), ("W1",), stage1))
+    row_w = np.einsum("...aeh,...abedgh->...abedg", q11, conditional(pmf, ("Z1",), given_w2))
     inv_z = inverse(("Z1", "Z2"), ("W1", "W2"), stage2)
-    q22 = np.einsum("abedg,abedgf,abefdghi->abefhi", row_w, _reciprocal(pmf, ("A2",), given_w2), inv_z)
+    q22 = np.einsum("...abedg,...abedgf,...abefdghi->...abefhi", row_w,
+                    _reciprocal(pmf, ("A2",), given_w2), inv_z)
 
     return BridgeSet(h22, h21, h11, q11, q22, dict.fromkeys(_SHAPES, provenance))
 

@@ -103,9 +103,11 @@ def _cmd_identify_check(args) -> int:
 
 def _cmd_estimate(args) -> int:
     opts = FitOptions(folds=args.folds, laplace=args.laplace)
-    data = Dataset.from_csv(args.data.read_text())
-    regime = Regime.from_json(args.regime.read_text())
     method = args.method.upper()
+    if opts.folds > 1 and method in ("SRA", "ORACLE"):
+        raise ValueError(f"--folds applies to the bridge methods only, not to --method {args.method}")
+    data = Dataset.from_csv(args.data.read_bytes())
+    regime = Regime.from_json(args.regime.read_text())
     if method == "SRA":
         estimate = sra_value(data, regime, laplace=opts.laplace)
     elif method == "ORACLE":

@@ -30,13 +30,13 @@ byte-stable: they are those of the per-row sampler. A ``Dataset`` keeps its
 rows' canonical cell codes and the 2^11 cell counts, the sufficient
 statistic of every estimator, computed once on first use.
 
-``Dataset.from_csv`` reads a header naming OBSERVED_ORDER (optionally
-followed by u0,u1 and led by a byte-order mark), then lines of k
-comma-separated digits 0 or 1, k being the header's length; CRLF line
-ends, blank lines, a missing final newline and spaces or tabs around
-values are allowed. The body is checked and converted as one byte array:
-reshaped to (rows, 2k), digits in the even slots, commas between them and
-a newline last. A body already in that layout (what ``to_csv`` writes) is
+``Dataset.from_csv`` reads a CSV, as text or as its UTF-8 bytes: a header
+naming OBSERVED_ORDER (optionally followed by u0,u1 and led by a byte-order
+mark), then lines of k comma-separated digits 0 or 1, k being the header's
+length; CRLF line ends, blank lines, a missing final newline and spaces or
+tabs around values are allowed. The body is checked and converted as one
+byte array: reshaped to (rows, 2k), digits in the even slots, commas between
+them and a newline last. A body already in that layout (what ``to_csv`` writes) is
 checked as it stands; any other is first stripped of spaces, tabs,
 carriage returns and blank lines and given a final newline. Only a
 rejected file is scanned line by line, to name the first bad line.
@@ -239,16 +239,15 @@ class Dataset:
         return buf.getvalue()
 
     @classmethod
-    def from_csv(cls, text: str, seed: int = 0) -> "Dataset":
-        """Rows of a CSV in the grammar of the module docstring; a rejected
-        data row raises ValueError naming its line."""
-        text = text.removeprefix("\ufeff")  # the byte-order mark spreadsheet programs write
-        # one byte per character, so byte offsets are character offsets
-        data = text.encode("ascii", "replace")
+    def from_csv(cls, text: str | bytes, seed: int = 0) -> "Dataset":
+        """Rows of a CSV, as text or UTF-8 bytes, in the grammar of the module
+        docstring; a rejected data row raises ValueError naming its line."""
+        data = text if isinstance(text, bytes) else text.encode("utf-8", "replace")
+        data = data.removeprefix("\ufeff".encode())  # the byte-order mark spreadsheet programs write
         end = data.find(b"\n")
         if end < 0:
             end = len(data)
-        header = [h.strip().lower() for h in text[:end].split(",")]
+        header = [h.strip().lower() for h in data[:end].decode("utf-8", "replace").split(",")]
         expected = [n.lower() for n in OBSERVED_ORDER]
         with_hidden = expected + [n.lower() for n in HIDDEN_ORDER]
         if header == with_hidden:
@@ -266,7 +265,7 @@ class Dataset:
                 raise ValueError("CSV has a header but no data rows")
             rows = _csv_values(body, k)
             if rows is None:
-                raise ValueError(_csv_row_error(text, k))
+                raise ValueError(_csv_row_error(data.decode("utf-8", "replace"), k))
         obs = rows[:, :9]
         hid = rows[:, 9:11] if hidden_in_file else np.zeros((rows.shape[0], 2), dtype=np.int8)
         return cls(obs, hid, seed, hidden_in_file)
@@ -315,8 +314,9 @@ class IdentifiedDensity:
     """A potential-outcome density f(Y2(a1,a2)=y2, Y1(a1)=y1 | Y0=y0) with
     the method that produced it and the provenance of its bridges.
 
-    ``g[a1, a2, y2, y1, y0]``; slices sum to one only when the bridges behind
-    the method are correct for the supplied law.
+    ``g[a1, a2, y2, y1, y0]``, led by a fold axis when identified from a
+    stack of laws; slices sum to one only when the bridges behind the method
+    are correct for the supplied law.
     """
 
     g: np.ndarray
@@ -325,7 +325,7 @@ class IdentifiedDensity:
 
     def __post_init__(self):
         g = np.asarray(self.g, dtype=float)
-        if g.shape != (2,) * 5:
+        if g.shape[g.ndim - 5:] != (2,) * 5:
             raise ValueError(f"g must have shape (2,)*5, got {g.shape}")
         g.flags.writeable = False
         object.__setattr__(self, "g", g)
@@ -334,11 +334,11 @@ class IdentifiedDensity:
     @property
     def g1(self) -> np.ndarray:
         """Stage-1 marginal f(Y1(a1)=y1 | Y0=y0) at a2 = 0, ``g1[a1, y1, y0]``."""
-        return self.g[:, 0].sum(axis=1)
+        return self.g[..., 0, :, :, :].sum(axis=-3)
 
     def slice_sums(self) -> np.ndarray:
         """sum over (y2, y1) per (a1, a2, y0); equals 1 at a correct law."""
-        return self.g.sum(axis=(2, 3))
+        return self.g.sum(axis=(-3, -2))
 
     def to_json(self) -> str:
         return json.dumps({

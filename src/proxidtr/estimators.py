@@ -20,10 +20,11 @@ checks that the set carries the components ``identify.BRIDGES_NEEDED``
 lists for its method.
 
 ``fit_bridges`` solves the bridges on the whole sample. With folds,
-``fold_fits`` fits each fold's bridges on the other folds (the total counts
-minus the fold's own) and is the one off-fold loop, shared by ``cross_fit``
-and the harness. Fitting never substitutes pseudo bridges; the harness
-merges each scenario's into the fitted set.
+``fold_counts`` counts every fold in one bincount and ``fold_fits`` solves
+the K off-fold laws (the total counts minus each fold's own) as one stack,
+its tables led by a fold axis that the summands index through; ``cross_fit``
+and the harness share it. Fitting never substitutes pseudo bridges; the
+harness merges each scenario's into the fitted set.
 
 The SRA baseline ignores unmeasured confounding (``sra_from_conditional``, a
 plain g-formula on the observed table given Y0); the Oracle baseline
@@ -37,7 +38,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from typing import Iterator, Mapping
+from typing import Mapping
 
 import numpy as np
 
@@ -47,7 +48,7 @@ from .identify import BRIDGES_NEEDED, METHODS, IdentifiedDensity, observed_condi
 from .policy import Regime
 from .tables import JointPmf, SingularMatrixError, ZeroProbabilityError
 
-_HIDDEN_AXES = tuple(CANONICAL_ORDER.index(n) for n in HIDDEN_ORDER)
+_HIDDEN_AXES = tuple(CANONICAL_ORDER.index(n) - len(CANONICAL_ORDER) for n in HIDDEN_ORDER)
 
 
 @dataclass(frozen=True)
@@ -85,36 +86,29 @@ class ValueEstimate:
         return json.dumps(payload)
 
 
-def _cell_counts(data: Dataset, rows: np.ndarray | None = None, include_hidden: bool = False) -> np.ndarray:
+def _cell_counts(data: Dataset, include_hidden: bool = False) -> np.ndarray:
     """Row count of every cell, in C order over OBSERVED_ORDER (CANONICAL_ORDER
-    with the hidden columns).
-
-    The dataset's 2^11 count tensor, or one bincount of the selected rows'
-    cell codes, summed over U0 and U1 unless the hidden columns are kept.
+    with the hidden columns): the dataset's 2^11 count tensor, summed over U0
+    and U1 unless the hidden columns are kept.
     """
     if include_hidden and not data.has_hidden:
         raise ValueError("the oracle needs the hidden columns u0,u1; "
                          "write them with `proxidtr simulate --oracle`")
-    if rows is None:
-        counts = data.cell_counts
-    else:
-        counts = np.bincount(data.cell_code[rows], minlength=2 ** len(CANONICAL_ORDER))
     if include_hidden:
-        return counts
-    return counts.reshape((2,) * len(CANONICAL_ORDER)).sum(axis=_HIDDEN_AXES).reshape(-1)
+        return data.cell_counts
+    return data.cell_counts.reshape((2,) * len(CANONICAL_ORDER)).sum(axis=_HIDDEN_AXES).reshape(-1)
 
 
-def empirical_pmf(data: Dataset, rows: np.ndarray | None = None, laplace: float = 0.0,
-                  include_hidden: bool = False) -> JointPmf:
+def empirical_pmf(data: Dataset, laplace: float = 0.0, include_hidden: bool = False) -> JointPmf:
     """Cell-frequency table of a dataset (optionally Laplace-smoothed)."""
-    return count_pmf(_cell_counts(data, rows, include_hidden), laplace,
+    return count_pmf(_cell_counts(data, include_hidden), laplace,
                      CANONICAL_ORDER if include_hidden else OBSERVED_ORDER)
 
 
 def count_pmf(counts: np.ndarray, laplace: float = 0.0, names: tuple[str, ...] = OBSERVED_ORDER) -> JointPmf:
-    """Cell-frequency table of cell counts in C order over ``names``."""
+    """Cell-frequency table (a stack of them for stacked counts) of cell counts in C order over ``names``."""
     counts = counts.astype(float) + laplace
-    return JointPmf(names, counts / counts.sum())
+    return JointPmf(names, counts / counts.sum(axis=-1, keepdims=True))
 
 
 def fold_assignments(data: Dataset, folds: int) -> np.ndarray:
@@ -127,14 +121,14 @@ def fold_assignments(data: Dataset, folds: int) -> np.ndarray:
     return out
 
 
-def fold_counts(data: Dataset, folds: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """(the fold's own observed counts, the off-fold counts) per fold, in
-    fold order: one bincount per fold, the off-fold table by subtraction."""
-    assignments = fold_assignments(data, folds)
-    total = _cell_counts(data)
-    for fold in range(folds):
-        own = _cell_counts(data, assignments == fold)
-        yield own, total - own
+def fold_counts(data: Dataset, folds: int) -> tuple[np.ndarray, np.ndarray]:
+    """(each fold's own observed counts, its off-fold counts), both (folds,
+    512) in fold order: one bincount of (fold, cell) codes, the off-fold
+    tables by subtraction from the total."""
+    bits = len(CANONICAL_ORDER)
+    own = np.bincount(fold_assignments(data, folds) << bits | data.cell_code, minlength=folds << bits)
+    own = own.reshape((folds,) + (2,) * bits).sum(axis=_HIDDEN_AXES).reshape(folds, -1)
+    return own, _cell_counts(data) - own
 
 
 def fit_bridges(data: Dataset, opts: FitOptions = FitOptions()) -> tuple[JointPmf, BridgeSet]:
@@ -155,15 +149,19 @@ def fit_counts(counts: np.ndarray, opts: FitOptions) -> tuple[JointPmf, BridgeSe
     return pmf, solved
 
 
-def fold_fits(data: Dataset, opts: FitOptions) -> Iterator[tuple[np.ndarray, BridgeSet]]:
-    """(the fold's own observed counts, bridges fitted on the other folds) per
-    fold, in fold order."""
-    for fold, (own, off_fold) in enumerate(fold_counts(data, opts.folds)):
-        try:
-            _, b = fit_counts(off_fold, opts)
-        except (SingularMatrixError, ZeroProbabilityError) as err:
-            raise type(err)(f"off-fold fit failed for fold {fold}: {err}") from err
-        yield own, b
+def fold_fits(data: Dataset, opts: FitOptions) -> tuple[np.ndarray, BridgeSet]:
+    """(each fold's own observed counts, the bridges fitted on the other folds),
+    led by the fold axis; a failed fit is redone fold by fold to name the first failing fold."""
+    own, off_fold = fold_counts(data, opts.folds)
+    try:
+        return own, fit_counts(off_fold, opts)[1]
+    except (SingularMatrixError, ZeroProbabilityError):
+        for fold, counts in enumerate(off_fold):
+            try:
+                fit_counts(counts, opts)
+            except (SingularMatrixError, ZeroProbabilityError) as err:
+                raise type(err)(f"off-fold fit failed for fold {fold}: {err}") from err
+        raise
 
 
 # every observed cell once, in C order over OBSERVED_ORDER: the rows of ``_cell_counts``
@@ -189,14 +187,15 @@ def _regime_cells(cols: Mapping[str, np.ndarray], b: BridgeSet, regime: Regime):
     def j1_star() -> np.ndarray:
         total = np.zeros(y0.shape, dtype=float)
         for y1v in (0, 1):
-            total = total + b.h21[y0, y1v, 1, w1, a1_star, d2[y0, y1v, a1_star]]
+            total = total + b.h21[..., y0, y1v, 1, w1, a1_star, d2[y0, y1v, a1_star]]
         return total
 
     return d2, a1_star, comply1, comply2, j1_star
 
 
 def _summands(method: str, cols: Mapping[str, np.ndarray], b: BridgeSet, regime: Regime) -> np.ndarray:
-    """Estimator summand per row (or per cell); its mean over rows is the value estimate."""
+    """Estimator summand per row (or per cell); its mean over rows is the value
+    estimate. Bridges led by a fold axis give one row of summands per fold."""
     y0, z1, w1, a1 = cols["Y0"], cols["Z1"], cols["W1"], cols["A1"]
     y1, z2, w2, a2, y2 = cols["Y1"], cols["Z2"], cols["W2"], cols["A2"], cols["Y2"]
     if method not in BRIDGES_NEEDED:
@@ -206,14 +205,14 @@ def _summands(method: str, cols: Mapping[str, np.ndarray], b: BridgeSet, regime:
     if method == "POR":
         return j1_star()
     if method == "PIPW":
-        return comply2 * b.q22[y0, y1, a1, a2, z1, z2] * y2
-    j2c = b.h22[y0, y1, 1, w1, w2, a1, d2[y0, y1, a1]]
-    c1 = comply1 * b.q11[y0, a1, z1]
+        return comply2 * b.q22[..., y0, y1, a1, a2, z1, z2] * y2
+    j2c = b.h22[..., y0, y1, 1, w1, w2, a1, d2[y0, y1, a1]]
+    c1 = comply1 * b.q11[..., y0, a1, z1]
     if method == "PHA":
         return c1 * j2c
-    j2_obs = b.h22[y0, y1, 1, w1, w2, a1, a2]
+    j2_obs = b.h22[..., y0, y1, 1, w1, w2, a1, a2]
     j1 = j1_star()
-    c2 = comply2 * b.q22[y0, y1, a1, a2, z1, z2]
+    c2 = comply2 * b.q22[..., y0, y1, a1, a2, z1, z2]
     return c2 * (y2 - j2_obs) + c1 * (j2c - j1) + j1
 
 
@@ -223,9 +222,9 @@ def _pmr_telescoped(cols: Mapping[str, np.ndarray], b: BridgeSet, regime: Regime
     y0, z1, w1, a1 = cols["Y0"], cols["Z1"], cols["W1"], cols["A1"]
     y1, z2, w2, a2, y2 = cols["Y1"], cols["Z2"], cols["W2"], cols["A2"], cols["Y2"]
     d2, a1_star, comply1, comply2, j1_star = _regime_cells(cols, b, regime)
-    c1 = comply1 * b.q11[y0, a1, z1]
-    c2 = comply2 * b.q22[y0, y1, a1, a2, z1, z2]
-    j2 = b.h22[y0, y1, 1, w1, w2, a1_star, d2[y0, y1, a1_star]]
+    c1 = comply1 * b.q11[..., y0, a1, z1]
+    c2 = comply2 * b.q22[..., y0, y1, a1, a2, z1, z2]
+    j2 = b.h22[..., y0, y1, 1, w1, w2, a1_star, d2[y0, y1, a1_star]]
     return c2 * y2 + (c1 - c2) * j2 + (1.0 - c1) * j1_star()
 
 
@@ -244,7 +243,10 @@ def cross_fit(method: str, data: Dataset, opts: FitOptions, regime: Regime) -> V
     if opts.folds == 1:
         _, b = fit_bridges(data, opts)
         return v_hat(method, data, b, regime)
-    fold_values = [_count_mean(own, _summands(method, _CELLS, b, regime)) for own, b in fold_fits(data, opts)]
+    own, b = fold_fits(data, opts)
+    # C order, so each fold's row takes the dot-product path of an unstacked summand
+    summands = np.ascontiguousarray(_summands(method, _CELLS, b, regime))
+    fold_values = [_count_mean(*fold) for fold in zip(own, summands)]
     return ValueEstimate(method, float(np.mean(fold_values)), fold_estimates=tuple(fold_values))
 
 

@@ -2,16 +2,19 @@
 
 One repetition samples a dataset, counts its cells once (the dataset's
 2^11 count tensor feeds every table), and fits the empirical law and
-bridges once (once per fold when cross-fitting, where each fold's rows are
-counted once and the off-fold table is the total minus them). Each scoring
-law, the fitted law of each fold, SRA's and the Oracle's, is conditioned on
-Y0 once, and every density of the repetition is identified from that
-conditional; with one fold SRA's law is the fitted law and shares it.
-Each misspecification scenario swaps its pseudo components into the fit;
-the SRA and Oracle densities are computed once. For every (scenario,
-method) it picks a regime either by value maximization over an enumerated
-class (all members' values from one array gather, ``dgp.class_values``) or
-by Q-learning on the estimated density, and scores it two ways:
+bridges once. Cross-fitting stacks the K folds: one bincount, one solve of
+the K off-fold laws and one conditioning of the K fold laws, every array led
+by a fold axis. Each scoring law (the fitted one, SRA's and the Oracle's) is
+conditioned on Y0 once; with one fold SRA's law is the fitted law. Each
+scenario swaps its pseudo components into the fit, broadcast over the folds.
+A bridge method's density depends on the scenario only through the
+components of ``identify.BRIDGES_NEEDED[method]`` it replaces, and a
+baseline's not at all, so each distinct density is identified (all folds at
+once, then averaged with P(y0) weights) and scored once per repetition. For
+every (scenario, method) it picks a regime either by value maximization over
+an enumerated class (all members' values from one array gather,
+``dgp.class_values``) or by Q-learning on the estimated density, and scores
+it two ways:
 
   regret         V(d*) - V(d_hat), both under the true law, where d* is the
                  optimum of the class searched (the Boolean-class optimum
@@ -25,7 +28,8 @@ checks, name which submodel stays correct: the outcome-bridge pair
 pair (m2-correct); all-correct and all-wrong bracket them. The corrupted
 components are replaced by pseudo bridges drawn once per experiment from a
 fixed seed (``_scenario_pseudo``, handed to every repetition and pool
-worker), so repetitions share one corruption.
+worker), so repetitions share one corruption. Each component comes from its
+own substream, so scenarios that replace the same component get the same table.
 
 True values come from one array over the 1024-member Boolean class,
 computed once per experiment; a chosen regime's true value is read at its
@@ -208,12 +212,12 @@ class _Truth:
         return float(values[first_maximizer(values)])
 
 
-def _fitted(fn, *args):
+def _attempt(step: str, fn, *args):
     """``fn(*args)``, or the failure message a cell records instead."""
     try:
         return fn(*args)
     except (TableError, MissingBridgeError) as err:
-        return f"fit failed: {err}"
+        return f"{step} failed: {err}"
 
 
 def _scenario_pseudo(config: ExperimentConfig) -> dict[str, BridgeSet]:
@@ -224,37 +228,34 @@ def _scenario_pseudo(config: ExperimentConfig) -> dict[str, BridgeSet]:
     return {tag: pseudo_bridges(config.pseudo_seed, SCENARIO_PSEUDO[tag]) for tag in config.scenarios}
 
 
-def _bridge_fits(data, config: ExperimentConfig) -> list[tuple[np.ndarray, np.ndarray, BridgeSet]]:
-    """(cond, p_y0, solved bridges) per fold, shared by every scenario, where
-    (cond, p_y0) is the scoring law conditioned on Y0, computed once.
+def _bridge_fits(data, config: ExperimentConfig) -> tuple[np.ndarray, np.ndarray, BridgeSet]:
+    """(cond, p_y0, solved bridges), shared by every scenario, where (cond,
+    p_y0) is the scoring law conditioned on Y0, computed once.
 
     With one fold the law and the bridges come from the whole sample; with
-    more, each fold's own rows are scored with bridges fitted on the other folds.
+    more, each fold's own rows are scored with bridges fitted on the other
+    folds, and all three lead with the fold axis.
     """
     opts = FitOptions(folds=config.folds, laplace=config.laplace)
     if config.folds == 1:
         pmf, solved = fit_bridges(data, opts)
-        return [(*identify.observed_conditional(pmf), solved)]
-    return [(*identify.observed_conditional(count_pmf(own, config.laplace)), b)
-            for own, b in fold_fits(data, opts)]
+    else:
+        own, solved = fold_fits(data, opts)
+        pmf = count_pmf(own, config.laplace)
+    return (*identify.observed_conditional(pmf), solved)
 
 
-def _bridge_tables(fits, pseudo: BridgeSet, methods) -> dict[str, tuple[np.ndarray, np.ndarray]]:
-    """(g, p_y0) per bridge method with one scenario's pseudo bridges swapped
-    in; fold tables are averaged with P(y0) weights."""
-    per_fold = []
-    for cond, p_y0, solved in fits:
-        b = solved.merged(pseudo)
-        per_fold.append(({m: _DENSITY_FN[m](cond, b).g for m in methods}, p_y0))
-    if len(per_fold) == 1:
-        g, p_y0 = per_fold[0]
-        return {m: (g[m], p_y0) for m in methods}
-    p_bar = sum(p for _, p in per_fold) / len(per_fold)
-    out = {}
-    for m in methods:
-        g_bar = sum(g[m] * p[None, None, None, None, :] for g, p in per_fold) / len(per_fold)
-        out[m] = (g_bar / p_bar[None, None, None, None, :], p_bar)
-    return out
+def _bridge_table(fits, pseudo: BridgeSet, method: str) -> tuple[np.ndarray, np.ndarray]:
+    """(g, p_y0) of one bridge method with one scenario's pseudo bridges
+    swapped in, identified for every fold at once; fold tables are averaged
+    in fold order with P(y0) weights."""
+    cond, p_y0, solved = fits
+    g = _DENSITY_FN[method](cond, solved.merged(pseudo)).g
+    if p_y0.ndim == 1:
+        return g, p_y0
+    p_bar = sum(p_y0) / len(p_y0)
+    g_bar = sum(g * p_y0[:, None, None, None, None, :]) / len(p_y0)
+    return g_bar / p_bar[None, None, None, None, :], p_bar
 
 
 def _baseline_table(data, config: ExperimentConfig, method: str, fits=None) -> tuple[np.ndarray, np.ndarray]:
@@ -262,8 +263,8 @@ def _baseline_table(data, config: ExperimentConfig, method: str, fits=None) -> t
     each law conditioned on Y0 once. With one fold, SRA reads the whole-sample
     law that ``_bridge_fits`` conditioned, when ``fits`` holds it."""
     if method == "SRA":
-        if config.folds == 1 and isinstance(fits, list):
-            cond, p_y0, _ = fits[0]
+        if config.folds == 1 and isinstance(fits, tuple):
+            cond, p_y0, _ = fits
         else:
             cond, p_y0 = identify.observed_conditional(empirical_pmf(data, laplace=config.laplace))
         return sra_from_conditional(cond).g, p_y0
@@ -291,27 +292,24 @@ def _run_rep(config: ExperimentConfig, truth: _Truth, rep: int, pseudo: dict[str
     """All (scenario, method) results for one repetition; errors per cell.
 
     ``pseudo`` holds each scenario's pseudo bridges (``_scenario_pseudo``).
+    Each distinct (method, replaced components) density is scored once.
     """
     data = sample(truth.params, config.n, config.base_seed + rep)
-    bridge_methods = [m for m in config.methods if m in BRIDGE_METHODS]
-    fits = _fitted(_bridge_fits, data, config) if bridge_methods else None
-    tables = {m: _fitted(_baseline_table, data, config, m, fits)
-              for m in config.methods if m not in BRIDGE_METHODS}
+    bridged = any(m in BRIDGE_METHODS for m in config.methods)
+    fits = _attempt("fit", _bridge_fits, data, config) if bridged else None
+    scores: dict[tuple, tuple[float, float] | str] = {}
     results: dict[tuple[str, str], tuple[float, float] | str] = {}
     for tag in config.scenarios:
-        if bridge_methods:
-            fitted = fits if isinstance(fits, str) else _fitted(_bridge_tables, fits, pseudo[tag], bridge_methods)
-            tables.update({m: fitted if isinstance(fitted, str) else fitted[m] for m in bridge_methods})
         for method in config.methods:
-            entry = tables[method]
-            if isinstance(entry, str):
-                results[(tag, method)] = entry
-                continue
-            g, p_y0 = entry
-            try:
-                results[(tag, method)] = _score_regime(truth, g, p_y0, config.optimizer)
-            except (TableError, MissingBridgeError) as err:
-                results[(tag, method)] = f"scoring failed: {err}"
+            key = (method, tuple(c for c in identify.BRIDGES_NEEDED.get(method, ()) if c in SCENARIO_PSEUDO[tag]))
+            if key not in scores:
+                if method not in BRIDGE_METHODS:
+                    entry = _attempt("fit", _baseline_table, data, config, method, fits)
+                else:
+                    entry = fits if isinstance(fits, str) else _attempt("fit", _bridge_table, fits, pseudo[tag], method)
+                scores[key] = entry if isinstance(entry, str) else _attempt(
+                    "scoring", _score_regime, truth, *entry, config.optimizer)
+            results[(tag, method)] = scores[key]
     return results
 
 

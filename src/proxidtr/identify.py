@@ -53,28 +53,29 @@ def observed_conditional(pmf: JointPmf) -> tuple[np.ndarray, np.ndarray]:
     the joint law of the remaining observed variables given Y0 = y0.
     """
     arr = _mass_over(pmf, OBSERVED_ORDER)
-    p_y0 = arr.sum(axis=tuple(range(1, 9)))
+    p_y0 = arr.sum(axis=tuple(range(-8, 0)))
     if np.any(p_y0 <= 0.0):
         raise ZeroProbabilityError("P(Y0=y0) = 0 for some y0; cannot condition")
-    return arr / p_y0[(slice(None),) + (None,) * 8], p_y0
+    return arr / p_y0[(...,) + (None,) * 8], p_y0
 
 
 # einsum letters used below:
 #   a=y0 b=y1 c=y2 d=w1 g=w2 e=a1 f=a2 h=z1 i=z2
-# cond axes: [y0 z1 w1 a1 y1 z2 w2 a2 y2] = a h d e b i g f c
+# cond axes: [y0 z1 w1 a1 y1 z2 w2 a2 y2] = a h d e b i g f c, counted from the end;
+# ``...`` carries a stack of tables (one per fold) and broadcasts unstacked bridges
 
 
 def _hybrid_density(cond: np.ndarray, b: BridgeSet, k: int) -> np.ndarray:
     """One formula for the k = 0, 1, 2 identification rungs."""
     if k == 0:
-        f_w1 = cond.sum(axis=(1, 3, 4, 5, 6, 7, 8))  # [y0, w1]
-        return np.einsum("abcdef,ad->efcba", b.h21, f_w1)
+        f_w1 = cond.sum(axis=(-8, -6, -5, -4, -3, -2, -1))  # [y0, w1]
+        return np.einsum("...abcdef,...ad->...efcba", b.h21, f_w1)
     if k == 1:
-        f_mid = cond.sum(axis=(5, 7, 8))  # [y0, z1, w1, a1, y1, w2]
-        return np.einsum("abcdgef,aeh,ahdebg->efcba", b.h22, b.q11, f_mid)
+        f_mid = cond.sum(axis=(-4, -2, -1))  # [y0, z1, w1, a1, y1, w2]
+        return np.einsum("...abcdgef,...aeh,...ahdebg->...efcba", b.h22, b.q11, f_mid)
     if k == 2:
-        f_obs = cond.sum(axis=(2, 6))  # [y0, z1, a1, y1, z2, a2, y2]
-        return np.einsum("abefhi,ahebifc->efcba", b.q22, f_obs)
+        f_obs = cond.sum(axis=(-7, -3))  # [y0, z1, a1, y1, z2, a2, y2]
+        return np.einsum("...abefhi,...ahebifc->...efcba", b.q22, f_obs)
     raise ValueError(f"hybrid rung k must be 0, 1 or 2, got {k}")
 
 
@@ -106,20 +107,20 @@ def density_pmr(pmf: JointPmf, b: BridgeSet) -> IdentifiedDensity:
 def _pmr_density(cond: np.ndarray, b: BridgeSet) -> np.ndarray:
     """Multiply robust density: each correction term vanishes identically
     when the bridge it guards is correct, leaving the truth behind."""
-    f_obs = cond.sum(axis=(2, 6))        # [y0, z1, a1, y1, z2, a2, y2]
-    f_all = cond.sum(axis=8)             # [y0, z1, w1, a1, y1, z2, w2, a2]
-    f_mid = cond.sum(axis=(5, 7, 8))     # [y0, z1, w1, a1, y1, w2]
-    f_w1z1 = cond.sum(axis=(4, 5, 6, 7, 8))  # [y0, z1, w1, a1]
-    f_w1 = f_w1z1.sum(axis=(1, 3))       # [y0, w1]
+    f_obs = cond.sum(axis=(-7, -3))      # [y0, z1, a1, y1, z2, a2, y2]
+    f_all = cond.sum(axis=-1)            # [y0, z1, w1, a1, y1, z2, w2, a2]
+    f_mid = cond.sum(axis=(-4, -2, -1))  # [y0, z1, w1, a1, y1, w2]
+    f_w1z1 = cond.sum(axis=(-5, -4, -3, -2, -1))  # [y0, z1, w1, a1]
+    f_w1 = f_w1z1.sum(axis=(-3, -1))     # [y0, w1]
 
-    smoothed = np.einsum("abcdgef,ahdebigf->ahebifc", b.h22, f_all)
-    term_k2 = np.einsum("abefhi,ahebifc->efcba", b.q22, f_obs - smoothed)
+    smoothed = np.einsum("...abcdgef,...ahdebigf->...ahebifc", b.h22, f_all)
+    term_k2 = np.einsum("...abefhi,...ahebifc->...efcba", b.q22, f_obs - smoothed)
 
-    mid_pos = np.einsum("abcdgef,ahdebg->ahbefc", b.h22, f_mid)
-    mid_neg = np.einsum("abcdef,ahde->ahbefc", b.h21, f_w1z1)
-    term_k1 = np.einsum("aeh,ahbefc->efcba", b.q11, mid_pos - mid_neg)
+    mid_pos = np.einsum("...abcdgef,...ahdebg->...ahbefc", b.h22, f_mid)
+    mid_neg = np.einsum("...abcdef,...ahde->...ahbefc", b.h21, f_w1z1)
+    term_k1 = np.einsum("...aeh,...ahbefc->...efcba", b.q11, mid_pos - mid_neg)
 
-    term_k0 = np.einsum("abcdef,ad->efcba", b.h21, f_w1)
+    term_k0 = np.einsum("...abcdef,...ad->...efcba", b.h21, f_w1)
     return term_k2 + term_k1 + term_k0
 
 

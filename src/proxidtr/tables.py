@@ -14,6 +14,10 @@ of proxy matrices over the remaining history come out as leading axes.
 All objects are immutable value types; operations return new tables and never
 mutate their inputs. ``conditional`` sums a table's mass without building and
 validating an intermediate table.
+
+A ``JointPmf`` may hold a stack of laws over the same variables (the K
+off-fold laws of a cross-fit): its mass and every array derived from it
+lead with the stack axes; ``prob`` and ``to_json`` read a single law.
 """
 
 from __future__ import annotations
@@ -67,15 +71,15 @@ class JointPmf:
             raise TableError(f"duplicate variable names in {names}")
         mass = np.asarray(self.mass, dtype=float)
         expected = (2,) * len(names)
-        if mass.shape == (2 ** len(names),):
-            mass = mass.reshape(expected)
-        if mass.shape != expected:
+        if mass.shape[-1:] == (2 ** len(names),):
+            mass = mass.reshape(mass.shape[:-1] + expected)
+        if mass.shape[mass.ndim - len(names):] != expected:  # after any stack axes
             raise TableError(f"mass shape {mass.shape} does not match {len(names)} binary variables")
         if np.any(mass < 0):
             raise TableError("negative probability mass")
-        total = float(mass.sum())
-        if not abs(total - 1.0) <= MASS_TOL:  # NaN and infinity fail too
-            raise TableError(f"mass sums to {total!r}, not 1")
+        for total in mass.reshape(-1, 2 ** len(names)).sum(axis=1):  # each law of a stack
+            if not abs(total - 1.0) <= MASS_TOL:  # NaN and infinity fail too
+                raise TableError(f"mass sums to {float(total)!r}, not 1")
         object.__setattr__(self, "names", names)
         object.__setattr__(self, "mass", _as_readonly(mass))
 
@@ -104,11 +108,12 @@ class JointPmf:
 def _mass_over(pmf: JointPmf, names: Sequence[str]) -> np.ndarray:
     """The mass summed over every variable not in ``names``, axes in
     ``names`` order: a bare array, not a new table."""
-    axes = [pmf.axis(n) for n in names]  # raises UnknownVariableError with the offending name
-    drop_axes = tuple(i for i in range(len(pmf.names)) if i not in axes)
+    lead = pmf.mass.ndim - len(pmf.names)  # the stack axes of a stack of laws
+    axes = [lead + pmf.axis(n) for n in names]  # raises UnknownVariableError with the offending name
+    drop_axes = tuple(i for i in range(lead, pmf.mass.ndim) if i not in axes)
     summed = pmf.mass.sum(axis=drop_axes) if drop_axes else pmf.mass
     kept = sorted(axes)
-    return np.transpose(summed, [kept.index(a) for a in axes])
+    return np.transpose(summed, [*range(lead), *(lead + kept.index(a) for a in axes)])
 
 
 def marginalize(pmf: JointPmf, keep: Sequence[str]) -> JointPmf:
@@ -131,10 +136,11 @@ def conditional(pmf: JointPmf, target: Sequence[str], given: Sequence[str]) -> n
     if set(target) & set(given):
         raise TableError(f"target {target} and given {given} overlap")
     joint = _mass_over(pmf, given + target)
-    den = joint.sum(axis=tuple(range(len(given), joint.ndim)), keepdims=True)
-    zero = np.argwhere(np.atleast_1d(den.reshape(joint.shape[:len(given)])) <= 0.0)
+    lead = joint.ndim - len(target)  # the stack axes and the given axes
+    den = joint.sum(axis=tuple(range(lead, joint.ndim)), keepdims=True)
+    zero = np.argwhere(np.atleast_1d(den.reshape(joint.shape[:lead])) <= 0.0)
     if zero.size:
-        assignment = dict(zip(given, map(int, zero[0])))
+        assignment = dict(zip(given, map(int, zero[0][zero.shape[1] - len(given):])))
         raise ZeroProbabilityError(
             f"zero-probability conditioning cell {assignment} for P({','.join(target)}|{','.join(given)})",
             assignment,
@@ -145,11 +151,11 @@ def conditional(pmf: JointPmf, target: Sequence[str], given: Sequence[str]) -> n
 def invert2or4(m: np.ndarray, role: str = "conditional matrix", axes: Sequence[str] = ()) -> np.ndarray:
     """Invert a stack of 2x2 or 4x4 matrices, failing loudly on a singular one.
 
-    ``m`` has shape (..., k, k); ``axes`` names the leading stack axes so the
-    error can name the first singular block in C order. A singular matrix
-    here signals a violated completeness/rank condition (or an empirical table
-    with too little data), which must surface rather than be patched by a
-    pseudo-inverse.
+    ``m`` has shape (..., k, k); ``axes`` names the innermost stack axes (any
+    further leading ones are numbered) so the error can name the first
+    singular block in C order. A singular matrix here signals a violated
+    completeness/rank condition (or an empirical table with too little data),
+    which must surface rather than be patched by a pseudo-inverse.
     """
     m = np.asarray(m, dtype=float)
     if m.ndim < 2 or m.shape[-1] != m.shape[-2] or m.shape[-1] not in (2, 4):
@@ -158,7 +164,7 @@ def invert2or4(m: np.ndarray, role: str = "conditional matrix", axes: Sequence[s
     bad = np.argwhere(np.atleast_1d(det) < DET_TOL)
     if bad.size:
         block = tuple(int(i) for i in bad[0][:det.ndim])
-        names = tuple(axes) or tuple(f"axis{i}" for i in range(len(block)))
+        names = tuple(f"axis{i}" for i in range(len(block) - len(axes))) + tuple(axes)
         where = f" at ({', '.join(f'{n}={v}' for n, v in zip(names, block))})" if block else ""
         raise SingularMatrixError(
             f"{role}{where} is singular (|det|={det[block]:.3e}); rank condition fails"

@@ -299,3 +299,27 @@ def test_oracle_without_hidden_columns_is_usage_error(tmp_path, regime_file, cap
     assert code == 1
     err = _one_line_error(capsys)
     assert "u0,u1" in err and "simulate --oracle" in err
+
+
+@pytest.mark.parametrize("method", ["sra", "oracle"])
+def test_folds_with_a_baseline_method_is_usage_error(tmp_path, regime_file, capsys, method):
+    """The baselines are not cross-fitted: ``--folds K`` with K > 1 is refused
+    instead of being ignored, and ``--folds 1`` still runs."""
+    data_file = tmp_path / "d.csv"
+    main(["simulate", "--n", "35000", "--seed", "3", "--oracle", "-o", str(data_file)])
+    capsys.readouterr()
+    argv = ["estimate", "--data", str(data_file), "--method", method, "--regime", str(regime_file)]
+    assert main(argv + ["--folds", "5"]) == 1
+    assert "--folds" in _one_line_error(capsys)
+    assert main(argv + ["--folds", "1"]) == 0
+    assert json.loads(capsys.readouterr().out)["method"] == method.upper()
+
+
+@pytest.mark.parametrize("header, row", [(b"y0", b"\xff,1"), (b"y\xff0", b"0,1")],
+                         ids=["in-a-row", "in-the-header"])
+def test_csv_that_is_not_utf8_is_usage_error(tmp_path, regime_file, capsys, header, row):
+    good = _GOOD_ROW.encode() + b"\n"
+    data_file = tmp_path / "latin1.csv"
+    data_file.write_bytes(header + b",z1,w1,a1,y1,z2,w2,a2,y2\n" + good + row + _GOOD_ROW[3:].encode() + b"\n")
+    assert main(["estimate", "--data", str(data_file), "--method", "pmr", "--regime", str(regime_file)]) == 1
+    assert ("CSV line 3" if row.startswith(b"\xff") else "unexpected CSV header") in _one_line_error(capsys)

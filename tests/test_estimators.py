@@ -155,7 +155,7 @@ def test_fit_options_refuse_bad_laplace(laplace):
 def test_fold_fits_name_the_failing_fold(params):
     tiny = dgp.sample(params, 300, seed=5)
     with pytest.raises((SingularMatrixError, ZeroProbabilityError), match="off-fold fit failed for fold 0"):
-        next(fold_fits(tiny, FitOptions(folds=5)))
+        fold_fits(tiny, FitOptions(folds=5))
 
 
 def test_cross_fit_degenerate_single_fold(big_data):
@@ -175,7 +175,7 @@ def test_cross_fit_five_folds(big_data):
 
 def test_off_fold_bridge_sets_differ(big_data):
     opts = FitOptions(folds=5)
-    sets = [fit_counts(off_fold, opts)[1] for _, off_fold in fold_counts(big_data, 5)]
+    sets = [fit_counts(off_fold, opts)[1] for off_fold in fold_counts(big_data, 5)[1]]
     for i in range(4):
         assert np.abs(sets[i].h21 - sets[i + 1].h21).max() > 1e-12
 
@@ -291,12 +291,12 @@ def test_cell_counts_equal_bincount_reference(big_data):
     assert np.array_equal(_cell_counts(big_data, include_hidden=True),
                           _bincount_reference(big_data, include_hidden=True))
     no_rows = np.zeros(len(big_data), dtype=bool)
-    assert np.array_equal(_cell_counts(big_data, no_rows), np.zeros(2 ** 9, dtype=np.int64))
+    assert np.array_equal(_cell_counts(big_data.subset(no_rows)), np.zeros(2 ** 9, dtype=np.int64))
     assignments = fold_assignments(big_data, 5)
     for fold in range(5):
         rows = assignments == fold
-        assert np.array_equal(_cell_counts(big_data, rows), _bincount_reference(big_data, rows))
-        assert np.array_equal(_cell_counts(big_data, ~rows, include_hidden=True),
+        assert np.array_equal(_cell_counts(big_data.subset(rows)), _bincount_reference(big_data, rows))
+        assert np.array_equal(_cell_counts(big_data.subset(~rows), include_hidden=True),
                               _bincount_reference(big_data, ~rows, include_hidden=True))
 
 
@@ -323,7 +323,7 @@ def test_sra_from_conditional_equals_test_side_g_formula(big_data):
 def test_off_fold_fit_equals_fit_on_the_other_folds_rows(big_data):
     opts = FitOptions(folds=5)
     assignments = fold_assignments(big_data, 5)
-    for fold, (_, off_fold) in enumerate(fold_counts(big_data, 5)):
+    for fold, off_fold in enumerate(fold_counts(big_data, 5)[1]):
         pmf, b = fit_counts(off_fold, opts)
         pmf_rows, b_rows = fit_bridges(big_data.subset(assignments != fold), opts)
         assert np.array_equal(pmf.mass, pmf_rows.mass)
@@ -332,14 +332,14 @@ def test_off_fold_fit_equals_fit_on_the_other_folds_rows(big_data):
 
 def test_fold_counts_subtract_each_fold_from_the_total(big_data):
     assignments = fold_assignments(big_data, 5)
-    pairs = list(fold_counts(big_data, 5))
+    pairs = list(zip(*fold_counts(big_data, 5)))
     assert len(pairs) == 5
     for fold, (own, off_fold) in enumerate(pairs):
         rows = assignments == fold
         assert np.array_equal(own, _bincount_reference(big_data, rows))
         assert np.array_equal(off_fold, _bincount_reference(big_data, ~rows))
         pmf, _ = fit_counts(off_fold, FitOptions(folds=5, laplace=0.5))
-        assert np.array_equal(pmf.mass, empirical_pmf(big_data, ~rows, laplace=0.5).mass)
+        assert np.array_equal(pmf.mass, empirical_pmf(big_data.subset(~rows), laplace=0.5).mass)
 
 
 def test_cross_fit_equals_masked_off_fold_fits(big_data):
@@ -350,6 +350,48 @@ def test_cross_fit_equals_masked_off_fold_fits(big_data):
     expected = []
     for fold in range(5):
         rows = assignments == fold
-        b = solve_bridges(empirical_pmf(big_data, ~rows), provenance="solved-from-sample")
+        b = solve_bridges(empirical_pmf(big_data.subset(~rows)), provenance="solved-from-sample")
         expected.append(v_hat("PMR", big_data.subset(rows), b, REGIME).estimate)
     assert cross_fit("PMR", big_data, opts, REGIME).fold_estimates == tuple(expected)
+
+
+@pytest.mark.parametrize("folds", [2, 3, 5])
+@pytest.mark.parametrize("laplace", [0.0, 0.5])
+def test_stacked_fold_fits_equal_fold_by_fold_fits(big_data, folds, laplace):
+    """Every fold of the one-pass fit equals a fit of that fold's off-fold
+    counts alone, bit for bit; the counts come from a test-side bincount."""
+    opts = FitOptions(folds=folds, laplace=laplace)
+    own, b = fold_fits(big_data, opts)
+    assignments = fold_assignments(big_data, folds)
+    assert own.shape == (folds, 2 ** 9)
+    for fold in range(folds):
+        rows = assignments == fold
+        assert np.array_equal(own[fold], _bincount_reference(big_data, rows))
+        _, expected = fit_counts(_bincount_reference(big_data, ~rows), opts)
+        for name in ("h22", "h21", "h11", "q11", "q22"):
+            assert np.array_equal(getattr(b, name)[fold], getattr(expected, name)), (fold, name)
+        assert b.provenance == expected.provenance
+
+
+def _fold_by_fold_failure(data, opts):
+    """(type, message) of the first off-fold fit that fails, in fold order."""
+    assignments = fold_assignments(data, opts.folds)
+    for fold in range(opts.folds):
+        try:
+            fit_counts(_bincount_reference(data, assignments != fold), opts)
+        except (SingularMatrixError, ZeroProbabilityError) as err:
+            return type(err), f"off-fold fit failed for fold {fold}: {err}"
+    return None
+
+
+# (n, seed, folds): fold 0 fails; fold 1 is singular while fold 3 has a zero
+# conditioning cell (which a stacked solve meets first); later folds fail
+@pytest.mark.parametrize("n, seed, folds", [(300, 5, 5), (4000, 29, 5), (6000, 9, 3), (4000, 14, 5)])
+def test_stacked_fold_fit_failure_names_the_first_failing_fold(params, n, seed, folds):
+    data = dgp.sample(params, n, seed=seed)
+    opts = FitOptions(folds=folds)
+    expected = _fold_by_fold_failure(data, opts)
+    assert expected is not None
+    with pytest.raises((SingularMatrixError, ZeroProbabilityError)) as info:
+        fold_fits(data, opts)
+    assert (type(info.value), str(info.value)) == expected

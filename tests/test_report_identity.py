@@ -22,6 +22,8 @@ CASES = {
     "qlearn-folds5": (ExperimentConfig(reps=4, optimizer="q-learning", folds=5), "a641b70a8d59311a"),
     "n600": (ExperimentConfig(n=600, reps=6), "2338af46f0a65948"),
     "n300-laplace": (ExperimentConfig(n=300, reps=6, laplace=0.5), "76740c360e72cd58"),
+    # cross-fitted with failed and scored cells mixed: bridge methods 5/6 failed, Oracle 2/6, SRA 0/6
+    "n6000-folds3": (ExperimentConfig(n=6000, reps=6, folds=3), "5f2319e769d52b58"),
 }
 
 

@@ -206,3 +206,36 @@ def test_invert_stack_names_singular_block():
 def test_invert_rejects_other_shapes():
     with pytest.raises(TableError):
         invert2or4(np.eye(3))
+
+
+# -- stacks of laws -------------------------------------------------------------
+
+def test_stack_of_laws_is_checked_and_conditioned_law_by_law():
+    """A JointPmf led by stack axes holds one law per stack cell: each must sum
+    to one, and conditionals and marginals come out per law, bit for bit."""
+    names = ("A", "B", "C")
+    rng = np.random.default_rng(3)
+    raw = rng.uniform(0.1, 1.0, size=(4, 8))
+    laws = raw / raw.sum(axis=1, keepdims=True)
+    stacked = JointPmf(names, laws)  # flat masses are read per law, too
+    assert stacked.mass.shape == (4, 2, 2, 2)
+    cond = conditional(stacked, ("C", "A"), ("B",))
+    margin = marginalize(stacked, ("C", "A")).mass
+    for law, mass in enumerate(laws):
+        single = JointPmf(names, mass)
+        assert np.array_equal(cond[law], conditional(single, ("C", "A"), ("B",)))
+        assert np.array_equal(margin[law], marginalize(single, ("C", "A")).mass)
+    laws[2] *= 1.5
+    with pytest.raises(TableError, match="mass sums to 1.5"):
+        JointPmf(names, laws)
+
+
+def test_stack_of_laws_names_the_zero_cell_and_singular_block_without_the_stack_axis():
+    fine = np.array([[0.25, 0.25], [0.25, 0.25]])
+    with pytest.raises(ZeroProbabilityError) as err:
+        conditional(JointPmf(("A", "B"), np.stack([fine, fine, [[0.0, 0.0], [0.5, 0.5]]])), ("B",), ("A",))
+    assert err.value.assignment == {"A": 0}
+    stack = np.tile(np.eye(2), (3, 2, 1, 1))
+    stack[2, 1] = 0.5
+    with pytest.raises(SingularMatrixError, match=r"proxy block at \(axis0=2, Y0=1\)"):
+        invert2or4(stack, role="proxy block", axes=("Y0",))
