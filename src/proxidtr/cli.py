@@ -151,6 +151,9 @@ def main(argv: list[str] | None = None) -> int:
     except (OSError, ValueError, OverflowError) as err:
         print(f"error: {err}", file=sys.stderr)
         return USAGE_ERROR
+    except MemoryError as err:  # an --n or config size too large to hold
+        print(f"error: out of memory: {err}" if str(err) else "error: out of memory", file=sys.stderr)
+        return USAGE_ERROR
 
 
 if __name__ == "__main__":

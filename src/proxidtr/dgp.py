@@ -21,14 +21,20 @@ Every potential-outcome density, the Oracle's here and those of SRA and
 the bridge methods, is an ``IdentifiedDensity`` (here because ``identify``
 imports this module).
 
-The sampler draws each variable in SAMPLING_ORDER as one Philox uniform per
-row, compared with a prefix table P(var = 1 | the variables sampled before
-it) read at the row's earlier values. The tables are built once per
+The sampler draws each variable in SAMPLING_ORDER as one raw 64-bit Philox
+word per row, compared with a prefix table P(var = 1 | the variables sampled
+before it) read at the row's earlier values. The tables are built once per
 ``DgpParams`` by ``prob1`` on the 0/1 grid, the same float operations the
-per-row model applies, so the stream and the rows of a seed are
-byte-stable: they are those of the per-row sampler. A ``Dataset`` keeps its
-rows' canonical cell codes and the 2^11 cell counts, the sufficient
-statistic of every estimator, computed once on first use.
+per-row model applies. ``Generator.random`` turns the same words into the
+uniforms u = (w >> 11) * 2^-53, and u < t exactly when (w >> 11) <
+ceil(t * 2^53), every step being exact in binary64; so the sampler compares
+words with these integer bounds, and the stream and the rows of a seed stay
+bit for bit those of the per-row sampler. The prefix code the sampler
+builds, the row's values in SAMPLING_ORDER read as bits, becomes the
+canonical cell code through one fixed 2^11-entry table. A ``Dataset`` keeps
+its rows' canonical cell codes (the sampler's, or computed from the columns
+on first use) and the 2^11 cell counts, the sufficient statistic of every
+estimator.
 
 ``Dataset.from_csv`` reads a CSV, as text or as its UTF-8 bytes: a header
 naming OBSERVED_ORDER (optionally followed by u0,u1 and led by a byte-order
@@ -111,6 +117,16 @@ class LogisticModel:
         return expit(self.score(values))
 
 
+def _word_bounds(table: np.ndarray) -> np.ndarray:
+    """The integer bounds C = ceil(t * 2^53) in [0, 2^53] of the entries t of a
+    probability table, as uint64: a raw Philox word w draws 1 exactly when
+    (w >> 11) < C, as its uniform (w >> 11) * 2^-53 < t does. A NaN entry gets
+    0 and never draws 1, as u < NaN is false."""
+    bounds = np.ceil(np.nan_to_num(table) * 2.0 ** 53).astype(np.uint64)
+    bounds.flags.writeable = False
+    return bounds
+
+
 @dataclass(frozen=True)
 class DgpParams:
     """The eleven sequential logistic models, keyed by target variable."""
@@ -144,6 +160,11 @@ class DgpParams:
             table.flags.writeable = False
             tables.append(table)
         return tuple(tables)
+
+    @cached_property
+    def _sampling_bounds(self) -> tuple[np.ndarray, ...]:
+        """``_word_bounds`` of each of ``sampling_tables``."""
+        return tuple(_word_bounds(table) for table in self.sampling_tables)
 
     @classmethod
     def default(cls) -> "DgpParams":
@@ -189,7 +210,7 @@ class Dataset:
             raise ValueError(f"observed block must be (n, {len(OBSERVED_ORDER)})")
         if hid.shape != (obs.shape[0], len(HIDDEN_ORDER)):
             raise ValueError("hidden block must be (n, 2)")
-        if np.any(obs.view(np.uint8) > 1) or np.any(hid.view(np.uint8) > 1):  # int8 -1 reads 255
+        if obs.view(np.uint8).max(initial=0) > 1 or hid.view(np.uint8).max(initial=0) > 1:  # int8 -1 reads 255
             raise ValueError("all cells must be 0/1")
         obs.flags.writeable = False
         hid.flags.writeable = False
@@ -205,6 +226,14 @@ class Dataset:
         if name in HIDDEN_ORDER:
             return self.hidden[:, HIDDEN_ORDER.index(name)]
         raise KeyError(name)
+
+    @classmethod
+    def _sampled(cls, observed: np.ndarray, hidden: np.ndarray, seed: int, cell_code: np.ndarray) -> "Dataset":
+        """A Dataset whose canonical cell codes its sampler already built."""
+        data = cls(observed, hidden, seed)
+        cell_code.flags.writeable = False
+        data.__dict__["cell_code"] = cell_code  # where cached_property keeps its value
+        return data
 
     def subset(self, rows: np.ndarray) -> "Dataset":
         return Dataset(self.observed[rows], self.hidden[rows], self.seed, self.has_hidden)
@@ -378,26 +407,47 @@ def interventional_joint(params: DgpParams, a1: int, a2: int) -> JointPmf:
     return JointPmf(CANONICAL_ORDER, mass)
 
 
+def _sampling_to_canonical() -> np.ndarray:
+    """Canonical cell code of each 11-bit prefix code, whose bits are the
+    values in SAMPLING_ORDER, the first sampled the most significant."""
+    bits = dict(zip(SAMPLING_ORDER, np.indices((2,) * len(SAMPLING_ORDER), dtype=np.int16)))
+    code = np.zeros((2,) * len(SAMPLING_ORDER), dtype=np.int16)
+    for name in CANONICAL_ORDER:
+        code = (code << 1) | bits[name]
+    code = code.reshape(-1)
+    code.flags.writeable = False
+    return code
+
+
+_SAMPLING_TO_CANONICAL = _sampling_to_canonical()
+
+
 def sample(params: DgpParams, n: int, seed: int) -> Dataset:
     """Ancestral sampling with the counter-based Philox generator.
 
-    Each variable takes one uniform draw per row, compared with its prefix
-    table read at the row's earlier values (``DgpParams.sampling_tables``).
+    Each variable reads n raw words, the ones ``Generator.random(n)`` would
+    turn into uniforms, and draws 1 where a word's top 53 bits fall below the
+    integer bound of its prefix table read at the row's earlier values
+    (``DgpParams.sampling_tables``, ``_word_bounds``): bit for bit the rows of
+    the per-row sampler. The finished prefix code gives the cell codes.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
     if not 0 <= seed < 2 ** 64:
         raise ValueError(f"seed must be in [0, 2**64), got {seed}")
-    rng = np.random.Generator(np.random.Philox(key=np.uint64(seed)))
+    bitgen = np.random.Philox(key=np.uint64(seed))
     columns: dict[str, np.ndarray] = {}
     code = np.zeros(n, dtype=np.intp)
-    for name, table in zip(SAMPLING_ORDER, params.sampling_tables):
-        bit = rng.random(n) < table[code]
-        code = (code << 1) | bit
+    for name, bounds in zip(SAMPLING_ORDER, params._sampling_bounds):
+        words = bitgen.random_raw(n)
+        words >>= 11  # the 53 bits a uniform keeps
+        bit = words < bounds[code]
+        code <<= 1
+        code |= bit
         columns[name] = bit.view(np.int8)
     observed = np.column_stack([columns[name] for name in OBSERVED_ORDER])
     hidden = np.column_stack([columns[name] for name in HIDDEN_ORDER])
-    return Dataset(observed, hidden, seed)
+    return Dataset._sampled(observed, hidden, seed, _SAMPLING_TO_CANONICAL[code])
 
 
 def oracle_density_from_joint(pmf: JointPmf) -> IdentifiedDensity:

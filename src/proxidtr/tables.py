@@ -17,7 +17,8 @@ validating an intermediate table.
 
 A ``JointPmf`` may hold a stack of laws over the same variables (the K
 off-fold laws of a cross-fit): its mass and every array derived from it
-lead with the stack axes; ``prob`` and ``to_json`` read a single law.
+lead with the stack axes; ``prob`` and ``to_json`` read a single law and
+refuse a stack.
 """
 
 from __future__ import annotations
@@ -89,14 +90,21 @@ class JointPmf:
         except ValueError:
             raise UnknownVariableError(f"unknown variable {name!r}; table has {self.names}") from None
 
+    def _single_law(self, method: str) -> None:
+        stack = self.mass.shape[:self.mass.ndim - len(self.names)]
+        if stack:
+            raise TableError(f"{method} reads a single law, not a stack of laws of shape {stack}")
+
     def prob(self, assignment: Mapping[str, int]) -> float:
         """Marginal probability of a partial assignment."""
+        self._single_law("prob")
         idx: list[object] = [slice(None)] * len(self.names)
         for name, value in assignment.items():
             idx[self.axis(name)] = int(value)
         return float(self.mass[tuple(idx)].sum())
 
     def to_json(self) -> str:
+        self._single_law("to_json")
         return json.dumps({"order": list(self.names), "mass": self.mass.ravel(order="C").tolist()})
 
     @classmethod

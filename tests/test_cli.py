@@ -6,6 +6,7 @@ from dataclasses import replace
 
 import pytest
 
+from proxidtr import cli
 from proxidtr.cli import build_parser, main
 from proxidtr.dgp import Dataset, sample
 from proxidtr.estimators import FitOptions, cross_fit
@@ -323,3 +324,27 @@ def test_csv_that_is_not_utf8_is_usage_error(tmp_path, regime_file, capsys, head
     data_file.write_bytes(header + b",z1,w1,a1,y1,z2,w2,a2,y2\n" + good + row + _GOOD_ROW[3:].encode() + b"\n")
     assert main(["estimate", "--data", str(data_file), "--method", "pmr", "--regime", str(regime_file)]) == 1
     assert ("CSV line 3" if row.startswith(b"\xff") else "unexpected CSV header") in _one_line_error(capsys)
+
+
+ALLOCATION_FAILURE = "Unable to allocate 72.8 TiB for an array with shape (10000000000000,) and data type int64"
+
+
+@pytest.mark.parametrize("message, line", [
+    (ALLOCATION_FAILURE, f"error: out of memory: {ALLOCATION_FAILURE}"),
+    ("", "error: out of memory"),
+], ids=["message", "bare"])
+@pytest.mark.parametrize("command, target", [("simulate", "sample"), ("experiment", "run_experiment")])
+def test_out_of_memory_is_one_line_usage_error(tmp_path, capsys, monkeypatch, command, target, message, line):
+    """A size too large to allocate ends in one error line, not a traceback;
+    the failing allocation is simulated, never attempted."""
+    def refuse(*args, **kwargs):
+        raise MemoryError(message)
+
+    monkeypatch.setattr(cli, target, refuse)
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"n": 10000000000000}))
+    argv = {"simulate": ["simulate", "--n", "10000000000000", "--seed", "1"],
+            "experiment": ["experiment", "--config", str(config)]}[command]
+    assert main(argv + ["-o", str(tmp_path / "out.csv")]) == 1
+    assert capsys.readouterr().err == line + "\n"
+    assert not (tmp_path / "out.csv").exists()

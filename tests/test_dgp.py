@@ -250,6 +250,104 @@ def test_prefix_table_sampler_equals_rowwise_non_default_law(seed, n):
     assert np.array_equal(data.hidden, hidden)
 
 
+def _extreme_params():
+    """A law whose prefix tables hold 0.0 (scores of -800), 1.0 (expit(40)
+    rounds to 1), about 4e-18 (expit(-40)) and NaN (a NaN coefficient, which
+    the per-row model turns into NaN on every row)."""
+    b = dgp.LogisticModel.build
+    return dgp.DgpParams((
+        b("U0", 0.0),
+        b("Y0", -40.0, {"U0": 80.0}),
+        b("Z1", -800.0, {"U0": 1600.0}),
+        b("A1", 0.0, {"Y0": float("nan")}),
+        b("W1", 40.0, {"U0": -80.0, "Y0": 0.3}),
+        b("Y1", -800.0, {"Z1": 801.0}),
+        b("U1", 0.2, {"A1": 3.0, "U0": -0.5}),
+        b("W2", 40.0, {"U1": -840.0}),
+        b("Z2", -40.0, {"Y1": 40.0, "W1": 40.0}),
+        b("A2", 0.4, {"Z2": -1.0}),
+        b("Y2", -40.0, {"U1": 80.0, ("A2", "Y0"): 1.5}),
+    ))
+
+
+def _extreme_tables():
+    with np.errstate(over="ignore"):  # exp(800) overflows to inf, and expit to 0.0
+        return _extreme_params().sampling_tables
+
+
+def test_extreme_law_has_the_edge_entries():
+    entries = np.concatenate(_extreme_tables())
+    assert np.any(entries == 0.0) and np.any(entries == 1.0) and np.any(np.isnan(entries))
+    assert np.any((entries > 0) & (entries < 1e-17))
+
+
+@pytest.mark.parametrize("seed", [0, 5, 2 ** 64 - 1])
+def test_generator_uniforms_are_raw_philox_words_shifted(seed):
+    """The sampler's contract with numpy: ``Generator.random`` turns each raw
+    Philox word w into (w >> 11) * 2^-53, and n uniforms use exactly n words,
+    whatever n, so consecutive calls read consecutive words."""
+    words = np.random.Philox(key=np.uint64(seed)).random_raw(10 ** 5)
+    uniforms = np.random.Generator(np.random.Philox(key=np.uint64(seed))).random(10 ** 5)
+    assert np.array_equal((words >> 11).astype(float) * 2.0 ** -53, uniforms)
+    bitgen = np.random.Philox(key=np.uint64(seed))
+    rng = np.random.Generator(np.random.Philox(key=np.uint64(seed)))
+    for n in (1, 3, 7, 2, 5000, 1):
+        assert np.array_equal((bitgen.random_raw(n) >> 11) * 2.0 ** -53, rng.random(n))
+
+
+def test_word_bounds_equal_the_float_comparison(params):
+    """At every entry t of three laws' prefix tables and of a list of edge
+    values, a word w draws (w >> 11) < C exactly when its uniform
+    (w >> 11) * 2^-53 < t, at the words around the bound C * 2^11, at 0 and
+    2^64 - 1, and at random words. expit never reaches 1 - 2^-53 (its largest
+    value below 1 is 1 - 2^-52), so that entry is listed directly."""
+    edges = np.array([0.0, 1.0, 4e-18, np.nextafter(1.0, 0.0), 1 - 2.0 ** -52, 2.0 ** -53,
+                      np.nextafter(2.0 ** -53, 0.0), 5e-324, 0.5, np.nan])
+    entries = np.unique(np.concatenate(
+        params.sampling_tables + _other_params().sampling_tables + _extreme_tables() + (edges,)))
+    bounds = dgp._word_bounds(entries)
+    assert bounds.dtype == np.uint64 and not bounds.flags.writeable
+    assert int(bounds.max()) == 2 ** 53 and int(bounds.min()) == 0
+    random_words = np.random.default_rng(11).integers(0, 2 ** 64, 256, dtype=np.uint64, endpoint=False)
+    for t, bound in zip(entries, bounds):
+        edge = int(bound) << 11
+        near = [w for w in (0, edge - 1, edge, edge + 1, 2 ** 64 - 1) if 0 <= w < 2 ** 64]
+        words = np.concatenate([np.array(near, dtype=np.uint64), random_words])
+        drawn = (words >> 11) < bound
+        assert np.array_equal(drawn, (words >> 11).astype(float) * 2.0 ** -53 < t), t
+
+
+@pytest.mark.parametrize("n", [1, 35000])
+@pytest.mark.parametrize("seed", [0, 2 ** 64 - 1])
+def test_sampler_equals_rowwise_on_extreme_law(seed, n):
+    params = _extreme_params()
+    with np.errstate(over="ignore"):
+        data = dgp.sample(params, n, seed)
+        observed, hidden = _rowwise_sample(params, n, seed)
+    assert np.array_equal(data.observed, observed)
+    assert np.array_equal(data.hidden, hidden)
+    assert not data.column("A1").any()  # every entry of its table is NaN
+    code = np.zeros(n, dtype=np.int16)
+    for name in dgp.CANONICAL_ORDER:
+        code = (code << 1) | data.column(name)
+    assert data.cell_code.dtype == np.int16 and not data.cell_code.flags.writeable
+    assert np.array_equal(data.cell_code, code)
+    assert np.array_equal(data.cell_counts, np.bincount(code, minlength=2 ** 11))
+    rows = np.arange(n)[::-3]
+    assert np.array_equal(data.subset(rows).cell_code, code[rows])
+
+
+def test_prefix_code_table_is_the_column_code():
+    """The sampler's prefix codes, mapped to canonical order, are the codes
+    the columns give, for every one of the 2^11 cells."""
+    bits = np.indices((2,) * 11).reshape(11, -1)
+    code = np.zeros(2 ** 11, dtype=np.int64)
+    for name in dgp.CANONICAL_ORDER:
+        code = code * 2 + bits[dgp.SAMPLING_ORDER.index(name)]
+    assert dgp._SAMPLING_TO_CANONICAL.dtype == np.int16
+    assert np.array_equal(dgp._SAMPLING_TO_CANONICAL, code)
+
+
 def test_sampling_tables_shape_and_cache(params):
     tables = params.sampling_tables
     assert tables is params.sampling_tables

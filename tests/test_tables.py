@@ -239,3 +239,18 @@ def test_stack_of_laws_names_the_zero_cell_and_singular_block_without_the_stack_
     stack[2, 1] = 0.5
     with pytest.raises(SingularMatrixError, match=r"proxy block at \(axis0=2, Y0=1\)"):
         invert2or4(stack, role="proxy block", axes=("Y0",))
+
+
+def test_prob_and_to_json_refuse_a_stack_of_laws():
+    """On a stack the first mass axis is the stack, not the first variable:
+    reading it as one law would sum across laws, so both name the stack."""
+    stacked = JointPmf(("A", "B"), np.full((3, 4), 0.25))
+    with pytest.raises(TableError, match=r"prob reads a single law, not a stack of laws of shape \(3,\)"):
+        stacked.prob({"A": 1})
+    with pytest.raises(TableError, match=r"to_json reads a single law, not a stack of laws of shape \(3,\)"):
+        stacked.to_json()
+    with pytest.raises(TableError, match=r"shape \(2, 3\)"):
+        JointPmf(("A",), np.full((2, 3, 2), 0.5)).prob({})
+    single = JointPmf(("A", "B"), np.full(4, 0.25))
+    assert single.prob({"A": 1}) == 0.5
+    assert single.to_json() == '{"order": ["A", "B"], "mass": [0.25, 0.25, 0.25, 0.25]}'
