@@ -230,15 +230,6 @@ class ResidualReport:
     def all_passed(self) -> bool:
         return all(self.passed(f) for f in ("q11", "q22", "h22", "h21"))
 
-    def as_dict(self) -> dict:
-        return {
-            "tol": self.tol,
-            "families": {
-                f: {"max_residual": getattr(self, f), "pass": self.passed(f)}
-                for f in ("q11", "q22", "h22", "h21")
-            },
-        }
-
 
 def verify_bridges(b: BridgeSet, pmf: JointPmf, tol: float = RESIDUAL_TOL) -> ResidualReport:
     """Plug every component back into its defining integral equation.

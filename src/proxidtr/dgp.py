@@ -31,10 +31,14 @@ ceil(t * 2^53), every step being exact in binary64; so the sampler compares
 words with these integer bounds, and the stream and the rows of a seed stay
 bit for bit those of the per-row sampler. The prefix code the sampler
 builds, the row's values in SAMPLING_ORDER read as bits, becomes the
-canonical cell code through one fixed 2^11-entry table. A ``Dataset`` keeps
-its rows' canonical cell codes (the sampler's, or computed from the columns
-on first use) and the 2^11 cell counts, the sufficient statistic of every
-estimator.
+canonical cell code through one fixed 2^11-entry table.
+
+A ``Dataset`` holds its rows only as canonical cell codes: each row's
+CANONICAL_ORDER values read as bits, Y0 the most significant. Its 2^11 cell
+counts are the sufficient statistic of every estimator, and its columns are
+read-only arrays masked out of the codes on each access. The table of each
+variable's bit in the code turns the sampler's prefix codes, a CSV's value
+matrix and a column name alike into codes or masks.
 
 ``Dataset.from_csv`` reads a CSV, as text or as its UTF-8 bytes: a header
 naming OBSERVED_ORDER (optionally followed by u0,u1 and led by a byte-order
@@ -72,7 +76,8 @@ SAMPLING_ORDER = ("U0", "Y0", "Z1", "A1", "W1", "Y1", "U1", "W2", "Z2", "A2", "Y
 
 def expit(x):
     x = np.asarray(x, dtype=float)
-    return 1.0 / (1.0 + np.exp(-x))
+    with np.errstate(over="ignore"):  # exp(-x) = inf below x = -709 gives the exact 0.0
+        return 1.0 / (1.0 + np.exp(-x))
 
 
 @dataclass(frozen=True)
@@ -189,64 +194,70 @@ class DgpParams:
         ))
 
 
-@dataclass(frozen=True)
-class Dataset:
-    """Sampled rows: observed block, plus a hidden (U0, U1) block for Oracle use.
+# each variable's bit in the canonical cell code: Y0 the most significant, Y2 the least
+_CELL_BIT = {name: 1 << (len(CANONICAL_ORDER) - 1 - i) for i, name in enumerate(CANONICAL_ORDER)}
+_HIDDEN_BITS = _CELL_BIT["U0"] | _CELL_BIT["U1"]
 
-    Estimators other than the Oracle must be built from ``observed`` alone.
-    ``has_hidden`` is false when the hidden block was not recorded (a CSV
-    without u0, u1 columns); the block then holds zeros.
+
+def _bit_weights(names: tuple[str, ...]) -> np.ndarray:
+    """The int16 cell-code bit of each of ``names``."""
+    return np.array([_CELL_BIT[name] for name in names], dtype=np.int16)
+
+
+@dataclass(frozen=True, eq=False)
+class Dataset:
+    """Sampled or read rows, held as their canonical cell codes.
+
+    ``cell_code`` is a read-only (n,) int16 array: each row's CANONICAL_ORDER
+    values read as bits, Y0 the most significant, so a code is the row's
+    C-order index in the 2^11 grid. ``observed``, ``hidden`` and ``column``
+    are read-only int8 arrays masked out of the codes on each access.
+    Estimators other than the Oracle read only the observed bits.
+    ``has_hidden`` is false when the hidden U0, U1 were not recorded (a CSV
+    without u0, u1 columns); their bits are then zero. Datasets compare by
+    identity.
     """
 
-    observed: np.ndarray  # (n, 9) int8, columns OBSERVED_ORDER
-    hidden: np.ndarray    # (n, 2) int8, columns HIDDEN_ORDER
+    cell_code: np.ndarray
     seed: int
     has_hidden: bool = True
 
     def __post_init__(self):
-        obs = np.asarray(self.observed, dtype=np.int8)
-        hid = np.asarray(self.hidden, dtype=np.int8)
-        if obs.ndim != 2 or obs.shape[1] != len(OBSERVED_ORDER):
-            raise ValueError(f"observed block must be (n, {len(OBSERVED_ORDER)})")
-        if hid.shape != (obs.shape[0], len(HIDDEN_ORDER)):
-            raise ValueError("hidden block must be (n, 2)")
-        if obs.view(np.uint8).max(initial=0) > 1 or hid.view(np.uint8).max(initial=0) > 1:  # int8 -1 reads 255
-            raise ValueError("all cells must be 0/1")
-        obs.flags.writeable = False
-        hid.flags.writeable = False
-        object.__setattr__(self, "observed", obs)
-        object.__setattr__(self, "hidden", hid)
+        code = np.asarray(self.cell_code)
+        if code.ndim != 1 or code.dtype.kind not in "iu":
+            raise ValueError(f"cell codes must be a 1-d integer array, got {code.dtype} of shape {code.shape}")
+        if code.min(initial=0) < 0 or code.max(initial=0) >= 2 ** len(CANONICAL_ORDER):
+            raise ValueError(f"cell codes must lie in [0, {2 ** len(CANONICAL_ORDER)})")
+        if not self.has_hidden and np.any(code & _HIDDEN_BITS):
+            raise ValueError("cell codes set hidden bits of a dataset without hidden columns")
+        code = code.astype(np.int16, copy=False)
+        code.flags.writeable = False
+        object.__setattr__(self, "cell_code", code)
 
     def __len__(self) -> int:
-        return self.observed.shape[0]
+        return self.cell_code.shape[0]
+
+    def _columns(self, names: tuple[str, ...]) -> np.ndarray:
+        """(n, len(names)) int8 values of the named variables."""
+        block = ((self.cell_code[:, None] & _bit_weights(names)) != 0).view(np.int8)
+        block.flags.writeable = False
+        return block
+
+    @property
+    def observed(self) -> np.ndarray:
+        """(n, 9) values, columns OBSERVED_ORDER."""
+        return self._columns(OBSERVED_ORDER)
+
+    @property
+    def hidden(self) -> np.ndarray:
+        """(n, 2) values, columns HIDDEN_ORDER."""
+        return self._columns(HIDDEN_ORDER)
 
     def column(self, name: str) -> np.ndarray:
-        if name in OBSERVED_ORDER:
-            return self.observed[:, OBSERVED_ORDER.index(name)]
-        if name in HIDDEN_ORDER:
-            return self.hidden[:, HIDDEN_ORDER.index(name)]
-        raise KeyError(name)
-
-    @classmethod
-    def _sampled(cls, observed: np.ndarray, hidden: np.ndarray, seed: int, cell_code: np.ndarray) -> "Dataset":
-        """A Dataset whose canonical cell codes its sampler already built."""
-        data = cls(observed, hidden, seed)
-        cell_code.flags.writeable = False
-        data.__dict__["cell_code"] = cell_code  # where cached_property keeps its value
-        return data
+        return self._columns((name,))[:, 0]
 
     def subset(self, rows: np.ndarray) -> "Dataset":
-        return Dataset(self.observed[rows], self.hidden[rows], self.seed, self.has_hidden)
-
-    @cached_property
-    def cell_code(self) -> np.ndarray:
-        """Each row's cell: its CANONICAL_ORDER values read as bits, Y0 the
-        most significant, so the code is the row's C-order index in the 2^11 grid."""
-        code = np.zeros(len(self), dtype=np.int16)  # 11 bits fit
-        for name in CANONICAL_ORDER:
-            code = (code << 1) | self.column(name)
-        code.flags.writeable = False
-        return code
+        return Dataset(self.cell_code[rows], self.seed, self.has_hidden)
 
     @cached_property
     def cell_counts(self) -> np.ndarray:
@@ -263,8 +274,7 @@ class Dataset:
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(n.lower() for n in names)
-        block = np.hstack([self.observed, self.hidden]) if include_hidden else self.observed
-        writer.writerows(block.tolist())
+        writer.writerows(self._columns(names).tolist())
         return buf.getvalue()
 
     @classmethod
@@ -295,9 +305,9 @@ class Dataset:
             rows = _csv_values(body, k)
             if rows is None:
                 raise ValueError(_csv_row_error(data.decode("utf-8", "replace"), k))
-        obs = rows[:, :9]
-        hid = rows[:, 9:11] if hidden_in_file else np.zeros((rows.shape[0], 2), dtype=np.int8)
-        return cls(obs, hid, seed, hidden_in_file)
+        # codes below 2^11 are exact in float32, whose product runs about twice as fast as an integer one
+        code = rows @ _bit_weights(OBSERVED_ORDER + HIDDEN_ORDER)[:k].astype(np.float32)
+        return cls(code.astype(np.int16), seed, hidden_in_file)
 
 
 def _csv_values(body: np.ndarray, k: int) -> np.ndarray | None:
@@ -407,19 +417,10 @@ def interventional_joint(params: DgpParams, a1: int, a2: int) -> JointPmf:
     return JointPmf(CANONICAL_ORDER, mass)
 
 
-def _sampling_to_canonical() -> np.ndarray:
-    """Canonical cell code of each 11-bit prefix code, whose bits are the
-    values in SAMPLING_ORDER, the first sampled the most significant."""
-    bits = dict(zip(SAMPLING_ORDER, np.indices((2,) * len(SAMPLING_ORDER), dtype=np.int16)))
-    code = np.zeros((2,) * len(SAMPLING_ORDER), dtype=np.int16)
-    for name in CANONICAL_ORDER:
-        code = (code << 1) | bits[name]
-    code = code.reshape(-1)
-    code.flags.writeable = False
-    return code
-
-
-_SAMPLING_TO_CANONICAL = _sampling_to_canonical()
+# canonical cell code of each 11-bit prefix code, whose bits are the values
+# in SAMPLING_ORDER, the first sampled the most significant
+_SAMPLING_TO_CANONICAL = _bit_weights(SAMPLING_ORDER) @ np.indices((2,) * 11, dtype=np.int16).reshape(11, -1)
+_SAMPLING_TO_CANONICAL.flags.writeable = False
 
 
 def sample(params: DgpParams, n: int, seed: int) -> Dataset:
@@ -436,18 +437,14 @@ def sample(params: DgpParams, n: int, seed: int) -> Dataset:
     if not 0 <= seed < 2 ** 64:
         raise ValueError(f"seed must be in [0, 2**64), got {seed}")
     bitgen = np.random.Philox(key=np.uint64(seed))
-    columns: dict[str, np.ndarray] = {}
     code = np.zeros(n, dtype=np.intp)
-    for name, bounds in zip(SAMPLING_ORDER, params._sampling_bounds):
+    for bounds in params._sampling_bounds:
         words = bitgen.random_raw(n)
         words >>= 11  # the 53 bits a uniform keeps
         bit = words < bounds[code]
         code <<= 1
         code |= bit
-        columns[name] = bit.view(np.int8)
-    observed = np.column_stack([columns[name] for name in OBSERVED_ORDER])
-    hidden = np.column_stack([columns[name] for name in HIDDEN_ORDER])
-    return Dataset._sampled(observed, hidden, seed, _SAMPLING_TO_CANONICAL[code])
+    return Dataset(_SAMPLING_TO_CANONICAL[code], seed)
 
 
 def oracle_density_from_joint(pmf: JointPmf) -> IdentifiedDensity:

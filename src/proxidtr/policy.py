@@ -113,7 +113,7 @@ class Regime:
             raise ValueError("a regime must be a JSON object with bit lists 'd1' and 'd2'")
         thetas = []
         for key in ("theta1", "theta2"):
-            theta = payload.get(key) or None
+            theta = payload.get(key)  # only a missing key or null means no certificate
             if theta is not None and not (isinstance(theta, list) and all(type(v) in (int, float) for v in theta)):
                 raise ValueError(f"{key} must be a list of numbers, got {theta!r}")
             thetas.append(None if theta is None else tuple(theta))

@@ -1,10 +1,24 @@
-"""Shared fixtures: the exact law, solved bridges, and regime classes."""
+"""Shared fixtures: the exact law, solved bridges, and regime classes; and
+``cell_codes``, the encoder of column blocks into ``Dataset`` rows."""
 
+import numpy as np
 import pytest
 
 from proxidtr import bridges, dgp
 from proxidtr.policy import enumerate_class
 from proxidtr.tables import marginalize
+
+
+def cell_codes(observed, hidden=None) -> np.ndarray:
+    """Canonical cell codes of an (n, 9) block of OBSERVED_ORDER values and an
+    (n, 2) block of HIDDEN_ORDER values (zeros when absent), read name by name."""
+    observed = np.asarray(observed)
+    hidden = np.zeros((len(observed), 2), dtype=observed.dtype) if hidden is None else np.asarray(hidden)
+    columns = dict(zip(dgp.OBSERVED_ORDER + dgp.HIDDEN_ORDER, np.column_stack([observed, hidden]).T))
+    code = np.zeros(len(observed), dtype=np.int64)
+    for name in dgp.CANONICAL_ORDER:
+        code = (code << 1) | columns[name]
+    return code
 
 
 @pytest.fixture(scope="session")

@@ -5,7 +5,7 @@ Criteria 3 and 4b compare the true optima and the SRA baseline's regret and
 overall error against values of the pinned benchmark law
 (``DgpParams.default``). Those values are computed in this module by code
 paths that share nothing with the package's ground-truth code
-(``dgp.oracle_potential_density``, ``estimators.sra_density``,
+(``dgp.oracle_density_from_joint``, ``estimators.sra_from_conditional``,
 ``policy.value_maximize``), and are pinned as ``LAW_*`` constants:
 
   forced-regime enumeration  the A1/A2 logistic factors on the 2^11 grid are

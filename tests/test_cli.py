@@ -253,11 +253,21 @@ def test_malformed_regime_json_is_usage_error(tmp_path, capsys, text):
     assert "d1" in _one_line_error(capsys)
 
 
-@pytest.mark.parametrize("theta1", ["5", '[[1], 0]', '[0.6, "x"]', "[true, false]"])
+@pytest.mark.parametrize("theta1", ["5", '[[1], 0]', '[0.6, "x"]', "[true, false]", "0", "false", '""'])
 def test_malformed_regime_theta_is_usage_error(tmp_path, capsys, theta1):
     text = '{"d1": [1, 0], "d2": %s, "theta1": %s, "theta2": [1, 0, 0, 0]}' % (D2, theta1)
     assert _estimate_with_regime(tmp_path, text) == 1
     assert "theta1" in _one_line_error(capsys)
+
+
+@pytest.mark.parametrize("falsy", ["0", "false", '""'])
+def test_falsy_regime_thetas_are_not_absent(tmp_path, capsys, falsy):
+    """Only a missing key or null means no certificate; a falsy pair is rejected."""
+    text = '{"d1": [1, 0], "d2": %s, "theta1": %s, "theta2": %s}' % (D2, falsy, falsy)
+    assert _estimate_with_regime(tmp_path, text) == 1
+    assert "theta1" in _one_line_error(capsys)
+    absent = Regime.from_json('{"d1": [1, 0], "d2": %s, "theta1": null, "theta2": null}' % D2)
+    assert absent.theta1 is None and absent.theta2 is None
 
 
 @pytest.mark.parametrize("method", ["pmr", "sra"])

@@ -11,6 +11,7 @@ import io
 
 import numpy as np
 import pytest
+from conftest import cell_codes
 
 from proxidtr import dgp
 from proxidtr.dgp import HIDDEN_ORDER, OBSERVED_ORDER, Dataset
@@ -32,9 +33,7 @@ def _reference_from_csv(text: str, seed: int = 0) -> Dataset:
         raise ValueError("CSV has a header but no data rows")
     if rows.shape[1] != len(header):
         raise ValueError(f"every CSV row must have {len(header)} values")
-    obs = rows[:, :9]
-    hid = rows[:, 9:11] if hidden_in_file else np.zeros((rows.shape[0], 2), dtype=np.int8)
-    return Dataset(obs, hid, seed, hidden_in_file)
+    return Dataset(cell_codes(rows[:, :9], rows[:, 9:11] if hidden_in_file else None), seed, hidden_in_file)
 
 
 def _forms(text: str) -> tuple[str, bytes]:

@@ -11,6 +11,7 @@ import math
 
 import numpy as np
 import pytest
+from conftest import cell_codes
 
 from proxidtr import dgp
 from proxidtr.policy import Regime
@@ -185,11 +186,14 @@ def test_csv_round_trip(params):
     assert text.splitlines()[0] == "y0,z1,w1,a1,y1,z2,w2,a2,y2"
     again = dgp.Dataset.from_csv(text, seed=8)
     np.testing.assert_array_equal(again.observed, data.observed)
+    np.testing.assert_array_equal(again.cell_code, cell_codes(data.observed))
 
     with_hidden = data.to_csv(include_hidden=True)
     assert with_hidden.splitlines()[0].endswith(",u0,u1")
     again = dgp.Dataset.from_csv(with_hidden, seed=8)
     np.testing.assert_array_equal(again.hidden, data.hidden)
+    assert again.cell_code.dtype == np.int16 and not again.cell_code.flags.writeable
+    np.testing.assert_array_equal(again.cell_code, data.cell_code)
 
 
 def test_csv_rejects_unknown_header():
@@ -377,3 +381,45 @@ def test_csv_without_hidden_columns_is_marked(params):
     assert not dgp.Dataset.from_csv(data.to_csv()).subset(np.arange(5)).has_hidden
     with pytest.raises(ValueError, match="u0,u1"):
         dgp.Dataset.from_csv(data.to_csv()).to_csv(include_hidden=True)
+
+
+@pytest.mark.parametrize("code, has_hidden", [
+    ([0, 2 ** 11], True),                     # past the last cell
+    ([-1, 0], True),                          # below the first
+    ([[0, 1], [2, 3]], True),                 # a 2-d array
+    ([0.0, 1.0], True),                       # not integers
+    ([0, 1 << 9], False),                     # U0 set without hidden columns
+    ([0, 1 << 4], False),                     # U1 set without hidden columns
+])
+def test_dataset_rejects_bad_cell_codes(code, has_hidden):
+    with pytest.raises(ValueError, match="cell codes"):
+        dgp.Dataset(np.array(code), 1, has_hidden)
+
+
+def test_dataset_holds_only_its_cell_codes(params):
+    data = dgp.sample(params, 500, seed=3)
+    assert list(vars(data)) == ["cell_code", "seed", "has_hidden"]
+    assert np.array_equal(cell_codes(data.observed, data.hidden), data.cell_code)
+    for view in (data.observed, data.hidden, data.column("Y2"), data.column("U1")):
+        assert view.dtype == np.int8 and not view.flags.writeable
+    assert np.array_equal(data.column("U1"), data.hidden[:, 1])
+    with pytest.raises(KeyError):
+        data.column("X1")
+    empty = dgp.Dataset(np.zeros(0, dtype=np.int16), 1, has_hidden=False)
+    assert len(empty) == 0 and empty.observed.shape == (0, 9)
+    assert empty.cell_counts.sum() == 0
+
+
+def test_datasets_compare_by_identity(params):
+    data = dgp.sample(params, 5, seed=1)
+    assert (data == dgp.sample(params, 5, seed=1)) is False
+    assert (data == data) is True
+    assert len({data, data}) == 1
+
+
+def test_expit_saturates_without_warning():
+    with np.errstate(over="raise"):
+        assert dgp.expit(-800.0) == 0.0
+        assert np.array_equal(dgp.expit(np.array([-1e308, -710.0, 0.0, 800.0])), [0.0, 0.0, 0.5, 1.0])
+    x = np.linspace(-700.0, 700.0, 10001)
+    assert np.array_equal(dgp.expit(x), 1.0 / (1.0 + np.exp(-x)))

@@ -8,6 +8,7 @@ arbitrary (even corrupted) bridges.
 
 import numpy as np
 import pytest
+from conftest import cell_codes
 
 from proxidtr import dgp, identify
 from proxidtr.bridges import pseudo_bridges, solve_bridges, verify_bridges
@@ -104,8 +105,7 @@ def test_pmr_alt_form_agrees_exactly(small_data, fitted, big_data):
 
 def test_constant_outcome_returns_one(big_data):
     forced = Dataset(
-        np.column_stack([big_data.observed[:, :8], np.ones(len(big_data), dtype=np.int8)]),
-        big_data.hidden,
+        cell_codes(np.column_stack([big_data.observed[:, :8], np.ones(len(big_data), dtype=np.int8)]), big_data.hidden),
         big_data.seed,
     )
     _, bridges_hat = fit_bridges(forced)
@@ -193,7 +193,7 @@ def test_estimate_order_invariance_under_row_permutation(small_data, fitted):
     v_orig = {method: v_hat(method, small_data, bridges_hat, REGIME).estimate for method in METHODS}
     for seed in range(20):
         perm = np.random.default_rng(seed).permutation(len(small_data))
-        shuffled = Dataset(small_data.observed[perm], small_data.hidden[perm], small_data.seed)
+        shuffled = Dataset(small_data.cell_code[perm], small_data.seed)
         for method in METHODS:
             assert v_hat(method, shuffled, bridges_hat, REGIME).estimate == v_orig[method]
 
