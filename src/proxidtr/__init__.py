@@ -46,7 +46,7 @@ from .identify import (
     q_functions,
     value_from_density,
 )
-from .policy import Regime, RegimeClass, enumerate_class, q_learning_regime, value_maximize
+from .policy import Regime, RegimeClass, enumerate_class, q_learning_regime
 from .tables import JointPmf, conditional, invert2or4, marginalize
 
 __version__ = "0.1.0"
@@ -100,7 +100,6 @@ __all__ = [
     "v_hat",
     "v_hat_pmr_alt",
     "value_from_density",
-    "value_maximize",
     "verify_bridges",
     "__version__",
 ]

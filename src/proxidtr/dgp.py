@@ -208,14 +208,14 @@ def _bit_weights(names: tuple[str, ...]) -> np.ndarray:
 class Dataset:
     """Sampled or read rows, held as their canonical cell codes.
 
-    ``cell_code`` is a read-only (n,) int16 array: each row's CANONICAL_ORDER
-    values read as bits, Y0 the most significant, so a code is the row's
-    C-order index in the 2^11 grid. ``observed``, ``hidden`` and ``column``
-    are read-only int8 arrays masked out of the codes on each access.
-    Estimators other than the Oracle read only the observed bits.
-    ``has_hidden`` is false when the hidden U0, U1 were not recorded (a CSV
-    without u0, u1 columns); their bits are then zero. Datasets compare by
-    identity.
+    ``cell_code`` is a read-only (n,) int16 copy of the codes given: each
+    row's CANONICAL_ORDER values read as bits, Y0 the most significant, so a
+    code is the row's C-order index in the 2^11 grid. ``observed``,
+    ``hidden`` and ``column`` are read-only int8 arrays masked out of the
+    codes on each access. Estimators other than the Oracle read only the
+    observed bits. ``has_hidden`` is false when the hidden U0, U1 were not
+    recorded (a CSV without u0, u1 columns); their bits are then zero.
+    Datasets compare by identity.
     """
 
     cell_code: np.ndarray
@@ -230,7 +230,7 @@ class Dataset:
             raise ValueError(f"cell codes must lie in [0, {2 ** len(CANONICAL_ORDER)})")
         if not self.has_hidden and np.any(code & _HIDDEN_BITS):
             raise ValueError("cell codes set hidden bits of a dataset without hidden columns")
-        code = code.astype(np.int16, copy=False)
+        code = code.astype(np.int16)  # a copy, so the caller's array stays writeable and cannot change ours
         code.flags.writeable = False
         object.__setattr__(self, "cell_code", code)
 

@@ -33,7 +33,8 @@ own substream, so scenarios that replace the same component get the same table.
 
 True values come from one array over the 1024-member Boolean class,
 computed once per experiment; a chosen regime's true value is read at its
-Boolean index ``d1_index << 8 | d2_index``.
+Boolean index (``Regime.index``), and both optima are gathers from that
+array at the searched class's indices.
 
 Everything is deterministic in the config: repetition seeds are
 base_seed + index, and each repetition's results are folded into per-cell
@@ -77,7 +78,7 @@ from .estimators import (
     sra_from_conditional,
 )
 from .identify import q_functions
-from .policy import Regime, RegimeClass, enumerate_class, first_maximizer, q_learning_regime
+from .policy import enumerate_class, first_maximizer, q_learning_regime
 from .tables import TableError
 
 EPSILON = 1e-10  # values below this render as "<eps"
@@ -198,18 +199,11 @@ class _Truth:
         self.p_y0 = marginal_y0(joint)
         self.oracle_g = oracle_density_from_joint(joint).g
         self.search_class = enumerate_class(regime_class)
-        boolean_class = enumerate_class("all-boolean")
-        # (1024,), indexed d1_index << 8 | d2_index: the Boolean enumeration order
-        self.true_values = class_values(self.oracle_g, self.p_y0, boolean_class)
-        self.optimum_value = self._optimum(self.search_class)
-        self.boolean_optimum = self._optimum(boolean_class)
-
-    def true_value(self, regime: Regime) -> float:
-        return float(self.true_values[(regime.d1_index << 8) | regime.d2_index])
-
-    def _optimum(self, cls: RegimeClass) -> float:
-        values = self.true_values[[(r.d1_index << 8) | r.d2_index for r in cls.members]]
-        return float(values[first_maximizer(values)])
+        # (1024,), indexed by Boolean index
+        self.true_values = class_values(self.oracle_g, self.p_y0, enumerate_class("all-boolean"))
+        searched = self.true_values[self.search_class.index]
+        self.optimum_value = float(searched[first_maximizer(searched)])
+        self.boolean_optimum = float(self.true_values[first_maximizer(self.true_values)])
 
 
 def _attempt(step: str, fn, *args):
@@ -277,15 +271,15 @@ def _score_regime(truth: _Truth, g: np.ndarray, p_y0: np.ndarray, optimizer: str
     if optimizer == "value-max":
         values = class_values(g, p_y0, truth.search_class)
         best = first_maximizer(values)
-        d_hat = truth.search_class.members[best]
+        chosen = truth.search_class.index[best]
         benchmark = truth.optimum_value
         estimated = float(values[best])
     else:
-        q2, q1 = q_functions(g)
-        d_hat = q_learning_regime(q2, q1)
+        d_hat = q_learning_regime(*q_functions(g))
+        chosen = d_hat.index
         benchmark = truth.boolean_optimum
         estimated = regime_value(g, p_y0, d_hat)
-    return benchmark - truth.true_value(d_hat), abs(benchmark - estimated)
+    return benchmark - float(truth.true_values[chosen]), abs(benchmark - estimated)
 
 
 def _run_rep(config: ExperimentConfig, truth: _Truth, rep: int, pseudo: dict[str, BridgeSet]):

@@ -13,14 +13,20 @@ functions of three inputs are (the linearly separable ones). Enumeration
 therefore replaces continuous optimization over the coefficients: maximizing
 any value function over the class is an exact, solver-free fold.
 
+A regime is its 10-bit Boolean index: d1 then d2 read as bits, d1(0) the
+most significant (``Regime.index``). A class is the ascending array of its
+members' indices, so enumeration, the search and scoring against true values
+are integer array operations; ``RegimeClass.members`` builds the ``Regime``
+objects, linear members with their certificates, only when read.
+
 Tie-breaking is normative: a threshold at exactly zero maps to action 0, and
 value maximization returns the first maximizer in canonical enumeration order
-(d1 index ascending, then d2 truth-table integer ascending).
+(ascending Boolean index: d1 index, then d2 truth-table integer).
 
 A class also carries, per member, the flat indices of the four density cells
 its value reads, so the values of all members under one density are a single
-array gather (``dgp.class_values``); ``first_maximizer`` then applies the same
-rule as ``value_maximize``, which is kept for arbitrary value functions.
+array gather (``dgp.class_values``); ``first_maximizer`` picks the first
+maximum, as an exhaustive loop with a strict ``>`` would.
 """
 
 from __future__ import annotations
@@ -29,14 +35,23 @@ import itertools
 import json
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
 NORM_TOL = 1e-9
+BOOLEAN_SIZE = 1 << 10  # regimes over binary histories: 2 d1 bits and 8 d2 bits
 
 # (y0, y1, a1) cells in lexicographic order; index = y0*4 + y1*2 + a1
 D2_CELLS = tuple(itertools.product((0, 1), repeat=3))
+
+
+def _read_bits(bits: Iterable[int]) -> int:
+    """The integer these bits spell, the first the most significant."""
+    out = 0
+    for bit in bits:
+        out = (out << 1) | bit
+    return out
 
 
 def _check_bits(bits: Iterable[int], n: int, label: str) -> tuple[int, ...]:
@@ -68,11 +83,11 @@ class Regime:
         if self.theta1 is not None:
             t1 = tuple(float(v) for v in self.theta1)
             t2 = tuple(float(v) for v in self.theta2)
-            for t, k in ((t1, 2), (t2, 4)):
+            for name, t, k in (("theta1", t1, 2), ("theta2", t2, 4)):
                 if len(t) != k:
-                    raise ValueError(f"theta must have length {k}")
-                if abs(float(np.linalg.norm(t)) - 1.0) > NORM_TOL:
-                    raise ValueError(f"theta norm must be 1, got {t}")
+                    raise ValueError(f"{name} must have length {k}, got {t}")
+                if not abs(float(np.linalg.norm(t)) - 1.0) <= NORM_TOL:  # also rejects NaN
+                    raise ValueError(f"{name} norm must be 1, got {t}")
             for y0 in (0, 1):
                 if int(t1[0] + t1[1] * y0 > 0) != self.d1[y0]:
                     raise ValueError("theta1 does not reproduce d1")
@@ -89,15 +104,17 @@ class Regime:
         return self.d2[(y0 << 2) | (y1 << 1) | a1]
 
     @property
-    def d1_index(self) -> int:
-        return (self.d1[0] << 1) | self.d1[1]
+    def index(self) -> int:
+        """Boolean index: d1 then d2 read as 10 bits, d1(0) the most significant."""
+        return _read_bits(self.d1 + self.d2)
 
-    @property
-    def d2_index(self) -> int:
-        out = 0
-        for bit in self.d2:
-            out = (out << 1) | bit
-        return out
+    @classmethod
+    def from_index(cls, index: int, theta1=None, theta2=None) -> "Regime":
+        """The regime whose ``index`` this is, with an optional certificate."""
+        if not 0 <= index < BOOLEAN_SIZE or index != int(index):
+            raise ValueError(f"a Boolean index is an integer in [0, {BOOLEAN_SIZE}), got {index}")
+        bits = [(int(index) >> shift) & 1 for shift in range(9, -1, -1)]
+        return cls(bits[:2], bits[2:], theta1, theta2)
 
     def to_json(self) -> str:
         payload: dict = {"d1": list(self.d1), "d2": list(self.d2)}
@@ -120,10 +137,38 @@ class Regime:
         return cls(tuple(payload["d1"]), tuple(payload["d2"]), *thetas)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RegimeClass:
+    """A regime class as the ascending Boolean indices of its members.
+
+    ``index`` is a read-only (K,) integer array; two classes are equal when
+    their tags and indices are. Members of the ``"linear"`` class carry
+    their threshold certificates.
+    """
+
     tag: str
-    members: tuple[Regime, ...]
+    index: np.ndarray
+
+    def __post_init__(self):
+        index = np.asarray(self.index)
+        d2_tables = list(_separable_d2_tables()) if self.tag == "linear" else np.arange(256)
+        if (index.ndim != 1 or index.dtype.kind not in "iu" or np.any(np.diff(index) <= 0)
+                or not np.all((index >= 0) & (index < BOOLEAN_SIZE) & np.isin(index & 0xFF, d2_tables))):
+            raise ValueError(f"a {self.tag!r} class index must hold ascending Boolean indices of its regimes")
+        object.__setattr__(self, "index", index.astype(np.intp))
+        self.index.flags.writeable = False
+
+    def __eq__(self, other) -> bool:
+        return (isinstance(other, RegimeClass) and self.tag == other.tag
+                and np.array_equal(self.index, other.index))
+
+    @cached_property
+    def members(self) -> tuple[Regime, ...]:
+        if self.tag != "linear":
+            return tuple(Regime.from_index(i) for i in self.index.tolist())
+        d2_certificates = _separable_d2_tables()
+        return tuple(Regime.from_index(i, _unit(_D1_CERTIFICATES[i >> 8]), _unit(d2_certificates[i & 0xFF]))
+                     for i in self.index.tolist())
 
     @cached_property
     def density_index(self) -> np.ndarray:
@@ -131,15 +176,14 @@ class RegimeClass:
 
         Row ``2*y0 + y1`` holds, for every member, the cell
         ``g[d1(y0), d2(y0, y1, d1(y0)), 1, y1, y0]``: the four terms of
-        ``regime_value`` in its loop order.
+        ``regime_value`` in its loop order. d1(y0) is bit ``9 - y0`` of the
+        Boolean index and d2 at cell c is bit ``7 - c``.
         """
-        d1 = np.array([r.d1 for r in self.members], dtype=np.intp).reshape(-1, 2)
-        d2 = np.array([r.d2 for r in self.members], dtype=np.intp).reshape(-1, 8)
         rows = []
         for y0 in (0, 1):
-            a1 = d1[:, y0]
+            a1 = (self.index >> (9 - y0)) & 1
             for y1 in (0, 1):
-                a2 = d2[np.arange(len(d2)), (y0 << 2) | (y1 << 1) | a1]
+                a2 = (self.index >> (7 - ((y0 << 2) | (y1 << 1) | a1))) & 1
                 rows.append(np.ravel_multi_index((a1, a2, 1, y1, y0), (2,) * 5))
         index = np.stack(rows)
         index.flags.writeable = False
@@ -151,79 +195,47 @@ def _unit(vec: Sequence[int]) -> tuple[float, ...]:
     return tuple(arr / np.linalg.norm(arr))
 
 # Integer threshold certificates for the four one-input decision rules,
-# keyed by (d1(0), d1(1)). Strict '>0' with integer scores makes ties exact.
-_D1_CERTIFICATES = {
-    (0, 0): (-1, 0),
-    (0, 1): (-1, 2),
-    (1, 0): (1, -2),
-    (1, 1): (1, 0),
-}
+# indexed by the d1 index (d1(0) << 1) | d1(1). Strict '>0' with integer
+# scores makes ties exact.
+_D1_CERTIFICATES = ((-1, 0), (-1, 2), (1, -2), (1, 0))
 
 
 @lru_cache(maxsize=None)
-def _separable_d2_tables() -> dict[tuple[int, ...], tuple[int, int, int, int]]:
-    """Map each linearly separable d2 truth table to one integer certificate.
+def _separable_d2_tables() -> dict[int, tuple[int, int, int, int]]:
+    """Map each linearly separable d2 truth-table integer, ascending, to one
+    integer certificate.
 
     Searches integer weights in {-4..4}^4; with 0/1 inputs the score is an
     integer, so '> 0' is exactly '>= 1' and no float ties can occur. The
-    search realizes all 104 separable tables of three binary inputs.
+    search realizes all 104 separable tables of three binary inputs; each
+    keeps the first weights in grid order that realize it.
     """
     grid = np.array(list(itertools.product(range(-4, 5), repeat=4)))
     points = np.array([(1, y0, y1, a1) for y0, y1, a1 in D2_CELLS])
-    labels = (grid @ points.T > 0).astype(int)
-    found: dict[tuple[int, ...], tuple[int, int, int, int]] = {}
-    for weights, table in zip(grid, labels):
-        key = tuple(int(b) for b in table)
-        if key not in found:
-            # rescale so every cell's score is a nonzero integer; the unit-norm
-            # float form then reproduces the table without rounding ambiguity
-            t0, t1, t2, t3 = (int(w) for w in weights)
-            found[key] = (2 * t0 - 1, 2 * t1, 2 * t2, 2 * t3)
-    return found
+    labels = (grid @ points.T > 0).astype(int)  # cell 0 is the most significant bit
+    tables, first = np.unique(labels @ (1 << np.arange(7, -1, -1)), return_index=True)
+    # rescale so every cell's score is a nonzero integer; the unit-norm float
+    # form then reproduces the table without rounding ambiguity
+    return dict(zip(tables.tolist(), map(tuple, (2 * grid[first] - (1, 0, 0, 0)).tolist())))
 
 
 def enumerate_class(tag: str) -> RegimeClass:
     """Enumerate the linear or unrestricted-Boolean regime class.
 
-    Members are ordered by d1 index then d2 truth-table integer; this order is
-    the tie-breaking order for ``value_maximize``.
+    Members are ordered by Boolean index (d1 index, then d2 truth-table
+    integer); this order is the tie-breaking order for ``first_maximizer``.
     """
-    if tag == "linear":
-        separable = _separable_d2_tables()
-        d2_tables = sorted(separable)
-        members = []
-        for d1 in sorted(_D1_CERTIFICATES, key=lambda d: (d[0] << 1) | d[1]):
-            for d2 in d2_tables:
-                members.append(
-                    Regime(d1, d2, theta1=_unit(_D1_CERTIFICATES[d1]), theta2=_unit(separable[d2]))
-                )
-        return RegimeClass("linear", tuple(members))
+    if tag == "linear":  # every d1 table with every separable d2 table
+        return RegimeClass("linear", ((np.arange(4)[:, None] << 8) | list(_separable_d2_tables())).ravel())
     if tag == "all-boolean":
-        members = []
-        for d1 in itertools.product((0, 1), repeat=2):
-            for d2 in itertools.product((0, 1), repeat=8):
-                members.append(Regime(d1, d2))
-        return RegimeClass("all-boolean", tuple(members))
+        return RegimeClass("all-boolean", np.arange(BOOLEAN_SIZE))
     raise ValueError(f"unknown regime class {tag!r}; expected 'linear' or 'all-boolean'")
 
 
-def value_maximize(value_fn: Callable[[Regime], float], cls: RegimeClass) -> tuple[Regime, float]:
-    """Exhaustively maximize ``value_fn``; ties keep the earliest member."""
-    if not cls.members:
-        raise ValueError("empty regime class")
-    best = cls.members[0]
-    best_value = float(value_fn(best))
-    for regime in cls.members[1:]:
-        value = float(value_fn(regime))
-        if value > best_value:
-            best, best_value = regime, value
-    return best, best_value
-
-
 def first_maximizer(values: np.ndarray) -> int:
-    """Index of the member ``value_maximize`` picks from these values.
+    """Index of the member an exhaustive strict-``>`` loop picks from these values.
 
-    The first maximum wins ties; as with its strict ``>``, a NaN in first
+    The first maximum wins ties; as with a strict ``>``, a NaN in first
     place is kept and a NaN anywhere else never wins.
     """
     values = np.asarray(values, dtype=float)
@@ -244,9 +256,9 @@ def q_learning_regime(q2: np.ndarray, q1: np.ndarray) -> Regime:
     q1 = np.asarray(q1, dtype=float)
     if q2.shape != (2, 2, 2, 2) or q1.shape != (2, 2):
         raise ValueError(f"expected q2 (2,2,2,2) and q1 (2,2), got {q2.shape} and {q1.shape}")
-    d1 = tuple(int(q1[y0, 1] > q1[y0, 0]) for y0 in (0, 1))
-    d2 = tuple(int(q2[y0, y1, a1, 1] > q2[y0, y1, a1, 0]) for y0, y1, a1 in D2_CELLS)
-    return Regime(d1, d2)
+    d1 = (q1[:, 1] > q1[:, 0]).astype(int)
+    d2 = (q2[..., 1] > q2[..., 0]).astype(int).reshape(8)  # C order over (y0, y1, a1) is D2_CELLS
+    return Regime(d1.tolist(), d2.tolist())
 
 
 def regime_equivalence_key(regime: Regime) -> int:
@@ -257,12 +269,5 @@ def regime_equivalence_key(regime: Regime) -> int:
     (and hence a true value). Bits: d1(0), d1(1), then d2 at the four
     reachable (y0, y1) pairs with a1 = d1(y0).
     """
-    bits = [regime.d1[0], regime.d1[1]]
-    for y0 in (0, 1):
-        a1 = regime.d1[y0]
-        for y1 in (0, 1):
-            bits.append(regime.d2_of(y0, y1, a1))
-    key = 0
-    for bit in bits:
-        key = (key << 1) | bit
-    return key
+    on_path = tuple(regime.d2_of(y0, y1, regime.d1[y0]) for y0 in (0, 1) for y1 in (0, 1))
+    return _read_bits(regime.d1 + on_path)

@@ -1,11 +1,15 @@
-"""Shared fixtures: the exact law, solved bridges, and regime classes; and
-``cell_codes``, the encoder of column blocks into ``Dataset`` rows."""
+"""Shared fixtures: the exact law, solved bridges, and regime classes;
+``cell_codes``, the encoder of column blocks into ``Dataset`` rows; and
+``value_maximize``, the member-by-member search that the array search
+(``dgp.class_values`` + ``first_maximizer``) is checked against."""
+
+from typing import Callable
 
 import numpy as np
 import pytest
 
 from proxidtr import bridges, dgp
-from proxidtr.policy import enumerate_class
+from proxidtr.policy import Regime, RegimeClass, enumerate_class
 from proxidtr.tables import marginalize
 
 
@@ -19,6 +23,19 @@ def cell_codes(observed, hidden=None) -> np.ndarray:
     for name in dgp.CANONICAL_ORDER:
         code = (code << 1) | columns[name]
     return code
+
+
+def value_maximize(value_fn: Callable[[Regime], float], cls: RegimeClass) -> tuple[Regime, float]:
+    """Exhaustively maximize ``value_fn``; ties keep the earliest member."""
+    if not cls.members:
+        raise ValueError("empty regime class")
+    best = cls.members[0]
+    best_value = float(value_fn(best))
+    for regime in cls.members[1:]:
+        value = float(value_fn(regime))
+        if value > best_value:
+            best, best_value = regime, value
+    return best, best_value
 
 
 @pytest.fixture(scope="session")

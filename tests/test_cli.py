@@ -253,7 +253,7 @@ def test_malformed_regime_json_is_usage_error(tmp_path, capsys, text):
     assert "d1" in _one_line_error(capsys)
 
 
-@pytest.mark.parametrize("theta1", ["5", '[[1], 0]', '[0.6, "x"]', "[true, false]", "0", "false", '""'])
+@pytest.mark.parametrize("theta1", ["5", '[[1], 0]', '[0.6, "x"]', "[true, false]", "0", "false", '""', "[]"])
 def test_malformed_regime_theta_is_usage_error(tmp_path, capsys, theta1):
     text = '{"d1": [1, 0], "d2": %s, "theta1": %s, "theta2": [1, 0, 0, 0]}' % (D2, theta1)
     assert _estimate_with_regime(tmp_path, text) == 1
@@ -268,6 +268,14 @@ def test_falsy_regime_thetas_are_not_absent(tmp_path, capsys, falsy):
     assert "theta1" in _one_line_error(capsys)
     absent = Regime.from_json('{"d1": [1, 0], "d2": %s, "theta1": null, "theta2": null}' % D2)
     assert absent.theta1 is None and absent.theta2 is None
+
+
+def test_non_finite_regime_theta_is_usage_error(tmp_path, capsys):
+    """A NaN theta fails the unit-norm check; with all-zero tables it would
+    otherwise reproduce them (NaN > 0 is false) and be written back as NaN."""
+    text = '{"d1": [0, 0], "d2": [0, 0, 0, 0, 0, 0, 0, 0], "theta1": [NaN, 0], "theta2": [NaN, 0, 0, 0]}'
+    assert _estimate_with_regime(tmp_path, text) == 1
+    assert "theta1" in _one_line_error(capsys)
 
 
 @pytest.mark.parametrize("method", ["pmr", "sra"])

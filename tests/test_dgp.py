@@ -410,6 +410,15 @@ def test_dataset_holds_only_its_cell_codes(params):
     assert empty.cell_counts.sum() == 0
 
 
+def test_dataset_copies_the_codes_it_is_given():
+    codes = np.arange(10, dtype=np.int16)
+    data = dgp.Dataset(codes, 0)
+    assert codes.flags.writeable
+    codes[:] = 7
+    assert np.array_equal(data.cell_code, np.arange(10))
+    assert np.array_equal(data.cell_counts, np.bincount(np.arange(10), minlength=2 ** 11))
+
+
 def test_datasets_compare_by_identity(params):
     data = dgp.sample(params, 5, seed=1)
     assert (data == dgp.sample(params, 5, seed=1)) is False

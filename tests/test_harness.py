@@ -4,6 +4,7 @@ from functools import partial
 
 import numpy as np
 import pytest
+from conftest import value_maximize
 
 from proxidtr import estimators, harness, identify
 from proxidtr.bridges import pseudo_bridges
@@ -22,7 +23,6 @@ from proxidtr.harness import (
     run_experiment,
     worker_count,
 )
-from proxidtr.policy import value_maximize
 from proxidtr.tables import TableError
 
 SMALL = ExperimentConfig(
@@ -151,13 +151,15 @@ def test_worker_count_env(monkeypatch):
     assert worker_count() == 1
 
 
-def test_parallel_matches_serial(monkeypatch):
-    cfg = ExperimentConfig(scenarios=("all-correct",), methods=("SRA", "ORACLE"),
-                           n=2000, reps=2, base_seed=7)
-    serial = emit_tables(run_experiment(cfg))
+@pytest.mark.parametrize("optimizer", ["value-max", "q-learning"])
+def test_parallel_matches_serial(monkeypatch, optimizer):
+    """Pool workers rebuild the truth context; every cell is scored, none fails."""
+    cfg = ExperimentConfig(scenarios=("all-correct", "m1-correct"), methods=("SRA", "ORACLE", "PMR"),
+                           optimizer=optimizer, n=8000, reps=2, base_seed=7)
+    report = run_experiment(cfg)
+    assert all(c.count == cfg.reps for c in report.cells)
     monkeypatch.setenv("PROXIDTR_THREADS", "2")
-    parallel = emit_tables(run_experiment(cfg))
-    assert serial == parallel
+    assert emit_tables(report) == emit_tables(run_experiment(cfg))
 
 
 def test_cross_fit_experiment_runs():
@@ -189,6 +191,18 @@ def test_score_regime_matches_loop_on_one_repetition():
         assert len(densities) == 23
         for g, p_y0 in densities:
             assert harness._score_regime(truth, g, p_y0, "value-max") == _loop_score(truth, g, p_y0)
+
+
+def test_truth_reads_values_and_optima_at_boolean_indices(monkeypatch, boolean_class):
+    """On a random potential density, where the linear optimum falls short of
+    the Boolean one, both optima and every true value match the loop."""
+    g = np.random.default_rng(13).random((2,) * 5)
+    monkeypatch.setattr(harness, "oracle_density_from_joint", lambda joint: identify.IdentifiedDensity(g, "ORACLE"))
+    truth = harness._Truth(DgpParams.default(), "linear")
+    value = partial(regime_value, g, truth.p_y0)
+    assert truth.true_values.tolist() == [value(r) for r in boolean_class.members]
+    assert truth.optimum_value == value_maximize(value, truth.search_class)[1]
+    assert truth.boolean_optimum == value_maximize(value, boolean_class)[1] > truth.optimum_value
 
 
 def _list_summary(values):

@@ -4,26 +4,32 @@ The linear-class membership is re-derived here with an independent
 separability search (different weight grid, different scoring path) to
 confirm the canonical 104 count and that no separable table is missed.
 The array search (``dgp.class_values`` + ``first_maximizer``) is checked
-member by member against the ``regime_value`` / ``value_maximize`` loop.
+member by member against the ``regime_value`` loop and the test-side
+``value_maximize`` reference in ``conftest``. A class is the array of its
+members' Boolean indices; its ``members``, rebuilt from those indices, are
+pinned byte for byte by a hash of their JSON, and the harness's set-up and
+value-max scoring are checked to build no ``Regime`` at all.
 """
 
+import hashlib
 import itertools
 from functools import partial
 
 import numpy as np
 import pytest
+from conftest import value_maximize
 
-from proxidtr import dgp
+from proxidtr import dgp, harness
 from proxidtr.estimators import empirical_pmf, sra_from_conditional
 from proxidtr.identify import observed_conditional
 from proxidtr.policy import (
     D2_CELLS,
     Regime,
+    RegimeClass,
     enumerate_class,
     first_maximizer,
     q_learning_regime,
     regime_equivalence_key,
-    value_maximize,
 )
 
 
@@ -67,8 +73,54 @@ def test_linear_members_carry_reproducing_thetas(linear_class):
 
 def test_enumeration_is_canonically_ordered(linear_class, boolean_class):
     for cls in (linear_class, boolean_class):
-        keys = [(r.d1_index, r.d2_index) for r in cls.members]
+        keys = [r.index for r in cls.members]
         assert keys == sorted(keys)
+
+
+def test_boolean_index_round_trip():
+    assert [Regime.from_index(i).index for i in range(1024)] == list(range(1024))
+    regime = Regime((1, 0), (0, 0, 0, 0, 0, 0, 1, 1))  # d1(0) is bit 9, d2 cell 7 is bit 0
+    assert regime.index == 0b10_00000011 == 515
+    assert Regime.from_index(515) == regime
+    for bad in (-1, 1024, 2.5):
+        with pytest.raises(ValueError, match="Boolean index"):
+            Regime.from_index(bad)
+
+
+def test_class_is_its_index(linear_class, boolean_class):
+    for cls in (linear_class, boolean_class):
+        assert cls.index.tolist() == [r.index for r in cls.members]
+        assert not cls.index.flags.writeable
+    assert np.array_equal(boolean_class.index, np.arange(1024))
+    assert RegimeClass("linear", linear_class.index.tolist()) == linear_class
+    assert RegimeClass("all-boolean", linear_class.index) != linear_class
+
+
+@pytest.mark.parametrize("tag, index", [
+    ("all-boolean", [1, 0]), ("all-boolean", [0, 0]), ("all-boolean", [-1]), ("all-boolean", [1024]),
+    ("all-boolean", [0.0]), ("all-boolean", [[0]]), ("linear", [0b00_01101001]),
+])
+def test_class_index_is_checked(tag, index):
+    with pytest.raises(ValueError, match="class index"):
+        RegimeClass(tag, np.array(index))
+
+
+def test_members_json_is_pinned(linear_class, boolean_class):
+    """The members built from the indices, certificates included, are pinned
+    byte for byte by a hash of their JSON."""
+    text = "".join(m.to_json() for cls in (linear_class, boolean_class) for m in cls.members)
+    assert hashlib.sha256(text.encode()).hexdigest()[:16] == "901a52a860c97c32"
+
+
+def test_truth_and_value_max_scoring_build_no_regime(monkeypatch):
+    built = []
+    post_init = Regime.__post_init__
+    monkeypatch.setattr(Regime, "__post_init__", lambda self: built.append(self) or post_init(self))
+    truth = harness._Truth(dgp.DgpParams.default(), "linear")
+    harness._score_regime(truth, truth.oracle_g, truth.p_y0, "value-max")
+    assert built == []
+    harness._score_regime(truth, truth.oracle_g, truth.p_y0, "q-learning")
+    assert len(built) == 1  # the counter sees the one regime Q-learning builds
 
 
 def test_bad_class_tag():
