@@ -25,9 +25,9 @@ misspecification studies.
 
 One ``BridgeSet`` carries all five tables, each optional, with a provenance
 string per component recording where it came from; ``merged`` swaps in the
-components another set carries, and ``outcome`` drops the treatment
-components. The component table ``_SHAPES`` drives validation,
-merging and the JSON form.
+components another set carries, without validating or copying them again,
+and ``outcome`` drops the treatment components. The component table
+``_SHAPES`` drives validation, merging and the JSON form.
 """
 
 from __future__ import annotations
@@ -38,7 +38,7 @@ from typing import Iterable, Mapping
 
 import numpy as np
 
-from .tables import JointPmf, ZeroProbabilityError, _as_readonly, conditional, invert2or4
+from .tables import JointPmf, ZeroProbabilityError, _as_readonly, _first_cell, _locked, conditional, invert2or4
 
 RESIDUAL_TOL = 1e-8
 
@@ -96,7 +96,9 @@ class BridgeSet:
         """New set taking every component that ``override`` carries."""
         taken = {name: getattr(override, name) for name in _SHAPES if getattr(override, name) is not None}
         prov = {**self.provenance, **{name: override.provenance.get(name, "overridden") for name in taken}}
-        return replace(self, **taken, provenance=prov)
+        out = object.__new__(BridgeSet)  # both sets are validated: no ``__post_init__`` and no copies
+        vars(out).update(vars(self), **taken, provenance=prov)
+        return out
 
     def to_json(self) -> str:
         payload: dict = {"provenance": dict(self.provenance)}
@@ -125,9 +127,9 @@ class BridgeSet:
 def _reciprocal(pmf: JointPmf, target: tuple[str, ...], given: tuple[str, ...]) -> np.ndarray:
     """1 / P(target | given), indexed [given..., target...]; positivity must hold."""
     p = conditional(pmf, target, given)
-    zero = np.argwhere(p <= 0.0)
-    if zero.size:
-        cell = dict(zip(given + target, map(int, zero[0][p.ndim - len(given + target):])))
+    cell = _first_cell(p <= 0.0)
+    if cell is not None:
+        cell = dict(zip(given + target, cell[p.ndim - len(given + target):]))
         what = f"P({','.join(target)}|{','.join(given)})"
         raise ZeroProbabilityError(f"positivity fails: {what} is zero at {cell}", cell)
     return 1.0 / p
@@ -177,7 +179,7 @@ def solve_bridges(pmf: JointPmf, provenance: str = "solved-from-truth") -> Bridg
     q22 = np.einsum("...abedg,...abedgf,...abefdghi->...abefhi", row_w,
                     _reciprocal(pmf, ("A2",), given_w2), inv_z)
 
-    return BridgeSet(h22, h21, h11, q11, q22, dict.fromkeys(_SHAPES, provenance))
+    return BridgeSet(*map(_locked, (h22, h21, h11, q11, q22)), dict.fromkeys(_SHAPES, provenance))
 
 
 def _component_rng(seed: int, index: int) -> np.random.Generator:

@@ -10,6 +10,10 @@ Subcommands:
 
 Exit codes: 0 success, 1 usage error, 2 numerical failure (rank/positivity
 or an identification check that exceeds tolerance).
+
+``main`` parses with one parser per process, built on its first call:
+parsing leaves a parser unchanged, so in-process calls share it.
+``build_parser`` returns a fresh one.
 """
 
 from __future__ import annotations
@@ -18,6 +22,7 @@ import argparse
 import json
 import sys
 from dataclasses import replace
+from functools import cache
 from pathlib import Path
 
 from .bridges import MissingBridgeError
@@ -72,6 +77,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_exp.add_argument("-o", "--output", type=Path, required=True)
     p_exp.add_argument("--quiet", action="store_true", help="suppress the text tables")
     return parser
+
+
+@cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser every ``main`` call of this process shares."""
+    return build_parser()
 
 
 def _cmd_simulate(args) -> int:
@@ -135,8 +146,7 @@ def _cmd_experiment(args) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     handlers = {
         "simulate": _cmd_simulate,
         "identify-check": _cmd_identify_check,

@@ -480,14 +480,16 @@ def regime_value(g: np.ndarray, p_y0: np.ndarray, regime: Regime) -> float:
 
 
 def class_values(g: np.ndarray, p_y0: np.ndarray, cls: RegimeClass) -> np.ndarray:
-    """``regime_value`` of every member of ``cls``, shape (K,), bit for bit.
+    """``regime_value`` of every member of ``cls``, shape (K,), bit for bit;
+    a stack of densities (..., 2, 2, 2, 2, 2) with P(y0) (..., 2) gives (..., K).
 
     Each member's four terms P(y0) * g[...] are added left to right in
     ``regime_value``'s (y0, y1) order, so members that differ only off-path
     tie exactly and ``first_maximizer`` keeps the first-maximizer rule.
     """
-    terms = np.asarray(p_y0)[[0, 0, 1, 1], None] * np.asarray(g).reshape(-1)[cls.density_index]
-    return ((terms[0] + terms[1]) + terms[2]) + terms[3]
+    p_y0 = np.asarray(p_y0)
+    terms = p_y0[..., [0, 0, 1, 1], None] * np.asarray(g).reshape(p_y0.shape[:-1] + (-1,))[..., cls.density_index]
+    return ((terms[..., 0, :] + terms[..., 1, :]) + terms[..., 2, :]) + terms[..., 3, :]
 
 
 def marginal_y0(pmf: JointPmf) -> np.ndarray:
@@ -501,10 +503,11 @@ def true_value(params: DgpParams, regime: Regime) -> float:
 
 
 def optimal_value(params: DgpParams, cls: str | RegimeClass) -> tuple[float, Regime]:
-    """Exhaustive maximum of the true value over a regime class."""
+    """Exhaustive maximum of the true value over a regime class, and the first
+    member that attains it (the only member built)."""
     if isinstance(cls, str):
         cls = enumerate_class(cls)
     joint = true_joint(params)
     values = class_values(oracle_density_from_joint(joint).g, marginal_y0(joint), cls)
     best = first_maximizer(values)
-    return float(values[best]), cls.members[best]
+    return float(values[best]), cls.member(best)

@@ -46,7 +46,7 @@ from .bridges import BridgeSet, solve_bridges
 from .dgp import CANONICAL_ORDER, HIDDEN_ORDER, OBSERVED_ORDER, Dataset, oracle_density_from_joint
 from .identify import BRIDGES_NEEDED, METHODS, IdentifiedDensity, observed_conditional, value_from_density
 from .policy import Regime
-from .tables import JointPmf, SingularMatrixError, ZeroProbabilityError
+from .tables import JointPmf, SingularMatrixError, ZeroProbabilityError, _locked
 
 _HIDDEN_AXES = tuple(CANONICAL_ORDER.index(n) - len(CANONICAL_ORDER) for n in HIDDEN_ORDER)
 
@@ -108,11 +108,13 @@ def empirical_pmf(data: Dataset, laplace: float = 0.0, include_hidden: bool = Fa
 def count_pmf(counts: np.ndarray, laplace: float = 0.0, names: tuple[str, ...] = OBSERVED_ORDER) -> JointPmf:
     """Cell-frequency table (a stack of them for stacked counts) of cell counts in C order over ``names``."""
     counts = counts.astype(float) + laplace
-    return JointPmf(names, counts / counts.sum(axis=-1, keepdims=True))
+    return JointPmf(names, _locked(counts / counts.sum(axis=-1, keepdims=True)))
 
 
 def fold_assignments(data: Dataset, folds: int) -> np.ndarray:
-    """Deterministic fold ids derived from (data seed, folds)."""
+    """Deterministic fold ids derived from (data seed, folds); every fold gets a row."""
+    if folds > len(data):
+        raise ValueError(f"{folds} folds need at least {folds} rows, got {len(data)}")
     ss = np.random.SeedSequence(entropy=int(data.seed), spawn_key=(int(folds), 0xF01D))
     rng = np.random.Generator(np.random.Philox(seed=ss))
     n = len(data)

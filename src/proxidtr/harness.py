@@ -12,9 +12,9 @@ components of ``identify.BRIDGES_NEEDED[method]`` it replaces, and a
 baseline's not at all, so each distinct density is identified (all folds at
 once, then averaged with P(y0) weights) and scored once per repetition. For
 every (scenario, method) it picks a regime either by value maximization over
-an enumerated class (all members' values from one array gather,
-``dgp.class_values``) or by Q-learning on the estimated density, and scores
-it two ways:
+an enumerated class (all members' values under all of a repetition's
+distinct densities from one array gather, ``dgp.class_values``) or by
+Q-learning on each estimated density, and scores it two ways:
 
   regret         V(d*) - V(d_hat), both under the true law, where d* is the
                  optimum of the class searched (the Boolean-class optimum
@@ -138,6 +138,8 @@ class ExperimentConfig:
             raise ValueError("regime_class must be 'linear' or 'all-boolean'")
         if self.reps < 1 or self.n < 1:
             raise ValueError("n and reps must be >= 1")
+        if self.folds > self.n:
+            raise ValueError(f"{self.folds} folds need at least {self.folds} rows, got n = {self.n}")
         FitOptions(self.folds, self.laplace)  # raises on a bad folds or laplace
 
     def to_json(self) -> str:
@@ -266,45 +268,59 @@ def _baseline_table(data, config: ExperimentConfig, method: str, fits=None) -> t
     return oracle_density(pmf).g, identify.observed_conditional(pmf)[1]
 
 
+def _value_max_scores(truth: _Truth, g: np.ndarray, p_y0: np.ndarray) -> list[tuple[float, float]]:
+    """(regret, overall error) of the value-max pick under each of a stack of
+    densities (D, 2, 2, 2, 2, 2) with P(y0) (D, 2): one gather scores them all."""
+    values = class_values(g, p_y0, truth.search_class)  # (D, K)
+    best = first_maximizer(values)
+    estimated = np.take_along_axis(values, best[:, None], 1)[:, 0]
+    regret = truth.optimum_value - truth.true_values[truth.search_class.index[best]]
+    return list(zip(regret.tolist(), np.abs(truth.optimum_value - estimated).tolist()))
+
+
 def _score_regime(truth: _Truth, g: np.ndarray, p_y0: np.ndarray, optimizer: str):
     """Pick a regime from an estimated density and score it against truth."""
     if optimizer == "value-max":
-        values = class_values(g, p_y0, truth.search_class)
-        best = first_maximizer(values)
-        chosen = truth.search_class.index[best]
-        benchmark = truth.optimum_value
-        estimated = float(values[best])
-    else:
-        d_hat = q_learning_regime(*q_functions(g))
-        chosen = d_hat.index
-        benchmark = truth.boolean_optimum
-        estimated = regime_value(g, p_y0, d_hat)
-    return benchmark - float(truth.true_values[chosen]), abs(benchmark - estimated)
+        return _value_max_scores(truth, g[None], p_y0[None])[0]
+    d_hat = q_learning_regime(*q_functions(g))
+    benchmark = truth.boolean_optimum
+    return benchmark - float(truth.true_values[d_hat.index]), abs(benchmark - regime_value(g, p_y0, d_hat))
+
+
+def _scores(truth: _Truth, tables: dict, optimizer: str) -> dict:
+    """Each density's (regret, overall error), or its failure message. Value
+    maximization scores all the densities of a repetition with one gather."""
+    fitted = [key for key, entry in tables.items() if not isinstance(entry, str)]
+    if optimizer == "value-max" and fitted:
+        g, p_y0 = (np.stack(arrays) for arrays in zip(*(tables[key] for key in fitted)))
+        return {**tables, **dict(zip(fitted, _value_max_scores(truth, g, p_y0)))}
+    return {key: entry if isinstance(entry, str) else _attempt("scoring", _score_regime, truth, *entry, optimizer)
+            for key, entry in tables.items()}
 
 
 def _run_rep(config: ExperimentConfig, truth: _Truth, rep: int, pseudo: dict[str, BridgeSet]):
     """All (scenario, method) results for one repetition; errors per cell.
 
     ``pseudo`` holds each scenario's pseudo bridges (``_scenario_pseudo``).
-    Each distinct (method, replaced components) density is scored once.
+    Each distinct (method, replaced components) density is identified and
+    scored once.
     """
     data = sample(truth.params, config.n, config.base_seed + rep)
     bridged = any(m in BRIDGE_METHODS for m in config.methods)
     fits = _attempt("fit", _bridge_fits, data, config) if bridged else None
-    scores: dict[tuple, tuple[float, float] | str] = {}
-    results: dict[tuple[str, str], tuple[float, float] | str] = {}
+    tables: dict[tuple, tuple[np.ndarray, np.ndarray] | str] = {}
+    density_of: dict[tuple[str, str], tuple] = {}
     for tag in config.scenarios:
         for method in config.methods:
             key = (method, tuple(c for c in identify.BRIDGES_NEEDED.get(method, ()) if c in SCENARIO_PSEUDO[tag]))
-            if key not in scores:
+            if key not in tables:
                 if method not in BRIDGE_METHODS:
-                    entry = _attempt("fit", _baseline_table, data, config, method, fits)
+                    tables[key] = _attempt("fit", _baseline_table, data, config, method, fits)
                 else:
-                    entry = fits if isinstance(fits, str) else _attempt("fit", _bridge_table, fits, pseudo[tag], method)
-                scores[key] = entry if isinstance(entry, str) else _attempt(
-                    "scoring", _score_regime, truth, *entry, config.optimizer)
-            results[(tag, method)] = scores[key]
-    return results
+                    tables[key] = fits if isinstance(fits, str) else _attempt("fit", _bridge_table, fits, pseudo[tag], method)
+            density_of[(tag, method)] = key
+    scores = _scores(truth, tables, config.optimizer)
+    return {cell: scores[key] for cell, key in density_of.items()}
 
 
 def _worker(args):

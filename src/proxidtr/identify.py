@@ -34,7 +34,7 @@ import numpy as np
 from .bridges import BridgeSet
 from .dgp import OBSERVED_ORDER, IdentifiedDensity, marginal_y0, regime_value
 from .policy import Regime
-from .tables import JointPmf, ZeroProbabilityError, _mass_over
+from .tables import JointPmf, ZeroProbabilityError, _first_cell, _mass_over
 
 # method -> the bridge components it reads; the one list of the bridge methods
 BRIDGES_NEEDED = {
@@ -149,9 +149,9 @@ def q_functions(g: IdentifiedDensity | np.ndarray) -> tuple[np.ndarray, np.ndarr
     """
     arr = g.g if isinstance(g, IdentifiedDensity) else np.asarray(g, dtype=float)
     den2 = arr.sum(axis=2)  # [a1, a2, y1, y0]
-    zero = np.argwhere(den2 == 0.0)  # C order: the first zero cell in (a1, a2, y1, y0) order
-    if zero.size:
-        a1, a2, y1, y0 = map(int, zero[0])
+    zero = _first_cell(den2 == 0.0)  # C order: the first zero cell in (a1, a2, y1, y0) order
+    if zero is not None:
+        a1, a2, y1, y0 = zero
         raise ZeroProbabilityError(
             f"zero stage-2 denominator at (y0={y0}, y1={y1}, a1={a1}, a2={a2}); "
             f"f(Y1({a1})={y1}|Y0={y0}) is degenerate"

@@ -17,7 +17,8 @@ A regime is its 10-bit Boolean index: d1 then d2 read as bits, d1(0) the
 most significant (``Regime.index``). A class is the ascending array of its
 members' indices, so enumeration, the search and scoring against true values
 are integer array operations; ``RegimeClass.members`` builds the ``Regime``
-objects, linear members with their certificates, only when read.
+objects, linear members with their certificates, only when read, and
+``RegimeClass.member`` builds one of them alone.
 
 Tie-breaking is normative: a threshold at exactly zero maps to action 0, and
 value maximization returns the first maximizer in canonical enumeration order
@@ -162,13 +163,16 @@ class RegimeClass:
         return (isinstance(other, RegimeClass) and self.tag == other.tag
                 and np.array_equal(self.index, other.index))
 
+    def member(self, k: int) -> Regime:
+        """Member ``k`` in class order, built alone; a linear member carries its certificate."""
+        i = int(self.index[k])
+        if self.tag != "linear":
+            return Regime.from_index(i)
+        return Regime.from_index(i, _unit(_D1_CERTIFICATES[i >> 8]), _unit(_separable_d2_tables()[i & 0xFF]))
+
     @cached_property
     def members(self) -> tuple[Regime, ...]:
-        if self.tag != "linear":
-            return tuple(Regime.from_index(i) for i in self.index.tolist())
-        d2_certificates = _separable_d2_tables()
-        return tuple(Regime.from_index(i, _unit(_D1_CERTIFICATES[i >> 8]), _unit(d2_certificates[i & 0xFF]))
-                     for i in self.index.tolist())
+        return tuple(map(self.member, range(len(self.index))))
 
     @cached_property
     def density_index(self) -> np.ndarray:
@@ -232,19 +236,20 @@ def enumerate_class(tag: str) -> RegimeClass:
     raise ValueError(f"unknown regime class {tag!r}; expected 'linear' or 'all-boolean'")
 
 
-def first_maximizer(values: np.ndarray) -> int:
-    """Index of the member an exhaustive strict-``>`` loop picks from these values.
+def first_maximizer(values: np.ndarray) -> int | np.ndarray:
+    """Index of the member an exhaustive strict-``>`` loop picks from these
+    values, along the last axis: an int for one row of values, an array of
+    them for a stack of rows.
 
     The first maximum wins ties; as with a strict ``>``, a NaN in first
     place is kept and a NaN anywhere else never wins.
     """
-    values = np.asarray(values, dtype=float)
+    values = np.atleast_1d(np.asarray(values, dtype=float))
     if values.size == 0:
         raise ValueError("empty regime class")
-    best = int(np.argmax(values))
-    if np.isnan(values[best]):  # argmax stops at the first NaN
-        best = 0 if np.isnan(values[0]) else int(np.nanargmax(values))
-    return best
+    nan = np.isnan(values)
+    best = np.where(nan[..., 0], 0, np.argmax(np.where(nan, -np.inf, values), axis=-1))
+    return int(best) if best.ndim == 0 else best
 
 
 def q_learning_regime(q2: np.ndarray, q1: np.ndarray) -> Regime:

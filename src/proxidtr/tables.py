@@ -13,7 +13,13 @@ of proxy matrices over the remaining history come out as leading axes.
 
 All objects are immutable value types; operations return new tables and never
 mutate their inputs. ``conditional`` sums a table's mass without building and
-validating an intermediate table.
+validating an intermediate table. A table keeps a read-only float array it is
+handed that owns its memory (the fresh arrays ``_locked`` marks, as
+``estimators.count_pmf`` and ``bridges.solve_bridges`` do) and copies
+anything else. Every failure check (a zero conditioning cell, a singular
+block, a total off 1) costs one reduction; the first failing cell in C order
+is located (``_first_cell``) only when one exists. A NaN compares false, so a
+NaN denominator or determinant is not flagged.
 
 A ``JointPmf`` may hold a stack of laws over the same variables (the K
 off-fold laws of a cross-fit): its mass and every array derived from it
@@ -53,10 +59,23 @@ class SingularMatrixError(TableError):
     """A conditional matrix that must be inverted is numerically singular."""
 
 
-def _as_readonly(arr: np.ndarray) -> np.ndarray:
-    out = np.array(arr, dtype=float)
-    out.flags.writeable = False
-    return out
+def _locked(arr: np.ndarray) -> np.ndarray:
+    """``arr`` made read-only in place; for a fresh array that nothing else holds."""
+    arr.flags.writeable = False
+    return arr
+
+
+def _as_readonly(arr) -> np.ndarray:
+    """A read-only float array: ``arr`` itself when it is read-only and owns
+    its memory, as the fresh arrays ``_locked`` marks do, else a read-only copy."""
+    owned = isinstance(arr, np.ndarray) and arr.dtype == float and arr.base is None
+    return arr if owned and not arr.flags.writeable else _locked(np.array(arr, dtype=float))
+
+
+def _first_cell(mask: np.ndarray) -> tuple[int, ...] | None:
+    """C-order index of the first true cell of ``mask``, or None when there is
+    none; the common all-false case costs one reduction."""
+    return tuple(map(int, np.unravel_index(int(np.argmax(mask)), np.shape(mask)))) if mask.any() else None
 
 
 @dataclass(frozen=True)
@@ -70,7 +89,7 @@ class JointPmf:
         names = tuple(self.names)
         if len(set(names)) != len(names):
             raise TableError(f"duplicate variable names in {names}")
-        mass = np.asarray(self.mass, dtype=float)
+        mass = _as_readonly(self.mass)
         expected = (2,) * len(names)
         if mass.shape[-1:] == (2 ** len(names),):
             mass = mass.reshape(mass.shape[:-1] + expected)
@@ -78,11 +97,12 @@ class JointPmf:
             raise TableError(f"mass shape {mass.shape} does not match {len(names)} binary variables")
         if np.any(mass < 0):
             raise TableError("negative probability mass")
-        for total in mass.reshape(-1, 2 ** len(names)).sum(axis=1):  # each law of a stack
-            if not abs(total - 1.0) <= MASS_TOL:  # NaN and infinity fail too
-                raise TableError(f"mass sums to {float(total)!r}, not 1")
+        totals = mass.reshape(-1, 2 ** len(names)).sum(axis=1)  # each law of a stack
+        bad = _first_cell(~(np.abs(totals - 1.0) <= MASS_TOL))  # NaN and infinity fail too
+        if bad is not None:
+            raise TableError(f"mass sums to {float(totals[bad])!r}, not 1")
         object.__setattr__(self, "names", names)
-        object.__setattr__(self, "mass", _as_readonly(mass))
+        object.__setattr__(self, "mass", mass)
 
     def axis(self, name: str) -> int:
         try:
@@ -146,9 +166,9 @@ def conditional(pmf: JointPmf, target: Sequence[str], given: Sequence[str]) -> n
     joint = _mass_over(pmf, given + target)
     lead = joint.ndim - len(target)  # the stack axes and the given axes
     den = joint.sum(axis=tuple(range(lead, joint.ndim)), keepdims=True)
-    zero = np.argwhere(np.atleast_1d(den.reshape(joint.shape[:lead])) <= 0.0)
-    if zero.size:
-        assignment = dict(zip(given, map(int, zero[0][zero.shape[1] - len(given):])))
+    cell = _first_cell(den.reshape(joint.shape[:lead]) <= 0.0)
+    if cell is not None:
+        assignment = dict(zip(given, cell[len(cell) - len(given):]))
         raise ZeroProbabilityError(
             f"zero-probability conditioning cell {assignment} for P({','.join(target)}|{','.join(given)})",
             assignment,
@@ -169,9 +189,8 @@ def invert2or4(m: np.ndarray, role: str = "conditional matrix", axes: Sequence[s
     if m.ndim < 2 or m.shape[-1] != m.shape[-2] or m.shape[-1] not in (2, 4):
         raise TableError(f"{role}: expected stacked 2x2 or 4x4 matrices, got {m.shape}")
     det = np.abs(np.linalg.det(m))
-    bad = np.argwhere(np.atleast_1d(det) < DET_TOL)
-    if bad.size:
-        block = tuple(int(i) for i in bad[0][:det.ndim])
+    block = _first_cell(det < DET_TOL)
+    if block is not None:
         names = tuple(f"axis{i}" for i in range(len(block) - len(axes))) + tuple(axes)
         where = f" at ({', '.join(f'{n}={v}' for n, v in zip(names, block))})" if block else ""
         raise SingularMatrixError(

@@ -14,13 +14,14 @@ from proxidtr import dgp
 from proxidtr.bridges import (
     BridgeSet,
     MissingBridgeError,
+    _reciprocal,
     bridge_collapse_check,
     pseudo_bridges,
     solve_bridges,
     verify_bridges,
 )
 from proxidtr.dgp import CANONICAL_ORDER, DgpParams, LogisticModel
-from proxidtr.tables import JointPmf, SingularMatrixError, conditional
+from proxidtr.tables import JointPmf, SingularMatrixError, ZeroProbabilityError, conditional
 
 
 @pytest.fixture(scope="module")
@@ -215,3 +216,16 @@ def test_merged_overrides_components_and_provenance(solved):
     np.testing.assert_array_equal(merged.q11, solved.q11)
     assert merged.provenance["q22"] == "pseudo(3)"
     assert merged.provenance["q11"] == "solved-from-truth"
+
+
+def test_reciprocal_on_a_stack_names_the_first_zero_propensity_in_c_order():
+    """Positivity is one reduction over the stack; a failure names the first
+    zero cell, stack axis first, as before."""
+    laws = np.array([[[0.25, 0.25], [0.25, 0.25]],
+                     [[0.5, 0.0], [0.25, 0.25]],   # P(B=1 | A=0) = 0
+                     [[0.25, 0.25], [0.5, 0.0]]])  # P(B=1 | A=1) = 0
+    with pytest.raises(ZeroProbabilityError) as err:
+        _reciprocal(JointPmf(("A", "B"), laws), ("B",), ("A",))
+    assert str(err.value) == "positivity fails: P(B|A) is zero at {'A': 0, 'B': 1}"
+    assert err.value.assignment == {"A": 0, "B": 1}
+    assert np.array_equal(_reciprocal(JointPmf(("A", "B"), laws[0]), ("B",), ("A",)), np.full((2, 2), 2.0))

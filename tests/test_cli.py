@@ -334,6 +334,19 @@ def test_folds_with_a_baseline_method_is_usage_error(tmp_path, regime_file, caps
     assert json.loads(capsys.readouterr().out)["method"] == method.upper()
 
 
+def test_more_folds_than_rows_is_one_line_usage_error(tmp_path, regime_file, capsys):
+    """K folds of fewer than K rows would leave empty folds: exit 1 with one
+    line and print no estimate, rather than a NaN that is not JSON."""
+    data_file = tmp_path / "d.csv"
+    main(["simulate", "--n", "3", "--seed", "3", "-o", str(data_file)])
+    capsys.readouterr()
+    argv = ["estimate", "--data", str(data_file), "--method", "pmr", "--regime", str(regime_file)]
+    assert main(argv + ["--folds", "4"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: 4 folds need at least 4 rows, got 3\n"
+
+
 @pytest.mark.parametrize("header, row", [(b"y0", b"\xff,1"), (b"y\xff0", b"0,1")],
                          ids=["in-a-row", "in-the-header"])
 def test_csv_that_is_not_utf8_is_usage_error(tmp_path, regime_file, capsys, header, row):
@@ -366,3 +379,36 @@ def test_out_of_memory_is_one_line_usage_error(tmp_path, capsys, monkeypatch, co
     assert main(argv + ["-o", str(tmp_path / "out.csv")]) == 1
     assert capsys.readouterr().err == line + "\n"
     assert not (tmp_path / "out.csv").exists()
+
+
+def _outcome(argv, capsys) -> tuple:
+    """(exit code, stdout, stderr) of one ``main`` call; a usage error or
+    ``--help`` ends in ``SystemExit``."""
+    try:
+        code = main(argv)
+    except SystemExit as stop:
+        code = ("SystemExit", stop.code)
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+def test_main_shares_one_parser_and_prints_what_a_fresh_parser_does(tmp_path, regime_file, capsys, monkeypatch):
+    """Alternating options, a usage error and ``--help`` in one process: the
+    shared parser keeps no state from one call to the next."""
+    data_file = tmp_path / "d.csv"
+    main(["simulate", "--n", "35000", "--seed", "3", "-o", str(data_file)])
+    capsys.readouterr()
+    estimate = ["estimate", "--data", str(data_file), "--regime", str(regime_file), "--method", "pmr"]
+    calls = [estimate + ["--folds", "5"], estimate, ["estimate", "--data"], estimate + ["--laplace", "0.5"],
+             ["--help"], estimate, ["estimate", "--help"], estimate + ["--folds", "5"], estimate]
+    with monkeypatch.context() as patch:
+        patch.setattr(cli, "_parser", build_parser)  # a fresh parser for every call
+        fresh = [_outcome(argv, capsys) for argv in calls]
+    built = []
+    monkeypatch.setattr(cli, "build_parser", lambda: built.append(1) or build_parser())
+    cli._parser.cache_clear()
+    assert [_outcome(argv, capsys) for argv in calls] == fresh
+    assert len(built) == 1
+    assert [code for code, _, _ in fresh] == [0, 0, ("SystemExit", 1), 0, ("SystemExit", 0), 0, ("SystemExit", 0), 0, 0]
+    assert '"folds"' in fresh[0][1] and '"folds"' not in fresh[1][1]
+    assert fresh[3][1] != fresh[1][1] == fresh[5][1] == fresh[8][1]

@@ -14,7 +14,7 @@ import pytest
 from conftest import cell_codes
 
 from proxidtr import dgp
-from proxidtr.policy import Regime
+from proxidtr.policy import Regime, enumerate_class, first_maximizer
 from proxidtr.tables import conditional, marginalize
 
 
@@ -152,6 +152,21 @@ def test_boolean_optimum_dominates_linear(params):
     bool_value, _ = dgp.optimal_value(params, "all-boolean")
     assert bool_value >= lin_value
     assert dgp.true_value(params, lin_regime) == pytest.approx(lin_value, abs=1e-12)
+
+
+@pytest.mark.parametrize("tag", ["linear", "all-boolean"])
+def test_optimal_value_builds_only_the_chosen_member(params, oracle, p_y0, tag, monkeypatch):
+    values = dgp.class_values(oracle.g, p_y0, enumerate_class(tag))
+    best = first_maximizer(values)
+    expected = enumerate_class(tag).members[best]  # the whole class, built before counting
+    built = []
+    post_init = Regime.__post_init__
+    monkeypatch.setattr(Regime, "__post_init__", lambda self: built.append(self) or post_init(self))
+    value, regime = dgp.optimal_value(params, tag)
+    assert len(built) == 1
+    assert value == float(values[best])
+    assert regime == expected  # same tables and the same certificate
+    assert (regime.theta1 is None) == (tag == "all-boolean")
 
 
 def test_sampling_is_deterministic(params):

@@ -188,6 +188,13 @@ def test_fold_assignment_deterministic_and_balanced(big_data):
     assert counts.max() - counts.min() <= 1
 
 
+def test_fold_assignments_refuse_more_folds_than_rows(params):
+    data = dgp.sample(params, 4, seed=3)
+    np.testing.assert_array_equal(np.sort(fold_assignments(data, 4)), np.arange(4))  # one row per fold
+    with pytest.raises(ValueError, match="5 folds need at least 5 rows, got 4"):
+        fold_assignments(data, 5)
+
+
 def test_estimate_order_invariance_under_row_permutation(small_data, fitted):
     _, bridges_hat = fitted
     v_orig = {method: v_hat(method, small_data, bridges_hat, REGIME).estimate for method in METHODS}

@@ -62,6 +62,14 @@ def test_config_validation():
     assert cfg.methods == ("PMR",)
 
 
+def test_config_refuses_more_folds_than_rows():
+    assert ExperimentConfig(n=5, folds=5).folds == 5
+    with pytest.raises(ValueError, match="6 folds need at least 6 rows, got n = 5"):
+        ExperimentConfig(n=5, folds=6)
+    with pytest.raises(ValueError, match="3 folds need at least 3 rows"):
+        ExperimentConfig.from_json('{"n": 2, "folds": 3}')
+
+
 def test_config_json_round_trip():
     cfg = ExperimentConfig(scenarios=("all-correct",), n=1234, reps=2, folds=3)
     assert ExperimentConfig.from_json(cfg.to_json()) == cfg

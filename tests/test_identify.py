@@ -175,6 +175,17 @@ def test_q_functions_zero_denominator_error():
         q_functions(IdentifiedDensity(g, "PMR"))
 
 
+def test_q_functions_nan_denominator_is_not_flagged():
+    g = np.full((2,) * 5, 0.125)
+    g[0, 0, 0, 0, 0] = np.nan  # the first denominator cell is NaN, not zero
+    q2, q1 = q_functions(g)
+    assert np.isnan(q2[0, 0, 0, 0]) and np.isnan(q1[0, 0])
+    g[1, 1, :, 1, 1] = 0.0
+    with pytest.raises(ZeroProbabilityError) as err:
+        q_functions(g)
+    assert str(err.value) == "zero stage-2 denominator at (y0=1, y1=1, a1=1, a2=1); f(Y1(1)=1|Y0=1) is degenerate"
+
+
 def test_q_functions_names_first_zero_denominator_in_order():
     g = np.full((2,) * 5, 0.125)
     g[1, 0, :, 0, 0] = 0.0  # (a1, a2, y1, y0) = (1, 0, 0, 0): first in y0-major order

@@ -285,3 +285,38 @@ def test_nan_cell_follows_value_maximize(oracle, p_y0, linear_class, boolean_cla
             regime, _ = value_maximize(partial(dgp.regime_value, g, p_y0), cls)
             assert np.isnan(values[member])
             assert cls.members[first_maximizer(values)] is regime
+
+
+def _strict_loop(values) -> int:
+    best = 0
+    for k in range(1, len(values)):
+        if values[k] > values[best]:
+            best = k
+    return best
+
+
+def test_stacked_class_values_and_maximizer_equal_each_row(oracle, p_y0, linear_class, boolean_class):
+    """One gather over a stack of densities, and the maximizer along its last
+    axis, equal the per-density path, NaN rule included."""
+    for cls in (linear_class, boolean_class):
+        winner = first_maximizer(dgp.class_values(oracle.g, p_y0, cls))
+        stack = [oracle.g]
+        for members in ([0], [winner], [len(cls.members) - 1], [0, winner, len(cls.members) - 1]):
+            g = oracle.g.copy()
+            g.flat[cls.density_index[3, members]] = np.nan
+            stack.append(g)
+        stack.append(np.full((2,) * 5, np.nan))
+        p = np.stack([p_y0 * (1 + k / 10) for k in range(len(stack))])
+        values = dgp.class_values(np.stack(stack), p, cls)
+        rows = [dgp.class_values(g, pk, cls) for g, pk in zip(stack, p)]
+        assert values.shape == (len(stack), len(cls.members))
+        np.testing.assert_array_equal(values, rows)  # bit for bit, NaN where NaN
+        best = first_maximizer(values)
+        assert best.tolist() == [first_maximizer(row) for row in rows] == [_strict_loop(row) for row in rows]
+        assert first_maximizer(values.reshape(2, 3, -1)).tolist() == np.reshape(best, (2, 3)).tolist()
+
+
+def test_first_maximizer_refuses_an_empty_class():
+    for values in ([], np.zeros((3, 0))):
+        with pytest.raises(ValueError, match="empty regime class"):
+            first_maximizer(values)

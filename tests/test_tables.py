@@ -241,6 +241,35 @@ def test_stack_of_laws_names_the_zero_cell_and_singular_block_without_the_stack_
         invert2or4(stack, role="proxy block", axes=("Y0",))
 
 
+def test_stacked_checks_name_the_first_failing_law_cell_and_block_in_c_order():
+    """Each check finds its failure with one reduction and then names the
+    first failing law, cell or block in C order, stack axes first, in the
+    same words as before; a NaN determinant is not flagged."""
+    fine = np.full(8, 0.125)
+    with pytest.raises(TableError) as err:
+        JointPmf(("A", "B", "C"), np.stack([fine, 1.5 * fine, 0.5 * fine]))
+    assert str(err.value) == "mass sums to 1.5, not 1"
+    no_c1 = np.zeros((2, 2, 2))
+    no_c1[..., 0] = 0.25  # P(A, C=1) = 0 for both A
+    no_a1 = np.zeros((2, 2, 2))
+    no_a1[0] = 0.25  # P(A=1, C) = 0 for both C
+    stacked = JointPmf(("A", "B", "C"), np.stack([fine.reshape(2, 2, 2), no_c1, no_a1]))
+    with pytest.raises(ZeroProbabilityError) as err:
+        conditional(stacked, ("B",), ("A", "C"))
+    assert str(err.value) == "zero-probability conditioning cell {'A': 0, 'C': 1} for P(B|A,C)"
+    assert err.value.assignment == {"A": 0, "C": 1}
+    stack = np.tile(np.eye(2), (3, 2, 1, 1))
+    stack[2, 0] = stack[1, 1] = 0.5
+    stack[0, 0, 0, 0] = np.nan  # first in order, but a NaN determinant passes
+    with np.errstate(invalid="ignore"), pytest.raises(SingularMatrixError) as err:
+        invert2or4(stack, role="proxy block", axes=("Y0",))
+    assert str(err.value) == "proxy block at (axis0=1, Y0=1) is singular (|det|=0.000e+00); rank condition fails"
+    stack[1, 1] = stack[2, 0] = np.eye(2)
+    with np.errstate(invalid="ignore"):
+        inverse = invert2or4(stack, role="proxy block", axes=("Y0",))
+    assert np.isnan(inverse[0, 0]).any() and np.array_equal(inverse[1:], stack[1:])
+
+
 def test_prob_and_to_json_refuse_a_stack_of_laws():
     """On a stack the first mass axis is the stack, not the first variable:
     reading it as one law would sum across laws, so both name the stack."""
