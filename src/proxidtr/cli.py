@@ -93,6 +93,8 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_identify_check(args) -> int:
+    if args.pseudo_seed < 0:
+        raise ValueError(f"--pseudo-seed must be >= 0, got {args.pseudo_seed}")
     result = identify_check(pseudo=tuple(p for p in args.pseudo.split(",") if p), pseudo_seed=args.pseudo_seed)
     for method, dev in result.deviations.items():
         status = "ok" if dev <= result.tolerance else "FAIL"

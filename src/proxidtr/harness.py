@@ -10,11 +10,16 @@ scenario swaps its pseudo components into the fit, broadcast over the folds.
 A bridge method's density depends on the scenario only through the
 components of ``identify.BRIDGES_NEEDED[method]`` it replaces, and a
 baseline's not at all, so each distinct density is identified (all folds at
-once, then averaged with P(y0) weights) and scored once per repetition. For
-every (scenario, method) it picks a regime either by value maximization over
-an enumerated class (all members' values under all of a repetition's
-distinct densities from one array gather, ``dgp.class_values``) or by
-Q-learning on each estimated density, and scores it two ways:
+once, then averaged with P(y0) weights) and scored once per repetition.
+A repetition's distinct densities are scored as one stack through one
+function for both optimizers (``_class_scores``): one array gather,
+``dgp.class_values``, gives every class member's value under every density,
+and each density picks one column, by value maximization over the searched
+class (``first_maximizer``) or by Q-learning, the greedy Boolean index from
+the stacked Q tables over the Boolean class (``q_learning_index``). A stack
+that fails to score (a zero Q denominator) is rescored density by density,
+as stacks of one, so the failure is charged to its own density only. Each
+(scenario, method) cell's regime is scored two ways:
 
   regret         V(d*) - V(d_hat), both under the true law, where d* is the
                  optimum of the class searched (the Boolean-class optimum
@@ -33,8 +38,8 @@ own substream, so scenarios that replace the same component get the same table.
 
 True values come from one array over the 1024-member Boolean class,
 computed once per experiment; a chosen regime's true value is read at its
-Boolean index (``Regime.index``), and both optima are gathers from that
-array at the searched class's indices.
+Boolean index, and both optima are gathers from that array at the searched
+class's indices. No ``Regime`` is built to score.
 
 Everything is deterministic in the config: repetition seeds are
 base_seed + index, and each repetition's results are folded into per-cell
@@ -64,7 +69,6 @@ from .dgp import (
     class_values,
     marginal_y0,
     oracle_density_from_joint,
-    regime_value,
     sample,
     true_joint,
 )
@@ -78,7 +82,7 @@ from .estimators import (
     sra_from_conditional,
 )
 from .identify import q_functions
-from .policy import enumerate_class, first_maximizer, q_learning_regime
+from .policy import enumerate_class, first_maximizer, q_learning_index
 from .tables import TableError
 
 EPSILON = 1e-10  # values below this render as "<eps"
@@ -126,6 +130,10 @@ class ExperimentConfig:
             raise ValueError(f"config field 'laplace' must be a number, got {self.laplace!r}")
         object.__setattr__(self, "scenarios", tuple(self.scenarios))
         object.__setattr__(self, "methods", tuple(m.upper() for m in self.methods))
+        for name in ("scenarios", "methods"):
+            names = getattr(self, name)
+            if not names or len(set(names)) < len(names):
+                raise ValueError(f"config field {name!r} must name one or more distinct {name}, got {list(names)}")
         for scenario in self.scenarios:
             if scenario not in SCENARIO_PSEUDO:
                 raise ValueError(f"unknown scenario {scenario!r}")
@@ -138,6 +146,11 @@ class ExperimentConfig:
             raise ValueError("regime_class must be 'linear' or 'all-boolean'")
         if self.reps < 1 or self.n < 1:
             raise ValueError("n and reps must be >= 1")
+        if not 0 <= self.base_seed <= 2 ** 64 - self.reps:
+            raise ValueError(f"config field 'base_seed' must be in [0, 2**64 - reps] so that every repetition "
+                             f"seed base_seed + rep is below 2**64, got {self.base_seed} with reps = {self.reps}")
+        if self.pseudo_seed < 0:
+            raise ValueError(f"config field 'pseudo_seed' must be >= 0, got {self.pseudo_seed}")
         if self.folds > self.n:
             raise ValueError(f"{self.folds} folds need at least {self.folds} rows, got n = {self.n}")
         FitOptions(self.folds, self.laplace)  # raises on a bad folds or laplace
@@ -201,8 +214,8 @@ class _Truth:
         self.p_y0 = marginal_y0(joint)
         self.oracle_g = oracle_density_from_joint(joint).g
         self.search_class = enumerate_class(regime_class)
-        # (1024,), indexed by Boolean index
-        self.true_values = class_values(self.oracle_g, self.p_y0, enumerate_class("all-boolean"))
+        self.boolean_class = enumerate_class("all-boolean")  # Q-learning's class: member k is Boolean index k
+        self.true_values = class_values(self.oracle_g, self.p_y0, self.boolean_class)  # (1024,)
         searched = self.true_values[self.search_class.index]
         self.optimum_value = float(searched[first_maximizer(searched)])
         self.boolean_optimum = float(self.true_values[first_maximizer(self.true_values)])
@@ -268,34 +281,34 @@ def _baseline_table(data, config: ExperimentConfig, method: str, fits=None) -> t
     return oracle_density(pmf).g, identify.observed_conditional(pmf)[1]
 
 
-def _value_max_scores(truth: _Truth, g: np.ndarray, p_y0: np.ndarray) -> list[tuple[float, float]]:
-    """(regret, overall error) of the value-max pick under each of a stack of
-    densities (D, 2, 2, 2, 2, 2) with P(y0) (D, 2): one gather scores them all."""
-    values = class_values(g, p_y0, truth.search_class)  # (D, K)
-    best = first_maximizer(values)
+def _class_scores(truth: _Truth, g: np.ndarray, p_y0: np.ndarray, optimizer: str) -> list[tuple[float, float]]:
+    """(regret, overall error) of the regime picked under each of a stack of
+    densities (D, 2, 2, 2, 2, 2) with P(y0) (D, 2), by value maximization over
+    the searched class or greedily from the Q tables over the Boolean class.
+    One gather gives every member's estimated value; the pick is a column."""
+    q_learning = optimizer == "q-learning"
+    cls, optimum = ((truth.boolean_class, truth.boolean_optimum) if q_learning
+                    else (truth.search_class, truth.optimum_value))
+    values = class_values(g, p_y0, cls)  # (D, K)
+    best = q_learning_index(*q_functions(g)) if q_learning else first_maximizer(values)
     estimated = np.take_along_axis(values, best[:, None], 1)[:, 0]
-    regret = truth.optimum_value - truth.true_values[truth.search_class.index[best]]
-    return list(zip(regret.tolist(), np.abs(truth.optimum_value - estimated).tolist()))
-
-
-def _score_regime(truth: _Truth, g: np.ndarray, p_y0: np.ndarray, optimizer: str):
-    """Pick a regime from an estimated density and score it against truth."""
-    if optimizer == "value-max":
-        return _value_max_scores(truth, g[None], p_y0[None])[0]
-    d_hat = q_learning_regime(*q_functions(g))
-    benchmark = truth.boolean_optimum
-    return benchmark - float(truth.true_values[d_hat.index]), abs(benchmark - regime_value(g, p_y0, d_hat))
+    regret = optimum - truth.true_values[cls.index[best]]
+    return list(zip(regret.tolist(), np.abs(optimum - estimated).tolist()))
 
 
 def _scores(truth: _Truth, tables: dict, optimizer: str) -> dict:
-    """Each density's (regret, overall error), or its failure message. Value
-    maximization scores all the densities of a repetition with one gather."""
+    """Each density's (regret, overall error), or its failure message. The
+    densities of a repetition are scored as one stack; when that fails, each
+    is rescored alone, as a stack of one, so only its own density is charged."""
     fitted = [key for key, entry in tables.items() if not isinstance(entry, str)]
-    if optimizer == "value-max" and fitted:
-        g, p_y0 = (np.stack(arrays) for arrays in zip(*(tables[key] for key in fitted)))
-        return {**tables, **dict(zip(fitted, _value_max_scores(truth, g, p_y0)))}
-    return {key: entry if isinstance(entry, str) else _attempt("scoring", _score_regime, truth, *entry, optimizer)
-            for key, entry in tables.items()}
+    if not fitted:
+        return tables
+    g, p_y0 = (np.stack(arrays) for arrays in zip(*(tables[key] for key in fitted)))
+    scores = _attempt("scoring", _class_scores, truth, g, p_y0, optimizer)
+    if isinstance(scores, str):
+        scores = [_attempt("scoring", lambda i: _class_scores(truth, g[i:i + 1], p_y0[i:i + 1], optimizer)[0], i)
+                  for i in range(len(fitted))]
+    return {**tables, **dict(zip(fitted, scores))}
 
 
 def _run_rep(config: ExperimentConfig, truth: _Truth, rep: int, pseudo: dict[str, BridgeSet]):

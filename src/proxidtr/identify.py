@@ -139,27 +139,31 @@ def value_from_density(g: IdentifiedDensity | np.ndarray, pmf: JointPmf, regime:
 
 
 def q_functions(g: IdentifiedDensity | np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Backward-induction Q tables from an identified density.
+    """Backward-induction Q tables from an identified density, or from each
+    density of a stack ``(..., 2, 2, 2, 2, 2)``.
 
-    Q2[y0, y1, a1, a2] is the ratio of the y2-weighted to the y2-summed
-    density; Q1[y0, a1] propagates max_a2 Q2 with the stage-1 weights taken
-    from the same density (evaluated at a2 = 0; the weights are
+    Q2[..., y0, y1, a1, a2] is the ratio of the y2-weighted to the y2-summed
+    density; Q1[..., y0, a1] propagates max_a2 Q2 with the stage-1 weights
+    taken from the same density (evaluated at a2 = 0; the weights are
     a2-invariant wherever the identification is valid). Zero denominators
-    are an error, never a sentinel.
+    are an error, never a sentinel; the error names the first zero cell in C
+    order by its place within its own density, so a stack of one density
+    fails with the text that density fails with alone.
     """
     arr = g.g if isinstance(g, IdentifiedDensity) else np.asarray(g, dtype=float)
-    den2 = arr.sum(axis=2)  # [a1, a2, y1, y0]
+    den2 = arr.sum(axis=-3)  # [..., a1, a2, y1, y0]
     zero = _first_cell(den2 == 0.0)  # C order: the first zero cell in (a1, a2, y1, y0) order
     if zero is not None:
-        a1, a2, y1, y0 = zero
+        a1, a2, y1, y0 = zero[-4:]
         raise ZeroProbabilityError(
             f"zero stage-2 denominator at (y0={y0}, y1={y1}, a1={a1}, a2={a2}); "
             f"f(Y1({a1})={y1}|Y0={y0}) is degenerate"
         )
-    q2 = np.transpose(arr[:, :, 1, :, :] / den2, (3, 2, 0, 1))  # [y0, y1, a1, a2]
-    weights = np.transpose(den2[:, 0, :, :], (2, 1, 0))  # [y0, y1, a1] at a2=0
-    total = weights.sum(axis=1, keepdims=True)  # [y0, 1, a1]
+    # [..., a1, a2, y1, y0] -> [..., y0, y1, a1, a2]
+    q2 = np.moveaxis(arr[..., 1, :, :] / den2, (-1, -2), (-4, -3))
+    weights = np.moveaxis(den2, (-1, -2), (-4, -3))[..., 0]  # [..., y0, y1, a1] at a2=0
+    total = weights.sum(axis=-2, keepdims=True)  # [..., y0, 1, a1]
     if np.any(total == 0.0):
         raise ZeroProbabilityError("zero stage-1 normalizer in Q1 weights")
-    q1 = np.einsum("xyk,xyk->xk", weights / total, q2.max(axis=3))  # [y0, a1]
+    q1 = np.einsum("...xyk,...xyk->...xk", weights / total, q2.max(axis=-1))  # [..., y0, a1]
     return q2, q1

@@ -27,7 +27,10 @@ value maximization returns the first maximizer in canonical enumeration order
 A class also carries, per member, the flat indices of the four density cells
 its value reads, so the values of all members under one density are a single
 array gather (``dgp.class_values``); ``first_maximizer`` picks the first
-maximum, as an exhaustive loop with a strict ``>`` would.
+maximum, as an exhaustive loop with a strict ``>`` would. Q-learning's greedy
+rule picks from Q tables instead: ``q_learning_index`` gives the greedy
+regime's Boolean index for each law of a stack of tables, and
+``q_learning_regime`` builds that regime for one law.
 """
 
 from __future__ import annotations
@@ -252,18 +255,21 @@ def first_maximizer(values: np.ndarray) -> int | np.ndarray:
     return int(best) if best.ndim == 0 else best
 
 
-def q_learning_regime(q2: np.ndarray, q1: np.ndarray) -> Regime:
-    """Greedy regime from Q tables; strict inequality, ties choose action 0.
+def q_learning_index(q2: np.ndarray, q1: np.ndarray) -> np.ndarray:
+    """Boolean index of the greedy regime of each law of a stack of Q tables,
+    ``q2[..., y0, y1, a1, a2]`` and ``q1[..., y0, a1]``: strict inequality, so
+    ties choose action 0 and a NaN never wins."""
+    # rows d1(0), d1(1), then d2 over (y0, y1, a1) in C order, which is D2_CELLS
+    q = np.concatenate([q1, q2.reshape(q2.shape[:-4] + (8, 2))], axis=-2)
+    return (q[..., 1] > q[..., 0]) @ (1 << np.arange(9, -1, -1))
 
-    ``q2[y0, y1, a1, a2]`` and ``q1[y0, a1]``.
-    """
-    q2 = np.asarray(q2, dtype=float)
-    q1 = np.asarray(q1, dtype=float)
-    if q2.shape != (2, 2, 2, 2) or q1.shape != (2, 2):
-        raise ValueError(f"expected q2 (2,2,2,2) and q1 (2,2), got {q2.shape} and {q1.shape}")
-    d1 = (q1[:, 1] > q1[:, 0]).astype(int)
-    d2 = (q2[..., 1] > q2[..., 0]).astype(int).reshape(8)  # C order over (y0, y1, a1) is D2_CELLS
-    return Regime(d1.tolist(), d2.tolist())
+
+def q_learning_regime(q2: np.ndarray, q1: np.ndarray) -> Regime:
+    """Greedy regime from Q tables ``q2[y0, y1, a1, a2]`` and ``q1[y0, a1]``:
+    ``q_learning_index`` of one law."""
+    if np.shape(q2) != (2, 2, 2, 2) or np.shape(q1) != (2, 2):
+        raise ValueError(f"expected q2 (2,2,2,2) and q1 (2,2), got {np.shape(q2)} and {np.shape(q1)}")
+    return Regime.from_index(int(q_learning_index(np.asarray(q2, dtype=float), np.asarray(q1, dtype=float))))
 
 
 def regime_equivalence_key(regime: Regime) -> int:

@@ -234,6 +234,28 @@ def test_negative_seed_is_usage_error(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("payload, field", [
+    ({"methods": ["pmr", "PMR"]}, "'methods'"), ({"methods": []}, "'methods'"), ({"scenarios": []}, "'scenarios'"),
+    ({"base_seed": 2 ** 64 - 1, "reps": 2}, "'base_seed'"), ({"base_seed": -1}, "'base_seed'"),
+    ({"pseudo_seed": -1}, "'pseudo_seed'"),
+])
+def test_config_names_and_seeds_are_checked_before_any_repetition(tmp_path, capsys, monkeypatch, payload, field):
+    """Repeated or missing scenarios or methods, and seeds out of range, exit 1
+    with one line naming the field, before a repetition runs or a report is written."""
+    monkeypatch.setattr(cli, "run_experiment", lambda config: pytest.fail("a repetition ran"))
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"n": 2000, "reps": 1, **payload}))
+    out = tmp_path / "r.csv"
+    assert main(["experiment", "--config", str(cfg), "-o", str(out)]) == 1
+    assert f"config field {field}" in _one_line_error(capsys)
+    assert not out.exists()
+
+
+def test_negative_pseudo_seed_is_named(capsys):
+    assert main(["identify-check", "--pseudo", "h21", "--pseudo-seed", "-1"]) == 1
+    assert _one_line_error(capsys) == "error: --pseudo-seed must be >= 0, got -1\n"
+
+
 def _estimate_with_regime(tmp_path, text: str) -> int:
     data_file = tmp_path / "d.csv"
     main(["simulate", "--n", "500", "--seed", "3", "-o", str(data_file)])

@@ -23,6 +23,7 @@ from proxidtr.harness import (
     run_experiment,
     worker_count,
 )
+from proxidtr.policy import enumerate_class, q_learning_regime
 from proxidtr.tables import TableError
 
 SMALL = ExperimentConfig(
@@ -68,6 +69,31 @@ def test_config_refuses_more_folds_than_rows():
         ExperimentConfig(n=5, folds=6)
     with pytest.raises(ValueError, match="3 folds need at least 3 rows"):
         ExperimentConfig.from_json('{"n": 2, "folds": 3}')
+
+
+@pytest.mark.parametrize("payload, message", [
+    ({"methods": []}, "config field 'methods' must name one or more distinct methods, got []"),
+    ({"methods": ["pmr", "PMR"]}, "config field 'methods' must name one or more distinct methods, got ['PMR', 'PMR']"),
+    ({"scenarios": []}, "config field 'scenarios' must name one or more distinct scenarios, got []"),
+    ({"scenarios": ["all-wrong", "all-correct", "all-wrong"]},
+     "config field 'scenarios' must name one or more distinct scenarios, got ['all-wrong', 'all-correct', 'all-wrong']"),
+])
+def test_config_refuses_empty_or_repeated_names(payload, message):
+    with pytest.raises(ValueError) as err:
+        ExperimentConfig(**payload)
+    assert str(err.value) == message
+
+
+def test_config_checks_every_repetition_seed_up_front():
+    last = 2 ** 64 - 1
+    assert ExperimentConfig(base_seed=last, reps=1).base_seed == last
+    assert ExperimentConfig(base_seed=last - 19).reps == 20
+    assert ExperimentConfig(base_seed=0, pseudo_seed=0).pseudo_seed == 0
+    for payload in ({"base_seed": last, "reps": 2}, {"base_seed": last - 18}, {"base_seed": -1}):
+        with pytest.raises(ValueError, match=r"config field 'base_seed' must be in \[0, 2\*\*64 - reps\]"):
+            ExperimentConfig(**payload)
+    with pytest.raises(ValueError, match="config field 'pseudo_seed' must be >= 0, got -1"):
+        ExperimentConfig(pseudo_seed=-1)
 
 
 def test_config_json_round_trip():
@@ -178,27 +204,72 @@ def test_cross_fit_experiment_runs():
     assert cell.count + cell.failures == 1
 
 
-def _loop_score(truth, g, p_y0):
-    """Value-max scores by the ``value_maximize`` + ``regime_value`` loop."""
-    d_hat, estimated = value_maximize(partial(regime_value, g, p_y0), truth.search_class)
-    _, optimum = value_maximize(partial(regime_value, truth.oracle_g, truth.p_y0), truth.search_class)
+def _loop_optimum(truth, optimizer):
+    """The class optimum of the true value by the ``value_maximize`` + ``regime_value``
+    loop: over the searched class for value-max, the Boolean class for Q-learning."""
+    cls = truth.search_class if optimizer == "value-max" else enumerate_class("all-boolean")
+    return value_maximize(partial(regime_value, truth.oracle_g, truth.p_y0), cls)[1]
+
+
+def _loop_score(truth, g, p_y0, optimizer, optimum):
+    """(regret, overall error) of one density by test-side loops: value-max by
+    ``value_maximize`` + ``regime_value``, Q-learning by ``q_functions`` ->
+    ``q_learning_regime`` -> ``regime_value``."""
+    if optimizer == "value-max":
+        d_hat, estimated = value_maximize(partial(regime_value, g, p_y0), truth.search_class)
+    else:
+        d_hat = q_learning_regime(*identify.q_functions(g))
+        estimated = regime_value(g, p_y0, d_hat)
     return optimum - regime_value(truth.oracle_g, truth.p_y0, d_hat), abs(optimum - estimated)
 
 
-def test_score_regime_matches_loop_on_one_repetition():
-    config = ExperimentConfig(n=35000)
+def _one_repetition_densities(config):
+    """(g, p_y0) of every distinct density of the first repetition of ``config``."""
     data = sample(DgpParams.default(), config.n, config.base_seed)
     fits = harness._bridge_fits(data, config)
     pseudo = harness._scenario_pseudo(config)
     tables = [harness._baseline_table(data, config, m) for m in ("SRA", "ORACLE")]
     for tag in config.scenarios:
         tables += [harness._bridge_table(fits, pseudo[tag], m) for m in BRIDGE_METHODS]
+    return tables
+
+
+@pytest.mark.parametrize("optimizer", ["value-max", "q-learning"])
+def test_scores_match_loops_on_one_repetition(optimizer):
+    """The stacked scoring of every density equals scoring each alone with
+    test-side loops, bit for bit, under both regime classes."""
+    tables = _one_repetition_densities(ExperimentConfig(n=35000))
     for regime_class in ("linear", "all-boolean"):
         truth = harness._truth_context(ExperimentConfig(regime_class=regime_class))
         densities = tables + [(truth.oracle_g, truth.p_y0)]
         assert len(densities) == 23
-        for g, p_y0 in densities:
-            assert harness._score_regime(truth, g, p_y0, "value-max") == _loop_score(truth, g, p_y0)
+        g, p_y0 = (np.stack(arrays) for arrays in zip(*densities))
+        optimum = _loop_optimum(truth, optimizer)
+        expected = [_loop_score(truth, *density, optimizer, optimum) for density in densities]
+        assert harness._class_scores(truth, g, p_y0, optimizer) == expected
+
+
+def test_a_density_that_fails_scoring_is_charged_alone():
+    """In a stack where one density has a zero stage-2 denominator, Q-learning
+    still scores every other density, and that one records the message it gets
+    when scored alone; value maximization needs no Q tables and scores it."""
+    truth = harness._truth_context(ExperimentConfig())
+    densities = _one_repetition_densities(ExperimentConfig(n=35000))
+    degenerate = densities[4][0].copy()
+    degenerate[1, 0, :, 1, 0] = 0.0  # f(Y1(1)=1 | Y0=0) is zero at a2 = 0
+    with pytest.raises(TableError) as alone:
+        identify.q_functions(degenerate)
+    densities[4] = (degenerate, densities[4][1])
+    tables = {("density", i): density for i, density in enumerate(densities)}
+    tables["failed fit"] = "fit failed: singular"
+    optimum = _loop_optimum(truth, "q-learning")
+    expected = {key: _loop_score(truth, *density, "q-learning", optimum) for key, density in tables.items()
+                if key != ("density", 4) and not isinstance(density, str)}
+    scores = harness._scores(truth, tables, "q-learning")
+    assert scores == {**expected, ("density", 4): f"scoring failed: {alone.value}", "failed fit": "fit failed: singular"}
+    assert str(alone.value) == "zero stage-2 denominator at (y0=0, y1=1, a1=1, a2=0); f(Y1(1)=1|Y0=0) is degenerate"
+    assert not any(isinstance(s, str) for key, s in harness._scores(truth, tables, "value-max").items()
+                   if key != "failed fit")
 
 
 def test_truth_reads_values_and_optima_at_boolean_indices(monkeypatch, boolean_class):
@@ -290,7 +361,8 @@ def test_config_rejects_wrongly_typed_values(payload):
 def _reference_rep(config, truth, rep):
     """Every (scenario, method) cell of one repetition on its own: bridges fitted
     fold by fold on masked counts, each cell identified through ``_DENSITY_FN``
-    per fold and scored with ``_score_regime``; nothing is shared between cells."""
+    per fold and scored by the test-side loops of ``_loop_score``; nothing is
+    shared between cells."""
     data = sample(truth.params, config.n, config.base_seed + rep)
     opts = estimators.FitOptions(config.folds, config.laplace)
     assignments = estimators.fold_assignments(data, config.folds)
@@ -326,13 +398,14 @@ def _reference_rep(config, truth, rep):
         except TableError as err:
             return f"fit failed: {err}"
 
+    optimum = _loop_optimum(truth, config.optimizer)
     results = {}
     for tag in config.scenarios:
         for method in config.methods:
             table = bridge_table(tag, method) if method in BRIDGE_METHODS else baseline_table(method)
             if not isinstance(table, str):
                 try:
-                    table = harness._score_regime(truth, *table, config.optimizer)
+                    table = _loop_score(truth, *table, config.optimizer, optimum)
                 except TableError as err:
                     table = f"scoring failed: {err}"
             results[(tag, method)] = table

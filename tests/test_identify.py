@@ -197,6 +197,40 @@ def test_q_functions_names_first_zero_denominator_in_order():
     )
 
 
+def test_stacked_q_functions_equal_each_law_and_fail_with_its_text(joint, solved, oracle):
+    """A (D, ...) stack of densities, one with a NaN cell, gives each law's
+    own Q tables bit for bit; a zero denominator in one law of a stack fails
+    with the text that law fails with alone."""
+    rng = np.random.default_rng(3)
+    nan_cell = rng.random((2,) * 5)
+    nan_cell[1, 0, 1, 0, 1] = np.nan
+    merged = solved.merged(pseudo_bridges(13, ("h21", "q22")))
+    stack = np.stack([oracle.g, density_pmr(joint, merged).g, density_por(joint, merged).g,
+                      rng.random((2,) * 5), nan_cell])
+    q2, q1 = q_functions(stack)
+    assert q2.shape == (5, 2, 2, 2, 2) and q1.shape == (5, 2, 2)
+    assert np.isnan(q2[4]).any() and np.isnan(q1[4]).any()
+    for law, q2_law, q1_law in zip(stack, q2, q1):
+        alone = q_functions(law)
+        assert np.array_equal(q2_law, alone[0], equal_nan=True)
+        assert np.array_equal(q1_law, alone[1], equal_nan=True)
+    q2_grid, q1_grid = q_functions(stack[:4].reshape(2, 2, *(2,) * 5))
+    assert np.array_equal(q2_grid.reshape(4, 2, 2, 2, 2), q2[:4]) and np.array_equal(q1_grid.reshape(4, 2, 2), q1[:4])
+
+    stack[3, 0, 1, :, 0, 1] = 0.0  # law 3: (a1, a2, y1, y0) = (0, 1, 0, 1)
+    stack[2, 1, 1, :, 1, 1] = 0.0  # law 2 fails first in C order: (1, 1, 1, 1)
+    with pytest.raises(ZeroProbabilityError) as alone:
+        q_functions(stack[2])
+    assert str(alone.value) == "zero stage-2 denominator at (y0=1, y1=1, a1=1, a2=1); f(Y1(1)=1|Y0=1) is degenerate"
+    for failing in (stack, stack[2:3], stack[2:]):
+        with pytest.raises(ZeroProbabilityError) as err:
+            q_functions(failing)
+        assert str(err.value) == str(alone.value)
+    with pytest.raises(ZeroProbabilityError) as err:
+        q_functions(stack[3:4])
+    assert str(err.value) == "zero stage-2 denominator at (y0=1, y1=0, a1=0, a2=1); f(Y1(0)=0|Y0=1) is degenerate"
+
+
 def test_missing_bridge_component_is_named(joint):
     with pytest.raises(MissingBridgeError, match="h21"):
         density_por(joint, pseudo_bridges(1, ("h22",)))

@@ -8,7 +8,8 @@ member by member against the ``regime_value`` loop and the test-side
 ``value_maximize`` reference in ``conftest``. A class is the array of its
 members' Boolean indices; its ``members``, rebuilt from those indices, are
 pinned byte for byte by a hash of their JSON, and the harness's set-up and
-value-max scoring are checked to build no ``Regime`` at all.
+scoring, under either optimizer, are checked to build no ``Regime`` at all.
+Q-learning's stacked greedy rule is checked against a cell-by-cell loop.
 """
 
 import hashlib
@@ -28,6 +29,7 @@ from proxidtr.policy import (
     RegimeClass,
     enumerate_class,
     first_maximizer,
+    q_learning_index,
     q_learning_regime,
     regime_equivalence_key,
 )
@@ -112,15 +114,45 @@ def test_members_json_is_pinned(linear_class, boolean_class):
     assert hashlib.sha256(text.encode()).hexdigest()[:16] == "901a52a860c97c32"
 
 
-def test_truth_and_value_max_scoring_build_no_regime(monkeypatch):
+@pytest.mark.parametrize("optimizer", ["value-max", "q-learning"])
+def test_truth_and_scoring_build_no_regime(monkeypatch, optimizer):
     built = []
     post_init = Regime.__post_init__
     monkeypatch.setattr(Regime, "__post_init__", lambda self: built.append(self) or post_init(self))
-    truth = harness._Truth(dgp.DgpParams.default(), "linear")
-    harness._score_regime(truth, truth.oracle_g, truth.p_y0, "value-max")
+    config = harness.ExperimentConfig(optimizer=optimizer)
+    truth = harness._Truth(dgp.DgpParams.default(), config.regime_class)
+    results = harness._run_rep(config, truth, 0, harness._scenario_pseudo(config))
+    assert not any(isinstance(r, str) for r in results.values())
     assert built == []
-    harness._score_regime(truth, truth.oracle_g, truth.p_y0, "q-learning")
-    assert len(built) == 1  # the counter sees the one regime Q-learning builds
+    q_learning_regime(np.zeros((2, 2, 2, 2)), np.zeros((2, 2)))
+    assert len(built) == 1  # the counter sees a regime being built
+
+
+def _greedy_loop_index(q2, q1) -> int:
+    """The greedy regime's Boolean index by a cell-by-cell strict ``>`` loop."""
+    d1 = [int(q1[y0, 1] > q1[y0, 0]) for y0 in (0, 1)]
+    d2 = [int(q2[y0, y1, a1, 1] > q2[y0, y1, a1, 0]) for y0, y1, a1 in D2_CELLS]
+    return Regime(d1, d2).index
+
+
+def test_q_learning_index_picks_each_laws_greedy_regime():
+    """On random, all-tie and NaN tables, the stacked greedy index of each law
+    is the index of ``q_learning_regime`` and of a strict-``>`` loop."""
+    rng = np.random.default_rng(17)
+    q2 = rng.random((40, 2, 2, 2, 2))
+    q1 = rng.random((40, 2, 2))
+    q2[10:20], q1[10:20] = 0.5, 0.5  # every action tied
+    q2[20:30, ..., 0] = q2[20:30, ..., 1]  # stage-2 ties only
+    q2[30:][rng.random(q2[30:].shape) < 0.3] = np.nan
+    q1[30:][rng.random(q1[30:].shape) < 0.3] = np.nan
+    q2[39], q1[39] = np.nan, np.nan
+    index = q_learning_index(q2, q1)
+    assert index.shape == (40,)
+    expected = [_greedy_loop_index(a, b) for a, b in zip(q2, q1)]
+    assert index.tolist() == expected == [q_learning_regime(a, b).index for a, b in zip(q2, q1)]
+    assert index[10] == index[39] == 0 and len(set(expected[:10])) > 5
+    assert q_learning_index(q2[0], q1[0]) == expected[0]
+    assert q_learning_index(q2.reshape(4, 10, 2, 2, 2, 2), q1.reshape(4, 10, 2, 2)).ravel().tolist() == expected
 
 
 def test_bad_class_tag():
