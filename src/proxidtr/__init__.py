@@ -5,9 +5,17 @@ confounding-bridge solving, four identification strategies (outcome
 regression, hybrid augmentation, inverse probability weighting, multiply
 robust), regime search by value maximization and Q-learning, and a Monte
 Carlo harness for regret / overall-error studies.
+
+Every module is imported with the package except ``harness``: it and its
+re-exports (``ExperimentConfig``, ``ExperimentReport``, ``emit_tables``,
+``identify_check``, ``run_experiment``) load on first access, so a process
+that never runs an experiment does not import the harness or the
+``multiprocessing`` machinery behind its process pool.
 """
 
-from . import bridges, dgp, estimators, harness, identify, policy, tables
+import importlib
+
+from . import bridges, dgp, estimators, identify, policy, tables
 from .bridges import (
     BridgeSet,
     bridge_collapse_check,
@@ -36,7 +44,6 @@ from .estimators import (
     v_hat,
     v_hat_pmr_alt,
 )
-from .harness import ExperimentConfig, ExperimentReport, emit_tables, identify_check, run_experiment
 from .identify import (
     IdentifiedDensity,
     density_pha,
@@ -50,6 +57,17 @@ from .policy import Regime, RegimeClass, enumerate_class, q_learning_regime
 from .tables import JointPmf, conditional, invert2or4, marginalize
 
 __version__ = "0.1.0"
+
+_HARNESS_EXPORTS = ("ExperimentConfig", "ExperimentReport", "emit_tables", "identify_check", "run_experiment")
+
+
+def __getattr__(name: str):
+    """``harness`` and its re-exports, imported on first access (PEP 562)."""
+    if name == "harness" or name in _HARNESS_EXPORTS:
+        harness = importlib.import_module(".harness", __name__)
+        return harness if name == "harness" else getattr(harness, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __all__ = [
     "BridgeSet",

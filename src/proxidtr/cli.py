@@ -14,6 +14,11 @@ or an identification check that exceeds tolerance).
 ``main`` parses with one parser per process, built on its first call:
 parsing leaves a parser unchanged, so in-process calls share it.
 ``build_parser`` returns a fresh one.
+
+``experiment`` and ``identify-check`` import the harness when they run;
+importing this module, building the parser, ``simulate`` and ``estimate``
+never load it, nor the ``concurrent.futures`` and ``multiprocessing``
+modules behind its process pool.
 """
 
 from __future__ import annotations
@@ -25,11 +30,9 @@ from dataclasses import replace
 from functools import cache
 from pathlib import Path
 
-from .bridges import MissingBridgeError
+from .bridges import DEFAULT_PSEUDO_SEED, MissingBridgeError
 from .dgp import Dataset, DgpParams, sample
-from .estimators import FitOptions, cross_fit, if_variance, fit_bridges, oracle_value, sra_value, v_hat
-from .harness import (ALL_METHODS, DEFAULT_PSEUDO_SEED, ExperimentConfig, emit_tables, identify_check,
-                      run_experiment)
+from .estimators import ALL_METHODS, FitOptions, cross_fit, if_variance, fit_bridges, oracle_value, sra_value, v_hat
 from .policy import Regime
 from .tables import TableError
 
@@ -93,6 +96,8 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_identify_check(args) -> int:
+    from .harness import identify_check
+
     if args.pseudo_seed < 0:
         raise ValueError(f"--pseudo-seed must be >= 0, got {args.pseudo_seed}")
     result = identify_check(pseudo=tuple(p for p in args.pseudo.split(",") if p), pseudo_seed=args.pseudo_seed)
@@ -137,6 +142,8 @@ def _cmd_estimate(args) -> int:
 
 
 def _cmd_experiment(args) -> int:
+    from .harness import ExperimentConfig, emit_tables, run_experiment
+
     config = ExperimentConfig.from_json(args.config.read_text())
     report = run_experiment(config)
     csv_text, table_text = emit_tables(report)

@@ -453,15 +453,16 @@ def oracle_density_from_joint(pmf: JointPmf) -> IdentifiedDensity:
     g(a1,a2,y2,y1,y0) = sum_{u0,u1} P(y2|y0,y1,u0,u1,a1,a2) P(u1|y0,y1,u0,a1)
                         P(y1|y0,u0,a1) P(u0|y0)
 
-    computed from the (true or empirical) 11-variable joint law. Raises on
-    zero-probability conditioning cells rather than imputing.
+    computed from the (true or empirical) 11-variable joint law, or from a
+    stack of them into a stack of densities. Raises on zero-probability
+    conditioning cells rather than imputing.
     """
     p_u0 = conditional(pmf, ("U0",), ("Y0",))                      # [y0, u0]
     p_y1 = conditional(pmf, ("Y1",), ("Y0", "U0", "A1"))            # [y0, u0, a1, y1]
     p_u1 = conditional(pmf, ("U1",), ("Y0", "Y1", "U0", "A1"))      # [y0, y1, u0, a1, u1]
     p_y2 = conditional(pmf, ("Y2",), ("Y0", "Y1", "U0", "U1", "A1", "A2"))  # [y0,y1,u0,u1,a1,a2,y2]
     # axis letters: a=y0 b=y1 c=u0 d=u1 e=a1 f=a2 g=y2
-    g = np.einsum("abcdefg,abced,aceb,ac->efgba", p_y2, p_u1, p_y1, p_u0)
+    g = np.einsum("...abcdefg,...abced,...aceb,...ac->...efgba", p_y2, p_u1, p_y1, p_u0)
     return IdentifiedDensity(g, "ORACLE")
 
 

@@ -48,6 +48,8 @@ from .identify import BRIDGES_NEEDED, METHODS, IdentifiedDensity, observed_condi
 from .policy import Regime
 from .tables import JointPmf, SingularMatrixError, ZeroProbabilityError, _locked
 
+ALL_METHODS = METHODS + ("SRA", "ORACLE")  # the bridge methods, then the baselines
+
 _HIDDEN_AXES = tuple(CANONICAL_ORDER.index(n) - len(CANONICAL_ORDER) for n in HIDDEN_ORDER)
 
 
@@ -57,7 +59,8 @@ class FitOptions:
     every caller.
 
     ``laplace`` is the additive cell smoothing constant (0 = raw maximum
-    likelihood); NaN and infinity are refused.
+    likelihood); NaN, infinity and a constant whose total over the 2^11
+    cells overflows are refused.
     """
 
     folds: int = 1
@@ -66,8 +69,10 @@ class FitOptions:
     def __post_init__(self):
         if self.folds < 1:
             raise ValueError("folds must be >= 1")
-        if not 0 <= self.laplace < math.inf:
-            raise ValueError(f"laplace smoothing must be finite and >= 0, got {self.laplace!r}")
+        cells = 2 ** len(CANONICAL_ORDER)
+        if not 0 <= float(self.laplace) * cells < math.inf:  # a Python float, which overflows silently
+            raise ValueError(f"laplace smoothing must be >= 0 and finite summed over the {cells} cells, "
+                             f"got {self.laplace!r}")
 
 
 @dataclass(frozen=True)
@@ -283,18 +288,19 @@ def _law(source: Dataset | JointPmf, laplace: float, include_hidden: bool = Fals
 
 def sra_from_conditional(cond: np.ndarray) -> IdentifiedDensity:
     """No-unmeasured-confounding g-formula on the observed table given Y0,
-    ``observed_conditional(pmf)[0]``: g(a1,a2,y2,y1,y0) = f(y2|y0,y1,a1,a2) f(y1|y0,a1)."""
-    joint5 = cond.sum(axis=(1, 2, 5, 6))  # [y0, a1, y1, a2, y2]
-    den2 = joint5.sum(axis=4, keepdims=True)
+    ``observed_conditional(pmf)[0]``: g(a1,a2,y2,y1,y0) = f(y2|y0,y1,a1,a2) f(y1|y0,a1).
+    A stack of tables (..., 2, ..., 2) gives a stack of densities."""
+    joint5 = cond.sum(axis=(-8, -7, -4, -3))  # [y0, a1, y1, a2, y2]
+    den2 = joint5.sum(axis=-1, keepdims=True)
     if np.any(den2 <= 0.0):
         raise ZeroProbabilityError("empty (y0, a1, y1, a2) cell in the SRA outcome model")
     f_y2 = joint5 / den2
-    joint3 = joint5.sum(axis=(3, 4))  # [y0, a1, y1]
-    den1 = joint3.sum(axis=2, keepdims=True)
+    joint3 = joint5.sum(axis=(-2, -1))  # [y0, a1, y1]
+    den1 = joint3.sum(axis=-1, keepdims=True)
     if np.any(den1 <= 0.0):
         raise ZeroProbabilityError("empty (y0, a1) cell in the SRA stage-1 model")
     f_y1 = joint3 / den1
-    g = np.einsum("aebfc,aeb->efcba", f_y2, f_y1)
+    g = np.einsum("...aebfc,...aeb->...efcba", f_y2, f_y1)
     return IdentifiedDensity(g, "SRA")
 
 

@@ -12,11 +12,12 @@ components of ``identify.BRIDGES_NEEDED[method]`` it replaces, and a
 baseline's not at all, so each distinct density is identified (all folds at
 once, then averaged with P(y0) weights) and scored once per repetition.
 A repetition's distinct densities are scored as one stack through one
-function for both optimizers (``_class_scores``): one array gather,
-``dgp.class_values``, gives every class member's value under every density,
-and each density picks one column, by value maximization over the searched
-class (``first_maximizer``) or by Q-learning, the greedy Boolean index from
-the stacked Q tables over the Boolean class (``q_learning_index``). A stack
+function for both optimizers (``_class_scores``). Value maximization
+gathers every searched class member's value under every density in one
+array gather, ``dgp.class_values``, and each density picks its first
+maximum (``first_maximizer``). Q-learning picks the greedy Boolean index
+from the stacked Q tables (``q_learning_index``) and gathers only that
+member's four density cells, summed as ``class_values`` sums them. A stack
 that fails to score (a zero Q denominator) is rescored density by density,
 as stacks of one, so the failure is charged to its own density only. Each
 (scenario, method) cell's regime is scored two ways:
@@ -63,7 +64,7 @@ from functools import partial
 import numpy as np
 
 from . import identify
-from .bridges import BridgeSet, MissingBridgeError, pseudo_bridges, solve_bridges, verify_bridges
+from .bridges import DEFAULT_PSEUDO_SEED, BridgeSet, MissingBridgeError, pseudo_bridges, solve_bridges, verify_bridges
 from .dgp import (
     DgpParams,
     class_values,
@@ -73,6 +74,7 @@ from .dgp import (
     true_joint,
 )
 from .estimators import (
+    ALL_METHODS,
     FitOptions,
     count_pmf,
     empirical_pmf,
@@ -86,7 +88,6 @@ from .policy import enumerate_class, first_maximizer, q_learning_index
 from .tables import TableError
 
 EPSILON = 1e-10  # values below this render as "<eps"
-DEFAULT_PSEUDO_SEED = 20
 
 SCENARIO_PSEUDO = {
     "all-correct": (),
@@ -97,7 +98,6 @@ SCENARIO_PSEUDO = {
 }
 
 BRIDGE_METHODS = identify.METHODS
-ALL_METHODS = BRIDGE_METHODS + ("SRA", "ORACLE")
 
 # (cond, bridges) -> IdentifiedDensity, per bridge method
 _DENSITY_FN = {method: partial(identify.density_from_conditional, method) for method in BRIDGE_METHODS}
@@ -285,13 +285,19 @@ def _class_scores(truth: _Truth, g: np.ndarray, p_y0: np.ndarray, optimizer: str
     """(regret, overall error) of the regime picked under each of a stack of
     densities (D, 2, 2, 2, 2, 2) with P(y0) (D, 2), by value maximization over
     the searched class or greedily from the Q tables over the Boolean class.
-    One gather gives every member's estimated value; the pick is a column."""
-    q_learning = optimizer == "q-learning"
-    cls, optimum = ((truth.boolean_class, truth.boolean_optimum) if q_learning
-                    else (truth.search_class, truth.optimum_value))
-    values = class_values(g, p_y0, cls)  # (D, K)
-    best = q_learning_index(*q_functions(g)) if q_learning else first_maximizer(values)
-    estimated = np.take_along_axis(values, best[:, None], 1)[:, 0]
+    Value maximization gathers every member's estimated value and picks a
+    column; Q-learning picks first and gathers only the picked member's cells."""
+    if optimizer == "q-learning":
+        cls, optimum = truth.boolean_class, truth.boolean_optimum
+        best = q_learning_index(*q_functions(g))
+        # only the picked member's four cells of each density, added in class_values' order
+        terms = p_y0[:, [0, 0, 1, 1]] * np.take_along_axis(g.reshape(len(g), -1), cls.density_index[:, best].T, 1)
+        estimated = ((terms[:, 0] + terms[:, 1]) + terms[:, 2]) + terms[:, 3]
+    else:
+        cls, optimum = truth.search_class, truth.optimum_value
+        values = class_values(g, p_y0, cls)  # (D, K)
+        best = first_maximizer(values)
+        estimated = np.take_along_axis(values, best[:, None], 1)[:, 0]
     regret = optimum - truth.true_values[cls.index[best]]
     return list(zip(regret.tolist(), np.abs(optimum - estimated).tolist()))
 

@@ -37,7 +37,7 @@ from __future__ import annotations
 
 import itertools
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import cached_property, lru_cache
 from typing import Iterable, Sequence
 
@@ -132,6 +132,9 @@ class Regime:
         payload = json.loads(text)
         if not isinstance(payload, dict) or not all(isinstance(payload.get(k), list) for k in ("d1", "d2")):
             raise ValueError("a regime must be a JSON object with bit lists 'd1' and 'd2'")
+        unknown = sorted(set(payload) - {f.name for f in fields(cls)})
+        if unknown:  # a misspelled certificate would otherwise go unchecked
+            raise ValueError(f"unknown regime keys {unknown}")
         thetas = []
         for key in ("theta1", "theta2"):
             theta = payload.get(key)  # only a missing key or null means no certificate

@@ -2,11 +2,17 @@
 
 import argparse
 import json
+import os
+import subprocess
+import sys
+import textwrap
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
-from proxidtr import cli
+import proxidtr
+from proxidtr import cli, harness
 from proxidtr.cli import build_parser, main
 from proxidtr.dgp import Dataset, sample
 from proxidtr.estimators import FitOptions, cross_fit
@@ -242,7 +248,7 @@ def test_negative_seed_is_usage_error(tmp_path, capsys):
 def test_config_names_and_seeds_are_checked_before_any_repetition(tmp_path, capsys, monkeypatch, payload, field):
     """Repeated or missing scenarios or methods, and seeds out of range, exit 1
     with one line naming the field, before a repetition runs or a report is written."""
-    monkeypatch.setattr(cli, "run_experiment", lambda config: pytest.fail("a repetition ran"))
+    monkeypatch.setattr(harness, "run_experiment", lambda config: pytest.fail("a repetition ran"))
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"n": 2000, "reps": 1, **payload}))
     out = tmp_path / "r.csv"
@@ -292,6 +298,27 @@ def test_falsy_regime_thetas_are_not_absent(tmp_path, capsys, falsy):
     assert absent.theta1 is None and absent.theta2 is None
 
 
+def test_misspelled_regime_keys_are_usage_error(tmp_path, capsys):
+    """A certificate under misspelled keys was dropped unchecked (this one does
+    not reproduce the tables); the keys are named instead."""
+    text = '{"d1": [1, 0], "d2": %s, "theta_1": [1, 0], "theta_2": [1, 0, 0, 0]}' % D2
+    assert _estimate_with_regime(tmp_path, text) == 1
+    assert _one_line_error(capsys) == "error: unknown regime keys ['theta_1', 'theta_2']\n"
+
+
+def test_experiment_laplace_whose_total_overflows_is_refused_before_any_repetition(tmp_path, capsys, monkeypatch):
+    """Every cell of such a run would fail; the config is refused with one
+    line before a repetition runs or a report is written."""
+    monkeypatch.setattr(harness, "run_experiment", lambda config: pytest.fail("a repetition ran"))
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"laplace": 1e308, "n": 2000, "reps": 1}))
+    out = tmp_path / "r.csv"
+    assert main(["experiment", "--config", str(cfg), "-o", str(out)]) == 1
+    assert _one_line_error(capsys) == ("error: laplace smoothing must be >= 0 and finite summed over the 2048 cells, "
+                                       "got 1e+308\n")
+    assert not out.exists()
+
+
 def test_non_finite_regime_theta_is_usage_error(tmp_path, capsys):
     """A NaN theta fails the unit-norm check; with all-zero tables it would
     otherwise reproduce them (NaN > 0 is false) and be written back as NaN."""
@@ -301,7 +328,7 @@ def test_non_finite_regime_theta_is_usage_error(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("method", ["pmr", "sra"])
-@pytest.mark.parametrize("laplace", ["nan", "inf"])
+@pytest.mark.parametrize("laplace", ["nan", "inf", "1e306"])  # 1e306 per cell overflows the total of 2048 cells
 def test_non_finite_laplace_is_usage_error(tmp_path, regime_file, capsys, method, laplace):
     data_file = tmp_path / "d.csv"
     main(["simulate", "--n", "500", "--seed", "3", "-o", str(data_file)])
@@ -393,7 +420,8 @@ def test_out_of_memory_is_one_line_usage_error(tmp_path, capsys, monkeypatch, co
     def refuse(*args, **kwargs):
         raise MemoryError(message)
 
-    monkeypatch.setattr(cli, target, refuse)
+    # the CLI looks the harness's names up when a command runs
+    monkeypatch.setattr(harness if command == "experiment" else cli, target, refuse)
     config = tmp_path / "config.json"
     config.write_text(json.dumps({"n": 10000000000000}))
     argv = {"simulate": ["simulate", "--n", "10000000000000", "--seed", "1"],
@@ -434,3 +462,39 @@ def test_main_shares_one_parser_and_prints_what_a_fresh_parser_does(tmp_path, re
     assert [code for code, _, _ in fresh] == [0, 0, ("SystemExit", 1), 0, ("SystemExit", 0), 0, ("SystemExit", 0), 0, 0]
     assert '"folds"' in fresh[0][1] and '"folds"' not in fresh[1][1]
     assert fresh[3][1] != fresh[1][1] == fresh[5][1] == fresh[8][1]
+
+
+_IMPORT_PROBE = textwrap.dedent("""
+    import json, sys
+    POOL = ("proxidtr.harness", "concurrent.futures", "multiprocessing")
+    loaded = lambda: [name for name in POOL if name in sys.modules]
+    import proxidtr
+    package = loaded()
+    import proxidtr.cli
+    proxidtr.cli.build_parser()
+    parser = loaded()
+    run = proxidtr.run_experiment  # the first access loads the harness
+    star = {}
+    exec("from proxidtr import *", star)
+    try:
+        proxidtr.no_such_name
+        missing = None
+    except AttributeError as err:
+        missing = str(err)
+    print(json.dumps({"package": package, "parser": parser, "same": run is proxidtr.harness.run_experiment,
+                      "unbound": [name for name in proxidtr.__all__ if name not in star], "missing": missing}))
+""")
+
+
+def test_package_and_cli_import_without_the_harness_or_its_pool():
+    """A fresh interpreter: importing the package, or the CLI and building its
+    parser (all that ``estimate`` and ``simulate`` need before they run),
+    loads neither the harness nor ``concurrent.futures`` or
+    ``multiprocessing``; the harness's re-exports resolve on first access."""
+    env = dict(os.environ, PYTHONPATH=str(Path(proxidtr.__file__).resolve().parents[1]))
+    done = subprocess.run([sys.executable, "-c", _IMPORT_PROBE], env=env, capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    seen = json.loads(done.stdout)
+    assert seen["package"] == [] and seen["parser"] == []
+    assert seen["same"] and seen["unbound"] == []
+    assert seen["missing"] == "module 'proxidtr' has no attribute 'no_such_name'"

@@ -6,6 +6,9 @@ telescoped PMR rearrangement must match the three-term form row for row, for
 arbitrary (even corrupted) bridges.
 """
 
+import math
+import sys
+
 import numpy as np
 import pytest
 from conftest import cell_codes
@@ -32,7 +35,7 @@ from proxidtr.estimators import (
     _cell_counts,
 )
 from proxidtr.policy import Regime
-from proxidtr.tables import SingularMatrixError, ZeroProbabilityError, conditional
+from proxidtr.tables import JointPmf, SingularMatrixError, ZeroProbabilityError, conditional
 
 METHODS = ("POR", "PHA", "PIPW", "PMR")
 REGIME = Regime((1, 0), (0, 1, 1, 0, 1, 0, 0, 1))
@@ -146,10 +149,18 @@ def test_if_variance_nonnegative_and_centering(big_data, fitted):
     assert (summand - point).mean() == pytest.approx(0.0, abs=1e-12)
 
 
-@pytest.mark.parametrize("laplace", [-0.5, float("nan"), float("inf")])
+# the last three overflow the smoothed total over the 2^11 cells: 1e306 per cell
+# failed as a mass that sums to 0.0, after a numpy warning
+@pytest.mark.parametrize("laplace", [-0.5, float("nan"), float("inf"), 1e306, np.float64(1e306),
+                                     math.nextafter(sys.float_info.max / 2048, math.inf)])
 def test_fit_options_refuse_bad_laplace(laplace):
     with pytest.raises(ValueError, match="laplace"):
         FitOptions(laplace=laplace)
+
+
+def test_fit_options_accept_the_largest_laplace_with_a_finite_total(big_data):
+    largest = FitOptions(laplace=sys.float_info.max / 2048).laplace
+    assert np.isfinite(empirical_pmf(big_data, laplace=largest, include_hidden=True).mass).all()
 
 
 def test_fold_fits_name_the_failing_fold(params):
@@ -325,6 +336,19 @@ def test_sra_from_conditional_equals_test_side_g_formula(big_data):
     np.testing.assert_allclose(sra_from_conditional(cond).g, expected, rtol=0, atol=1e-12)
     assert sra_value(big_data, REGIME).estimate == pytest.approx(
         identify.value_from_density(expected, pmf, REGIME), abs=1e-12)
+
+
+def test_stacked_baselines_equal_each_law_bit_for_bit(params, joint):
+    """SRA and the Oracle on a stack of laws (the true law and three
+    smoothed empirical laws, stacked 2 x 2) give each law's own density."""
+    laws = [joint] + [empirical_pmf(dgp.sample(params, 3000, seed), laplace=0.5, include_hidden=True)
+                      for seed in (1, 2, 3)]
+    stack = JointPmf(joint.names, np.stack([law.mass for law in laws]).reshape((2, 2) + joint.mass.shape))
+    sra = sra_from_conditional(identify.observed_conditional(stack)[0]).g.reshape(4, *(2,) * 5)
+    oracle = dgp.oracle_density_from_joint(stack).g.reshape(4, *(2,) * 5)
+    for k, law in enumerate(laws):
+        assert np.array_equal(sra[k], sra_from_conditional(identify.observed_conditional(law)[0]).g)
+        assert np.array_equal(oracle[k], dgp.oracle_density_from_joint(law).g)
 
 
 def test_off_fold_fit_equals_fit_on_the_other_folds_rows(big_data):

@@ -14,6 +14,8 @@ Q-learning's stacked greedy rule is checked against a cell-by-cell loop.
 
 import hashlib
 import itertools
+import json
+import re
 from functools import partial
 
 import numpy as np
@@ -178,6 +180,14 @@ def test_regime_json_round_trip(linear_class):
     assert again.theta1 == pytest.approx(r.theta1)
     bare = Regime((0, 1), (0, 1, 0, 1, 1, 0, 1, 0))
     assert Regime.from_json(bare.to_json()) == bare
+
+
+@pytest.mark.parametrize("extra", [{"theta_1": [1.0, 0.0]}, {"d3": [0, 1], "D1": [1, 0]}])
+def test_regime_json_refuses_unknown_keys(linear_class, extra):
+    """A misspelled key (a certificate that would never be checked) is named, not ignored."""
+    payload = {**json.loads(linear_class.members[37].to_json()), **extra}
+    with pytest.raises(ValueError, match=re.escape(f"unknown regime keys {sorted(extra)}")):
+        Regime.from_json(json.dumps(payload))
 
 
 def test_value_maximize_constant_returns_first(boolean_class):
