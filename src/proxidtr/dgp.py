@@ -14,9 +14,10 @@ The module constructs the exact 2^11 joint law, samples ancestrally with a
 counter-based generator, and evaluates ground truth by sequential
 standardization (g-formula) over the hidden confounders: the conditional
 joint density of potential outcomes, the true value of any regime, and the
-class optima found by exhaustive policy enumeration. ``class_values`` scores
-every member of a regime class against one density as a single array
-gather, with the same products and summation order as ``regime_value``.
+class optima found by exhaustive policy enumeration. ``class_values`` is the
+one place a regime's value under a density is computed: the values of any
+Boolean indices under one density, or under each of a stack, are a single
+array gather of their cells in ``policy.DENSITY_CELLS``.
 Every potential-outcome density, the Oracle's here and those of SRA and
 the bridge methods, is an ``IdentifiedDensity`` (here because ``identify``
 imports this module).
@@ -63,7 +64,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .policy import Regime, RegimeClass, enumerate_class, first_maximizer
+from .policy import BOOLEAN_SIZE, DENSITY_CELLS, Regime, RegimeClass, enumerate_class, first_maximizer
 from .tables import JointPmf, _mass_over, conditional
 
 CANONICAL_ORDER = ("Y0", "U0", "Z1", "W1", "A1", "Y1", "U1", "Z2", "W2", "A2", "Y2")
@@ -99,15 +100,6 @@ class LogisticModel:
             parents = (key,) if isinstance(key, str) else tuple(key)
             items.append((parents, float(coef)))
         return cls(target, float(intercept), tuple(items))
-
-    @property
-    def parents(self) -> tuple[str, ...]:
-        seen: list[str] = []
-        for parents, _ in self.terms:
-            for name in parents:
-                if name not in seen:
-                    seen.append(name)
-        return tuple(seen)
 
     def score(self, values: Mapping[str, np.ndarray]):
         total = np.asarray(self.intercept, dtype=float)
@@ -466,30 +458,25 @@ def oracle_density_from_joint(pmf: JointPmf) -> IdentifiedDensity:
     return IdentifiedDensity(g, "ORACLE")
 
 
-def regime_value(g: np.ndarray, p_y0: np.ndarray, regime: Regime) -> float:
-    """Indicator-weighted terminal-outcome mean under a potential density.
+def class_values(g: np.ndarray, p_y0: np.ndarray, index: int | np.ndarray) -> np.ndarray:
+    """The values of the regimes of Boolean indices ``index`` (read flat, so
+    shape (K,), K = 1 for one int) under a density ``g`` with P(y0) ``p_y0``;
+    a stack of densities (..., 2, 2, 2, 2, 2) with P(y0) (..., 2) gives the
+    values under each, shape (..., K).
 
-    V = sum_{y0,y1} P(y0) * g[d1(y0), d2(y0,y1,d1(y0)), y2=1, y1, y0].
+    V(d) = sum_{y0,y1} P(y0) * g[d1(y0), d2(y0,y1,d1(y0)), y2=1, y1, y0], read
+    at the regime's four cells in ``policy.DENSITY_CELLS``. The four terms are
+    added left to right in (y0, y1) order, so regimes that differ only
+    off-path tie exactly and ``first_maximizer`` keeps the first-maximizer rule.
     """
-    total = 0.0
-    for y0 in (0, 1):
-        a1 = regime.d1_of(y0)
-        for y1 in (0, 1):
-            a2 = regime.d2_of(y0, y1, a1)
-            total += p_y0[y0] * g[a1, a2, 1, y1, y0]
-    return float(total)
-
-
-def class_values(g: np.ndarray, p_y0: np.ndarray, cls: RegimeClass) -> np.ndarray:
-    """``regime_value`` of every member of ``cls``, shape (K,), bit for bit;
-    a stack of densities (..., 2, 2, 2, 2, 2) with P(y0) (..., 2) gives (..., K).
-
-    Each member's four terms P(y0) * g[...] are added left to right in
-    ``regime_value``'s (y0, y1) order, so members that differ only off-path
-    tie exactly and ``first_maximizer`` keeps the first-maximizer rule.
-    """
-    p_y0 = np.asarray(p_y0)
-    terms = p_y0[..., [0, 0, 1, 1], None] * np.asarray(g).reshape(p_y0.shape[:-1] + (-1,))[..., cls.density_index]
+    p_y0, g, index = np.asarray(p_y0), np.asarray(g), np.reshape(index, -1)
+    if p_y0.shape[-1:] != (2,) or g.shape != p_y0.shape[:-1] + (2,) * 5:
+        raise ValueError(f"densities of shape {g.shape} do not match P(y0) of shape {p_y0.shape}: P(y0) must "
+                         f"be (..., 2) and the densities P(y0)'s stack shape followed by (2, 2, 2, 2, 2)")
+    if index.size and not 0 <= index.min() <= index.max() < BOOLEAN_SIZE:  # a negative index would wrap around
+        raise ValueError(f"Boolean indices must lie in [0, {BOOLEAN_SIZE}), got {index.min()} to {index.max()}")
+    cells = np.take(DENSITY_CELLS, index, axis=1)  # (4, K); np.take gathers faster than [:, index]
+    terms = p_y0[..., [0, 0, 1, 1], None] * np.take(g.reshape(p_y0.shape[:-1] + (-1,)), cells, axis=-1)
     return ((terms[..., 0, :] + terms[..., 1, :]) + terms[..., 2, :]) + terms[..., 3, :]
 
 
@@ -500,7 +487,7 @@ def marginal_y0(pmf: JointPmf) -> np.ndarray:
 def true_value(params: DgpParams, regime: Regime) -> float:
     """Exact value of a regime under the true law."""
     joint = true_joint(params)
-    return regime_value(oracle_density_from_joint(joint).g, marginal_y0(joint), regime)
+    return float(class_values(oracle_density_from_joint(joint).g, marginal_y0(joint), [regime.index])[0])
 
 
 def optimal_value(params: DgpParams, cls: str | RegimeClass) -> tuple[float, Regime]:
@@ -509,6 +496,6 @@ def optimal_value(params: DgpParams, cls: str | RegimeClass) -> tuple[float, Reg
     if isinstance(cls, str):
         cls = enumerate_class(cls)
     joint = true_joint(params)
-    values = class_values(oracle_density_from_joint(joint).g, marginal_y0(joint), cls)
+    values = class_values(oracle_density_from_joint(joint).g, marginal_y0(joint), cls.index)
     best = first_maximizer(values)
     return float(values[best]), cls.member(best)

@@ -149,10 +149,12 @@ def fit_counts(counts: np.ndarray, opts: FitOptions) -> tuple[JointPmf, BridgeSe
     try:
         solved = solve_bridges(pmf, provenance="solved-from-sample")
     except (SingularMatrixError, ZeroProbabilityError) as err:
-        raise type(err)(
-            f"{err}; the empirical table is too sparse to solve the bridges - "
-            "increase n or enable Laplace smoothing"
-        ) from err
+        if opts.laplace > 0:  # more smoothing cannot help: it pulls a sparse stratum towards a rank-one table
+            advice = (f"Laplace smoothing of {opts.laplace:g} leaves sparse strata too flat to solve the bridges - "
+                      "increase n or lower the smoothing")
+        else:
+            advice = "the empirical table is too sparse to solve the bridges - increase n or enable Laplace smoothing"
+        raise type(err)(f"{err}; {advice}") from err
     return pmf, solved
 
 

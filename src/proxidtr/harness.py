@@ -12,14 +12,15 @@ components of ``identify.BRIDGES_NEEDED[method]`` it replaces, and a
 baseline's not at all, so each distinct density is identified (all folds at
 once, then averaged with P(y0) weights) and scored once per repetition.
 A repetition's distinct densities are scored as one stack through one
-function for both optimizers (``_class_scores``). Value maximization
-gathers every searched class member's value under every density in one
-array gather, ``dgp.class_values``, and each density picks its first
-maximum (``first_maximizer``). Q-learning picks the greedy Boolean index
-from the stacked Q tables (``q_learning_index``) and gathers only that
-member's four density cells, summed as ``class_values`` sums them. A stack
-that fails to score (a zero Q denominator) is rescored density by density,
-as stacks of one, so the failure is charged to its own density only. Each
+function for both optimizers (``_class_scores``), which picks one Boolean
+index per density. Value maximization gathers every searched class
+member's value under every density in one array gather,
+``dgp.class_values``, and each density picks its first maximum
+(``first_maximizer``); Q-learning picks the greedy Boolean index from the
+stacked Q tables (``q_learning_index``). One more ``class_values`` call
+then reads each density's value of its own pick. A stack that fails to
+score (a zero Q denominator) is rescored density by density, as stacks of
+one, so the failure is charged to its own density only. Each
 (scenario, method) cell's regime is scored two ways:
 
   regret         V(d*) - V(d_hat), both under the true law, where d* is the
@@ -37,10 +38,11 @@ fixed seed (``_scenario_pseudo``, handed to every repetition and pool
 worker), so repetitions share one corruption. Each component comes from its
 own substream, so scenarios that replace the same component get the same table.
 
-True values come from one array over the 1024-member Boolean class,
-computed once per experiment; a chosen regime's true value is read at its
-Boolean index, and both optima are gathers from that array at the searched
-class's indices. No ``Regime`` is built to score.
+True values come from one ``class_values`` call over all 1024 Boolean
+indices, computed once per experiment; a chosen regime's true value is read
+at its Boolean index, the searched class's optimum is a gather from that
+array at the class's indices, and the Boolean optimum is its maximum. No
+``Regime`` is built to score.
 
 Everything is deterministic in the config: repetition seeds are
 base_seed + index, and each repetition's results are folded into per-cell
@@ -84,7 +86,7 @@ from .estimators import (
     sra_from_conditional,
 )
 from .identify import q_functions
-from .policy import enumerate_class, first_maximizer, q_learning_index
+from .policy import BOOLEAN_SIZE, enumerate_class, first_maximizer, q_learning_index
 from .tables import TableError
 
 EPSILON = 1e-10  # values below this render as "<eps"
@@ -214,8 +216,7 @@ class _Truth:
         self.p_y0 = marginal_y0(joint)
         self.oracle_g = oracle_density_from_joint(joint).g
         self.search_class = enumerate_class(regime_class)
-        self.boolean_class = enumerate_class("all-boolean")  # Q-learning's class: member k is Boolean index k
-        self.true_values = class_values(self.oracle_g, self.p_y0, self.boolean_class)  # (1024,)
+        self.true_values = class_values(self.oracle_g, self.p_y0, np.arange(BOOLEAN_SIZE))  # at each Boolean index
         searched = self.true_values[self.search_class.index]
         self.optimum_value = float(searched[first_maximizer(searched)])
         self.boolean_optimum = float(self.true_values[first_maximizer(self.true_values)])
@@ -285,20 +286,16 @@ def _class_scores(truth: _Truth, g: np.ndarray, p_y0: np.ndarray, optimizer: str
     """(regret, overall error) of the regime picked under each of a stack of
     densities (D, 2, 2, 2, 2, 2) with P(y0) (D, 2), by value maximization over
     the searched class or greedily from the Q tables over the Boolean class.
-    Value maximization gathers every member's estimated value and picks a
-    column; Q-learning picks first and gathers only the picked member's cells."""
+    Each optimizer picks one Boolean index per density; both then read each
+    density's value of its own pick."""
     if optimizer == "q-learning":
-        cls, optimum = truth.boolean_class, truth.boolean_optimum
-        best = q_learning_index(*q_functions(g))
-        # only the picked member's four cells of each density, added in class_values' order
-        terms = p_y0[:, [0, 0, 1, 1]] * np.take_along_axis(g.reshape(len(g), -1), cls.density_index[:, best].T, 1)
-        estimated = ((terms[:, 0] + terms[:, 1]) + terms[:, 2]) + terms[:, 3]
+        optimum = truth.boolean_optimum
+        chosen = q_learning_index(*q_functions(g))
     else:
-        cls, optimum = truth.search_class, truth.optimum_value
-        values = class_values(g, p_y0, cls)  # (D, K)
-        best = first_maximizer(values)
-        estimated = np.take_along_axis(values, best[:, None], 1)[:, 0]
-    regret = optimum - truth.true_values[cls.index[best]]
+        optimum, index = truth.optimum_value, truth.search_class.index
+        chosen = index[first_maximizer(class_values(g, p_y0, index))]
+    estimated = np.diagonal(class_values(g, p_y0, chosen))  # density d's value of its own pick chosen[d]
+    regret = optimum - truth.true_values[chosen]
     return list(zip(regret.tolist(), np.abs(optimum - estimated).tolist()))
 
 

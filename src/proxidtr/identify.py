@@ -24,7 +24,9 @@ which the estimators, the harness and the CLI share.
 Every method returns a ``dgp.IdentifiedDensity`` (re-exported here), as do
 SRA and the Oracle, and reports it raw: misspecified bridges can push cells
 negative or break normalization, and downstream consumers see that rather
-than a silently repaired table.
+than a silently repaired table. ``value_from_density`` reads a regime's
+value off any of them with ``dgp.class_values``, the package's one value
+kernel.
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ from __future__ import annotations
 import numpy as np
 
 from .bridges import BridgeSet
-from .dgp import OBSERVED_ORDER, IdentifiedDensity, marginal_y0, regime_value
+from .dgp import OBSERVED_ORDER, IdentifiedDensity, class_values, marginal_y0
 from .policy import Regime
 from .tables import JointPmf, ZeroProbabilityError, _first_cell, _mass_over
 
@@ -133,9 +135,10 @@ def pipw_marginal_stage1(pmf: JointPmf, b: BridgeSet) -> np.ndarray:
 
 
 def value_from_density(g: IdentifiedDensity | np.ndarray, pmf: JointPmf, regime: Regime) -> float:
-    """Indicator-weighted value of a regime under an identified density."""
+    """Indicator-weighted value of a regime under an identified density:
+    ``dgp.class_values`` at the regime's Boolean index."""
     arr = g.g if isinstance(g, IdentifiedDensity) else np.asarray(g, dtype=float)
-    return regime_value(arr, marginal_y0(pmf), regime)
+    return float(class_values(arr, marginal_y0(pmf), [regime.index])[0])
 
 
 def q_functions(g: IdentifiedDensity | np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -24,10 +24,11 @@ Tie-breaking is normative: a threshold at exactly zero maps to action 0, and
 value maximization returns the first maximizer in canonical enumeration order
 (ascending Boolean index: d1 index, then d2 truth-table integer).
 
-A class also carries, per member, the flat indices of the four density cells
-its value reads, so the values of all members under one density are a single
-array gather (``dgp.class_values``); ``first_maximizer`` picks the first
-maximum, as an exhaustive loop with a strict ``>`` would. Q-learning's greedy
+``DENSITY_CELLS`` holds, for every Boolean index, the flat indices of the
+four density cells its value reads, so the values of any regimes under one
+density, or under each of a stack, are a single array gather
+(``dgp.class_values``); ``first_maximizer`` picks the first maximum, as an
+exhaustive loop with a strict ``>`` would. Q-learning's greedy
 rule picks from Q tables instead: ``q_learning_index`` gives the greedy
 regime's Boolean index for each law of a stack of tables, and
 ``q_learning_regime`` builds that regime for one law.
@@ -48,6 +49,25 @@ BOOLEAN_SIZE = 1 << 10  # regimes over binary histories: 2 d1 bits and 8 d2 bits
 
 # (y0, y1, a1) cells in lexicographic order; index = y0*4 + y1*2 + a1
 D2_CELLS = tuple(itertools.product((0, 1), repeat=3))
+
+
+def _density_cells() -> np.ndarray:
+    """(4, BOOLEAN_SIZE) flat indices into a (2,)*5 density ``g[a1, a2, y2, y1, y0]``.
+
+    Row ``2*y0 + y1``, column i holds the cell ``g[d1(y0), d2(y0, y1, d1(y0)), 1, y1, y0]``
+    of the regime whose Boolean index is i. d1(y0) is bit ``9 - y0`` of i and
+    d2 at cell c is bit ``7 - c``.
+    """
+    index = np.arange(BOOLEAN_SIZE)
+    y0, y1 = np.divmod(np.arange(4)[:, None], 2)
+    a1 = (index >> (9 - y0)) & 1
+    a2 = (index >> (7 - (4 * y0 + 2 * y1 + a1))) & 1
+    cells = 16 * a1 + 8 * a2 + 4 + 2 * y1 + y0  # C order over (a1, a2, y2, y1, y0), at y2 = 1
+    cells.flags.writeable = False
+    return cells
+
+
+DENSITY_CELLS = _density_cells()
 
 
 def _read_bits(bits: Iterable[int]) -> int:
@@ -179,25 +199,6 @@ class RegimeClass:
     @cached_property
     def members(self) -> tuple[Regime, ...]:
         return tuple(map(self.member, range(len(self.index))))
-
-    @cached_property
-    def density_index(self) -> np.ndarray:
-        """(4, K) flat indices into a (2,)*5 density ``g[a1, a2, y2, y1, y0]``.
-
-        Row ``2*y0 + y1`` holds, for every member, the cell
-        ``g[d1(y0), d2(y0, y1, d1(y0)), 1, y1, y0]``: the four terms of
-        ``regime_value`` in its loop order. d1(y0) is bit ``9 - y0`` of the
-        Boolean index and d2 at cell c is bit ``7 - c``.
-        """
-        rows = []
-        for y0 in (0, 1):
-            a1 = (self.index >> (9 - y0)) & 1
-            for y1 in (0, 1):
-                a2 = (self.index >> (7 - ((y0 << 2) | (y1 << 1) | a1))) & 1
-                rows.append(np.ravel_multi_index((a1, a2, 1, y1, y0), (2,) * 5))
-        index = np.stack(rows)
-        index.flags.writeable = False
-        return index
 
 
 def _unit(vec: Sequence[int]) -> tuple[float, ...]:

@@ -1,7 +1,8 @@
 """Shared fixtures: the exact law, solved bridges, and regime classes;
-``cell_codes``, the encoder of column blocks into ``Dataset`` rows; and
-``value_maximize``, the member-by-member search that the array search
-(``dgp.class_values`` + ``first_maximizer``) is checked against."""
+``cell_codes``, the encoder of column blocks into ``Dataset`` rows; and the
+references the array kernel (``dgp.class_values`` + ``first_maximizer``) is
+checked against: ``regime_value``, one regime's value by a loop over
+(y0, y1), and ``value_maximize``, the member-by-member search."""
 
 from typing import Callable
 
@@ -23,6 +24,20 @@ def cell_codes(observed, hidden=None) -> np.ndarray:
     for name in dgp.CANONICAL_ORDER:
         code = (code << 1) | columns[name]
     return code
+
+
+def regime_value(g: np.ndarray, p_y0: np.ndarray, regime: Regime) -> float:
+    """Indicator-weighted terminal-outcome mean under a potential density.
+
+    V = sum_{y0,y1} P(y0) * g[d1(y0), d2(y0,y1,d1(y0)), y2=1, y1, y0].
+    """
+    total = 0.0
+    for y0 in (0, 1):
+        a1 = regime.d1_of(y0)
+        for y1 in (0, 1):
+            a2 = regime.d2_of(y0, y1, a1)
+            total += p_y0[y0] * g[a1, a2, 1, y1, y0]
+    return float(total)
 
 
 def value_maximize(value_fn: Callable[[Regime], float], cls: RegimeClass) -> tuple[Regime, float]:
@@ -76,7 +91,7 @@ def boolean_class():
 @pytest.fixture(scope="session")
 def true_values(oracle, p_y0, boolean_class):
     return {
-        (r.d1, r.d2): dgp.regime_value(oracle.g, p_y0, r)
+        (r.d1, r.d2): regime_value(oracle.g, p_y0, r)
         for r in boolean_class.members
     }
 

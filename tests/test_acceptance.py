@@ -6,7 +6,7 @@ overall error against values of the pinned benchmark law
 (``DgpParams.default``). Those values are computed in this module by code
 paths that share nothing with the package's ground-truth code
 (``dgp.oracle_density_from_joint``, ``estimators.sra_from_conditional``,
-``policy.value_maximize``), and are pinned as ``LAW_*`` constants:
+``dgp.class_values``), and are pinned as ``LAW_*`` constants:
 
   forced-regime enumeration  the A1/A2 logistic factors on the 2^11 grid are
                              replaced by the regime's indicator and the mass

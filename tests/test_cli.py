@@ -111,6 +111,25 @@ def test_estimate_sparse_data_is_numerical_failure(tmp_path, regime_file, capsys
     assert "numerical failure" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("folds", ["1", "5"])
+@pytest.mark.parametrize("laplace, advice", [
+    ("0", "the empirical table is too sparse to solve the bridges - increase n or enable Laplace smoothing"),
+    ("1e6", "Laplace smoothing of 1e+06 leaves sparse strata too flat to solve the bridges - "
+            "increase n or lower the smoothing"),
+], ids=["unsmoothed", "smoothed"])
+def test_failed_solve_advice_fits_the_smoothing(tmp_path, regime_file, capsys, folds, laplace, advice):
+    """Heavy smoothing flattens sparse strata into singular tables, so a
+    smoothed fit that fails is not told to enable smoothing."""
+    data_file = tmp_path / "d.csv"
+    main(["simulate", "--n", "2000", "--seed", "3", "-o", str(data_file)])
+    capsys.readouterr()
+    code = main(["estimate", "--data", str(data_file), "--method", "pmr", "--regime", str(regime_file),
+                 "--laplace", laplace, "--folds", folds])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("numerical failure: ") and err.endswith(f"; {advice}\n") and err.count("\n") == 1
+
+
 def test_experiment_end_to_end(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({

@@ -141,9 +141,7 @@ def test_true_value_affine_in_density(oracle, p_y0):
     regime = Regime((1, 0), (0, 1, 1, 0, 1, 0, 0, 1))
     lam = 0.37
     mix = lam * oracle.g + (1 - lam) * other
-    v = dgp.regime_value(mix, p_y0, regime)
-    v1 = dgp.regime_value(oracle.g, p_y0, regime)
-    v2 = dgp.regime_value(other, p_y0, regime)
+    v, v1, v2 = (dgp.class_values(g, p_y0, [regime.index])[0] for g in (mix, oracle.g, other))
     assert v == pytest.approx(lam * v1 + (1 - lam) * v2, abs=1e-12)
 
 
@@ -156,7 +154,7 @@ def test_boolean_optimum_dominates_linear(params):
 
 @pytest.mark.parametrize("tag", ["linear", "all-boolean"])
 def test_optimal_value_builds_only_the_chosen_member(params, oracle, p_y0, tag, monkeypatch):
-    values = dgp.class_values(oracle.g, p_y0, enumerate_class(tag))
+    values = dgp.class_values(oracle.g, p_y0, enumerate_class(tag).index)
     best = first_maximizer(values)
     expected = enumerate_class(tag).members[best]  # the whole class, built before counting
     built = []

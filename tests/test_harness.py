@@ -4,11 +4,11 @@ from functools import partial
 
 import numpy as np
 import pytest
-from conftest import value_maximize
+from conftest import regime_value, value_maximize
 
 from proxidtr import estimators, harness, identify
 from proxidtr.bridges import pseudo_bridges
-from proxidtr.dgp import DgpParams, regime_value, sample
+from proxidtr.dgp import DgpParams, sample
 from proxidtr.harness import (
     ALL_METHODS,
     BRIDGE_METHODS,

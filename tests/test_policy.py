@@ -3,9 +3,9 @@
 The linear-class membership is re-derived here with an independent
 separability search (different weight grid, different scoring path) to
 confirm the canonical 104 count and that no separable table is missed.
-The array search (``dgp.class_values`` + ``first_maximizer``) is checked
-member by member against the ``regime_value`` loop and the test-side
-``value_maximize`` reference in ``conftest``. A class is the array of its
+The array kernel (``dgp.class_values``, reading ``policy.DENSITY_CELLS``,
++ ``first_maximizer``) is checked regime by regime against the test-side
+``regime_value`` loop and ``value_maximize`` search in ``conftest``. A class is the array of its
 members' Boolean indices; its ``members``, rebuilt from those indices, are
 pinned byte for byte by a hash of their JSON, and the harness's set-up and
 scoring, under either optimizer, are checked to build no ``Regime`` at all.
@@ -20,13 +20,15 @@ from functools import partial
 
 import numpy as np
 import pytest
-from conftest import value_maximize
+from conftest import regime_value, value_maximize
 
 from proxidtr import dgp, harness
 from proxidtr.estimators import empirical_pmf, sra_from_conditional
 from proxidtr.identify import observed_conditional
 from proxidtr.policy import (
+    BOOLEAN_SIZE,
     D2_CELLS,
+    DENSITY_CELLS,
     Regime,
     RegimeClass,
     enumerate_class,
@@ -98,6 +100,7 @@ def test_class_is_its_index(linear_class, boolean_class):
     assert np.array_equal(boolean_class.index, np.arange(1024))
     assert RegimeClass("linear", linear_class.index.tolist()) == linear_class
     assert RegimeClass("all-boolean", linear_class.index) != linear_class
+    assert linear_class == enumerate_class("linear")
 
 
 @pytest.mark.parametrize("tag, index", [
@@ -282,30 +285,60 @@ def densities(oracle, p_y0, big_data):
     return out
 
 
-def test_class_index_shape_and_cache(linear_class, boolean_class):
-    for cls in (linear_class, boolean_class):
-        index = cls.density_index
-        assert index.shape == (4, len(cls.members))
-        assert cls.density_index is index
-        assert not index.flags.writeable
-    assert linear_class == enumerate_class("linear")
+def test_density_cells_are_each_boolean_indexs_four_value_cells(boolean_class):
+    assert DENSITY_CELLS.shape == (4, BOOLEAN_SIZE)
+    assert not DENSITY_CELLS.flags.writeable
+    for regime in boolean_class.members:
+        cells = [np.ravel_multi_index((regime.d1_of(y0), regime.d2_of(y0, y1, regime.d1_of(y0)), 1, y1, y0), (2,) * 5)
+                 for y0 in (0, 1) for y1 in (0, 1)]
+        assert DENSITY_CELLS[:, regime.index].tolist() == cells
 
 
 def test_class_values_equal_regime_value_loop(densities, linear_class, boolean_class):
-    for cls in (linear_class, boolean_class):
-        for g, p in densities:
-            values = dgp.class_values(g, p, cls)
-            assert values.tolist() == [dgp.regime_value(g, p, r) for r in cls.members]
+    """Bit for bit: one regime (``[regime.index]``), a class, every Boolean
+    index, and one shared index over a stack of densities."""
+    for g, p in densities:
+        for regime in linear_class.members[::37]:
+            assert dgp.class_values(g, p, [regime.index]).tolist() == [regime_value(g, p, regime)]
+        assert dgp.class_values(g, p, np.arange(BOOLEAN_SIZE)).tolist() == [
+            regime_value(g, p, r) for r in boolean_class.members]
+        for cls in (linear_class, boolean_class):
+            values = dgp.class_values(g, p, cls.index)
+            assert values.tolist() == [regime_value(g, p, r) for r in cls.members]
             best = first_maximizer(values)
-            regime, value = value_maximize(partial(dgp.regime_value, g, p), cls)
+            regime, value = value_maximize(partial(regime_value, g, p), cls)
             assert cls.members[best] is regime
             assert values[best] == value
+    g, p = (np.stack(arrays) for arrays in zip(*densities))
+    values = dgp.class_values(g, p, linear_class.index)
+    assert values.shape == (len(densities), len(linear_class.members))
+    assert values.tolist() == [[regime_value(gk, pk, r) for r in linear_class.members] for gk, pk in densities]
+
+
+@pytest.mark.parametrize("g_shape, p_shape", [
+    ((2,) + (2,) * 5, (2,)),      # a stack of densities with one P(y0)
+    ((2,) * 5, (3, 2)),           # one density with a stack of P(y0)
+    ((3,) + (2,) * 5, (2, 2)),    # stacks of different lengths
+    ((2,) * 4, (2,)),             # too few density axes
+    ((2,) * 5, (3,)),             # P(y0) not over two values
+])
+def test_class_values_rejects_densities_that_do_not_match_p_y0(g_shape, p_shape):
+    with pytest.raises(ValueError) as err:
+        dgp.class_values(np.full(g_shape, 0.5), np.full(p_shape, 0.5), np.arange(BOOLEAN_SIZE))
+    assert f"densities of shape {g_shape} do not match P(y0) of shape {p_shape}" in str(err.value)
+
+
+@pytest.mark.parametrize("index", [[-1], [1024], [3, -2]])
+def test_class_values_rejects_indices_outside_the_boolean_range(index):
+    """A negative index would otherwise wrap around to the end of the table."""
+    with pytest.raises(ValueError, match=r"Boolean indices must lie in \[0, 1024\)"):
+        dgp.class_values(np.full((2,) * 5, 0.5), np.full(2, 0.5), index)
 
 
 def test_equal_keys_give_exactly_equal_class_values(densities, boolean_class):
     keys = np.array([regime_equivalence_key(r) for r in boolean_class.members])
     for g, p in densities:
-        values = dgp.class_values(g, p, boolean_class)
+        values = dgp.class_values(g, p, boolean_class.index)
         for key in np.unique(keys):
             assert len(set(values[keys == key].tolist())) == 1
 
@@ -313,18 +346,18 @@ def test_equal_keys_give_exactly_equal_class_values(densities, boolean_class):
 def test_constant_density_returns_first_member(linear_class, boolean_class):
     g = np.full((2,) * 5, 0.5)
     for cls in (linear_class, boolean_class):
-        values = dgp.class_values(g, np.array([0.3, 0.7]), cls)
+        values = dgp.class_values(g, np.array([0.3, 0.7]), cls.index)
         assert first_maximizer(values) == 0
 
 
 def test_nan_cell_follows_value_maximize(oracle, p_y0, linear_class, boolean_class):
     for cls in (linear_class, boolean_class):
-        winner = first_maximizer(dgp.class_values(oracle.g, p_y0, cls))
+        winner = first_maximizer(dgp.class_values(oracle.g, p_y0, cls.index))
         for member in (0, winner, len(cls.members) - 1):
             g = oracle.g.copy()
-            g.flat[cls.density_index[3, member]] = np.nan
-            values = dgp.class_values(g, p_y0, cls)
-            regime, _ = value_maximize(partial(dgp.regime_value, g, p_y0), cls)
+            g.flat[DENSITY_CELLS[3, cls.index[member]]] = np.nan
+            values = dgp.class_values(g, p_y0, cls.index)
+            regime, _ = value_maximize(partial(regime_value, g, p_y0), cls)
             assert np.isnan(values[member])
             assert cls.members[first_maximizer(values)] is regime
 
@@ -341,16 +374,16 @@ def test_stacked_class_values_and_maximizer_equal_each_row(oracle, p_y0, linear_
     """One gather over a stack of densities, and the maximizer along its last
     axis, equal the per-density path, NaN rule included."""
     for cls in (linear_class, boolean_class):
-        winner = first_maximizer(dgp.class_values(oracle.g, p_y0, cls))
+        winner = first_maximizer(dgp.class_values(oracle.g, p_y0, cls.index))
         stack = [oracle.g]
         for members in ([0], [winner], [len(cls.members) - 1], [0, winner, len(cls.members) - 1]):
             g = oracle.g.copy()
-            g.flat[cls.density_index[3, members]] = np.nan
+            g.flat[DENSITY_CELLS[3, cls.index[members]]] = np.nan
             stack.append(g)
         stack.append(np.full((2,) * 5, np.nan))
         p = np.stack([p_y0 * (1 + k / 10) for k in range(len(stack))])
-        values = dgp.class_values(np.stack(stack), p, cls)
-        rows = [dgp.class_values(g, pk, cls) for g, pk in zip(stack, p)]
+        values = dgp.class_values(np.stack(stack), p, cls.index)
+        rows = [dgp.class_values(g, pk, cls.index) for g, pk in zip(stack, p)]
         assert values.shape == (len(stack), len(cls.members))
         np.testing.assert_array_equal(values, rows)  # bit for bit, NaN where NaN
         best = first_maximizer(values)
