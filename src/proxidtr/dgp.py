@@ -65,7 +65,7 @@ from typing import Mapping
 import numpy as np
 
 from .policy import BOOLEAN_SIZE, DENSITY_CELLS, Regime, RegimeClass, enumerate_class, first_maximizer
-from .tables import JointPmf, _mass_over, conditional
+from .tables import JointPmf, _as_readonly, _mass_over, conditional
 
 CANONICAL_ORDER = ("Y0", "U0", "Z1", "W1", "A1", "Y1", "U1", "Z2", "W2", "A2", "Y2")
 OBSERVED_ORDER = ("Y0", "Z1", "W1", "A1", "Y1", "Z2", "W2", "A2", "Y2")
@@ -355,10 +355,9 @@ class IdentifiedDensity:
     provenance: Mapping[str, str] = field(default_factory=dict)
 
     def __post_init__(self):
-        g = np.asarray(self.g, dtype=float)
+        g = _as_readonly(self.g)  # never locks the caller's array
         if g.shape[g.ndim - 5:] != (2,) * 5:
             raise ValueError(f"g must have shape (2,)*5, got {g.shape}")
-        g.flags.writeable = False
         object.__setattr__(self, "g", g)
         object.__setattr__(self, "provenance", dict(self.provenance))
 
@@ -470,6 +469,8 @@ def class_values(g: np.ndarray, p_y0: np.ndarray, index: int | np.ndarray) -> np
     off-path tie exactly and ``first_maximizer`` keeps the first-maximizer rule.
     """
     p_y0, g, index = np.asarray(p_y0), np.asarray(g), np.reshape(index, -1)
+    if not index.size:  # an empty list reshapes to a float array, which np.take refuses
+        index = index.astype(int)
     if p_y0.shape[-1:] != (2,) or g.shape != p_y0.shape[:-1] + (2,) * 5:
         raise ValueError(f"densities of shape {g.shape} do not match P(y0) of shape {p_y0.shape}: P(y0) must "
                          f"be (..., 2) and the densities P(y0)'s stack shape followed by (2, 2, 2, 2, 2)")

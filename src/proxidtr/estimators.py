@@ -149,11 +149,12 @@ def fit_counts(counts: np.ndarray, opts: FitOptions) -> tuple[JointPmf, BridgeSe
     try:
         solved = solve_bridges(pmf, provenance="solved-from-sample")
     except (SingularMatrixError, ZeroProbabilityError) as err:
-        if opts.laplace > 0:  # more smoothing cannot help: it pulls a sparse stratum towards a rank-one table
+        # smoothing need not help: it pulls a sparse stratum towards a rank-one table
+        if opts.laplace > 0:
             advice = (f"Laplace smoothing of {opts.laplace:g} leaves sparse strata too flat to solve the bridges - "
                       "increase n or lower the smoothing")
         else:
-            advice = "the empirical table is too sparse to solve the bridges - increase n or enable Laplace smoothing"
+            advice = "the empirical table is too sparse to solve the bridges - increase n"
         raise type(err)(f"{err}; {advice}") from err
     return pmf, solved
 

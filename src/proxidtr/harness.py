@@ -50,6 +50,12 @@ arrays as they arrive, in index order, so table emission is byte-stable.
 Repetition failures (rank/positivity errors on sparse tables) are counted
 and excluded, never silently dropped. ``PROXIDTR_THREADS`` caps worker
 processes; the default is serial.
+
+The report's columns are stated once, in one column table (``_COLUMNS``):
+the labels and counts, then each metric's CSV prefix with the statistics
+that are ``MetricSummary``'s fields. The CSV header, every CSV row and
+``parse_report_csv`` read it, and ``emit_tables`` renders each metric's text
+table with one loop over its two blocks, "mean (se)" then "[rmse]".
 """
 
 from __future__ import annotations
@@ -374,15 +380,13 @@ def _rep_results(config: ExperimentConfig, truth: _Truth, workers: int):
             yield _run_rep(config, truth, rep, pseudo)
 
 
-def run_experiment(config: ExperimentConfig, params: DgpParams | None = None) -> ExperimentReport:
+def run_experiment(config: ExperimentConfig) -> ExperimentReport:
     """Run the full grid and aggregate regret / overall error per cell."""
-    truth = _Truth(params, config.regime_class) if params is not None else _truth_context(config)
-    # worker processes rebuild the default-law context; custom laws run serially
-    workers = worker_count() if params is None else 1
+    truth = _truth_context(config)
     keys = [(tag, method) for tag in config.scenarios for method in config.methods]
     scores = np.zeros((len(keys), 2, config.reps))  # [cell, (regret, overall error), rep]
     scored = np.zeros((len(keys), config.reps), dtype=bool)
-    for rep, results in enumerate(_rep_results(config, truth, workers)):
+    for rep, results in enumerate(_rep_results(config, truth, worker_count())):
         for i, key in enumerate(keys):
             if not isinstance(results[key], str):
                 scores[i, :, rep] = results[key]
@@ -396,6 +400,17 @@ def run_experiment(config: ExperimentConfig, params: DgpParams | None = None) ->
     return ExperimentReport(config, tuple(cells))
 
 
+# The report's columns in CSV order, stated once: a cell's labels and counts,
+# read by name off the cell or its config, then each metric's statistics (the
+# fields of ``MetricSummary``) under the metric's CSV prefix.
+_LABELS = ("scenario", "method", "optimizer")
+_COUNTS = ("n", "reps", "count", "failures")
+_METRICS = (("regret", "regret", "Regret"), ("overall", "overall_error", "Overall error"))  # (prefix, field, title)
+_STATS = tuple(f.name for f in fields(MetricSummary))
+_FLOATS = tuple(f"{prefix}_{stat}" for prefix, _, _ in _METRICS for stat in _STATS)
+_COLUMNS = _LABELS + _COUNTS + _FLOATS
+
+
 def _fmt(value: float) -> str:
     if np.isnan(value):
         return "nan"
@@ -406,62 +421,39 @@ def _fmt(value: float) -> str:
 
 def emit_tables(report: ExperimentReport) -> tuple[str, str]:
     """(csv, aligned_text). CSV keeps raw numbers so it round-trips; the
-    text tables apply the sub-epsilon rendering convention."""
+    text tables apply the sub-epsilon rendering convention. Each metric's
+    text table has two blocks of one row per scenario: "mean (se)", then
+    "[rmse]"."""
+    config = report.config
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow([
-        "scenario", "method", "optimizer", "n", "reps", "count", "failures",
-        "regret_mean", "regret_se", "regret_rmse",
-        "overall_mean", "overall_se", "overall_rmse",
-    ])
+    writer.writerow(_COLUMNS)
     for c in report.cells:
-        writer.writerow([
-            c.scenario, c.method, report.config.optimizer, report.config.n,
-            report.config.reps, c.count, c.failures,
-            repr(c.regret.mean), repr(c.regret.se), repr(c.regret.rmse),
-            repr(c.overall_error.mean), repr(c.overall_error.se), repr(c.overall_error.rmse),
-        ])
-    csv_text = buf.getvalue()
+        source = {**vars(config), **vars(c)}
+        writer.writerow([source[name] for name in _LABELS + _COUNTS]
+                        + [getattr(getattr(c, name), stat) for _, name, _ in _METRICS for stat in _STATS])
 
-    methods = list(report.config.methods)
-    present = {(c.scenario, c.method) for c in report.cells}
-    tags = [t for t in report.config.scenarios if any(s == t for s, _ in present)]
+    present = {c.scenario for c in report.cells}
+    tags = [t for t in config.scenarios if t in present]
+    blocks = ((f"{_LABELS[0]:<14}" + "".join(f"{m:>18}" for m in config.methods),
+               lambda s: f"{_fmt(s.mean)} ({_fmt(s.se)})"),
+              (f"{'  [rmse]':<14}", lambda s: _fmt(s.rmse)))
     lines = []
-    for metric, title in (("regret", "Regret"), ("overall_error", "Overall error")):
-        lines.append(f"{title} ({report.config.optimizer}, n={report.config.n}, reps={report.config.reps})")
-        header = f"{'scenario':<14}" + "".join(f"{m:>18}" for m in methods)
-        lines.append(header)
-        for tag in tags:
-            row = f"{tag:<14}"
-            for m in methods:
-                c = report.cell(tag, m)
-                block = getattr(c, metric)
-                row += f"{_fmt(block.mean) + ' (' + _fmt(block.se) + ')':>18}"
-            lines.append(row)
-        lines.append(f"{'  [rmse]':<14}" + "")
-        for tag in tags:
-            row = f"{tag:<14}"
-            for m in methods:
-                c = report.cell(tag, m)
-                row += f"{_fmt(getattr(c, metric).rmse):>18}"
-            lines.append(row)
+    for _, name, title in _METRICS:
+        lines.append(f"{title} ({config.optimizer}, n={config.n}, reps={config.reps})")
+        for header, render in blocks:
+            lines.append(header)
+            lines += [f"{tag:<14}" + "".join(f"{render(getattr(report.cell(tag, m), name)):>18}"
+                                             for m in config.methods) for tag in tags]
         lines.append("")
-    return csv_text, "\n".join(lines)
+    return buf.getvalue(), "\n".join(lines)
 
 
 def parse_report_csv(text: str) -> list[dict]:
     """Inverse of the CSV side of ``emit_tables`` (numbers parsed back)."""
-    rows = []
-    reader = csv.DictReader(io.StringIO(text))
-    for raw in reader:
-        row = dict(raw)
-        for key in ("n", "reps", "count", "failures"):
-            row[key] = int(row[key])
-        for key in ("regret_mean", "regret_se", "regret_rmse",
-                    "overall_mean", "overall_se", "overall_rmse"):
-            row[key] = float(row[key])
-        rows.append(row)
-    return rows
+    convert = dict.fromkeys(_COUNTS, int) | dict.fromkeys(_FLOATS, float)
+    return [{key: convert[key](value) if key in convert else value for key, value in row.items()}
+            for row in csv.DictReader(io.StringIO(text))]
 
 
 @dataclass(frozen=True)

@@ -423,6 +423,16 @@ def test_dataset_holds_only_its_cell_codes(params):
     assert empty.cell_counts.sum() == 0
 
 
+def test_identified_density_copies_a_writeable_array():
+    g = np.full((2,) * 5, 0.5)
+    density = dgp.IdentifiedDensity(g, "X")
+    assert g.flags.writeable and not density.g.flags.writeable
+    g[:] = 0.25
+    assert (density.g == 0.5).all()
+    locked = density.g  # read-only and owns its memory: kept, not copied
+    assert dgp.IdentifiedDensity(locked, "X").g is locked
+
+
 def test_dataset_copies_the_codes_it_is_given():
     codes = np.arange(10, dtype=np.int16)
     data = dgp.Dataset(codes, 0)

@@ -75,7 +75,8 @@ def test_fit_bridges_scenario_provenance(big_data):
 
 def test_fit_bridges_sparse_data_advises(params):
     tiny = dgp.sample(params, 300, seed=5)
-    with pytest.raises((SingularMatrixError, ZeroProbabilityError), match="smoothing"):
+    advice = "too sparse to solve the bridges - increase n$"  # smoothing need not help, so it is not advised
+    with pytest.raises((SingularMatrixError, ZeroProbabilityError), match=advice):
         fit_bridges(tiny)
 
 

@@ -125,13 +125,24 @@ def test_emit_tables_empty_report():
 
 
 def test_csv_round_trips(small_report):
-    csv_text, _ = emit_tables(small_report)
-    rows = parse_report_csv(csv_text)
-    assert len(rows) == len(small_report.cells)
-    first = rows[0]
-    cell = small_report.cell(first["scenario"], first["method"])
-    assert first["regret_mean"] == cell.regret.mean
-    assert first["overall_mean"] == cell.overall_error.mean
+    """Every column of every row parses back to the cell's own value and type;
+    NaN compares as NaN. At n = 600 every bridge and Oracle cell fails 6 of 6
+    (NaN metrics) and SRA scores 4 of 6."""
+    n600_report = run_experiment(ExperimentConfig(n=600, reps=6))
+    assert {(c.method, c.count, c.failures) for c in n600_report.cells} == {
+        *((m, 0, 6) for m in (*BRIDGE_METHODS, "ORACLE")), ("SRA", 4, 2)}
+    for report in (small_report, n600_report):
+        config = report.config
+        rows = parse_report_csv(emit_tables(report)[0])
+        assert len(rows) == len(report.cells)
+        for row, c in zip(rows, report.cells):
+            expected = {"scenario": c.scenario, "method": c.method, "optimizer": config.optimizer,
+                        "n": config.n, "reps": config.reps, "count": c.count, "failures": c.failures}
+            for prefix, s in (("regret", c.regret), ("overall", c.overall_error)):
+                expected |= {f"{prefix}_mean": s.mean, f"{prefix}_se": s.se, f"{prefix}_rmse": s.rmse}
+            assert list(row) == list(expected)
+            assert [type(v) for v in row.values()] == [type(v) for v in expected.values()]
+            np.testing.assert_equal(row, expected)
 
 
 def test_table_shape_full_grid():

@@ -296,8 +296,10 @@ def test_density_cells_are_each_boolean_indexs_four_value_cells(boolean_class):
 
 def test_class_values_equal_regime_value_loop(densities, linear_class, boolean_class):
     """Bit for bit: one regime (``[regime.index]``), a class, every Boolean
-    index, and one shared index over a stack of densities."""
+    index, and one shared index over a stack of densities; no index (an empty
+    list, which reshapes to a float array) gives no values."""
     for g, p in densities:
+        assert dgp.class_values(g, p, []).shape == (0,)
         for regime in linear_class.members[::37]:
             assert dgp.class_values(g, p, [regime.index]).tolist() == [regime_value(g, p, regime)]
         assert dgp.class_values(g, p, np.arange(BOOLEAN_SIZE)).tolist() == [
@@ -313,6 +315,7 @@ def test_class_values_equal_regime_value_loop(densities, linear_class, boolean_c
     values = dgp.class_values(g, p, linear_class.index)
     assert values.shape == (len(densities), len(linear_class.members))
     assert values.tolist() == [[regime_value(gk, pk, r) for r in linear_class.members] for gk, pk in densities]
+    assert dgp.class_values(g, p, []).shape == (len(densities), 0)
 
 
 @pytest.mark.parametrize("g_shape, p_shape", [
