@@ -38,7 +38,7 @@ from typing import Iterable, Mapping
 
 import numpy as np
 
-from .tables import JointPmf, ZeroProbabilityError, _as_readonly, _first_cell, _locked, conditional, invert2or4
+from .tables import JointPmf, _as_readonly, _locked, _refuse_zero, conditional, invert2or4
 
 RESIDUAL_TOL = 1e-8
 
@@ -110,13 +110,23 @@ class BridgeSet:
 
     @classmethod
     def from_json(cls, text: str) -> "BridgeSet":
+        """The set ``to_json`` writes: only known components, each keyed by
+        every cell of its (unstacked) table exactly once."""
         payload = json.loads(text)
+        if not isinstance(payload, dict):
+            raise ValueError(f"a bridge set is a JSON object, got {type(payload).__name__}")
+        unknown = sorted(set(payload) - {"provenance", *_SHAPES})
+        if unknown:
+            raise ValueError(f"unknown bridge component {unknown[0]!r}; expected some of {list(_SHAPES)}")
         arrays = {}
         for name, shape in _SHAPES.items():
             if name in payload:
-                arr = arrays[name] = np.zeros(shape)
-                for key, value in payload[name].items():
-                    arr[tuple(int(b) for b in key.split(","))] = value
+                keys = [",".join(map(str, idx)) for idx in np.ndindex(shape)]
+                odd = sorted(set(payload[name]) ^ set(keys))
+                if odd:
+                    raise ValueError(f"{name} cell key {odd[0]!r} is {'missing' if odd[0] in keys else 'unknown'}; "
+                                     f"{name} needs exactly its {len(keys)} keys '{keys[0]}' to '{keys[-1]}'")
+                arrays[name] = np.array([payload[name][key] for key in keys], dtype=float).reshape(shape)
         return cls(**arrays, provenance=payload.get("provenance", {}))
 
 
@@ -127,11 +137,8 @@ class BridgeSet:
 def _reciprocal(pmf: JointPmf, target: tuple[str, ...], given: tuple[str, ...]) -> np.ndarray:
     """1 / P(target | given), indexed [given..., target...]; positivity must hold."""
     p = conditional(pmf, target, given)
-    cell = _first_cell(p <= 0.0)
-    if cell is not None:
-        cell = dict(zip(given + target, cell[p.ndim - len(given + target):]))
-        what = f"P({','.join(target)}|{','.join(given)})"
-        raise ZeroProbabilityError(f"positivity fails: {what} is zero at {cell}", cell)
+    what = f"P({','.join(target)}|{','.join(given)})"
+    _refuse_zero(p.real <= 0.0, given + target, f"positivity fails: {what} is zero at {{cell}}")
     return 1.0 / p
 
 

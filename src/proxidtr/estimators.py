@@ -46,7 +46,7 @@ from .bridges import BridgeSet, solve_bridges
 from .dgp import CANONICAL_ORDER, HIDDEN_ORDER, OBSERVED_ORDER, Dataset, oracle_density_from_joint
 from .identify import BRIDGES_NEEDED, METHODS, IdentifiedDensity, observed_conditional, value_from_density
 from .policy import Regime
-from .tables import JointPmf, SingularMatrixError, ZeroProbabilityError, _locked
+from .tables import JointPmf, SingularMatrixError, ZeroProbabilityError, _locked, _refuse_zero
 
 ALL_METHODS = METHODS + ("SRA", "ORACLE")  # the bridge methods, then the baselines
 
@@ -155,7 +155,8 @@ def fit_counts(counts: np.ndarray, opts: FitOptions) -> tuple[JointPmf, BridgeSe
                       "increase n or lower the smoothing")
         else:
             advice = "the empirical table is too sparse to solve the bridges - increase n"
-        raise type(err)(f"{err}; {advice}") from err
+        err.args = (f"{err}; {advice}",)  # the same error, so a zero cell stays named in ``.assignment``
+        raise
     return pmf, solved
 
 
@@ -170,7 +171,8 @@ def fold_fits(data: Dataset, opts: FitOptions) -> tuple[np.ndarray, BridgeSet]:
             try:
                 fit_counts(counts, opts)
             except (SingularMatrixError, ZeroProbabilityError) as err:
-                raise type(err)(f"off-fold fit failed for fold {fold}: {err}") from err
+                err.args = (f"off-fold fit failed for fold {fold}: {err}",)
+                raise
         raise
 
 
@@ -295,14 +297,11 @@ def sra_from_conditional(cond: np.ndarray) -> IdentifiedDensity:
     A stack of tables (..., 2, ..., 2) gives a stack of densities."""
     joint5 = cond.sum(axis=(-8, -7, -4, -3))  # [y0, a1, y1, a2, y2]
     den2 = joint5.sum(axis=-1, keepdims=True)
-    if np.any(den2 <= 0.0):
-        raise ZeroProbabilityError("empty (y0, a1, y1, a2) cell in the SRA outcome model")
+    # every stage-1 denominator sums positive outcome-model ones, so this refusal covers both models
+    _refuse_zero(den2[..., 0].real <= 0.0, ("Y0", "A1", "Y1", "A2"), "empty cell {cell} in the SRA outcome model")
     f_y2 = joint5 / den2
     joint3 = joint5.sum(axis=(-2, -1))  # [y0, a1, y1]
-    den1 = joint3.sum(axis=-1, keepdims=True)
-    if np.any(den1 <= 0.0):
-        raise ZeroProbabilityError("empty (y0, a1) cell in the SRA stage-1 model")
-    f_y1 = joint3 / den1
+    f_y1 = joint3 / joint3.sum(axis=-1, keepdims=True)
     g = np.einsum("...aebfc,...aeb->...efcba", f_y2, f_y1)
     return IdentifiedDensity(g, "SRA")
 

@@ -25,8 +25,8 @@ Every method returns a ``dgp.IdentifiedDensity`` (re-exported here), as do
 SRA and the Oracle, and reports it raw: misspecified bridges can push cells
 negative or break normalization, and downstream consumers see that rather
 than a silently repaired table. ``value_from_density`` reads a regime's
-value off any of them with ``dgp.class_values``, the package's one value
-kernel.
+value off any of them with ``dgp.class_values``, the package's one plug-in
+value kernel.
 """
 
 from __future__ import annotations
@@ -36,7 +36,7 @@ import numpy as np
 from .bridges import BridgeSet
 from .dgp import OBSERVED_ORDER, IdentifiedDensity, class_values, marginal_y0
 from .policy import Regime
-from .tables import JointPmf, ZeroProbabilityError, _first_cell, _mass_over
+from .tables import JointPmf, _mass_over, _refuse_zero
 
 # method -> the bridge components it reads; the one list of the bridge methods
 BRIDGES_NEEDED = {
@@ -56,8 +56,7 @@ def observed_conditional(pmf: JointPmf) -> tuple[np.ndarray, np.ndarray]:
     """
     arr = _mass_over(pmf, OBSERVED_ORDER)
     p_y0 = arr.sum(axis=tuple(range(-8, 0)))
-    if np.any(p_y0 <= 0.0):
-        raise ZeroProbabilityError("P(Y0=y0) = 0 for some y0; cannot condition")
+    _refuse_zero(p_y0.real <= 0.0, ("Y0",), "P(Y0=y0) = 0 at {cell}; cannot condition")
     return arr / p_y0[(...,) + (None,) * 8], p_y0
 
 
@@ -155,18 +154,14 @@ def q_functions(g: IdentifiedDensity | np.ndarray) -> tuple[np.ndarray, np.ndarr
     """
     arr = g.g if isinstance(g, IdentifiedDensity) else np.asarray(g, dtype=float)
     den2 = arr.sum(axis=-3)  # [..., a1, a2, y1, y0]
-    zero = _first_cell(den2 == 0.0)  # C order: the first zero cell in (a1, a2, y1, y0) order
-    if zero is not None:
-        a1, a2, y1, y0 = zero[-4:]
-        raise ZeroProbabilityError(
-            f"zero stage-2 denominator at (y0={y0}, y1={y1}, a1={a1}, a2={a2}); "
-            f"f(Y1({a1})={y1}|Y0={y0}) is degenerate"
-        )
+    _refuse_zero(den2.real == 0.0, ("a1", "a2", "y1", "y0"),  # the first zero cell in (a1, a2, y1, y0) order
+                 "zero stage-2 denominator at (y0={y0}, y1={y1}, a1={a1}, a2={a2}); "
+                 "f(Y1({a1})={y1}|Y0={y0}) is degenerate")
     # [..., a1, a2, y1, y0] -> [..., y0, y1, a1, a2]
     q2 = np.moveaxis(arr[..., 1, :, :] / den2, (-1, -2), (-4, -3))
     weights = np.moveaxis(den2, (-1, -2), (-4, -3))[..., 0]  # [..., y0, y1, a1] at a2=0
     total = weights.sum(axis=-2, keepdims=True)  # [..., y0, 1, a1]
-    if np.any(total == 0.0):
-        raise ZeroProbabilityError("zero stage-1 normalizer in Q1 weights")
+    _refuse_zero(total[..., 0, :].real == 0.0, ("y0", "a1"),
+                 "zero stage-1 normalizer in Q1 weights at (y0={y0}, a1={a1})")
     q1 = np.einsum("...xyk,...xyk->...xk", weights / total, q2.max(axis=-1))  # [..., y0, a1]
     return q2, q1

@@ -13,13 +13,17 @@ of proxy matrices over the remaining history come out as leading axes.
 
 All objects are immutable value types; operations return new tables and never
 mutate their inputs. ``conditional`` sums a table's mass without building and
-validating an intermediate table. A table keeps a read-only float array it is
+validating an intermediate table. A table keeps a read-only array it is
 handed that owns its memory (the fresh arrays ``_locked`` marks, as
 ``estimators.count_pmf`` and ``bridges.solve_bridges`` do) and copies
-anything else. Every failure check (a zero conditioning cell, a singular
-block, a total off 1) costs one reduction; the first failing cell in C order
-is located (``_first_cell``) only when one exists. A NaN compares false, so a
-NaN denominator or determinant is not flagged.
+anything else. Tables are float64, or complex128 for complex-step
+derivatives; every check reads the real part. Every failure check (a zero
+conditioning cell, a singular block, a total off 1) costs one reduction; the
+first failing cell in C order is located (``_first_cell``) only when one
+exists. Every zero denominator in the package, here and in ``bridges``,
+``identify`` and ``estimators``, is refused by ``_refuse_zero``, which names
+that cell by its own axes in ``ZeroProbabilityError.assignment``. A NaN
+compares false, so a NaN denominator or determinant is not flagged.
 
 A ``JointPmf`` may hold a stack of laws over the same variables (the K
 off-fold laws of a cross-fit): its mass and every array derived from it
@@ -66,16 +70,28 @@ def _locked(arr: np.ndarray) -> np.ndarray:
 
 
 def _as_readonly(arr) -> np.ndarray:
-    """A read-only float array: ``arr`` itself when it is read-only and owns
-    its memory, as the fresh arrays ``_locked`` marks do, else a read-only copy."""
-    owned = isinstance(arr, np.ndarray) and arr.dtype == float and arr.base is None
-    return arr if owned and not arr.flags.writeable else _locked(np.array(arr, dtype=float))
+    """A read-only complex128 array for complex input, else float64: ``arr``
+    itself when it is read-only and owns its memory, as the fresh arrays
+    ``_locked`` marks do, else a read-only copy."""
+    dtype = complex if np.iscomplexobj(arr) else float
+    owned = isinstance(arr, np.ndarray) and arr.dtype == dtype and arr.base is None
+    return arr if owned and not arr.flags.writeable else _locked(np.array(arr, dtype=dtype))
 
 
 def _first_cell(mask: np.ndarray) -> tuple[int, ...] | None:
     """C-order index of the first true cell of ``mask``, or None when there is
     none; the common all-false case costs one reduction."""
     return tuple(map(int, np.unravel_index(int(np.argmax(mask)), np.shape(mask)))) if mask.any() else None
+
+
+def _refuse_zero(mask: np.ndarray, names: Sequence[str], message: str) -> None:
+    """Raise ``ZeroProbabilityError`` at the first true cell of ``mask`` in C
+    order, named by the trailing axes ``names`` (any stack axes before them
+    dropped); ``message`` is formatted with that cell as ``{cell}`` and by name."""
+    cell = _first_cell(mask)
+    if cell is not None:
+        assignment = dict(zip(names, cell[len(cell) - len(names):]))
+        raise ZeroProbabilityError(message.format(cell=assignment, **assignment), assignment)
 
 
 @dataclass(frozen=True)
@@ -95,9 +111,9 @@ class JointPmf:
             mass = mass.reshape(mass.shape[:-1] + expected)
         if mass.shape[mass.ndim - len(names):] != expected:  # after any stack axes
             raise TableError(f"mass shape {mass.shape} does not match {len(names)} binary variables")
-        if np.any(mass < 0):
+        if np.any(mass.real < 0):
             raise TableError("negative probability mass")
-        totals = mass.reshape(-1, 2 ** len(names)).sum(axis=1)  # each law of a stack
+        totals = mass.reshape(-1, 2 ** len(names)).sum(axis=1).real  # each law of a stack
         bad = _first_cell(~(np.abs(totals - 1.0) <= MASS_TOL))  # NaN and infinity fail too
         if bad is not None:
             raise TableError(f"mass sums to {float(totals[bad])!r}, not 1")
@@ -166,13 +182,8 @@ def conditional(pmf: JointPmf, target: Sequence[str], given: Sequence[str]) -> n
     joint = _mass_over(pmf, given + target)
     lead = joint.ndim - len(target)  # the stack axes and the given axes
     den = joint.sum(axis=tuple(range(lead, joint.ndim)), keepdims=True)
-    cell = _first_cell(den.reshape(joint.shape[:lead]) <= 0.0)
-    if cell is not None:
-        assignment = dict(zip(given, cell[len(cell) - len(given):]))
-        raise ZeroProbabilityError(
-            f"zero-probability conditioning cell {assignment} for P({','.join(target)}|{','.join(given)})",
-            assignment,
-        )
+    _refuse_zero(den.reshape(joint.shape[:lead]).real <= 0.0, given,
+                 f"zero-probability conditioning cell {{cell}} for P({','.join(target)}|{','.join(given)})")
     return joint / den
 
 
@@ -185,7 +196,7 @@ def invert2or4(m: np.ndarray, role: str = "conditional matrix", axes: Sequence[s
     completeness/rank condition (or an empirical table with too little data),
     which must surface rather than be patched by a pseudo-inverse.
     """
-    m = np.asarray(m, dtype=float)
+    m = np.asarray(m, dtype=np.result_type(np.asarray(m).dtype, np.float64))  # float64 or complex128
     if m.ndim < 2 or m.shape[-1] != m.shape[-2] or m.shape[-1] not in (2, 4):
         raise TableError(f"{role}: expected stacked 2x2 or 4x4 matrices, got {m.shape}")
     det = np.abs(np.linalg.det(m))

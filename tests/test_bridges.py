@@ -7,6 +7,8 @@ the hidden columns give an independent check of q22 through the latent
 reciprocal-propensity relation.
 """
 
+import json
+
 import numpy as np
 import pytest
 
@@ -194,6 +196,54 @@ def test_bridge_set_json_round_trip(solved):
     for name in ("h22", "h21", "h11", "q11", "q22"):
         np.testing.assert_allclose(getattr(again, name), getattr(solved, name), atol=0)
     assert again.provenance == solved.provenance
+
+
+def _short_key(payload):
+    payload["q11"]["0,1"] = 0.5
+
+
+def _missing_cell(payload):
+    del payload["q11"]["1,1,1"]
+
+
+def _negative_index(payload):
+    payload["q11"]["-1,0,0"] = 0.5
+
+
+def _unknown_component(payload):
+    payload["q12"] = payload["q11"]
+
+
+def _index_out_of_range(payload):
+    payload["q11"]["2,0,0"] = 0.5
+
+
+def _four_part_key(payload):
+    payload["q11"]["0,0,0,0"] = 0.5
+
+
+_MALFORMED = [
+    (_short_key, "q11 cell key '0,1' is unknown; q11 needs exactly its 8 keys '0,0,0' to '1,1,1'"),
+    (_missing_cell, "q11 cell key '1,1,1' is missing; q11 needs exactly its 8 keys '0,0,0' to '1,1,1'"),
+    (_negative_index, "q11 cell key '-1,0,0' is unknown; q11 needs exactly its 8 keys '0,0,0' to '1,1,1'"),
+    (_unknown_component, "unknown bridge component 'q12'; expected some of ['h22', 'h21', 'h11', 'q11', 'q22']"),
+    (_index_out_of_range, "q11 cell key '2,0,0' is unknown; q11 needs exactly its 8 keys '0,0,0' to '1,1,1'"),
+    (_four_part_key, "q11 cell key '0,0,0,0' is unknown; q11 needs exactly its 8 keys '0,0,0' to '1,1,1'"),
+]
+
+
+@pytest.mark.parametrize("edit, message", _MALFORMED, ids=[case[0].__name__.strip("_") for case in _MALFORMED])
+def test_bridge_set_from_json_accepts_only_the_keys_to_json_writes(solved, edit, message):
+    payload = json.loads(solved.to_json())
+    edit(payload)
+    with pytest.raises(ValueError) as err:
+        BridgeSet.from_json(json.dumps(payload))
+    assert str(err.value) == message
+
+
+def test_bridge_set_from_json_refuses_a_non_object():
+    with pytest.raises(ValueError, match="^a bridge set is a JSON object, got list$"):
+        BridgeSet.from_json("[]")
 
 
 @pytest.mark.parametrize("name", ["h22", "h21", "h11", "q11", "q22"])

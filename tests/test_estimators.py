@@ -150,6 +150,29 @@ def test_if_variance_nonnegative_and_centering(big_data, fitted):
     assert (summand - point).mean() == pytest.approx(0.0, abs=1e-12)
 
 
+def test_complex_step_derivative_of_the_plug_in_value_is_the_centred_pmr_summand(big_data, fitted, linear_class):
+    """The PMR summand centred at the plug-in value is the influence function
+    of the plug-in value. One complex step P + ih(delta_c - P), h = 1e-20,
+    per 37th cell c, solved as one stack, reads it off the imaginary part:
+    the real part is the float plug-in and Im / h the centred summand at c."""
+    from proxidtr.estimators import _CELLS, _count_mean, _summands
+
+    pmf, bridges_hat = fitted
+    h, cells = 1e-20, np.arange(0, 512, 37)
+    step = JointPmf(pmf.names, pmf.mass.reshape(-1) + 1j * h * (np.eye(512)[cells] - pmf.mass.reshape(-1)))
+    cond, p_y0 = identify.observed_conditional(step)
+    g = identify.density_from_conditional("PMR", cond, solve_bridges(step)).g
+    values = dgp.class_values(g, p_y0, linear_class.index)  # (cells, regimes)
+    cond, p_y0 = identify.observed_conditional(pmf)
+    plug_in = dgp.class_values(identify.density_from_conditional("PMR", cond, bridges_hat).g, p_y0, linear_class.index)
+    assert np.abs(values.real - plug_in).max() <= 1e-12
+    counts = _cell_counts(big_data)
+    for k, regime in enumerate(linear_class.members):
+        summand = _summands("PMR", _CELLS, bridges_hat, regime)
+        centred = summand[cells] - _count_mean(counts, summand)
+        assert np.abs(values[:, k].imag / h - centred).max() <= 1e-12
+
+
 # the last three overflow the smoothed total over the 2^11 cells: 1e306 per cell
 # failed as a mass that sums to 0.0, after a numpy warning
 @pytest.mark.parametrize("laplace", [-0.5, float("nan"), float("inf"), 1e306, np.float64(1e306),

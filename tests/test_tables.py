@@ -283,3 +283,31 @@ def test_prob_and_to_json_refuse_a_stack_of_laws():
     single = JointPmf(("A", "B"), np.full(4, 0.25))
     assert single.prob({"A": 1}) == 0.5
     assert single.to_json() == '{"order": ["A", "B"], "mass": [0.25, 0.25, 0.25, 0.25]}'
+
+
+
+@pytest.mark.parametrize("given, stored", [
+    (np.float32, np.float64), (np.int64, np.float64), (np.float64, np.float64),
+    (np.complex64, np.complex128), (np.complex128, np.complex128),
+])
+def test_tables_are_float64_or_complex128(given, stored):
+    """A table keeps complex mass for complex-step derivatives and stores
+    anything else as float64; its checks and its inverses read the real part."""
+    pmf = JointPmf(("A", "B"), np.array([0, 1, 0, 0], dtype=given))
+    assert pmf.mass.dtype == stored
+    assert conditional(pmf, ("B",), ()).dtype == stored
+    assert invert2or4(np.eye(2, dtype=given)).dtype == stored
+
+
+def test_a_complex_step_reads_the_derivative_off_the_imaginary_part():
+    """P + ih(delta_00 - P) at uniform P: P(B=0 | A=0) = 1/2 + ih, the
+    derivative being exactly 1; refusals read the real part only."""
+    h = 1e-20
+    step = JointPmf(("A", "B"), np.full(4, 0.25) + 1j * h * (np.eye(4)[0] - 0.25))
+    p_b = conditional(step, ("B",), ("A",))
+    assert p_b[0, 0].real == 0.5 and p_b[0, 0].imag / h == pytest.approx(1.0, rel=1e-15, abs=0)
+    with pytest.raises(TableError, match="negative probability mass"):
+        JointPmf(("A",), np.array([1.5 + 1j, -0.5 - 1j]))
+    with pytest.raises(ZeroProbabilityError) as err:
+        conditional(JointPmf(("A", "B"), np.array([0.5, 0.5, 1j, 0])), ("B",), ("A",))
+    assert err.value.assignment == {"A": 1}
