@@ -38,7 +38,7 @@ from typing import Iterable, Mapping
 
 import numpy as np
 
-from .tables import JointPmf, _as_readonly, _locked, _refuse_zero, conditional, invert2or4
+from .tables import JointPmf, _as_readonly, _locked, _refuse_stack, _refuse_zero, conditional, invert2or4
 
 RESIDUAL_TOL = 1e-8
 
@@ -102,9 +102,11 @@ class BridgeSet:
 
     def to_json(self) -> str:
         payload: dict = {"provenance": dict(self.provenance)}
-        for name in _SHAPES:
+        for name, shape in _SHAPES.items():
             arr = getattr(self, name)
             if arr is not None:
+                _refuse_stack(arr.shape, len(shape), "to_json reads a single bridge set, "
+                              "not a stack of bridge sets of shape {stack}", ValueError)
                 payload[name] = {",".join(map(str, idx)): float(arr[idx]) for idx in np.ndindex(arr.shape)}
         return json.dumps(payload)
 

@@ -65,7 +65,7 @@ from typing import Mapping
 import numpy as np
 
 from .policy import BOOLEAN_SIZE, DENSITY_CELLS, Regime, RegimeClass, enumerate_class, first_maximizer
-from .tables import JointPmf, _as_readonly, _mass_over, conditional
+from .tables import JointPmf, _as_readonly, _locked, _mass_over, _refuse_stack, conditional
 
 CANONICAL_ORDER = ("Y0", "U0", "Z1", "W1", "A1", "Y1", "U1", "Z2", "W2", "A2", "Y2")
 OBSERVED_ORDER = ("Y0", "Z1", "W1", "A1", "Y1", "Z2", "W2", "A2", "Y2")
@@ -119,9 +119,7 @@ def _word_bounds(table: np.ndarray) -> np.ndarray:
     probability table, as uint64: a raw Philox word w draws 1 exactly when
     (w >> 11) < C, as its uniform (w >> 11) * 2^-53 < t does. A NaN entry gets
     0 and never draws 1, as u < NaN is false."""
-    bounds = np.ceil(np.nan_to_num(table) * 2.0 ** 53).astype(np.uint64)
-    bounds.flags.writeable = False
-    return bounds
+    return _locked(np.ceil(np.nan_to_num(table) * 2.0 ** 53).astype(np.uint64))
 
 
 @dataclass(frozen=True)
@@ -153,9 +151,7 @@ class DgpParams:
         tables = []
         for k, name in enumerate(SAMPLING_ORDER):
             grid = dict(zip(SAMPLING_ORDER[:k], np.indices((2,) * k)))
-            table = np.array(np.broadcast_to(self.model(name).prob1(grid), (2,) * k)).reshape(-1)
-            table.flags.writeable = False
-            tables.append(table)
+            tables.append(_locked(np.array(np.broadcast_to(self.model(name).prob1(grid), (2,) * k)).reshape(-1)))
         return tuple(tables)
 
     @cached_property
@@ -222,18 +218,15 @@ class Dataset:
             raise ValueError(f"cell codes must lie in [0, {2 ** len(CANONICAL_ORDER)})")
         if not self.has_hidden and np.any(code & _HIDDEN_BITS):
             raise ValueError("cell codes set hidden bits of a dataset without hidden columns")
-        code = code.astype(np.int16)  # a copy, so the caller's array stays writeable and cannot change ours
-        code.flags.writeable = False
-        object.__setattr__(self, "cell_code", code)
+        # a copy, so the caller's array stays writeable and cannot change ours
+        object.__setattr__(self, "cell_code", _locked(code.astype(np.int16)))
 
     def __len__(self) -> int:
         return self.cell_code.shape[0]
 
     def _columns(self, names: tuple[str, ...]) -> np.ndarray:
         """(n, len(names)) int8 values of the named variables."""
-        block = ((self.cell_code[:, None] & _bit_weights(names)) != 0).view(np.int8)
-        block.flags.writeable = False
-        return block
+        return _locked(((self.cell_code[:, None] & _bit_weights(names)) != 0).view(np.int8))
 
     @property
     def observed(self) -> np.ndarray:
@@ -255,9 +248,7 @@ class Dataset:
     def cell_counts(self) -> np.ndarray:
         """Row count of each of the 2^11 cells, in C order over CANONICAL_ORDER:
         the sufficient statistic of every estimator."""
-        counts = np.bincount(self.cell_code, minlength=2 ** len(CANONICAL_ORDER))
-        counts.flags.writeable = False
-        return counts
+        return _locked(np.bincount(self.cell_code, minlength=2 ** len(CANONICAL_ORDER)))
 
     def to_csv(self, include_hidden: bool = False) -> str:
         if include_hidden and not self.has_hidden:
@@ -371,6 +362,8 @@ class IdentifiedDensity:
         return self.g.sum(axis=(-3, -2))
 
     def to_json(self) -> str:
+        _refuse_stack(self.g.shape, 5, "to_json reads a single density, not a stack of densities of shape {stack}",
+                      ValueError)
         return json.dumps({
             "method": self.method,
             "provenance": dict(self.provenance),
@@ -410,8 +403,7 @@ def interventional_joint(params: DgpParams, a1: int, a2: int) -> JointPmf:
 
 # canonical cell code of each 11-bit prefix code, whose bits are the values
 # in SAMPLING_ORDER, the first sampled the most significant
-_SAMPLING_TO_CANONICAL = _bit_weights(SAMPLING_ORDER) @ np.indices((2,) * 11, dtype=np.int16).reshape(11, -1)
-_SAMPLING_TO_CANONICAL.flags.writeable = False
+_SAMPLING_TO_CANONICAL = _locked(_bit_weights(SAMPLING_ORDER) @ np.indices((2,) * 11, dtype=np.int16).reshape(11, -1))
 
 
 def sample(params: DgpParams, n: int, seed: int) -> Dataset:

@@ -19,6 +19,11 @@ cell; it shares only the regime indexing (``_regime_cells``). Each summand
 checks that the set carries the components ``identify.BRIDGES_NEEDED``
 lists for its method.
 
+``influence`` reads the influence function of any plug-in functional of one
+law off a single stacked complex step P + ih(delta_c - P) over its cells;
+with bridges solved from the law, that of each method's value is the PMR
+summand centred at its mean.
+
 ``fit_bridges`` solves the bridges on the whole sample. With folds,
 ``fold_counts`` counts every fold in one bincount and ``fold_fits`` solves
 the K off-fold laws (the total counts minus each fold's own) as one stack,
@@ -38,7 +43,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from typing import Mapping
+from typing import Callable, Mapping
 
 import numpy as np
 
@@ -177,7 +182,7 @@ def fold_fits(data: Dataset, opts: FitOptions) -> tuple[np.ndarray, BridgeSet]:
 
 
 # every observed cell once, in C order over OBSERVED_ORDER: the rows of ``_cell_counts``
-_CELLS = {name: col for name, col in zip(OBSERVED_ORDER, np.indices((2,) * 9).reshape(9, -1).astype(np.int64))}
+_CELLS = dict(zip(OBSERVED_ORDER, _locked(np.indices((2,) * 9).reshape(9, -1).astype(np.int64))))
 
 
 def _count_mean(counts: np.ndarray, summand: np.ndarray) -> float:
@@ -282,6 +287,21 @@ def population_v(method: str, pmf: JointPmf, b: BridgeSet, regime: Regime) -> fl
     cond, p_y0 = observed_conditional(pmf)
     weights = (cond * p_y0[(slice(None),) + (None,) * 8]).reshape(-1)
     return float(np.dot(weights, _summands(method, _CELLS, b, regime)))
+
+
+_STEP = 1e-20  # the complex step of ``influence``: any h far below 1e-8 is exact to rounding
+
+
+def influence(fn: Callable[[JointPmf], np.ndarray], pmf: JointPmf) -> np.ndarray:
+    """Influence function at one law P of a plug-in functional ``fn`` of a
+    law: ``fn`` is called once on the stack of the 2^m laws P + ih(delta_c - P),
+    one per cell c, with h = ``_STEP``, and Im / h is returned with the cell
+    axis (C order over ``pmf.names``) last. ``fn`` must carry a stack of laws
+    as leading axes, as every table function does; the step is exact to rounding."""
+    pmf._single_law("influence")
+    mass = pmf.mass.reshape(-1)
+    step = fn(JointPmf(pmf.names, mass + 1j * _STEP * (np.eye(mass.size) - mass)))
+    return np.moveaxis(np.imag(step) / _STEP, 0, -1)
 
 
 def _law(source: Dataset | JointPmf, laplace: float, include_hidden: bool = False) -> JointPmf:

@@ -133,11 +133,14 @@ def pipw_marginal_stage1(pmf: JointPmf, b: BridgeSet) -> np.ndarray:
     return np.einsum("aeh,aheb->eba", b.q11, f4)
 
 
-def value_from_density(g: IdentifiedDensity | np.ndarray, pmf: JointPmf, regime: Regime) -> float:
+def value_from_density(g: IdentifiedDensity | np.ndarray, pmf: JointPmf, regime: Regime) -> float | np.ndarray:
     """Indicator-weighted value of a regime under an identified density:
-    ``dgp.class_values`` at the regime's Boolean index."""
-    arr = g.g if isinstance(g, IdentifiedDensity) else np.asarray(g, dtype=float)
-    return float(class_values(arr, marginal_y0(pmf), [regime.index])[0])
+    ``dgp.class_values`` at the regime's Boolean index. A Python float for one
+    real law; a stack of densities and laws gives one value per law, and a
+    complex density its complex value, both as arrays."""
+    arr = g.g if isinstance(g, IdentifiedDensity) else np.asarray(g)
+    value = class_values(arr, marginal_y0(pmf), [regime.index])[..., 0]
+    return value if value.ndim or np.iscomplexobj(value) else float(value)
 
 
 def q_functions(g: IdentifiedDensity | np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -152,7 +155,7 @@ def q_functions(g: IdentifiedDensity | np.ndarray) -> tuple[np.ndarray, np.ndarr
     order by its place within its own density, so a stack of one density
     fails with the text that density fails with alone.
     """
-    arr = g.g if isinstance(g, IdentifiedDensity) else np.asarray(g, dtype=float)
+    arr = g.g if isinstance(g, IdentifiedDensity) else np.asarray(g)
     den2 = arr.sum(axis=-3)  # [..., a1, a2, y1, y0]
     _refuse_zero(den2.real == 0.0, ("a1", "a2", "y1", "y0"),  # the first zero cell in (a1, a2, y1, y0) order
                  "zero stage-2 denominator at (y0={y0}, y1={y1}, a1={a1}, a2={a2}); "

@@ -44,6 +44,8 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
+from .tables import _locked
+
 NORM_TOL = 1e-9
 BOOLEAN_SIZE = 1 << 10  # regimes over binary histories: 2 d1 bits and 8 d2 bits
 
@@ -62,9 +64,7 @@ def _density_cells() -> np.ndarray:
     y0, y1 = np.divmod(np.arange(4)[:, None], 2)
     a1 = (index >> (9 - y0)) & 1
     a2 = (index >> (7 - (4 * y0 + 2 * y1 + a1))) & 1
-    cells = 16 * a1 + 8 * a2 + 4 + 2 * y1 + y0  # C order over (a1, a2, y2, y1, y0), at y2 = 1
-    cells.flags.writeable = False
-    return cells
+    return _locked(16 * a1 + 8 * a2 + 4 + 2 * y1 + y0)  # C order over (a1, a2, y2, y1, y0), at y2 = 1
 
 
 DENSITY_CELLS = _density_cells()
@@ -182,8 +182,7 @@ class RegimeClass:
         if (index.ndim != 1 or index.dtype.kind not in "iu" or np.any(np.diff(index) <= 0)
                 or not np.all((index >= 0) & (index < BOOLEAN_SIZE) & np.isin(index & 0xFF, d2_tables))):
             raise ValueError(f"a {self.tag!r} class index must hold ascending Boolean indices of its regimes")
-        object.__setattr__(self, "index", index.astype(np.intp))
-        self.index.flags.writeable = False
+        object.__setattr__(self, "index", _locked(index.astype(np.intp)))
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, RegimeClass) and self.tag == other.tag

@@ -13,22 +13,28 @@ of proxy matrices over the remaining history come out as leading axes.
 
 All objects are immutable value types; operations return new tables and never
 mutate their inputs. ``conditional`` sums a table's mass without building and
-validating an intermediate table. A table keeps a read-only array it is
-handed that owns its memory (the fresh arrays ``_locked`` marks, as
-``estimators.count_pmf`` and ``bridges.solve_bridges`` do) and copies
-anything else. Tables are float64, or complex128 for complex-step
-derivatives; every check reads the real part. Every failure check (a zero
-conditioning cell, a singular block, a total off 1) costs one reduction; the
-first failing cell in C order is located (``_first_cell``) only when one
-exists. Every zero denominator in the package, here and in ``bridges``,
-``identify`` and ``estimators``, is refused by ``_refuse_zero``, which names
-that cell by its own axes in ``ZeroProbabilityError.assignment``. A NaN
-compares false, so a NaN denominator or determinant is not flagged.
+validating an intermediate table. Every array the package hands out is
+read-only: ``_locked`` marks a fresh array in place, and is the one place
+that does so, for ``estimators.count_pmf`` and ``_CELLS``,
+``bridges.solve_bridges``, ``dgp``'s word bounds, sampling tables,
+prefix-to-canonical table and ``Dataset`` codes, columns and counts, and
+``policy.DENSITY_CELLS`` and ``RegimeClass.index``. A table keeps a
+read-only array it is handed that owns its memory (such a fresh array) and
+copies anything else (``_as_readonly``). Tables are float64, or complex128
+for complex-step derivatives; every check reads the real part. Every failure
+check (a zero conditioning cell, a singular block, a total off 1) costs one
+reduction; the first failing cell in C order is located (``_first_cell``)
+only when one exists. Every zero denominator in the package, here and in
+``bridges``, ``identify`` and ``estimators``, is refused by ``_refuse_zero``,
+which names that cell by its own axes in ``ZeroProbabilityError.assignment``.
+A NaN compares false, so a NaN denominator or determinant is not flagged.
 
 A ``JointPmf`` may hold a stack of laws over the same variables (the K
 off-fold laws of a cross-fit): its mass and every array derived from it
-lead with the stack axes; ``prob`` and ``to_json`` read a single law and
-refuse a stack.
+lead with the stack axes; ``prob``, ``to_json`` and ``estimators.influence``
+read a single law and refuse a stack. That refusal is ``_refuse_stack``,
+which the ``to_json`` of a ``BridgeSet`` and of an ``IdentifiedDensity``
+call too.
 """
 
 from __future__ import annotations
@@ -94,6 +100,13 @@ def _refuse_zero(mask: np.ndarray, names: Sequence[str], message: str) -> None:
         raise ZeroProbabilityError(message.format(cell=assignment, **assignment), assignment)
 
 
+def _refuse_stack(shape: tuple[int, ...], trailing: int, message: str, error: type[Exception] = TableError) -> None:
+    """Raise ``error`` when ``shape`` has stack axes before its ``trailing``
+    ones; ``message`` is formatted with the stack shape as ``{stack}``."""
+    if len(shape) > trailing:
+        raise error(message.format(stack=shape[:len(shape) - trailing]))
+
+
 @dataclass(frozen=True)
 class JointPmf:
     """Joint probability mass table over an ordered set of binary variables."""
@@ -127,9 +140,7 @@ class JointPmf:
             raise UnknownVariableError(f"unknown variable {name!r}; table has {self.names}") from None
 
     def _single_law(self, method: str) -> None:
-        stack = self.mass.shape[:self.mass.ndim - len(self.names)]
-        if stack:
-            raise TableError(f"{method} reads a single law, not a stack of laws of shape {stack}")
+        _refuse_stack(self.mass.shape, len(self.names), method + " reads a single law, not a stack of laws of shape {stack}")
 
     def prob(self, assignment: Mapping[str, int]) -> float:
         """Marginal probability of a partial assignment."""

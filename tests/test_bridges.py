@@ -23,6 +23,7 @@ from proxidtr.bridges import (
     verify_bridges,
 )
 from proxidtr.dgp import CANONICAL_ORDER, DgpParams, LogisticModel
+from proxidtr.estimators import FitOptions, fold_fits
 from proxidtr.tables import JointPmf, SingularMatrixError, ZeroProbabilityError, conditional
 
 
@@ -239,6 +240,13 @@ def test_bridge_set_from_json_accepts_only_the_keys_to_json_writes(solved, edit,
     with pytest.raises(ValueError) as err:
         BridgeSet.from_json(json.dumps(payload))
     assert str(err.value) == message
+
+
+def test_stacked_bridge_set_to_json_is_refused(big_data):
+    stacked = fold_fits(big_data, FitOptions(folds=2))[1]
+    assert stacked.h22.shape == (2,) + (2,) * 7
+    with pytest.raises(ValueError, match=r"^to_json reads a single bridge set, not a stack of bridge sets of shape \(2,\)$"):
+        stacked.to_json()
 
 
 def test_bridge_set_from_json_refuses_a_non_object():

@@ -362,6 +362,7 @@ def test_prefix_code_table_is_the_column_code():
     for name in dgp.CANONICAL_ORDER:
         code = code * 2 + bits[dgp.SAMPLING_ORDER.index(name)]
     assert dgp._SAMPLING_TO_CANONICAL.dtype == np.int16
+    assert not dgp._SAMPLING_TO_CANONICAL.flags.writeable
     assert np.array_equal(dgp._SAMPLING_TO_CANONICAL, code)
 
 
@@ -383,6 +384,7 @@ def test_cell_counts_match_columns(params):
     assert np.array_equal(data.cell_code, code)
     assert np.array_equal(data.cell_counts, np.bincount(code, minlength=2 ** 11))
     assert data.cell_counts is data.cell_counts
+    assert not data.cell_counts.flags.writeable
     assert data.cell_counts.sum() == len(data)
 
 

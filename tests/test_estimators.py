@@ -173,6 +173,13 @@ def test_complex_step_derivative_of_the_plug_in_value_is_the_centred_pmr_summand
         assert np.abs(values[:, k].imag / h - centred).max() <= 1e-12
 
 
+def test_cell_columns_are_read_only():
+    from proxidtr.estimators import _CELLS
+
+    assert list(_CELLS) == list(dgp.OBSERVED_ORDER)
+    assert not any(column.flags.writeable for column in _CELLS.values())
+
+
 # the last three overflow the smoothed total over the 2^11 cells: 1e306 per cell
 # failed as a mass that sums to 0.0, after a numpy warning
 @pytest.mark.parametrize("laplace", [-0.5, float("nan"), float("inf"), 1e306, np.float64(1e306),

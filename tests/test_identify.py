@@ -16,6 +16,7 @@ import pytest
 
 from proxidtr import dgp, identify
 from proxidtr.bridges import MissingBridgeError, pseudo_bridges
+from proxidtr.estimators import FitOptions, count_pmf, fit_counts, fold_counts, fold_fits
 from proxidtr.identify import (
     IdentifiedDensity,
     density_pha,
@@ -245,3 +246,36 @@ def test_identified_density_json(joint, solved):
     payload = json.loads(d.to_json())
     assert payload["method"] == "PIPW"
     assert payload["g"]["0,0,0,0,0"] == pytest.approx(d.g[0, 0, 0, 0, 0])
+
+
+def test_stacked_identified_density_to_json_is_refused(big_data):
+    _, off_fold = fold_counts(big_data, 2)
+    density = density_pmr(count_pmf(off_fold), fold_fits(big_data, FitOptions(folds=2))[1])
+    assert density.g.shape == (2,) + (2,) * 5
+    with pytest.raises(ValueError, match=r"^to_json reads a single density, not a stack of densities of shape \(2,\)$"):
+        density.to_json()
+
+
+def test_value_and_q_functions_read_a_complex_density(joint, oracle, boolean_class):
+    """The Oracle density cast to complex, raw or wrapped, passes through
+    without a ComplexWarning (which the suite turns into an error); the real
+    parts are the float results, and one real law still gives a Python float."""
+    g = oracle.g.astype(complex)
+    for density in (g, IdentifiedDensity(g, "ORACLE")):
+        for regime in boolean_class.members[::101]:
+            value, real = value_from_density(density, joint, regime), value_from_density(oracle, joint, regime)
+            assert type(real) is float and np.iscomplexobj(value) and abs(value.real - real) <= 1e-12
+        for complex_q, real_q in zip(q_functions(density), q_functions(oracle)):
+            assert np.iscomplexobj(complex_q) and np.abs(complex_q.real - real_q).max() <= 1e-12
+
+
+def test_value_from_density_of_a_fold_stack_gives_one_value_per_fold(big_data):
+    regime = Regime((1, 0), (0, 1, 1, 0, 1, 0, 0, 1))
+    opts = FitOptions(folds=3)
+    _, off_fold = fold_counts(big_data, opts.folds)
+    laws = count_pmf(off_fold)
+    values = value_from_density(density_pmr(laws, fold_fits(big_data, opts)[1]), laws, regime)
+    assert values.shape == (3,) and values.dtype == np.float64
+    for fold, counts in enumerate(off_fold):
+        law, b = fit_counts(counts, opts)
+        assert values[fold] == pytest.approx(value_from_density(density_pmr(law, b), law, regime), abs=1e-12)
