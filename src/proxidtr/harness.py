@@ -48,14 +48,20 @@ Everything is deterministic in the config: repetition seeds are
 base_seed + index, and each repetition's results are folded into per-cell
 arrays as they arrive, in index order, so table emission is byte-stable.
 Repetition failures (rank/positivity errors on sparse tables) are counted
-and excluded, never silently dropped. ``PROXIDTR_THREADS`` caps worker
-processes; the default is serial.
+and excluded, never silently dropped: each cell keeps the message of every
+failed repetition in ``CellSummary.failure_reasons``, (message, repetitions)
+pairs in first-seen order that sum to ``failures``. ``PROXIDTR_THREADS``
+caps worker processes; the default is serial.
 
 The report's columns are stated once, in one column table (``_COLUMNS``):
 the labels and counts, then each metric's CSV prefix with the statistics
 that are ``MetricSummary``'s fields. The CSV header, every CSV row and
 ``parse_report_csv`` read it, and ``emit_tables`` renders each metric's text
 table with one loop over its two blocks, "mean (se)" then "[rmse]".
+``ExperimentReport.to_json`` writes the config and, per cell, the same row
+(``_row``) keyed by ``_COLUMNS``, NaN as null, with the cell's failure
+reasons. ``identify_check`` passes a deviation from the Oracle density up to
+``IDENTIFY_TOL``.
 """
 
 from __future__ import annotations
@@ -65,6 +71,7 @@ import io
 import json
 import numbers
 import os
+from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, fields
 from functools import partial
@@ -192,12 +199,21 @@ class CellSummary:
     failures: int
     regret: MetricSummary
     overall_error: MetricSummary
+    failure_reasons: tuple[tuple[str, int], ...] = ()  # (message, repetitions), first seen first
 
 
 @dataclass(frozen=True)
 class ExperimentReport:
     config: ExperimentConfig
     cells: tuple[CellSummary, ...] = field(default_factory=tuple)
+
+    def to_json(self) -> str:
+        """The config and, per cell, its CSV columns (NaN as null) and its
+        failure reasons as [message, repetitions] pairs."""
+        cells = [{**{name: None if isinstance(v, float) and np.isnan(v) else v
+                     for name, v in zip(_COLUMNS, _row(self.config, c))},
+                  "failure_reasons": c.failure_reasons} for c in self.cells]
+        return json.dumps({"config": vars(self.config), "cells": cells}, indent=2)
 
     def cell(self, scenario: str, method: str) -> CellSummary:
         for c in self.cells:
@@ -386,9 +402,12 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
     keys = [(tag, method) for tag in config.scenarios for method in config.methods]
     scores = np.zeros((len(keys), 2, config.reps))  # [cell, (regret, overall error), rep]
     scored = np.zeros((len(keys), config.reps), dtype=bool)
+    reasons = [Counter() for _ in keys]  # failure message -> repetitions, in first-seen order
     for rep, results in enumerate(_rep_results(config, truth, worker_count())):
         for i, key in enumerate(keys):
-            if not isinstance(results[key], str):
+            if isinstance(results[key], str):
+                reasons[i][results[key]] += 1
+            else:
                 scores[i, :, rep] = results[key]
                 scored[i, rep] = True
     cells = []
@@ -396,7 +415,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
         regret, overall = scores[i][:, scored[i]]
         count = int(scored[i].sum())
         cells.append(CellSummary(tag, method, count, config.reps - count,
-                                 _summary(regret), _summary(overall)))
+                                 _summary(regret), _summary(overall), tuple(reasons[i].items())))
     return ExperimentReport(config, tuple(cells))
 
 
@@ -409,6 +428,13 @@ _METRICS = (("regret", "regret", "Regret"), ("overall", "overall_error", "Overal
 _STATS = tuple(f.name for f in fields(MetricSummary))
 _FLOATS = tuple(f"{prefix}_{stat}" for prefix, _, _ in _METRICS for stat in _STATS)
 _COLUMNS = _LABELS + _COUNTS + _FLOATS
+
+
+def _row(config: ExperimentConfig, cell: CellSummary) -> list:
+    """The cell's values in ``_COLUMNS`` order, as the CSV and ``to_json`` write them."""
+    source = {**vars(config), **vars(cell)}
+    return ([source[name] for name in _LABELS + _COUNTS]
+            + [getattr(getattr(cell, name), stat) for _, name, _ in _METRICS for stat in _STATS])
 
 
 def _fmt(value: float) -> str:
@@ -428,10 +454,7 @@ def emit_tables(report: ExperimentReport) -> tuple[str, str]:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(_COLUMNS)
-    for c in report.cells:
-        source = {**vars(config), **vars(c)}
-        writer.writerow([source[name] for name in _LABELS + _COUNTS]
-                        + [getattr(getattr(c, name), stat) for _, name, _ in _METRICS for stat in _STATS])
+    writer.writerows(_row(config, c) for c in report.cells)
 
     present = {c.scenario for c in report.cells}
     tags = [t for t in config.scenarios if t in present]
@@ -466,8 +489,11 @@ class IdentifyCheckResult:
     densities: dict | None = None
 
 
+IDENTIFY_TOL = 1e-9  # the largest deviation from the Oracle density that ``identify_check`` passes
+
+
 def identify_check(params: DgpParams | None = None, pseudo: tuple[str, ...] = (),
-                   pseudo_seed: int = DEFAULT_PSEUDO_SEED, tolerance: float = 1e-9) -> IdentifyCheckResult:
+                   pseudo_seed: int = DEFAULT_PSEUDO_SEED) -> IdentifyCheckResult:
     """End-to-end identification diagnostic on the exact law.
 
     Solves bridges from the true joint table (optionally corrupting some
@@ -481,12 +507,8 @@ def identify_check(params: DgpParams | None = None, pseudo: tuple[str, ...] = ()
         bridges_hat = bridges_hat.merged(pseudo_bridges(pseudo_seed, pseudo))
     oracle_g = oracle_density_from_joint(joint).g
     cond, _ = identify.observed_conditional(joint)
-    deviations = {}
-    densities = {}
-    for method, fn in _DENSITY_FN.items():
-        densities[method] = fn(cond, bridges_hat)
-        deviations[method] = float(np.abs(densities[method].g - oracle_g).max())
-    residuals = verify_bridges(bridges_hat, joint)
-    passed = all(dev <= tolerance for dev in deviations.values())
-    return IdentifyCheckResult(deviations, residuals.all_passed, tolerance, passed,
+    densities = {method: fn(cond, bridges_hat) for method, fn in _DENSITY_FN.items()}
+    deviations = {method: float(np.abs(d.g - oracle_g).max()) for method, d in densities.items()}
+    passed = all(dev <= IDENTIFY_TOL for dev in deviations.values())
+    return IdentifyCheckResult(deviations, verify_bridges(bridges_hat, joint).all_passed, IDENTIFY_TOL, passed,
                                bridges_hat, densities)

@@ -126,11 +126,12 @@ def _pmr_density(cond: np.ndarray, b: BridgeSet) -> np.ndarray:
 
 
 def pipw_marginal_stage1(pmf: JointPmf, b: BridgeSet) -> np.ndarray:
-    """f(Y1(a1)=y1 | y0) identified with q11 alone; indexed [a1, y1, y0]."""
+    """f(Y1(a1)=y1 | y0) identified with q11 alone; indexed [..., a1, y1, y0],
+    led by the stack axes of a stack of laws."""
     b.require("q11")
     cond, _ = observed_conditional(pmf)
-    f4 = cond.sum(axis=(2, 5, 6, 7, 8))  # [y0, z1, a1, y1]
-    return np.einsum("aeh,aheb->eba", b.q11, f4)
+    f4 = cond.sum(axis=(-7, -4, -3, -2, -1))  # [..., y0, z1, a1, y1]
+    return np.einsum("...aeh,...aheb->...eba", b.q11, f4)
 
 
 def value_from_density(g: IdentifiedDensity | np.ndarray, pmf: JointPmf, regime: Regime) -> float | np.ndarray:

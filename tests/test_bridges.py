@@ -14,8 +14,10 @@ import pytest
 
 from proxidtr import dgp
 from proxidtr.bridges import (
+    RESIDUAL_TOL,
     BridgeSet,
     MissingBridgeError,
+    ResidualReport,
     _reciprocal,
     bridge_collapse_check,
     pseudo_bridges,
@@ -287,3 +289,11 @@ def test_reciprocal_on_a_stack_names_the_first_zero_propensity_in_c_order():
     assert str(err.value) == "positivity fails: P(B|A) is zero at {'A': 0, 'B': 1}"
     assert err.value.assignment == {"A": 0, "B": 1}
     assert np.array_equal(_reciprocal(JointPmf(("A", "B"), laws[0]), ("B",), ("A",)), np.full((2, 2), 2.0))
+
+
+@pytest.mark.parametrize("family", ["q11", "q22", "h22", "h21"])
+def test_residual_report_passes_only_at_or_below_the_fixed_bound(family):
+    fields = dict.fromkeys(("q11", "q22", "h22", "h21"), RESIDUAL_TOL)
+    assert ResidualReport(**fields).all_passed
+    for bad in (2 * RESIDUAL_TOL, float("nan")):
+        assert not ResidualReport(**{**fields, family: bad}).all_passed

@@ -1,9 +1,12 @@
-"""``Dataset.from_csv`` against the row-loop parser it replaced.
+"""``Dataset.from_csv`` and ``Dataset.to_csv`` against the csv-module code
+they replaced.
 
-The reference below is the former reader: ``csv.reader`` plus one ``int()``
-per value. On every text the grammar allows, the byte-array reader must give
-the same arrays; on rows the reference rejects, it must reject naming the line.
-Each comparison runs on the text and on its UTF-8 bytes, as the CLI reads it.
+The reader's reference is the former reader: ``csv.reader`` plus one
+``int()`` per value. On every text the grammar allows, the byte-array reader
+must give the same arrays; on rows the reference rejects, it must reject
+naming the line. Each comparison runs on the text and on its UTF-8 bytes, as
+the CLI reads it. The writer's reference is the former writer, ``csv.writer``
+over the column values; the byte-array writer must give the same bytes.
 """
 
 import csv
@@ -14,6 +17,7 @@ import pytest
 from conftest import cell_codes
 
 from proxidtr import dgp
+from proxidtr.cli import main
 from proxidtr.dgp import HIDDEN_ORDER, OBSERVED_ORDER, Dataset
 
 
@@ -140,3 +144,35 @@ def test_bytes_that_are_not_utf8_are_rejected_in_one_line():
         body = GOOD_ROW.encode() + b"\n" + bad + GOOD_ROW[1:].encode() + b"\n"
         with pytest.raises(ValueError, match=r"^CSV line 3: expected 9 comma-separated values 0/1$"):
             Dataset.from_csv(header + b"\n" + body)
+
+
+def _reference_to_csv(data: Dataset, include_hidden: bool = False) -> str:
+    names = OBSERVED_ORDER + HIDDEN_ORDER if include_hidden else OBSERVED_ORDER
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(n.lower() for n in names)
+    writer.writerows(data._columns(names).tolist())
+    return buf.getvalue()
+
+
+@pytest.mark.parametrize("hidden", [False, True])
+def test_to_csv_equals_csv_writer_reference(sampled, hidden):
+    """Observed and hidden columns, at n = 1, 200 and 35000."""
+    text = sampled.to_csv(include_hidden=hidden)
+    assert type(text) is str
+    assert text == _reference_to_csv(sampled, include_hidden=hidden)
+
+
+def test_to_csv_of_a_dataset_read_without_hidden_columns(sampled):
+    read = Dataset.from_csv(sampled.to_csv())
+    assert not read.has_hidden
+    assert read.to_csv() == _reference_to_csv(read) == _reference_to_csv(sampled)
+    with pytest.raises(ValueError, match="^the dataset has no hidden columns u0,u1 to write$"):
+        read.to_csv(include_hidden=True)
+
+
+def test_simulate_file_equals_csv_writer_reference(tmp_path, params, capsys):
+    out = tmp_path / "data.csv"
+    assert main(["simulate", "--n", "1000", "--seed", "7", "-o", str(out)]) == 0
+    capsys.readouterr()
+    assert out.read_bytes() == _reference_to_csv(dgp.sample(params, 1000, 7)).encode()

@@ -1,5 +1,6 @@
 """Experiment orchestration: determinism, failure accounting, table output."""
 
+import json
 from functools import partial
 
 import numpy as np
@@ -439,3 +440,56 @@ def test_deduplicated_repetition_equals_cell_by_cell_reference(optimizer, folds,
         failures += [r for r in got.values() if isinstance(r, str)]
     if n < 35000:
         assert failures and len(failures) < reps * len(got)  # failed and scored cells mixed
+
+
+N600 = ExperimentConfig(n=600, reps=6)  # every bridge and Oracle cell fails 6 of 6, SRA 2 of 6
+
+
+@pytest.fixture(scope="module")
+def n600_report():
+    return run_experiment(N600)
+
+
+def test_failure_reasons_count_each_message_in_first_seen_order(n600_report):
+    """Each cell's reasons are its repetitions' failure messages, counted in
+    the order they first appear, and sum to its failures."""
+    truth = harness._truth_context(N600)
+    pseudo = harness._scenario_pseudo(N600)
+    per_rep = [harness._run_rep(N600, truth, rep, pseudo) for rep in range(N600.reps)]
+    for c in n600_report.cells:
+        messages = [r[(c.scenario, c.method)] for r in per_rep if isinstance(r[(c.scenario, c.method)], str)]
+        assert c.failure_reasons == tuple((m, messages.count(m)) for m in dict.fromkeys(messages))
+        assert sum(count for _, count in c.failure_reasons) == c.failures
+        if c.method in BRIDGE_METHODS:
+            assert c.failures == 6
+            assert all(m.startswith("fit failed: zero-probability conditioning cell ")
+                       for m, _ in c.failure_reasons)
+
+
+def test_scored_cells_have_no_failure_reasons(small_report):
+    for c in small_report.cells:
+        assert (c.failures, c.failure_reasons) == (0, ())
+
+
+def test_report_json_holds_the_csv_columns_and_the_reasons(small_report, n600_report):
+    for report in (small_report, n600_report):
+        payload = json.loads(report.to_json())
+        assert payload["config"] == json.loads(report.config.to_json())
+        rows = parse_report_csv(emit_tables(report)[0])
+        assert len(payload["cells"]) == len(rows) == len(report.cells)
+        for cell, row, c in zip(payload["cells"], rows, report.cells):
+            reasons = cell.pop("failure_reasons")
+            assert [tuple(pair) for pair in reasons] == list(c.failure_reasons)
+            assert list(cell) == list(row)
+            assert cell == {key: None if isinstance(v, float) and np.isnan(v) else v for key, v in row.items()}
+    assert any(v is None for cell in json.loads(n600_report.to_json())["cells"] for v in cell.values())
+
+
+def test_report_json_is_the_same_with_worker_processes(monkeypatch, n600_report):
+    serial = n600_report.to_json()
+    monkeypatch.setenv("PROXIDTR_THREADS", "2")
+    assert run_experiment(N600).to_json() == serial
+
+
+def test_identify_check_reports_its_fixed_tolerance():
+    assert identify_check().tolerance == harness.IDENTIFY_TOL == 1e-9
