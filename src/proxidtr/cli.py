@@ -32,7 +32,8 @@ from pathlib import Path
 
 from .bridges import DEFAULT_PSEUDO_SEED, MissingBridgeError
 from .dgp import Dataset, DgpParams, sample
-from .estimators import ALL_METHODS, FitOptions, cross_fit, if_variance, fit_bridges, oracle_value, sra_value, v_hat
+from .estimators import (ALL_METHODS, FitOptions, cross_fit, empirical_pmf, fit_bridges, if_variance, oracle_value,
+                         sra_value, v_hat)
 from .policy import Regime
 from .tables import TableError
 
@@ -126,10 +127,9 @@ def _cmd_estimate(args) -> int:
         raise ValueError(f"--folds applies to the bridge methods only, not to --method {args.method}")
     data = Dataset.from_csv(args.data.read_bytes())
     regime = Regime.from_json(args.regime.read_text())
-    if method == "SRA":
-        estimate = sra_value(data, regime, laplace=opts.laplace)
-    elif method == "ORACLE":
-        estimate = oracle_value(data, regime, laplace=opts.laplace)
+    if method in ("SRA", "ORACLE"):
+        pmf = empirical_pmf(data, opts.laplace, include_hidden=method == "ORACLE")
+        estimate = (sra_value if method == "SRA" else oracle_value)(pmf, regime)
     elif opts.folds > 1:
         estimate = cross_fit(method, data, opts, regime)
     else:

@@ -13,14 +13,16 @@ terminal-outcome score.
 The module constructs the exact 2^11 joint law, samples ancestrally with a
 counter-based generator, and evaluates ground truth by sequential
 standardization (g-formula) over the hidden confounders: the conditional
-joint density of potential outcomes, the true value of any regime, and the
-class optima found by exhaustive policy enumeration. ``class_values`` is the
-one place a regime's value under a density is computed: the values of any
-Boolean indices under one density, or under each of a stack, are a single
-array gather of their cells in ``policy.DENSITY_CELLS``.
-Every potential-outcome density, the Oracle's here and those of SRA and
-the bridge methods, is an ``IdentifiedDensity`` (here because ``identify``
-imports this module).
+joint density of potential outcomes and, from it, ``true_values``, the true
+value of every Boolean regime at its Boolean index. ``true_value`` reads one
+regime's value there and ``optimal_value`` a class optimum, found by
+exhaustive policy enumeration; the harness scores against the same array.
+``class_values`` is the one place a regime's value under a density is
+computed: the values of any Boolean indices under one density, or under each
+of a stack, are a single array gather of their cells in
+``policy.DENSITY_CELLS``. Every potential-outcome density, the Oracle's here
+and those of SRA and the bridge methods, is an ``IdentifiedDensity`` (here
+because ``identify`` imports this module).
 
 The sampler draws each variable in SAMPLING_ORDER as one raw 64-bit Philox
 word per row, compared with a prefix table P(var = 1 | the variables sampled
@@ -477,10 +479,16 @@ def marginal_y0(pmf: JointPmf) -> np.ndarray:
     return _mass_over(pmf, ("Y0",))
 
 
+def true_values(params: DgpParams) -> np.ndarray:
+    """The exact value under the true law of every Boolean regime, at its
+    Boolean index: one ``class_values`` call under the Oracle density."""
+    joint = true_joint(params)
+    return class_values(oracle_density_from_joint(joint).g, marginal_y0(joint), np.arange(BOOLEAN_SIZE))
+
+
 def true_value(params: DgpParams, regime: Regime) -> float:
     """Exact value of a regime under the true law."""
-    joint = true_joint(params)
-    return float(class_values(oracle_density_from_joint(joint).g, marginal_y0(joint), [regime.index])[0])
+    return float(true_values(params)[regime.index])
 
 
 def optimal_value(params: DgpParams, cls: str | RegimeClass) -> tuple[float, Regime]:
@@ -488,7 +496,6 @@ def optimal_value(params: DgpParams, cls: str | RegimeClass) -> tuple[float, Reg
     member that attains it (the only member built)."""
     if isinstance(cls, str):
         cls = enumerate_class(cls)
-    joint = true_joint(params)
-    values = class_values(oracle_density_from_joint(joint).g, marginal_y0(joint), cls.index)
+    values = true_values(params)[cls.index]
     best = first_maximizer(values)
     return float(values[best]), cls.member(best)

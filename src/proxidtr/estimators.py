@@ -33,9 +33,11 @@ harness merges each scenario's into the fitted set.
 
 The SRA baseline ignores unmeasured confounding (``sra_from_conditional``, a
 plain g-formula on the observed table given Y0); the Oracle baseline
-(``oracle_density``) standardizes over the hidden confounder columns and is
-only available when those are carried. ``sra_value`` and ``oracle_value``
-score them on a law or on sampled rows.
+(``dgp.oracle_density_from_joint``) standardizes over the hidden confounder
+columns, so its empirical law needs sampled rows that carry them
+(``empirical_pmf(data, include_hidden=True)``). ``sra_value`` and
+``oracle_value`` score each baseline on a law only: the caller builds the
+law, smoothed or not, once.
 """
 
 from __future__ import annotations
@@ -304,13 +306,6 @@ def influence(fn: Callable[[JointPmf], np.ndarray], pmf: JointPmf) -> np.ndarray
     return np.moveaxis(np.imag(step) / _STEP, 0, -1)
 
 
-def _law(source: Dataset | JointPmf, laplace: float, include_hidden: bool = False) -> JointPmf:
-    """A baseline's law: the table itself, or the cell frequencies of sampled rows."""
-    if isinstance(source, Dataset):
-        return empirical_pmf(source, laplace=laplace, include_hidden=include_hidden)
-    return source
-
-
 def sra_from_conditional(cond: np.ndarray) -> IdentifiedDensity:
     """No-unmeasured-confounding g-formula on the observed table given Y0,
     ``observed_conditional(pmf)[0]``: g(a1,a2,y2,y1,y0) = f(y2|y0,y1,a1,a2) f(y1|y0,a1).
@@ -326,18 +321,12 @@ def sra_from_conditional(cond: np.ndarray) -> IdentifiedDensity:
     return IdentifiedDensity(g, "SRA")
 
 
-def oracle_density(source: Dataset | JointPmf, laplace: float = 0.0) -> IdentifiedDensity:
-    """Hidden-confounder-adjusted density, from the true law or from sampled
-    rows that carry the hidden columns."""
-    return oracle_density_from_joint(_law(source, laplace, include_hidden=True))
+def sra_value(pmf: JointPmf, regime: Regime) -> ValueEstimate:
+    """SRA's value of ``regime`` on a law, such as ``empirical_pmf(data, laplace)``."""
+    return ValueEstimate("SRA", value_from_density(sra_from_conditional(observed_conditional(pmf)[0]), pmf, regime))
 
 
-def sra_value(source: Dataset | JointPmf, regime: Regime, laplace: float = 0.0) -> ValueEstimate:
-    pmf = _law(source, laplace)
-    dens = sra_from_conditional(observed_conditional(pmf)[0])
-    return ValueEstimate("SRA", value_from_density(dens, pmf, regime))
-
-
-def oracle_value(source: Dataset | JointPmf, regime: Regime, laplace: float = 0.0) -> ValueEstimate:
-    pmf = _law(source, laplace, include_hidden=True)
-    return ValueEstimate("ORACLE", value_from_density(oracle_density(pmf), pmf, regime))
+def oracle_value(pmf: JointPmf, regime: Regime) -> ValueEstimate:
+    """The Oracle's value of ``regime`` on an 11-variable law, such as
+    ``empirical_pmf(data, laplace, include_hidden=True)``."""
+    return ValueEstimate("ORACLE", value_from_density(oracle_density_from_joint(pmf), pmf, regime))

@@ -38,20 +38,23 @@ fixed seed (``_scenario_pseudo``, handed to every repetition and pool
 worker), so repetitions share one corruption. Each component comes from its
 own substream, so scenarios that replace the same component get the same table.
 
-True values come from one ``class_values`` call over all 1024 Boolean
-indices, computed once per experiment; a chosen regime's true value is read
-at its Boolean index, the searched class's optimum is a gather from that
-array at the class's indices, and the Boolean optimum is its maximum. No
-``Regime`` is built to score.
+True values come from ``dgp.true_values``, one ``class_values`` call over
+all 1024 Boolean indices under the Oracle density of the true law, computed
+once per experiment; a chosen regime's true value is read at its Boolean
+index, the searched class's optimum is a gather from that array at the
+class's indices, and the Boolean optimum is its maximum. No ``Regime`` is
+built to score.
 
 Everything is deterministic in the config: repetition seeds are
 base_seed + index, and each repetition's results are folded into per-cell
 arrays as they arrive, in index order, so table emission is byte-stable.
 Repetition failures (rank/positivity errors on sparse tables) are counted
-and excluded, never silently dropped: each cell keeps the message of every
-failed repetition in ``CellSummary.failure_reasons``, (message, repetitions)
-pairs in first-seen order that sum to ``failures``. ``PROXIDTR_THREADS``
-caps worker processes; the default is serial.
+and excluded, never silently dropped: each cell keeps the reason of every
+failed repetition in ``CellSummary.failure_reasons``, (reason, repetitions)
+pairs in first-seen order that sum to ``failures``. A reason is the failing
+step and the error's kind (``TableError.kind``: its message without the cell
+or block it names), so the repetitions that failed the same way group
+together. ``PROXIDTR_THREADS`` caps worker processes; the default is serial.
 
 The report's columns are stated once, in one column table (``_COLUMNS``):
 the labels and counts, then each metric's CSV prefix with the statistics
@@ -80,14 +83,7 @@ import numpy as np
 
 from . import identify
 from .bridges import DEFAULT_PSEUDO_SEED, BridgeSet, MissingBridgeError, pseudo_bridges, solve_bridges, verify_bridges
-from .dgp import (
-    DgpParams,
-    class_values,
-    marginal_y0,
-    oracle_density_from_joint,
-    sample,
-    true_joint,
-)
+from .dgp import DgpParams, class_values, oracle_density_from_joint, sample, true_joint, true_values
 from .estimators import (
     ALL_METHODS,
     FitOptions,
@@ -95,11 +91,10 @@ from .estimators import (
     empirical_pmf,
     fit_bridges,
     fold_fits,
-    oracle_density,
     sra_from_conditional,
 )
 from .identify import q_functions
-from .policy import BOOLEAN_SIZE, enumerate_class, first_maximizer, q_learning_index
+from .policy import enumerate_class, first_maximizer, q_learning_index
 from .tables import TableError
 
 EPSILON = 1e-10  # values below this render as "<eps"
@@ -199,7 +194,7 @@ class CellSummary:
     failures: int
     regret: MetricSummary
     overall_error: MetricSummary
-    failure_reasons: tuple[tuple[str, int], ...] = ()  # (message, repetitions), first seen first
+    failure_reasons: tuple[tuple[str, int], ...] = ()  # (reason, repetitions), first seen first
 
 
 @dataclass(frozen=True)
@@ -209,7 +204,7 @@ class ExperimentReport:
 
     def to_json(self) -> str:
         """The config and, per cell, its CSV columns (NaN as null) and its
-        failure reasons as [message, repetitions] pairs."""
+        failure reasons as [reason, repetitions] pairs."""
         cells = [{**{name: None if isinstance(v, float) and np.isnan(v) else v
                      for name, v in zip(_COLUMNS, _row(self.config, c))},
                   "failure_reasons": c.failure_reasons} for c in self.cells]
@@ -234,22 +229,20 @@ class _Truth:
 
     def __init__(self, params: DgpParams, regime_class: str):
         self.params = params
-        joint = true_joint(params)
-        self.p_y0 = marginal_y0(joint)
-        self.oracle_g = oracle_density_from_joint(joint).g
         self.search_class = enumerate_class(regime_class)
-        self.true_values = class_values(self.oracle_g, self.p_y0, np.arange(BOOLEAN_SIZE))  # at each Boolean index
+        self.true_values = true_values(params)  # at each Boolean index
         searched = self.true_values[self.search_class.index]
         self.optimum_value = float(searched[first_maximizer(searched)])
         self.boolean_optimum = float(self.true_values[first_maximizer(self.true_values)])
 
 
 def _attempt(step: str, fn, *args):
-    """``fn(*args)``, or the failure message a cell records instead."""
+    """``fn(*args)``, or the failure message a cell records instead: the
+    step and the error's kind, without the cell or block it names."""
     try:
         return fn(*args)
     except (TableError, MissingBridgeError) as err:
-        return f"{step} failed: {err}"
+        return f"{step} failed: {getattr(err, 'kind', err)}"
 
 
 def _scenario_pseudo(config: ExperimentConfig) -> dict[str, BridgeSet]:
@@ -301,7 +294,7 @@ def _baseline_table(data, config: ExperimentConfig, method: str, fits=None) -> t
             cond, p_y0 = identify.observed_conditional(empirical_pmf(data, laplace=config.laplace))
         return sra_from_conditional(cond).g, p_y0
     pmf = empirical_pmf(data, laplace=config.laplace, include_hidden=True)
-    return oracle_density(pmf).g, identify.observed_conditional(pmf)[1]
+    return oracle_density_from_joint(pmf).g, identify.observed_conditional(pmf)[1]
 
 
 def _class_scores(truth: _Truth, g: np.ndarray, p_y0: np.ndarray, optimizer: str) -> list[tuple[float, float]]:
@@ -402,7 +395,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
     keys = [(tag, method) for tag in config.scenarios for method in config.methods]
     scores = np.zeros((len(keys), 2, config.reps))  # [cell, (regret, overall error), rep]
     scored = np.zeros((len(keys), config.reps), dtype=bool)
-    reasons = [Counter() for _ in keys]  # failure message -> repetitions, in first-seen order
+    reasons = [Counter() for _ in keys]  # failure reason -> repetitions, in first-seen order
     for rep, results in enumerate(_rep_results(config, truth, worker_count())):
         for i, key in enumerate(keys):
             if isinstance(results[key], str):

@@ -27,7 +27,10 @@ reduction; the first failing cell in C order is located (``_first_cell``)
 only when one exists. Every zero denominator in the package, here and in
 ``bridges``, ``identify`` and ``estimators``, is refused by ``_refuse_zero``,
 which names that cell by its own axes in ``ZeroProbabilityError.assignment``.
-A NaN compares false, so a NaN denominator or determinant is not flagged.
+Every ``TableError`` has a ``kind``, its message without the cell or block
+it names (the unformatted template of ``_refuse_zero``, the role of
+``invert2or4``), by which failures group. A NaN compares false, so a NaN
+denominator or determinant is not flagged.
 
 A ``JointPmf`` may hold a stack of laws over the same variables (the K
 off-fold laws of a cross-fit): its mass and every array derived from it
@@ -50,7 +53,13 @@ DET_TOL = 1e-12         # below this |det| a matrix is treated as singular
 
 
 class TableError(ValueError):
-    """Base class for probability-table failures."""
+    """Base class for probability-table failures. ``kind`` is the message
+    without the cell or block it names (the message itself by default), so
+    failures of one kind group together."""
+
+    def __init__(self, message: str, kind: str | None = None):
+        super().__init__(message)
+        self.kind = message if kind is None else kind
 
 
 class UnknownVariableError(TableError):
@@ -60,8 +69,8 @@ class UnknownVariableError(TableError):
 class ZeroProbabilityError(TableError):
     """A conditioning event has probability zero."""
 
-    def __init__(self, message: str, assignment: Mapping[str, int] | None = None):
-        super().__init__(message)
+    def __init__(self, message: str, assignment: Mapping[str, int] | None = None, kind: str | None = None):
+        super().__init__(message, kind)
         self.assignment = dict(assignment) if assignment else {}
 
 
@@ -93,11 +102,12 @@ def _first_cell(mask: np.ndarray) -> tuple[int, ...] | None:
 def _refuse_zero(mask: np.ndarray, names: Sequence[str], message: str) -> None:
     """Raise ``ZeroProbabilityError`` at the first true cell of ``mask`` in C
     order, named by the trailing axes ``names`` (any stack axes before them
-    dropped); ``message`` is formatted with that cell as ``{cell}`` and by name."""
+    dropped); ``message`` is formatted with that cell as ``{cell}`` and by
+    name, and is the error's ``kind`` as it stands."""
     cell = _first_cell(mask)
     if cell is not None:
         assignment = dict(zip(names, cell[len(cell) - len(names):]))
-        raise ZeroProbabilityError(message.format(cell=assignment, **assignment), assignment)
+        raise ZeroProbabilityError(message.format(cell=assignment, **assignment), assignment, message)
 
 
 def _refuse_stack(shape: tuple[int, ...], trailing: int, message: str, error: type[Exception] = TableError) -> None:
@@ -156,8 +166,15 @@ class JointPmf:
 
     @classmethod
     def from_json(cls, text: str) -> "JointPmf":
+        """The table ``to_json`` writes: an object with exactly ``order``, a
+        list of names, and ``mass``, a list of numbers."""
         payload = json.loads(text)
-        return cls(tuple(payload["order"]), np.asarray(payload["mass"], dtype=float))
+        order, mass = (payload.get("order"), payload.get("mass")) if isinstance(payload, dict) else (None, None)
+        if not (isinstance(order, list) and isinstance(mass, list) and len(payload) == 2
+                and all(type(n) is str for n in order) and all(type(x) in (int, float) for x in mass)):
+            raise TableError('a JointPmf is a JSON object with exactly "order", a list of names, '
+                             'and "mass", a list of numbers')
+        return cls(tuple(order), np.asarray(mass, dtype=float))
 
 
 def _mass_over(pmf: JointPmf, names: Sequence[str]) -> np.ndarray:
@@ -215,7 +232,6 @@ def invert2or4(m: np.ndarray, role: str = "conditional matrix", axes: Sequence[s
     if block is not None:
         names = tuple(f"axis{i}" for i in range(len(block) - len(axes))) + tuple(axes)
         where = f" at ({', '.join(f'{n}={v}' for n, v in zip(names, block))})" if block else ""
-        raise SingularMatrixError(
-            f"{role}{where} is singular (|det|={det[block]:.3e}); rank condition fails"
-        )
+        raise SingularMatrixError(f"{role}{where} is singular (|det|={det[block]:.3e}); rank condition fails",
+                                  f"{role} is singular; rank condition fails")
     return np.linalg.inv(m)

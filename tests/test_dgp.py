@@ -11,7 +11,7 @@ import math
 
 import numpy as np
 import pytest
-from conftest import cell_codes
+from conftest import cell_codes, regime_value
 
 from proxidtr import dgp
 from proxidtr.policy import Regime, enumerate_class, first_maximizer
@@ -150,6 +150,22 @@ def test_boolean_optimum_dominates_linear(params):
     bool_value, _ = dgp.optimal_value(params, "all-boolean")
     assert bool_value >= lin_value
     assert dgp.true_value(params, lin_regime) == pytest.approx(lin_value, abs=1e-12)
+
+
+def test_true_values_are_the_loop_values_and_feed_true_and_optimal_value(params, oracle, p_y0, boolean_class,
+                                                                         monkeypatch):
+    """``true_values`` equals the test-side ``regime_value`` loop over all 1024
+    Boolean regimes exactly, and ``true_value`` and ``optimal_value`` read it."""
+    values = dgp.true_values(params)
+    assert values.shape == (1024,)
+    assert values.tolist() == [regime_value(oracle.g, p_y0, r) for r in boolean_class.members]
+    table = np.random.default_rng(5).random(1024)  # any array stands in for the true values
+    monkeypatch.setattr(dgp, "true_values", lambda p: table if p is params else None)
+    assert [dgp.true_value(params, r) for r in boolean_class.members[::97]] == table[::97].tolist()
+    for tag in ("linear", "all-boolean"):
+        index = enumerate_class(tag).index
+        best = first_maximizer(table[index])
+        assert dgp.optimal_value(params, tag) == (table[index][best], enumerate_class(tag).members[best])
 
 
 @pytest.mark.parametrize("tag", ["linear", "all-boolean"])

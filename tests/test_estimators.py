@@ -6,6 +6,7 @@ telescoped PMR rearrangement must match the three-term form row for row, for
 arbitrary (even corrupted) bridges.
 """
 
+import inspect
 import math
 import sys
 
@@ -255,8 +256,14 @@ def test_oracle_value_exact_at_true_law(params, joint):
 
 
 def test_oracle_value_from_sampled_hidden_columns(params, big_data):
-    est = oracle_value(big_data, REGIME).estimate
+    est = oracle_value(empirical_pmf(big_data, include_hidden=True), REGIME).estimate
     assert abs(est - dgp.true_value(params, REGIME)) <= 0.02
+
+
+def test_baselines_score_a_law_only():
+    """Each baseline has one path: a law in, no smoothing of its own."""
+    for baseline in (sra_value, oracle_value):
+        assert list(inspect.signature(baseline).parameters) == ["pmf", "regime"]
 
 
 def test_sra_value_is_confounded(params, big_data, joint):
@@ -264,7 +271,7 @@ def test_sra_value_is_confounded(params, big_data, joint):
     truth = dgp.true_value(params, REGIME)
     population_sra = sra_value(joint, REGIME).estimate
     assert abs(population_sra - truth) > 0.01
-    sampled = sra_value(big_data, REGIME).estimate
+    sampled = sra_value(empirical_pmf(big_data), REGIME).estimate
     assert abs(sampled - population_sra) < 0.02
 
 
@@ -352,7 +359,7 @@ def test_cell_counts_equal_bincount_reference(big_data):
 def test_oracle_without_hidden_columns_is_refused(big_data, linear_class):
     observed_only = Dataset.from_csv(big_data.to_csv())
     with pytest.raises(ValueError, match="u0,u1"):
-        oracle_value(observed_only, linear_class.members[0])
+        oracle_value(empirical_pmf(observed_only, include_hidden=True), linear_class.members[0])
     # the observed columns still serve every other estimator
     assert np.array_equal(_cell_counts(observed_only), _cell_counts(big_data))
 
@@ -365,7 +372,7 @@ def test_sra_from_conditional_equals_test_side_g_formula(big_data):
     expected = np.einsum("aebfc,aeb->efcba", f_y2, f_y1)
     cond, _ = identify.observed_conditional(pmf)
     np.testing.assert_allclose(sra_from_conditional(cond).g, expected, rtol=0, atol=1e-12)
-    assert sra_value(big_data, REGIME).estimate == pytest.approx(
+    assert sra_value(pmf, REGIME).estimate == pytest.approx(
         identify.value_from_density(expected, pmf, REGIME), abs=1e-12)
 
 
@@ -436,13 +443,14 @@ def test_stacked_fold_fits_equal_fold_by_fold_fits(big_data, folds, laplace):
 
 
 def _fold_by_fold_failure(data, opts):
-    """(type, message) of the first off-fold fit that fails, in fold order."""
+    """(type, message, kind) of the first off-fold fit that fails, in fold
+    order; the kind names neither the fold nor the advice."""
     assignments = fold_assignments(data, opts.folds)
     for fold in range(opts.folds):
         try:
             fit_counts(_bincount_reference(data, assignments != fold), opts)
         except (SingularMatrixError, ZeroProbabilityError) as err:
-            return type(err), f"off-fold fit failed for fold {fold}: {err}"
+            return type(err), f"off-fold fit failed for fold {fold}: {err}", err.kind
     return None
 
 
@@ -456,4 +464,5 @@ def test_stacked_fold_fit_failure_names_the_first_failing_fold(params, n, seed, 
     assert expected is not None
     with pytest.raises((SingularMatrixError, ZeroProbabilityError)) as info:
         fold_fits(data, opts)
-    assert (type(info.value), str(info.value)) == expected
+    assert (type(info.value), str(info.value), info.value.kind) == expected
+    assert "fold" not in info.value.kind and "increase n" not in info.value.kind

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from conftest import regime_value, value_maximize
 
-from proxidtr import estimators, harness, identify
+from proxidtr import dgp, estimators, harness, identify
 from proxidtr.bridges import pseudo_bridges
 from proxidtr.dgp import DgpParams, sample
 from proxidtr.harness import (
@@ -216,23 +216,29 @@ def test_cross_fit_experiment_runs():
     assert cell.count + cell.failures == 1
 
 
-def _loop_optimum(truth, optimizer):
+@pytest.fixture(scope="module")
+def true_density(oracle, p_y0):
+    """(g, P(y0)) of the Oracle density of the true law, from the ``conftest`` fixtures."""
+    return oracle.g, p_y0
+
+
+def _loop_optimum(true_density, truth, optimizer):
     """The class optimum of the true value by the ``value_maximize`` + ``regime_value``
     loop: over the searched class for value-max, the Boolean class for Q-learning."""
     cls = truth.search_class if optimizer == "value-max" else enumerate_class("all-boolean")
-    return value_maximize(partial(regime_value, truth.oracle_g, truth.p_y0), cls)[1]
+    return value_maximize(partial(regime_value, *true_density), cls)[1]
 
 
-def _loop_score(truth, g, p_y0, optimizer, optimum):
+def _loop_score(true_density, truth, g, p_y0, optimizer, optimum):
     """(regret, overall error) of one density by test-side loops: value-max by
     ``value_maximize`` + ``regime_value``, Q-learning by ``q_functions`` ->
-    ``q_learning_regime`` -> ``regime_value``."""
+    ``q_learning_regime`` -> ``regime_value``; true values under ``true_density``."""
     if optimizer == "value-max":
         d_hat, estimated = value_maximize(partial(regime_value, g, p_y0), truth.search_class)
     else:
         d_hat = q_learning_regime(*identify.q_functions(g))
         estimated = regime_value(g, p_y0, d_hat)
-    return optimum - regime_value(truth.oracle_g, truth.p_y0, d_hat), abs(optimum - estimated)
+    return optimum - regime_value(*true_density, d_hat), abs(optimum - estimated)
 
 
 def _one_repetition_densities(config):
@@ -247,21 +253,21 @@ def _one_repetition_densities(config):
 
 
 @pytest.mark.parametrize("optimizer", ["value-max", "q-learning"])
-def test_scores_match_loops_on_one_repetition(optimizer):
+def test_scores_match_loops_on_one_repetition(optimizer, true_density):
     """The stacked scoring of every density equals scoring each alone with
     test-side loops, bit for bit, under both regime classes."""
     tables = _one_repetition_densities(ExperimentConfig(n=35000))
     for regime_class in ("linear", "all-boolean"):
         truth = harness._truth_context(ExperimentConfig(regime_class=regime_class))
-        densities = tables + [(truth.oracle_g, truth.p_y0)]
+        densities = tables + [true_density]
         assert len(densities) == 23
         g, p_y0 = (np.stack(arrays) for arrays in zip(*densities))
-        optimum = _loop_optimum(truth, optimizer)
-        expected = [_loop_score(truth, *density, optimizer, optimum) for density in densities]
+        optimum = _loop_optimum(true_density, truth, optimizer)
+        expected = [_loop_score(true_density, truth, *density, optimizer, optimum) for density in densities]
         assert harness._class_scores(truth, g, p_y0, optimizer) == expected
 
 
-def test_a_density_that_fails_scoring_is_charged_alone():
+def test_a_density_that_fails_scoring_is_charged_alone(true_density):
     """In a stack where one density has a zero stage-2 denominator, Q-learning
     still scores every other density, and that one records the message it gets
     when scored alone; value maximization needs no Q tables and scores it."""
@@ -274,23 +280,26 @@ def test_a_density_that_fails_scoring_is_charged_alone():
     densities[4] = (degenerate, densities[4][1])
     tables = {("density", i): density for i, density in enumerate(densities)}
     tables["failed fit"] = "fit failed: singular"
-    optimum = _loop_optimum(truth, "q-learning")
-    expected = {key: _loop_score(truth, *density, "q-learning", optimum) for key, density in tables.items()
-                if key != ("density", 4) and not isinstance(density, str)}
+    optimum = _loop_optimum(true_density, truth, "q-learning")
+    expected = {key: _loop_score(true_density, truth, *density, "q-learning", optimum)
+                for key, density in tables.items() if key != ("density", 4) and not isinstance(density, str)}
     scores = harness._scores(truth, tables, "q-learning")
-    assert scores == {**expected, ("density", 4): f"scoring failed: {alone.value}", "failed fit": "fit failed: singular"}
+    assert scores == {**expected, ("density", 4): f"scoring failed: {alone.value.kind}",
+                      "failed fit": "fit failed: singular"}
     assert str(alone.value) == "zero stage-2 denominator at (y0=0, y1=1, a1=1, a2=0); f(Y1(1)=1|Y0=0) is degenerate"
+    assert alone.value.kind == ("zero stage-2 denominator at (y0={y0}, y1={y1}, a1={a1}, a2={a2}); "
+                                "f(Y1({a1})={y1}|Y0={y0}) is degenerate")
     assert not any(isinstance(s, str) for key, s in harness._scores(truth, tables, "value-max").items()
                    if key != "failed fit")
 
 
-def test_truth_reads_values_and_optima_at_boolean_indices(monkeypatch, boolean_class):
+def test_truth_reads_values_and_optima_at_boolean_indices(monkeypatch, boolean_class, p_y0):
     """On a random potential density, where the linear optimum falls short of
     the Boolean one, both optima and every true value match the loop."""
     g = np.random.default_rng(13).random((2,) * 5)
-    monkeypatch.setattr(harness, "oracle_density_from_joint", lambda joint: identify.IdentifiedDensity(g, "ORACLE"))
+    monkeypatch.setattr(dgp, "oracle_density_from_joint", lambda joint: identify.IdentifiedDensity(g, "ORACLE"))
     truth = harness._Truth(DgpParams.default(), "linear")
-    value = partial(regime_value, g, truth.p_y0)
+    value = partial(regime_value, g, p_y0)
     assert truth.true_values.tolist() == [value(r) for r in boolean_class.members]
     assert truth.optimum_value == value_maximize(value, truth.search_class)[1]
     assert truth.boolean_optimum == value_maximize(value, boolean_class)[1] > truth.optimum_value
@@ -370,27 +379,28 @@ def test_config_rejects_wrongly_typed_values(payload):
         ExperimentConfig(**payload)
 
 
-def _reference_rep(config, truth, rep):
+def _reference_rep(true_density, config, truth, rep):
     """Every (scenario, method) cell of one repetition on its own: bridges fitted
     fold by fold on masked counts, each cell identified through ``_DENSITY_FN``
     per fold and scored by the test-side loops of ``_loop_score``; nothing is
-    shared between cells."""
+    shared between cells. A failure is recorded as its step and the error's
+    kind, without the cell, block or fold it names."""
     data = sample(truth.params, config.n, config.base_seed + rep)
     opts = estimators.FitOptions(config.folds, config.laplace)
     assignments = estimators.fold_assignments(data, config.folds)
     total = estimators._cell_counts(data)
-    # (scoring counts, fitting counts, failure prefix) per fold
-    folds = [(total, total, "")] if config.folds == 1 else [
-        (estimators._cell_counts(data.subset(assignments == f)), estimators._cell_counts(data.subset(assignments != f)),
-         f"off-fold fit failed for fold {f}: ") for f in range(config.folds)]
+    # (scoring counts, fitting counts) per fold
+    folds = [(total, total)] if config.folds == 1 else [
+        (estimators._cell_counts(data.subset(assignments == f)), estimators._cell_counts(data.subset(assignments != f)))
+        for f in range(config.folds)]
 
     def bridge_table(tag, method):
         per_fold = []
-        for own, off_fold, prefix in folds:
+        for own, off_fold in folds:
             try:
                 _, b = estimators.fit_counts(off_fold, opts)
             except TableError as err:
-                return f"fit failed: {prefix}{err}"
+                return f"fit failed: {err.kind}"
             b = b.merged(pseudo_bridges(config.pseudo_seed, SCENARIO_PSEUDO[tag]))
             cond, p_y0 = identify.observed_conditional(estimators.count_pmf(own, config.laplace))
             per_fold.append((harness._DENSITY_FN[method](cond, b).g, p_y0))
@@ -406,27 +416,27 @@ def _reference_rep(config, truth, rep):
                 cond, p_y0 = identify.observed_conditional(estimators.empirical_pmf(data, laplace=config.laplace))
                 return estimators.sra_from_conditional(cond).g, p_y0
             pmf = estimators.empirical_pmf(data, laplace=config.laplace, include_hidden=True)
-            return estimators.oracle_density(pmf).g, identify.observed_conditional(pmf)[1]
+            return dgp.oracle_density_from_joint(pmf).g, identify.observed_conditional(pmf)[1]
         except TableError as err:
-            return f"fit failed: {err}"
+            return f"fit failed: {err.kind}"
 
-    optimum = _loop_optimum(truth, config.optimizer)
+    optimum = _loop_optimum(true_density, truth, config.optimizer)
     results = {}
     for tag in config.scenarios:
         for method in config.methods:
             table = bridge_table(tag, method) if method in BRIDGE_METHODS else baseline_table(method)
             if not isinstance(table, str):
                 try:
-                    table = _loop_score(truth, *table, config.optimizer, optimum)
+                    table = _loop_score(true_density, truth, *table, config.optimizer, optimum)
                 except TableError as err:
-                    table = f"scoring failed: {err}"
+                    table = f"scoring failed: {err.kind}"
             results[(tag, method)] = table
     return results
 
 
 @pytest.mark.parametrize("optimizer", ["value-max", "q-learning"])
 @pytest.mark.parametrize("folds, n, reps", [(1, 35000, 1), (3, 35000, 1), (1, 600, 6), (3, 6000, 6)])
-def test_deduplicated_repetition_equals_cell_by_cell_reference(optimizer, folds, n, reps):
+def test_deduplicated_repetition_equals_cell_by_cell_reference(optimizer, folds, n, reps, true_density):
     """Identifying and scoring each distinct density once gives every cell
     exactly what identifying and scoring it alone gives, failures included."""
     config = ExperimentConfig(optimizer=optimizer, folds=folds, n=n, reps=reps)
@@ -435,7 +445,7 @@ def test_deduplicated_repetition_equals_cell_by_cell_reference(optimizer, folds,
     failures = []
     for rep in range(reps):
         got = harness._run_rep(config, truth, rep, pseudo)
-        expected = _reference_rep(config, truth, rep)
+        expected = _reference_rep(true_density, config, truth, rep)
         assert got == expected
         failures += [r for r in got.values() if isinstance(r, str)]
     if n < 35000:
@@ -451,8 +461,8 @@ def n600_report():
 
 
 def test_failure_reasons_count_each_message_in_first_seen_order(n600_report):
-    """Each cell's reasons are its repetitions' failure messages, counted in
-    the order they first appear, and sum to its failures."""
+    """Each cell's reasons are its repetitions' failure messages (step and
+    kind), counted in the order they first appear, and sum to its failures."""
     truth = harness._truth_context(N600)
     pseudo = harness._scenario_pseudo(N600)
     per_rep = [harness._run_rep(N600, truth, rep, pseudo) for rep in range(N600.reps)]
@@ -464,6 +474,24 @@ def test_failure_reasons_count_each_message_in_first_seen_order(n600_report):
             assert c.failures == 6
             assert all(m.startswith("fit failed: zero-probability conditioning cell ")
                        for m, _ in c.failure_reasons)
+
+
+_ZERO_CELL = "fit failed: zero-probability conditioning cell {cell} for "
+
+
+def test_failure_reasons_group_by_kind(n600_report):
+    """A reason is the failing step and the error's kind, so the repetitions
+    that failed the same way at different cells count as one reason. At
+    n = 2000 a singular proxy block is told apart from a zero cell."""
+    expected = {method: ((_ZERO_CELL + "P(W1,W2|Y0,Y1,A1,A2,Z1,Z2)", 6),) for method in BRIDGE_METHODS}
+    expected["SRA"] = (("fit failed: empty cell {cell} in the SRA outcome model", 2),)
+    expected["ORACLE"] = ((_ZERO_CELL + "P(Y2|Y0,Y1,U0,U1,A1,A2)", 3), (_ZERO_CELL + "P(U1|Y0,Y1,U0,A1)", 3))
+    assert {c.method for c in n600_report.cells} == set(expected)
+    for c in n600_report.cells:
+        assert c.failure_reasons == expected[c.method]
+    n2000 = run_experiment(ExperimentConfig(n=2000, reps=20, methods=("PMR",), scenarios=("all-correct",)))
+    assert n2000.cell("all-correct", "PMR").failure_reasons == (
+        (_ZERO_CELL + "P(W1,W2|Y0,Y1,A1,A2,Z1,Z2)", 17), ("fit failed: P(W1,W2|Z1,Z2) is singular; rank condition fails", 3))
 
 
 def test_scored_cells_have_no_failure_reasons(small_report):

@@ -49,8 +49,9 @@ def test_mass_must_be_nonnegative():
 
 
 def test_duplicate_names_rejected():
-    with pytest.raises(TableError):
+    with pytest.raises(TableError) as err:
         JointPmf(("A", "A"), np.full((2, 2), 0.25))
+    assert err.value.kind == str(err.value)  # a table error that names no cell or block is its own kind
 
 
 def test_flat_mass_accepted_row_major():
@@ -64,6 +65,24 @@ def test_json_round_trip(joint):
     again = JointPmf.from_json(joint.to_json())
     assert again.names == joint.names
     np.testing.assert_array_equal(again.mass, joint.mass)
+
+
+@pytest.mark.parametrize("text", [
+    "{}",
+    "[]",
+    '{"order": ["A"], "mass": [0.5, 0.5], "note": 1}',
+    '{"order": "AB", "mass": [0.25, 0.25, 0.25, 0.25]}',
+    '{"order": ["A"], "mass": [true, false]}',
+    '{"order": [["A"]], "mass": [0.5, 0.5]}',
+])
+def test_json_is_exactly_an_order_and_a_mass(text):
+    """Only an object with exactly ``order`` (a list of names) and ``mass`` (a
+    list of numbers) is read; anything else is refused with one line."""
+    with pytest.raises(TableError) as err:
+        JointPmf.from_json(text)
+    assert str(err.value) == ('a JointPmf is a JSON object with exactly "order", a list of names, '
+                              'and "mass", a list of numbers')
+    assert JointPmf.from_json('{"mass": [0.25, 0.75], "order": ["A"]}').mass.tolist() == [0.25, 0.75]
 
 
 def test_tables_are_immutable(joint):
@@ -199,8 +218,9 @@ def test_invert_singular_raises_with_role():
 def test_invert_stack_names_singular_block():
     stack = np.tile(np.eye(2), (2, 2, 1, 1))
     stack[1, 0] = [[0.5, 0.5], [0.5, 0.5]]
-    with pytest.raises(SingularMatrixError, match=r"proxy block at \(Y0=1, A1=0\)"):
+    with pytest.raises(SingularMatrixError, match=r"proxy block at \(Y0=1, A1=0\)") as err:
         invert2or4(stack, role="proxy block", axes=("Y0", "A1"))
+    assert err.value.kind == "proxy block is singular; rank condition fails"  # without the block and |det|
 
 
 def test_invert_rejects_other_shapes():

@@ -1,8 +1,9 @@
 """One refusal for a zero cell: every zero denominator in the package is
 refused by ``tables._refuse_zero``, which raises ``ZeroProbabilityError``
 naming the first zero cell in C order in ``.assignment``, by the axes of
-the table it divides by and without any stack axes. Each refusal is met
-alone and as the second law of a stack of two, and fails the same way."""
+the table it divides by and without any stack axes, and whose ``kind`` is
+the message template with the cell unfilled. Each refusal is met alone and
+as the second law of a stack of two, and fails the same way."""
 
 import numpy as np
 import pytest
@@ -69,23 +70,30 @@ def _sra_stage1_model():
     return fine, bad, sra_from_conditional
 
 
+_STAGE2 = "zero stage-2 denominator at (y0={y0}, y1={y1}, a1={a1}, a2={a2}); f(Y1({a1})={y1}|Y0={y0}) is degenerate"
 _REFUSALS = [
     (_conditioning_cell, {"A": 1, "C": 0},
-     "zero-probability conditioning cell {'A': 1, 'C': 0} for P(B|A,C)"),
-    (_positivity, {"A": 1, "B": 1}, "positivity fails: P(B|A) is zero at {'A': 1, 'B': 1}"),
-    (_y0_margin, {"Y0": 1}, "P(Y0=y0) = 0 at {'Y0': 1}; cannot condition"),
+     "zero-probability conditioning cell {'A': 1, 'C': 0} for P(B|A,C)",
+     "zero-probability conditioning cell {cell} for P(B|A,C)"),
+    (_positivity, {"A": 1, "B": 1}, "positivity fails: P(B|A) is zero at {'A': 1, 'B': 1}",
+     "positivity fails: P(B|A) is zero at {cell}"),
+    (_y0_margin, {"Y0": 1}, "P(Y0=y0) = 0 at {'Y0': 1}; cannot condition", "P(Y0=y0) = 0 at {cell}; cannot condition"),
     (_stage2_denominator, {"a1": 1, "a2": 0, "y1": 1, "y0": 0},
-     "zero stage-2 denominator at (y0=0, y1=1, a1=1, a2=0); f(Y1(1)=1|Y0=0) is degenerate"),
-    (_stage1_normalizer, {"y0": 1, "a1": 1}, "zero stage-1 normalizer in Q1 weights at (y0=1, a1=1)"),
+     "zero stage-2 denominator at (y0=0, y1=1, a1=1, a2=0); f(Y1(1)=1|Y0=0) is degenerate", _STAGE2),
+    (_stage1_normalizer, {"y0": 1, "a1": 1}, "zero stage-1 normalizer in Q1 weights at (y0=1, a1=1)",
+     "zero stage-1 normalizer in Q1 weights at (y0={y0}, a1={a1})"),
     (_sra_outcome_model, {"Y0": 0, "A1": 1, "Y1": 0, "A2": 1},
-     "empty cell {'Y0': 0, 'A1': 1, 'Y1': 0, 'A2': 1} in the SRA outcome model"),
+     "empty cell {'Y0': 0, 'A1': 1, 'Y1': 0, 'A2': 1} in the SRA outcome model",
+     "empty cell {cell} in the SRA outcome model"),
     (_sra_stage1_model, {"Y0": 1, "A1": 0, "Y1": 0, "A2": 0},
-     "empty cell {'Y0': 1, 'A1': 0, 'Y1': 0, 'A2': 0} in the SRA outcome model"),
+     "empty cell {'Y0': 1, 'A1': 0, 'Y1': 0, 'A2': 0} in the SRA outcome model",
+     "empty cell {cell} in the SRA outcome model"),
 ]
 
 
-@pytest.mark.parametrize("case, assignment, message", _REFUSALS, ids=[case[0].__name__.strip("_") for case in _REFUSALS])
-def test_each_zero_refusal_names_its_first_zero_cell_alone_and_in_a_stack(case, assignment, message):
+@pytest.mark.parametrize("case, assignment, message, kind", _REFUSALS,
+                         ids=[case[0].__name__.strip("_") for case in _REFUSALS])
+def test_each_zero_refusal_names_its_first_zero_cell_alone_and_in_a_stack(case, assignment, message, kind):
     fine, bad, refuse = case()
     refuse(fine)
     refuse(np.stack([fine, fine]))
@@ -94,13 +102,15 @@ def test_each_zero_refusal_names_its_first_zero_cell_alone_and_in_a_stack(case, 
             refuse(mass)
         assert err.value.assignment == assignment
         assert str(err.value) == message
+        assert err.value.kind == kind
 
 
 def test_a_failed_fit_keeps_the_zero_cell_it_was_refused_at():
     """The advice ``fit_counts`` appends re-raises the same error, so the
-    cell stays in ``.assignment``."""
+    cell stays in ``.assignment`` and the kind stays without the advice."""
     counts = np.ones((2,) * 9)
     counts[1] = 0.0  # no row with Y0 = 1
     with pytest.raises(ZeroProbabilityError, match="too sparse to solve the bridges - increase n$") as err:
         fit_counts(counts.reshape(-1), FitOptions())
     assert err.value.assignment == {"Y0": 1, "Y1": 0, "A1": 0, "A2": 0, "Z1": 0, "Z2": 0}
+    assert err.value.kind == "zero-probability conditioning cell {cell} for P(W1,W2|Y0,Y1,A1,A2,Z1,Z2)"
