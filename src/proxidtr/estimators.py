@@ -11,13 +11,22 @@ no estimate depends on row order:
   PMR   the three-term multiply robust combination (the influence function
         without its centering constant)
 
+All four are one summand, the row-level twin of ``identify``'s formula:
+
+  c2 (y2 - j2_obs) + c1 (j2c - j1) + j1,
+
+with c2 = full compliance * q22, c1 = stage-1 compliance * q11, j2_obs and
+j2c the h22 terms at the observed and at the regime's a2, and j1 the h21
+term. A method leaves out every term and inner part whose component it does
+not read, which is PMR with those components set to zero, bit for bit.
+
 In the categorical setting each empirical average coincides exactly with the
 corresponding plug-in value on the empirical cell-frequency table, which the
 test suite exploits as an algebraic cross-check. A telescoped rearrangement
 of the PMR summand is implemented separately and must agree to 1e-12 cell by
 cell; it shares only the regime indexing (``_regime_cells``). Each summand
-checks that the set carries the components ``identify.BRIDGES_NEEDED``
-lists for its method.
+refuses an unknown method and a set without the components
+``identify.BRIDGES_NEEDED`` lists for its method, by ``identify._require``.
 
 ``influence`` reads the influence function of any plug-in functional of one
 law off a single stacked complex step P + ih(delta_c - P) over its cells;
@@ -51,7 +60,7 @@ import numpy as np
 
 from .bridges import BridgeSet, solve_bridges
 from .dgp import CANONICAL_ORDER, HIDDEN_ORDER, OBSERVED_ORDER, Dataset, oracle_density_from_joint
-from .identify import BRIDGES_NEEDED, METHODS, IdentifiedDensity, observed_conditional, value_from_density
+from .identify import METHODS, IdentifiedDensity, _require, observed_conditional, value_from_density
 from .policy import Regime
 from .tables import JointPmf, SingularMatrixError, ZeroProbabilityError, _locked, _refuse_zero
 
@@ -214,30 +223,27 @@ def _regime_cells(cols: Mapping[str, np.ndarray], b: BridgeSet, regime: Regime):
 
 def _summands(method: str, cols: Mapping[str, np.ndarray], b: BridgeSet, regime: Regime) -> np.ndarray:
     """Estimator summand per row (or per cell); its mean over rows is the value
-    estimate. Bridges led by a fold axis give one row of summands per fold."""
+    estimate, PMR's with every term or inner part whose component ``method``
+    does not read left out (0.0). Bridges led by a fold axis give one row of
+    summands per fold."""
     y0, z1, w1, a1 = cols["Y0"], cols["Z1"], cols["W1"], cols["A1"]
     y1, z2, w2, a2, y2 = cols["Y1"], cols["Z2"], cols["W2"], cols["A2"], cols["Y2"]
-    if method not in BRIDGES_NEEDED:
-        raise ValueError(f"unknown method {method!r}; expected one of {METHODS}")
-    b.require(*BRIDGES_NEEDED[method])
+    read = _require(method, b)
     d2, _, comply1, comply2, j1_star = _regime_cells(cols, b, regime)
-    if method == "POR":
-        return j1_star()
-    if method == "PIPW":
-        return comply2 * b.q22[..., y0, y1, a1, a2, z1, z2] * y2
-    j2c = b.h22[..., y0, y1, 1, w1, w2, a1, d2[y0, y1, a1]]
-    c1 = comply1 * b.q11[..., y0, a1, z1]
-    if method == "PHA":
-        return c1 * j2c
-    j2_obs = b.h22[..., y0, y1, 1, w1, w2, a1, a2]
-    j1 = j1_star()
-    c2 = comply2 * b.q22[..., y0, y1, a1, a2, z1, z2]
-    return c2 * (y2 - j2_obs) + c1 * (j2c - j1) + j1
+    term2 = term1 = 0.0
+    j1 = j1_star() if "h21" in read else 0.0
+    if "q22" in read:
+        j2_obs = b.h22[..., y0, y1, 1, w1, w2, a1, a2] if "h22" in read else 0.0
+        term2 = comply2 * b.q22[..., y0, y1, a1, a2, z1, z2] * (y2 - j2_obs)
+    if "q11" in read:
+        j2c = b.h22[..., y0, y1, 1, w1, w2, a1, d2[y0, y1, a1]] if "h22" in read else 0.0
+        term1 = comply1 * b.q11[..., y0, a1, z1] * (j2c - j1)
+    return term2 + term1 + j1
 
 
 def _pmr_telescoped(cols: Mapping[str, np.ndarray], b: BridgeSet, regime: Regime) -> np.ndarray:
     """The telescoped PMR summand: weighted differences of coarsening levels."""
-    b.require(*BRIDGES_NEEDED["PMR"])
+    _require("PMR", b)
     y0, z1, w1, a1 = cols["Y0"], cols["Z1"], cols["W1"], cols["A1"]
     y1, z2, w2, a2, y2 = cols["Y1"], cols["Z2"], cols["W2"], cols["A2"], cols["Y2"]
     d2, a1_star, comply1, comply2, j1_star = _regime_cells(cols, b, regime)

@@ -12,14 +12,23 @@ density f(Y2(a1,a2)=y2, Y1(a1)=y1 | Y0=y0):
 Every method reads the law only through its observed table given Y0
 (``observed_conditional``): ``density_from_conditional`` takes that table,
 so one conditioning serves all four, and ``density_por/pha/pipw/pmr`` wrap
-it for a law. POR, PHA and PIPW are the k = 0, 1, 2 rungs of one hybrid
-formula and share a single code path here, so the degeneration of the
-hybrid to either end is exact by construction. The PMR combination equals
-the truth whenever any one of the bridge subsets {h22,h21}, {h22,q11},
-{q11,q22} is correct; the other three methods each require their own
-bridges. ``BRIDGES_NEEDED`` lists the components each method reads and is
-the one place the method names are written; ``METHODS`` is its key order,
-which the estimators, the harness and the CLI share.
+it for a law. All four are one formula, PMR's three stage terms
+
+  q22 (f_obs - smoothed(h22)) + q11 (mid(h22) - mid(h21)) + h21 f_w1,
+
+with f_obs and f_w1 marginals of the observed table given Y0, smoothed(h22)
+the h22-weighted sum of that table over (w1, w2), and mid(h) an outcome
+bridge summed against its stage-1 marginal. A method computes only the
+terms and inner parts whose component it reads and leaves the others out,
+which is PMR with those components set to zero, bit for bit: POR is
+h21 f_w1, PHA q11 mid(h22) and PIPW q22 f_obs, the k = 0, 1, 2 rungs of the
+hybrid (``_hybrid_density``). The PMR combination equals the truth whenever
+any one of the bridge subsets {h22,h21}, {h22,q11}, {q11,q22} is correct;
+the other three methods each require their own bridges. ``BRIDGES_NEEDED``
+lists the components each method reads and is the one place the method
+names are written; ``METHODS`` is its key order, which the estimators, the
+harness and the CLI share, and ``_require`` is the one refusal of a name
+outside it.
 
 Every method returns a ``dgp.IdentifiedDensity`` (re-exported here), as do
 SRA and the Oracle, and reports it raw: misspecified bridges can push cells
@@ -30,6 +39,8 @@ value kernel.
 """
 
 from __future__ import annotations
+
+from functools import reduce
 
 import numpy as np
 
@@ -66,27 +77,50 @@ def observed_conditional(pmf: JointPmf) -> tuple[np.ndarray, np.ndarray]:
 # ``...`` carries a stack of tables (one per fold) and broadcasts unstacked bridges
 
 
+def _require(method: str, b: BridgeSet) -> tuple[str, ...]:
+    """The components ``method`` reads, once ``b`` is checked to carry them;
+    the one refusal of an unknown method."""
+    if method not in BRIDGES_NEEDED:
+        raise ValueError(f"unknown method {method!r}; expected one of {METHODS}")
+    b.require(*BRIDGES_NEEDED[method])
+    return BRIDGES_NEEDED[method]
+
+
+def _density(cond: np.ndarray, b: BridgeSet, read: tuple[str, ...]) -> np.ndarray:
+    """PMR's three stage terms in PMR's grouping,
+
+        q22 (f_obs - smoothed(h22)) + q11 (mid(h22) - mid(h21)) + h21 f_w1,
+
+    with every term or inner part whose component is not in ``read`` left out,
+    so the method that reads ``read`` is PMR with its other components set to
+    zero, bit for bit."""
+    term2 = term1 = term0 = None
+    if "h21" in read:
+        f_w1z1 = cond.sum(axis=(-5, -4, -3, -2, -1))  # [y0, z1, w1, a1]
+        term0 = np.einsum("...abcdef,...ad->...efcba", b.h21, f_w1z1.sum(axis=(-3, -1)))
+    if "q22" in read:  # f_obs [y0, z1, a1, y1, z2, a2, y2] less smoothed(h22), read off cond without y2
+        smoothed = (np.einsum("...abcdgef,...ahdebigf->...ahebifc", b.h22, cond.sum(axis=-1))
+                    if "h22" in read else 0.0)
+        term2 = np.einsum("...abefhi,...ahebifc->...efcba", b.q22, cond.sum(axis=(-7, -3)) - smoothed)
+    if "q11" in read:  # mid [y0, z1, y1, a1, a2, y2]; mid(h22) from f_mid [y0, z1, w1, a1, y1, w2]
+        mid22 = (np.einsum("...abcdgef,...ahdebg->...ahbefc", b.h22, cond.sum(axis=(-4, -2, -1)))
+                 if "h22" in read else 0.0)
+        mid21 = np.einsum("...abcdef,...ahde->...ahbefc", b.h21, f_w1z1) if "h21" in read else 0.0
+        term1 = np.einsum("...aeh,...ahbefc->...efcba", b.q11, mid22 - mid21)
+    return reduce(np.add, [term for term in (term2, term1, term0) if term is not None])
+
+
 def _hybrid_density(cond: np.ndarray, b: BridgeSet, k: int) -> np.ndarray:
-    """One formula for the k = 0, 1, 2 identification rungs."""
-    if k == 0:
-        f_w1 = cond.sum(axis=(-8, -6, -5, -4, -3, -2, -1))  # [y0, w1]
-        return np.einsum("...abcdef,...ad->...efcba", b.h21, f_w1)
-    if k == 1:
-        f_mid = cond.sum(axis=(-4, -2, -1))  # [y0, z1, w1, a1, y1, w2]
-        return np.einsum("...abcdgef,...aeh,...ahdebg->...efcba", b.h22, b.q11, f_mid)
-    if k == 2:
-        f_obs = cond.sum(axis=(-7, -3))  # [y0, z1, a1, y1, z2, a2, y2]
-        return np.einsum("...abefhi,...ahebifc->...efcba", b.q22, f_obs)
-    raise ValueError(f"hybrid rung k must be 0, 1 or 2, got {k}")
+    """The k = 0, 1, 2 identification rungs: POR, PHA and PIPW, in METHODS order."""
+    if k not in (0, 1, 2):
+        raise ValueError(f"hybrid rung k must be 0, 1 or 2, got {k}")
+    return _density(cond, b, BRIDGES_NEEDED[METHODS[k]])
 
 
 def density_from_conditional(method: str, cond: np.ndarray, b: BridgeSet) -> IdentifiedDensity:
     """The ``method`` density from the observed table given Y0,
     ``observed_conditional(pmf)[0]``, so one conditioning serves every method."""
-    b.require(*BRIDGES_NEEDED[method])
-    # POR, PHA and PIPW, in METHODS order, are the hybrid rungs k = 0, 1, 2
-    g = _pmr_density(cond, b) if method == "PMR" else _hybrid_density(cond, b, METHODS.index(method))
-    return IdentifiedDensity(g, method, b.provenance)
+    return IdentifiedDensity(_density(cond, b, _require(method, b)), method, b.provenance)
 
 
 def density_por(pmf: JointPmf, b: BridgeSet) -> IdentifiedDensity:
@@ -103,26 +137,6 @@ def density_pipw(pmf: JointPmf, b: BridgeSet) -> IdentifiedDensity:
 
 def density_pmr(pmf: JointPmf, b: BridgeSet) -> IdentifiedDensity:
     return density_from_conditional("PMR", observed_conditional(pmf)[0], b)
-
-
-def _pmr_density(cond: np.ndarray, b: BridgeSet) -> np.ndarray:
-    """Multiply robust density: each correction term vanishes identically
-    when the bridge it guards is correct, leaving the truth behind."""
-    f_obs = cond.sum(axis=(-7, -3))      # [y0, z1, a1, y1, z2, a2, y2]
-    f_all = cond.sum(axis=-1)            # [y0, z1, w1, a1, y1, z2, w2, a2]
-    f_mid = cond.sum(axis=(-4, -2, -1))  # [y0, z1, w1, a1, y1, w2]
-    f_w1z1 = cond.sum(axis=(-5, -4, -3, -2, -1))  # [y0, z1, w1, a1]
-    f_w1 = f_w1z1.sum(axis=(-3, -1))     # [y0, w1]
-
-    smoothed = np.einsum("...abcdgef,...ahdebigf->...ahebifc", b.h22, f_all)
-    term_k2 = np.einsum("...abefhi,...ahebifc->...efcba", b.q22, f_obs - smoothed)
-
-    mid_pos = np.einsum("...abcdgef,...ahdebg->...ahbefc", b.h22, f_mid)
-    mid_neg = np.einsum("...abcdef,...ahde->...ahbefc", b.h21, f_w1z1)
-    term_k1 = np.einsum("...aeh,...ahbefc->...efcba", b.q11, mid_pos - mid_neg)
-
-    term_k0 = np.einsum("...abcdef,...ad->...efcba", b.h21, f_w1)
-    return term_k2 + term_k1 + term_k0
 
 
 def pipw_marginal_stage1(pmf: JointPmf, b: BridgeSet) -> np.ndarray:

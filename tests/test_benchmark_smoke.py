@@ -7,11 +7,15 @@ benchmark wraps program functions by name (``harness._run_rep``,
 ``harness._worker``, ``estimators.fit_bridges``, ``estimators.population_v``,
 ``estimators.v_hat_pmr_alt``, ...) and skips a name it cannot find, so a
 refactor that moves one would make the benchmark lose latency samples or
-output checks without an error; here it fails a test instead.
+output checks without an error; here it fails a test instead. The traced
+grid must record one ``identify.density`` span per identification, so a
+harness that stops identifying through ``harness._DENSITY_FN`` cannot zero
+that layer silently.
 """
 
 import sys
 import types
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -20,7 +24,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
 
 import layers  # noqa: E402
 import workloads  # noqa: E402
-from recorder import Recorder  # noqa: E402
+from recorder import NAME, OP, Recorder  # noqa: E402
 
 from proxidtr import bridges, cli, dgp, estimators, harness, identify, policy  # noqa: E402
 
@@ -51,6 +55,14 @@ def test_workload_runs_checks_and_traces(name, tmp_path):
         assert workload.check(done) == ([], set())
     assert traced.output == untraced.output
     assert any(span[0] not in ("harness", "cli") for span in traced.recorder.spans)  # layer spans were recorded
+
+
+def test_traced_grid_records_every_identification(tmp_path):
+    # the 13 distinct (method, replaced components) densities of a repetition over the five
+    # scenarios (POR 2, PHA 4, PIPW 2, PMR 5), each timed where the harness calls ``_DENSITY_FN``
+    traced = _sized("grid-vmax", tmp_path).run(Recorder(), traced=True)
+    per_rep = Counter(span[OP] for span in traced.recorder.spans if span[NAME] == "identify.density")
+    assert per_rep == {0: 13, 1: 13}
 
 
 def test_pool_worker_hook_returns_the_repetitions_spans():

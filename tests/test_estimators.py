@@ -95,6 +95,8 @@ def test_plug_in_equivalence_all_methods(small_data, solved):
         direct = v_hat(method, small_data, corrupted, REGIME).estimate
         plug = identify.value_from_density(density_fn[method](pmf, corrupted), pmf, REGIME)
         assert direct == pytest.approx(plug, abs=1e-12)
+    with pytest.raises(ValueError, match=r"^unknown method 'SRA'; expected one of \('POR', 'PHA', 'PIPW', 'PMR'\)$"):
+        v_hat("SRA", small_data, corrupted, REGIME)  # a baseline has no summand
 
 
 def test_pmr_alt_form_agrees_exactly(small_data, fitted, big_data):

@@ -2,7 +2,7 @@
 
 Claims covered:
     - POR / PHA / PIPW / PMR all equal the oracle density at the exact law
-    - the hybrid rung degenerates to POR (k=0) and PIPW (k=2) bit for bit
+    - the hybrid rung degenerates to POR (k=0), PHA (k=1) and PIPW (k=2) bit for bit
     - PMR stays exact under every single-correct bridge scenario while the
       single-strategy density whose bridges are corrupted visibly deviates
     - identified values agree across methods and match the true values
@@ -58,9 +58,11 @@ def test_hybrid_degenerations_share_code_path(joint, solved):
 
     cond, _ = observed_conditional(joint)
     assert np.array_equal(_hybrid_density(cond, solved, 0), density_por(joint, solved).g)
+    assert np.array_equal(_hybrid_density(cond, solved, 1), density_pha(joint, solved).g)
     assert np.array_equal(_hybrid_density(cond, solved, 2), density_pipw(joint, solved).g)
-    with pytest.raises(ValueError):
-        _hybrid_density(cond, solved, 3)
+    for k in (3, -1):  # -1 would read PMR off the end of METHODS
+        with pytest.raises(ValueError, match=f"got {k}$"):
+            _hybrid_density(cond, solved, k)
 
 
 def test_pipw_marginal_form(joint, solved, oracle):
@@ -237,6 +239,8 @@ def test_missing_bridge_component_is_named(joint):
         density_por(joint, pseudo_bridges(1, ("h22",)))
     with pytest.raises(MissingBridgeError, match="q22"):
         density_pmr(joint, pseudo_bridges(1, ("h22", "h21", "q11")))
+    with pytest.raises(ValueError, match=r"^unknown method 'sra'; expected one of \('POR', 'PHA', 'PIPW', 'PMR'\)$"):
+        identify.density_from_conditional("sra", observed_conditional(joint)[0], pseudo_bridges(1))
 
 
 def test_identified_density_json(joint, solved):

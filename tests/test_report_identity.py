@@ -13,17 +13,17 @@ import pytest
 from proxidtr.harness import ExperimentConfig, emit_tables, run_experiment
 
 CASES = {
-    "vmax": (ExperimentConfig(reps=4), "e6ac8e80fd442b03"),
-    "vmax-boolean": (ExperimentConfig(reps=4, regime_class="all-boolean"), "ae26ef48821e1d89"),
-    "vmax-folds5": (ExperimentConfig(reps=4, folds=5), "39cd302a04c35f21"),
+    "vmax": (ExperimentConfig(reps=4), "73d91ffe3695b381"),
+    "vmax-boolean": (ExperimentConfig(reps=4, regime_class="all-boolean"), "e8b14057f0052e31"),
+    "vmax-folds5": (ExperimentConfig(reps=4, folds=5), "3f03303fb9df2acb"),
     "vmax-folds5-boolean": (ExperimentConfig(reps=4, folds=5, regime_class="all-boolean"),
-                            "f55684fd00d16d74"),
-    "qlearn": (ExperimentConfig(reps=4, optimizer="q-learning"), "98f6676b541c6e2d"),
-    "qlearn-folds5": (ExperimentConfig(reps=4, optimizer="q-learning", folds=5), "a641b70a8d59311a"),
+                            "060275917cd104e9"),
+    "qlearn": (ExperimentConfig(reps=4, optimizer="q-learning"), "30809febb03dbd20"),
+    "qlearn-folds5": (ExperimentConfig(reps=4, optimizer="q-learning", folds=5), "4e6051e54fe0f77d"),
     "n600": (ExperimentConfig(n=600, reps=6), "2338af46f0a65948"),
     "n300-laplace": (ExperimentConfig(n=300, reps=6, laplace=0.5), "76740c360e72cd58"),
     # cross-fitted with failed and scored cells mixed: bridge methods 5/6 failed, Oracle 2/6, SRA 0/6
-    "n6000-folds3": (ExperimentConfig(n=6000, reps=6, folds=3), "5f2319e769d52b58"),
+    "n6000-folds3": (ExperimentConfig(n=6000, reps=6, folds=3), "0d4160caa0eb3ba0"),
 }
 
 
