@@ -8,6 +8,12 @@ Subcommands:
   estimate        value estimate for a regime from a dataset CSV
   experiment      Monte Carlo regret / overall-error study from a JSON config
 
+``estimate`` scores a bridge method with ``estimators.cross_fit`` at every
+fold count (one fold, the default, fits the whole sample); only PMR's
+one-fold estimate carries a ``variance``, since only PMR's summand is its
+influence function. SRA and the Oracle are plug-in values on the empirical
+law and refuse ``--folds``.
+
 Exit codes: 0 success, 1 usage error, 2 numerical failure (rank/positivity
 or an identification check that exceeds tolerance).
 
@@ -26,14 +32,12 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import replace
 from functools import cache
 from pathlib import Path
 
 from .bridges import DEFAULT_PSEUDO_SEED, MissingBridgeError
 from .dgp import Dataset, DgpParams, sample
-from .estimators import (ALL_METHODS, FitOptions, cross_fit, empirical_pmf, fit_bridges, if_variance, oracle_value,
-                         sra_value, v_hat)
+from .estimators import ALL_METHODS, FitOptions, cross_fit, empirical_pmf, oracle_value, sra_value
 from .policy import Regime
 from .tables import TableError
 
@@ -130,13 +134,8 @@ def _cmd_estimate(args) -> int:
     if method in ("SRA", "ORACLE"):
         pmf = empirical_pmf(data, opts.laplace, include_hidden=method == "ORACLE")
         estimate = (sra_value if method == "SRA" else oracle_value)(pmf, regime)
-    elif opts.folds > 1:
-        estimate = cross_fit(method, data, opts, regime)
     else:
-        _, bridges_hat = fit_bridges(data, opts)
-        estimate = v_hat(method, data, bridges_hat, regime)
-        if method == "PMR":
-            estimate = replace(estimate, variance=if_variance(data, bridges_hat, regime))
+        estimate = cross_fit(method, data, opts, regime)
     print(estimate.to_json())
     return 0
 

@@ -33,12 +33,21 @@ law off a single stacked complex step P + ih(delta_c - P) over its cells;
 with bridges solved from the law, that of each method's value is the PMR
 summand centred at its mean.
 
-``fit_bridges`` solves the bridges on the whole sample. With folds,
-``fold_counts`` counts every fold in one bincount and ``fold_fits`` solves
-the K off-fold laws (the total counts minus each fold's own) as one stack,
-its tables led by a fold axis that the summands index through; ``cross_fit``
-and the harness share it. Fitting never substitutes pseudo bridges; the
-harness merges each scenario's into the fitted set.
+``fit_bridges`` solves the bridges on the whole sample. ``fold_fits`` is
+the one fit path for every fold count, shared by ``cross_fit`` and the
+harness: with one fold it returns the whole sample's counts and
+``fit_bridges``' bridges; with K, ``fold_counts`` counts every fold in one
+bincount and the K off-fold laws (the total counts minus each fold's own)
+are solved as one stack, its tables led by a fold axis that the summands
+index through. Fitting never substitutes pseudo bridges; the harness merges
+each scenario's into the fitted set.
+
+``_estimate`` is the one estimate kernel: one summand pass gives the
+count-weighted mean and, for PMR only, the second moment of the summand
+centred at that mean, its influence-function variance (the other methods'
+summands are not their influence functions). ``v_hat``, ``if_variance`` and
+``cross_fit`` at one fold call it; ``cross_fit`` with K folds averages the
+K fold estimates of one stacked summand pass.
 
 The SRA baseline ignores unmeasured confounding (``sra_from_conditional``, a
 plain g-formula on the observed table given Y0); the Oracle baseline
@@ -177,8 +186,13 @@ def fit_counts(counts: np.ndarray, opts: FitOptions) -> tuple[JointPmf, BridgeSe
 
 
 def fold_fits(data: Dataset, opts: FitOptions) -> tuple[np.ndarray, BridgeSet]:
-    """(each fold's own observed counts, the bridges fitted on the other folds),
-    led by the fold axis; a failed fit is redone fold by fold to name the first failing fold."""
+    """(the counts each fit scores, its bridges) at every fold count: with one
+    fold the whole sample's counts and ``fit_bridges``' bridges; with more,
+    each fold's own observed counts and the bridges fitted on the other folds,
+    led by the fold axis. A failed stacked fit is redone fold by fold to name
+    the first failing fold."""
+    if opts.folds == 1:
+        return _cell_counts(data), fit_bridges(data, opts)[1]
     own, off_fold = fold_counts(data, opts.folds)
     try:
         return own, fit_counts(off_fold, opts)[1]
@@ -253,9 +267,20 @@ def _pmr_telescoped(cols: Mapping[str, np.ndarray], b: BridgeSet, regime: Regime
     return c2 * y2 + (c1 - c2) * j2 + (1.0 - c1) * j1_star()
 
 
+def _estimate(method: str, counts: np.ndarray, b: BridgeSet, regime: Regime) -> ValueEstimate:
+    """One summand pass: its count-weighted mean and, for PMR only, the second
+    moment of the summand centred at that mean (its influence-function
+    variance; the other methods' summands are not their influence functions)."""
+    summand = _summands(method, _CELLS, b, regime)
+    mean = _count_mean(counts, summand)
+    variance = _count_mean(counts, (summand - mean) ** 2) if method == "PMR" else None
+    return ValueEstimate(method, mean, variance)
+
+
 def v_hat(method: str, data: Dataset, b: BridgeSet, regime: Regime) -> ValueEstimate:
-    """Empirical-average value estimate for one method."""
-    return ValueEstimate(method, _count_mean(_cell_counts(data), _summands(method, _CELLS, b, regime)))
+    """Empirical-average value estimate for one method; PMR's carries its
+    influence-function variance (``if_variance``)."""
+    return _estimate(method, _cell_counts(data), b, regime)
 
 
 def v_hat_pmr_alt(data: Dataset, b: BridgeSet, regime: Regime) -> ValueEstimate:
@@ -264,11 +289,11 @@ def v_hat_pmr_alt(data: Dataset, b: BridgeSet, regime: Regime) -> ValueEstimate:
 
 
 def cross_fit(method: str, data: Dataset, opts: FitOptions, regime: Regime) -> ValueEstimate:
-    """Fold-wise off-fold fitting, averaged in fold order."""
-    if opts.folds == 1:
-        _, b = fit_bridges(data, opts)
-        return v_hat(method, data, b, regime)
+    """``v_hat`` on ``fold_fits``: with one fold the whole-sample estimate,
+    with more the off-fold-fitted fold estimates averaged in fold order."""
     own, b = fold_fits(data, opts)
+    if own.ndim == 1:
+        return _estimate(method, own, b, regime)
     # C order, so each fold's row takes the dot-product path of an unstacked summand
     summands = np.ascontiguousarray(_summands(method, _CELLS, b, regime))
     fold_values = [_count_mean(*fold) for fold in zip(own, summands)]
@@ -281,9 +306,7 @@ def if_variance(data: Dataset, b: BridgeSet, regime: Regime) -> float:
     Centering uses the plug-in point estimate, so the empirical mean of the
     influence terms is zero by construction.
     """
-    counts = _cell_counts(data)
-    summand = _summands("PMR", _CELLS, b, regime)
-    return _count_mean(counts, (summand - _count_mean(counts, summand)) ** 2)
+    return v_hat("PMR", data, b, regime).variance
 
 
 def population_v(method: str, pmf: JointPmf, b: BridgeSet, regime: Regime) -> float:

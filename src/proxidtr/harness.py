@@ -1,12 +1,14 @@
 """Monte Carlo experiment orchestration: scenarios x methods x repetitions.
 
 One repetition samples a dataset, counts its cells once (the dataset's
-2^11 count tensor feeds every table), and fits the empirical law and
-bridges once. Cross-fitting stacks the K folds: one bincount, one solve of
-the K off-fold laws and one conditioning of the K fold laws, every array led
-by a fold axis. Each scoring law (the fitted one, SRA's and the Oracle's) is
-conditioned on Y0 once; with one fold SRA's law is the fitted law. Each
-scenario swaps its pseudo components into the fit, broadcast over the folds.
+2^11 count tensor feeds every table), and fits the bridges once through
+``estimators.fold_fits``, whatever the fold count; the scoring law is that of
+the counts it returns. Cross-fitting stacks the K folds: one bincount, one
+solve of the K off-fold laws and one conditioning of the K fold laws, every
+array led by a fold axis. Each scoring law (the fitted one, SRA's and the
+Oracle's) is conditioned on Y0 once; with one fold SRA's law is the fitted
+law. Each scenario swaps its pseudo components into the fit, broadcast over
+the folds.
 A bridge method's density depends on the scenario only through the
 components of ``identify.BRIDGES_NEEDED[method]`` it replaces, and a
 baseline's not at all, so each distinct density is identified (all folds at
@@ -89,7 +91,6 @@ from .estimators import (
     FitOptions,
     count_pmf,
     empirical_pmf,
-    fit_bridges,
     fold_fits,
     sra_from_conditional,
 )
@@ -255,19 +256,12 @@ def _scenario_pseudo(config: ExperimentConfig) -> dict[str, BridgeSet]:
 
 def _bridge_fits(data, config: ExperimentConfig) -> tuple[np.ndarray, np.ndarray, BridgeSet]:
     """(cond, p_y0, solved bridges), shared by every scenario, where (cond,
-    p_y0) is the scoring law conditioned on Y0, computed once.
-
-    With one fold the law and the bridges come from the whole sample; with
-    more, each fold's own rows are scored with bridges fitted on the other
-    folds, and all three lead with the fold axis.
+    p_y0) is the law of the counts ``fold_fits`` scores, conditioned on Y0
+    once: the whole sample's with one fold, each fold's own with more, all
+    three then led by the fold axis.
     """
-    opts = FitOptions(folds=config.folds, laplace=config.laplace)
-    if config.folds == 1:
-        pmf, solved = fit_bridges(data, opts)
-    else:
-        own, solved = fold_fits(data, opts)
-        pmf = count_pmf(own, config.laplace)
-    return (*identify.observed_conditional(pmf), solved)
+    own, solved = fold_fits(data, FitOptions(folds=config.folds, laplace=config.laplace))
+    return (*identify.observed_conditional(count_pmf(own, config.laplace)), solved)
 
 
 def _bridge_table(fits, pseudo: BridgeSet, method: str) -> tuple[np.ndarray, np.ndarray]:

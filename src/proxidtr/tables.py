@@ -19,8 +19,9 @@ that does so, for ``estimators.count_pmf`` and ``_CELLS``,
 ``bridges.solve_bridges``, ``dgp``'s word bounds, sampling tables,
 prefix-to-canonical table and ``Dataset`` codes, columns and counts, and
 ``policy.DENSITY_CELLS`` and ``RegimeClass.index``. A table keeps a
-read-only array it is handed that owns its memory (such a fresh array) and
-copies anything else (``_as_readonly``). Tables are float64, or complex128
+read-only C-contiguous array it is handed that owns its memory (such a fresh
+array) and copies anything else to C order (``_as_readonly``), so a table's
+bits depend on its values, not on its layout. Tables are float64, or complex128
 for complex-step derivatives; every check reads the real part. Every failure
 check (a zero conditioning cell, a singular block, a total off 1) costs one
 reduction; the first failing cell in C order is located (``_first_cell``)
@@ -85,12 +86,14 @@ def _locked(arr: np.ndarray) -> np.ndarray:
 
 
 def _as_readonly(arr) -> np.ndarray:
-    """A read-only complex128 array for complex input, else float64: ``arr``
-    itself when it is read-only and owns its memory, as the fresh arrays
-    ``_locked`` marks do, else a read-only copy."""
+    """A read-only, C-contiguous complex128 array for complex input, else
+    float64: ``arr`` itself when it is read-only, C-contiguous and owns its
+    memory, as the fresh C-order arrays ``_locked`` marks do, else a read-only
+    C-order copy. Einsum's summation order follows its operands' strides, so
+    one layout for every table makes equal values give equal bits."""
     dtype = complex if np.iscomplexobj(arr) else float
-    owned = isinstance(arr, np.ndarray) and arr.dtype == dtype and arr.base is None
-    return arr if owned and not arr.flags.writeable else _locked(np.array(arr, dtype=dtype))
+    owned = isinstance(arr, np.ndarray) and arr.dtype == dtype and arr.base is None and arr.flags.c_contiguous
+    return arr if owned and not arr.flags.writeable else _locked(np.array(arr, dtype=dtype, order="C"))
 
 
 def _first_cell(mask: np.ndarray) -> tuple[int, ...] | None:

@@ -4,13 +4,19 @@ Each benchmark workload runs once at a tiny size: ``grid-vmax`` and
 ``grid-crossfit`` serially with two repetitions, ``estimate-cli`` for one
 cycle of its six request variants, each pass untraced and then traced. The
 benchmark wraps program functions by name (``harness._run_rep``,
-``harness._worker``, ``estimators.fit_bridges``, ``estimators.population_v``,
-``estimators.v_hat_pmr_alt``, ...) and skips a name it cannot find, so a
-refactor that moves one would make the benchmark lose latency samples or
-output checks without an error; here it fails a test instead. The traced
-grid must record one ``identify.density`` span per identification, so a
-harness that stops identifying through ``harness._DENSITY_FN`` cannot zero
-that layer silently.
+``harness._worker``, ``harness._DENSITY_FN``, ``estimators.fit_bridges``,
+``cli.cross_fit``, ``estimators.population_v``, ``estimators.v_hat_pmr_alt``,
+...) and skips a name it cannot find, so a refactor that moves one would
+make the benchmark lose latency samples or output checks without an error;
+here it fails a test instead. The traced runs must record every call of
+three layers, so a refactor that stops calling through a hooked name cannot
+zero that layer silently: one ``identify.density`` span per identification
+and one ``estimators.fit_bridges`` span per repetition of the grid (the
+harness fits through ``estimators.fold_fits``, which calls
+``estimators.fit_bridges`` by its module name), and one
+``estimators.fit_bridges`` span per one-fold bridge request and one
+``estimators.row_estimate`` span per bridge request of the estimate cycle
+(the CLI estimates through ``cli.cross_fit``).
 """
 
 import sys
@@ -63,6 +69,18 @@ def test_traced_grid_records_every_identification(tmp_path):
     traced = _sized("grid-vmax", tmp_path).run(Recorder(), traced=True)
     per_rep = Counter(span[OP] for span in traced.recorder.spans if span[NAME] == "identify.density")
     assert per_rep == {0: 13, 1: 13}
+    # the one whole-sample fit, timed where ``fold_fits`` calls ``estimators.fit_bridges``
+    fits = Counter(span[OP] for span in traced.recorder.spans if span[NAME] == "estimators.fit_bridges")
+    assert fits == {0: 1, 1: 1}
+
+
+def test_traced_estimate_cycle_records_every_fit_and_estimate(tmp_path):
+    # POR, PHA, PIPW and PMR fit the whole sample through ``estimators.fit_bridges``; those four
+    # and PMR at five folds estimate through ``cli.cross_fit``; SRA does neither
+    traced = _sized("estimate-cli", tmp_path).run(Recorder(), traced=True)
+    layer_spans = Counter(span[NAME] for span in traced.recorder.spans)
+    assert layer_spans["estimators.fit_bridges"] == 4
+    assert layer_spans["estimators.row_estimate"] == 5
 
 
 def test_pool_worker_hook_returns_the_repetitions_spans():

@@ -15,8 +15,9 @@ import proxidtr
 from proxidtr import cli, harness
 from proxidtr.cli import build_parser, main
 from proxidtr.dgp import Dataset, sample
-from proxidtr.estimators import FitOptions, cross_fit
+from proxidtr.estimators import FitOptions, cross_fit, fit_bridges, if_variance
 from proxidtr.harness import ALL_METHODS
+from proxidtr.identify import METHODS
 from proxidtr.policy import Regime
 
 
@@ -232,11 +233,17 @@ def test_cross_fit_estimate_prints_what_cross_fit_returns(tmp_path, regime_file,
     data = sample(params, 35000, 3)
     data_file = tmp_path / "d.csv"
     data_file.write_text(data.to_csv())
-    assert main(["estimate", "--data", str(data_file), "--method", "pmr",
-                 "--regime", str(regime_file), "--folds", "5"]) == 0
     regime = Regime.from_json(regime_file.read_text())
     in_memory = replace(data, seed=0)  # the CLI reads the file with seed 0, which picks the folds
-    assert capsys.readouterr().out == cross_fit("PMR", in_memory, FitOptions(folds=5), regime).to_json() + "\n"
+    _, fitted = fit_bridges(in_memory)
+    for method, folds in [("PMR", 5)] + [(m, 1) for m in METHODS]:
+        assert main(["estimate", "--data", str(data_file), "--method", method.lower(),
+                     "--regime", str(regime_file), "--folds", str(folds)]) == 0
+        printed = capsys.readouterr().out
+        assert printed == cross_fit(method, in_memory, FitOptions(folds=folds), regime).to_json() + "\n"
+        if folds == 1:  # only PMR's summand is its influence function, so only PMR carries a variance
+            variance = json.loads(printed).get("variance")
+            assert variance == (if_variance(in_memory, fitted, regime) if method == "PMR" else None)
 
 
 def test_unknown_config_key_is_usage_error(tmp_path, capsys):

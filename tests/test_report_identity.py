@@ -13,17 +13,17 @@ import pytest
 from proxidtr.harness import ExperimentConfig, emit_tables, run_experiment
 
 CASES = {
-    "vmax": (ExperimentConfig(reps=4), "73d91ffe3695b381"),
-    "vmax-boolean": (ExperimentConfig(reps=4, regime_class="all-boolean"), "e8b14057f0052e31"),
-    "vmax-folds5": (ExperimentConfig(reps=4, folds=5), "3f03303fb9df2acb"),
+    "vmax": (ExperimentConfig(reps=4), "edfeb5d2ea848bc1"),
+    "vmax-boolean": (ExperimentConfig(reps=4, regime_class="all-boolean"), "87d770698b395d3e"),
+    "vmax-folds5": (ExperimentConfig(reps=4, folds=5), "3ed3d769e8ff5007"),
     "vmax-folds5-boolean": (ExperimentConfig(reps=4, folds=5, regime_class="all-boolean"),
-                            "060275917cd104e9"),
-    "qlearn": (ExperimentConfig(reps=4, optimizer="q-learning"), "30809febb03dbd20"),
-    "qlearn-folds5": (ExperimentConfig(reps=4, optimizer="q-learning", folds=5), "4e6051e54fe0f77d"),
+                            "2eedce15894d0442"),
+    "qlearn": (ExperimentConfig(reps=4, optimizer="q-learning"), "17028275d313ccb7"),
+    "qlearn-folds5": (ExperimentConfig(reps=4, optimizer="q-learning", folds=5), "1e0c5920d5c667e2"),
     "n600": (ExperimentConfig(n=600, reps=6), "2338af46f0a65948"),
     "n300-laplace": (ExperimentConfig(n=300, reps=6, laplace=0.5), "76740c360e72cd58"),
     # cross-fitted with failed and scored cells mixed: bridge methods 5/6 failed, Oracle 2/6, SRA 0/6
-    "n6000-folds3": (ExperimentConfig(n=6000, reps=6, folds=3), "0d4160caa0eb3ba0"),
+    "n6000-folds3": (ExperimentConfig(n=6000, reps=6, folds=3), "f8b524eba0e39f28"),
 }
 
 

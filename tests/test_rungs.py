@@ -7,14 +7,16 @@ Each identity is checked on four bridge sets of one sample at n = 35000:
 fitted, all-pseudo, h21+q22-pseudo, and the 5-fold stack of off-fold fits
 (each fold's density read off its own counts). PMR's density is also checked
 to be affine in each of h22, h21, q11 and q22: its second difference along a
-seeded N(0, 1) direction vanishes to rounding.
+seeded N(0, 1) direction vanishes to rounding. Every method's density reads
+a set's values, not its memory layout: a JSON round trip and Fortran-order
+copies identify bit for bit like the set itself.
 """
 
 import numpy as np
 import pytest
 
 from proxidtr import dgp
-from proxidtr.bridges import BridgeSet, pseudo_bridges
+from proxidtr.bridges import _SHAPES, BridgeSet, pseudo_bridges
 from proxidtr.estimators import _CELLS, FitOptions, _summands, count_pmf, fit_bridges, fold_fits
 from proxidtr.identify import BRIDGES_NEEDED, METHODS, density_from_conditional, observed_conditional
 
@@ -69,3 +71,19 @@ def test_pmr_density_is_affine_in_each_component(bridge_sets, component, name):
     g0, g1, g2 = (density_from_conditional("PMR", cond, b.merged(BridgeSet(**{component: table + t * direction}))).g
                   for t in (0, 1, 2))
     assert np.abs(g2 - 2 * g1 + g0).max() <= 1e-14
+
+
+def _fortran(b: BridgeSet) -> BridgeSet:
+    """A fitted set with every component copied to Fortran order."""
+    return BridgeSet(**{name: np.asfortranarray(getattr(b, name)) for name in _SHAPES}, provenance=b.provenance)
+
+
+@pytest.mark.parametrize("method", METHODS)
+def test_density_does_not_depend_on_the_bridges_layout(bridge_sets, method):
+    cond, fitted = bridge_sets["fitted"]
+    fold_cond, stacked = bridge_sets["5-fold"]
+    for law, b, copy in ((cond, fitted, BridgeSet.from_json(fitted.to_json())),
+                         (cond, fitted, _fortran(fitted)),
+                         (fold_cond, stacked, _fortran(stacked))):
+        assert np.array_equal(density_from_conditional(method, law, copy).g,
+                              density_from_conditional(method, law, b).g)
