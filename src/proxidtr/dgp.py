@@ -14,7 +14,8 @@ The module constructs the exact 2^11 joint law, samples ancestrally with a
 counter-based generator, and evaluates ground truth by sequential
 standardization (g-formula) over the hidden confounders: the conditional
 joint density of potential outcomes and, from it, ``true_values``, the true
-value of every Boolean regime at its Boolean index. ``true_value`` reads one
+value of every Boolean regime at its Boolean index, built once per
+``DgpParams`` and read-only. ``true_value`` reads one
 regime's value there and ``optimal_value`` a class optimum, found by
 exhaustive policy enumeration; the harness scores against the same array.
 ``class_values`` is the one place a regime's value under a density is
@@ -38,8 +39,9 @@ canonical cell code through one fixed 2^11-entry table.
 
 A ``Dataset`` holds its rows only as canonical cell codes: each row's
 CANONICAL_ORDER values read as bits, Y0 the most significant. Its 2^11 cell
-counts are the sufficient statistic of every estimator, and its columns are
-read-only arrays masked out of the codes on each access. The table of each
+counts are the sufficient statistic of every estimator; they and the 2^9
+observed counts are counted once per dataset. Its columns are read-only
+arrays masked out of the codes on each access. The table of each
 variable's bit in the code turns the sampler's prefix codes, a CSV's value
 matrix and a column name alike into codes or masks.
 
@@ -162,6 +164,12 @@ class DgpParams:
         """``_word_bounds`` of each of ``sampling_tables``."""
         return tuple(_word_bounds(table) for table in self.sampling_tables)
 
+    @cached_property
+    def _true_values(self) -> np.ndarray:
+        """``true_values`` of this law."""
+        joint = true_joint(self)
+        return _locked(class_values(oracle_density_from_joint(joint).g, marginal_y0(joint), np.arange(BOOLEAN_SIZE)))
+
     @classmethod
     def default(cls) -> "DgpParams":
         b = LogisticModel.build
@@ -188,6 +196,7 @@ class DgpParams:
 # each variable's bit in the canonical cell code: Y0 the most significant, Y2 the least
 _CELL_BIT = {name: 1 << (len(CANONICAL_ORDER) - 1 - i) for i, name in enumerate(CANONICAL_ORDER)}
 _HIDDEN_BITS = _CELL_BIT["U0"] | _CELL_BIT["U1"]
+_HIDDEN_AXES = tuple(CANONICAL_ORDER.index(n) - len(CANONICAL_ORDER) for n in HIDDEN_ORDER)
 
 
 def _bit_weights(names: tuple[str, ...]) -> np.ndarray:
@@ -244,14 +253,18 @@ class Dataset:
     def column(self, name: str) -> np.ndarray:
         return self._columns((name,))[:, 0]
 
-    def subset(self, rows: np.ndarray) -> "Dataset":
-        return Dataset(self.cell_code[rows], self.seed, self.has_hidden)
-
     @cached_property
     def cell_counts(self) -> np.ndarray:
         """Row count of each of the 2^11 cells, in C order over CANONICAL_ORDER:
         the sufficient statistic of every estimator."""
         return _locked(np.bincount(self.cell_code, minlength=2 ** len(CANONICAL_ORDER)))
+
+    @cached_property
+    def observed_counts(self) -> np.ndarray:
+        """``cell_counts`` summed over U0 and U1: the row count of each of the
+        2^9 observed cells, in C order over OBSERVED_ORDER."""
+        counts = self.cell_counts.reshape((2,) * len(CANONICAL_ORDER)).sum(axis=_HIDDEN_AXES)
+        return _locked(counts.reshape(-1))
 
     def to_csv(self, include_hidden: bool = False) -> str:
         if include_hidden and not self.has_hidden:
@@ -481,9 +494,9 @@ def marginal_y0(pmf: JointPmf) -> np.ndarray:
 
 def true_values(params: DgpParams) -> np.ndarray:
     """The exact value under the true law of every Boolean regime, at its
-    Boolean index: one ``class_values`` call under the Oracle density."""
-    joint = true_joint(params)
-    return class_values(oracle_density_from_joint(joint).g, marginal_y0(joint), np.arange(BOOLEAN_SIZE))
+    Boolean index: one ``class_values`` call under the Oracle density, made
+    once per ``DgpParams`` and read-only."""
+    return params._true_values
 
 
 def true_value(params: DgpParams, regime: Regime) -> float:

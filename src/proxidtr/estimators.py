@@ -36,11 +36,11 @@ summand centred at its mean.
 ``fit_bridges`` solves the bridges on the whole sample. ``fold_fits`` is
 the one fit path for every fold count, shared by ``cross_fit`` and the
 harness: with one fold it returns the whole sample's counts and
-``fit_bridges``' bridges; with K, ``fold_counts`` counts every fold in one
-bincount and the K off-fold laws (the total counts minus each fold's own)
-are solved as one stack, its tables led by a fold axis that the summands
-index through. Fitting never substitutes pseudo bridges; the harness merges
-each scenario's into the fitted set.
+``fit_bridges``' law and bridges, each built once; with K, ``fold_counts``
+counts every fold in one bincount and the K off-fold laws (the total counts
+minus each fold's own) are solved as one stack, its tables led by a fold
+axis that the summands index through. Fitting never substitutes pseudo
+bridges; the harness merges each scenario's into the fitted set.
 
 ``_estimate`` is the one estimate kernel: one summand pass gives the
 count-weighted mean and, for PMR only, the second moment of the summand
@@ -68,14 +68,12 @@ from typing import Callable, Mapping
 import numpy as np
 
 from .bridges import BridgeSet, solve_bridges
-from .dgp import CANONICAL_ORDER, HIDDEN_ORDER, OBSERVED_ORDER, Dataset, oracle_density_from_joint
+from .dgp import _HIDDEN_AXES, CANONICAL_ORDER, OBSERVED_ORDER, Dataset, oracle_density_from_joint
 from .identify import METHODS, IdentifiedDensity, _require, observed_conditional, value_from_density
 from .policy import Regime
 from .tables import JointPmf, SingularMatrixError, ZeroProbabilityError, _locked, _refuse_zero
 
 ALL_METHODS = METHODS + ("SRA", "ORACLE")  # the bridge methods, then the baselines
-
-_HIDDEN_AXES = tuple(CANONICAL_ORDER.index(n) - len(CANONICAL_ORDER) for n in HIDDEN_ORDER)
 
 
 @dataclass(frozen=True)
@@ -124,9 +122,7 @@ def _cell_counts(data: Dataset, include_hidden: bool = False) -> np.ndarray:
     if include_hidden and not data.has_hidden:
         raise ValueError("the oracle needs the hidden columns u0,u1; "
                          "write them with `proxidtr simulate --oracle`")
-    if include_hidden:
-        return data.cell_counts
-    return data.cell_counts.reshape((2,) * len(CANONICAL_ORDER)).sum(axis=_HIDDEN_AXES).reshape(-1)
+    return data.cell_counts if include_hidden else data.observed_counts
 
 
 def empirical_pmf(data: Dataset, laplace: float = 0.0, include_hidden: bool = False) -> JointPmf:
@@ -185,17 +181,18 @@ def fit_counts(counts: np.ndarray, opts: FitOptions) -> tuple[JointPmf, BridgeSe
     return pmf, solved
 
 
-def fold_fits(data: Dataset, opts: FitOptions) -> tuple[np.ndarray, BridgeSet]:
-    """(the counts each fit scores, its bridges) at every fold count: with one
-    fold the whole sample's counts and ``fit_bridges``' bridges; with more,
-    each fold's own observed counts and the bridges fitted on the other folds,
-    led by the fold axis. A failed stacked fit is redone fold by fold to name
-    the first failing fold."""
+def fold_fits(data: Dataset, opts: FitOptions) -> tuple[np.ndarray, BridgeSet, JointPmf]:
+    """(the counts each fit scores, its bridges, the counts' law) at every
+    fold count: with one fold the whole sample's counts and ``fit_bridges``'
+    law and bridges; with more, each fold's own observed counts and their
+    laws, and the bridges fitted on the other folds, led by the fold axis. A
+    failed stacked fit is redone fold by fold to name the first failing fold."""
     if opts.folds == 1:
-        return _cell_counts(data), fit_bridges(data, opts)[1]
+        law, solved = fit_bridges(data, opts)
+        return _cell_counts(data), solved, law
     own, off_fold = fold_counts(data, opts.folds)
     try:
-        return own, fit_counts(off_fold, opts)[1]
+        return own, fit_counts(off_fold, opts)[1], count_pmf(own, opts.laplace)
     except (SingularMatrixError, ZeroProbabilityError):
         for fold, counts in enumerate(off_fold):
             try:
@@ -291,7 +288,7 @@ def v_hat_pmr_alt(data: Dataset, b: BridgeSet, regime: Regime) -> ValueEstimate:
 def cross_fit(method: str, data: Dataset, opts: FitOptions, regime: Regime) -> ValueEstimate:
     """``v_hat`` on ``fold_fits``: with one fold the whole-sample estimate,
     with more the off-fold-fitted fold estimates averaged in fold order."""
-    own, b = fold_fits(data, opts)
+    own, b, _ = fold_fits(data, opts)
     if own.ndim == 1:
         return _estimate(method, own, b, regime)
     # C order, so each fold's row takes the dot-product path of an unstacked summand

@@ -2,17 +2,22 @@
 
 One repetition samples a dataset, counts its cells once (the dataset's
 2^11 count tensor feeds every table), and fits the bridges once through
-``estimators.fold_fits``, whatever the fold count; the scoring law is that of
-the counts it returns. Cross-fitting stacks the K folds: one bincount, one
-solve of the K off-fold laws and one conditioning of the K fold laws, every
-array led by a fold axis. Each scoring law (the fitted one, SRA's and the
+``estimators.fold_fits``, whatever the fold count; the scoring law is the
+law of the counts it returns, which it builds once. Cross-fitting stacks the
+K folds: one bincount, one solve of the K off-fold laws and one conditioning
+of the K fold laws, every array led by a fold axis. Each scoring law (the fitted one, SRA's and the
 Oracle's) is conditioned on Y0 once; with one fold SRA's law is the fitted
 law. Each scenario swaps its pseudo components into the fit, broadcast over
 the folds.
 A bridge method's density depends on the scenario only through the
 components of ``identify.BRIDGES_NEEDED[method]`` it replaces, and a
 baseline's not at all, so each distinct density is identified (all folds at
-once, then averaged with P(y0) weights) and scored once per repetition.
+once) and scored once per repetition. Every bridge density of a repetition
+reads one ``identify.PieceTable`` of the scoring law, so each distinct
+product of the identification formula is computed once per repetition, and
+their fold tables are averaged with P(y0) weights as one stack; both give
+the bits of identifying and averaging each density alone. Each density is
+still identified through its own ``_DENSITY_FN`` call.
 A repetition's distinct densities are scored as one stack through one
 function for both optimizers (``_class_scores``), which picks one Boolean
 index per density. Value maximization gathers every searched class
@@ -38,11 +43,12 @@ pair (m2-correct); all-correct and all-wrong bracket them. The corrupted
 components are replaced by pseudo bridges drawn once per experiment from a
 fixed seed (``_scenario_pseudo``, handed to every repetition and pool
 worker), so repetitions share one corruption. Each component comes from its
-own substream, so scenarios that replace the same component get the same table.
+own substream and is drawn once, so scenarios that replace the same
+component hold the same array, which the piece table keys once.
 
 True values come from ``dgp.true_values``, one ``class_values`` call over
-all 1024 Boolean indices under the Oracle density of the true law, computed
-once per experiment; a chosen regime's true value is read at its Boolean
+all 1024 Boolean indices under the Oracle density of the true law, the
+law's one cached table; a chosen regime's true value is read at its Boolean
 index, the searched class's optimum is a gather from that array at the
 class's indices, and the Boolean optimum is its maximum. No ``Regime`` is
 built to score.
@@ -89,7 +95,6 @@ from .dgp import DgpParams, class_values, oracle_density_from_joint, sample, tru
 from .estimators import (
     ALL_METHODS,
     FitOptions,
-    count_pmf,
     empirical_pmf,
     fold_fits,
     sra_from_conditional,
@@ -110,8 +115,8 @@ SCENARIO_PSEUDO = {
 
 BRIDGE_METHODS = identify.METHODS
 
-# (cond, bridges) -> IdentifiedDensity, per bridge method
-_DENSITY_FN = {method: partial(identify.density_from_conditional, method) for method in BRIDGE_METHODS}
+# (piece table, bridges) -> IdentifiedDensity, per bridge method: the one call site of each identification
+_DENSITY_FN = {method: partial(identify.density_from_pieces, method) for method in BRIDGE_METHODS}
 
 
 @dataclass(frozen=True)
@@ -247,34 +252,43 @@ def _attempt(step: str, fn, *args):
 
 
 def _scenario_pseudo(config: ExperimentConfig) -> dict[str, BridgeSet]:
-    """Each scenario's pseudo bridges, drawn once per experiment; none are
-    needed without a bridge method."""
+    """Each scenario's pseudo bridges, drawn once per experiment, every
+    scenario holding the same array of each component; none are needed
+    without a bridge method."""
     if not any(m in BRIDGE_METHODS for m in config.methods):
         return {}
-    return {tag: pseudo_bridges(config.pseudo_seed, SCENARIO_PSEUDO[tag]) for tag in config.scenarios}
+    drawn = pseudo_bridges(config.pseudo_seed)
+    return {tag: BridgeSet(**{name: getattr(drawn, name) for name in SCENARIO_PSEUDO[tag]},
+                           provenance={name: drawn.provenance[name] for name in SCENARIO_PSEUDO[tag]})
+            for tag in config.scenarios}
 
 
-def _bridge_fits(data, config: ExperimentConfig) -> tuple[np.ndarray, np.ndarray, BridgeSet]:
-    """(cond, p_y0, solved bridges), shared by every scenario, where (cond,
-    p_y0) is the law of the counts ``fold_fits`` scores, conditioned on Y0
-    once: the whole sample's with one fold, each fold's own with more, all
-    three then led by the fold axis.
+def _bridge_fits(data, config: ExperimentConfig) -> tuple[identify.PieceTable, np.ndarray, BridgeSet]:
+    """(piece table, p_y0, solved bridges), shared by every scenario, where
+    the piece table and p_y0 are those of the law of the counts ``fold_fits``
+    scores, conditioned on Y0 once: the whole sample's with one fold, each
+    fold's own with more, every array then led by the fold axis.
     """
-    own, solved = fold_fits(data, FitOptions(folds=config.folds, laplace=config.laplace))
-    return (*identify.observed_conditional(count_pmf(own, config.laplace)), solved)
+    _, solved, law = fold_fits(data, FitOptions(folds=config.folds, laplace=config.laplace))
+    cond, p_y0 = identify.observed_conditional(law)
+    return identify.PieceTable(cond), p_y0, solved
 
 
-def _bridge_table(fits, pseudo: BridgeSet, method: str) -> tuple[np.ndarray, np.ndarray]:
-    """(g, p_y0) of one bridge method with one scenario's pseudo bridges
-    swapped in, identified for every fold at once; fold tables are averaged
-    in fold order with P(y0) weights."""
-    cond, p_y0, solved = fits
-    g = _DENSITY_FN[method](cond, solved.merged(pseudo)).g
+def _bridge_density(fits, pseudo: BridgeSet, method: str) -> np.ndarray:
+    """One bridge method's density with one scenario's pseudo bridges swapped
+    in, identified for every fold at once through the repetition's piece table."""
+    pieces, _, solved = fits
+    return _DENSITY_FN[method](pieces, solved.merged(pseudo)).g
+
+
+def _fold_average(densities: list[np.ndarray], p_y0: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
+    """(g, p_y0) of each bridge density; with folds, the fold tables of all
+    densities are averaged in fold order with P(y0) weights as one stack."""
     if p_y0.ndim == 1:
-        return g, p_y0
+        return [(g, p_y0) for g in densities]
     p_bar = sum(p_y0) / len(p_y0)
-    g_bar = sum(g * p_y0[:, None, None, None, None, :]) / len(p_y0)
-    return g_bar / p_bar[None, None, None, None, :], p_bar
+    g_bar = sum(np.stack(densities, axis=1) * p_y0[:, None, None, None, None, None, :]) / len(p_y0)
+    return [(g, p_bar) for g in g_bar / p_bar[None, None, None, None, :]]
 
 
 def _baseline_table(data, config: ExperimentConfig, method: str, fits=None) -> tuple[np.ndarray, np.ndarray]:
@@ -283,7 +297,7 @@ def _baseline_table(data, config: ExperimentConfig, method: str, fits=None) -> t
     law that ``_bridge_fits`` conditioned, when ``fits`` holds it."""
     if method == "SRA":
         if config.folds == 1 and isinstance(fits, tuple):
-            cond, p_y0, _ = fits
+            cond, p_y0 = fits[0].cond, fits[1]
         else:
             cond, p_y0 = identify.observed_conditional(empirical_pmf(data, laplace=config.laplace))
         return sra_from_conditional(cond).g, p_y0
@@ -328,12 +342,13 @@ def _run_rep(config: ExperimentConfig, truth: _Truth, rep: int, pseudo: dict[str
 
     ``pseudo`` holds each scenario's pseudo bridges (``_scenario_pseudo``).
     Each distinct (method, replaced components) density is identified and
-    scored once.
+    scored once; the bridge densities read one piece table and are
+    fold-averaged together.
     """
     data = sample(truth.params, config.n, config.base_seed + rep)
     bridged = any(m in BRIDGE_METHODS for m in config.methods)
     fits = _attempt("fit", _bridge_fits, data, config) if bridged else None
-    tables: dict[tuple, tuple[np.ndarray, np.ndarray] | str] = {}
+    tables: dict[tuple, tuple[np.ndarray, np.ndarray] | np.ndarray | str] = {}
     density_of: dict[tuple[str, str], tuple] = {}
     for tag in config.scenarios:
         for method in config.methods:
@@ -342,8 +357,11 @@ def _run_rep(config: ExperimentConfig, truth: _Truth, rep: int, pseudo: dict[str
                 if method not in BRIDGE_METHODS:
                     tables[key] = _attempt("fit", _baseline_table, data, config, method, fits)
                 else:
-                    tables[key] = fits if isinstance(fits, str) else _attempt("fit", _bridge_table, fits, pseudo[tag], method)
+                    tables[key] = fits if isinstance(fits, str) else _attempt("fit", _bridge_density, fits, pseudo[tag], method)
             density_of[(tag, method)] = key
+    identified = [key for key, entry in tables.items() if isinstance(entry, np.ndarray)]
+    if identified:
+        tables.update(zip(identified, _fold_average([tables[key] for key in identified], fits[1])))
     scores = _scores(truth, tables, config.optimizer)
     return {cell: scores[key] for cell, key in density_of.items()}
 
@@ -493,8 +511,8 @@ def identify_check(params: DgpParams | None = None, pseudo: tuple[str, ...] = ()
     if pseudo:
         bridges_hat = bridges_hat.merged(pseudo_bridges(pseudo_seed, pseudo))
     oracle_g = oracle_density_from_joint(joint).g
-    cond, _ = identify.observed_conditional(joint)
-    densities = {method: fn(cond, bridges_hat) for method, fn in _DENSITY_FN.items()}
+    pieces = identify.PieceTable(identify.observed_conditional(joint)[0])
+    densities = {method: fn(pieces, bridges_hat) for method, fn in _DENSITY_FN.items()}
     deviations = {method: float(np.abs(d.g - oracle_g).max()) for method, d in densities.items()}
     passed = all(dev <= IDENTIFY_TOL for dev in deviations.values())
     return IdentifyCheckResult(deviations, verify_bridges(bridges_hat, joint).all_passed, IDENTIFY_TOL, passed,

@@ -22,13 +22,23 @@ bridge summed against its stage-1 marginal. A method computes only the
 terms and inner parts whose component it reads and leaves the others out,
 which is PMR with those components set to zero, bit for bit: POR is
 h21 f_w1, PHA q11 mid(h22) and PIPW q22 f_obs, the k = 0, 1, 2 rungs of the
-hybrid (``_hybrid_density``). The PMR combination equals the truth whenever
-any one of the bridge subsets {h22,h21}, {h22,q11}, {q11,q22} is correct;
-the other three methods each require their own bridges. ``BRIDGES_NEEDED``
-lists the components each method reads and is the one place the method
-names are written; ``METHODS`` is its key order, which the estimators, the
-harness and the CLI share, and ``_require`` is the one refusal of a name
-outside it.
+hybrid (``_hybrid_density``).
+
+Every term and inner part is read through a ``PieceTable`` of the observed
+table given Y0: its marginals and each bridge product, made on first use and
+kept, keyed by the identity of the components it reads. One table serves
+every method and bridge set read against the same law, so each distinct
+product is computed once (the harness keeps one per repetition), and reading
+through a shared table changes no bit: every piece is the same einsum on the
+same operands. ``density_from_pieces`` reads a density off a table, and
+``density_from_conditional`` builds a table for its one call.
+
+The PMR combination equals the truth whenever any one of the bridge subsets
+{h22,h21}, {h22,q11}, {q11,q22} is correct; the other three methods each
+require their own bridges. ``BRIDGES_NEEDED`` lists the components each
+method reads and is the one place the method names are written; ``METHODS``
+is its key order, which the estimators, the harness and the CLI share, and
+``_require`` is the one refusal of a name outside it.
 
 Every method returns a ``dgp.IdentifiedDensity`` (re-exported here), as do
 SRA and the Oracle, and reports it raw: misspecified bridges can push cells
@@ -86,41 +96,81 @@ def _require(method: str, b: BridgeSet) -> tuple[str, ...]:
     return BRIDGES_NEEDED[method]
 
 
-def _density(cond: np.ndarray, b: BridgeSet, read: tuple[str, ...]) -> np.ndarray:
+class PieceTable:
+    """Every product ``_density`` reads off one observed table given Y0,
+    computed on first use and kept: the table's marginals and each bridge
+    product (``_PIECES``), keyed by the identity of the components it reads.
+    The table holds each keyed component, so no id it keys by is reused while
+    the table lives. One table serves every bridge set read against the same
+    law, and each distinct piece is computed once."""
+
+    def __init__(self, cond: np.ndarray):
+        self.cond = cond
+        self._memo: dict[tuple, tuple] = {}  # (piece, *ids of its components) -> (components, piece)
+
+    def get(self, piece: str, *components) -> np.ndarray:
+        """``piece`` of these components (None for one not read), made on first use."""
+        key = (piece, *map(id, components))
+        entry = self._memo.get(key)
+        if entry is None:
+            entry = self._memo[key] = (components, _PIECES[piece](self, *components))
+        return entry[1]
+
+
+# piece -> how it is made from its table and the components it is keyed by, a
+# missing one (None) read as zero: the marginals of the table given Y0, smoothed
+# and mid of an outcome bridge, and PMR's three stage terms in PMR's grouping
+_PIECES = {
+    "f_w1z1": lambda t: t.cond.sum(axis=(-5, -4, -3, -2, -1)),  # [y0, z1, w1, a1]
+    "f_w1": lambda t: t.get("f_w1z1").sum(axis=(-3, -1)),  # [y0, w1]
+    "no_y2": lambda t: t.cond.sum(axis=-1),
+    "f_obs": lambda t: t.cond.sum(axis=(-7, -3)),  # [y0, z1, a1, y1, z2, a2, y2]
+    "f_mid": lambda t: t.cond.sum(axis=(-4, -2, -1)),  # [y0, z1, w1, a1, y1, w2]
+    "smoothed": lambda t, h22: np.einsum("...abcdgef,...ahdebigf->...ahebifc", h22, t.get("no_y2")),
+    "f_obs - smoothed": lambda t, h22: t.get("f_obs") - (0.0 if h22 is None else t.get("smoothed", h22)),
+    # mid(h) [y0, z1, y1, a1, a2, y2]
+    "mid22": lambda t, h22: np.einsum("...abcdgef,...ahdebg->...ahbefc", h22, t.get("f_mid")),
+    "mid21": lambda t, h21: np.einsum("...abcdef,...ahde->...ahbefc", h21, t.get("f_w1z1")),
+    "q22-term": lambda t, q22, h22: np.einsum("...abefhi,...ahebifc->...efcba", q22, t.get("f_obs - smoothed", h22)),
+    "q11-term": lambda t, q11, h22, h21: np.einsum(
+        "...aeh,...ahbefc->...efcba", q11,
+        (0.0 if h22 is None else t.get("mid22", h22)) - (0.0 if h21 is None else t.get("mid21", h21))),
+    "h21-term": lambda t, h21: np.einsum("...abcdef,...ad->...efcba", h21, t.get("f_w1")),
+}
+
+
+def _density(pieces: PieceTable, b: BridgeSet, read: tuple[str, ...]) -> np.ndarray:
     """PMR's three stage terms in PMR's grouping,
 
         q22 (f_obs - smoothed(h22)) + q11 (mid(h22) - mid(h21)) + h21 f_w1,
 
     with every term or inner part whose component is not in ``read`` left out,
     so the method that reads ``read`` is PMR with its other components set to
-    zero, bit for bit."""
-    term2 = term1 = term0 = None
-    if "h21" in read:
-        f_w1z1 = cond.sum(axis=(-5, -4, -3, -2, -1))  # [y0, z1, w1, a1]
-        term0 = np.einsum("...abcdef,...ad->...efcba", b.h21, f_w1z1.sum(axis=(-3, -1)))
-    if "q22" in read:  # f_obs [y0, z1, a1, y1, z2, a2, y2] less smoothed(h22), read off cond without y2
-        smoothed = (np.einsum("...abcdgef,...ahdebigf->...ahebifc", b.h22, cond.sum(axis=-1))
-                    if "h22" in read else 0.0)
-        term2 = np.einsum("...abefhi,...ahebifc->...efcba", b.q22, cond.sum(axis=(-7, -3)) - smoothed)
-    if "q11" in read:  # mid [y0, z1, y1, a1, a2, y2]; mid(h22) from f_mid [y0, z1, w1, a1, y1, w2]
-        mid22 = (np.einsum("...abcdgef,...ahdebg->...ahbefc", b.h22, cond.sum(axis=(-4, -2, -1)))
-                 if "h22" in read else 0.0)
-        mid21 = np.einsum("...abcdef,...ahde->...ahbefc", b.h21, f_w1z1) if "h21" in read else 0.0
-        term1 = np.einsum("...aeh,...ahbefc->...efcba", b.q11, mid22 - mid21)
-    return reduce(np.add, [term for term in (term2, term1, term0) if term is not None])
+    zero, bit for bit. Every term is read through ``pieces``."""
+    h22, h21, q11, q22 = (getattr(b, name) if name in read else None for name in ("h22", "h21", "q11", "q22"))
+    terms = (pieces.get("q22-term", q22, h22) if q22 is not None else None,
+             pieces.get("q11-term", q11, h22, h21) if q11 is not None else None,
+             pieces.get("h21-term", h21) if h21 is not None else None)
+    return reduce(np.add, [term for term in terms if term is not None])
 
 
 def _hybrid_density(cond: np.ndarray, b: BridgeSet, k: int) -> np.ndarray:
     """The k = 0, 1, 2 identification rungs: POR, PHA and PIPW, in METHODS order."""
     if k not in (0, 1, 2):
         raise ValueError(f"hybrid rung k must be 0, 1 or 2, got {k}")
-    return _density(cond, b, BRIDGES_NEEDED[METHODS[k]])
+    return _density(PieceTable(cond), b, BRIDGES_NEEDED[METHODS[k]])
+
+
+def density_from_pieces(method: str, pieces: PieceTable, b: BridgeSet) -> IdentifiedDensity:
+    """The ``method`` density from the piece table of an observed table given
+    Y0, so one table serves every method and bridge set read against it."""
+    return IdentifiedDensity(_density(pieces, b, _require(method, b)), method, b.provenance)
 
 
 def density_from_conditional(method: str, cond: np.ndarray, b: BridgeSet) -> IdentifiedDensity:
     """The ``method`` density from the observed table given Y0,
-    ``observed_conditional(pmf)[0]``, so one conditioning serves every method."""
-    return IdentifiedDensity(_density(cond, b, _require(method, b)), method, b.provenance)
+    ``observed_conditional(pmf)[0]``, read through a piece table of its own."""
+    return density_from_pieces(method, PieceTable(cond), b)
 
 
 def density_por(pmf: JointPmf, b: BridgeSet) -> IdentifiedDensity:

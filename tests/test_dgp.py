@@ -168,6 +168,20 @@ def test_true_values_are_the_loop_values_and_feed_true_and_optimal_value(params,
         assert dgp.optimal_value(params, tag) == (table[index][best], enumerate_class(tag).members[best])
 
 
+def test_true_values_are_built_once_per_law_and_read_only(monkeypatch):
+    params = dgp.DgpParams.default()  # a law whose table nothing has built yet
+    joints = []
+    true_joint = dgp.true_joint
+    monkeypatch.setattr(dgp, "true_joint", lambda p: joints.append(p) or true_joint(p))
+    values = dgp.true_values(params)
+    assert dgp.true_value(params, ALWAYS_TREAT) == values[ALWAYS_TREAT.index]
+    assert dgp.optimal_value(params, "linear")[0] == values[enumerate_class("linear").index].max()
+    assert dgp.true_values(params) is values and not values.flags.writeable
+    assert joints == [params]
+    assert dgp.true_values(dgp.DgpParams.default()).tobytes() == values.tobytes()  # another law object builds its own
+    assert len(joints) == 2
+
+
 @pytest.mark.parametrize("tag", ["linear", "all-boolean"])
 def test_optimal_value_builds_only_the_chosen_member(params, oracle, p_y0, tag, monkeypatch):
     values = dgp.class_values(oracle.g, p_y0, enumerate_class(tag).index)
@@ -367,7 +381,7 @@ def test_sampler_equals_rowwise_on_extreme_law(seed, n):
     assert np.array_equal(data.cell_code, code)
     assert np.array_equal(data.cell_counts, np.bincount(code, minlength=2 ** 11))
     rows = np.arange(n)[::-3]
-    assert np.array_equal(data.subset(rows).cell_code, code[rows])
+    assert np.array_equal(dgp.Dataset(data.cell_code[rows], seed).cell_code, code[rows])
 
 
 def test_prefix_code_table_is_the_column_code():
@@ -402,6 +416,10 @@ def test_cell_counts_match_columns(params):
     assert data.cell_counts is data.cell_counts
     assert not data.cell_counts.flags.writeable
     assert data.cell_counts.sum() == len(data)
+    observed = (code >> 10) << 8 | (code >> 5 & 0b1111) << 4 | code & 0b1111  # the codes without the U0, U1 bits
+    assert np.array_equal(data.observed_counts, np.bincount(observed, minlength=2 ** 9))
+    assert data.observed_counts is data.observed_counts
+    assert not data.observed_counts.flags.writeable
 
 
 def test_csv_without_hidden_columns_is_marked(params):
@@ -409,7 +427,6 @@ def test_csv_without_hidden_columns_is_marked(params):
     assert data.has_hidden
     assert not dgp.Dataset.from_csv(data.to_csv()).has_hidden
     assert dgp.Dataset.from_csv(data.to_csv(include_hidden=True)).has_hidden
-    assert not dgp.Dataset.from_csv(data.to_csv()).subset(np.arange(5)).has_hidden
     with pytest.raises(ValueError, match="u0,u1"):
         dgp.Dataset.from_csv(data.to_csv()).to_csv(include_hidden=True)
 

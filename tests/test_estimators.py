@@ -19,6 +19,7 @@ from proxidtr.bridges import pseudo_bridges, solve_bridges, verify_bridges
 from proxidtr.dgp import Dataset
 from proxidtr.estimators import (
     FitOptions,
+    count_pmf,
     cross_fit,
     empirical_pmf,
     fit_bridges,
@@ -348,13 +349,14 @@ def test_cell_counts_equal_bincount_reference(big_data):
     assert np.array_equal(_cell_counts(big_data), _bincount_reference(big_data))
     assert np.array_equal(_cell_counts(big_data, include_hidden=True),
                           _bincount_reference(big_data, include_hidden=True))
-    no_rows = np.zeros(len(big_data), dtype=bool)
-    assert np.array_equal(_cell_counts(big_data.subset(no_rows)), np.zeros(2 ** 9, dtype=np.int64))
+    no_rows = Dataset(big_data.cell_code[:0], big_data.seed)
+    assert np.array_equal(_cell_counts(no_rows), np.zeros(2 ** 9, dtype=np.int64))
     assignments = fold_assignments(big_data, 5)
     for fold in range(5):
         rows = assignments == fold
-        assert np.array_equal(_cell_counts(big_data.subset(rows)), _bincount_reference(big_data, rows))
-        assert np.array_equal(_cell_counts(big_data.subset(~rows), include_hidden=True),
+        fold_rows, other_rows = (Dataset(big_data.cell_code[mask], big_data.seed) for mask in (rows, ~rows))
+        assert np.array_equal(_cell_counts(fold_rows), _bincount_reference(big_data, rows))
+        assert np.array_equal(_cell_counts(other_rows, include_hidden=True),
                               _bincount_reference(big_data, ~rows, include_hidden=True))
 
 
@@ -396,7 +398,7 @@ def test_off_fold_fit_equals_fit_on_the_other_folds_rows(big_data):
     assignments = fold_assignments(big_data, 5)
     for fold, off_fold in enumerate(fold_counts(big_data, 5)[1]):
         pmf, b = fit_counts(off_fold, opts)
-        pmf_rows, b_rows = fit_bridges(big_data.subset(assignments != fold), opts)
+        pmf_rows, b_rows = fit_bridges(Dataset(big_data.cell_code[assignments != fold], big_data.seed), opts)
         assert np.array_equal(pmf.mass, pmf_rows.mass)
         assert all(np.array_equal(getattr(b, n), getattr(b_rows, n)) for n in ("h22", "h21", "q11", "q22"))
 
@@ -410,7 +412,8 @@ def test_fold_counts_subtract_each_fold_from_the_total(big_data):
         assert np.array_equal(own, _bincount_reference(big_data, rows))
         assert np.array_equal(off_fold, _bincount_reference(big_data, ~rows))
         pmf, _ = fit_counts(off_fold, FitOptions(folds=5, laplace=0.5))
-        assert np.array_equal(pmf.mass, empirical_pmf(big_data.subset(~rows), laplace=0.5).mass)
+        other_rows = Dataset(big_data.cell_code[~rows], big_data.seed)
+        assert np.array_equal(pmf.mass, empirical_pmf(other_rows, laplace=0.5).mass)
 
 
 def test_cross_fit_equals_masked_off_fold_fits(big_data):
@@ -421,8 +424,9 @@ def test_cross_fit_equals_masked_off_fold_fits(big_data):
     expected = []
     for fold in range(5):
         rows = assignments == fold
-        b = solve_bridges(empirical_pmf(big_data.subset(~rows)), provenance="solved-from-sample")
-        expected.append(v_hat("PMR", big_data.subset(rows), b, REGIME).estimate)
+        fold_rows, other_rows = (Dataset(big_data.cell_code[mask], big_data.seed) for mask in (rows, ~rows))
+        b = solve_bridges(empirical_pmf(other_rows), provenance="solved-from-sample")
+        expected.append(v_hat("PMR", fold_rows, b, REGIME).estimate)
     assert cross_fit("PMR", big_data, opts, REGIME).fold_estimates == tuple(expected)
 
 
@@ -432,9 +436,10 @@ def test_stacked_fold_fits_equal_fold_by_fold_fits(big_data, folds, laplace):
     """Every fold of the one-pass fit equals a fit of that fold's off-fold
     counts alone, bit for bit; the counts come from a test-side bincount."""
     opts = FitOptions(folds=folds, laplace=laplace)
-    own, b = fold_fits(big_data, opts)
+    own, b, law = fold_fits(big_data, opts)
     assignments = fold_assignments(big_data, folds)
     assert own.shape == (folds, 2 ** 9)
+    assert np.array_equal(law.mass, count_pmf(own, laplace).mass)
     for fold in range(folds):
         rows = assignments == fold
         assert np.array_equal(own[fold], _bincount_reference(big_data, rows))

@@ -9,7 +9,7 @@ from conftest import regime_value, value_maximize
 
 from proxidtr import dgp, estimators, harness, identify
 from proxidtr.bridges import pseudo_bridges
-from proxidtr.dgp import DgpParams, sample
+from proxidtr.dgp import Dataset, DgpParams, sample
 from proxidtr.harness import (
     ALL_METHODS,
     BRIDGE_METHODS,
@@ -247,9 +247,8 @@ def _one_repetition_densities(config):
     fits = harness._bridge_fits(data, config)
     pseudo = harness._scenario_pseudo(config)
     tables = [harness._baseline_table(data, config, m) for m in ("SRA", "ORACLE")]
-    for tag in config.scenarios:
-        tables += [harness._bridge_table(fits, pseudo[tag], m) for m in BRIDGE_METHODS]
-    return tables
+    densities = [harness._bridge_density(fits, pseudo[tag], m) for tag in config.scenarios for m in BRIDGE_METHODS]
+    return tables + harness._fold_average(densities, fits[1])
 
 
 @pytest.mark.parametrize("optimizer", ["value-max", "q-learning"])
@@ -301,6 +300,7 @@ def test_truth_reads_values_and_optima_at_boolean_indices(monkeypatch, boolean_c
     truth = harness._Truth(DgpParams.default(), "linear")
     value = partial(regime_value, g, p_y0)
     assert truth.true_values.tolist() == [value(r) for r in boolean_class.members]
+    assert truth.true_values is dgp.true_values(truth.params)  # the law's one table
     assert truth.optimum_value == value_maximize(value, truth.search_class)[1]
     assert truth.boolean_optimum == value_maximize(value, boolean_class)[1] > truth.optimum_value
 
@@ -360,13 +360,37 @@ def test_one_observed_conditional_per_scoring_law(monkeypatch, folds, laws):
     assert len(calls) == laws
 
 
-def test_pseudo_bridges_drawn_once_per_scenario_per_experiment(monkeypatch):
+@pytest.mark.parametrize("laplace", [0.0, 0.5])
+def test_one_fold_fit_builds_the_whole_sample_law_once(params, laplace, monkeypatch):
+    data = sample(params, 6000, 3)
+    config = ExperimentConfig(n=6000, laplace=laplace)
+    laws = _counting(monkeypatch, estimators, "count_pmf")
+    pieces, p_y0, solved = harness._bridge_fits(data, config)
+    assert len(laws) == 1
+    law, expected = estimators.fit_bridges(data, estimators.FitOptions(laplace=laplace))
+    cond, expected_p = identify.observed_conditional(law)
+    assert pieces.cond.tobytes() == cond.tobytes() and p_y0.tobytes() == expected_p.tobytes()
+    assert all(np.array_equal(getattr(solved, n), getattr(expected, n)) for n in ("h22", "h21", "h11", "q11", "q22"))
+
+
+def test_pseudo_bridges_drawn_once_per_experiment_and_shared_by_scenarios(monkeypatch):
     calls = _counting(monkeypatch, harness, "pseudo_bridges")
     config = ExperimentConfig(scenarios=("all-correct", "m1-correct", "all-wrong"),
                               methods=("PMR", "SRA"), n=4000, reps=4, base_seed=31)
     run_experiment(config)
-    assert sorted(args[1] for args in calls) == sorted(
-        harness.SCENARIO_PSEUDO[tag] for tag in config.scenarios)
+    assert calls == [(config.pseudo_seed,)]
+    pseudo = harness._scenario_pseudo(config)
+    drawn = pseudo_bridges(config.pseudo_seed)
+    for tag in config.scenarios:
+        for name in ("h22", "h21", "q11", "q22"):
+            table = getattr(pseudo[tag], name)
+            if name in harness.SCENARIO_PSEUDO[tag]:
+                # the scenario's own substream draw, one array object for every scenario
+                assert np.array_equal(table, getattr(pseudo_bridges(config.pseudo_seed, (name,)), name))
+                assert table is getattr(pseudo["all-wrong"], name)
+                assert pseudo[tag].provenance[name] == drawn.provenance[name]
+            else:
+                assert table is None and name not in pseudo[tag].provenance
     calls.clear()
     run_experiment(ExperimentConfig(methods=("SRA", "ORACLE"), n=4000, reps=2, base_seed=31))
     assert calls == []
@@ -382,7 +406,7 @@ def test_config_rejects_wrongly_typed_values(payload):
 def _reference_rep(true_density, config, truth, rep):
     """Every (scenario, method) cell of one repetition on its own: bridges fitted
     fold by fold on masked counts, each cell identified through ``_DENSITY_FN``
-    per fold and scored by the test-side loops of ``_loop_score``; nothing is
+    per fold, on a piece table of its own, and scored by the test-side loops of ``_loop_score``; nothing is
     shared between cells. A failure is recorded as its step and the error's
     kind, without the cell, block or fold it names."""
     data = sample(truth.params, config.n, config.base_seed + rep)
@@ -391,7 +415,8 @@ def _reference_rep(true_density, config, truth, rep):
     total = estimators._cell_counts(data)
     # (scoring counts, fitting counts) per fold
     folds = [(total, total)] if config.folds == 1 else [
-        (estimators._cell_counts(data.subset(assignments == f)), estimators._cell_counts(data.subset(assignments != f)))
+        tuple(estimators._cell_counts(Dataset(data.cell_code[mask], data.seed))
+              for mask in (assignments == f, assignments != f))
         for f in range(config.folds)]
 
     def bridge_table(tag, method):
@@ -403,7 +428,7 @@ def _reference_rep(true_density, config, truth, rep):
                 return f"fit failed: {err.kind}"
             b = b.merged(pseudo_bridges(config.pseudo_seed, SCENARIO_PSEUDO[tag]))
             cond, p_y0 = identify.observed_conditional(estimators.count_pmf(own, config.laplace))
-            per_fold.append((harness._DENSITY_FN[method](cond, b).g, p_y0))
+            per_fold.append((harness._DENSITY_FN[method](identify.PieceTable(cond), b).g, p_y0))
         if config.folds == 1:
             return per_fold[0]
         p_bar = sum(p for _, p in per_fold) / config.folds
