@@ -37,10 +37,12 @@ summand centred at its mean.
 the one fit path for every fold count, shared by ``cross_fit`` and the
 harness: with one fold it returns the whole sample's counts and
 ``fit_bridges``' law and bridges, each built once; with K, ``fold_counts``
-counts every fold in one bincount and the K off-fold laws (the total counts
-minus each fold's own) are solved as one stack, its tables led by a fold
-axis that the summands index through. Fitting never substitutes pseudo
-bridges; the harness merges each scenario's into the fitted set.
+gathers the cell codes in fold order once and counts each fold's strided
+slice, and the K off-fold laws (the total counts minus each fold's own) are
+solved as one stack, its tables led by a fold axis that the summands index
+through. The K fold laws are left to the harness, which reads them. Fitting
+never substitutes pseudo bridges; the harness merges each scenario's into
+the fitted set.
 
 ``_estimate`` is the one estimate kernel: one summand pass gives the
 count-weighted mean and, for PMR only, the second moment of the summand
@@ -137,24 +139,31 @@ def count_pmf(counts: np.ndarray, laplace: float = 0.0, names: tuple[str, ...] =
     return JointPmf(names, _locked(counts / counts.sum(axis=-1, keepdims=True)))
 
 
-def fold_assignments(data: Dataset, folds: int) -> np.ndarray:
-    """Deterministic fold ids derived from (data seed, folds); every fold gets a row."""
+def _fold_order(data: Dataset, folds: int) -> np.ndarray:
+    """The rows in fold order, a permutation drawn from (data seed, folds):
+    row ``order[i]`` belongs to fold ``i % folds``, so every fold gets a row."""
     if folds > len(data):
         raise ValueError(f"{folds} folds need at least {folds} rows, got {len(data)}")
     ss = np.random.SeedSequence(entropy=int(data.seed), spawn_key=(int(folds), 0xF01D))
-    rng = np.random.Generator(np.random.Philox(seed=ss))
+    return np.random.Generator(np.random.Philox(seed=ss)).permutation(len(data))
+
+
+def fold_assignments(data: Dataset, folds: int) -> np.ndarray:
+    """Deterministic fold id of each row, derived from (data seed, folds); every fold gets a row."""
     n = len(data)
     out = np.empty(n, dtype=np.int64)
-    out[rng.permutation(n)] = np.arange(n) % folds
+    out[_fold_order(data, folds)] = np.arange(n) % folds
     return out
 
 
 def fold_counts(data: Dataset, folds: int) -> tuple[np.ndarray, np.ndarray]:
     """(each fold's own observed counts, its off-fold counts), both (folds,
-    512) in fold order: one bincount of (fold, cell) codes, the off-fold
-    tables by subtraction from the total."""
+    512) in fold order: the cell codes gathered in fold order, one bincount
+    of each fold's strided slice, the off-fold tables by subtraction from
+    the total."""
     bits = len(CANONICAL_ORDER)
-    own = np.bincount(fold_assignments(data, folds) << bits | data.cell_code, minlength=folds << bits)
+    codes = data.cell_code[_fold_order(data, folds)]
+    own = np.stack([np.bincount(codes[fold::folds], minlength=1 << bits) for fold in range(folds)])
     own = own.reshape((folds,) + (2,) * bits).sum(axis=_HIDDEN_AXES).reshape(folds, -1)
     return own, _cell_counts(data) - own
 
@@ -181,18 +190,20 @@ def fit_counts(counts: np.ndarray, opts: FitOptions) -> tuple[JointPmf, BridgeSe
     return pmf, solved
 
 
-def fold_fits(data: Dataset, opts: FitOptions) -> tuple[np.ndarray, BridgeSet, JointPmf]:
-    """(the counts each fit scores, its bridges, the counts' law) at every
-    fold count: with one fold the whole sample's counts and ``fit_bridges``'
-    law and bridges; with more, each fold's own observed counts and their
-    laws, and the bridges fitted on the other folds, led by the fold axis. A
-    failed stacked fit is redone fold by fold to name the first failing fold."""
+def fold_fits(data: Dataset, opts: FitOptions) -> tuple[np.ndarray, BridgeSet, JointPmf | None]:
+    """(the counts each fit scores, its bridges, the counts' law if the fit
+    built it) at every fold count: with one fold the whole sample's counts
+    and ``fit_bridges``' law and bridges; with more, each fold's own observed
+    counts and the bridges fitted on the other folds, led by the fold axis,
+    and no law (the fold laws are ``count_pmf`` of those counts, built where
+    they are read). A failed stacked fit is redone fold by fold to name the
+    first failing fold."""
     if opts.folds == 1:
         law, solved = fit_bridges(data, opts)
         return _cell_counts(data), solved, law
     own, off_fold = fold_counts(data, opts.folds)
     try:
-        return own, fit_counts(off_fold, opts)[1], count_pmf(own, opts.laplace)
+        return own, fit_counts(off_fold, opts)[1], None
     except (SingularMatrixError, ZeroProbabilityError):
         for fold, counts in enumerate(off_fold):
             try:

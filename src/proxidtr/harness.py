@@ -62,7 +62,15 @@ failed repetition in ``CellSummary.failure_reasons``, (reason, repetitions)
 pairs in first-seen order that sum to ``failures``. A reason is the failing
 step and the error's kind (``TableError.kind``: its message without the cell
 or block it names), so the repetitions that failed the same way group
-together. ``PROXIDTR_THREADS`` caps worker processes; the default is serial.
+together.
+
+``PROXIDTR_THREADS`` caps worker processes; the default is serial. Serially,
+one helper thread scoped to the loop of ``_rep_results`` draws repetition
+r + 1's sample through ``dgp.sample`` while repetition r is fitted and
+scored, and ``_run_rep`` waits for its sample inside itself; a pool worker
+samples inline. A sample depends only on its seed, so determinism is
+unchanged: the report is the same byte for byte serially and on the pool.
+The thread is joined before ``run_experiment`` returns or raises.
 
 The report's columns are stated once, in one column table (``_COLUMNS``):
 the labels and counts, then each metric's CSV prefix with the statistics
@@ -77,24 +85,26 @@ reasons. ``identify_check`` passes a deviation from the Oracle density up to
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import io
 import json
 import numbers
 import os
 from collections import Counter
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from dataclasses import dataclass, field, fields
 from functools import partial
 
 import numpy as np
 
-from . import identify
+from . import dgp, identify
 from .bridges import DEFAULT_PSEUDO_SEED, BridgeSet, MissingBridgeError, pseudo_bridges, solve_bridges, verify_bridges
 from .dgp import DgpParams, class_values, oracle_density_from_joint, sample, true_joint, true_values
 from .estimators import (
     ALL_METHODS,
     FitOptions,
+    count_pmf,
     empirical_pmf,
     fold_fits,
     sra_from_conditional,
@@ -266,11 +276,12 @@ def _scenario_pseudo(config: ExperimentConfig) -> dict[str, BridgeSet]:
 def _bridge_fits(data, config: ExperimentConfig) -> tuple[identify.PieceTable, np.ndarray, BridgeSet]:
     """(piece table, p_y0, solved bridges), shared by every scenario, where
     the piece table and p_y0 are those of the law of the counts ``fold_fits``
-    scores, conditioned on Y0 once: the whole sample's with one fold, each
-    fold's own with more, every array then led by the fold axis.
+    scores, conditioned on Y0 once: the whole sample's (the law ``fold_fits``
+    built) with one fold, each fold's own (built here) with more, every array
+    then led by the fold axis.
     """
-    _, solved, law = fold_fits(data, FitOptions(folds=config.folds, laplace=config.laplace))
-    cond, p_y0 = identify.observed_conditional(law)
+    counts, solved, law = fold_fits(data, FitOptions(folds=config.folds, laplace=config.laplace))
+    cond, p_y0 = identify.observed_conditional(count_pmf(counts, config.laplace) if law is None else law)
     return identify.PieceTable(cond), p_y0, solved
 
 
@@ -337,15 +348,17 @@ def _scores(truth: _Truth, tables: dict, optimizer: str) -> dict:
     return {**tables, **dict(zip(fitted, scores))}
 
 
-def _run_rep(config: ExperimentConfig, truth: _Truth, rep: int, pseudo: dict[str, BridgeSet]):
+def _run_rep(config: ExperimentConfig, truth: _Truth, rep: int, pseudo: dict[str, BridgeSet], drawn=None):
     """All (scenario, method) results for one repetition; errors per cell.
 
     ``pseudo`` holds each scenario's pseudo bridges (``_scenario_pseudo``).
-    Each distinct (method, replaced components) density is identified and
-    scored once; the bridge densities read one piece table and are
-    fold-averaged together.
+    ``drawn`` is the future of the repetition's sample when a helper thread
+    draws it (``_rep_results``), waited for here; without it the sample is
+    drawn here. Each distinct (method, replaced components) density is
+    identified and scored once; the bridge densities read one piece table
+    and are fold-averaged together.
     """
-    data = sample(truth.params, config.n, config.base_seed + rep)
+    data = sample(truth.params, config.n, config.base_seed + rep) if drawn is None else drawn.result()
     bridged = any(m in BRIDGE_METHODS for m in config.methods)
     fits = _attempt("fit", _bridge_fits, data, config) if bridged else None
     tables: dict[tuple, tuple[np.ndarray, np.ndarray] | np.ndarray | str] = {}
@@ -391,14 +404,25 @@ def worker_count() -> int:
 
 
 def _rep_results(config: ExperimentConfig, truth: _Truth, workers: int):
-    """Each repetition's per-cell results, one at a time, in index order."""
+    """Each repetition's per-cell results, one at a time, in index order.
+
+    Serially, one helper thread draws the next repetition's sample while
+    this one runs; it calls ``dgp.sample``, and the thread is joined when
+    the loop ends, raises or is closed.
+    """
     pseudo = _scenario_pseudo(config)
     if workers > 1 and config.reps > 1:
         with ProcessPoolExecutor(max_workers=min(workers, config.reps)) as pool:
             yield from pool.map(_worker, [(config, r, pseudo) for r in range(config.reps)])
     else:
-        for rep in range(config.reps):
-            yield _run_rep(config, truth, rep, pseudo)
+        with ThreadPoolExecutor(max_workers=1) as helper:
+            def draw(rep):
+                return helper.submit(dgp.sample, truth.params, config.n, config.base_seed + rep) if rep < config.reps else None
+
+            pending = draw(0)
+            for rep in range(config.reps):
+                drawn, pending = pending, draw(rep + 1)
+                yield _run_rep(config, truth, rep, pseudo, drawn)
 
 
 def run_experiment(config: ExperimentConfig) -> ExperimentReport:
@@ -408,13 +432,14 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
     scores = np.zeros((len(keys), 2, config.reps))  # [cell, (regret, overall error), rep]
     scored = np.zeros((len(keys), config.reps), dtype=bool)
     reasons = [Counter() for _ in keys]  # failure reason -> repetitions, in first-seen order
-    for rep, results in enumerate(_rep_results(config, truth, worker_count())):
-        for i, key in enumerate(keys):
-            if isinstance(results[key], str):
-                reasons[i][results[key]] += 1
-            else:
-                scores[i, :, rep] = results[key]
-                scored[i, rep] = True
+    with contextlib.closing(_rep_results(config, truth, worker_count())) as rep_results:
+        for rep, results in enumerate(rep_results):
+            for i, key in enumerate(keys):
+                if isinstance(results[key], str):
+                    reasons[i][results[key]] += 1
+                else:
+                    scores[i, :, rep] = results[key]
+                    scored[i, rep] = True
     cells = []
     for i, (tag, method) in enumerate(keys):
         regret, overall = scores[i][:, scored[i]]

@@ -14,12 +14,11 @@ import numpy as np
 import pytest
 from conftest import cell_codes
 
-from proxidtr import dgp, identify
+from proxidtr import dgp, estimators, identify
 from proxidtr.bridges import pseudo_bridges, solve_bridges, verify_bridges
 from proxidtr.dgp import Dataset
 from proxidtr.estimators import (
     FitOptions,
-    count_pmf,
     cross_fit,
     empirical_pmf,
     fit_bridges,
@@ -430,6 +429,16 @@ def test_cross_fit_equals_masked_off_fold_fits(big_data):
     assert cross_fit("PMR", big_data, opts, REGIME).fold_estimates == tuple(expected)
 
 
+def test_cross_fit_builds_only_the_off_fold_laws(big_data, monkeypatch):
+    """The fold laws are built where they are read, so a cross-fit estimate
+    builds one stack of laws: the off-fold laws its bridges are solved on."""
+    laws = []
+    original = estimators.count_pmf
+    monkeypatch.setattr(estimators, "count_pmf", lambda counts, *args: laws.append(counts) or original(counts, *args))
+    cross_fit("PMR", big_data, FitOptions(folds=5), REGIME)
+    assert len(laws) == 1 and np.array_equal(laws[0], fold_counts(big_data, 5)[1])
+
+
 @pytest.mark.parametrize("folds", [2, 3, 5])
 @pytest.mark.parametrize("laplace", [0.0, 0.5])
 def test_stacked_fold_fits_equal_fold_by_fold_fits(big_data, folds, laplace):
@@ -439,7 +448,7 @@ def test_stacked_fold_fits_equal_fold_by_fold_fits(big_data, folds, laplace):
     own, b, law = fold_fits(big_data, opts)
     assignments = fold_assignments(big_data, folds)
     assert own.shape == (folds, 2 ** 9)
-    assert np.array_equal(law.mass, count_pmf(own, laplace).mass)
+    assert law is None  # the fold laws are built where they are read
     for fold in range(folds):
         rows = assignments == fold
         assert np.array_equal(own[fold], _bincount_reference(big_data, rows))
