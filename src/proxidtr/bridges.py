@@ -8,7 +8,12 @@ closed forms. Each family is one batched product over the proxy matrices
 that ``tables.conditional`` stacks per history cell, inverted together by
 ``tables.invert2or4``; the residual checks use the same layout. The same
 formulas applied to an empirical table give the maximum-likelihood plug-in
-estimates.
+estimates. ``solve_bridges`` is straight-line code: it reads its ten
+conditionals through the plans of ``tables.conditional``, checks its two
+propensities and its four proxy stacks (``invert2or4``, looked up on this
+module) in one fixed order, and formats a refusal's text only when a check
+fails, so a law that fails several checks always meets the same first
+refusal.
 
 Table layouts (all axes binary, C order):
 
@@ -143,9 +148,25 @@ class BridgeSet:
 def _reciprocal(pmf: JointPmf, target: tuple[str, ...], given: tuple[str, ...]) -> np.ndarray:
     """1 / P(target | given), indexed [given..., target...]; positivity must hold."""
     p = conditional(pmf, target, given)
-    what = f"P({','.join(target)}|{','.join(given)})"
-    _refuse_zero(p.real <= 0.0, given + target, f"positivity fails: {what} is zero at {{cell}}")
+    zero = p.real <= 0.0
+    if zero.any():
+        _refuse_zero(zero, given + target,
+                     f"positivity fails: P({','.join(target)}|{','.join(given)}) is zero at {{cell}}")
     return 1.0 / p
+
+
+def _inverse(pmf: JointPmf, stack: tuple[int, ...], target: tuple[str, ...], given: tuple[str, ...],
+             batch: tuple[str, ...], role: str) -> np.ndarray:
+    """Inverses of the column-stochastic P(target|given) stacked over
+    ``batch``, indexed [stack..., batch..., given cell, target cell];
+    ``role`` names the matrix in a refusal."""
+    m = conditional(pmf, target, batch + given)
+    m = m.reshape(stack + (2,) * len(batch) + (2 ** len(given), 2 ** len(target)))
+    return invert2or4(m.swapaxes(-1, -2), role, batch).reshape(stack + (2,) * (len(batch) + len(given) + len(target)))
+
+
+_STAGE1, _STAGE2 = ("Y0", "A1"), ("Y0", "Y1", "A1", "A2")
+_GIVEN_W2 = ("Y0", "Y1", "A1", "W1", "W2")
 
 
 def solve_bridges(pmf: JointPmf, provenance: str = "solved-from-truth") -> BridgeSet:
@@ -162,35 +183,26 @@ def solve_bridges(pmf: JointPmf, provenance: str = "solved-from-truth") -> Bridg
     where a row vector's ^-1 is the element-wise reciprocal, a square
     matrix's the ordinary inverse, and bars denote the stage-2 pairs. A
     stack of laws is solved in one pass: every product carries its stack
-    axes as ``...``, and every table leads with them.
+    axes as ``...``, and every table leads with them. The conditionals are
+    read and checked in a fixed order, so a law that fails several checks
+    meets the same first refusal on every call.
     """
-    def inverse(target, given, batch):
-        """Inverses of the column-stochastic P(target|given) stacked over
-        ``batch``, indexed [stack..., batch..., given cell, target cell]."""
-        m = conditional(pmf, target, batch + given)
-        stack = m.shape[:m.ndim - len(batch + given + target)]
-        m = m.reshape(stack + (2,) * len(batch) + (2 ** len(given), 2 ** len(target)))
-        role = f"P({','.join(target)}|{','.join(given)})"
-        inv = invert2or4(np.swapaxes(m, -1, -2), role, batch)
-        return inv.reshape(stack + (2,) * (len(batch) + len(given) + len(target)))
-
-    stage1, stage2 = ("Y0", "A1"), ("Y0", "Y1", "A1", "A2")
-    inv_w = inverse(("W1", "W2"), ("Z1", "Z2"), stage2)
-    py2 = conditional(pmf, ("Y2",), stage2 + ("Z1", "Z2"))
+    stack = pmf.mass.shape[:pmf.mass.ndim - len(pmf.names)]
+    inv_w = _inverse(pmf, stack, ("W1", "W2"), ("Z1", "Z2"), _STAGE2, "P(W1,W2|Z1,Z2)")
+    py2 = conditional(pmf, ("Y2",), _STAGE2 + ("Z1", "Z2"))
     h22 = np.einsum("...abefhic,...abefhidg->...abcdgef", py2, inv_w)
-    inv_w1 = inverse(("W1",), ("Z1",), stage1)
+    inv_w1 = _inverse(pmf, stack, ("W1",), ("Z1",), _STAGE1, "P(W1|Z1)")
     chain = np.einsum("...abcdgef,...aehdgb->...abcefh", h22,
-                      conditional(pmf, ("W1", "W2", "Y1"), stage1 + ("Z1",)))
+                      conditional(pmf, ("W1", "W2", "Y1"), _STAGE1 + ("Z1",)))
     h21 = np.einsum("...abcefh,...aehd->...abcdef", chain, inv_w1)
-    h11 = np.einsum("...aehb,...aehd->...abde", conditional(pmf, ("Y1",), stage1 + ("Z1",)), inv_w1)
+    h11 = np.einsum("...aehb,...aehd->...abde", conditional(pmf, ("Y1",), _STAGE1 + ("Z1",)), inv_w1)
 
-    given_w2 = ("Y0", "Y1", "A1", "W1", "W2")
     q11 = np.einsum("...ade,...aedh->...aeh", _reciprocal(pmf, ("A1",), ("Y0", "W1")),
-                    inverse(("Z1",), ("W1",), stage1))
-    row_w = np.einsum("...aeh,...abedgh->...abedg", q11, conditional(pmf, ("Z1",), given_w2))
-    inv_z = inverse(("Z1", "Z2"), ("W1", "W2"), stage2)
+                    _inverse(pmf, stack, ("Z1",), ("W1",), _STAGE1, "P(Z1|W1)"))
+    row_w = np.einsum("...aeh,...abedgh->...abedg", q11, conditional(pmf, ("Z1",), _GIVEN_W2))
+    inv_z = _inverse(pmf, stack, ("Z1", "Z2"), ("W1", "W2"), _STAGE2, "P(Z1,Z2|W1,W2)")
     q22 = np.einsum("...abedg,...abedgf,...abefdghi->...abefhi", row_w,
-                    _reciprocal(pmf, ("A2",), given_w2), inv_z)
+                    _reciprocal(pmf, ("A2",), _GIVEN_W2), inv_z)
 
     return BridgeSet(*map(_locked, (h22, h21, h11, q11, q22)), dict.fromkeys(_SHAPES, provenance))
 

@@ -19,6 +19,11 @@ with c2 = full compliance * q22, c1 = stage-1 compliance * q11, j2_obs and
 j2c the h22 terms at the observed and at the regime's a2, and j1 the h21
 term. A method leaves out every term and inner part whose component it does
 not read, which is PMR with those components set to zero, bit for bit.
+The summands read the bridge tables by ``np.take`` on each flattened table,
+led by any fold axis, at flat indices of the observed cells: those of the
+512 cells of ``_CELLS`` are computed once (``_CELL_INDEX``), and only the
+regime's actions are added per call. The gathered values, and so the
+arithmetic, are those of indexing each table by its axes.
 
 In the categorical setting each empirical average coincides exactly with the
 corresponding plug-in value on the empirical cell-frequency table, which the
@@ -64,6 +69,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Callable, Mapping
 
@@ -83,17 +89,22 @@ class FitOptions:
     """Bridge-fitting configuration: folds and smoothing, checked here for
     every caller.
 
-    ``laplace`` is the additive cell smoothing constant (0 = raw maximum
-    likelihood); NaN, infinity and a constant whose total over the 2^11
-    cells overflows are refused.
+    ``folds`` is an integer >= 1 and ``laplace`` the additive cell smoothing
+    constant (0 = raw maximum likelihood), a real number; a bool is neither.
+    NaN, infinity and a constant whose total over the 2^11 cells overflows
+    are refused.
     """
 
     folds: int = 1
     laplace: float = 0.0
 
     def __post_init__(self):
+        if isinstance(self.folds, bool) or not isinstance(self.folds, numbers.Integral):
+            raise ValueError(f"folds must be an integer, got {self.folds!r}")
         if self.folds < 1:
             raise ValueError("folds must be >= 1")
+        if isinstance(self.laplace, bool) or not isinstance(self.laplace, numbers.Real):
+            raise ValueError(f"laplace smoothing must be a real number, got {self.laplace!r}")
         cells = 2 ** len(CANONICAL_ORDER)
         if not 0 <= float(self.laplace) * cells < math.inf:  # a Python float, which overflows silently
             raise ValueError(f"laplace smoothing must be >= 0 and finite summed over the {cells} cells, "
@@ -135,7 +146,7 @@ def empirical_pmf(data: Dataset, laplace: float = 0.0, include_hidden: bool = Fa
 
 def count_pmf(counts: np.ndarray, laplace: float = 0.0, names: tuple[str, ...] = OBSERVED_ORDER) -> JointPmf:
     """Cell-frequency table (a stack of them for stacked counts) of cell counts in C order over ``names``."""
-    counts = counts.astype(float) + laplace
+    counts = np.add(counts, laplace, dtype=float)
     return JointPmf(names, _locked(counts / counts.sum(axis=-1, keepdims=True)))
 
 
@@ -223,24 +234,51 @@ def _count_mean(counts: np.ndarray, summand: np.ndarray) -> float:
     return float(counts @ summand / counts.sum())
 
 
+def _flat_index(cols: Mapping[str, np.ndarray]) -> dict[str, np.ndarray]:
+    """Flat indices of each row (or cell) of ``cols``: into q11 and q22 at its
+    history, into h22 at it with y2 = 1 and its own a2 (``h22``) or a2 = 0
+    (``h22 a2=0``, for the regime's a2 to be added), into d2 at (y0, y1, a1),
+    and (y0, w1) in C order."""
+    y0, z1, w1, a1 = cols["Y0"], cols["Z1"], cols["W1"], cols["A1"]
+    y1, z2, w2, a2 = cols["Y1"], cols["Z2"], cols["W2"], cols["A2"]
+    h22 = (((((y0 * 2 + y1) * 2 + 1) * 2 + w1) * 2 + w2) * 2 + a1) * 2
+    return {"q11": (y0 * 2 + a1) * 2 + z1, "q22": ((((y0 * 2 + y1) * 2 + a1) * 2 + a2) * 2 + z1) * 2 + z2,
+            "h22": h22 + a2, "h22 a2=0": h22, "d2": (y0 * 2 + y1) * 2 + a1, "y0w1": y0 * 2 + w1}
+
+
+_CELL_INDEX = {name: _locked(index) for name, index in _flat_index(_CELLS).items()}
+
+
+def _gather(table: np.ndarray, flat: np.ndarray, rank: int) -> np.ndarray:
+    """The cells of ``table`` at flat indices over its last ``rank`` axes,
+    led by any stack axes before them."""
+    return np.take(table.reshape(table.shape[:table.ndim - rank] + (-1,)), flat, axis=-1)
+
+
 def _regime_cells(cols: Mapping[str, np.ndarray], b: BridgeSet, regime: Regime):
-    """The regime indexing every summand shares, per row (or cell): d2[y0, y1, a1],
-    a1* = d1(y0), the stage-1 and full compliance indicators, and j1*(), h21
-    summed over the counterfactual stage-1 outcome with a2 pinned by the regime."""
-    y0, w1, a1, y1, a2 = cols["Y0"], cols["W1"], cols["A1"], cols["Y1"], cols["A2"]
-    d1 = np.asarray(regime.d1, dtype=np.int64)
-    d2 = np.asarray(regime.d2, dtype=np.int64).reshape(2, 2, 2)
-    a1_star = d1[y0]
-    comply1 = (a1 == a1_star).astype(float)
-    comply2 = comply1 * (a2 == d2[y0, y1, a1])
+    """The regime indexing every summand shares, per row (or cell): the flat
+    indices of ``cols`` (``_CELL_INDEX`` for ``_CELLS``), d2 at each row's
+    own (y0, y1, a1), a1* = d1(y0), the stage-1 and full compliance
+    indicators, and j1*(), h21 summed over the counterfactual stage-1 outcome
+    with a2 pinned by the regime."""
+    at = _CELL_INDEX if cols is _CELLS else _flat_index(cols)
+    d1, d2 = regime.d1, regime.d2
+    a1_star = np.take(np.asarray(d1, dtype=np.int64), cols["Y0"])
+    d2_obs = np.take(np.asarray(d2, dtype=np.int64), at["d2"])
+    comply1 = (cols["A1"] == a1_star).astype(float)
+    comply2 = comply1 * (cols["A2"] == d2_obs)
 
     def j1_star() -> np.ndarray:
-        total = np.zeros(y0.shape, dtype=float)
-        for y1v in (0, 1):
-            total = total + b.h21[..., y0, y1v, 1, w1, a1_star, d2[y0, y1v, a1_star]]
-        return total
+        # the h21 cells of each (y0, w1) and stage-1 outcome y1, summed over y1 on those four cells
+        flat = [[y0 * 32 + y1 * 16 + 8 + w1 * 4 + d1[y0] * 2 + d2[y0 * 4 + y1 * 2 + d1[y0]]
+                 for y0, w1 in ((0, 0), (0, 1), (1, 0), (1, 1))] for y1 in (0, 1)]
+        cells = _gather(b.h21, np.array(flat), 6)
+        total = np.zeros(4, dtype=float)
+        for y1 in (0, 1):
+            total = total + cells[..., y1, :]
+        return np.take(total, at["y0w1"], axis=-1)
 
-    return d2, a1_star, comply1, comply2, j1_star
+    return at, d2_obs, a1_star, comply1, comply2, j1_star
 
 
 def _summands(method: str, cols: Mapping[str, np.ndarray], b: BridgeSet, regime: Regime) -> np.ndarray:
@@ -248,18 +286,16 @@ def _summands(method: str, cols: Mapping[str, np.ndarray], b: BridgeSet, regime:
     estimate, PMR's with every term or inner part whose component ``method``
     does not read left out (0.0). Bridges led by a fold axis give one row of
     summands per fold."""
-    y0, z1, w1, a1 = cols["Y0"], cols["Z1"], cols["W1"], cols["A1"]
-    y1, z2, w2, a2, y2 = cols["Y1"], cols["Z2"], cols["W2"], cols["A2"], cols["Y2"]
     read = _require(method, b)
-    d2, _, comply1, comply2, j1_star = _regime_cells(cols, b, regime)
+    at, d2_obs, _, comply1, comply2, j1_star = _regime_cells(cols, b, regime)
     term2 = term1 = 0.0
     j1 = j1_star() if "h21" in read else 0.0
     if "q22" in read:
-        j2_obs = b.h22[..., y0, y1, 1, w1, w2, a1, a2] if "h22" in read else 0.0
-        term2 = comply2 * b.q22[..., y0, y1, a1, a2, z1, z2] * (y2 - j2_obs)
+        j2_obs = _gather(b.h22, at["h22"], 7) if "h22" in read else 0.0
+        term2 = comply2 * _gather(b.q22, at["q22"], 6) * (cols["Y2"] - j2_obs)
     if "q11" in read:
-        j2c = b.h22[..., y0, y1, 1, w1, w2, a1, d2[y0, y1, a1]] if "h22" in read else 0.0
-        term1 = comply1 * b.q11[..., y0, a1, z1] * (j2c - j1)
+        j2c = _gather(b.h22, at["h22 a2=0"] + d2_obs, 7) if "h22" in read else 0.0
+        term1 = comply1 * _gather(b.q11, at["q11"], 3) * (j2c - j1)
     return term2 + term1 + j1
 
 
@@ -268,7 +304,8 @@ def _pmr_telescoped(cols: Mapping[str, np.ndarray], b: BridgeSet, regime: Regime
     _require("PMR", b)
     y0, z1, w1, a1 = cols["Y0"], cols["Z1"], cols["W1"], cols["A1"]
     y1, z2, w2, a2, y2 = cols["Y1"], cols["Z2"], cols["W2"], cols["A2"], cols["Y2"]
-    d2, a1_star, comply1, comply2, j1_star = _regime_cells(cols, b, regime)
+    _, _, a1_star, comply1, comply2, j1_star = _regime_cells(cols, b, regime)
+    d2 = np.asarray(regime.d2, dtype=np.int64).reshape(2, 2, 2)
     c1 = comply1 * b.q11[..., y0, a1, z1]
     c2 = comply2 * b.q22[..., y0, y1, a1, a2, z1, z2]
     j2 = b.h22[..., y0, y1, 1, w1, w2, a1_star, d2[y0, y1, a1_star]]

@@ -33,6 +33,21 @@ it names (the unformatted template of ``_refuse_zero``, the role of
 ``invert2or4``), by which failures group. A NaN compares false, so a NaN
 denominator or determinant is not flagged.
 
+``_mass_over`` and ``conditional`` resolve their axes once per signature.
+``_plan``, cached by (variable names, number of stack axes, target, given),
+holds the axes summed out, the transpose to the requested order, the
+denominator's axes and the zero-cell refusal template. A call then runs
+only the sum, the transpose, the denominator's sum, one zero check and the
+division; the sums and the division are those that deriving the axes from
+names on every call runs, so no bit depends on the cache. The zero check is
+one reduction, ``all`` over the denominators' real parts: a law's real
+parts are >= 0, so a zero is the only denominator that is not positive.
+The refusals keep their order: a signature that overlaps target and given
+or names an unknown variable raises while its plan is built and is not
+kept; a zero conditioning cell is found by the call's zero check and named
+by ``_refuse_zero`` with the plan's template. The cache keeps 256
+signatures; the package reads fewer than 64.
+
 A ``JointPmf`` may hold a stack of laws over the same variables (the K
 off-fold laws of a cross-fit): its mass and every array derived from it
 lead with the stack axes; ``prob``, ``to_json`` and ``estimators.influence``
@@ -45,6 +60,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -77,6 +93,13 @@ class ZeroProbabilityError(TableError):
 
 class SingularMatrixError(TableError):
     """A conditional matrix that must be inverted is numerically singular."""
+
+
+def _axis(names: tuple[str, ...], name: str) -> int:
+    try:
+        return names.index(name)
+    except ValueError:
+        raise UnknownVariableError(f"unknown variable {name!r}; table has {names}") from None
 
 
 def _locked(arr: np.ndarray) -> np.ndarray:
@@ -147,10 +170,7 @@ class JointPmf:
         object.__setattr__(self, "mass", mass)
 
     def axis(self, name: str) -> int:
-        try:
-            return self.names.index(name)
-        except ValueError:
-            raise UnknownVariableError(f"unknown variable {name!r}; table has {self.names}") from None
+        return _axis(self.names, name)
 
     def _single_law(self, method: str) -> None:
         _refuse_stack(self.mass.shape, len(self.names), method + " reads a single law, not a stack of laws of shape {stack}")
@@ -180,15 +200,31 @@ class JointPmf:
         return cls(tuple(order), np.asarray(mass, dtype=float))
 
 
+@lru_cache(maxsize=256)  # signatures kept; the package reads fewer than 64
+def _plan(names: tuple[str, ...], lead: int, target: tuple[str, ...], given: tuple[str, ...] | None):
+    """How to read ``target`` (given ``given``, or alone when it is None) off
+    a mass over ``names`` led by ``lead`` stack axes: (the axes summed out,
+    the transpose to stack, given then target order, the denominator's axes,
+    the zero-cell refusal template). Built on the first call of a signature;
+    a signature that raises is not kept."""
+    order = target if given is None else given + target
+    if given is not None and set(target) & set(given):
+        raise TableError(f"target {target} and given {given} overlap")
+    axes = [lead + _axis(names, n) for n in order]  # raises UnknownVariableError with the offending name
+    drop = tuple(i for i in range(lead, lead + len(names)) if i not in axes)
+    kept = sorted(axes)
+    perm = (*range(lead), *(lead + kept.index(a) for a in axes))
+    if given is None:
+        return drop, perm, None, None
+    den = tuple(range(lead + len(given), lead + len(order)))
+    return drop, perm, den, f"zero-probability conditioning cell {{cell}} for P({','.join(target)}|{','.join(given)})"
+
+
 def _mass_over(pmf: JointPmf, names: Sequence[str]) -> np.ndarray:
     """The mass summed over every variable not in ``names``, axes in
     ``names`` order: a bare array, not a new table."""
-    lead = pmf.mass.ndim - len(pmf.names)  # the stack axes of a stack of laws
-    axes = [lead + pmf.axis(n) for n in names]  # raises UnknownVariableError with the offending name
-    drop_axes = tuple(i for i in range(lead, pmf.mass.ndim) if i not in axes)
-    summed = pmf.mass.sum(axis=drop_axes) if drop_axes else pmf.mass
-    kept = sorted(axes)
-    return np.transpose(summed, [*range(lead), *(lead + kept.index(a) for a in axes)])
+    drop, perm, _, _ = _plan(pmf.names, pmf.mass.ndim - len(pmf.names), tuple(names), None)
+    return (np.add.reduce(pmf.mass, axis=drop) if drop else pmf.mass).transpose(perm)
 
 
 def marginalize(pmf: JointPmf, keep: Sequence[str]) -> JointPmf:
@@ -208,13 +244,11 @@ def conditional(pmf: JointPmf, target: Sequence[str], given: Sequence[str]) -> n
     zero raises, naming the first such cell in C order.
     """
     target, given = tuple(target), tuple(given)
-    if set(target) & set(given):
-        raise TableError(f"target {target} and given {given} overlap")
-    joint = _mass_over(pmf, given + target)
-    lead = joint.ndim - len(target)  # the stack axes and the given axes
-    den = joint.sum(axis=tuple(range(lead, joint.ndim)), keepdims=True)
-    _refuse_zero(den.reshape(joint.shape[:lead]).real <= 0.0, given,
-                 f"zero-probability conditioning cell {{cell}} for P({','.join(target)}|{','.join(given)})")
+    drop, perm, den_axes, message = _plan(pmf.names, pmf.mass.ndim - len(pmf.names), target, given)
+    joint = (np.add.reduce(pmf.mass, axis=drop) if drop else pmf.mass).transpose(perm)
+    den = np.add.reduce(joint, axis=den_axes, keepdims=True)
+    if not den.real.all():  # a sum of a law's real parts, which are >= 0: only a zero is not positive
+        _refuse_zero(den.reshape(joint.shape[:joint.ndim - len(target)]).real <= 0.0, given, message)
     return joint / den
 
 

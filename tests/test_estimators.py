@@ -482,3 +482,20 @@ def test_stacked_fold_fit_failure_names_the_first_failing_fold(params, n, seed, 
         fold_fits(data, opts)
     assert (type(info.value), str(info.value), info.value.kind) == expected
     assert "fold" not in info.value.kind and "increase n" not in info.value.kind
+
+
+@pytest.mark.parametrize("folds", [2.5, 2.0, True, False, "2", None])
+def test_fit_options_refuse_a_folds_that_is_not_an_integer(folds):
+    with pytest.raises(ValueError, match=r"^folds must be an integer, got "):
+        FitOptions(folds=folds)
+
+
+@pytest.mark.parametrize("laplace", ["0.5", True, False, None, 1j])
+def test_fit_options_refuse_a_laplace_that_is_not_a_real_number(laplace):
+    with pytest.raises(ValueError, match=r"^laplace smoothing must be a real number, got "):
+        FitOptions(laplace=laplace)
+
+
+@pytest.mark.parametrize("folds, laplace", [(np.int64(3), np.float64(0.5)), (1, 0), (2, 1)])
+def test_fit_options_accept_numpy_and_integer_values(folds, laplace):
+    assert FitOptions(folds=folds, laplace=laplace) == FitOptions(folds=int(folds), laplace=float(laplace))

@@ -1,0 +1,64 @@
+"""The module attributes through which the fit and the identification are
+called, and how often per operation.
+
+A benchmark that times layers by wrapping these attributes (``perfbench``
+does) reads a layer as zero when a refactor stops calling through one, so
+the counts are pinned here, counted by wrappers installed the same way: per
+grid repetition, 1 ``estimators.solve_bridges``, 4 ``bridges.invert2or4``,
+13 ``harness._DENSITY_FN`` entries and 2 ``identify.observed_conditional``;
+per ``estimate --method pmr`` request, 1 ``estimators.solve_bridges``."""
+
+import functools
+import io
+from collections import Counter
+from contextlib import redirect_stdout
+
+import pytest
+
+from proxidtr import bridges, cli, dgp, estimators, harness, identify
+from proxidtr.policy import Regime
+
+
+def _count(counts: Counter, name: str, fn):
+    @functools.wraps(fn)
+    def wrapper(*args, **kwargs):
+        counts[name] += 1
+        return fn(*args, **kwargs)
+    return wrapper
+
+
+@pytest.fixture
+def counts(monkeypatch) -> Counter:
+    counts = Counter()
+    for owner, attr in ((estimators, "solve_bridges"), (bridges, "invert2or4"), (identify, "observed_conditional")):
+        monkeypatch.setattr(owner, attr, _count(counts, attr, getattr(owner, attr)))
+    for method, fn in list(harness._DENSITY_FN.items()):
+        monkeypatch.setitem(harness._DENSITY_FN, method, _count(counts, "_DENSITY_FN", fn))
+    return counts
+
+
+def test_a_grid_repetition_calls_each_site_as_often_as_pinned(monkeypatch, counts):
+    per_rep = []
+    run_rep = harness._run_rep
+
+    def counted_rep(*args, **kwargs):
+        before = Counter(counts)
+        try:
+            return run_rep(*args, **kwargs)
+        finally:
+            per_rep.append(counts - before)
+
+    monkeypatch.setattr(harness, "_run_rep", counted_rep)
+    report = harness.run_experiment(harness.ExperimentConfig(reps=3))
+    assert all(cell.failures == 0 for cell in report.cells)
+    assert per_rep == [Counter(solve_bridges=1, invert2or4=4, _DENSITY_FN=13, observed_conditional=2)] * 3
+
+
+def test_an_estimate_request_solves_once(tmp_path, counts):
+    (tmp_path / "d.csv").write_text(dgp.sample(dgp.DgpParams.default(), 35000, 3).to_csv())
+    (tmp_path / "r.json").write_text(Regime.from_index(837).to_json())
+    with redirect_stdout(io.StringIO()):
+        assert cli.main(["estimate", "--data", str(tmp_path / "d.csv"), "--regime", str(tmp_path / "r.json"),
+                         "--method", "pmr"]) == 0
+    assert counts["solve_bridges"] == 1
+    assert counts["invert2or4"] == 4
