@@ -1,9 +1,9 @@
 """Sample-level value estimators, cross-fitting, and baseline comparators.
 
-Every estimator is an empirical average of a per-row summand built from the
-bridge tables; since the summand depends on a row only through its cell, the
-average is computed as a count-weighted sum over the 512 observed cells, so
-no estimate depends on row order:
+Every estimator is an empirical average of a summand built from the bridge
+tables. The summand depends on a row only through its observed cell, so it
+is evaluated once per cell of the 512 of ``_CELLS`` and the average is a
+count-weighted sum over them; no estimate depends on row order:
 
   POR   the h21-weighted stage-1 term alone
   PHA   stage-1 compliance * q11 * the y2-weighted h22 term
@@ -11,7 +11,7 @@ no estimate depends on row order:
   PMR   the three-term multiply robust combination (the influence function
         without its centering constant)
 
-All four are one summand, the row-level twin of ``identify``'s formula:
+All four are one summand, the cell-level twin of ``identify``'s formula:
 
   c2 (y2 - j2_obs) + c1 (j2c - j1) + j1,
 
@@ -20,10 +20,10 @@ j2c the h22 terms at the observed and at the regime's a2, and j1 the h21
 term. A method leaves out every term and inner part whose component it does
 not read, which is PMR with those components set to zero, bit for bit.
 The summands read the bridge tables by ``np.take`` on each flattened table,
-led by any fold axis, at flat indices of the observed cells: those of the
-512 cells of ``_CELLS`` are computed once (``_CELL_INDEX``), and only the
-regime's actions are added per call. The gathered values, and so the
-arithmetic, are those of indexing each table by its axes.
+led by any fold axis, at flat indices of the 512 cells computed once
+(``_CELL_INDEX``); only the regime's actions are added per call. The
+gathered values, and so the arithmetic, are those of indexing each table by
+its axes. A row's summand is its cell's.
 
 In the categorical setting each empirical average coincides exactly with the
 corresponding plug-in value on the empirical cell-frequency table, which the
@@ -71,7 +71,7 @@ import json
 import math
 import numbers
 from dataclasses import dataclass
-from typing import Callable, Mapping
+from typing import Callable
 
 import numpy as np
 
@@ -234,19 +234,18 @@ def _count_mean(counts: np.ndarray, summand: np.ndarray) -> float:
     return float(counts @ summand / counts.sum())
 
 
-def _flat_index(cols: Mapping[str, np.ndarray]) -> dict[str, np.ndarray]:
-    """Flat indices of each row (or cell) of ``cols``: into q11 and q22 at its
+def _cell_index() -> dict[str, np.ndarray]:
+    """Flat indices of each cell of ``_CELLS``: into q11 and q22 at its
     history, into h22 at it with y2 = 1 and its own a2 (``h22``) or a2 = 0
     (``h22 a2=0``, for the regime's a2 to be added), into d2 at (y0, y1, a1),
     and (y0, w1) in C order."""
-    y0, z1, w1, a1 = cols["Y0"], cols["Z1"], cols["W1"], cols["A1"]
-    y1, z2, w2, a2 = cols["Y1"], cols["Z2"], cols["W2"], cols["A2"]
+    y0, z1, w1, a1, y1, z2, w2, a2, _ = _CELLS.values()  # OBSERVED_ORDER
     h22 = (((((y0 * 2 + y1) * 2 + 1) * 2 + w1) * 2 + w2) * 2 + a1) * 2
     return {"q11": (y0 * 2 + a1) * 2 + z1, "q22": ((((y0 * 2 + y1) * 2 + a1) * 2 + a2) * 2 + z1) * 2 + z2,
             "h22": h22 + a2, "h22 a2=0": h22, "d2": (y0 * 2 + y1) * 2 + a1, "y0w1": y0 * 2 + w1}
 
 
-_CELL_INDEX = {name: _locked(index) for name, index in _flat_index(_CELLS).items()}
+_CELL_INDEX = {name: _locked(index) for name, index in _cell_index().items()}
 
 
 def _gather(table: np.ndarray, flat: np.ndarray, rank: int) -> np.ndarray:
@@ -255,18 +254,16 @@ def _gather(table: np.ndarray, flat: np.ndarray, rank: int) -> np.ndarray:
     return np.take(table.reshape(table.shape[:table.ndim - rank] + (-1,)), flat, axis=-1)
 
 
-def _regime_cells(cols: Mapping[str, np.ndarray], b: BridgeSet, regime: Regime):
-    """The regime indexing every summand shares, per row (or cell): the flat
-    indices of ``cols`` (``_CELL_INDEX`` for ``_CELLS``), d2 at each row's
-    own (y0, y1, a1), a1* = d1(y0), the stage-1 and full compliance
-    indicators, and j1*(), h21 summed over the counterfactual stage-1 outcome
-    with a2 pinned by the regime."""
-    at = _CELL_INDEX if cols is _CELLS else _flat_index(cols)
+def _regime_cells(b: BridgeSet, regime: Regime):
+    """The regime indexing every summand shares, per cell of ``_CELLS``: d2
+    at each cell's own (y0, y1, a1), a1* = d1(y0), the stage-1 and full
+    compliance indicators, and j1*(), h21 summed over the counterfactual
+    stage-1 outcome with a2 pinned by the regime."""
     d1, d2 = regime.d1, regime.d2
-    a1_star = np.take(np.asarray(d1, dtype=np.int64), cols["Y0"])
-    d2_obs = np.take(np.asarray(d2, dtype=np.int64), at["d2"])
-    comply1 = (cols["A1"] == a1_star).astype(float)
-    comply2 = comply1 * (cols["A2"] == d2_obs)
+    a1_star = np.take(np.asarray(d1, dtype=np.int64), _CELLS["Y0"])
+    d2_obs = np.take(np.asarray(d2, dtype=np.int64), _CELL_INDEX["d2"])
+    comply1 = (_CELLS["A1"] == a1_star).astype(float)
+    comply2 = comply1 * (_CELLS["A2"] == d2_obs)
 
     def j1_star() -> np.ndarray:
         # the h21 cells of each (y0, w1) and stage-1 outcome y1, summed over y1 on those four cells
@@ -276,35 +273,34 @@ def _regime_cells(cols: Mapping[str, np.ndarray], b: BridgeSet, regime: Regime):
         total = np.zeros(4, dtype=float)
         for y1 in (0, 1):
             total = total + cells[..., y1, :]
-        return np.take(total, at["y0w1"], axis=-1)
+        return np.take(total, _CELL_INDEX["y0w1"], axis=-1)
 
-    return at, d2_obs, a1_star, comply1, comply2, j1_star
+    return d2_obs, a1_star, comply1, comply2, j1_star
 
 
-def _summands(method: str, cols: Mapping[str, np.ndarray], b: BridgeSet, regime: Regime) -> np.ndarray:
-    """Estimator summand per row (or per cell); its mean over rows is the value
-    estimate, PMR's with every term or inner part whose component ``method``
-    does not read left out (0.0). Bridges led by a fold axis give one row of
-    summands per fold."""
+def _summands(method: str, b: BridgeSet, regime: Regime) -> np.ndarray:
+    """Estimator summand per observed cell (``_CELLS``); its count-weighted
+    mean is the value estimate, PMR's with every term or inner part whose
+    component ``method`` does not read left out (0.0). Bridges led by a fold
+    axis give one row of summands per fold."""
     read = _require(method, b)
-    at, d2_obs, _, comply1, comply2, j1_star = _regime_cells(cols, b, regime)
+    d2_obs, _, comply1, comply2, j1_star = _regime_cells(b, regime)
     term2 = term1 = 0.0
     j1 = j1_star() if "h21" in read else 0.0
     if "q22" in read:
-        j2_obs = _gather(b.h22, at["h22"], 7) if "h22" in read else 0.0
-        term2 = comply2 * _gather(b.q22, at["q22"], 6) * (cols["Y2"] - j2_obs)
+        j2_obs = _gather(b.h22, _CELL_INDEX["h22"], 7) if "h22" in read else 0.0
+        term2 = comply2 * _gather(b.q22, _CELL_INDEX["q22"], 6) * (_CELLS["Y2"] - j2_obs)
     if "q11" in read:
-        j2c = _gather(b.h22, at["h22 a2=0"] + d2_obs, 7) if "h22" in read else 0.0
-        term1 = comply1 * _gather(b.q11, at["q11"], 3) * (j2c - j1)
+        j2c = _gather(b.h22, _CELL_INDEX["h22 a2=0"] + d2_obs, 7) if "h22" in read else 0.0
+        term1 = comply1 * _gather(b.q11, _CELL_INDEX["q11"], 3) * (j2c - j1)
     return term2 + term1 + j1
 
 
-def _pmr_telescoped(cols: Mapping[str, np.ndarray], b: BridgeSet, regime: Regime) -> np.ndarray:
-    """The telescoped PMR summand: weighted differences of coarsening levels."""
+def _pmr_telescoped(b: BridgeSet, regime: Regime) -> np.ndarray:
+    """The telescoped PMR summand per observed cell: weighted differences of coarsening levels."""
     _require("PMR", b)
-    y0, z1, w1, a1 = cols["Y0"], cols["Z1"], cols["W1"], cols["A1"]
-    y1, z2, w2, a2, y2 = cols["Y1"], cols["Z2"], cols["W2"], cols["A2"], cols["Y2"]
-    _, _, a1_star, comply1, comply2, j1_star = _regime_cells(cols, b, regime)
+    y0, z1, w1, a1, y1, z2, w2, a2, y2 = _CELLS.values()  # OBSERVED_ORDER
+    _, a1_star, comply1, comply2, j1_star = _regime_cells(b, regime)
     d2 = np.asarray(regime.d2, dtype=np.int64).reshape(2, 2, 2)
     c1 = comply1 * b.q11[..., y0, a1, z1]
     c2 = comply2 * b.q22[..., y0, y1, a1, a2, z1, z2]
@@ -316,7 +312,7 @@ def _estimate(method: str, counts: np.ndarray, b: BridgeSet, regime: Regime) -> 
     """One summand pass: its count-weighted mean and, for PMR only, the second
     moment of the summand centred at that mean (its influence-function
     variance; the other methods' summands are not their influence functions)."""
-    summand = _summands(method, _CELLS, b, regime)
+    summand = _summands(method, b, regime)
     mean = _count_mean(counts, summand)
     variance = _count_mean(counts, (summand - mean) ** 2) if method == "PMR" else None
     return ValueEstimate(method, mean, variance)
@@ -330,7 +326,7 @@ def v_hat(method: str, data: Dataset, b: BridgeSet, regime: Regime) -> ValueEsti
 
 def v_hat_pmr_alt(data: Dataset, b: BridgeSet, regime: Regime) -> ValueEstimate:
     """Telescoped PMR form; equals ``v_hat("PMR", ...)`` to 1e-12 always."""
-    return ValueEstimate("PMR", _count_mean(_cell_counts(data), _pmr_telescoped(_CELLS, b, regime)))
+    return ValueEstimate("PMR", _count_mean(_cell_counts(data), _pmr_telescoped(b, regime)))
 
 
 def cross_fit(method: str, data: Dataset, opts: FitOptions, regime: Regime) -> ValueEstimate:
@@ -340,7 +336,7 @@ def cross_fit(method: str, data: Dataset, opts: FitOptions, regime: Regime) -> V
     if own.ndim == 1:
         return _estimate(method, own, b, regime)
     # C order, so each fold's row takes the dot-product path of an unstacked summand
-    summands = np.ascontiguousarray(_summands(method, _CELLS, b, regime))
+    summands = np.ascontiguousarray(_summands(method, b, regime))
     fold_values = [_count_mean(*fold) for fold in zip(own, summands)]
     return ValueEstimate(method, float(np.mean(fold_values)), fold_estimates=tuple(fold_values))
 
@@ -362,7 +358,7 @@ def population_v(method: str, pmf: JointPmf, b: BridgeSet, regime: Regime) -> fl
     """
     cond, p_y0 = observed_conditional(pmf)
     weights = (cond * p_y0[(slice(None),) + (None,) * 8]).reshape(-1)
-    return float(np.dot(weights, _summands(method, _CELLS, b, regime)))
+    return float(np.dot(weights, _summands(method, b, regime)))
 
 
 _STEP = 1e-20  # the complex step of ``influence``: any h far below 1e-8 is exact to rounding

@@ -5,19 +5,22 @@ One repetition samples a dataset, counts its cells once (the dataset's
 ``estimators.fold_fits``, whatever the fold count; the scoring law is the
 law of the counts it returns, which it builds once. Cross-fitting stacks the
 K folds: one bincount, one solve of the K off-fold laws and one conditioning
-of the K fold laws, every array led by a fold axis. Each scoring law (the fitted one, SRA's and the
-Oracle's) is conditioned on Y0 once; with one fold SRA's law is the fitted
-law. Each scenario swaps its pseudo components into the fit, broadcast over
-the folds.
-A bridge method's density depends on the scenario only through the
-components of ``identify.BRIDGES_NEEDED[method]`` it replaces, and a
-baseline's not at all, so each distinct density is identified (all folds at
-once) and scored once per repetition. Every bridge density of a repetition
-reads one ``identify.PieceTable`` of the scoring law, so each distinct
-product of the identification formula is computed once per repetition, and
-their fold tables are averaged with P(y0) weights as one stack; both give
-the bits of identifying and averaging each density alone. Each density is
-still identified through its own ``_DENSITY_FN`` call.
+of the K fold laws, every array led by a fold axis. Each scoring law (the
+fitted one, SRA's and the Oracle's) is conditioned on Y0 once; with one fold
+SRA is handed the fitted law's conditional. Each scenario swaps its pseudo
+components into the fit, broadcast over the folds.
+A repetition is one pass. A bridge method's density depends on the scenario
+only through the components of ``identify.BRIDGES_NEEDED[method]`` it
+replaces, and a baseline's not at all, so ``_run_rep`` keys each distinct
+density once, as (method, replaced components). ``_bridge_tables``
+identifies every distinct bridge density (all folds at once) through one
+``identify.PieceTable`` of the scoring law, so each distinct product of the
+identification formula is computed once per repetition, and averages their
+fold tables with P(y0) weights as one stack; both give the bits of
+identifying and averaging each density alone. Each density is still
+identified through its own ``_DENSITY_FN`` call. Only the fit, a baseline's
+table and the scoring can fail; identifying a density after a successful fit
+cannot.
 A repetition's distinct densities are scored as one stack through one
 function for both optimizers (``_class_scores``), which picks one Boolean
 index per density. Value maximization gathers every searched class
@@ -50,8 +53,9 @@ True values come from ``dgp.true_values``, one ``class_values`` call over
 all 1024 Boolean indices under the Oracle density of the true law, the
 law's one cached table; a chosen regime's true value is read at its Boolean
 index, the searched class's optimum is a gather from that array at the
-class's indices, and the Boolean optimum is its maximum. No ``Regime`` is
-built to score.
+class's indices; both optima are maxima of those finite values. No
+``Regime`` is built to score, and the truth is built once per regime class
+and process (``_truth_context``).
 
 Everything is deterministic in the config: repetition seeds are
 base_seed + index, and each repetition's results are folded into per-cell
@@ -94,12 +98,12 @@ import os
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from dataclasses import dataclass, field, fields
-from functools import partial
+from functools import cache, partial
 
 import numpy as np
 
 from . import dgp, identify
-from .bridges import DEFAULT_PSEUDO_SEED, BridgeSet, MissingBridgeError, pseudo_bridges, solve_bridges, verify_bridges
+from .bridges import DEFAULT_PSEUDO_SEED, BridgeSet, pseudo_bridges, solve_bridges, verify_bridges
 from .dgp import DgpParams, class_values, oracle_density_from_joint, sample, true_joint, true_values
 from .estimators import (
     ALL_METHODS,
@@ -247,9 +251,8 @@ class _Truth:
         self.params = params
         self.search_class = enumerate_class(regime_class)
         self.true_values = true_values(params)  # at each Boolean index
-        searched = self.true_values[self.search_class.index]
-        self.optimum_value = float(searched[first_maximizer(searched)])
-        self.boolean_optimum = float(self.true_values[first_maximizer(self.true_values)])
+        self.optimum_value = float(self.true_values[self.search_class.index].max())
+        self.boolean_optimum = float(self.true_values.max())
 
 
 def _attempt(step: str, fn, *args):
@@ -257,8 +260,8 @@ def _attempt(step: str, fn, *args):
     step and the error's kind, without the cell or block it names."""
     try:
         return fn(*args)
-    except (TableError, MissingBridgeError) as err:
-        return f"{step} failed: {getattr(err, 'kind', err)}"
+    except TableError as err:
+        return f"{step} failed: {err.kind}"
 
 
 def _scenario_pseudo(config: ExperimentConfig) -> dict[str, BridgeSet]:
@@ -285,32 +288,27 @@ def _bridge_fits(data, config: ExperimentConfig) -> tuple[identify.PieceTable, n
     return identify.PieceTable(cond), p_y0, solved
 
 
-def _bridge_density(fits, pseudo: BridgeSet, method: str) -> np.ndarray:
-    """One bridge method's density with one scenario's pseudo bridges swapped
-    in, identified for every fold at once through the repetition's piece table."""
-    pieces, _, solved = fits
-    return _DENSITY_FN[method](pieces, solved.merged(pseudo)).g
-
-
-def _fold_average(densities: list[np.ndarray], p_y0: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
-    """(g, p_y0) of each bridge density; with folds, the fold tables of all
-    densities are averaged in fold order with P(y0) weights as one stack."""
+def _bridge_tables(fits, merged: dict[tuple, BridgeSet]) -> dict[tuple, tuple[np.ndarray, np.ndarray]]:
+    """(g, p_y0) of each distinct bridge density, keyed (method, replaced
+    components), with its scenario's pseudo bridges (``merged``) swapped into
+    the fit: each identified for every fold at once through the repetition's
+    piece table, then, with folds, the fold tables of all densities averaged
+    in fold order with P(y0) weights as one stack."""
+    pieces, p_y0, solved = fits
+    densities = [_DENSITY_FN[method](pieces, solved.merged(b)).g for (method, _), b in merged.items()]
     if p_y0.ndim == 1:
-        return [(g, p_y0) for g in densities]
+        return {key: (g, p_y0) for key, g in zip(merged, densities)}
     p_bar = sum(p_y0) / len(p_y0)
     g_bar = sum(np.stack(densities, axis=1) * p_y0[:, None, None, None, None, None, :]) / len(p_y0)
-    return [(g, p_bar) for g in g_bar / p_bar[None, None, None, None, :]]
+    return {key: (g, p_bar) for key, g in zip(merged, g_bar / p_bar[None, None, None, None, :])}
 
 
-def _baseline_table(data, config: ExperimentConfig, method: str, fits=None) -> tuple[np.ndarray, np.ndarray]:
+def _baseline_table(data, config: ExperimentConfig, method: str, whole=None) -> tuple[np.ndarray, np.ndarray]:
     """(g, p_y0) of SRA (observed columns) or the Oracle (with hidden columns),
-    each law conditioned on Y0 once. With one fold, SRA reads the whole-sample
-    law that ``_bridge_fits`` conditioned, when ``fits`` holds it."""
+    each law conditioned on Y0 once. SRA reads ``whole``, the whole-sample
+    law's (cond, p_y0), when the one-fold fit conditioned it."""
     if method == "SRA":
-        if config.folds == 1 and isinstance(fits, tuple):
-            cond, p_y0 = fits[0].cond, fits[1]
-        else:
-            cond, p_y0 = identify.observed_conditional(empirical_pmf(data, laplace=config.laplace))
+        cond, p_y0 = whole or identify.observed_conditional(empirical_pmf(data, laplace=config.laplace))
         return sra_from_conditional(cond).g, p_y0
     pmf = empirical_pmf(data, laplace=config.laplace, include_hidden=True)
     return oracle_density_from_joint(pmf).g, identify.observed_conditional(pmf)[1]
@@ -354,45 +352,44 @@ def _run_rep(config: ExperimentConfig, truth: _Truth, rep: int, pseudo: dict[str
     ``pseudo`` holds each scenario's pseudo bridges (``_scenario_pseudo``).
     ``drawn`` is the future of the repetition's sample when a helper thread
     draws it (``_rep_results``), waited for here; without it the sample is
-    drawn here. Each distinct (method, replaced components) density is
-    identified and scored once; the bridge densities read one piece table
-    and are fold-averaged together.
+    drawn here. Each distinct (method, replaced components) density is keyed
+    once, computed once (the bridge densities through one piece table and
+    one fold average) and scored once.
     """
     data = sample(truth.params, config.n, config.base_seed + rep) if drawn is None else drawn.result()
-    bridged = any(m in BRIDGE_METHODS for m in config.methods)
-    fits = _attempt("fit", _bridge_fits, data, config) if bridged else None
-    tables: dict[tuple, tuple[np.ndarray, np.ndarray] | np.ndarray | str] = {}
-    density_of: dict[tuple[str, str], tuple] = {}
-    for tag in config.scenarios:
-        for method in config.methods:
-            key = (method, tuple(c for c in identify.BRIDGES_NEEDED.get(method, ()) if c in SCENARIO_PSEUDO[tag]))
-            if key not in tables:
-                if method not in BRIDGE_METHODS:
-                    tables[key] = _attempt("fit", _baseline_table, data, config, method, fits)
-                else:
-                    tables[key] = fits if isinstance(fits, str) else _attempt("fit", _bridge_density, fits, pseudo[tag], method)
-            density_of[(tag, method)] = key
-    identified = [key for key, entry in tables.items() if isinstance(entry, np.ndarray)]
-    if identified:
-        tables.update(zip(identified, _fold_average([tables[key] for key in identified], fits[1])))
+    density_of = {(tag, method): (method, tuple(c for c in identify.BRIDGES_NEEDED.get(method, ())
+                                                 if c in SCENARIO_PSEUDO[tag]))
+                  for tag in config.scenarios for method in config.methods}
+    # each bridge density's pseudo bridges: the scenarios that replace its components hold the same arrays of them
+    merged = {key: pseudo[tag] for (tag, method), key in density_of.items() if method in BRIDGE_METHODS}
+    tables = dict.fromkeys(density_of.values())  # density -> (g, p_y0) or its failure reason, first seen first
+    whole = None
+    if merged:
+        fits = _attempt("fit", _bridge_fits, data, config)
+        if isinstance(fits, str):
+            tables.update(dict.fromkeys(merged, fits))
+        else:
+            tables.update(_bridge_tables(fits, merged))
+            whole = (fits[0].cond, fits[1]) if config.folds == 1 else None
+    tables.update({key: _attempt("fit", _baseline_table, data, config, key[0], whole)
+                   for key in tables if key not in merged})
     scores = _scores(truth, tables, config.optimizer)
     return {cell: scores[key] for cell, key in density_of.items()}
 
 
 def _worker(args):
     config, rep, pseudo = args
-    truth = _truth_context(config)
-    return _run_rep(config, truth, rep, pseudo)
+    return _run_rep(config, _truth_context(config), rep, pseudo)
 
 
-_TRUTH_CACHE: dict[tuple, _Truth] = {}
+@cache
+def _truth(regime_class: str) -> _Truth:
+    return _Truth(DgpParams.default(), regime_class)
 
 
 def _truth_context(config: ExperimentConfig) -> _Truth:
-    key = (config.regime_class,)
-    if key not in _TRUTH_CACHE:
-        _TRUTH_CACHE[key] = _Truth(DgpParams.default(), config.regime_class)
-    return _TRUTH_CACHE[key]
+    """The ground truth of ``config``'s regime class, built once per process."""
+    return _truth(config.regime_class)
 
 
 def worker_count() -> int:

@@ -121,9 +121,6 @@ class Regime:
             object.__setattr__(self, "theta1", t1)
             object.__setattr__(self, "theta2", t2)
 
-    def d1_of(self, y0: int) -> int:
-        return self.d1[y0]
-
     def d2_of(self, y0: int, y1: int, a1: int) -> int:
         return self.d2[(y0 << 2) | (y1 << 1) | a1]
 
@@ -152,6 +149,9 @@ class Regime:
         payload = json.loads(text)
         if not isinstance(payload, dict) or not all(isinstance(payload.get(k), list) for k in ("d1", "d2")):
             raise ValueError("a regime must be a JSON object with bit lists 'd1' and 'd2'")
+        for key in ("d1", "d2"):  # true and 1.0 equal 1, which ``_check_bits`` would pass
+            if not all(type(b) is int and b in (0, 1) for b in payload[key]):
+                raise ValueError(f"{key} bits must be the JSON integers 0 or 1, got {json.dumps(payload[key])}")
         unknown = sorted(set(payload) - {f.name for f in fields(cls)})
         if unknown:  # a misspelled certificate would otherwise go unchecked
             raise ValueError(f"unknown regime keys {unknown}")

@@ -33,7 +33,7 @@ def regime_value(g: np.ndarray, p_y0: np.ndarray, regime: Regime) -> float:
     """
     total = 0.0
     for y0 in (0, 1):
-        a1 = regime.d1_of(y0)
+        a1 = regime.d1[y0]
         for y1 in (0, 1):
             a2 = regime.d2_of(y0, y1, a1)
             total += p_y0[y0] * g[a1, a2, 1, y1, y0]

@@ -83,3 +83,38 @@ def test_a_lower_is_better_metric_wins_when_it_falls():
     assert (rows["request_ms_p50 unscaled"]["wins"], rows["request_ms_p50 unscaled"]["claim"]) == (10, True)
     assert "| request_ms_p50 | 2.545 [2.522, 2.567] | 2.045 [2.022, 2.067] | 10 of 10 | yes |" in \
         bench_pairs.format_rows(list(rows.values())).splitlines()
+
+
+def _verdicts(parent, change, better="lower", bound=0.05):
+    """{metric: verdict} of one metric ``m`` from per-run values."""
+    pairs = [({"m": p}, {"m": c}) for p, c in zip(parent, change)]
+    rows = bench_pairs.summarize(pairs, {"m": better}, {"m": bound})
+    return rows[0]["verdict"], bench_pairs.format_verdicts(rows)
+
+
+# peak RSS of unchanged code: ten runs spread 4% (43.00 to 44.72 MB) against the 5% bound
+RSS = [43.00, 43.40, 43.55, 43.70, 43.80, 43.90, 44.05, 44.20, 44.45, 44.72]
+
+
+def test_an_rss_spread_inside_its_bound_reads_ok_and_a_median_beyond_it_worse():
+    assert _verdicts(RSS, RSS[::-1])[0] == "ok"  # the same runs in another order
+    assert _verdicts(RSS, [v * 1.04 for v in RSS])[0] == "ok"  # 4% worse is inside 5%
+    verdict, table = _verdicts(RSS, [v * 1.06 for v in RSS])
+    assert verdict == "worse"
+    assert "| m | 1.3% | 5% | +6.0% | worse |" in table.splitlines()
+
+
+def test_a_spread_wider_than_the_bound_is_unresolved_unless_every_change_run_wins():
+    parent = [200.0 + 40.0 * i for i in range(10)]  # median 380, iqr 180: 47% against the 25% bound
+    assert _verdicts(parent, parent[::-1], "higher", 0.25)[0] == "unresolved"
+    assert _verdicts(parent, [v + 10.0 for v in parent], "higher", 0.25)[0] == "unresolved"
+    assert _verdicts(parent, [v + 400.0 for v in parent], "higher", 0.25)[0] == "ok"  # every change run wins
+    assert _verdicts(parent, [v - 200.0 for v in parent], "higher", 0.25)[0] == "worse"
+
+
+def test_only_metrics_with_a_bound_get_a_verdict():
+    rows = bench_pairs.summarize(_pairs([(400.0, 2.5)] * 3, [(400.0, 2.5)] * 3), BETTER, {"reps_per_s": 0.25})
+    verdicts = {r["metric"]: r["verdict"] for r in rows}
+    assert verdicts["reps_per_s"] == verdicts["reps_per_s unscaled"] == "ok"
+    assert verdicts["request_ms_p50"] is None
+    assert len(bench_pairs.format_verdicts(rows).splitlines()) == 4  # header, rule, two rows

@@ -301,7 +301,8 @@ D2 = "[0, 1, 1, 0, 1, 0, 0, 1]"
 
 
 @pytest.mark.parametrize("text", ["{}", "[1, 2]", '{"d1": [0, 1], "d2": 5}',
-                                  '{"d1": [1, [0]], "d2": %s}' % D2, '{"d1": [1, 0.5], "d2": %s}' % D2])
+                                  '{"d1": [1, [0]], "d2": %s}' % D2, '{"d1": [1, 0.5], "d2": %s}' % D2,
+                                  '{"d1": [true, 1.0], "d2": [false, 0, 0, 0, 1, 1, 1, 1]}'])
 def test_malformed_regime_json_is_usage_error(tmp_path, capsys, text):
     code = _estimate_with_regime(tmp_path, text)
     assert code == 1

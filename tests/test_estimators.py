@@ -147,8 +147,8 @@ def test_if_variance_nonnegative_and_centering(big_data, fitted):
     # centering at the plug-in estimate makes the IF mean vanish identically
     from proxidtr.estimators import _summands
 
-    cols = {name: big_data.observed[:, i].astype(np.int64) for i, name in enumerate(dgp.OBSERVED_ORDER)}
-    summand = _summands("PMR", cols, bridges_hat, REGIME)
+    codes = np.ravel_multi_index(tuple(big_data.observed.T), (2,) * 9)  # each row's cell, C order over OBSERVED_ORDER
+    summand = _summands("PMR", bridges_hat, REGIME)[codes]
     point = v_hat("PMR", big_data, bridges_hat, REGIME).estimate
     assert (summand - point).mean() == pytest.approx(0.0, abs=1e-12)
 
@@ -158,7 +158,7 @@ def test_complex_step_derivative_of_the_plug_in_value_is_the_centred_pmr_summand
     of the plug-in value. One complex step P + ih(delta_c - P), h = 1e-20,
     per 37th cell c, solved as one stack, reads it off the imaginary part:
     the real part is the float plug-in and Im / h the centred summand at c."""
-    from proxidtr.estimators import _CELLS, _count_mean, _summands
+    from proxidtr.estimators import _count_mean, _summands
 
     pmf, bridges_hat = fitted
     h, cells = 1e-20, np.arange(0, 512, 37)
@@ -171,7 +171,7 @@ def test_complex_step_derivative_of_the_plug_in_value_is_the_centred_pmr_summand
     assert np.abs(values.real - plug_in).max() <= 1e-12
     counts = _cell_counts(big_data)
     for k, regime in enumerate(linear_class.members):
-        summand = _summands("PMR", _CELLS, bridges_hat, regime)
+        summand = _summands("PMR", bridges_hat, regime)
         centred = summand[cells] - _count_mean(counts, summand)
         assert np.abs(values[:, k].imag / h - centred).max() <= 1e-12
 

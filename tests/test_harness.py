@@ -247,8 +247,8 @@ def _one_repetition_densities(config):
     fits = harness._bridge_fits(data, config)
     pseudo = harness._scenario_pseudo(config)
     tables = [harness._baseline_table(data, config, m) for m in ("SRA", "ORACLE")]
-    densities = [harness._bridge_density(fits, pseudo[tag], m) for tag in config.scenarios for m in BRIDGE_METHODS]
-    return tables + harness._fold_average(densities, fits[1])
+    merged = {(m, tag): pseudo[tag] for tag in config.scenarios for m in BRIDGE_METHODS}
+    return tables + list(harness._bridge_tables(fits, merged).values())
 
 
 @pytest.mark.parametrize("optimizer", ["value-max", "q-learning"])

@@ -5,8 +5,11 @@ A benchmark that times layers by wrapping these attributes (``perfbench``
 does) reads a layer as zero when a refactor stops calling through one, so
 the counts are pinned here, counted by wrappers installed the same way: per
 grid repetition, 1 ``estimators.solve_bridges``, 4 ``bridges.invert2or4``,
-13 ``harness._DENSITY_FN`` entries and 2 ``identify.observed_conditional``;
-per ``estimate --method pmr`` request, 1 ``estimators.solve_bridges``."""
+13 ``harness._DENSITY_FN`` entries and 2 ``identify.observed_conditional``
+at one fold (the fitted law and the Oracle's), 3 with folds (the stack of
+fold laws, SRA's whole-sample law and the Oracle's), for value maximization
+at 5 folds (grid-crossfit's repetition) and Q-learning at 3 alike; per
+``estimate --method pmr`` request, 1 ``estimators.solve_bridges``."""
 
 import functools
 import io
@@ -37,7 +40,8 @@ def counts(monkeypatch) -> Counter:
     return counts
 
 
-def test_a_grid_repetition_calls_each_site_as_often_as_pinned(monkeypatch, counts):
+def _per_repetition(monkeypatch, counts, config) -> list[Counter]:
+    """Each repetition's site counts over a run of ``config``, which must score every cell."""
     per_rep = []
     run_rep = harness._run_rep
 
@@ -49,9 +53,20 @@ def test_a_grid_repetition_calls_each_site_as_often_as_pinned(monkeypatch, count
             per_rep.append(counts - before)
 
     monkeypatch.setattr(harness, "_run_rep", counted_rep)
-    report = harness.run_experiment(harness.ExperimentConfig(reps=3))
+    report = harness.run_experiment(config)
     assert all(cell.failures == 0 for cell in report.cells)
+    return per_rep
+
+
+def test_a_grid_repetition_calls_each_site_as_often_as_pinned(monkeypatch, counts):
+    per_rep = _per_repetition(monkeypatch, counts, harness.ExperimentConfig(reps=3))
     assert per_rep == [Counter(solve_bridges=1, invert2or4=4, _DENSITY_FN=13, observed_conditional=2)] * 3
+
+
+@pytest.mark.parametrize("folds, optimizer", [(5, "value-max"), (3, "q-learning")])
+def test_a_cross_fitted_repetition_calls_each_site_as_often_as_pinned(monkeypatch, counts, folds, optimizer):
+    per_rep = _per_repetition(monkeypatch, counts, harness.ExperimentConfig(reps=3, folds=folds, optimizer=optimizer))
+    assert per_rep == [Counter(solve_bridges=1, invert2or4=4, _DENSITY_FN=13, observed_conditional=3)] * 3
 
 
 def test_an_estimate_request_solves_once(tmp_path, counts):

@@ -14,7 +14,7 @@ import pytest
 
 from proxidtr import dgp, identify
 from proxidtr.bridges import DEFAULT_PSEUDO_SEED, pseudo_bridges, solve_bridges
-from proxidtr.estimators import _CELLS, _summands, count_pmf, empirical_pmf, influence
+from proxidtr.estimators import _summands, count_pmf, empirical_pmf, influence
 from proxidtr.harness import SCENARIO_PSEUDO
 from proxidtr.policy import Regime
 from proxidtr.tables import JointPmf, TableError
@@ -50,7 +50,7 @@ def _method_values(pseudo, index):
 
 
 def _centred(method, b, regime, mass):
-    summand = _summands(method, _CELLS, b, regime)
+    summand = _summands(method, b, regime)
     return summand - mass @ summand
 
 

@@ -93,12 +93,13 @@ def test_sets_with_different_arrays_get_their_own_densities(repetition):
 def test_stacked_fold_average_equals_each_densitys_average(repetition):
     config, fits, pseudo = repetition
     pieces, p_y0, solved = fits
-    densities = [harness._bridge_density(fits, pseudo[tag], m) for tag in config.scenarios for m in BRIDGE_METHODS]
-    averaged = harness._fold_average(densities, p_y0)
-    assert len(averaged) == len(densities)
-    for g, (g_bar, p_bar) in zip(densities, averaged):
+    merged = {(m, tag): pseudo[tag] for tag in config.scenarios for m in BRIDGE_METHODS}
+    averaged = harness._bridge_tables(fits, merged)
+    assert list(averaged) == list(merged)
+    for (method, tag), (g_bar, p_bar) in averaged.items():
+        g = identify.density_from_pieces(method, pieces, solved.merged(pseudo[tag])).g
         if config.folds == 1:
-            assert g_bar is g and p_bar is p_y0
+            assert g_bar.tobytes() == g.tobytes() and p_bar is p_y0
             continue
         # one density's fold average, fold by fold in fold order
         expected_p = sum(p_y0) / len(p_y0)

@@ -71,7 +71,7 @@ def test_linear_members_carry_reproducing_thetas(linear_class):
         assert abs(np.linalg.norm(r.theta1) - 1.0) < 1e-9
         assert abs(np.linalg.norm(r.theta2) - 1.0) < 1e-9
         for y0 in (0, 1):
-            assert int(r.theta1[0] + r.theta1[1] * y0 > 0) == r.d1_of(y0)
+            assert int(r.theta1[0] + r.theta1[1] * y0 > 0) == r.d1[y0]
         for y0, y1, a1 in D2_CELLS:
             score = r.theta2[0] + r.theta2[1] * y0 + r.theta2[2] * y1 + r.theta2[3] * a1
             assert int(score > 0) == r.d2_of(y0, y1, a1)
@@ -185,6 +185,20 @@ def test_regime_json_round_trip(linear_class):
     assert Regime.from_json(bare.to_json()) == bare
 
 
+@pytest.mark.parametrize("key, d1, d2", [
+    ("d1", "[true, 1.0]", "[false, 0, 0, 0, 1, 1, 1, 1]"),
+    ("d1", "[1, false]", "[0, 0, 0, 0, 1, 1, 1, 1]"),
+    ("d1", "[1.0, 0]", "[0, 0, 0, 0, 1, 1, 1, 1]"),
+    ("d2", "[1, 0]", "[0, 0, 0, 0, 1, 1, 1, true]"),
+    ("d2", "[1, 0]", "[0, 0.0, 0, 0, 1, 1, 1, 1]"),
+])
+def test_regime_json_refuses_bits_that_are_not_integers(key, d1, d2):
+    """true and 1.0 equal 1 in Python, so only their JSON type tells them from a bit."""
+    bits = {"d1": d1, "d2": d2}[key]
+    with pytest.raises(ValueError, match=re.escape(f"{key} bits must be the JSON integers 0 or 1, got {bits}")):
+        Regime.from_json('{"d1": %s, "d2": %s}' % (d1, d2))
+
+
 @pytest.mark.parametrize("extra", [{"theta_1": [1.0, 0.0]}, {"d3": [0, 1], "D1": [1, 0]}])
 def test_regime_json_refuses_unknown_keys(linear_class, extra):
     """A misspelled key (a certificate that would never be checked) is named, not ignored."""
@@ -213,7 +227,7 @@ def test_subset_monotonicity(linear_class, boolean_class):
 
     def fn(r):
         return sum(
-            table[y0, y1, r.d1_of(y0), r.d2_of(y0, y1, r.d1_of(y0))]
+            table[y0, y1, r.d1[y0], r.d2_of(y0, y1, r.d1[y0])]
             for y0 in (0, 1)
             for y1 in (0, 1)
         )
@@ -289,7 +303,7 @@ def test_density_cells_are_each_boolean_indexs_four_value_cells(boolean_class):
     assert DENSITY_CELLS.shape == (4, BOOLEAN_SIZE)
     assert not DENSITY_CELLS.flags.writeable
     for regime in boolean_class.members:
-        cells = [np.ravel_multi_index((regime.d1_of(y0), regime.d2_of(y0, y1, regime.d1_of(y0)), 1, y1, y0), (2,) * 5)
+        cells = [np.ravel_multi_index((regime.d1[y0], regime.d2_of(y0, y1, regime.d1[y0]), 1, y1, y0), (2,) * 5)
                  for y0 in (0, 1) for y1 in (0, 1)]
         assert DENSITY_CELLS[:, regime.index].tolist() == cells
 

@@ -17,7 +17,7 @@ import pytest
 
 from proxidtr import dgp
 from proxidtr.bridges import _SHAPES, BridgeSet, pseudo_bridges
-from proxidtr.estimators import _CELLS, FitOptions, _summands, count_pmf, fit_bridges, fold_fits
+from proxidtr.estimators import FitOptions, _summands, count_pmf, fit_bridges, fold_fits
 from proxidtr.identify import BRIDGES_NEEDED, METHODS, density_from_conditional, observed_conditional
 
 SETS = ("fitted", "all-pseudo", "h21+q22-pseudo", "5-fold")
@@ -59,7 +59,7 @@ def test_summand_is_pmr_with_unread_components_zero(bridge_sets, linear_class, m
     _, b = bridge_sets[name]
     zeroed = _zeroed(b, method)
     for regime in linear_class.members[::29]:
-        assert np.array_equal(_summands(method, _CELLS, b, regime), _summands("PMR", _CELLS, zeroed, regime))
+        assert np.array_equal(_summands(method, b, regime), _summands("PMR", zeroed, regime))
 
 
 @pytest.mark.parametrize("name", SETS)

@@ -9,7 +9,13 @@ metric the summary prints each side's median and quartiles, the change's wins
 out of the pairs (ties count for neither side) and whether a gain may be
 claimed: the change wins at least nine tenths of the pairs, and its median is
 better than the parent's by more than the parent's interquartile range.
-The direction of each metric (``better``) is read from the parent's
+Each end-to-end metric with a ``bound`` also gets a no-regression verdict,
+printed beside the parent's spread (interquartile range over median): with
+the allowance bound x the parent's median, ``worse`` when the change's
+median is worse than the parent's by more than the allowance, else
+``unresolved`` when the parent's interquartile range exceeds the allowance
+and not every change run beats every parent run, else ``ok``. The direction
+(``better``) and the bound of each metric are read from the parent's
 ``BENCHMARK.json``. A run that reads ``correct: false``, or fails, stops the
 comparison: no summary is printed. Standard library only.
 
@@ -62,9 +68,26 @@ def quartiles(values: list[float]) -> tuple[float, float, float]:
     return q1, q2, q3
 
 
-def summarize(pairs: list[tuple[dict, dict]], better: dict[str, str]) -> list[dict]:
+def verdict(parent: list[float], change: list[float], sign: float, bound: float) -> str:
+    """The no-regression verdict of one metric, "worse", "unresolved" or
+    "ok"; ``sign`` is +1 when higher is better and -1 when lower is."""
+    p_q, c_q = quartiles(parent), quartiles(change)
+    allowance = bound * abs(p_q[1])
+    if sign * (c_q[1] - p_q[1]) < -allowance:
+        return "worse"
+    beats_every_run = min(change) > max(parent) if sign > 0 else max(change) < min(parent)
+    if p_q[2] - p_q[0] > allowance and not beats_every_run:
+        return "unresolved"
+    return "ok"
+
+
+def summarize(pairs: list[tuple[dict, dict]], better: dict[str, str],
+              bounds: dict[str, float] | None = None) -> list[dict]:
     """One row per metric read on every run, from (parent, change) pairs;
-    ``better`` maps a metric's base name to "higher" or "lower"."""
+    ``better`` maps a metric's base name to "higher" or "lower", and
+    ``bounds`` an end-to-end metric's base name to its regression bound, a
+    fraction of the parent's median."""
+    bounds = bounds or {}
     rows = []
     for name in pairs[0][0]:
         if not all(name in parent and name in change for parent, change in pairs):
@@ -76,8 +99,10 @@ def summarize(pairs: list[tuple[dict, dict]], better: dict[str, str]) -> list[di
         p_q, c_q = quartiles(parent), quartiles(change)
         iqr = p_q[2] - p_q[0]
         gain = sign * (c_q[1] - p_q[1])
+        bound = bounds.get(name.split()[0])
         rows.append({"metric": name, "parent": p_q, "change": c_q, "wins": wins, "pairs": len(pairs),
-                     "parent_iqr": iqr, "claim": 10 * wins >= 9 * len(pairs) and gain > iqr})
+                     "parent_iqr": iqr, "claim": 10 * wins >= 9 * len(pairs) and gain > iqr, "bound": bound,
+                     "verdict": None if bound is None else verdict(parent, change, sign, bound)})
     return rows
 
 
@@ -89,6 +114,18 @@ def format_rows(rows: list[dict]) -> str:
     for r in rows:
         out.append(f"| {r['metric']} | {q(r['parent'])} | {q(r['change'])} | {r['wins']} of {r['pairs']} | "
                    f"{'yes' if r['claim'] else 'no'} |")
+    return "\n".join(out)
+
+
+def format_verdicts(rows: list[dict]) -> str:
+    """The no-regression verdict of each row with a bound, beside the parent's spread."""
+    out = ["| metric | parent spread (iqr / median) | bound | change median vs parent | verdict |",
+           "|---|---|---|---|---|"]
+    for r in rows:
+        if r["verdict"] is not None:
+            median = r["parent"][1]
+            out.append(f"| {r['metric']} | {r['parent_iqr'] / abs(median):.1%} | {r['bound']:.0%} | "
+                       f"{r['change'][1] / median - 1:+.1%} | {r['verdict']} |")
     return "\n".join(out)
 
 
@@ -113,6 +150,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     spec = json.loads((args.parent / "BENCHMARK.json").read_text())
     better = {m["name"]: m["better"] for m in spec["end_to_end"] + spec.get("per_layer", [])}
+    bounds = {m["name"]: m["bound"] for m in spec["end_to_end"] if "bound" in m}
     pairs = []
     try:
         for i in range(args.pairs):
@@ -124,7 +162,10 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: {err}; no summary", file=sys.stderr)
         return 1
     print(f"{args.workload}, seed {args.seed}, {args.pairs} pairs of {args.seconds:g} s runs, trace {args.trace}")
-    print(format_rows(summarize(pairs, better)))
+    rows = summarize(pairs, better, bounds)
+    print(format_rows(rows))
+    print()
+    print(format_verdicts(rows))
     return 0
 
 
