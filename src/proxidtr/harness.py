@@ -69,12 +69,15 @@ or block it names), so the repetitions that failed the same way group
 together.
 
 ``PROXIDTR_THREADS`` caps worker processes; the default is serial. Serially,
-one helper thread scoped to the loop of ``_rep_results`` draws repetition
-r + 1's sample through ``dgp.sample`` while repetition r is fitted and
-scored, and ``_run_rep`` waits for its sample inside itself; a pool worker
-samples inline. A sample depends only on its seed, so determinism is
-unchanged: the report is the same byte for byte serially and on the pool.
-The thread is joined before ``run_experiment`` returns or raises.
+one helper process scoped to the loop of ``_rep_results`` draws repetition
+r + 1's sample (``_draw``, through ``dgp.sample``) while repetition r is
+fitted and scored, and ``_run_rep`` waits for its cell codes inside itself.
+The helper has its own interpreter lock, so the draw runs beside the main
+process's work at its solo speed. With one repetition, or one CPU to run on,
+nothing can overlap and the sample is drawn inline; a pool worker samples
+inline too. A sample depends only on its seed, so determinism is unchanged:
+the report is the same byte for byte serially, inline and on the pool. The
+helper is joined before ``run_experiment`` returns or raises.
 
 The report's columns are stated once, in one column table (``_COLUMNS``):
 the labels and counts, then each metric's CSV prefix with the statistics
@@ -96,7 +99,7 @@ import json
 import numbers
 import os
 from collections import Counter
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, fields
 from functools import cache, partial
 
@@ -350,13 +353,14 @@ def _run_rep(config: ExperimentConfig, truth: _Truth, rep: int, pseudo: dict[str
     """All (scenario, method) results for one repetition; errors per cell.
 
     ``pseudo`` holds each scenario's pseudo bridges (``_scenario_pseudo``).
-    ``drawn`` is the future of the repetition's sample when a helper thread
-    draws it (``_rep_results``), waited for here; without it the sample is
-    drawn here. Each distinct (method, replaced components) density is keyed
-    once, computed once (the bridge densities through one piece table and
-    one fold average) and scored once.
+    ``drawn`` is the future of the repetition's cell codes when the helper
+    process draws them (``_rep_results``), waited for and wrapped here;
+    without it the sample is drawn here. Each distinct (method, replaced
+    components) density is keyed once, computed once (the bridge densities
+    through one piece table and one fold average) and scored once.
     """
-    data = sample(truth.params, config.n, config.base_seed + rep) if drawn is None else drawn.result()
+    seed = config.base_seed + rep
+    data = sample(truth.params, config.n, seed) if drawn is None else dgp.Dataset(drawn.result(), seed)
     density_of = {(tag, method): (method, tuple(c for c in identify.BRIDGES_NEEDED.get(method, ())
                                                  if c in SCENARIO_PSEUDO[tag]))
                   for tag in config.scenarios for method in config.methods}
@@ -400,21 +404,43 @@ def worker_count() -> int:
         return 1
 
 
+def _draw(regime_class: str, n: int, seed: int) -> np.ndarray:
+    """A repetition's sample as its cell codes, drawn in the helper process.
+
+    Codes cross the process boundary, never a pickled ``Dataset``, whose
+    read-only lock does not survive unpickling; ``_run_rep`` wraps them.
+    """
+    return dgp.sample(_truth(regime_class).params, n, seed).cell_code
+
+
+def _cpus() -> int:
+    """The CPUs this process may run on (all of them where affinity is unknown)."""
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+
+
 def _rep_results(config: ExperimentConfig, truth: _Truth, workers: int):
     """Each repetition's per-cell results, one at a time, in index order.
 
-    Serially, one helper thread draws the next repetition's sample while
-    this one runs; it calls ``dgp.sample``, and the thread is joined when
-    the loop ends, raises or is closed.
+    Serially, one helper process draws the next repetition's sample while
+    this one runs, unless nothing can overlap (one repetition, or one CPU),
+    when each sample is drawn inline. The helper calls ``dgp.sample`` and is
+    joined when the loop ends, raises or is closed. Under the default
+    ``fork`` start method (Linux before Python 3.14) it is forked before the
+    executor starts its own threads and inherits the imports and ``_truth``'s
+    cache; under ``forkserver`` (Python 3.14) or ``spawn`` it would import
+    the package and build the truth (the regime class and the true values)
+    before its first draw: the first sample arrived after 0.26-0.39 s, against
+    33-37 ms forked (2-vCPU Xeon, Python 3.11).
     """
     pseudo = _scenario_pseudo(config)
     if workers > 1 and config.reps > 1:
         with ProcessPoolExecutor(max_workers=min(workers, config.reps)) as pool:
             yield from pool.map(_worker, [(config, r, pseudo) for r in range(config.reps)])
     else:
-        with ThreadPoolExecutor(max_workers=1) as helper:
+        overlap = config.reps > 1 and _cpus() > 1
+        with ProcessPoolExecutor(max_workers=1) if overlap else contextlib.nullcontext() as helper:
             def draw(rep):
-                return helper.submit(dgp.sample, truth.params, config.n, config.base_seed + rep) if rep < config.reps else None
+                return helper.submit(_draw, config.regime_class, config.n, config.base_seed + rep) if helper and rep < config.reps else None
 
             pending = draw(0)
             for rep in range(config.reps):

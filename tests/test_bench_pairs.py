@@ -1,7 +1,8 @@
 """The summary arithmetic of ``tools/bench_pairs.py`` on canned perfbench
 output: medians and quartiles, wins out of the pairs, the nine-tenths and
-interquartile-range rule, the direction of each metric, and the refusal of a
-run that reads ``correct: false``."""
+interquartile-range rule, the direction of each metric, the wall rate read
+from the ``<ops> <operations> in <wall> s`` line, and the refusal of a run
+that reads ``correct: false``."""
 
 import importlib.util
 import json
@@ -17,13 +18,15 @@ spec.loader.exec_module(bench_pairs)
 BETTER = {"reps_per_s": "higher", "request_ms_p50": "lower"}
 
 
-def _output(reps: float, p50: float, correct: bool = True, unscaled_reps: float | None = None) -> str:
-    """The tail of one perfbench run: the unscaled line, a metric line and the JSON result."""
+def _output(reps: float, p50: float, correct: bool = True, unscaled_reps: float | None = None,
+            wall: str | None = None) -> str:
+    """The tail of one perfbench run: the wall line when given, the unscaled
+    line, a metric line and the JSON result."""
     unscaled = reps if unscaled_reps is None else unscaled_reps
     result = {"correct": correct, "attempted": 100, "failed": 0 if correct else 3,
               "metrics": {"reps_per_s": {"value": reps, "unit": "1/s"},
                           "request_ms_p50": {"value": p50, "unit": "ms"}}}
-    return "\n".join([
+    return "\n".join(([] if wall is None else [wall]) + [
         "fail_frac = 0 (0 of 100 requests failed)",
         f"as measured, unscaled: setup_s 0.2 s, reps_per_s {unscaled} 1/s, request_ms_p50 {p50 * 1.1} ms, "
         "request_ms_p90 4.5 ms",
@@ -40,6 +43,33 @@ def test_parse_reads_scaled_and_unscaled_metrics():
     run = bench_pairs.parse_run(_output(400.0, 2.5, unscaled_reps=380.0))
     assert run == {"reps_per_s": 400.0, "request_ms_p50": 2.5, "setup_s unscaled": 0.2,
                    "reps_per_s unscaled": 380.0, "request_ms_p50 unscaled": 2.75, "request_ms_p90 unscaled": 4.5}
+
+
+@pytest.mark.parametrize("line, rate", [
+    ("4210 repetitions in 20.000 s; latency samples: 4210, 421 beyond p90; set-up probes: 9", 210.5),
+    ("9000 requests in 25.125 s; latency samples: 9000, 900 beyond p90; set-up probes: 9", 9000 / 25.125),
+])
+def test_parse_reads_the_wall_rate(line, rate):
+    run = bench_pairs.parse_run(_output(400.0, 2.5, wall=line))
+    assert run[bench_pairs.WALL_RATE] == pytest.approx(rate)
+    assert run["reps_per_s"] == 400.0
+
+
+def test_the_wall_rate_is_summarized_higher_is_better_without_a_verdict():
+    def run(ops):
+        return bench_pairs.parse_run(_output(400.0, 2.5, wall=f"{ops} repetitions in 10.000 s; latency samples: 1"))
+
+    pairs = [(run(2000 + i), run(2100 + i)) for i in range(10)]
+    better = {**BETTER, bench_pairs.WALL_RATE: "higher"}
+    rows = {r["metric"]: r for r in bench_pairs.summarize(pairs, better, {"reps_per_s": 0.25})}
+    wall = rows[bench_pairs.WALL_RATE]
+    assert wall["parent"][1] == pytest.approx(200.45) and wall["change"][1] == pytest.approx(210.45)
+    assert (wall["wins"], wall["claim"], wall["verdict"]) == (10, True, None)
+    assert bench_pairs.WALL_RATE not in bench_pairs.format_verdicts(list(rows.values()))
+
+
+def test_a_run_without_a_wall_line_has_no_wall_rate():
+    assert bench_pairs.WALL_RATE not in bench_pairs.parse_run(_output(400.0, 2.5))
 
 
 @pytest.mark.parametrize("text", [_output(400.0, 2.5, correct=False), "no result line", ""])

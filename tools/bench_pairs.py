@@ -4,9 +4,12 @@ compare them, pair by pair.
 Pair i runs the parent first when i is even and the change first when it is
 odd; both runs of a pair use the same workload, seed, run length and trace
 setting. Each run's last output line (the JSON result) gives the scaled
-metrics, and its ``as measured, unscaled:`` line the unscaled ones. For each
-metric the summary prints each side's median and quartiles, the change's wins
-out of the pairs (ties count for neither side) and whether a gain may be
+metrics, its ``as measured, unscaled:`` line the unscaled ones, and its
+``<ops> <operations> in <wall> s;`` line the wall rate, operations per second
+of the whole timed pass (``wall_ops_per_s``, higher is better), which shows
+work moved outside the timed operations; it gets no verdict. For each metric
+the summary prints each side's median and quartiles, the change's wins out
+of the pairs (ties count for neither side) and whether a gain may be
 claimed: the change wins at least nine tenths of the pairs, and its median is
 better than the parent's by more than the parent's interquartile range.
 Each end-to-end metric with a ``bound`` also gets a no-regression verdict,
@@ -29,12 +32,15 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import statistics
 import subprocess
 import sys
 from pathlib import Path
 
 UNSCALED_PREFIX = "as measured, unscaled:"
+WALL_LINE = re.compile(r"(\d+) \S+ in ([0-9.]+) s;")
+WALL_RATE = "wall_ops_per_s"
 
 
 class RunFailed(RuntimeError):
@@ -42,8 +48,8 @@ class RunFailed(RuntimeError):
 
 
 def parse_run(stdout: str) -> dict[str, float]:
-    """Metric -> value of one run: the scaled metrics of its JSON line, and
-    each unscaled one as ``<name> unscaled``."""
+    """Metric -> value of one run: the scaled metrics of its JSON line, each
+    unscaled one as ``<name> unscaled``, and the wall rate as ``WALL_RATE``."""
     lines = stdout.strip().splitlines()
     try:
         result = json.loads(lines[-1])
@@ -57,6 +63,9 @@ def parse_run(stdout: str) -> dict[str, float]:
             for item in line[len(UNSCALED_PREFIX):].split(","):
                 name, value = item.split()[:2]
                 values[f"{name} unscaled"] = float(value)
+        wall = WALL_LINE.match(line)
+        if wall:
+            values[WALL_RATE] = int(wall[1]) / float(wall[2])
     return values
 
 
@@ -150,6 +159,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     spec = json.loads((args.parent / "BENCHMARK.json").read_text())
     better = {m["name"]: m["better"] for m in spec["end_to_end"] + spec.get("per_layer", [])}
+    better[WALL_RATE] = "higher"
     bounds = {m["name"]: m["bound"] for m in spec["end_to_end"] if "bound" in m}
     pairs = []
     try:
