@@ -35,7 +35,11 @@ ceil(t * 2^53), every step being exact in binary64; so the sampler compares
 words with these integer bounds, and the stream and the rows of a seed stay
 bit for bit those of the per-row sampler. The prefix code the sampler
 builds, the row's values in SAMPLING_ORDER read as bits, becomes the
-canonical cell code through one fixed 2^11-entry table.
+canonical cell code through one fixed 2^11-entry table. Philox is
+counter-based, so any block of a sample's rows is drawn alone, bit for bit
+(``sample_rows``): variable k's word for row i is stream word k*n + i, and
+one generator skips from each variable's block of words to the next.
+``sample`` is the block of all n rows.
 
 A ``Dataset`` holds its rows only as canonical cell codes: each row's
 CANONICAL_ORDER values read as bits, Y0 the most significant. Its 2^11 cell
@@ -422,27 +426,50 @@ _SAMPLING_TO_CANONICAL = _locked(_bit_weights(SAMPLING_ORDER) @ np.indices((2,) 
 
 
 def sample(params: DgpParams, n: int, seed: int) -> Dataset:
-    """Ancestral sampling with the counter-based Philox generator.
+    """Ancestral sampling with the counter-based Philox generator: the
+    ``Dataset`` of all n rows of ``sample_rows``."""
+    return Dataset(sample_rows(params, n, seed, 0, n), seed)
+
+
+def sample_rows(params: DgpParams, n: int, seed: int, start: int, stop: int) -> np.ndarray:
+    """The int16 cell codes of rows [start, stop) of ``sample(params, n, seed)``,
+    drawn alone, bit for bit.
 
     Each variable reads n raw words, the ones ``Generator.random(n)`` would
     turn into uniforms, and draws 1 where a word's top 53 bits fall below the
     integer bound of its prefix table read at the row's earlier values
     (``DgpParams.sampling_tables``, ``_word_bounds``): bit for bit the rows of
-    the per-row sampler. The finished prefix code gives the cell codes.
+    the per-row sampler. Variable k's word for row i is stream word k*n + i,
+    so one generator skips from each variable's block to the next: it reads
+    the rest of its current 4-word counter block, then advances whole blocks
+    and reads the words left. The finished prefix code gives the cell codes.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
     if not 0 <= seed < 2 ** 64:
         raise ValueError(f"seed must be in [0, 2**64), got {seed}")
+    if not 0 <= start <= stop <= n:
+        raise ValueError(f"rows [start, stop) must satisfy 0 <= start <= stop <= n = {n}, got [{start}, {stop})")
+    code = np.zeros(stop - start, dtype=np.intp)
+    if not code.size:
+        return _SAMPLING_TO_CANONICAL[code]  # an empty block draws no words
     bitgen = np.random.Philox(key=np.uint64(seed))
-    code = np.zeros(n, dtype=np.intp)
-    for bounds in params._sampling_bounds:
-        words = bitgen.random_raw(n)
+    read = 0  # stream words read so far
+    for k, bounds in enumerate(params._sampling_bounds):
+        gap = k * n + start - read
+        if gap:  # skip to variable k's word for row start
+            rest = min(gap, -read % 4)  # no further than the end of the current block
+            bitgen.random_raw(rest)
+            if gap > rest:
+                bitgen.advance((gap - rest) // 4)
+                bitgen.random_raw((gap - rest) % 4)
+        words = bitgen.random_raw(stop - start)
         words >>= 11  # the 53 bits a uniform keeps
         bit = words < bounds[code]
         code <<= 1
         code |= bit
-    return Dataset(_SAMPLING_TO_CANONICAL[code], seed)
+        read = k * n + stop
+    return _SAMPLING_TO_CANONICAL[code]
 
 
 def oracle_density_from_joint(pmf: JointPmf) -> IdentifiedDensity:

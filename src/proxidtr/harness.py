@@ -69,15 +69,22 @@ or block it names), so the repetitions that failed the same way group
 together.
 
 ``PROXIDTR_THREADS`` caps worker processes; the default is serial. Serially,
-one helper process scoped to the loop of ``_rep_results`` draws repetition
-r + 1's sample (``_draw``, through ``dgp.sample``) while repetition r is
-fitted and scored, and ``_run_rep`` waits for its cell codes inside itself.
-The helper has its own interpreter lock, so the draw runs beside the main
-process's work at its solo speed. With one repetition, or one CPU to run on,
-nothing can overlap and the sample is drawn inline; a pool worker samples
-inline too. A sample depends only on its seed, so determinism is unchanged:
-the report is the same byte for byte serially, inline and on the pool. The
-helper is joined before ``run_experiment`` returns or raises.
+one helper process scoped to the loop of ``_rep_results`` draws the first
+rows [0, split) of repetition r + 1's sample (``_draw``, through
+``dgp.sample_rows``) while repetition r is fitted and scored; inside
+``_run_rep`` the main process draws the rest, [split, n), waits for the
+helper's rows and joins them. The helper has its own interpreter lock, so
+its draw runs beside the main process's work at its solo speed. After each
+repetition ``_balance`` moves the split toward the point where neither side
+waits for the other, from the measured wait and slack: with one fold the
+main process's own work is shorter than a whole draw and it draws about a
+fifth of the rows; with five folds it is about as long and the helper draws
+nearly all of them. With one repetition, or one CPU to run on, nothing can overlap and the
+sample is drawn inline; a pool worker samples inline too. A block of rows is
+drawn alone bit for bit and a sample depends only on its seed, so the split
+moves no bit: the report is the same byte for byte at any split, inline and
+on the pool. The helper is joined before ``run_experiment`` returns or
+raises.
 
 The report's columns are stated once, in one column table (``_COLUMNS``):
 the labels and counts, then each metric's CSV prefix with the statistics
@@ -98,6 +105,7 @@ import io
 import json
 import numbers
 import os
+import time
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, fields
@@ -353,14 +361,15 @@ def _run_rep(config: ExperimentConfig, truth: _Truth, rep: int, pseudo: dict[str
     """All (scenario, method) results for one repetition; errors per cell.
 
     ``pseudo`` holds each scenario's pseudo bridges (``_scenario_pseudo``).
-    ``drawn`` is the future of the repetition's cell codes when the helper
-    process draws them (``_rep_results``), waited for and wrapped here;
-    without it the sample is drawn here. Each distinct (method, replaced
-    components) density is keyed once, computed once (the bridge densities
-    through one piece table and one fold average) and scored once.
+    ``drawn``, when the helper process draws the sample's first rows
+    (``_rep_results``), is called here: it draws the rest, waits for the
+    helper's rows and returns the joined ``Dataset``. Without it the sample
+    is drawn here. Each distinct (method, replaced components) density is
+    keyed once, computed once (the bridge densities through one piece table
+    and one fold average) and scored once.
     """
     seed = config.base_seed + rep
-    data = sample(truth.params, config.n, seed) if drawn is None else dgp.Dataset(drawn.result(), seed)
+    data = sample(truth.params, config.n, seed) if drawn is None else drawn()
     density_of = {(tag, method): (method, tuple(c for c in identify.BRIDGES_NEEDED.get(method, ())
                                                  if c in SCENARIO_PSEUDO[tag]))
                   for tag in config.scenarios for method in config.methods}
@@ -404,13 +413,40 @@ def worker_count() -> int:
         return 1
 
 
-def _draw(regime_class: str, n: int, seed: int) -> np.ndarray:
-    """A repetition's sample as its cell codes, drawn in the helper process.
+def _draw(regime_class: str, n: int, seed: int, stop: int) -> tuple[np.ndarray, float, float]:
+    """Rows [0, stop) of a repetition's sample as cell codes, drawn in the
+    helper process, with its ``time.perf_counter()`` readings at the draw's
+    start and end (the system-wide monotonic clock, which forked processes
+    share).
 
     Codes cross the process boundary, never a pickled ``Dataset``, whose
-    read-only lock does not survive unpickling; ``_run_rep`` wraps them.
+    read-only lock does not survive unpickling; the main process joins them
+    to its own rows [stop, n).
     """
-    return dgp.sample(_truth(regime_class).params, n, seed).cell_code
+    began = time.perf_counter()
+    return dgp.sample_rows(_truth(regime_class).params, n, seed, 0, stop), began, time.perf_counter()
+
+
+def _balance(split: float, n: int, waited: float, slack: float, head: tuple[int, float],
+             tail: tuple[int, float]) -> float:
+    """The helper's next share of a sample's rows: ``split`` moved by a
+    quarter of the rows that would have balanced this repetition, clipped
+    to [0, n].
+
+    ``waited`` is how long the main process blocked on the helper's rows,
+    ``slack`` how long they sat finished before it asked; ``head`` and
+    ``tail`` are the (rows, seconds) each side drew. A row moved from the
+    helper to the main process shortens the wait by about two rows' cost,
+    read from the side that drew more rows, so that it is known at either
+    end of [0, n]. A repetition's timings reach the helper one repetition
+    late (see ``_rep_results``), and with that lag a quarter step settles
+    fastest without overshoot (the loop's two poles meet at 0.5). A half
+    step oscillates and follows each repetition's timing noise further: on
+    the one-fold grid it gave 7-10% fewer repetitions per second, losing 29
+    of 30 and 16 of 20 alternating in-process runs (2-vCPU Xeon).
+    """
+    rows, seconds = max(head, tail)
+    return min(max(split - 0.25 * (waited - slack) / (2 * seconds / rows), 0.0), float(n))
 
 
 def _cpus() -> int:
@@ -421,9 +457,16 @@ def _cpus() -> int:
 def _rep_results(config: ExperimentConfig, truth: _Truth, workers: int):
     """Each repetition's per-cell results, one at a time, in index order.
 
-    Serially, one helper process draws the next repetition's sample while
-    this one runs, unless nothing can overlap (one repetition, or one CPU),
-    when each sample is drawn inline. The helper calls ``dgp.sample`` and is
+    Serially, one helper process draws the first ``split`` rows of the next
+    repetition's sample while this one runs, and ``drawn()``, called inside
+    ``_run_rep``, draws the rest, then waits for the helper's rows; both
+    sides draw through ``dgp.sample_rows``, never ``sample``, which the
+    benchmark's layer hook wraps. ``split`` starts at n (the helper draws
+    every row), and after each repetition but the first, whose helper rows
+    had nothing to overlap, ``_balance`` moves it by that repetition's wait
+    and slack. Repetition r's timings first reach repetition r + 2, as r + 1
+    was handed to the helper before r ran. When nothing can overlap (one
+    repetition, or one CPU) each sample is drawn inline. The helper is
     joined when the loop ends, raises or is closed. Under the default
     ``fork`` start method (Linux before Python 3.14) it is forked before the
     executor starts its own threads and inherits the imports and ``_truth``'s
@@ -439,8 +482,26 @@ def _rep_results(config: ExperimentConfig, truth: _Truth, workers: int):
     else:
         overlap = config.reps > 1 and _cpus() > 1
         with ProcessPoolExecutor(max_workers=1) if overlap else contextlib.nullcontext() as helper:
+            n, split = config.n, float(config.n)  # the helper draws rows [0, split) of each sample
+
             def draw(rep):
-                return helper.submit(_draw, config.regime_class, config.n, config.base_seed + rep) if helper and rep < config.reps else None
+                if not helper or rep == config.reps:
+                    return None
+                seed, stop = config.base_seed + rep, round(split)
+                head = helper.submit(_draw, config.regime_class, n, seed, stop)
+
+                def drawn():
+                    nonlocal split
+                    began = time.perf_counter()
+                    tail = dgp.sample_rows(truth.params, n, seed, stop, n)
+                    asked = time.perf_counter()
+                    codes, head_began, head_done = head.result()
+                    waited = time.perf_counter() - asked
+                    if rep:  # repetition 0's head had nothing to overlap
+                        split = _balance(split, n, waited, max(asked - head_done, 0.0),
+                                         (stop, head_done - head_began), (n - stop, asked - began))
+                    return dgp.Dataset(np.concatenate((codes, tail)), seed)
+                return drawn
 
             pending = draw(0)
             for rep in range(config.reps):

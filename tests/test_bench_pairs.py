@@ -2,7 +2,8 @@
 output: medians and quartiles, wins out of the pairs, the nine-tenths and
 interquartile-range rule, the direction of each metric, the wall rate read
 from the ``<ops> <operations> in <wall> s`` line, and the refusal of a run
-that reads ``correct: false``."""
+that reads ``correct: false``; and, on canned runs, the ``--out`` record of
+every run, the pair order, the environment lines and the verdicts."""
 
 import importlib.util
 import json
@@ -148,3 +149,74 @@ def test_only_metrics_with_a_bound_get_a_verdict():
     assert verdicts["reps_per_s"] == verdicts["reps_per_s unscaled"] == "ok"
     assert verdicts["request_ms_p50"] is None
     assert len(bench_pairs.format_verdicts(rows).splitlines()) == 4  # header, rule, two rows
+
+
+def _canned(side: str, i: int) -> str:
+    """Run i of one side: the change 10 reps/s faster, with an environment line."""
+    reps = 400.0 + i + (10.0 if side == "change" else 0.0)
+    environment = {"workload": "grid-vmax", "seed": 1, "python": "3.11.7", "revision": side}
+    return "\n".join(["environment " + json.dumps(environment),
+                      f"{2000 + i} repetitions in 10.000 s; latency samples: {2000 + i}",
+                      _output(reps, 2.5)])
+
+
+def _with_canned_runs(monkeypatch, tmp_path, fail_at: int | None = None):
+    """(parent, change) checkouts whose runs are canned: ``_run`` returns run
+    i of each side in call order, and raises at call ``fail_at``."""
+    parent, change = tmp_path / "parent", tmp_path / "change"
+    parent.mkdir(), change.mkdir()
+    (parent / "BENCHMARK.json").write_text(json.dumps({"end_to_end": [
+        {"name": "reps_per_s", "better": "higher", "bound": 0.25},
+        {"name": "request_ms_p50", "better": "lower", "bound": 0.25}]}))
+    calls = {"parent": 0, "change": 0}
+
+    def run(checkout, args):
+        side = checkout.name
+        if fail_at is not None and sum(calls.values()) == fail_at:
+            raise bench_pairs.RunFailed(f"{checkout}: perfbench exited 1")
+        calls[side] += 1
+        return _canned(side, calls[side] - 1)
+
+    monkeypatch.setattr(bench_pairs, "_run", run)
+    return parent, change
+
+
+def test_environment_is_read_from_its_line():
+    assert bench_pairs.environment_of(_canned("parent", 0))["revision"] == "parent"
+    assert bench_pairs.environment_of(_output(400.0, 2.5)) is None
+
+
+def test_out_records_every_run_the_pair_order_and_the_verdicts(monkeypatch, tmp_path, capsys):
+    parent, change = _with_canned_runs(monkeypatch, tmp_path)
+    out = tmp_path / "BENCH_label.json"
+    argv = [str(parent), str(change), "--workload", "grid-vmax", "--pairs", "4", "--out", str(out)]
+    assert bench_pairs.main(argv) == 0
+    (comparison,) = json.loads(out.read_text())["comparisons"]
+    assert {k: comparison[k] for k in ("workload", "seed", "pairs", "seconds", "trace")} == {
+        "workload": "grid-vmax", "seed": 1, "pairs": 4, "seconds": 25.0, "trace": 0}
+    runs = comparison["runs"]
+    assert [run["order"] for run in runs] == [["parent", "change"], ["change", "parent"]] * 2
+    for i, run in enumerate(runs):
+        for side in ("parent", "change"):
+            assert run[side]["metrics"] == bench_pairs.parse_run(_canned(side, i))
+            assert run[side]["environment"]["revision"] == side
+        assert run["change"]["metrics"]["reps_per_s unscaled"] == run["parent"]["metrics"]["reps_per_s"] + 10.0
+        assert run["parent"]["metrics"][bench_pairs.WALL_RATE] == pytest.approx(200.0 + i / 10)
+    rows = {row["metric"]: row for row in comparison["summary"]}
+    assert (rows["reps_per_s"]["wins"], rows["reps_per_s"]["claim"], rows["reps_per_s"]["verdict"]) == (4, True, "ok")
+    assert rows["reps_per_s"]["parent"] == [400.75, 401.5, 402.25]
+    assert rows[bench_pairs.WALL_RATE]["verdict"] is None
+    assert "| reps_per_s | 401.5 [400.8, 402.2] | 411.5 [410.8, 412.2] | 4 of 4 | yes |" in capsys.readouterr().out
+
+    # a second comparison, say the hold-out seed, is added to the same file
+    assert bench_pairs.main(argv[:-2] + ["--seed", "2", "--pairs", "2", "--out", str(out)]) == 0
+    assert [(c["seed"], c["pairs"]) for c in json.loads(out.read_text())["comparisons"]] == [(1, 4), (2, 2)]
+
+
+def test_a_failed_run_writes_no_record(monkeypatch, tmp_path, capsys):
+    parent, change = _with_canned_runs(monkeypatch, tmp_path, fail_at=3)
+    out = tmp_path / "BENCH_label.json"
+    assert bench_pairs.main([str(parent), str(change), "--workload", "grid-vmax", "--pairs", "4",
+                             "--out", str(out)]) == 1
+    assert "no summary" in capsys.readouterr().err
+    assert not out.exists()

@@ -1,15 +1,18 @@
-"""The serial grid's look-ahead: one helper process draws the next
-repetition's sample while the current one runs (``harness._rep_results``).
+"""The serial grid's look-ahead: one helper process draws the first rows
+of the next repetition's sample while the current one runs, and the main
+process draws the rest when that repetition starts (``harness._rep_results``);
+``harness._balance`` moves the split toward balance.
 
-The look-ahead changes where and when a sample is drawn, never what is
-drawn, so every repetition's results equal those of ``_run_rep`` sampling
-inline, and a report is byte-identical with the helper, with inline draws
-(one repetition or one CPU) and on the process pool, whose workers sample
-inline. No look-ahead draw runs in the parent process. The helper lives
-inside ``run_experiment`` only, also when a repetition fails, the results
-are abandoned or the helper dies, and a wrapper on ``harness.sample`` (the
-benchmark's layer hook) is never called for its draws. ``fold_counts`` is
-checked here against a per-row reference.
+The look-ahead changes where and when rows are drawn, never what is drawn,
+so every repetition's results equal those of ``_run_rep`` sampling inline,
+and a report is byte-identical at any split, with inline draws (one
+repetition or one CPU) and on the process pool, whose workers sample inline.
+The parent process draws only tails, rows [split, n). The helper lives
+inside ``run_experiment`` only, also when a head or a tail draw fails, the
+results are abandoned or the helper dies, and a wrapper on
+``harness.sample`` (the benchmark's layer hook) is never called for the
+look-ahead's draws. ``fold_counts`` is checked here against a per-row
+reference.
 """
 
 import multiprocessing
@@ -23,10 +26,11 @@ from proxidtr import dgp, estimators, harness
 from proxidtr.cli import main
 from proxidtr.harness import ExperimentConfig, emit_tables, run_experiment
 
+# enough repetitions that the last two are drawn at a split the controller chose
 CONFIGS = {
-    "default": ExperimentConfig(reps=3),
+    "default": ExperimentConfig(reps=5),
     # cross-fitted, with failed and scored cells mixed
-    "n6000-folds3": ExperimentConfig(n=6000, reps=4, folds=3),
+    "n6000-folds3": ExperimentConfig(n=6000, reps=5, folds=3),
 }
 
 
@@ -42,19 +46,35 @@ def _report_text(config: ExperimentConfig) -> str:
     return "".join(emit_tables(report)) + report.to_json()
 
 
-def _parent_draws(monkeypatch) -> list[int]:
-    """The seed of each ``dgp.sample`` call made in this process, in call
-    order; the helper's calls append to its own copy of the list."""
-    seeds = []
-    original = dgp.sample
+def _parent_draws(monkeypatch) -> list[tuple[int, int, int]]:
+    """(seed, start, stop) of each ``dgp.sample_rows`` call made in this
+    process, in call order; the helper's calls append to its own copy of
+    the list. An inline draw is (seed, 0, n), a tail (seed, split, n)."""
+    calls = []
+    original = dgp.sample_rows
 
-    def recorded(params, n, seed):
-        seeds.append(seed)
-        return original(params, n, seed)
+    def recorded(params, n, seed, start, stop):
+        calls.append((seed, start, stop))
+        return original(params, n, seed, start, stop)
 
-    monkeypatch.setattr(dgp, "sample", recorded)
-    monkeypatch.setattr(harness, "sample", recorded)
-    return seeds
+    monkeypatch.setattr(dgp, "sample_rows", recorded)
+    return calls
+
+
+def _inline(config: ExperimentConfig) -> list[tuple[int, int, int]]:
+    return [(config.base_seed + rep, 0, config.n) for rep in range(config.reps)]
+
+
+def _forced_split(monkeypatch, split: int):
+    """The controller pinned at ``split``. Repetitions 0 to 2 still split at
+    n: repetition r + 1 is handed to the helper before repetition r is
+    measured, and repetition 0's measurement is not used."""
+    monkeypatch.setattr(harness, "_balance", lambda *args: float(split))
+
+
+def _tails(config: ExperimentConfig, split: int) -> list[tuple[int, int, int]]:
+    """The parent's draws at a forced split, the first three at n."""
+    return [(config.base_seed + rep, config.n if rep < 3 else split, config.n) for rep in range(config.reps)]
 
 
 def _no_helper(monkeypatch):
@@ -66,17 +86,17 @@ def _no_helper(monkeypatch):
 
 
 def _dies_in_a_child(monkeypatch, seed: int):
-    """``dgp.sample`` (and ``harness.sample``) ending its process abruptly
-    when it draws ``seed`` outside this process."""
-    parent, original = os.getpid(), dgp.sample
+    """``dgp.sample_rows``, which the helper's heads and a pool worker's
+    samples draw through, ending its process abruptly when it draws
+    ``seed`` outside this process."""
+    parent, original = os.getpid(), dgp.sample_rows
 
-    def dying(params, n, drawn_seed):
+    def dying(params, n, drawn_seed, start, stop):
         if drawn_seed == seed and os.getpid() != parent:
             os._exit(9)
-        return original(params, n, drawn_seed)
+        return original(params, n, drawn_seed, start, stop)
 
-    monkeypatch.setattr(dgp, "sample", dying)
-    monkeypatch.setattr(harness, "sample", dying)
+    monkeypatch.setattr(dgp, "sample_rows", dying)
 
 
 def _same_results(a: dict, b: dict) -> bool:
@@ -91,13 +111,32 @@ def _same_results(a: dict, b: dict) -> bool:
 def test_look_ahead_results_equal_inline_draws(case, monkeypatch):
     config = CONFIGS[case]
     truth = harness._truth_context(config)
-    seeds = _parent_draws(monkeypatch)
+    split = config.n // 3
+    _forced_split(monkeypatch, split)
+    draws = _parent_draws(monkeypatch)
     ahead = list(harness._rep_results(config, truth, 1))
-    assert seeds == []  # every sample drawn by the helper process
+    assert draws == _tails(config, split)  # rows [0, split) drawn by the helper process
+    del draws[:]
     pseudo = harness._scenario_pseudo(config)
     inline = [harness._run_rep(config, truth, rep, pseudo) for rep in range(config.reps)]
-    assert seeds == [config.base_seed + rep for rep in range(config.reps)]
+    assert draws == _inline(config)
     assert all(_same_results(a, b) for a, b in zip(ahead, inline, strict=True))
+
+
+@pytest.mark.parametrize("case", sorted(CONFIGS))
+@pytest.mark.parametrize("at", ["0", "1", "n//3", "n-1", "n"])
+def test_reports_are_the_same_at_any_split(case, at, monkeypatch):
+    config = CONFIGS[case]
+    n = config.n
+    split = {"0": 0, "1": 1, "n//3": n // 3, "n-1": n - 1, "n": n}[at]
+    with monkeypatch.context() as inline:
+        inline.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        _no_helper(inline)
+        text = _report_text(config)
+    _forced_split(monkeypatch, split)
+    draws = _parent_draws(monkeypatch)
+    assert _report_text(config) == text
+    assert draws == _tails(config, split)
 
 
 @pytest.mark.parametrize("case", sorted(CONFIGS))
@@ -114,17 +153,17 @@ def test_one_cpu_draws_inline_with_the_same_report(case, monkeypatch):
     text = _report_text(config)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
     _no_helper(monkeypatch)
-    seeds = _parent_draws(monkeypatch)
+    draws = _parent_draws(monkeypatch)
     assert _report_text(config) == text
-    assert seeds == [config.base_seed + rep for rep in range(config.reps)]
+    assert draws == _inline(config)
 
 
 def test_one_repetition_draws_inline(monkeypatch):
     config = ExperimentConfig(reps=1)
     _no_helper(monkeypatch)
-    seeds = _parent_draws(monkeypatch)
+    draws = _parent_draws(monkeypatch)
     run_experiment(config)
-    assert seeds == [config.base_seed]
+    assert draws == _inline(config)
 
 
 def test_without_affinity_the_cpu_count_decides(monkeypatch):
@@ -157,23 +196,25 @@ def test_abandoned_results_leave_no_thread():
 
 
 def test_a_failing_draw_reaches_the_caller_and_leaves_no_thread(monkeypatch):
-    """The error a draw raises on repetition 2 reaches the caller with its
-    type and message."""
+    """The error repetition 3's head (drawn in the helper) or tail (drawn in
+    this process), both holding half the rows, raises reaches the caller
+    with its type and message."""
     config = ExperimentConfig(methods=("PMR", "SRA"), n=4000, reps=5, base_seed=77)
-    original = dgp.sample
+    parent, original = os.getpid(), dgp.sample_rows
+    _forced_split(monkeypatch, config.n // 2)
+    for side, rows in (("head", "0-2000"), ("tail", "2000-4000")):
+        def failing(params, n, seed, start, stop):
+            if seed == config.base_seed + 3 and (os.getpid() != parent) == (side == "head"):
+                raise ValueError(f"no {start}-{stop} rows for seed {seed}")
+            return original(params, n, seed, start, stop)
 
-    def failing(params, n, seed):
-        if seed == config.base_seed + 2:
-            raise ValueError(f"no sample for seed {seed}")
-        return original(params, n, seed)
-
-    monkeypatch.setattr(dgp, "sample", failing)
-    before = threading.active_count()
-    with pytest.raises(ValueError) as info:
-        run_experiment(config)
-    assert type(info.value) is ValueError and str(info.value) == f"no sample for seed {config.base_seed + 2}"
-    assert threading.active_count() == before
-    assert multiprocessing.active_children() == []
+        monkeypatch.setattr(dgp, "sample_rows", failing)
+        before = threading.active_count()
+        with pytest.raises(ValueError) as info:
+            run_experiment(config)
+        assert type(info.value) is ValueError and str(info.value) == f"no {rows} rows for seed {config.base_seed + 3}"
+        assert threading.active_count() == before
+        assert multiprocessing.active_children() == []
 
 
 @pytest.mark.parametrize("workers", ["1", "2"], ids=["helper", "pool"])
@@ -193,11 +234,12 @@ def test_a_dead_process_leaves_nothing_running_and_exits_one_with_one_line(worke
 
 
 def test_a_wrapper_on_harness_sample_is_never_called_from_the_helper(monkeypatch):
-    """As the benchmark's layer hook wraps it: the helper process calls
-    ``dgp.sample``, so the serial grid never calls the wrapper (a call in
-    the helper would end it and break the run), and inline draws call it in
-    this process."""
+    """As the benchmark's layer hook wraps it: the helper process and the
+    main process draw their blocks through ``dgp.sample_rows``, so the
+    serial grid never calls the wrapper (a call in the helper would end it
+    and break the run), and inline draws call it in this process."""
     config = CONFIGS["default"]
+    _forced_split(monkeypatch, config.n // 2)
     seeds = []
     parent, original = os.getpid(), harness.sample
 
@@ -212,6 +254,51 @@ def test_a_wrapper_on_harness_sample_is_never_called_from_the_helper(monkeypatch
     assert seeds == []
     harness._run_rep(config, harness._truth_context(config), 0, harness._scenario_pseudo(config))
     assert seeds == [config.base_seed]
+
+
+N = 35000
+ROW_S = 1.4e-7  # seconds to draw one row, on either side
+
+
+def test_the_controller_moves_rows_to_the_main_process_while_it_waits():
+    step = 0.25 * 1e-3 / (2 * ROW_S)  # a quarter of the rows that would have balanced a 1 ms wait
+    head, tail = (30000, 30000 * ROW_S), (5000, 5000 * ROW_S)
+    assert harness._balance(30000.0, N, 1e-3, 0.0, head, tail) == pytest.approx(30000 - step)
+    # and back to the helper while the helper idles
+    assert harness._balance(30000.0, N, 0.0, 1e-3, head, tail) == pytest.approx(30000 + step)
+    assert harness._balance(30000.0, N, 1e-3, 1e-3, head, tail) == 30000.0
+
+
+def test_the_split_never_leaves_the_rows_nor_stalls_at_an_end():
+    head, tail = (30000, 30000 * ROW_S), (5000, 5000 * ROW_S)
+    assert harness._balance(30000.0, N, 1.0, 0.0, head, tail) == 0.0
+    assert harness._balance(30000.0, N, 0.0, 1.0, head, tail) == float(N)
+    # at an end one side drew no rows, in whatever time its call took; the row cost is the other side's
+    step = 0.25 * 1e-3 / (2 * ROW_S)
+    assert harness._balance(0.0, N, 0.0, 1e-3, (0, 5e-5), (N, N * ROW_S)) == pytest.approx(step)
+    assert harness._balance(float(N), N, 1e-3, 0.0, (N, N * ROW_S), (0, 5e-5)) == pytest.approx(N - step)
+
+
+def _settle(work_s: float, first: float, reps: int = 60) -> list[float]:
+    """Each repetition's split under ``_balance`` when each side draws a row
+    in ROW_S and the main process also works ``work_s`` per repetition. As in
+    the loop, repetition r + 2 is the first drawn at the split repetition r's
+    timings give, and repetitions 0 to 2 split at ``first``."""
+    splits = [first] * 3
+    for rep in range(1, reps):
+        stop = round(splits[rep])
+        helper, main = stop * ROW_S, work_s + (N - stop) * ROW_S
+        splits.append(harness._balance(splits[-1], N, max(helper - main, 0.0), max(main - helper, 0.0),
+                                       (stop, helper), (N - stop, (N - stop) * ROW_S)))
+    return splits
+
+
+@pytest.mark.parametrize("first", [0.0, N / 2, float(N)])
+def test_the_split_settles_where_both_sides_take_as_long(first):
+    # the main process's own work takes half a whole draw (one fold): it draws a quarter of the rows
+    assert all(abs(split - 0.75 * N) < 10 for split in _settle(0.5 * N * ROW_S, first)[-10:])
+    # it takes longer than a whole draw (five folds): the helper draws every row
+    assert _settle(1.1 * N * ROW_S, first)[-10:] == [float(N)] * 10
 
 
 @pytest.mark.parametrize("n, folds, seed", [(5, 5, 1), (7, 3, 2), (7, 2, 3), (9, 4, 4), (6000, 3, 9),

@@ -20,10 +20,15 @@ median is worse than the parent's by more than the allowance, else
 and not every change run beats every parent run, else ``ok``. The direction
 (``better``) and the bound of each metric are read from the parent's
 ``BENCHMARK.json``. A run that reads ``correct: false``, or fails, stops the
-comparison: no summary is printed. Standard library only.
+comparison: no summary is printed. With ``--out BENCH_<label>.json`` the
+comparison is also added to that file's list of comparisons (``add_record``):
+the settings, each pair's order and each run's metrics, scaled, unscaled
+and the wall rate, with the run's ``environment`` line, then every summary
+row with its verdict; one file so holds a change's workloads and seeds.
+Standard library only.
 
     python tools/bench_pairs.py PARENT_DIR CHANGE_DIR --workload estimate-cli \\
-        [--seed 1] [--pairs 10] [--seconds 25] [--trace 0]
+        [--seed 1] [--pairs 10] [--seconds 25] [--trace 0] [--out BENCH_label.json]
 
 Quartiles are ``statistics.quantiles(values, n=4, method="inclusive")``.
 """
@@ -39,6 +44,7 @@ import sys
 from pathlib import Path
 
 UNSCALED_PREFIX = "as measured, unscaled:"
+ENVIRONMENT_PREFIX = "environment "
 WALL_LINE = re.compile(r"(\d+) \S+ in ([0-9.]+) s;")
 WALL_RATE = "wall_ops_per_s"
 
@@ -67,6 +73,14 @@ def parse_run(stdout: str) -> dict[str, float]:
         if wall:
             values[WALL_RATE] = int(wall[1]) / float(wall[2])
     return values
+
+
+def environment_of(stdout: str) -> dict | None:
+    """The JSON object of a run's ``environment`` line, or None without one."""
+    for line in stdout.splitlines():
+        if line.startswith(ENVIRONMENT_PREFIX):
+            return json.loads(line[len(ENVIRONMENT_PREFIX):])
+    return None
 
 
 def quartiles(values: list[float]) -> tuple[float, float, float]:
@@ -138,13 +152,25 @@ def format_verdicts(rows: list[dict]) -> str:
     return "\n".join(out)
 
 
-def _run(checkout: Path, args) -> dict[str, float]:
+def add_record(path: Path, args, runs: list[dict], rows: list[dict]) -> None:
+    """Add this comparison to the comparisons of the file at ``path``, made
+    when missing: the settings, each pair's order and each run's metrics and
+    environment (``runs``: one {"order", "parent", "change"} per pair, each
+    side {"metrics", "environment"}), and the summary rows."""
+    comparisons = json.loads(path.read_text())["comparisons"] if path.exists() else []
+    comparisons.append({"workload": args.workload, "seed": args.seed, "pairs": args.pairs, "seconds": args.seconds,
+                        "trace": args.trace, "runs": runs, "summary": rows})
+    path.write_text(json.dumps({"comparisons": comparisons}, indent=1) + "\n")
+
+
+def _run(checkout: Path, args) -> str:
+    """The standard output of one perfbench run in ``checkout``."""
     cmd = [sys.executable, "perfbench/run.py", "--workload", args.workload, "--seed", str(args.seed),
            "--seconds", str(args.seconds), "--trace", str(args.trace)]
     done = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True)
     if done.returncode != 0:
         raise RunFailed(f"{checkout}: perfbench exited {done.returncode}: {done.stderr.strip()[-500:]}")
-    return parse_run(done.stdout)
+    return done.stdout
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -156,17 +182,21 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--seconds", type=float, default=25.0)
     parser.add_argument("--trace", type=int, default=0)
+    parser.add_argument("--out", type=Path, help="also add the comparison to this JSON file")
     args = parser.parse_args(argv)
     spec = json.loads((args.parent / "BENCHMARK.json").read_text())
     better = {m["name"]: m["better"] for m in spec["end_to_end"] + spec.get("per_layer", [])}
     better[WALL_RATE] = "higher"
     bounds = {m["name"]: m["bound"] for m in spec["end_to_end"] if "bound" in m}
-    pairs = []
+    pairs, runs = [], []
     try:
         for i in range(args.pairs):
             order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
-            run = {side: _run(getattr(args, side), args) for side in order}
+            stdout = {side: _run(getattr(args, side), args) for side in order}
+            run = {side: parse_run(text) for side, text in stdout.items()}
             pairs.append((run["parent"], run["change"]))
+            runs.append({"order": list(order), **{side: {"metrics": run[side], "environment": environment_of(text)}
+                                                  for side, text in stdout.items()}})
             print(f"pair {i + 1} ({order[0]} first): " + json.dumps(run), flush=True)
     except RunFailed as err:
         print(f"error: {err}; no summary", file=sys.stderr)
@@ -176,6 +206,8 @@ def main(argv: list[str] | None = None) -> int:
     print(format_rows(rows))
     print()
     print(format_verdicts(rows))
+    if args.out:
+        add_record(args.out, args, runs, rows)
     return 0
 
 
