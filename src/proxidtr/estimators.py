@@ -44,8 +44,10 @@ harness: with one fold it returns the whole sample's counts and
 ``fit_bridges``' law and bridges, each built once; with K, ``fold_counts``
 gathers the cell codes in fold order once and counts each fold's strided
 slice, and the K off-fold laws (the total counts minus each fold's own) are
-solved as one stack, its tables led by a fold axis that the summands index
-through. The K fold laws are left to the harness, which reads them. Fitting
+solved as one stack (``fit_off_fold``, which the harness also calls on the
+off-fold counts of a block of repetitions), its tables led by a fold axis
+that the summands index through. The K fold laws are left to the harness,
+which reads them. Fitting
 never substitutes pseudo bridges; the harness merges each scenario's into
 the fitted set.
 
@@ -213,12 +215,19 @@ def fold_fits(data: Dataset, opts: FitOptions) -> tuple[np.ndarray, BridgeSet, J
         law, solved = fit_bridges(data, opts)
         return _cell_counts(data), solved, law
     own, off_fold = fold_counts(data, opts.folds)
+    return own, fit_off_fold(off_fold, opts), None
+
+
+def fit_off_fold(off_fold: np.ndarray, opts: FitOptions) -> BridgeSet:
+    """The bridges fitted on off-fold counts (..., folds, 512), solved as one
+    stack, their tables led by the same axes. A failed stacked fit is redone
+    fold by fold (the second-to-last axis) to name the first failing fold."""
     try:
-        return own, fit_counts(off_fold, opts)[1], None
+        return fit_counts(off_fold, opts)[1]
     except (SingularMatrixError, ZeroProbabilityError):
-        for fold, counts in enumerate(off_fold):
+        for fold in range(off_fold.shape[-2]):
             try:
-                fit_counts(counts, opts)
+                fit_counts(off_fold[..., fold, :], opts)
             except (SingularMatrixError, ZeroProbabilityError) as err:
                 err.args = (f"off-fold fit failed for fold {fold}: {err}",)
                 raise

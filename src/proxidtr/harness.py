@@ -1,37 +1,58 @@
 """Monte Carlo experiment orchestration: scenarios x methods x repetitions.
 
-One repetition samples a dataset, counts its cells once (the dataset's
-2^11 count tensor feeds every table), and fits the bridges once through
-``estimators.fold_fits``, whatever the fold count; the scoring law is the
-law of the counts it returns, which it builds once. Cross-fitting stacks the
-K folds: one bincount, one solve of the K off-fold laws and one conditioning
-of the K fold laws, every array led by a fold axis. Each scoring law (the
-fitted one, SRA's and the Oracle's) is conditioned on Y0 once; with one fold
-SRA is handed the fitted law's conditional. Each scenario swaps its pseudo
-components into the fit, broadcast over the folds.
-A repetition is one pass. A bridge method's density depends on the scenario
-only through the components of ``identify.BRIDGES_NEEDED[method]`` it
-replaces, and a baseline's not at all, so ``_run_rep`` keys each distinct
-density once, as (method, replaced components). ``_bridge_tables``
-identifies every distinct bridge density (all folds at once) through one
-``identify.PieceTable`` of the scoring law, so each distinct product of the
-identification formula is computed once per repetition, and averages their
-fold tables with P(y0) weights as one stack; both give the bits of
-identifying and averaging each density alone. Each density is still
-identified through its own ``_DENSITY_FN`` call. Only the fit, a baseline's
-table and the scoring can fail; identifying a density after a successful fit
-cannot.
-A repetition's distinct densities are scored as one stack through one
-function for both optimizers (``_class_scores``), which picks one Boolean
-index per density. Value maximization gathers every searched class
-member's value under every density in one array gather,
-``dgp.class_values``, and each density picks its first maximum
-(``first_maximizer``); Q-learning picks the greedy Boolean index from the
-stacked Q tables (``q_learning_index``). One more ``class_values`` call
-then reads each density's value of its own pick. A stack that fails to
-score (a zero Q denominator) is rescored density by density, as stacks of
-one, so the failure is charged to its own density only. Each
-(scenario, method) cell's regime is scored two ways:
+A repetition's sample is counted once and then dropped: its 2^11 cell
+counts, its 2^9 observed counts and, with folds, each fold's own observed
+counts (``_counts``) feed every table. Repetitions are computed in stacks by
+one pass (``_Pass``), every array led by a repetition axis, in four layers:
+
+  fit        the bridges of every repetition in one ``solve_bridges`` of the
+             (R, 512) counts, or of the off-fold counts (R, K, 512) with K
+             folds (``fit_off_fold``), and the law each fit scores (the
+             whole sample's, or each fold's own) conditioned on Y0 once
+  identify   one ``identify.PieceTable`` of those laws, and the first half
+             of the distinct bridge densities read off it
+  identify   the other half; with folds, each repetition's fold tables of
+             every density averaged in fold order with P(y0) weights, as one
+             stack
+  score      SRA (with one fold, from the fitted law's conditional) and the
+             Oracle, then each repetition's densities scored as one stack
+
+Stacking moves no bit: a repetition's results are those of a pass over a
+stack of one. A bridge method's density depends on the scenario only
+through the components of ``identify.BRIDGES_NEEDED[method]`` it replaces,
+and a baseline's not at all, so each distinct density is keyed once, as
+(method, replaced components), identified through ``_DENSITY_FN`` once and
+scored once. Each scenario swaps its pseudo components into the fit,
+broadcast over the repetitions and folds. Only the fit, a baseline's table
+and the scoring can fail; identifying a density after a successful fit
+cannot. In a stack of one a failure is its repetition's reason; in a larger
+stack a fit or baseline that fails splits the block into stacks of one,
+which rerun the layers run so far, so that only the failing repetitions are
+charged, with the reasons they get alone.
+
+The serial grid is a pipeline that lags one block (``_Blocks``). A block is
+``BLOCK`` repetitions, one per layer. ``_run_rep(config, truth, rep, ...)``
+is called once per repetition, in index order: each call draws and counts
+its own repetition's sample, then runs one layer of the previous block's
+pass, so call 4b + j runs layer j of block b - 1, and the last call also
+finishes the final block. Each call thus does its own draw and count plus at
+most one layer, and no fit, identification or scoring runs outside the
+calls: a timer around each call (the benchmark's) charges a repetition its
+own draw and a share of a block's pass, never a whole block, and leaves no
+work out. A pool worker, and the serial grid when nothing can overlap (one
+repetition, or one CPU), run each repetition alone, as a stack of one, in
+its own call.
+
+A repetition's densities are scored as one stack through one function for
+both optimizers (``_class_scores``), which picks one Boolean index per
+density. Value maximization gathers every searched class member's value
+under every density in one array gather, ``dgp.class_values``, and each
+density picks its first maximum (``first_maximizer``); Q-learning picks the
+greedy Boolean index from the stacked Q tables (``q_learning_index``). One
+more ``class_values`` call then reads each density's value of its own pick.
+A stack that fails to score (a zero Q denominator) is rescored density by
+density, as stacks of one, so the failure is charged to its own density
+only. Each (scenario, method) cell's regime is scored two ways:
 
   regret         V(d*) - V(d_hat), both under the true law, where d* is the
                  optimum of the class searched (the Boolean-class optimum
@@ -70,21 +91,19 @@ together.
 
 ``PROXIDTR_THREADS`` caps worker processes; the default is serial. Serially,
 one helper process scoped to the loop of ``_rep_results`` draws the first
-rows [0, split) of repetition r + 1's sample (``_draw``, through
-``dgp.sample_rows``) while repetition r is fitted and scored; inside
-``_run_rep`` the main process draws the rest, [split, n), waits for the
-helper's rows and joins them. The helper has its own interpreter lock, so
-its draw runs beside the main process's work at its solo speed. After each
-repetition ``_balance`` moves the split toward the point where neither side
-waits for the other, from the measured wait and slack: with one fold the
-main process's own work is shorter than a whole draw and it draws about a
-fifth of the rows; with five folds it is about as long and the helper draws
-nearly all of them. With one repetition, or one CPU to run on, nothing can overlap and the
-sample is drawn inline; a pool worker samples inline too. A block of rows is
-drawn alone bit for bit and a sample depends only on its seed, so the split
-moves no bit: the report is the same byte for byte at any split, inline and
-on the pool. The helper is joined before ``run_experiment`` returns or
-raises.
+rows [0, split) of the samples two repetitions ahead (``_draw``, through
+``dgp.sample_rows``); inside each ``_run_rep`` call the main process draws
+the rest, [split, n), waits for the helper's rows and joins them. The helper
+has its own interpreter lock, so its draw runs beside the main process's
+work at its solo speed, and two heads in hand keep it drawing through a
+call with a long layer. From the second block on, ``_balance`` moves the
+split toward the point where neither side waits for the other, from the
+measured wait and slack. With one repetition, or one CPU to run on, nothing
+can overlap and the sample is drawn inline; a pool worker samples inline
+too. A block of rows is drawn alone bit for bit and a sample depends only on
+its seed, so the split moves no bit: the report is the same byte for byte at
+any split, inline and on the pool. The helper is joined before
+``run_experiment`` returns or raises.
 
 The report's columns are stated once, in one column table (``_COLUMNS``):
 the labels and counts, then each metric's CSV prefix with the statistics
@@ -106,7 +125,7 @@ import json
 import numbers
 import os
 import time
-from collections import Counter
+from collections import Counter, deque
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, fields
 from functools import cache, partial
@@ -115,13 +134,14 @@ import numpy as np
 
 from . import dgp, identify
 from .bridges import DEFAULT_PSEUDO_SEED, BridgeSet, pseudo_bridges, solve_bridges, verify_bridges
-from .dgp import DgpParams, class_values, oracle_density_from_joint, sample, true_joint, true_values
+from .dgp import CANONICAL_ORDER, DgpParams, class_values, oracle_density_from_joint, sample, true_joint, true_values
 from .estimators import (
     ALL_METHODS,
     FitOptions,
     count_pmf,
-    empirical_pmf,
-    fold_fits,
+    fit_counts,
+    fit_off_fold,
+    fold_counts,
     sra_from_conditional,
 )
 from .identify import q_functions
@@ -287,41 +307,58 @@ def _scenario_pseudo(config: ExperimentConfig) -> dict[str, BridgeSet]:
             for tag in config.scenarios}
 
 
-def _bridge_fits(data, config: ExperimentConfig) -> tuple[identify.PieceTable, np.ndarray, BridgeSet]:
-    """(piece table, p_y0, solved bridges), shared by every scenario, where
-    the piece table and p_y0 are those of the law of the counts ``fold_fits``
-    scores, conditioned on Y0 once: the whole sample's (the law ``fold_fits``
-    built) with one fold, each fold's own (built here) with more, every array
-    then led by the fold axis.
+def _bridge_fits(observed: np.ndarray, own: np.ndarray | None,
+                 config: ExperimentConfig) -> tuple[identify.PieceTable, np.ndarray, BridgeSet]:
+    """(piece table, p_y0, solved bridges) of a stack of repetitions, shared
+    by every scenario, from their observed counts (R, 512) and, with folds,
+    each fold's own counts (R, K, 512). The piece table and p_y0 are those
+    of the law each fit scores, conditioned on Y0 once: the whole sample's
+    (the law ``fit_counts`` built) with one fold, each fold's own with more,
+    every array then led by the repetition and fold axes; with folds the
+    bridges are fitted on the off-fold counts (``fit_off_fold``).
     """
-    counts, solved, law = fold_fits(data, FitOptions(folds=config.folds, laplace=config.laplace))
-    cond, p_y0 = identify.observed_conditional(count_pmf(counts, config.laplace) if law is None else law)
+    opts = FitOptions(folds=config.folds, laplace=config.laplace)
+    if own is None:
+        law, solved = fit_counts(observed, opts)
+    else:
+        solved = fit_off_fold(observed[:, None] - own, opts)
+        law = count_pmf(own, config.laplace)
+    cond, p_y0 = identify.observed_conditional(law)
     return identify.PieceTable(cond), p_y0, solved
 
 
-def _bridge_tables(fits, merged: dict[tuple, BridgeSet]) -> dict[tuple, tuple[np.ndarray, np.ndarray]]:
-    """(g, p_y0) of each distinct bridge density, keyed (method, replaced
-    components), with its scenario's pseudo bridges (``merged``) swapped into
-    the fit: each identified for every fold at once through the repetition's
-    piece table, then, with folds, the fold tables of all densities averaged
-    in fold order with P(y0) weights as one stack."""
-    pieces, p_y0, solved = fits
-    densities = [_DENSITY_FN[method](pieces, solved.merged(b)).g for (method, _), b in merged.items()]
-    if p_y0.ndim == 1:
-        return {key: (g, p_y0) for key, g in zip(merged, densities)}
-    p_bar = sum(p_y0) / len(p_y0)
-    g_bar = sum(np.stack(densities, axis=1) * p_y0[:, None, None, None, None, None, :]) / len(p_y0)
-    return {key: (g, p_bar) for key, g in zip(merged, g_bar / p_bar[None, None, None, None, :])}
+def _bridge_densities(fits, merged: dict[tuple, BridgeSet]) -> list[np.ndarray]:
+    """Each bridge density of ``merged`` (key -> its scenario's pseudo
+    bridges, swapped into the fit), identified through the stack's piece
+    table for every repetition and fold at once."""
+    pieces, _, solved = fits
+    return [_DENSITY_FN[method](pieces, solved.merged(b)).g for (method, _), b in merged.items()]
 
 
-def _baseline_table(data, config: ExperimentConfig, method: str, whole=None) -> tuple[np.ndarray, np.ndarray]:
-    """(g, p_y0) of SRA (observed columns) or the Oracle (with hidden columns),
+def _fold_average(densities: list[np.ndarray], p_y0: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(g, p_y0) of a stack of repetitions' densities, g (R, D, 2, 2, 2, 2, 2)
+    and p_y0 (R, 2): with folds, every density's fold tables averaged in
+    fold order with P(y0) weights, as one stack; both give the bits of
+    averaging each density alone."""
+    g = np.stack(densities, axis=-6)
+    if p_y0.ndim == 2:
+        return g, p_y0
+    folds = p_y0.shape[1]
+    p_bar = sum(np.moveaxis(p_y0, 1, 0)) / folds
+    g_bar = sum(np.moveaxis(g * p_y0[:, :, None, None, None, None, None, :], 1, 0)) / folds
+    return g_bar / p_bar[:, None, None, None, None, None, :], p_bar
+
+
+def _baseline_table(cells: np.ndarray, observed: np.ndarray, config: ExperimentConfig, method: str,
+                    whole=None) -> tuple[np.ndarray, np.ndarray]:
+    """(g, p_y0) of SRA (from the observed counts) or the Oracle (from the
+    2^11 cell counts, hidden columns included) for a stack of repetitions,
     each law conditioned on Y0 once. SRA reads ``whole``, the whole-sample
     law's (cond, p_y0), when the one-fold fit conditioned it."""
     if method == "SRA":
-        cond, p_y0 = whole or identify.observed_conditional(empirical_pmf(data, laplace=config.laplace))
+        cond, p_y0 = whole or identify.observed_conditional(count_pmf(observed, config.laplace))
         return sra_from_conditional(cond).g, p_y0
-    pmf = empirical_pmf(data, laplace=config.laplace, include_hidden=True)
+    pmf = count_pmf(cells, config.laplace, CANONICAL_ORDER)
     return oracle_density_from_joint(pmf).g, identify.observed_conditional(pmf)[1]
 
 
@@ -357,42 +394,139 @@ def _scores(truth: _Truth, tables: dict, optimizer: str) -> dict:
     return {**tables, **dict(zip(fitted, scores))}
 
 
-def _run_rep(config: ExperimentConfig, truth: _Truth, rep: int, pseudo: dict[str, BridgeSet], drawn=None):
-    """All (scenario, method) results for one repetition; errors per cell.
+def _counts(config: ExperimentConfig, data: dgp.Dataset) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
+    """What a pass reads of a repetition's sample: its 2^11 cell counts, its
+    2^9 observed counts and, with folds, each fold's own observed counts."""
+    own = fold_counts(data, config.folds)[0] if config.folds > 1 else None
+    return data.cell_counts, data.observed_counts, own
+
+
+class _Pass:
+    """The stacked pass over the counts of a block of repetitions, run one
+    layer at a time (``LAYERS``): the fit; the identification of the first
+    half of the bridge densities; the rest of them and the fold average; SRA,
+    the Oracle and the scoring. Every array is led by a repetition axis.
+
+    Each distinct (method, replaced components) density of a repetition is
+    keyed once (``density_of``) and computed once; each repetition's
+    densities are scored as their own stack (``_scores``). In a stack of one
+    a failed fit or baseline is its repetition's failure reason
+    (``_attempt``). In a larger stack it splits the block: each repetition
+    reruns the layers run so far as a stack of one, and runs the rest so, so
+    that only the failing repetitions are charged, with their own reasons.
+    """
+
+    def __init__(self, config: ExperimentConfig, truth: _Truth, pseudo: dict[str, BridgeSet],
+                 reps: tuple[int, ...], counts: tuple[tuple, ...]):
+        self.config, self.truth, self.pseudo, self.reps = config, truth, pseudo, reps
+        self.cells, self.observed, self.own = (None if arrays[0] is None else np.stack(arrays)
+                                               for arrays in zip(*counts))
+        self.density_of = {(tag, method): (method, tuple(c for c in identify.BRIDGES_NEEDED.get(method, ())
+                                                           if c in SCENARIO_PSEUDO[tag]))
+                           for tag in config.scenarios for method in config.methods}
+        # each bridge density's pseudo bridges: the scenarios that replace its components hold the same arrays
+        self.merged = {key: pseudo[tag] for (tag, method), key in self.density_of.items() if method in BRIDGE_METHODS}
+        # per repetition: density -> (g, p_y0) or its failure reason, first seen first
+        self.tables = [dict.fromkeys(self.density_of.values()) for _ in reps]
+        self.fits = self.densities = self.whole = None
+        self.results = []  # per repetition: (scenario, method) -> scores or failure reason
+        self.done = 0  # layers run
+        self.parts = None  # the stacks of one that replaced this stack when a layer failed
+
+    def _attempt(self, step: str, fn, *args):
+        """``_attempt`` in a stack of one; in a larger stack an error propagates and splits it."""
+        return _attempt(step, fn, *args) if len(self.reps) == 1 else fn(*args)
+
+    def _fit(self):
+        if self.merged:
+            fits = self._attempt("fit", _bridge_fits, self.observed, self.own, self.config)
+            if isinstance(fits, str):
+                for tables in self.tables:
+                    tables.update(dict.fromkeys(self.merged, fits))
+            else:
+                self.fits, self.densities = fits, []
+
+    def _identify(self):
+        """The first half of the bridge densities, or at the second call the
+        rest; at the last, each repetition's fold-averaged tables, and the
+        piece table is dropped (with one fold SRA keeps the law's
+        conditional, ``whole``)."""
+        if self.fits is None:
+            return
+        keys = list(self.merged)
+        keys = keys[len(self.densities):len(keys) if self.densities else (len(keys) + 1) // 2]
+        self.densities += _bridge_densities(self.fits, {key: self.merged[key] for key in keys})
+        if len(self.densities) == len(self.merged):
+            pieces, p_y0, _ = self.fits
+            g, p_y0 = _fold_average(self.densities, p_y0)
+            for tables, g_rep, p_rep in zip(self.tables, g, p_y0):
+                tables.update({key: (g_d, p_rep) for key, g_d in zip(self.merged, g_rep)})
+            self.whole = (pieces.cond, p_y0) if self.own is None else None
+            self.fits = self.densities = None
+
+    def _score(self):
+        for method in ("SRA", "ORACLE"):
+            if method in self.config.methods:
+                table = self._attempt("fit", _baseline_table, self.cells, self.observed, self.config, method,
+                                      self.whole)
+                for i, tables in enumerate(self.tables):
+                    tables[(method, ())] = table if isinstance(table, str) else (table[0][i], table[1][i])
+        for tables in self.tables:
+            scores = _scores(self.truth, tables, self.config.optimizer)
+            self.results.append({cell: scores[key] for cell, key in self.density_of.items()})
+
+    LAYERS = (_fit, _identify, _identify, _score)
+
+    def step(self) -> None:
+        """Run the next layer, on each stack of one if this stack was split."""
+        if self.parts is None:
+            try:
+                self.LAYERS[self.done](self)
+            except TableError:
+                if len(self.reps) == 1:
+                    raise
+                self.parts = [_Pass(self.config, self.truth, self.pseudo, (rep,),
+                                    ((self.cells[i], self.observed[i], None if self.own is None else self.own[i]),))
+                              for i, rep in enumerate(self.reps)]
+                for part in self.parts:
+                    while part.done <= self.done:
+                        part.step()
+        else:
+            for part in self.parts:
+                part.step()
+        self.done += 1
+
+    def finish(self) -> list[dict]:
+        """Each repetition's per-cell results, in index order, once the layers left have run."""
+        while self.done < len(self.LAYERS):
+            self.step()
+        return self.results if self.parts is None else [r for part in self.parts for r in part.results]
+
+
+BLOCK = len(_Pass.LAYERS)  # repetitions per stacked pass: one layer of the previous block's pass per call
+
+
+def _run_rep(config: ExperimentConfig, truth: _Truth, rep: int, pseudo: dict[str, BridgeSet], blocks=None):
+    """Repetition ``rep``'s call: its sample drawn and counted, then a
+    stacked pass's work; returns the per-cell results (errors per cell) of
+    each repetition that finished, in index order.
 
     ``pseudo`` holds each scenario's pseudo bridges (``_scenario_pseudo``).
-    ``drawn``, when the helper process draws the sample's first rows
-    (``_rep_results``), is called here: it draws the rest, waits for the
-    helper's rows and returns the joined ``Dataset``. Without it the sample
-    is drawn here. Each distinct (method, replaced components) density is
-    keyed once, computed once (the bridge densities through one piece table
-    and one fold average) and scored once.
+    Without ``blocks`` the sample is drawn here and a pass over a stack of
+    one runs whole, so the list holds this repetition's results. With
+    ``blocks``, the serial grid's pipeline (``_Blocks``), the sample comes
+    through the look-ahead, and the call runs one layer of the previous
+    block's pass. The sample is dropped once counted.
     """
-    seed = config.base_seed + rep
-    data = sample(truth.params, config.n, seed) if drawn is None else drawn()
-    density_of = {(tag, method): (method, tuple(c for c in identify.BRIDGES_NEEDED.get(method, ())
-                                                 if c in SCENARIO_PSEUDO[tag]))
-                  for tag in config.scenarios for method in config.methods}
-    # each bridge density's pseudo bridges: the scenarios that replace its components hold the same arrays of them
-    merged = {key: pseudo[tag] for (tag, method), key in density_of.items() if method in BRIDGE_METHODS}
-    tables = dict.fromkeys(density_of.values())  # density -> (g, p_y0) or its failure reason, first seen first
-    whole = None
-    if merged:
-        fits = _attempt("fit", _bridge_fits, data, config)
-        if isinstance(fits, str):
-            tables.update(dict.fromkeys(merged, fits))
-        else:
-            tables.update(_bridge_tables(fits, merged))
-            whole = (fits[0].cond, fits[1]) if config.folds == 1 else None
-    tables.update({key: _attempt("fit", _baseline_table, data, config, key[0], whole)
-                   for key in tables if key not in merged})
-    scores = _scores(truth, tables, config.optimizer)
-    return {cell: scores[key] for cell, key in density_of.items()}
+    if blocks is None:
+        data = sample(truth.params, config.n, config.base_seed + rep)
+        return _Pass(config, truth, pseudo, (rep,), (_counts(config, data),)).finish()
+    return blocks.add(rep, _counts(config, blocks.draw(rep)))
 
 
 def _worker(args):
     config, rep, pseudo = args
-    return _run_rep(config, _truth_context(config), rep, pseudo)
+    return _run_rep(config, _truth_context(config), rep, pseudo)[0]
 
 
 @cache
@@ -427,26 +561,29 @@ def _draw(regime_class: str, n: int, seed: int, stop: int) -> tuple[np.ndarray, 
     return dgp.sample_rows(_truth(regime_class).params, n, seed, 0, stop), began, time.perf_counter()
 
 
+_GAIN = 4 / 27  # the share of the balancing rows ``_balance`` moves per repetition
+
+
 def _balance(split: float, n: int, waited: float, slack: float, head: tuple[int, float],
              tail: tuple[int, float]) -> float:
-    """The helper's next share of a sample's rows: ``split`` moved by a
-    quarter of the rows that would have balanced this repetition, clipped
-    to [0, n].
+    """The helper's next share of a sample's rows: ``split`` moved by 4/27
+    of the rows that would have balanced this repetition, clipped to [0, n].
 
     ``waited`` is how long the main process blocked on the helper's rows,
     ``slack`` how long they sat finished before it asked; ``head`` and
     ``tail`` are the (rows, seconds) each side drew. A row moved from the
     helper to the main process shortens the wait by about two rows' cost,
     read from the side that drew more rows, so that it is known at either
-    end of [0, n]. A repetition's timings reach the helper one repetition
-    late (see ``_rep_results``), and with that lag a quarter step settles
-    fastest without overshoot (the loop's two poles meet at 0.5). A half
-    step oscillates and follows each repetition's timing noise further: on
-    the one-fold grid it gave 7-10% fewer repetitions per second, losing 29
-    of 30 and 16 of 20 alternating in-process runs (2-vCPU Xeon).
+    end of [0, n]. A repetition's timings reach the helper two repetitions
+    late (see ``_rep_results``), so the split s obeys
+    s[m] = s[m-1] - k (s[m-3] - balance), whose poles solve
+    z^3 - z^2 + k = 0. At k = 4/27 they are a double pole at 2/3 and one at
+    -1/3, which settles fastest without overshoot; the quarter step that did
+    so at the one-deep look-ahead's lag now gives two complex poles of
+    modulus 0.77, and overshoots.
     """
     rows, seconds = max(head, tail)
-    return min(max(split - 0.25 * (waited - slack) / (2 * seconds / rows), 0.0), float(n))
+    return min(max(split - _GAIN * (waited - slack) / (2 * seconds / rows), 0.0), float(n))
 
 
 def _cpus() -> int:
@@ -454,26 +591,86 @@ def _cpus() -> int:
     return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 
 
-def _rep_results(config: ExperimentConfig, truth: _Truth, workers: int):
-    """Each repetition's per-cell results, one at a time, in index order.
+class _Blocks:
+    """The serial grid's pipeline: each call of ``_run_rep`` draws its own
+    repetition's sample through the look-ahead and counts it into the block
+    being drawn, then runs one layer of the previous block's stacked pass.
 
-    Serially, one helper process draws the first ``split`` rows of the next
-    repetition's sample while this one runs, and ``drawn()``, called inside
-    ``_run_rep``, draws the rest, then waits for the helper's rows; both
-    sides draw through ``dgp.sample_rows``, never ``sample``, which the
-    benchmark's layer hook wraps. ``split`` starts at n (the helper draws
-    every row), and after each repetition but the first, whose helper rows
-    had nothing to overlap, ``_balance`` moves it by that repetition's wait
-    and slack. Repetition r's timings first reach repetition r + 2, as r + 1
-    was handed to the helper before r ran. When nothing can overlap (one
-    repetition, or one CPU) each sample is drawn inline. The helper is
-    joined when the loop ends, raises or is closed. Under the default
-    ``fork`` start method (Linux before Python 3.14) it is forked before the
-    executor starts its own threads and inherits the imports and ``_truth``'s
-    cache; under ``forkserver`` (Python 3.14) or ``spawn`` it would import
-    the package and build the truth (the regime class and the true values)
-    before its first draw: the first sample arrived after 0.26-0.39 s, against
-    33-37 ms forked (2-vCPU Xeon, Python 3.11).
+    A block is ``BLOCK`` repetitions, one per layer, so a block's pass ends in
+    the call that completes the next block, which then starts its own; the
+    last call also finishes the final block. The helper process draws the
+    first ``split`` rows of each sample, two repetitions ahead of the call
+    that reads them (``draw``).
+    """
+
+    def __init__(self, config: ExperimentConfig, truth: _Truth, pseudo: dict[str, BridgeSet], helper):
+        self.config, self.truth, self.pseudo, self.helper = config, truth, pseudo, helper
+        self.split = float(config.n)  # the helper draws rows [0, split) of each sample
+        self.heads = deque()  # (stop, the helper's future) of the repetitions handed to it, in order
+        self.block = []  # (rep, counts) of the block being drawn
+        self.running = None  # the previous block's pass
+        for rep in range(2):
+            self._submit(rep)
+
+    def _submit(self, rep: int) -> None:
+        if rep < self.config.reps:
+            stop = round(self.split)
+            self.heads.append((stop, self.helper.submit(_draw, self.config.regime_class, self.config.n,
+                                                        self.config.base_seed + rep, stop)))
+
+    def draw(self, rep: int) -> dgp.Dataset:
+        """Repetition ``rep``'s sample: the helper's rows [0, stop), handed to
+        it two repetitions ahead, joined to the rows [stop, n) drawn here.
+        From the second block on, ``_balance`` moves the split by the wait
+        and slack measured here; the first block's calls run no layer."""
+        self._submit(rep + 2)
+        n, seed = self.config.n, self.config.base_seed + rep
+        stop, head = self.heads.popleft()
+        began = time.perf_counter()
+        tail = dgp.sample_rows(self.truth.params, n, seed, stop, n)
+        asked = time.perf_counter()
+        codes, head_began, head_done = head.result()
+        waited = time.perf_counter() - asked
+        if rep >= BLOCK:
+            self.split = _balance(self.split, n, waited, max(asked - head_done, 0.0),
+                                  (stop, head_done - head_began), (n - stop, asked - began))
+        return dgp.Dataset(np.concatenate((codes, tail)), seed)
+
+    def add(self, rep: int, counts: tuple) -> list[dict]:
+        """Count repetition ``rep`` into its block and run one layer of the
+        previous block's pass; the results of every repetition finished."""
+        self.block.append((rep, counts))
+        if self.running is not None:
+            self.running.step()
+        last = rep + 1 == self.config.reps
+        if len(self.block) < BLOCK and not last:
+            return []
+        done = [] if self.running is None else self.running.finish()  # at a full block its last layer has just run
+        self.running, self.block = _Pass(self.config, self.truth, self.pseudo, *zip(*self.block)), []
+        return done + self.running.finish() if last else done
+
+
+def _rep_results(config: ExperimentConfig, truth: _Truth, workers: int):
+    """Each repetition's per-cell results, in index order.
+
+    On the pool each worker runs one repetition as a stack of one. Serially,
+    one helper process draws the first ``split`` rows of the samples two
+    repetitions ahead, and the main process draws the rest inside each
+    ``_run_rep`` call (``_Blocks.draw``); both sides draw through
+    ``dgp.sample_rows``, never ``sample``, which the benchmark's layer hook
+    wraps. ``split`` starts at n (the helper draws every row), and from
+    the second block on ``_balance`` moves it by each repetition's wait and
+    slack. Repetition r's timings first reach repetition r + 3, as r + 1
+    and r + 2 were handed to the helper before r ran. When nothing can
+    overlap (one repetition, or one CPU) each sample is drawn inline and run
+    as a stack of one. The helper is joined when the loop ends, raises or is
+    closed. Under the default ``fork`` start method (Linux before Python
+    3.14) it is forked before the executor starts its own threads and
+    inherits the imports and ``_truth``'s cache; under ``forkserver`` (Python
+    3.14) or ``spawn`` it would import the package and build the truth (the
+    regime class and the true values) before its first draw: the first
+    sample arrived after 0.26-0.39 s, against 33-37 ms forked (2-vCPU Xeon,
+    Python 3.11).
     """
     pseudo = _scenario_pseudo(config)
     if workers > 1 and config.reps > 1:
@@ -482,31 +679,9 @@ def _rep_results(config: ExperimentConfig, truth: _Truth, workers: int):
     else:
         overlap = config.reps > 1 and _cpus() > 1
         with ProcessPoolExecutor(max_workers=1) if overlap else contextlib.nullcontext() as helper:
-            n, split = config.n, float(config.n)  # the helper draws rows [0, split) of each sample
-
-            def draw(rep):
-                if not helper or rep == config.reps:
-                    return None
-                seed, stop = config.base_seed + rep, round(split)
-                head = helper.submit(_draw, config.regime_class, n, seed, stop)
-
-                def drawn():
-                    nonlocal split
-                    began = time.perf_counter()
-                    tail = dgp.sample_rows(truth.params, n, seed, stop, n)
-                    asked = time.perf_counter()
-                    codes, head_began, head_done = head.result()
-                    waited = time.perf_counter() - asked
-                    if rep:  # repetition 0's head had nothing to overlap
-                        split = _balance(split, n, waited, max(asked - head_done, 0.0),
-                                         (stop, head_done - head_began), (n - stop, asked - began))
-                    return dgp.Dataset(np.concatenate((codes, tail)), seed)
-                return drawn
-
-            pending = draw(0)
+            blocks = _Blocks(config, truth, pseudo, helper) if helper else None
             for rep in range(config.reps):
-                drawn, pending = pending, draw(rep + 1)
-                yield _run_rep(config, truth, rep, pseudo, drawn)
+                yield from _run_rep(config, truth, rep, pseudo, blocks)
 
 
 def run_experiment(config: ExperimentConfig) -> ExperimentReport:

@@ -1,9 +1,12 @@
 """Shared fixtures: the exact law, solved bridges, and regime classes;
-``cell_codes``, the encoder of column blocks into ``Dataset`` rows; and the
-references the array kernel (``dgp.class_values`` + ``first_maximizer``) is
-checked against: ``regime_value``, one regime's value by a loop over
+``serial_on_two_cpus``, the serial grid with its helper process on any
+host; ``cell_codes``, the encoder of column blocks into ``Dataset`` rows;
+``same_results``, bit-for-bit equality of one repetition's results; and
+the references the array kernel (``dgp.class_values`` + ``first_maximizer``)
+is checked against: ``regime_value``, one regime's value by a loop over
 (y0, y1), and ``value_maximize``, the member-by-member search."""
 
+import os
 from typing import Callable
 
 import numpy as np
@@ -24,6 +27,22 @@ def cell_codes(observed, hidden=None) -> np.ndarray:
     for name in dgp.CANONICAL_ORDER:
         code = (code << 1) | columns[name]
     return code
+
+
+def same_results(a: dict, b: dict) -> bool:
+    """One repetition's per-cell results equal: the same failure message or
+    the same scores, bit for bit."""
+    return a.keys() == b.keys() and all(
+        a[k] == b[k] if isinstance(a[k], str) or isinstance(b[k], str) else np.array_equal(a[k], b[k], equal_nan=True)
+        for k in a)
+
+
+@pytest.fixture
+def serial_on_two_cpus(monkeypatch):
+    """The serial grid, with two CPUs to run on whatever the host has, so the
+    helper process draws and repetitions run in blocks."""
+    monkeypatch.delenv("PROXIDTR_THREADS", raising=False)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
 
 
 def regime_value(g: np.ndarray, p_y0: np.ndarray, regime: Regime) -> float:

@@ -3,10 +3,14 @@ output: medians and quartiles, wins out of the pairs, the nine-tenths and
 interquartile-range rule, the direction of each metric, the wall rate read
 from the ``<ops> <operations> in <wall> s`` line, and the refusal of a run
 that reads ``correct: false``; and, on canned runs, the ``--out`` record of
-every run, the pair order, the environment lines and the verdicts."""
+every run, the pair order, the environment lines and the verdicts, and the
+one byte-compiling of both checkouts before the first pair, with runs that
+write no bytecode."""
 
 import importlib.util
 import json
+import os
+import types
 from pathlib import Path
 
 import pytest
@@ -220,3 +224,45 @@ def test_a_failed_run_writes_no_record(monkeypatch, tmp_path, capsys):
                              "--out", str(out)]) == 1
     assert "no summary" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_both_checkouts_are_compiled_once_before_the_first_pair(monkeypatch, tmp_path):
+    """Each checkout's ``src`` and ``perfbench`` are byte-compiled once, before
+    the first run, whatever the number of pairs."""
+    parent, change = _with_canned_runs(monkeypatch, tmp_path)
+    modules = ("src/proxidtr/mod.py", "perfbench/run.py")
+    for checkout in (parent, change):
+        for name in modules:
+            (checkout / name).parent.mkdir(parents=True, exist_ok=True)
+            (checkout / name).write_text("X = 1\n")
+    compiled, original = [], bench_pairs.compileall.compile_dir
+    monkeypatch.setattr(bench_pairs.compileall, "compile_dir",
+                        lambda path, **kwargs: compiled.append(Path(path)) or original(path, **kwargs))
+    canned, seen = bench_pairs._run, []
+
+    def run(checkout, args):  # every module of both checkouts compiled when the run starts
+        seen.append(all(list((c / name).parent.glob(f"__pycache__/{Path(name).stem}.*.pyc"))
+                        for c in (parent, change) for name in modules))
+        return canned(checkout, args)
+
+    monkeypatch.setattr(bench_pairs, "_run", run)
+    assert bench_pairs.main([str(parent), str(change), "--workload", "grid-vmax", "--pairs", "3"]) == 0
+    assert compiled == [parent / "src", parent / "perfbench", change / "src", change / "perfbench"]
+    assert seen == [True] * 6
+
+
+def test_a_run_writes_no_bytecode(monkeypatch, tmp_path):
+    """Every run gets ``PYTHONDONTWRITEBYTECODE=1`` on top of this environment."""
+    calls = []
+
+    def fake_run(cmd, **kwargs):
+        calls.append(kwargs)
+        return types.SimpleNamespace(returncode=0, stdout=_canned("parent", 0), stderr="")
+
+    monkeypatch.setenv("PYTHONDONTWRITEBYTECODE", "")
+    monkeypatch.setattr(bench_pairs.subprocess, "run", fake_run)
+    args = types.SimpleNamespace(workload="grid-vmax", seed=1, seconds=25.0, trace=0)
+    assert bench_pairs._run(tmp_path, args) == _canned("parent", 0)
+    (kwargs,) = calls
+    assert kwargs["cwd"] == tmp_path and kwargs["env"]["PYTHONDONTWRITEBYTECODE"] == "1"
+    assert kwargs["env"]["PATH"] == os.environ["PATH"]

@@ -11,9 +11,10 @@ make the benchmark lose latency samples or output checks without an error;
 here it fails a test instead. The traced runs must record every call of
 three layers, so a refactor that stops calling through a hooked name cannot
 zero that layer silently: one ``identify.density`` span per identification
-on both grids and one ``estimators.fit_bridges`` span per repetition of the
-one-fold grid (the harness fits through ``estimators.fold_fits``, which
-calls ``estimators.fit_bridges`` by its module name), and one
+and one ``bridges.solve_bridges`` span per block of repetitions on both
+grids (the harness fits a block's counts through ``estimators.fit_counts``,
+which calls ``estimators.solve_bridges`` by its module name, inside the
+``_run_rep`` call that runs the block's fit), and one
 ``estimators.fit_bridges`` span per one-fold bridge request and one
 ``estimators.row_estimate`` span per bridge request of the estimate cycle
 (the CLI estimates through ``cli.cross_fit``).
@@ -63,17 +64,17 @@ def test_workload_runs_checks_and_traces(name, tmp_path):
     assert any(span[0] not in ("harness", "cli") for span in traced.recorder.spans)  # layer spans were recorded
 
 
-def test_traced_grid_records_every_identification(tmp_path):
+def test_traced_grid_records_every_identification(tmp_path, serial_on_two_cpus):
     for name in ("grid-vmax", "grid-crossfit"):
         traced = _sized(name, tmp_path).run(Recorder(), traced=True)
         # the 13 distinct (method, replaced components) densities of a repetition over the five
         # scenarios (POR 2, PHA 4, PIPW 2, PMR 5), each timed where the harness calls ``_DENSITY_FN``
-        per_rep = Counter(span[OP] for span in traced.recorder.spans if span[NAME] == "identify.density")
-        assert per_rep == {0: 13, 1: 13}, name
-        # the one whole-sample fit, timed where ``fold_fits`` calls ``estimators.fit_bridges``; the
-        # 5-fold fit solves its off-fold stack without it
-        fits = Counter(span[OP] for span in traced.recorder.spans if span[NAME] == "estimators.fit_bridges")
-        assert fits == ({0: 1, 1: 1} if name == "grid-vmax" else {}), name
+        # once for the block of both repetitions, in the last call, which runs the whole block
+        per_call = Counter(span[OP] for span in traced.recorder.spans if span[NAME] == "identify.density")
+        assert per_call == {1: 13}, name
+        # the block's one stacked solve, timed where ``fit_counts`` calls ``estimators.solve_bridges``
+        fits = Counter(span[OP] for span in traced.recorder.spans if span[NAME] == "bridges.solve_bridges")
+        assert fits == {1: 1}, name
 
 
 def test_traced_estimate_cycle_records_every_fit_and_estimate(tmp_path):

@@ -1,0 +1,175 @@
+"""Stacked repetitions: the serial grid runs each block of ``harness.BLOCK``
+repetitions as one stacked pass over their counts, one layer per
+``_run_rep`` call, one block behind the calls that draw
+(``harness._Blocks``).
+
+Stacking changes how the repetitions are computed, never what: every
+repetition's results equal those of a pass over a stack of one, bit for bit,
+and reports are byte-identical on the helper, inline (one CPU) and pool
+paths, whose repetitions run as stacks of one. A block in which one
+repetition fails is split into stacks of one, so that only that repetition
+is charged, with the reasons it gets alone. Every call but the last runs at
+most one layer, every fit, identification and scoring runs inside a
+``_run_rep`` call, and no call keeps its repetition's sample.
+"""
+
+import os
+import weakref
+
+import pytest
+
+from conftest import same_results
+from proxidtr import dgp, estimators, harness
+from proxidtr.harness import ExperimentConfig, emit_tables, run_experiment
+
+pytestmark = pytest.mark.usefixtures("serial_on_two_cpus")  # repetitions run in blocks
+
+
+def _alone(config: ExperimentConfig) -> list[dict]:
+    """Each repetition's results from a pass over a stack of one."""
+    truth, pseudo = harness._truth_context(config), harness._scenario_pseudo(config)
+    return [harness._run_rep(config, truth, rep, pseudo)[0] for rep in range(config.reps)]
+
+
+def _report_text(config: ExperimentConfig) -> str:
+    report = run_experiment(config)
+    return "".join(emit_tables(report)) + report.to_json()
+
+
+@pytest.mark.parametrize("folds", [1, 5])
+@pytest.mark.parametrize("reps", [1, 2, 3, 4, 5, 8, 9])
+def test_reports_equal_stacks_of_one_on_every_path(reps, folds, monkeypatch):
+    config = ExperimentConfig(reps=reps, folds=folds)
+    alone = _alone(config)
+    with monkeypatch.context() as reference:
+        reference.setattr(harness, "_rep_results", lambda *args: (results for results in alone))
+        expected = _report_text(config)
+    truth = harness._truth_context(config)
+    for path in ("helper", "inline", "pool"):
+        with monkeypatch.context() as m:
+            if path == "inline":
+                m.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+            elif path == "pool":
+                m.setenv("PROXIDTR_THREADS", "2")
+            got = list(harness._rep_results(config, truth, harness.worker_count()))
+            assert all(same_results(a, b) for a, b in zip(got, alone, strict=True)), path
+            assert _report_text(config) == expected, path
+
+
+# (n, folds, base_seed, the one repetition of the first block that fails, and where)
+FAILING = {
+    "oracle": (6000, 1, 45, 0),  # the Oracle's law has a zero conditioning cell: the last layer splits
+    "fit": (6000, 1, 53, 2),  # the fit fails: the first layer splits
+    "fit-folds5": (8000, 5, 49, 0),
+    "fit-folds3": (9000, 3, 41, 3),
+}
+
+
+@pytest.mark.parametrize("case", sorted(FAILING))
+def test_a_block_with_one_failing_repetition_charges_only_it(case, monkeypatch):
+    n, folds, base_seed, failing = FAILING[case]
+    config = ExperimentConfig(n=n, folds=folds, base_seed=base_seed, reps=2 * harness.BLOCK)
+    stacks = []
+    init = harness._Pass.__init__
+
+    def recorded(self, config, truth, pseudo, reps, counts):
+        stacks.append(reps)
+        init(self, config, truth, pseudo, reps, counts)
+
+    monkeypatch.setattr(harness._Pass, "__init__", recorded)
+    got = list(harness._rep_results(config, harness._truth_context(config), 1))
+    first_block = tuple(range(harness.BLOCK))
+    assert stacks[:1 + harness.BLOCK] == [first_block] + [(rep,) for rep in first_block]  # the block was split
+    alone = _alone(config)
+    assert all(same_results(a, b) for a, b in zip(got, alone, strict=True))
+    charged = [rep for rep in first_block if any(isinstance(r, str) for r in got[rep].values())]
+    assert charged == [failing]
+    reasons = {r for r in got[failing].values() if isinstance(r, str)}
+    assert reasons and all(r.startswith("fit failed: ") for r in reasons)
+
+
+@pytest.mark.parametrize("reps", [5, 8, 9, 13])
+def test_every_call_but_the_last_runs_at_most_one_layer(reps, monkeypatch):
+    ran = []
+
+    def counted(layer):
+        def run(self):
+            ran.append(layer.__name__)
+            return layer(self)
+        return run
+
+    names = [layer.__name__ for layer in harness._Pass.LAYERS]
+    monkeypatch.setattr(harness._Pass, "LAYERS", tuple(counted(layer) for layer in harness._Pass.LAYERS))
+    per_call, run_rep = [], harness._run_rep
+
+    def recorded(*args, **kwargs):
+        before = len(ran)
+        try:
+            return run_rep(*args, **kwargs)
+        finally:
+            per_call.append(ran[before:])
+
+    monkeypatch.setattr(harness, "_run_rep", recorded)
+    run_experiment(ExperimentConfig(reps=reps, folds=5))
+    block = harness.BLOCK
+    assert len(per_call) == reps and block == len(names)
+    # the first block's calls run none; later calls run the layer of their place in the block
+    assert per_call[:block] == [[]] * block
+    assert per_call[block:-1] == [[names[rep % block]] for rep in range(block, reps - 1)]
+    assert len(ran) == block * -(-reps // block)  # the last call finishes every block
+
+
+@pytest.mark.parametrize("cpus", [{0, 1}, {0}], ids=["helper", "inline"])
+def test_no_fit_identification_or_scoring_runs_outside_a_call(cpus, monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus, raising=False)
+    inside, calls = [False], []
+
+    def watched(name, fn):
+        def wrapper(*args, **kwargs):
+            calls.append((name, inside[0]))
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(estimators, "solve_bridges", watched("solve_bridges", estimators.solve_bridges))
+    monkeypatch.setattr(harness, "_class_scores", watched("_class_scores", harness._class_scores))
+    for method, fn in list(harness._DENSITY_FN.items()):
+        monkeypatch.setitem(harness._DENSITY_FN, method, watched("_DENSITY_FN", fn))
+    run_rep = harness._run_rep
+
+    def call(*args, **kwargs):
+        inside[0] = True
+        try:
+            return run_rep(*args, **kwargs)
+        finally:
+            inside[0] = False
+
+    monkeypatch.setattr(harness, "_run_rep", call)
+    run_experiment(ExperimentConfig(reps=9, folds=5))
+    assert {name for name, _ in calls} == {"solve_bridges", "_class_scores", "_DENSITY_FN"}
+    assert all(within for _, within in calls)
+
+
+@pytest.mark.parametrize("cpus", [{0, 1}, {0}], ids=["helper", "inline"])
+def test_no_call_keeps_its_sample(cpus, monkeypatch):
+    """Each call's ``Dataset`` is freed when the call returns: a block's pass
+    holds only counts."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus, raising=False)
+    refs = []
+
+    class Tracked(dgp.Dataset):
+        def __post_init__(self):
+            super().__post_init__()
+            refs.append(weakref.ref(self))
+
+    monkeypatch.setattr(dgp, "Dataset", Tracked)
+    run_rep, live = harness._run_rep, []
+
+    def checked(config, truth, rep, *args, **kwargs):
+        result = run_rep(config, truth, rep, *args, **kwargs)
+        live.append((len(refs), sum(ref() is not None for ref in refs)))
+        return result
+
+    monkeypatch.setattr(harness, "_run_rep", checked)
+    config = ExperimentConfig(reps=9, folds=5)
+    run_experiment(config)
+    assert live == [(rep + 1, 0) for rep in range(config.reps)]

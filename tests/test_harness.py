@@ -242,13 +242,15 @@ def _loop_score(true_density, truth, g, p_y0, optimizer, optimum):
 
 
 def _one_repetition_densities(config):
-    """(g, p_y0) of every distinct density of the first repetition of ``config``."""
-    data = sample(DgpParams.default(), config.n, config.base_seed)
-    fits = harness._bridge_fits(data, config)
+    """(g, p_y0) of every distinct density of the first repetition of ``config``,
+    from a pass over a stack of one."""
+    cells, observed, own = harness._counts(config, sample(DgpParams.default(), config.n, config.base_seed))
+    fits = harness._bridge_fits(observed[None], None if own is None else own[None], config)
     pseudo = harness._scenario_pseudo(config)
-    tables = [harness._baseline_table(data, config, m) for m in ("SRA", "ORACLE")]
+    tables = [harness._baseline_table(cells[None], observed[None], config, m) for m in ("SRA", "ORACLE")]
     merged = {(m, tag): pseudo[tag] for tag in config.scenarios for m in BRIDGE_METHODS}
-    return tables + list(harness._bridge_tables(fits, merged).values())
+    g, p_y0 = harness._fold_average(harness._bridge_densities(fits, merged), fits[1])
+    return [(g[0], p_y0[0]) for g, p_y0 in tables] + [(g_d, p_y0[0]) for g_d in g[0]]
 
 
 @pytest.mark.parametrize("optimizer", ["value-max", "q-learning"])
@@ -317,7 +319,7 @@ def test_streamed_aggregation_matches_list_aggregation():
     config = ExperimentConfig(n=600, reps=6, laplace=0.0)
     truth = harness._truth_context(config)
     pseudo = harness._scenario_pseudo(config)
-    per_rep = [harness._run_rep(config, truth, rep, pseudo) for rep in range(config.reps)]
+    per_rep = [harness._run_rep(config, truth, rep, pseudo)[0] for rep in range(config.reps)]
     cells = []
     for tag in config.scenarios:
         for method in config.methods:
@@ -355,7 +357,7 @@ def test_one_observed_conditional_per_scoring_law(monkeypatch, folds, laws):
     truth = harness._truth_context(config)
     pseudo = harness._scenario_pseudo(config)
     calls = _counting(monkeypatch, harness.identify, "observed_conditional")
-    results = harness._run_rep(config, truth, 0, pseudo)
+    results = harness._run_rep(config, truth, 0, pseudo)[0]
     assert not any(isinstance(r, str) for r in results.values())
     assert len(calls) == laws
 
@@ -365,12 +367,13 @@ def test_one_fold_fit_builds_the_whole_sample_law_once(params, laplace, monkeypa
     data = sample(params, 6000, 3)
     config = ExperimentConfig(n=6000, laplace=laplace)
     laws = _counting(monkeypatch, estimators, "count_pmf")
-    pieces, p_y0, solved = harness._bridge_fits(data, config)
+    pieces, p_y0, solved = harness._bridge_fits(data.observed_counts[None], None, config)  # a stack of one
     assert len(laws) == 1
     law, expected = estimators.fit_bridges(data, estimators.FitOptions(laplace=laplace))
     cond, expected_p = identify.observed_conditional(law)
+    assert pieces.cond.shape == (1,) + cond.shape and p_y0.shape == (1,) + expected_p.shape
     assert pieces.cond.tobytes() == cond.tobytes() and p_y0.tobytes() == expected_p.tobytes()
-    assert all(np.array_equal(getattr(solved, n), getattr(expected, n)) for n in ("h22", "h21", "h11", "q11", "q22"))
+    assert all(np.array_equal(getattr(solved, n)[0], getattr(expected, n)) for n in ("h22", "h21", "h11", "q11", "q22"))
 
 
 def test_pseudo_bridges_drawn_once_per_experiment_and_shared_by_scenarios(monkeypatch):
@@ -469,7 +472,7 @@ def test_deduplicated_repetition_equals_cell_by_cell_reference(optimizer, folds,
     pseudo = harness._scenario_pseudo(config)
     failures = []
     for rep in range(reps):
-        got = harness._run_rep(config, truth, rep, pseudo)
+        got = harness._run_rep(config, truth, rep, pseudo)[0]
         expected = _reference_rep(true_density, config, truth, rep)
         assert got == expected
         failures += [r for r in got.values() if isinstance(r, str)]
@@ -490,7 +493,7 @@ def test_failure_reasons_count_each_message_in_first_seen_order(n600_report):
     kind), counted in the order they first appear, and sum to its failures."""
     truth = harness._truth_context(N600)
     pseudo = harness._scenario_pseudo(N600)
-    per_rep = [harness._run_rep(N600, truth, rep, pseudo) for rep in range(N600.reps)]
+    per_rep = [harness._run_rep(N600, truth, rep, pseudo)[0] for rep in range(N600.reps)]
     for c in n600_report.cells:
         messages = [r[(c.scenario, c.method)] for r in per_rep if isinstance(r[(c.scenario, c.method)], str)]
         assert c.failure_reasons == tuple((m, messages.count(m)) for m in dict.fromkeys(messages))

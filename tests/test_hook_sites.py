@@ -4,22 +4,27 @@ called, and how often per operation.
 A benchmark that times layers by wrapping these attributes (``perfbench``
 does) reads a layer as zero when a refactor stops calling through one, so
 the counts are pinned here, counted by wrappers installed the same way: per
-grid repetition, 1 ``estimators.solve_bridges``, 4 ``bridges.invert2or4``,
-13 ``harness._DENSITY_FN`` entries and 2 ``identify.observed_conditional``
-at one fold (the fitted law and the Oracle's), 3 with folds (the stack of
-fold laws, SRA's whole-sample law and the Oracle's), for value maximization
-at 5 folds (grid-crossfit's repetition) and Q-learning at 3 alike; per
+block of repetitions of the serial grid (``harness.BLOCK``, one stacked
+pass), 1 ``estimators.solve_bridges``, 4 ``bridges.invert2or4``, 13
+``harness._DENSITY_FN`` entries and 2 ``identify.observed_conditional`` at
+one fold (the stack of fitted laws and the Oracle's), 3 with folds (the
+stack of fold laws, SRA's whole-sample laws and the Oracle's), for value
+maximization at 5 folds (grid-crossfit's block) and Q-learning at 3 alike;
+a repetition run alone (a pool worker's) counts the same; per
 ``estimate --method pmr`` request, 1 ``estimators.solve_bridges``."""
 
 import functools
 import io
 from collections import Counter
 from contextlib import redirect_stdout
+from dataclasses import replace
 
 import pytest
 
 from proxidtr import bridges, cli, dgp, estimators, harness, identify
 from proxidtr.policy import Regime
+
+pytestmark = pytest.mark.usefixtures("serial_on_two_cpus")  # repetitions run in blocks
 
 
 def _count(counts: Counter, name: str, fn):
@@ -40,9 +45,9 @@ def counts(monkeypatch) -> Counter:
     return counts
 
 
-def _per_repetition(monkeypatch, counts, config) -> list[Counter]:
-    """Each repetition's site counts over a run of ``config``, which must score every cell."""
-    per_rep = []
+def _per_call(monkeypatch, counts, config) -> list[Counter]:
+    """Each ``_run_rep`` call's site counts over a run of ``config``, which must score every cell."""
+    per_call = []
     run_rep = harness._run_rep
 
     def counted_rep(*args, **kwargs):
@@ -50,23 +55,38 @@ def _per_repetition(monkeypatch, counts, config) -> list[Counter]:
         try:
             return run_rep(*args, **kwargs)
         finally:
-            per_rep.append(counts - before)
+            per_call.append(counts - before)
 
     monkeypatch.setattr(harness, "_run_rep", counted_rep)
     report = harness.run_experiment(config)
     assert all(cell.failures == 0 for cell in report.cells)
-    return per_rep
+    return per_call
+
+
+def _per_block(monkeypatch, counts, config, laws: int):
+    """Runs of one, two and three blocks (the last one short) each count
+    one block's sites per block, all inside ``_run_rep`` calls; a
+    repetition run alone counts one block's sites."""
+    block = Counter(solve_bridges=1, invert2or4=4, _DENSITY_FN=13, observed_conditional=laws)
+    for reps, blocks in ((harness.BLOCK, 1), (2 * harness.BLOCK, 2), (2 * harness.BLOCK + 1, 3)):
+        counts.clear()
+        per_call = _per_call(monkeypatch, counts, replace(config, reps=reps))
+        assert len(per_call) == reps
+        assert sum(per_call, Counter()) == counts == Counter({site: blocks * k for site, k in block.items()})
+    counts.clear()
+    harness._run_rep(config, harness._truth_context(config), 0, harness._scenario_pseudo(config))
+    assert counts == block
 
 
 def test_a_grid_repetition_calls_each_site_as_often_as_pinned(monkeypatch, counts):
-    per_rep = _per_repetition(monkeypatch, counts, harness.ExperimentConfig(reps=3))
-    assert per_rep == [Counter(solve_bridges=1, invert2or4=4, _DENSITY_FN=13, observed_conditional=2)] * 3
+    """Per block of repetitions, or per repetition run alone."""
+    _per_block(monkeypatch, counts, harness.ExperimentConfig(), 2)
 
 
 @pytest.mark.parametrize("folds, optimizer", [(5, "value-max"), (3, "q-learning")])
 def test_a_cross_fitted_repetition_calls_each_site_as_often_as_pinned(monkeypatch, counts, folds, optimizer):
-    per_rep = _per_repetition(monkeypatch, counts, harness.ExperimentConfig(reps=3, folds=folds, optimizer=optimizer))
-    assert per_rep == [Counter(solve_bridges=1, invert2or4=4, _DENSITY_FN=13, observed_conditional=3)] * 3
+    """Per block of repetitions, or per repetition run alone."""
+    _per_block(monkeypatch, counts, harness.ExperimentConfig(folds=folds, optimizer=optimizer), 3)
 
 
 def test_an_estimate_request_solves_once(tmp_path, counts):

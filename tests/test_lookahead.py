@@ -1,6 +1,6 @@
 """The serial grid's look-ahead: one helper process draws the first rows
-of the next repetition's sample while the current one runs, and the main
-process draws the rest when that repetition starts (``harness._rep_results``);
+of the samples two repetitions ahead, and the main process draws the rest
+when a repetition's call starts (``harness._Blocks.draw``);
 ``harness._balance`` moves the split toward balance.
 
 The look-ahead changes where and when rows are drawn, never what is drawn,
@@ -22,23 +22,20 @@ import threading
 import numpy as np
 import pytest
 
+from conftest import same_results
 from proxidtr import dgp, estimators, harness
 from proxidtr.cli import main
 from proxidtr.harness import ExperimentConfig, emit_tables, run_experiment
 
-# enough repetitions that the last two are drawn at a split the controller chose
+pytestmark = pytest.mark.usefixtures("serial_on_two_cpus")  # the helper is used
+
+# enough repetitions that the last two are drawn at a split the controller chose: two blocks and one more
 CONFIGS = {
-    "default": ExperimentConfig(reps=5),
+    "default": ExperimentConfig(reps=9),
     # cross-fitted, with failed and scored cells mixed
-    "n6000-folds3": ExperimentConfig(n=6000, reps=5, folds=3),
+    "n6000-folds3": ExperimentConfig(n=6000, reps=9, folds=3),
 }
-
-
-@pytest.fixture(autouse=True)
-def serial_on_two_cpus(monkeypatch):
-    """The serial grid, with two CPUs to run on whatever the host has, so the helper is used."""
-    monkeypatch.delenv("PROXIDTR_THREADS", raising=False)
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+AT_N = harness.BLOCK + 3  # repetitions drawn before the controller's first split reaches the helper
 
 
 def _report_text(config: ExperimentConfig) -> str:
@@ -66,15 +63,15 @@ def _inline(config: ExperimentConfig) -> list[tuple[int, int, int]]:
 
 
 def _forced_split(monkeypatch, split: int):
-    """The controller pinned at ``split``. Repetitions 0 to 2 still split at
-    n: repetition r + 1 is handed to the helper before repetition r is
-    measured, and repetition 0's measurement is not used."""
+    """The controller pinned at ``split``. Repetitions 0 to 6 still split at
+    n: the first block's measurements are not used, and repetitions r + 1 and
+    r + 2 are handed to the helper before repetition r is measured."""
     monkeypatch.setattr(harness, "_balance", lambda *args: float(split))
 
 
 def _tails(config: ExperimentConfig, split: int) -> list[tuple[int, int, int]]:
-    """The parent's draws at a forced split, the first three at n."""
-    return [(config.base_seed + rep, config.n if rep < 3 else split, config.n) for rep in range(config.reps)]
+    """The parent's draws at a forced split, the first ``AT_N`` at n."""
+    return [(config.base_seed + rep, config.n if rep < AT_N else split, config.n) for rep in range(config.reps)]
 
 
 def _no_helper(monkeypatch):
@@ -99,14 +96,6 @@ def _dies_in_a_child(monkeypatch, seed: int):
     monkeypatch.setattr(dgp, "sample_rows", dying)
 
 
-def _same_results(a: dict, b: dict) -> bool:
-    """One repetition's per-cell results equal: the same failure message or
-    the same scores, bit for bit."""
-    return a.keys() == b.keys() and all(
-        a[k] == b[k] if isinstance(a[k], str) or isinstance(b[k], str) else np.array_equal(a[k], b[k], equal_nan=True)
-        for k in a)
-
-
 @pytest.mark.parametrize("case", sorted(CONFIGS))
 def test_look_ahead_results_equal_inline_draws(case, monkeypatch):
     config = CONFIGS[case]
@@ -118,9 +107,9 @@ def test_look_ahead_results_equal_inline_draws(case, monkeypatch):
     assert draws == _tails(config, split)  # rows [0, split) drawn by the helper process
     del draws[:]
     pseudo = harness._scenario_pseudo(config)
-    inline = [harness._run_rep(config, truth, rep, pseudo) for rep in range(config.reps)]
+    inline = [harness._run_rep(config, truth, rep, pseudo)[0] for rep in range(config.reps)]
     assert draws == _inline(config)
-    assert all(_same_results(a, b) for a, b in zip(ahead, inline, strict=True))
+    assert all(same_results(a, b) for a, b in zip(ahead, inline, strict=True))
 
 
 @pytest.mark.parametrize("case", sorted(CONFIGS))
@@ -166,6 +155,38 @@ def test_one_repetition_draws_inline(monkeypatch):
     assert draws == _inline(config)
 
 
+def test_the_helper_draws_two_repetitions_ahead(monkeypatch):
+    """When repetition r's call starts, the heads of r + 1 and r + 2 are
+    already handed to the helper, or r + 1's only at r = 0; r + 2's is handed
+    over inside the call, before its own rows are drawn."""
+    config = CONFIGS["default"]
+    submitted, seen = [], []
+
+    class Recording(harness.ProcessPoolExecutor):
+        def submit(self, fn, *args):
+            submitted.append(args[2] - config.base_seed)  # (regime class, n, seed, stop)
+            return super().submit(fn, *args)
+
+    monkeypatch.setattr(harness, "ProcessPoolExecutor", Recording)
+    run_rep, sample_rows = harness._run_rep, dgp.sample_rows
+
+    def recorded(config, truth, rep, *args):
+        seen.append(("call", rep, len(submitted)))
+        return run_rep(config, truth, rep, *args)
+
+    def tail(params, n, seed, start, stop):
+        seen.append(("tail", seed - config.base_seed, len(submitted)))
+        return sample_rows(params, n, seed, start, stop)
+
+    monkeypatch.setattr(harness, "_run_rep", recorded)
+    monkeypatch.setattr(dgp, "sample_rows", tail)
+    run_experiment(config)
+    reps = config.reps
+    assert submitted == list(range(reps))
+    assert seen == [event for rep in range(reps)
+                    for event in (("call", rep, min(rep + 2, reps)), ("tail", rep, min(rep + 3, reps)))]
+
+
 def test_without_affinity_the_cpu_count_decides(monkeypatch):
     monkeypatch.delattr(os, "sched_getaffinity", raising=False)
     monkeypatch.setattr(os, "cpu_count", lambda: 1)
@@ -196,15 +217,15 @@ def test_abandoned_results_leave_no_thread():
 
 
 def test_a_failing_draw_reaches_the_caller_and_leaves_no_thread(monkeypatch):
-    """The error repetition 3's head (drawn in the helper) or tail (drawn in
+    """The error repetition 7's head (drawn in the helper) or tail (drawn in
     this process), both holding half the rows, raises reaches the caller
     with its type and message."""
-    config = ExperimentConfig(methods=("PMR", "SRA"), n=4000, reps=5, base_seed=77)
+    config = ExperimentConfig(methods=("PMR", "SRA"), n=4000, reps=9, base_seed=77)
     parent, original = os.getpid(), dgp.sample_rows
     _forced_split(monkeypatch, config.n // 2)
     for side, rows in (("head", "0-2000"), ("tail", "2000-4000")):
         def failing(params, n, seed, start, stop):
-            if seed == config.base_seed + 3 and (os.getpid() != parent) == (side == "head"):
+            if seed == config.base_seed + AT_N and (os.getpid() != parent) == (side == "head"):
                 raise ValueError(f"no {start}-{stop} rows for seed {seed}")
             return original(params, n, seed, start, stop)
 
@@ -212,7 +233,7 @@ def test_a_failing_draw_reaches_the_caller_and_leaves_no_thread(monkeypatch):
         before = threading.active_count()
         with pytest.raises(ValueError) as info:
             run_experiment(config)
-        assert type(info.value) is ValueError and str(info.value) == f"no {rows} rows for seed {config.base_seed + 3}"
+        assert type(info.value) is ValueError and str(info.value) == f"no {rows} rows for seed {config.base_seed + AT_N}"
         assert threading.active_count() == before
         assert multiprocessing.active_children() == []
 
@@ -261,7 +282,7 @@ ROW_S = 1.4e-7  # seconds to draw one row, on either side
 
 
 def test_the_controller_moves_rows_to_the_main_process_while_it_waits():
-    step = 0.25 * 1e-3 / (2 * ROW_S)  # a quarter of the rows that would have balanced a 1 ms wait
+    step = 4 / 27 * 1e-3 / (2 * ROW_S)  # 4/27 of the rows that would have balanced a 1 ms wait
     head, tail = (30000, 30000 * ROW_S), (5000, 5000 * ROW_S)
     assert harness._balance(30000.0, N, 1e-3, 0.0, head, tail) == pytest.approx(30000 - step)
     # and back to the helper while the helper idles
@@ -274,7 +295,7 @@ def test_the_split_never_leaves_the_rows_nor_stalls_at_an_end():
     assert harness._balance(30000.0, N, 1.0, 0.0, head, tail) == 0.0
     assert harness._balance(30000.0, N, 0.0, 1.0, head, tail) == float(N)
     # at an end one side drew no rows, in whatever time its call took; the row cost is the other side's
-    step = 0.25 * 1e-3 / (2 * ROW_S)
+    step = 4 / 27 * 1e-3 / (2 * ROW_S)
     assert harness._balance(0.0, N, 0.0, 1e-3, (0, 5e-5), (N, N * ROW_S)) == pytest.approx(step)
     assert harness._balance(float(N), N, 1e-3, 0.0, (N, N * ROW_S), (0, 5e-5)) == pytest.approx(N - step)
 
@@ -282,10 +303,11 @@ def test_the_split_never_leaves_the_rows_nor_stalls_at_an_end():
 def _settle(work_s: float, first: float, reps: int = 60) -> list[float]:
     """Each repetition's split under ``_balance`` when each side draws a row
     in ROW_S and the main process also works ``work_s`` per repetition. As in
-    the loop, repetition r + 2 is the first drawn at the split repetition r's
-    timings give, and repetitions 0 to 2 split at ``first``."""
-    splits = [first] * 3
-    for rep in range(1, reps):
+    the loop, repetition r + 3 is the first drawn at the split repetition r's
+    timings give, the first block's timings are not used, and repetitions 0
+    to 6 split at ``first``."""
+    splits = [first] * AT_N
+    for rep in range(harness.BLOCK, reps):
         stop = round(splits[rep])
         helper, main = stop * ROW_S, work_s + (N - stop) * ROW_S
         splits.append(harness._balance(splits[-1], N, max(helper - main, 0.0), max(main - helper, 0.0),
@@ -295,8 +317,11 @@ def _settle(work_s: float, first: float, reps: int = 60) -> list[float]:
 
 @pytest.mark.parametrize("first", [0.0, N / 2, float(N)])
 def test_the_split_settles_where_both_sides_take_as_long(first):
-    # the main process's own work takes half a whole draw (one fold): it draws a quarter of the rows
-    assert all(abs(split - 0.75 * N) < 10 for split in _settle(0.5 * N * ROW_S, first)[-10:])
+    # the main process's own work takes half a whole draw (one fold): it draws a quarter of the rows,
+    # and the split reaches that share from its own side without overshooting it
+    splits = _settle(0.5 * N * ROW_S, first)
+    assert all(abs(split - 0.75 * N) < 10 for split in splits[-10:])
+    assert all((split - 0.75 * N) * (first - 0.75 * N) > -10 * N for split in splits)
     # it takes longer than a whole draw (five folds): the helper draws every row
     assert _settle(1.1 * N * ROW_S, first)[-10:] == [float(N)] * 10
 

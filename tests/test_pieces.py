@@ -25,10 +25,11 @@ FOLDS = (1, 5)
 
 @pytest.fixture(scope="module", params=FOLDS)
 def repetition(request, params):
-    """(config, fits, each scenario's pseudo set) of the first repetition."""
+    """(config, fits, each scenario's pseudo set) of the first repetition, as a stack of one."""
     config = ExperimentConfig(folds=request.param)
-    data = dgp.sample(params, config.n, config.base_seed)
-    return config, harness._bridge_fits(data, config), harness._scenario_pseudo(config)
+    _, observed, own = harness._counts(config, dgp.sample(params, config.n, config.base_seed))
+    fits = harness._bridge_fits(observed[None], None if own is None else own[None], config)
+    return config, fits, harness._scenario_pseudo(config)
 
 
 def test_shared_table_reads_every_density_bit_for_bit(repetition):
@@ -62,7 +63,7 @@ def test_each_distinct_piece_is_made_once_per_repetition(params, folds, monkeypa
     truth = harness._truth_context(config)
     pseudo = harness._scenario_pseudo(config)
     made = _counting_recipes(monkeypatch)
-    results = harness._run_rep(config, truth, 0, pseudo)
+    results = harness._run_rep(config, truth, 0, pseudo)[0]
     assert not any(isinstance(r, str) for r in results.values())
     assert set(made.values()) == {1}
     # each bridge component is either fitted or the one shared pseudo array, so over the
@@ -94,14 +95,16 @@ def test_stacked_fold_average_equals_each_densitys_average(repetition):
     config, fits, pseudo = repetition
     pieces, p_y0, solved = fits
     merged = {(m, tag): pseudo[tag] for tag in config.scenarios for m in BRIDGE_METHODS}
-    averaged = harness._bridge_tables(fits, merged)
-    assert list(averaged) == list(merged)
-    for (method, tag), (g_bar, p_bar) in averaged.items():
-        g = identify.density_from_pieces(method, pieces, solved.merged(pseudo[tag])).g
+    g_bars, p_bar = harness._fold_average(harness._bridge_densities(fits, merged), p_y0)
+    assert g_bars.shape == (1, len(merged)) + (2,) * 5 and p_bar.shape == (1, 2)
+    if config.folds == 1:
+        assert p_bar is p_y0
+    for ((method, tag), g_bar) in zip(merged, g_bars[0]):
+        g = identify.density_from_pieces(method, pieces, solved.merged(pseudo[tag])).g[0]
         if config.folds == 1:
-            assert g_bar.tobytes() == g.tobytes() and p_bar is p_y0
+            assert g_bar.tobytes() == g.tobytes()
             continue
         # one density's fold average, fold by fold in fold order
-        expected_p = sum(p_y0) / len(p_y0)
-        expected_g = sum(g * p_y0[:, None, None, None, None, :]) / len(p_y0) / expected_p[None, None, None, None, :]
-        assert g_bar.tobytes() == expected_g.tobytes() and p_bar.tobytes() == expected_p.tobytes()
+        expected_p = sum(p_y0[0]) / len(p_y0[0])
+        expected_g = sum(g * p_y0[0][:, None, None, None, None, :]) / len(p_y0[0]) / expected_p[None, None, None, None, :]
+        assert g_bar.tobytes() == expected_g.tobytes() and p_bar[0].tobytes() == expected_p.tobytes()
