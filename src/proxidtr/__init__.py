@@ -10,7 +10,7 @@ Every module is imported with the package except ``harness``: it and its
 re-exports (``ExperimentConfig``, ``ExperimentReport``, ``emit_tables``,
 ``identify_check``, ``run_experiment``) load on first access, so a process
 that never runs an experiment does not import the harness or the
-``multiprocessing`` machinery behind its process pool.
+``multiprocessing`` machinery behind its sampling helper.
 """
 
 import importlib

@@ -15,8 +15,8 @@ influence function. SRA and the Oracle are plug-in values on the empirical
 law and refuse ``--folds``.
 
 Exit codes: 0 success, 1 usage error (or an ``experiment`` whose sampling
-helper or pool worker process died), 2 numerical failure (rank/positivity or
-an identification check that exceeds tolerance).
+helper process died), 2 numerical failure (rank/positivity or an
+identification check that exceeds tolerance).
 
 ``main`` parses with one parser per process, built on its first call:
 parsing leaves a parser unchanged, so in-process calls share it.
@@ -25,7 +25,7 @@ parsing leaves a parser unchanged, so in-process calls share it.
 ``experiment`` and ``identify-check`` import the harness when they run;
 importing this module, building the parser, ``simulate`` and ``estimate``
 never load it, nor the ``concurrent.futures`` and ``multiprocessing``
-modules behind its process pool.
+modules behind its sampling helper.
 """
 
 from __future__ import annotations
@@ -149,8 +149,8 @@ def _cmd_experiment(args) -> int:
     config = ExperimentConfig.from_json(args.config.read_text())
     try:
         report = run_experiment(config)
-    except BrokenExecutor as err:  # the sampling helper or a pool worker died
-        print(f"error: a worker process died: {err}", file=sys.stderr)
+    except BrokenExecutor as err:  # the sampling helper died
+        print(f"error: the sampling helper process died: {err}", file=sys.stderr)
         return USAGE_ERROR
     csv_text, table_text = emit_tables(report)
     args.output.write_text(csv_text)

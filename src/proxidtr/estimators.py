@@ -39,17 +39,15 @@ with bridges solved from the law, that of each method's value is the PMR
 summand centred at its mean.
 
 ``fit_bridges`` solves the bridges on the whole sample. ``fold_fits`` is
-the one fit path for every fold count, shared by ``cross_fit`` and the
-harness: with one fold it returns the whole sample's counts and
-``fit_bridges``' law and bridges, each built once; with K, ``fold_counts``
-gathers the cell codes in fold order once and counts each fold's strided
-slice, and the K off-fold laws (the total counts minus each fold's own) are
-solved as one stack (``fit_off_fold``, which the harness also calls on the
-off-fold counts of a block of repetitions), its tables led by a fold axis
-that the summands index through. The K fold laws are left to the harness,
-which reads them. Fitting
-never substitutes pseudo bridges; the harness merges each scenario's into
-the fitted set.
+``cross_fit``'s one fit path for every fold count: with one fold it returns
+the whole sample's counts and ``fit_bridges``' bridges; with K,
+``fold_counts`` gathers the cell codes in fold order once and counts each
+fold's strided slice, and the K off-fold laws (the total counts minus each
+fold's own) are solved as one stack (``fit_off_fold``, which the harness
+also calls on the off-fold counts of a block of repetitions), its tables led
+by a fold axis that the summands index through. The K fold laws are left to
+the harness, which reads them. Fitting never substitutes pseudo bridges; the
+harness merges each scenario's into the fitted set.
 
 ``_estimate`` is the one estimate kernel: one summand pass gives the
 count-weighted mean and, for PMR only, the second moment of the summand
@@ -203,19 +201,16 @@ def fit_counts(counts: np.ndarray, opts: FitOptions) -> tuple[JointPmf, BridgeSe
     return pmf, solved
 
 
-def fold_fits(data: Dataset, opts: FitOptions) -> tuple[np.ndarray, BridgeSet, JointPmf | None]:
-    """(the counts each fit scores, its bridges, the counts' law if the fit
-    built it) at every fold count: with one fold the whole sample's counts
-    and ``fit_bridges``' law and bridges; with more, each fold's own observed
-    counts and the bridges fitted on the other folds, led by the fold axis,
-    and no law (the fold laws are ``count_pmf`` of those counts, built where
-    they are read). A failed stacked fit is redone fold by fold to name the
-    first failing fold."""
+def fold_fits(data: Dataset, opts: FitOptions) -> tuple[np.ndarray, BridgeSet]:
+    """(the counts each fit scores, its bridges) at every fold count: with
+    one fold the whole sample's counts and ``fit_bridges``' bridges; with
+    more, each fold's own observed counts and the bridges fitted on the
+    other folds, led by the fold axis. A failed stacked fit is redone fold
+    by fold to name the first failing fold."""
     if opts.folds == 1:
-        law, solved = fit_bridges(data, opts)
-        return _cell_counts(data), solved, law
+        return _cell_counts(data), fit_bridges(data, opts)[1]
     own, off_fold = fold_counts(data, opts.folds)
-    return own, fit_off_fold(off_fold, opts), None
+    return own, fit_off_fold(off_fold, opts)
 
 
 def fit_off_fold(off_fold: np.ndarray, opts: FitOptions) -> BridgeSet:
@@ -341,7 +336,7 @@ def v_hat_pmr_alt(data: Dataset, b: BridgeSet, regime: Regime) -> ValueEstimate:
 def cross_fit(method: str, data: Dataset, opts: FitOptions, regime: Regime) -> ValueEstimate:
     """``v_hat`` on ``fold_fits``: with one fold the whole-sample estimate,
     with more the off-fold-fitted fold estimates averaged in fold order."""
-    own, b, _ = fold_fits(data, opts)
+    own, b = fold_fits(data, opts)
     if own.ndim == 1:
         return _estimate(method, own, b, regime)
     # C order, so each fold's row takes the dot-product path of an unstacked summand

@@ -30,18 +30,17 @@ stack a fit or baseline that fails splits the block into stacks of one,
 which rerun the layers run so far, so that only the failing repetitions are
 charged, with the reasons they get alone.
 
-The serial grid is a pipeline that lags one block (``_Blocks``). A block is
-``BLOCK`` repetitions, one per layer. ``_run_rep(config, truth, rep, ...)``
-is called once per repetition, in index order: each call draws and counts
-its own repetition's sample, then runs one layer of the previous block's
-pass, so call 4b + j runs layer j of block b - 1, and the last call also
-finishes the final block. Each call thus does its own draw and count plus at
-most one layer, and no fit, identification or scoring runs outside the
-calls: a timer around each call (the benchmark's) charges a repetition its
-own draw and a share of a block's pass, never a whole block, and leaves no
-work out. A pool worker, and the serial grid when nothing can overlap (one
-repetition, or one CPU), run each repetition alone, as a stack of one, in
-its own call.
+Every grid runs as one pipeline that lags one block (``_Blocks``). A block
+is ``BLOCK`` repetitions, one per layer. ``_run_rep(config, truth, rep,
+blocks)`` is called once per repetition, in index order, in the main
+process: each call draws and counts its own repetition's sample, then runs
+one layer of the previous block's pass, so call 4b + j runs layer j of
+block b - 1, and the last call also finishes the final block. Each call thus
+does its own draw and count plus at most one layer, and no fit,
+identification or scoring runs outside the calls: a timer around each call
+(the benchmark's) charges a repetition its own draw and a share of a block's
+pass, never a whole block, and leaves no work out. One repetition is a block
+of one, run whole in its call.
 
 A repetition's densities are scored as one stack through one function for
 both optimizers (``_class_scores``), which picks one Boolean index per
@@ -65,10 +64,10 @@ checks, name which submodel stays correct: the outcome-bridge pair
 (m0-correct), the hybrid pair h22+q11 (m1-correct), or the treatment-bridge
 pair (m2-correct); all-correct and all-wrong bracket them. The corrupted
 components are replaced by pseudo bridges drawn once per experiment from a
-fixed seed (``_scenario_pseudo``, handed to every repetition and pool
-worker), so repetitions share one corruption. Each component comes from its
-own substream and is drawn once, so scenarios that replace the same
-component hold the same array, which the piece table keys once.
+fixed seed (``_scenario_pseudo``, handed to every pass), so repetitions
+share one corruption. Each component comes from its own substream and is
+drawn once, so scenarios that replace the same component hold the same
+array, which the piece table keys once.
 
 True values come from ``dgp.true_values``, one ``class_values`` call over
 all 1024 Boolean indices under the Oracle density of the true law, the
@@ -89,21 +88,20 @@ step and the error's kind (``TableError.kind``: its message without the cell
 or block it names), so the repetitions that failed the same way group
 together.
 
-``PROXIDTR_THREADS`` caps worker processes; the default is serial. Serially,
-one helper process scoped to the loop of ``_rep_results`` draws the first
-rows [0, split) of the samples two repetitions ahead (``_draw``, through
-``dgp.sample_rows``); inside each ``_run_rep`` call the main process draws
-the rest, [split, n), waits for the helper's rows and joins them. The helper
-has its own interpreter lock, so its draw runs beside the main process's
-work at its solo speed, and two heads in hand keep it drawing through a
-call with a long layer. From the second block on, ``_balance`` moves the
-split toward the point where neither side waits for the other, from the
-measured wait and slack. With one repetition, or one CPU to run on, nothing
-can overlap and the sample is drawn inline; a pool worker samples inline
-too. A block of rows is drawn alone bit for bit and a sample depends only on
-its seed, so the split moves no bit: the report is the same byte for byte at
-any split, inline and on the pool. The helper is joined before
-``run_experiment`` returns or raises.
+With two or more repetitions and a second CPU, one helper process scoped
+to the loop of ``_rep_results`` draws the first rows [0, split) of the
+samples two repetitions ahead (``_draw``, through ``dgp.sample_rows``);
+inside each ``_run_rep`` call the main process draws the rest, [split, n),
+waits for the helper's rows and joins them. The helper has its own
+interpreter lock, so its draw runs beside the main process's work at its
+solo speed, and two heads in hand keep it drawing through a call with a
+long layer. From the second block on, ``_balance`` moves the split toward
+the point where neither side waits for the other, from the measured wait
+and slack. With one repetition, or one CPU to run on, nothing can overlap:
+there is no helper and each call draws its sample inline. A block of rows
+is drawn alone bit for bit and a sample depends only on its seed, so the
+split moves no bit: the report is the same byte for byte at any split and
+inline. The helper is joined before ``run_experiment`` returns or raises.
 
 The report's columns are stated once, in one column table (``_COLUMNS``):
 the labels and counts, then each metric's CSV prefix with the statistics
@@ -506,27 +504,12 @@ class _Pass:
 BLOCK = len(_Pass.LAYERS)  # repetitions per stacked pass: one layer of the previous block's pass per call
 
 
-def _run_rep(config: ExperimentConfig, truth: _Truth, rep: int, pseudo: dict[str, BridgeSet], blocks=None):
-    """Repetition ``rep``'s call: its sample drawn and counted, then a
-    stacked pass's work; returns the per-cell results (errors per cell) of
-    each repetition that finished, in index order.
-
-    ``pseudo`` holds each scenario's pseudo bridges (``_scenario_pseudo``).
-    Without ``blocks`` the sample is drawn here and a pass over a stack of
-    one runs whole, so the list holds this repetition's results. With
-    ``blocks``, the serial grid's pipeline (``_Blocks``), the sample comes
-    through the look-ahead, and the call runs one layer of the previous
-    block's pass. The sample is dropped once counted.
-    """
-    if blocks is None:
-        data = sample(truth.params, config.n, config.base_seed + rep)
-        return _Pass(config, truth, pseudo, (rep,), (_counts(config, data),)).finish()
+def _run_rep(config: ExperimentConfig, truth: _Truth, rep: int, blocks: _Blocks) -> list[dict]:
+    """Repetition ``rep``'s call in the grid's pipeline: its sample drawn
+    (``_Blocks.draw``) and counted, then one layer of the previous block's
+    pass; returns the per-cell results (errors per cell) of each repetition
+    that finished, in index order. The sample is dropped once counted."""
     return blocks.add(rep, _counts(config, blocks.draw(rep)))
-
-
-def _worker(args):
-    config, rep, pseudo = args
-    return _run_rep(config, _truth_context(config), rep, pseudo)[0]
 
 
 @cache
@@ -535,16 +518,9 @@ def _truth(regime_class: str) -> _Truth:
 
 
 def _truth_context(config: ExperimentConfig) -> _Truth:
-    """The ground truth of ``config``'s regime class, built once per process."""
+    """The ground truth of ``config``'s regime class, built once and kept;
+    the sampling helper, forked, inherits it."""
     return _truth(config.regime_class)
-
-
-def worker_count() -> int:
-    raw = os.environ.get("PROXIDTR_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
 
 
 def _draw(regime_class: str, n: int, seed: int, stop: int) -> tuple[np.ndarray, float, float]:
@@ -592,15 +568,16 @@ def _cpus() -> int:
 
 
 class _Blocks:
-    """The serial grid's pipeline: each call of ``_run_rep`` draws its own
-    repetition's sample through the look-ahead and counts it into the block
-    being drawn, then runs one layer of the previous block's stacked pass.
+    """The grid's pipeline: each call of ``_run_rep`` draws its own
+    repetition's sample and counts it into the block being drawn, then runs
+    one layer of the previous block's stacked pass.
 
     A block is ``BLOCK`` repetitions, one per layer, so a block's pass ends in
     the call that completes the next block, which then starts its own; the
-    last call also finishes the final block. The helper process draws the
-    first ``split`` rows of each sample, two repetitions ahead of the call
-    that reads them (``draw``).
+    last call also finishes the final block. The helper process, if any,
+    draws the first ``split`` rows of each sample, two repetitions ahead of
+    the call that reads them (``draw``); without one (``helper`` None) each
+    sample is drawn inline.
     """
 
     def __init__(self, config: ExperimentConfig, truth: _Truth, pseudo: dict[str, BridgeSet], helper):
@@ -613,18 +590,21 @@ class _Blocks:
             self._submit(rep)
 
     def _submit(self, rep: int) -> None:
-        if rep < self.config.reps:
+        if self.helper is not None and rep < self.config.reps:
             stop = round(self.split)
             self.heads.append((stop, self.helper.submit(_draw, self.config.regime_class, self.config.n,
                                                         self.config.base_seed + rep, stop)))
 
     def draw(self, rep: int) -> dgp.Dataset:
-        """Repetition ``rep``'s sample: the helper's rows [0, stop), handed to
-        it two repetitions ahead, joined to the rows [stop, n) drawn here.
-        From the second block on, ``_balance`` moves the split by the wait
-        and slack measured here; the first block's calls run no layer."""
+        """Repetition ``rep``'s sample, drawn whole here without a helper;
+        with one, the helper's rows [0, stop), handed to it two repetitions
+        ahead, joined to the rows [stop, n) drawn here. From the second
+        block on, ``_balance`` moves the split by the wait and slack
+        measured here; the first block's calls run no layer."""
         self._submit(rep + 2)
         n, seed = self.config.n, self.config.base_seed + rep
+        if self.helper is None:
+            return sample(self.truth.params, n, seed)
         stop, head = self.heads.popleft()
         began = time.perf_counter()
         tail = dgp.sample_rows(self.truth.params, n, seed, stop, n)
@@ -650,38 +630,34 @@ class _Blocks:
         return done + self.running.finish() if last else done
 
 
-def _rep_results(config: ExperimentConfig, truth: _Truth, workers: int):
-    """Each repetition's per-cell results, in index order.
+def _rep_results(config: ExperimentConfig, truth: _Truth):
+    """Each repetition's per-cell results, in index order, from the
+    pipeline (``_Blocks``).
 
-    On the pool each worker runs one repetition as a stack of one. Serially,
-    one helper process draws the first ``split`` rows of the samples two
-    repetitions ahead, and the main process draws the rest inside each
-    ``_run_rep`` call (``_Blocks.draw``); both sides draw through
-    ``dgp.sample_rows``, never ``sample``, which the benchmark's layer hook
-    wraps. ``split`` starts at n (the helper draws every row), and from
-    the second block on ``_balance`` moves it by each repetition's wait and
-    slack. Repetition r's timings first reach repetition r + 3, as r + 1
-    and r + 2 were handed to the helper before r ran. When nothing can
-    overlap (one repetition, or one CPU) each sample is drawn inline and run
-    as a stack of one. The helper is joined when the loop ends, raises or is
-    closed. Under the default ``fork`` start method (Linux before Python
-    3.14) it is forked before the executor starts its own threads and
-    inherits the imports and ``_truth``'s cache; under ``forkserver`` (Python
-    3.14) or ``spawn`` it would import the package and build the truth (the
-    regime class and the true values) before its first draw: the first
-    sample arrived after 0.26-0.39 s, against 33-37 ms forked (2-vCPU Xeon,
-    Python 3.11).
+    With two or more repetitions and a second CPU, one helper process draws
+    the first ``split`` rows of the samples two repetitions ahead, and the
+    main process draws the rest inside each ``_run_rep`` call
+    (``_Blocks.draw``); both sides draw through ``dgp.sample_rows``, never
+    ``sample``, which the benchmark's layer hook wraps. ``split`` starts at
+    n (the helper draws every row), and from the second block on
+    ``_balance`` moves it by each repetition's wait and slack. Repetition
+    r's timings first reach repetition r + 3, as r + 1 and r + 2 were handed
+    to the helper before r ran. When nothing can overlap (one repetition, or
+    one CPU) no process starts and each sample is drawn inline. The helper
+    is joined when the loop ends, raises or is closed. Under the default
+    ``fork`` start method (Linux before Python 3.14) it is forked before the
+    executor starts its own threads and inherits the imports and
+    ``_truth``'s cache; under ``forkserver`` (Python 3.14) or ``spawn`` it
+    would import the package and build the truth (the regime class and the
+    true values) before its first draw: the first sample arrived after
+    0.26-0.39 s, against 33-37 ms forked (2-vCPU Xeon, Python 3.11).
     """
     pseudo = _scenario_pseudo(config)
-    if workers > 1 and config.reps > 1:
-        with ProcessPoolExecutor(max_workers=min(workers, config.reps)) as pool:
-            yield from pool.map(_worker, [(config, r, pseudo) for r in range(config.reps)])
-    else:
-        overlap = config.reps > 1 and _cpus() > 1
-        with ProcessPoolExecutor(max_workers=1) if overlap else contextlib.nullcontext() as helper:
-            blocks = _Blocks(config, truth, pseudo, helper) if helper else None
-            for rep in range(config.reps):
-                yield from _run_rep(config, truth, rep, pseudo, blocks)
+    overlap = config.reps > 1 and _cpus() > 1
+    with ProcessPoolExecutor(max_workers=1) if overlap else contextlib.nullcontext() as helper:
+        blocks = _Blocks(config, truth, pseudo, helper)
+        for rep in range(config.reps):
+            yield from _run_rep(config, truth, rep, blocks)
 
 
 def run_experiment(config: ExperimentConfig) -> ExperimentReport:
@@ -691,7 +667,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
     scores = np.zeros((len(keys), 2, config.reps))  # [cell, (regret, overall error), rep]
     scored = np.zeros((len(keys), config.reps), dtype=bool)
     reasons = [Counter() for _ in keys]  # failure reason -> repetitions, in first-seen order
-    with contextlib.closing(_rep_results(config, truth, worker_count())) as rep_results:
+    with contextlib.closing(_rep_results(config, truth)) as rep_results:
         for rep, results in enumerate(rep_results):
             for i, key in enumerate(keys):
                 if isinstance(results[key], str):

@@ -1,8 +1,10 @@
 """Shared fixtures: the exact law, solved bridges, and regime classes;
-``serial_on_two_cpus``, the serial grid with its helper process on any
-host; ``cell_codes``, the encoder of column blocks into ``Dataset`` rows;
-``same_results``, bit-for-bit equality of one repetition's results; and
-the references the array kernel (``dgp.class_values`` + ``first_maximizer``)
+``serial_on_two_cpus``, the grid with its helper process on any host;
+``cell_codes``, the encoder of column blocks into ``Dataset`` rows;
+``same_results``, bit-for-bit equality of one repetition's results;
+``rep_alone``, one repetition's results from a pass over a stack of one,
+the reference the grid's stacked blocks are checked against; and the
+references the array kernel (``dgp.class_values`` + ``first_maximizer``)
 is checked against: ``regime_value``, one regime's value by a loop over
 (y0, y1), and ``value_maximize``, the member-by-member search."""
 
@@ -12,7 +14,7 @@ from typing import Callable
 import numpy as np
 import pytest
 
-from proxidtr import bridges, dgp
+from proxidtr import bridges, dgp, harness
 from proxidtr.policy import Regime, RegimeClass, enumerate_class
 from proxidtr.tables import marginalize
 
@@ -37,11 +39,19 @@ def same_results(a: dict, b: dict) -> bool:
         for k in a)
 
 
+def rep_alone(config: harness.ExperimentConfig, truth, rep: int, pseudo: dict | None = None) -> dict:
+    """Repetition ``rep``'s per-cell results from a pass over a stack of one,
+    its sample drawn whole through ``harness.sample``; ``pseudo`` defaults to
+    the experiment's pseudo bridges."""
+    pseudo = harness._scenario_pseudo(config) if pseudo is None else pseudo
+    data = harness.sample(truth.params, config.n, config.base_seed + rep)
+    return harness._Pass(config, truth, pseudo, (rep,), (harness._counts(config, data),)).finish()[0]
+
+
 @pytest.fixture
 def serial_on_two_cpus(monkeypatch):
-    """The serial grid, with two CPUs to run on whatever the host has, so the
-    helper process draws and repetitions run in blocks."""
-    monkeypatch.delenv("PROXIDTR_THREADS", raising=False)
+    """Two CPUs to run on whatever the host has, so the grid's helper
+    process draws beside the main process."""
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
 
 

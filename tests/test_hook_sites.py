@@ -4,13 +4,13 @@ called, and how often per operation.
 A benchmark that times layers by wrapping these attributes (``perfbench``
 does) reads a layer as zero when a refactor stops calling through one, so
 the counts are pinned here, counted by wrappers installed the same way: per
-block of repetitions of the serial grid (``harness.BLOCK``, one stacked
+block of repetitions of the grid (``harness.BLOCK``, one stacked
 pass), 1 ``estimators.solve_bridges``, 4 ``bridges.invert2or4``, 13
 ``harness._DENSITY_FN`` entries and 2 ``identify.observed_conditional`` at
 one fold (the stack of fitted laws and the Oracle's), 3 with folds (the
 stack of fold laws, SRA's whole-sample laws and the Oracle's), for value
 maximization at 5 folds (grid-crossfit's block) and Q-learning at 3 alike;
-a repetition run alone (a pool worker's) counts the same; per
+a repetition run alone (a stack of one) counts the same; per
 ``estimate --method pmr`` request, 1 ``estimators.solve_bridges``."""
 
 import functools
@@ -21,6 +21,7 @@ from dataclasses import replace
 
 import pytest
 
+from conftest import rep_alone
 from proxidtr import bridges, cli, dgp, estimators, harness, identify
 from proxidtr.policy import Regime
 
@@ -74,7 +75,7 @@ def _per_block(monkeypatch, counts, config, laws: int):
         assert len(per_call) == reps
         assert sum(per_call, Counter()) == counts == Counter({site: blocks * k for site, k in block.items()})
     counts.clear()
-    harness._run_rep(config, harness._truth_context(config), 0, harness._scenario_pseudo(config))
+    rep_alone(config, harness._truth_context(config), 0)
     assert counts == block
 
 

@@ -1,13 +1,13 @@
-"""The serial grid's look-ahead: one helper process draws the first rows
-of the samples two repetitions ahead, and the main process draws the rest
-when a repetition's call starts (``harness._Blocks.draw``);
-``harness._balance`` moves the split toward balance.
+"""The grid's look-ahead: one helper process draws the first rows of the
+samples two repetitions ahead, and the main process draws the rest when a
+repetition's call starts (``harness._Blocks.draw``); ``harness._balance``
+moves the split toward balance.
 
 The look-ahead changes where and when rows are drawn, never what is drawn,
-so every repetition's results equal those of ``_run_rep`` sampling inline,
-and a report is byte-identical at any split, with inline draws (one
-repetition or one CPU) and on the process pool, whose workers sample inline.
-The parent process draws only tails, rows [split, n). The helper lives
+so every repetition's results equal those of a stack of one sampling
+inline, and a report is byte-identical at any split and with inline draws
+(one repetition or one CPU). The parent process draws only tails, rows
+[split, n). The helper lives
 inside ``run_experiment`` only, also when a head or a tail draw fails, the
 results are abandoned or the helper dies, and a wrapper on
 ``harness.sample`` (the benchmark's layer hook) is never called for the
@@ -22,7 +22,7 @@ import threading
 import numpy as np
 import pytest
 
-from conftest import same_results
+from conftest import rep_alone, same_results
 from proxidtr import dgp, estimators, harness
 from proxidtr.cli import main
 from proxidtr.harness import ExperimentConfig, emit_tables, run_experiment
@@ -83,9 +83,8 @@ def _no_helper(monkeypatch):
 
 
 def _dies_in_a_child(monkeypatch, seed: int):
-    """``dgp.sample_rows``, which the helper's heads and a pool worker's
-    samples draw through, ending its process abruptly when it draws
-    ``seed`` outside this process."""
+    """``dgp.sample_rows``, which the helper's heads draw through, ending its
+    process abruptly when it draws ``seed`` outside this process."""
     parent, original = os.getpid(), dgp.sample_rows
 
     def dying(params, n, drawn_seed, start, stop):
@@ -103,11 +102,11 @@ def test_look_ahead_results_equal_inline_draws(case, monkeypatch):
     split = config.n // 3
     _forced_split(monkeypatch, split)
     draws = _parent_draws(monkeypatch)
-    ahead = list(harness._rep_results(config, truth, 1))
+    ahead = list(harness._rep_results(config, truth))
     assert draws == _tails(config, split)  # rows [0, split) drawn by the helper process
     del draws[:]
     pseudo = harness._scenario_pseudo(config)
-    inline = [harness._run_rep(config, truth, rep, pseudo)[0] for rep in range(config.reps)]
+    inline = [rep_alone(config, truth, rep, pseudo) for rep in range(config.reps)]
     assert draws == _inline(config)
     assert all(same_results(a, b) for a, b in zip(ahead, inline, strict=True))
 
@@ -126,14 +125,6 @@ def test_reports_are_the_same_at_any_split(case, at, monkeypatch):
     draws = _parent_draws(monkeypatch)
     assert _report_text(config) == text
     assert draws == _tails(config, split)
-
-
-@pytest.mark.parametrize("case", sorted(CONFIGS))
-def test_reports_are_the_same_serially_and_on_the_pool(case, monkeypatch):
-    config = CONFIGS[case]
-    text = _report_text(config)
-    monkeypatch.setenv("PROXIDTR_THREADS", "2")
-    assert _report_text(config) == text
 
 
 @pytest.mark.parametrize("case", sorted(CONFIGS))
@@ -208,7 +199,7 @@ def test_abandoned_results_leave_no_thread():
     """Nor a process: the helper, drawing repetition 1, is joined on close."""
     config = CONFIGS["default"]
     before = threading.active_count()
-    results = harness._rep_results(config, harness._truth_context(config), 1)
+    results = harness._rep_results(config, harness._truth_context(config))
     next(results)
     assert len(multiprocessing.active_children()) == 1
     results.close()
@@ -238,17 +229,16 @@ def test_a_failing_draw_reaches_the_caller_and_leaves_no_thread(monkeypatch):
         assert multiprocessing.active_children() == []
 
 
-@pytest.mark.parametrize("workers", ["1", "2"], ids=["helper", "pool"])
-def test_a_dead_process_leaves_nothing_running_and_exits_one_with_one_line(workers, monkeypatch, tmp_path, capsys):
+@pytest.mark.parametrize("process", ["helper"])  # the one process a grid starts
+def test_a_dead_process_leaves_nothing_running_and_exits_one_with_one_line(process, monkeypatch, tmp_path, capsys):
     config = ExperimentConfig(methods=("PMR", "SRA"), n=4000, reps=5, base_seed=77)
-    monkeypatch.setenv("PROXIDTR_THREADS", workers)
     _dies_in_a_child(monkeypatch, config.base_seed + 2)
     before = threading.active_count()
     path = tmp_path / "config.json"
     path.write_text(config.to_json())
     assert main(["experiment", "--config", str(path), "-o", str(tmp_path / "out.csv")]) == 1
     err = capsys.readouterr().err
-    assert err.startswith("error: ") and err.count("\n") == 1
+    assert err.startswith(f"error: the sampling {process} process died: ") and err.count("\n") == 1
     assert not (tmp_path / "out.csv").exists()
     assert threading.active_count() == before
     assert multiprocessing.active_children() == []
@@ -256,9 +246,10 @@ def test_a_dead_process_leaves_nothing_running_and_exits_one_with_one_line(worke
 
 def test_a_wrapper_on_harness_sample_is_never_called_from_the_helper(monkeypatch):
     """As the benchmark's layer hook wraps it: the helper process and the
-    main process draw their blocks through ``dgp.sample_rows``, so the
-    serial grid never calls the wrapper (a call in the helper would end it
-    and break the run), and inline draws call it in this process."""
+    main process draw their blocks through ``dgp.sample_rows``, so a grid
+    with a helper never calls the wrapper (a call in the helper would end it
+    and break the run), and inline draws (one CPU) call it in this
+    process."""
     config = CONFIGS["default"]
     _forced_split(monkeypatch, config.n // 2)
     seeds = []
@@ -273,8 +264,9 @@ def test_a_wrapper_on_harness_sample_is_never_called_from_the_helper(monkeypatch
     monkeypatch.setattr(harness, "sample", wrapper)
     run_experiment(config)
     assert seeds == []
-    harness._run_rep(config, harness._truth_context(config), 0, harness._scenario_pseudo(config))
-    assert seeds == [config.base_seed]
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    run_experiment(config)
+    assert seeds == [config.base_seed + rep for rep in range(config.reps)]
 
 
 N = 35000

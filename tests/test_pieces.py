@@ -16,6 +16,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
+from conftest import rep_alone
 from proxidtr import dgp, harness, identify
 from proxidtr.bridges import pseudo_bridges
 from proxidtr.harness import BRIDGE_METHODS, ExperimentConfig
@@ -63,7 +64,7 @@ def test_each_distinct_piece_is_made_once_per_repetition(params, folds, monkeypa
     truth = harness._truth_context(config)
     pseudo = harness._scenario_pseudo(config)
     made = _counting_recipes(monkeypatch)
-    results = harness._run_rep(config, truth, 0, pseudo)[0]
+    results = rep_alone(config, truth, 0, pseudo)
     assert not any(isinstance(r, str) for r in results.values())
     assert set(made.values()) == {1}
     # each bridge component is either fitted or the one shared pseudo array, so over the

@@ -20,7 +20,7 @@ from functools import partial
 
 import numpy as np
 import pytest
-from conftest import regime_value, value_maximize
+from conftest import regime_value, rep_alone, value_maximize
 
 from proxidtr import dgp, harness
 from proxidtr.estimators import empirical_pmf, sra_from_conditional
@@ -126,7 +126,7 @@ def test_truth_and_scoring_build_no_regime(monkeypatch, optimizer):
     monkeypatch.setattr(Regime, "__post_init__", lambda self: built.append(self) or post_init(self))
     config = harness.ExperimentConfig(optimizer=optimizer)
     truth = harness._Truth(dgp.DgpParams.default(), config.regime_class)
-    results = harness._run_rep(config, truth, 0, harness._scenario_pseudo(config))[0]
+    results = rep_alone(config, truth, 0)
     assert not any(isinstance(r, str) for r in results.values())
     assert built == []
     q_learning_regime(np.zeros((2, 2, 2, 2)), np.zeros((2, 2)))

@@ -30,7 +30,7 @@ def bridge_sets(params):
     sample = dgp.sample(params, 35000, seed=1)
     pmf, fitted = fit_bridges(sample)
     cond = observed_conditional(pmf)[0]
-    own, stacked, _ = fold_fits(sample, FitOptions(folds=5))
+    own, stacked = fold_fits(sample, FitOptions(folds=5))
     return {
         "fitted": (cond, fitted),
         "all-pseudo": (cond, fitted.merged(pseudo_bridges(7))),

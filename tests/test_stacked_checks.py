@@ -25,7 +25,7 @@ FOLDS = 3
 def fold_stack(request, params):
     """(own counts, off-fold counts, off-fold bridges, each fold's bridges alone)."""
     data = sample(params, 35000, request.param)
-    own, solved, _ = fold_fits(data, FitOptions(folds=FOLDS))
+    own, solved = fold_fits(data, FitOptions(folds=FOLDS))
     per_fold = [BridgeSet(**{name: getattr(solved, name)[k] for name in _SHAPES}) for k in range(FOLDS)]
     return own, fold_counts(data, FOLDS)[1], solved, per_fold
 
