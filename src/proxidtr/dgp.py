@@ -53,11 +53,15 @@ matrix and a column name alike into codes or masks.
 naming OBSERVED_ORDER (optionally followed by u0,u1 and led by a byte-order
 mark), then lines of k comma-separated digits 0 or 1, k being the header's
 length; CRLF line ends, blank lines, a missing final newline and spaces or
-tabs around values are allowed. The body is checked and converted as one
-byte array: reshaped to (rows, 2k), digits in the even slots, commas between
-them and a newline last (``_csv_values``). A body already in that layout is
-checked as it stands; any other is first stripped of spaces, tabs,
-carriage returns and blank lines and given a final newline. Only a
+tabs around values are allowed. The body is checked and converted in
+blocks of ``_CSV_BLOCK`` rows of 2k bytes, digits in the even slots, commas
+between them and a newline last (``_csv_codes``): a block XORed with as
+many rows of zeros in that layout and read as little-endian 16-bit words
+holds a digit's 0/1 in every word exactly when each comma and newline is in
+place, so one maximum checks it and one float32 product turns its words
+into cell codes; no temporary is larger than a block. A body already in
+that layout is checked as it stands; any other is first stripped of spaces,
+tabs, carriage returns and blank lines and given a final newline. Only a
 rejected file is scanned line by line, to name the first bad line.
 ``Dataset.to_csv`` writes that same layout as one (rows, 2k) byte array,
 behind the lower-case header line, so what it writes is read back without
@@ -68,7 +72,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Mapping
 
 import numpy as np
@@ -274,7 +278,7 @@ class Dataset:
         if include_hidden and not self.has_hidden:
             raise ValueError("the dataset has no hidden columns u0,u1 to write")
         names = OBSERVED_ORDER + HIDDEN_ORDER if include_hidden else OBSERVED_ORDER
-        body = np.full((len(self), 2 * len(names)), ord(","), dtype=np.uint8)  # the layout ``_csv_values`` checks
+        body = np.full((len(self), 2 * len(names)), ord(","), dtype=np.uint8)  # the layout ``_csv_codes`` reads
         body[:, ::2] = self._columns(names) + ord("0")
         body[:, -1] = ord("\n")
         return ",".join(n.lower() for n in names) + "\n" + body.tobytes().decode("ascii")
@@ -299,33 +303,47 @@ class Dataset:
             raise ValueError(f"unexpected CSV header {header}")
         k = len(header)
         body = np.frombuffer(data, np.uint8)[end + 1:]
-        rows = _csv_values(body, k)
-        if rows is None:
+        code = _csv_codes(body, k)
+        if code is None:
             body = _canonical_body(body)
             if body.size == 0:
                 raise ValueError("CSV has a header but no data rows")
-            rows = _csv_values(body, k)
-            if rows is None:
+            code = _csv_codes(body, k)
+            if code is None:
                 raise ValueError(_csv_row_error(data.decode("utf-8", "replace"), k))
-        # codes below 2^11 are exact in float32, whose product runs about twice as fast as an integer one
-        code = rows @ _bit_weights(OBSERVED_ORDER + HIDDEN_ORDER)[:k].astype(np.float32)
-        return cls(code.astype(np.int16), seed, hidden_in_file)
+        return cls(code, seed, hidden_in_file)
 
 
-def _csv_values(body: np.ndarray, k: int) -> np.ndarray | None:
-    """The (rows, k) int8 values of the bytes ``body`` if they are exactly
-    lines of k comma-separated 0/1 digits, each ending in a newline; else None."""
+_CSV_BLOCK = 4096  # rows decoded at a time, so no temporary grows with the body
+
+
+@lru_cache(maxsize=8)
+def _zero_rows(k: int, block: int) -> np.ndarray:
+    """``block`` rows of k comma-separated zeros, each ending in a newline."""
+    return np.frombuffer((("0," * k)[:-1] + "\n").encode() * block, np.uint8)
+
+
+def _csv_codes(body: np.ndarray, k: int) -> np.ndarray | None:
+    """The int16 cell codes of the bytes ``body`` if they are exactly lines of
+    k comma-separated 0/1 digits, each ending in a newline; else None."""
     width = 2 * k
     if body.size == 0 or body.size % width:
         return None
-    rows = body.reshape(-1, width)
-    values = rows[:, ::2] - ord("0")  # bytes below "0" wrap past 1
-    # with a digit in every even slot and a newline in every last slot, the
-    # other odd slots all hold commas exactly when there are rows * (k - 1) commas
-    if (values.max() > 1 or np.any(rows[:, -1] != ord("\n"))
-            or np.count_nonzero(body == ord(",")) != len(rows) * (k - 1)):
-        return None
-    return values.view(np.int8)
+    zeros = _zero_rows(k, _CSV_BLOCK)
+    block = np.empty_like(zeros)
+    # codes below 2^11 are exact in float32, whose product runs about twice as fast as an integer one
+    weights = _bit_weights(OBSERVED_ORDER + HIDDEN_ORDER)[:k].astype(np.float32)
+    code = np.empty(body.size // width, np.int16)
+    for start in range(0, body.size, block.size):
+        stop = min(start + block.size, body.size)
+        part = np.bitwise_xor(body[start:stop], zeros[:stop - start], out=block[:stop - start])
+        # XOR with a zero row leaves each digit's 0/1 in a low byte and zero in
+        # every high byte exactly when the commas and the newline are in place
+        values = part.view("<u2")
+        if values.max() > 1:
+            return None
+        code[start // width:stop // width] = values.reshape(-1, k) @ weights
+    return code
 
 
 def _canonical_body(body: np.ndarray) -> np.ndarray:
