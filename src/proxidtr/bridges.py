@@ -210,6 +210,10 @@ def solve_bridges(pmf: JointPmf, provenance: str = "solved-from-truth") -> Bridg
 DEFAULT_PSEUDO_SEED = 20  # the seed experiments and identify-check draw pseudo bridges from by default
 
 
+# each outcome bridge's outcome axes, over which a pseudo one sums to one: y2 for h22, (y1, y2) for h21
+_OUTCOME_AXES = {"h22": 2, "h21": (1, 2)}
+
+
 def _component_rng(seed: int, index: int) -> np.random.Generator:
     ss = np.random.SeedSequence(entropy=int(seed), spawn_key=(index,))
     return np.random.Generator(np.random.Philox(seed=ss))
@@ -232,12 +236,9 @@ def pseudo_bridges(seed: int, which: Iterable[str] = _COMPONENTS) -> BridgeSet:
         if name not in which:
             continue
         rng = _component_rng(seed, index)
-        if name == "h22":
-            raw = rng.uniform(0.0, 1.0, size=_SHAPES["h22"])
-            arrays[name] = raw / raw.sum(axis=2, keepdims=True)
-        elif name == "h21":
-            raw = rng.uniform(0.0, 1.0, size=_SHAPES["h21"])
-            arrays[name] = raw / raw.sum(axis=(1, 2), keepdims=True)
+        if name in _OUTCOME_AXES:
+            raw = rng.uniform(0.0, 1.0, size=_SHAPES[name])
+            arrays[name] = raw / raw.sum(axis=_OUTCOME_AXES[name], keepdims=True)
         else:
             arrays[name] = rng.uniform(0.5, 4.0, size=_SHAPES[name])
     return BridgeSet(**arrays, provenance=dict.fromkeys(arrays, f"pseudo({seed})"))

@@ -15,15 +15,13 @@ counter-based generator, and evaluates ground truth by sequential
 standardization (g-formula) over the hidden confounders: the conditional
 joint density of potential outcomes and, from it, ``true_values``, the true
 value of every Boolean regime at its Boolean index, built once per
-``DgpParams`` and read-only. ``true_value`` reads one
-regime's value there and ``optimal_value`` a class optimum, found by
-exhaustive policy enumeration; the harness scores against the same array.
-``class_values`` is the one place a regime's value under a density is
-computed: the values of any Boolean indices under one density, or under each
-of a stack, are a single array gather of their cells in
-``policy.DENSITY_CELLS``. Every potential-outcome density, the Oracle's here
-and those of SRA and the bridge methods, is an ``IdentifiedDensity`` (here
-because ``identify`` imports this module).
+``DgpParams`` and read-only: one ``policy.class_values`` call, the
+package's one plug-in value kernel, under the Oracle density of the true
+law. ``true_value`` reads one regime's value there and ``optimal_value`` a
+class optimum, found by exhaustive policy enumeration; the harness scores
+against the same array and optimum. Every potential-outcome density, the
+Oracle's here and those of SRA and the bridge methods, is an
+``IdentifiedDensity`` (here because ``identify`` imports this module).
 
 The sampler draws each variable in SAMPLING_ORDER as one raw 64-bit Philox
 word per row, compared with a prefix table P(var = 1 | the variables sampled
@@ -77,7 +75,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .policy import BOOLEAN_SIZE, DENSITY_CELLS, Regime, RegimeClass, enumerate_class, first_maximizer
+from .policy import BOOLEAN_SIZE, Regime, RegimeClass, class_values, enumerate_class, first_maximizer
 from .tables import JointPmf, _as_readonly, _locked, _mass_over, _refuse_stack, conditional
 
 CANONICAL_ORDER = ("Y0", "U0", "Z1", "W1", "A1", "Y1", "U1", "Z2", "W2", "A2", "Y2")
@@ -507,30 +505,6 @@ def oracle_density_from_joint(pmf: JointPmf) -> IdentifiedDensity:
     # axis letters: a=y0 b=y1 c=u0 d=u1 e=a1 f=a2 g=y2
     g = np.einsum("...abcdefg,...abced,...aceb,...ac->...efgba", p_y2, p_u1, p_y1, p_u0)
     return IdentifiedDensity(g, "ORACLE")
-
-
-def class_values(g: np.ndarray, p_y0: np.ndarray, index: int | np.ndarray) -> np.ndarray:
-    """The values of the regimes of Boolean indices ``index`` (read flat, so
-    shape (K,), K = 1 for one int) under a density ``g`` with P(y0) ``p_y0``;
-    a stack of densities (..., 2, 2, 2, 2, 2) with P(y0) (..., 2) gives the
-    values under each, shape (..., K).
-
-    V(d) = sum_{y0,y1} P(y0) * g[d1(y0), d2(y0,y1,d1(y0)), y2=1, y1, y0], read
-    at the regime's four cells in ``policy.DENSITY_CELLS``. The four terms are
-    added left to right in (y0, y1) order, so regimes that differ only
-    off-path tie exactly and ``first_maximizer`` keeps the first-maximizer rule.
-    """
-    p_y0, g, index = np.asarray(p_y0), np.asarray(g), np.reshape(index, -1)
-    if not index.size:  # an empty list reshapes to a float array, which np.take refuses
-        index = index.astype(int)
-    if p_y0.shape[-1:] != (2,) or g.shape != p_y0.shape[:-1] + (2,) * 5:
-        raise ValueError(f"densities of shape {g.shape} do not match P(y0) of shape {p_y0.shape}: P(y0) must "
-                         f"be (..., 2) and the densities P(y0)'s stack shape followed by (2, 2, 2, 2, 2)")
-    if index.size and not 0 <= index.min() <= index.max() < BOOLEAN_SIZE:  # a negative index would wrap around
-        raise ValueError(f"Boolean indices must lie in [0, {BOOLEAN_SIZE}), got {index.min()} to {index.max()}")
-    cells = np.take(DENSITY_CELLS, index, axis=1)  # (4, K); np.take gathers faster than [:, index]
-    terms = p_y0[..., [0, 0, 1, 1], None] * np.take(g.reshape(p_y0.shape[:-1] + (-1,)), cells, axis=-1)
-    return ((terms[..., 0, :] + terms[..., 1, :]) + terms[..., 2, :]) + terms[..., 3, :]
 
 
 def marginal_y0(pmf: JointPmf) -> np.ndarray:

@@ -79,7 +79,7 @@ from .bridges import BridgeSet, solve_bridges
 from .dgp import _HIDDEN_AXES, CANONICAL_ORDER, OBSERVED_ORDER, Dataset, oracle_density_from_joint
 from .identify import METHODS, IdentifiedDensity, _require, observed_conditional, value_from_density
 from .policy import Regime
-from .tables import JointPmf, SingularMatrixError, ZeroProbabilityError, _locked, _refuse_zero
+from .tables import JointPmf, SingularMatrixError, ZeroProbabilityError, _locked, _mass_over, _refuse_zero
 
 ALL_METHODS = METHODS + ("SRA", "ORACLE")  # the bridge methods, then the baselines
 
@@ -157,14 +157,6 @@ def _fold_order(data: Dataset, folds: int) -> np.ndarray:
         raise ValueError(f"{folds} folds need at least {folds} rows, got {len(data)}")
     ss = np.random.SeedSequence(entropy=int(data.seed), spawn_key=(int(folds), 0xF01D))
     return np.random.Generator(np.random.Philox(seed=ss)).permutation(len(data))
-
-
-def fold_assignments(data: Dataset, folds: int) -> np.ndarray:
-    """Deterministic fold id of each row, derived from (data seed, folds); every fold gets a row."""
-    n = len(data)
-    out = np.empty(n, dtype=np.int64)
-    out[_fold_order(data, folds)] = np.arange(n) % folds
-    return out
 
 
 def fold_counts(data: Dataset, folds: int) -> tuple[np.ndarray, np.ndarray]:
@@ -355,14 +347,13 @@ def if_variance(data: Dataset, b: BridgeSet, regime: Regime) -> float:
 
 
 def population_v(method: str, pmf: JointPmf, b: BridgeSet, regime: Regime) -> float:
-    """Expected estimator summand under a law: cells enumerated and weighted.
+    """Expected estimator summand under a law: ``_count_mean`` of the summand
+    weighted by the law's observed mass, as a sample's mean is by its counts.
 
     With ``pmf`` the true law and correct bridges this equals the true value
     (the population mean-zero property of the influence function).
     """
-    cond, p_y0 = observed_conditional(pmf)
-    weights = (cond * p_y0[(slice(None),) + (None,) * 8]).reshape(-1)
-    return float(np.dot(weights, _summands(method, b, regime)))
+    return _count_mean(_mass_over(pmf, OBSERVED_ORDER).reshape(-1), _summands(method, b, regime))
 
 
 _STEP = 1e-20  # the complex step of ``influence``: any h far below 1e-8 is exact to rounding

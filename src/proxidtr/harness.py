@@ -42,20 +42,18 @@ identification or scoring runs outside the calls: a timer around each call
 pass, never a whole block, and leaves no work out. One repetition is a block
 of one, run whole in its call.
 
-A repetition's densities are scored as one stack through one function for
-both optimizers (``_class_scores``), which picks one Boolean index per
-density. Value maximization gathers every searched class member's value
-under every density in one array gather, ``dgp.class_values``, and each
-density picks its first maximum (``first_maximizer``); Q-learning picks the
-greedy Boolean index from the stacked Q tables (``q_learning_index``). One
-more ``class_values`` call then reads each density's value of its own pick.
-A stack that fails to score (a zero Q denominator) is rescored density by
-density, as stacks of one, so the failure is charged to its own density
-only. Each (scenario, method) cell's regime is scored two ways:
+The harness does not pick a regime; it scores picks. A repetition's
+densities are picked from as one stack by ``identify.pick``, which returns
+each density's Boolean index and estimated value without the truth, and
+``_class_scores`` scores them. A stack that fails to pick (a zero Q
+denominator) is rescored density by density, as stacks of one, so the
+failure is charged to its own density only. Each (scenario, method) cell's
+regime is scored two ways:
 
   regret         V(d*) - V(d_hat), both under the true law, where d* is the
-                 optimum of the class searched (the Boolean-class optimum
-                 for Q-learning)
+                 optimum of the class the optimizer searches: the regime
+                 class for value maximization, the Boolean class for
+                 Q-learning
   overall error  |V(d*) - V_hat(d_hat)|, charging the estimated value of the
                  chosen regime against the true optimum
 
@@ -69,13 +67,11 @@ share one corruption. Each component comes from its own substream and is
 drawn once, so scenarios that replace the same component hold the same
 array, which the piece table keys once.
 
-True values come from ``dgp.true_values``, one ``class_values`` call over
-all 1024 Boolean indices under the Oracle density of the true law, the
-law's one cached table; a chosen regime's true value is read at its Boolean
-index, the searched class's optimum is a gather from that array at the
-class's indices; both optima are maxima of those finite values. No
-``Regime`` is built to score, and the truth is built once per regime class
-and process (``_truth_context``).
+True values come from ``dgp.true_values``, the law's one cached table of
+all 1024 Boolean regimes' values; a chosen regime's true value is read at
+its Boolean index, and the optimum is ``dgp.optimal_value`` of the searched
+class. No ``Regime`` is built to score, and the truth is built once per
+searched class and process (``_truth_context``).
 
 Everything is deterministic in the config: repetition seeds are
 base_seed + index, and each repetition's results are folded into per-cell
@@ -132,7 +128,7 @@ import numpy as np
 
 from . import dgp, identify
 from .bridges import DEFAULT_PSEUDO_SEED, BridgeSet, pseudo_bridges, solve_bridges, verify_bridges
-from .dgp import CANONICAL_ORDER, DgpParams, class_values, oracle_density_from_joint, sample, true_joint, true_values
+from .dgp import CANONICAL_ORDER, DgpParams, optimal_value, oracle_density_from_joint, sample, true_joint, true_values
 from .estimators import (
     ALL_METHODS,
     FitOptions,
@@ -142,9 +138,8 @@ from .estimators import (
     fold_counts,
     sra_from_conditional,
 )
-from .identify import q_functions
-from .policy import enumerate_class, first_maximizer, q_learning_index
-from .tables import TableError
+from .policy import enumerate_class
+from .tables import TableError, _json_object
 
 EPSILON = 1e-10  # values below this render as "<eps"
 
@@ -201,8 +196,7 @@ class ExperimentConfig:
                 raise ValueError(f"unknown method {method!r}")
         if self.optimizer not in ("value-max", "q-learning"):
             raise ValueError("optimizer must be 'value-max' or 'q-learning'")
-        if self.regime_class not in ("linear", "all-boolean"):
-            raise ValueError("regime_class must be 'linear' or 'all-boolean'")
+        enumerate_class(self.regime_class)  # raises on an unknown class
         if self.reps < 1 or self.n < 1:
             raise ValueError("n and reps must be >= 1")
         if not 0 <= self.base_seed <= 2 ** 64 - self.reps:
@@ -219,13 +213,7 @@ class ExperimentConfig:
 
     @classmethod
     def from_json(cls, text: str) -> "ExperimentConfig":
-        payload = json.loads(text)
-        if not isinstance(payload, dict):
-            raise ValueError("config must be a JSON object")
-        unknown = sorted(set(payload) - {f.name for f in fields(cls)})
-        if unknown:
-            raise ValueError(f"unknown config keys {unknown}")
-        return cls(**payload)
+        return cls(**_json_object(text, "config", cls))
 
 
 @dataclass(frozen=True)
@@ -274,14 +262,14 @@ def _summary(arr: np.ndarray) -> MetricSummary:
 
 
 class _Truth:
-    """Ground-truth context shared by every repetition of an experiment."""
+    """Ground-truth context shared by every repetition of an experiment: the
+    class searched, every Boolean regime's true value and that class's optimum."""
 
     def __init__(self, params: DgpParams, regime_class: str):
         self.params = params
         self.search_class = enumerate_class(regime_class)
         self.true_values = true_values(params)  # at each Boolean index
-        self.optimum_value = float(self.true_values[self.search_class.index].max())
-        self.boolean_optimum = float(self.true_values.max())
+        self.optimum = optimal_value(params, self.search_class)[0]
 
 
 def _attempt(step: str, fn, *args):
@@ -361,20 +349,12 @@ def _baseline_table(cells: np.ndarray, observed: np.ndarray, config: ExperimentC
 
 
 def _class_scores(truth: _Truth, g: np.ndarray, p_y0: np.ndarray, optimizer: str) -> list[tuple[float, float]]:
-    """(regret, overall error) of the regime picked under each of a stack of
-    densities (D, 2, 2, 2, 2, 2) with P(y0) (D, 2), by value maximization over
-    the searched class or greedily from the Q tables over the Boolean class.
-    Each optimizer picks one Boolean index per density; both then read each
-    density's value of its own pick."""
-    if optimizer == "q-learning":
-        optimum = truth.boolean_optimum
-        chosen = q_learning_index(*q_functions(g))
-    else:
-        optimum, index = truth.optimum_value, truth.search_class.index
-        chosen = index[first_maximizer(class_values(g, p_y0, index))]
-    estimated = np.diagonal(class_values(g, p_y0, chosen))  # density d's value of its own pick chosen[d]
-    regret = optimum - truth.true_values[chosen]
-    return list(zip(regret.tolist(), np.abs(optimum - estimated).tolist()))
+    """(regret, overall error) of the regime ``identify.pick`` picks under
+    each of a stack of densities (D, 2, 2, 2, 2, 2) with P(y0) (D, 2), over
+    the searched class, scored against its true value and the class optimum."""
+    chosen, estimated = identify.pick(g, p_y0, truth.search_class.index, optimizer)
+    regret = truth.optimum - truth.true_values[chosen]
+    return list(zip(regret.tolist(), np.abs(truth.optimum - estimated).tolist()))
 
 
 def _scores(truth: _Truth, tables: dict, optimizer: str) -> dict:
@@ -518,16 +498,18 @@ def _truth(regime_class: str) -> _Truth:
 
 
 def _truth_context(config: ExperimentConfig) -> _Truth:
-    """The ground truth of ``config``'s regime class, built once and kept;
-    the sampling helper, forked, inherits it."""
-    return _truth(config.regime_class)
+    """The ground truth of the class ``config``'s optimizer searches (the
+    Boolean class for Q-learning), built once and kept; the sampling helper,
+    forked, inherits it, and is handed its class's tag (``_Blocks._submit``)."""
+    return _truth("all-boolean" if config.optimizer == "q-learning" else config.regime_class)
 
 
 def _draw(regime_class: str, n: int, seed: int, stop: int) -> tuple[np.ndarray, float, float]:
     """Rows [0, stop) of a repetition's sample as cell codes, drawn in the
-    helper process, with its ``time.perf_counter()`` readings at the draw's
-    start and end (the system-wide monotonic clock, which forked processes
-    share).
+    helper process under the law of the truth ``_truth_context`` keyed by
+    ``regime_class`` (so a forked helper reads the truth it inherited), with
+    its ``time.perf_counter()`` readings at the draw's start and end (the
+    system-wide monotonic clock, which forked processes share).
 
     Codes cross the process boundary, never a pickled ``Dataset``, whose
     read-only lock does not survive unpickling; the main process joins them
@@ -592,7 +574,7 @@ class _Blocks:
     def _submit(self, rep: int) -> None:
         if self.helper is not None and rep < self.config.reps:
             stop = round(self.split)
-            self.heads.append((stop, self.helper.submit(_draw, self.config.regime_class, self.config.n,
+            self.heads.append((stop, self.helper.submit(_draw, self.truth.search_class.tag, self.config.n,
                                                         self.config.base_seed + rep, stop)))
 
     def draw(self, rep: int) -> dgp.Dataset:

@@ -44,8 +44,15 @@ Every method returns a ``dgp.IdentifiedDensity`` (re-exported here), as do
 SRA and the Oracle, and reports it raw: misspecified bridges can push cells
 negative or break normalization, and downstream consumers see that rather
 than a silently repaired table. ``value_from_density`` reads a regime's
-value off any of them with ``dgp.class_values``, the package's one plug-in
-value kernel.
+value off any of them with ``policy.class_values``, the package's one
+plug-in value kernel.
+
+``pick`` is the one place a density becomes a regime: under each density of
+a stack it returns the Boolean index the optimizer picks and that regime's
+estimated value, and it reads no truth. Value maximization takes the first
+maximizer of ``class_values`` over a class's indices; Q-learning takes the
+greedy regime of ``q_functions`` over the Boolean class. The harness scores
+these picks against the truth; it does not pick.
 """
 
 from __future__ import annotations
@@ -55,8 +62,8 @@ from functools import reduce
 import numpy as np
 
 from .bridges import BridgeSet
-from .dgp import OBSERVED_ORDER, IdentifiedDensity, class_values, marginal_y0
-from .policy import Regime
+from .dgp import OBSERVED_ORDER, IdentifiedDensity, marginal_y0
+from .policy import Regime, class_values, first_maximizer, q_learning_index
 from .tables import JointPmf, _mass_over, _refuse_zero
 
 # method -> the bridge components it reads; the one list of the bridge methods
@@ -200,7 +207,7 @@ def pipw_marginal_stage1(pmf: JointPmf, b: BridgeSet) -> np.ndarray:
 
 def value_from_density(g: IdentifiedDensity | np.ndarray, pmf: JointPmf, regime: Regime) -> float | np.ndarray:
     """Indicator-weighted value of a regime under an identified density:
-    ``dgp.class_values`` at the regime's Boolean index. A Python float for one
+    ``policy.class_values`` at the regime's Boolean index. A Python float for one
     real law; a stack of densities and laws gives one value per law, and a
     complex density its complex value, both as arrays."""
     arr = g.g if isinstance(g, IdentifiedDensity) else np.asarray(g)
@@ -233,3 +240,30 @@ def q_functions(g: IdentifiedDensity | np.ndarray) -> tuple[np.ndarray, np.ndarr
                  "zero stage-1 normalizer in Q1 weights at (y0={y0}, a1={a1})")
     q1 = np.einsum("...xyk,...xyk->...xk", weights / total, q2.max(axis=-1))  # [..., y0, a1]
     return q2, q1
+
+
+def pick(g: IdentifiedDensity | np.ndarray, p_y0: np.ndarray, index: np.ndarray,
+         optimizer: str) -> tuple[int, float] | tuple[np.ndarray, np.ndarray]:
+    """(Boolean index, estimated value) of the regime ``optimizer`` picks under
+    a density ``g`` with P(y0) ``p_y0``: an int and a float for one density
+    (2, 2, 2, 2, 2), and an array of each for a 1-D stack (D, 2, 2, 2, 2, 2)
+    with P(y0) (D, 2), entry d that of density d alone. No truth is read.
+
+    "value-max" picks the first maximizer of ``class_values`` over the
+    Boolean indices ``index`` (``first_maximizer``: ties go to the first, a
+    NaN in first place is kept and one elsewhere never wins); "q-learning"
+    picks the greedy regime of the density's Q tables (``q_learning_index``)
+    and ignores ``index``. The estimated value is ``class_values`` at the pick.
+    """
+    arr = g.g if isinstance(g, IdentifiedDensity) else np.asarray(g)
+    if optimizer not in ("value-max", "q-learning"):
+        raise ValueError(f"unknown optimizer {optimizer!r}; expected 'value-max' or 'q-learning'")
+    if arr.ndim not in (5, 6):
+        raise ValueError(f"pick reads one density or a 1-D stack of them, got shape {arr.shape}")
+    stack, p_stack = arr.reshape((-1,) + (2,) * 5), np.reshape(p_y0, (-1, 2))  # one density: a stack of one
+    if optimizer == "q-learning":
+        chosen = q_learning_index(*q_functions(stack))
+    else:
+        chosen = np.asarray(index)[first_maximizer(class_values(stack, p_stack, index))]
+    value = np.diagonal(class_values(stack, p_stack, chosen))  # density d's value of its own pick chosen[d]
+    return (chosen, value) if arr.ndim == 6 else (int(chosen[0]), float(value[0]))

@@ -24,27 +24,29 @@ Tie-breaking is normative: a threshold at exactly zero maps to action 0, and
 value maximization returns the first maximizer in canonical enumeration order
 (ascending Boolean index: d1 index, then d2 truth-table integer).
 
-``DENSITY_CELLS`` holds, for every Boolean index, the flat indices of the
-four density cells its value reads, so the values of any regimes under one
-density, or under each of a stack, are a single array gather
-(``dgp.class_values``); ``first_maximizer`` picks the first maximum, as an
-exhaustive loop with a strict ``>`` would. Q-learning's greedy
-rule picks from Q tables instead: ``q_learning_index`` gives the greedy
-regime's Boolean index for each law of a stack of tables, and
-``q_learning_regime`` builds that regime for one law.
+``class_values`` is the package's one plug-in value kernel: the values of
+any regimes under one density, or under each of a stack, are a single array
+gather of their cells in ``DENSITY_CELLS``, which holds, for every Boolean
+index, the flat indices of the four density cells its value reads.
+``first_maximizer`` picks the first maximum, as an exhaustive loop with a
+strict ``>`` would. Q-learning's greedy rule picks from Q tables instead:
+``q_learning_index`` gives the greedy regime's Boolean index for each law of
+a stack of tables, and ``q_learning_regime`` builds that regime for one law.
+``identify.pick`` is where a density becomes a regime, by one rule or the
+other.
 """
 
 from __future__ import annotations
 
 import itertools
 import json
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from typing import Iterable, Sequence
 
 import numpy as np
 
-from .tables import _locked
+from .tables import _json_object, _locked
 
 NORM_TOL = 1e-9
 BOOLEAN_SIZE = 1 << 10  # regimes over binary histories: 2 d1 bits and 8 d2 bits
@@ -68,6 +70,30 @@ def _density_cells() -> np.ndarray:
 
 
 DENSITY_CELLS = _density_cells()
+
+
+def class_values(g: np.ndarray, p_y0: np.ndarray, index: int | np.ndarray) -> np.ndarray:
+    """The values of the regimes of Boolean indices ``index`` (read flat, so
+    shape (K,), K = 1 for one int) under a density ``g`` with P(y0) ``p_y0``;
+    a stack of densities (..., 2, 2, 2, 2, 2) with P(y0) (..., 2) gives the
+    values under each, shape (..., K).
+
+    V(d) = sum_{y0,y1} P(y0) * g[d1(y0), d2(y0,y1,d1(y0)), y2=1, y1, y0], read
+    at the regime's four cells in ``DENSITY_CELLS``. The four terms are
+    added left to right in (y0, y1) order, so regimes that differ only
+    off-path tie exactly and ``first_maximizer`` keeps the first-maximizer rule.
+    """
+    p_y0, g, index = np.asarray(p_y0), np.asarray(g), np.reshape(index, -1)
+    if not index.size:  # an empty list reshapes to a float array, which np.take refuses
+        index = index.astype(int)
+    if p_y0.shape[-1:] != (2,) or g.shape != p_y0.shape[:-1] + (2,) * 5:
+        raise ValueError(f"densities of shape {g.shape} do not match P(y0) of shape {p_y0.shape}: P(y0) must "
+                         f"be (..., 2) and the densities P(y0)'s stack shape followed by (2, 2, 2, 2, 2)")
+    if index.size and not 0 <= index.min() <= index.max() < BOOLEAN_SIZE:  # a negative index would wrap around
+        raise ValueError(f"Boolean indices must lie in [0, {BOOLEAN_SIZE}), got {index.min()} to {index.max()}")
+    cells = np.take(DENSITY_CELLS, index, axis=1)  # (4, K); np.take gathers faster than [:, index]
+    terms = p_y0[..., [0, 0, 1, 1], None] * np.take(g.reshape(p_y0.shape[:-1] + (-1,)), cells, axis=-1)
+    return ((terms[..., 0, :] + terms[..., 1, :]) + terms[..., 2, :]) + terms[..., 3, :]
 
 
 def _read_bits(bits: Iterable[int]) -> int:
@@ -146,15 +172,12 @@ class Regime:
 
     @classmethod
     def from_json(cls, text: str) -> "Regime":
-        payload = json.loads(text)
-        if not isinstance(payload, dict) or not all(isinstance(payload.get(k), list) for k in ("d1", "d2")):
+        payload = _json_object(text, "regime", cls)
+        if not all(isinstance(payload.get(k), list) for k in ("d1", "d2")):
             raise ValueError("a regime must be a JSON object with bit lists 'd1' and 'd2'")
         for key in ("d1", "d2"):  # true and 1.0 equal 1, which ``_check_bits`` would pass
             if not all(type(b) is int and b in (0, 1) for b in payload[key]):
                 raise ValueError(f"{key} bits must be the JSON integers 0 or 1, got {json.dumps(payload[key])}")
-        unknown = sorted(set(payload) - {f.name for f in fields(cls)})
-        if unknown:  # a misspelled certificate would otherwise go unchecked
-            raise ValueError(f"unknown regime keys {unknown}")
         thetas = []
         for key in ("theta1", "theta2"):
             theta = payload.get(key)  # only a missing key or null means no certificate

@@ -59,7 +59,7 @@ call too.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import lru_cache
 from typing import Mapping, Sequence
 
@@ -141,6 +141,24 @@ def _refuse_stack(shape: tuple[int, ...], trailing: int, message: str, error: ty
     ones; ``message`` is formatted with the stack shape as ``{stack}``."""
     if len(shape) > trailing:
         raise error(message.format(stack=shape[:len(shape) - trailing]))
+
+
+def _json_object(text: str, what: str, cls) -> dict:
+    """The JSON object ``text`` holds, its keys fields of the dataclass ``cls``.
+    A document nested too deeply for the parser (a RecursionError), one that
+    is not an object and an unknown key are refused as a ValueError naming
+    ``what``."""
+    names = [f.name for f in fields(cls)]
+    try:
+        payload = json.loads(text)
+    except RecursionError:
+        raise ValueError(f"{what} JSON is nested too deeply to read") from None
+    if not isinstance(payload, dict):
+        raise ValueError(f"{what} must be a JSON object with keys among {names}")
+    unknown = sorted(set(payload) - set(names))
+    if unknown:  # a misspelled key would otherwise be dropped unchecked
+        raise ValueError(f"unknown {what} keys {unknown}")
+    return payload
 
 
 @dataclass(frozen=True)

@@ -4,7 +4,7 @@
 ``same_results``, bit-for-bit equality of one repetition's results;
 ``rep_alone``, one repetition's results from a pass over a stack of one,
 the reference the grid's stacked blocks are checked against; and the
-references the array kernel (``dgp.class_values`` + ``first_maximizer``)
+references the array kernel (``policy.class_values`` + ``first_maximizer``)
 is checked against: ``regime_value``, one regime's value by a loop over
 (y0, y1), and ``value_maximize``, the member-by-member search."""
 

@@ -10,6 +10,7 @@ write no bytecode."""
 import importlib.util
 import json
 import os
+import time
 import types
 from pathlib import Path
 
@@ -252,17 +253,77 @@ def test_both_checkouts_are_compiled_once_before_the_first_pair(monkeypatch, tmp
 
 
 def test_a_run_writes_no_bytecode(monkeypatch, tmp_path):
-    """Every run gets ``PYTHONDONTWRITEBYTECODE=1`` on top of this environment."""
+    """Every run gets ``PYTHONDONTWRITEBYTECODE=1`` on top of this environment,
+    and a session of its own."""
     calls = []
 
-    def fake_run(cmd, **kwargs):
-        calls.append(kwargs)
-        return types.SimpleNamespace(returncode=0, stdout=_canned("parent", 0), stderr="")
+    class FakePopen:
+        def __init__(self, cmd, **kwargs):
+            calls.append(kwargs)
+            kwargs["stdout"].write(_canned("parent", 0))
+            self.pid, self.returncode = -1, 0
+
+        def wait(self, timeout=None):
+            calls.append(timeout)
+            return self.returncode
 
     monkeypatch.setenv("PYTHONDONTWRITEBYTECODE", "")
-    monkeypatch.setattr(bench_pairs.subprocess, "run", fake_run)
+    monkeypatch.setattr(bench_pairs.subprocess, "Popen", FakePopen)
+    monkeypatch.setattr(bench_pairs, "session_members", lambda sid: [])
     args = types.SimpleNamespace(workload="grid-vmax", seed=1, seconds=25.0, trace=0)
     assert bench_pairs._run(tmp_path, args) == _canned("parent", 0)
-    (kwargs,) = calls
+    kwargs, timeout = calls
     assert kwargs["cwd"] == tmp_path and kwargs["env"]["PYTHONDONTWRITEBYTECODE"] == "1"
     assert kwargs["env"]["PATH"] == os.environ["PATH"]
+    assert kwargs["start_new_session"] and timeout == bench_pairs.run_timeout(25.0) == 160.0
+
+
+def _fake_checkout(root: Path, name: str, script: str) -> Path:
+    """A checkout whose ``perfbench/run.py`` is ``script``, with a
+    ``BENCHMARK.json`` and an empty ``src``."""
+    checkout = root / name
+    (checkout / "perfbench").mkdir(parents=True)
+    (checkout / "src").mkdir()
+    (checkout / "perfbench" / "run.py").write_text(script)
+    (checkout / "BENCHMARK.json").write_text(json.dumps({"end_to_end": [
+        {"name": "reps_per_s", "better": "higher", "bound": 0.25}]}))
+    return checkout
+
+
+# the start of a fake run that records its session id in its checkout
+RECORDS_SESSION = "import os, subprocess, time\nopen('sid', 'w').write(str(os.getsid(0)))\n"
+
+
+def _printing(side: str) -> str:
+    return f"print({_canned(side, 0)!r})\n"
+
+
+def _session_of(checkout: Path) -> int:
+    """The session the fake run recorded: not this process's, and with no process left."""
+    sid = int((checkout / "sid").read_text())
+    assert sid != os.getsid(0) and bench_pairs.session_members(sid) == []
+    return sid
+
+
+def test_a_run_that_hangs_is_killed_and_fails_the_comparison(monkeypatch, tmp_path, capsys):
+    parent = _fake_checkout(tmp_path, "parent", RECORDS_SESSION + "time.sleep(600)\n")
+    change = _fake_checkout(tmp_path, "change", _printing("change"))
+    monkeypatch.setattr(bench_pairs, "RUN_TIMEOUT_SETUP_S", 1.0)  # 4 x 0.5 s + 1 s
+    began = time.monotonic()
+    assert bench_pairs.main([str(parent), str(change), "--workload", "grid-vmax", "--pairs", "2",
+                             "--seconds", "0.5"]) == 1
+    assert time.monotonic() - began < 60
+    err = capsys.readouterr().err
+    assert err.startswith("error: pair 1, parent run: ") and "ran past 3 s" in err and err.endswith("no summary\n")
+    _session_of(parent)
+
+
+def test_a_run_that_leaves_a_process_is_killed_and_fails_the_comparison(tmp_path, capsys):
+    parent = _fake_checkout(tmp_path, "parent", _printing("parent"))
+    change = _fake_checkout(tmp_path, "change", RECORDS_SESSION + "subprocess.Popen(['sleep', '600'])\n"
+                            + _printing("change"))
+    assert bench_pairs.main([str(parent), str(change), "--workload", "grid-vmax", "--pairs", "2",
+                             "--seconds", "0.5"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: pair 1, change run: ") and "exited 0 but left processes [" in err
+    _session_of(change)

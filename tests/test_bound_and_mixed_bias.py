@@ -21,7 +21,7 @@ import pytest
 from proxidtr import dgp, identify
 from proxidtr.bridges import BridgeSet, solve_bridges
 from proxidtr.estimators import _summands, influence
-from proxidtr.policy import Regime, first_maximizer
+from proxidtr.policy import Regime, class_values, first_maximizer
 from proxidtr.tables import marginalize
 
 # Boolean index -> the efficiency bound of its value, measured both ways below (they agree to 4.4e-16)
@@ -38,7 +38,7 @@ def test_efficiency_bound_of_the_pmr_value(joint, linear_class, params):
 
     def pmr_values(pmf):
         cond, p_y0 = identify.observed_conditional(pmf)
-        return dgp.class_values(identify.density_from_conditional("PMR", cond, solve_bridges(pmf)).g, p_y0, index)
+        return class_values(identify.density_from_conditional("PMR", cond, solve_bridges(pmf)).g, p_y0, index)
 
     via_influence = influence(pmr_values, law) ** 2 @ mass
     solved = solve_bridges(joint)

@@ -289,6 +289,21 @@ def test_negative_pseudo_seed_is_named(capsys):
     assert _one_line_error(capsys) == "error: --pseudo-seed must be >= 0, got -1\n"
 
 
+@pytest.mark.parametrize("command", ["experiment", "estimate"])
+def test_deeply_nested_json_is_one_line_usage_error(tmp_path, capsys, command):
+    """A config or regime file nested too deeply for the JSON parser exits 1
+    with one line, not a RecursionError traceback."""
+    text = "[" * 200000
+    if command == "estimate":
+        assert _estimate_with_regime(tmp_path, text) == 1
+        assert _one_line_error(capsys) == "error: regime JSON is nested too deeply to read\n"
+    else:
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(text)
+        assert main(["experiment", "--config", str(cfg), "-o", str(tmp_path / "r.csv")]) == 1
+        assert _one_line_error(capsys) == "error: config JSON is nested too deeply to read\n"
+
+
 def _estimate_with_regime(tmp_path, text: str) -> int:
     data_file = tmp_path / "d.csv"
     main(["simulate", "--n", "500", "--seed", "3", "-o", str(data_file)])

@@ -14,7 +14,7 @@ import pytest
 from conftest import cell_codes, regime_value
 
 from proxidtr import dgp
-from proxidtr.policy import Regime, enumerate_class, first_maximizer
+from proxidtr.policy import Regime, class_values, enumerate_class, first_maximizer
 from proxidtr.tables import conditional, marginalize
 
 
@@ -141,7 +141,7 @@ def test_true_value_affine_in_density(oracle, p_y0):
     regime = Regime((1, 0), (0, 1, 1, 0, 1, 0, 0, 1))
     lam = 0.37
     mix = lam * oracle.g + (1 - lam) * other
-    v, v1, v2 = (dgp.class_values(g, p_y0, [regime.index])[0] for g in (mix, oracle.g, other))
+    v, v1, v2 = (class_values(g, p_y0, [regime.index])[0] for g in (mix, oracle.g, other))
     assert v == pytest.approx(lam * v1 + (1 - lam) * v2, abs=1e-12)
 
 
@@ -184,7 +184,7 @@ def test_true_values_are_built_once_per_law_and_read_only(monkeypatch):
 
 @pytest.mark.parametrize("tag", ["linear", "all-boolean"])
 def test_optimal_value_builds_only_the_chosen_member(params, oracle, p_y0, tag, monkeypatch):
-    values = dgp.class_values(oracle.g, p_y0, enumerate_class(tag).index)
+    values = class_values(oracle.g, p_y0, enumerate_class(tag).index)
     best = first_maximizer(values)
     expected = enumerate_class(tag).members[best]  # the whole class, built before counting
     built = []

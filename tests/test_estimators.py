@@ -23,7 +23,6 @@ from proxidtr.estimators import (
     empirical_pmf,
     fit_bridges,
     fit_counts,
-    fold_assignments,
     fold_counts,
     fold_fits,
     if_variance,
@@ -35,7 +34,7 @@ from proxidtr.estimators import (
     v_hat_pmr_alt,
     _cell_counts,
 )
-from proxidtr.policy import Regime
+from proxidtr.policy import Regime, class_values
 from proxidtr.tables import JointPmf, SingularMatrixError, ZeroProbabilityError, conditional
 
 METHODS = ("POR", "PHA", "PIPW", "PMR")
@@ -165,9 +164,9 @@ def test_complex_step_derivative_of_the_plug_in_value_is_the_centred_pmr_summand
     step = JointPmf(pmf.names, pmf.mass.reshape(-1) + 1j * h * (np.eye(512)[cells] - pmf.mass.reshape(-1)))
     cond, p_y0 = identify.observed_conditional(step)
     g = identify.density_from_conditional("PMR", cond, solve_bridges(step)).g
-    values = dgp.class_values(g, p_y0, linear_class.index)  # (cells, regimes)
+    values = class_values(g, p_y0, linear_class.index)  # (cells, regimes)
     cond, p_y0 = identify.observed_conditional(pmf)
-    plug_in = dgp.class_values(identify.density_from_conditional("PMR", cond, bridges_hat).g, p_y0, linear_class.index)
+    plug_in = class_values(identify.density_from_conditional("PMR", cond, bridges_hat).g, p_y0, linear_class.index)
     assert np.abs(values.real - plug_in).max() <= 1e-12
     counts = _cell_counts(big_data)
     for k, regime in enumerate(linear_class.members):
@@ -225,6 +224,14 @@ def test_off_fold_bridge_sets_differ(big_data):
         assert np.abs(sets[i].h21 - sets[i + 1].h21).max() > 1e-12
 
 
+def fold_assignments(data: Dataset, folds: int) -> np.ndarray:
+    """Fold id of each row, read off ``estimators._fold_order``: row
+    ``order[i]`` belongs to fold ``i % folds``."""
+    out = np.empty(len(data), dtype=np.int64)
+    out[estimators._fold_order(data, folds)] = np.arange(len(data)) % folds
+    return out
+
+
 def test_fold_assignment_deterministic_and_balanced(big_data):
     a = fold_assignments(big_data, 5)
     b = fold_assignments(big_data, 5)
@@ -236,8 +243,9 @@ def test_fold_assignment_deterministic_and_balanced(big_data):
 def test_fold_assignments_refuse_more_folds_than_rows(params):
     data = dgp.sample(params, 4, seed=3)
     np.testing.assert_array_equal(np.sort(fold_assignments(data, 4)), np.arange(4))  # one row per fold
-    with pytest.raises(ValueError, match="5 folds need at least 5 rows, got 4"):
-        fold_assignments(data, 5)
+    for fn in (fold_assignments, fold_counts):
+        with pytest.raises(ValueError, match="5 folds need at least 5 rows, got 4"):
+            fn(data, 5)
 
 
 def test_estimate_order_invariance_under_row_permutation(small_data, fitted):

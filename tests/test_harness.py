@@ -6,6 +6,7 @@ from functools import partial
 import numpy as np
 import pytest
 from conftest import regime_value, rep_alone, value_maximize
+from test_estimators import fold_assignments
 
 from proxidtr import dgp, estimators, harness, identify
 from proxidtr.bridges import pseudo_bridges
@@ -208,15 +209,20 @@ def _loop_optimum(true_density, truth, optimizer):
     return value_maximize(partial(regime_value, *true_density), cls)[1]
 
 
-def _loop_score(true_density, truth, g, p_y0, optimizer, optimum):
-    """(regret, overall error) of one density by test-side loops: value-max by
-    ``value_maximize`` + ``regime_value``, Q-learning by ``q_functions`` ->
-    ``q_learning_regime`` -> ``regime_value``; true values under ``true_density``."""
+def _loop_pick(g, p_y0, cls, optimizer):
+    """(regime, estimated value) of one density's pick by test-side loops:
+    value-max by ``value_maximize`` + ``regime_value`` over ``cls``,
+    Q-learning by ``q_functions`` -> ``q_learning_regime`` -> ``regime_value``."""
     if optimizer == "value-max":
-        d_hat, estimated = value_maximize(partial(regime_value, g, p_y0), truth.search_class)
-    else:
-        d_hat = q_learning_regime(*identify.q_functions(g))
-        estimated = regime_value(g, p_y0, d_hat)
+        return value_maximize(partial(regime_value, g, p_y0), cls)
+    d_hat = q_learning_regime(*identify.q_functions(g))
+    return d_hat, regime_value(g, p_y0, d_hat)
+
+
+def _loop_score(true_density, truth, g, p_y0, optimizer, optimum):
+    """(regret, overall error) of one density by test-side loops (``_loop_pick``);
+    true values under ``true_density``."""
+    d_hat, estimated = _loop_pick(g, p_y0, truth.search_class, optimizer)
     return optimum - regime_value(*true_density, d_hat), abs(optimum - estimated)
 
 
@@ -238,7 +244,7 @@ def test_scores_match_loops_on_one_repetition(optimizer, true_density):
     test-side loops, bit for bit, under both regime classes."""
     tables = _one_repetition_densities(ExperimentConfig(n=35000))
     for regime_class in ("linear", "all-boolean"):
-        truth = harness._truth_context(ExperimentConfig(regime_class=regime_class))
+        truth = harness._truth_context(ExperimentConfig(regime_class=regime_class, optimizer=optimizer))
         densities = tables + [true_density]
         assert len(densities) == 23
         g, p_y0 = (np.stack(arrays) for arrays in zip(*densities))
@@ -247,11 +253,26 @@ def test_scores_match_loops_on_one_repetition(optimizer, true_density):
         assert harness._class_scores(truth, g, p_y0, optimizer) == expected
 
 
+@pytest.mark.parametrize("optimizer", ["value-max", "q-learning"])
+def test_pick_matches_loops_on_one_repetition(optimizer, true_density, linear_class, boolean_class):
+    """``identify.pick``, given no truth, picks under the stack of the same 23
+    densities what test-side loops pick under each alone, bit for bit, over
+    both classes; each density picked alone gives the same."""
+    densities = _one_repetition_densities(ExperimentConfig(n=35000)) + [true_density]
+    g, p_y0 = (np.stack(arrays) for arrays in zip(*densities))
+    for cls in (linear_class, boolean_class):
+        expected = [(d_hat.index, estimated) for d_hat, estimated in
+                    (_loop_pick(*density, cls, optimizer) for density in densities)]
+        chosen, values = identify.pick(g, p_y0, cls.index, optimizer)
+        assert list(zip(chosen.tolist(), values.tolist())) == expected
+        assert [identify.pick(*density, cls.index, optimizer) for density in densities] == expected
+
+
 def test_a_density_that_fails_scoring_is_charged_alone(true_density):
     """In a stack where one density has a zero stage-2 denominator, Q-learning
     still scores every other density, and that one records the message it gets
     when scored alone; value maximization needs no Q tables and scores it."""
-    truth = harness._truth_context(ExperimentConfig())
+    truth = harness._truth_context(ExperimentConfig(optimizer="q-learning"))
     densities = _one_repetition_densities(ExperimentConfig(n=35000))
     degenerate = densities[4][0].copy()
     degenerate[1, 0, :, 1, 0] = 0.0  # f(Y1(1)=1 | Y0=0) is zero at a2 = 0
@@ -275,15 +296,28 @@ def test_a_density_that_fails_scoring_is_charged_alone(true_density):
 
 def test_truth_reads_values_and_optima_at_boolean_indices(monkeypatch, boolean_class, p_y0):
     """On a random potential density, where the linear optimum falls short of
-    the Boolean one, both optima and every true value match the loop."""
+    the Boolean one, each class's one optimum and every true value match the loop."""
     g = np.random.default_rng(13).random((2,) * 5)
     monkeypatch.setattr(dgp, "oracle_density_from_joint", lambda joint: identify.IdentifiedDensity(g, "ORACLE"))
-    truth = harness._Truth(DgpParams.default(), "linear")
+    params = DgpParams.default()
+    linear, boolean = (harness._Truth(params, tag) for tag in ("linear", "all-boolean"))
     value = partial(regime_value, g, p_y0)
-    assert truth.true_values.tolist() == [value(r) for r in boolean_class.members]
-    assert truth.true_values is dgp.true_values(truth.params)  # the law's one table
-    assert truth.optimum_value == value_maximize(value, truth.search_class)[1]
-    assert truth.boolean_optimum == value_maximize(value, boolean_class)[1] > truth.optimum_value
+    assert linear.true_values.tolist() == [value(r) for r in boolean_class.members]
+    assert linear.true_values is boolean.true_values is dgp.true_values(params)  # the law's one table
+    assert linear.optimum == value_maximize(value, linear.search_class)[1]
+    assert boolean.optimum == value_maximize(value, boolean_class)[1] > linear.optimum
+    assert boolean.search_class == boolean_class
+
+
+@pytest.mark.parametrize("regime_class", ["linear", "all-boolean"])
+def test_truth_is_keyed_by_the_class_the_optimizer_searches(regime_class):
+    """Value maximization searches the configured class, Q-learning the Boolean
+    class whatever the configured one, and each truth is built once."""
+    value_max = harness._truth_context(ExperimentConfig(regime_class=regime_class))
+    q_learning = harness._truth_context(ExperimentConfig(regime_class=regime_class, optimizer="q-learning"))
+    assert value_max.search_class.tag == regime_class
+    assert q_learning is harness._truth_context(ExperimentConfig(optimizer="q-learning"))
+    assert q_learning.search_class == enumerate_class("all-boolean")
 
 
 def _list_summary(values):
@@ -393,7 +427,7 @@ def _reference_rep(true_density, config, truth, rep):
     kind, without the cell, block or fold it names."""
     data = sample(truth.params, config.n, config.base_seed + rep)
     opts = estimators.FitOptions(config.folds, config.laplace)
-    assignments = estimators.fold_assignments(data, config.folds)
+    assignments = fold_assignments(data, config.folds)
     total = estimators._cell_counts(data)
     # (scoring counts, fitting counts) per fold
     folds = [(total, total)] if config.folds == 1 else [

@@ -11,8 +11,11 @@ Claims covered:
       weight is a2-invariant exactly where the theory applies
 """
 
+from functools import partial
+
 import numpy as np
 import pytest
+from conftest import regime_value, value_maximize
 
 from proxidtr import dgp, identify
 from proxidtr.bridges import MissingBridgeError, pseudo_bridges
@@ -28,7 +31,7 @@ from proxidtr.identify import (
     q_functions,
     value_from_density,
 )
-from proxidtr.policy import Regime, q_learning_regime
+from proxidtr.policy import Regime, class_values, q_learning_regime
 from proxidtr.tables import ZeroProbabilityError, marginalize
 
 DENSITIES = (density_por, density_pha, density_pipw, density_pmr)
@@ -283,3 +286,43 @@ def test_value_from_density_of_a_fold_stack_gives_one_value_per_fold(big_data):
     for fold, counts in enumerate(off_fold):
         law, b = fit_counts(counts, opts)
         assert values[fold] == pytest.approx(value_from_density(density_pmr(law, b), law, regime), abs=1e-12)
+
+
+@pytest.mark.parametrize("optimizer, tag", [("value-max", "linear"), ("q-learning", "all-boolean")])
+def test_pick_of_one_density_is_that_of_a_stack_of_one(joint, oracle, p_y0, linear_class, params, optimizer, tag):
+    """One density gives an int and a float, those of a stack of one; at the
+    true law the pick attains the optimum of the class the optimizer
+    searches, and its value is the regime's value there."""
+    chosen, value = identify.pick(oracle, p_y0, linear_class.index, optimizer)
+    stacked = identify.pick(oracle.g[None], p_y0[None], linear_class.index, optimizer)
+    assert type(chosen) is int and type(value) is float
+    assert (chosen, value) == (stacked[0][0], stacked[1][0])
+    assert dgp.true_values(params)[chosen] == pytest.approx(dgp.optimal_value(params, tag)[0], abs=1e-12)
+    assert value == value_from_density(oracle, joint, Regime.from_index(chosen))
+
+
+def test_q_learning_picks_ignore_the_class(oracle, p_y0, boolean_class):
+    assert (identify.pick(oracle, p_y0, np.array([5]), "q-learning")
+            == identify.pick(oracle, p_y0, boolean_class.index, "q-learning"))
+
+
+def test_pick_keeps_a_nan_in_first_place_and_never_picks_one_elsewhere(p_y0, linear_class):
+    """A NaN value of the first member picks it, as a strict ``>`` loop keeps
+    it; a NaN value of a later member never wins."""
+    g = np.random.default_rng(7).random((2,) * 5)
+    for cell, first in (((0, 0, 1, 0, 0), True), ((1, 1, 1, 1, 1), False)):  # read by member 0, by later ones
+        planted = g.copy()
+        planted[cell] = np.nan
+        values = class_values(planted, p_y0, linear_class.index)
+        assert np.isnan(values[0]) == first and np.isnan(values).sum() > 1
+        d_hat, estimated = value_maximize(partial(regime_value, planted, p_y0), linear_class)
+        chosen, value = identify.pick(planted, p_y0, linear_class.index, "value-max")
+        assert chosen == d_hat.index and np.array_equal(value, estimated, equal_nan=True)
+        assert (chosen == linear_class.index[0]) == first and np.isnan(value) == first
+
+
+def test_pick_refuses_an_unknown_optimizer_and_a_deeper_stack(oracle, p_y0, linear_class):
+    with pytest.raises(ValueError, match="unknown optimizer 'gradient'"):
+        identify.pick(oracle, p_y0, linear_class.index, "gradient")
+    with pytest.raises(ValueError, match="one density or a 1-D stack"):
+        identify.pick(oracle.g[None, None], p_y0[None, None], linear_class.index, "value-max")

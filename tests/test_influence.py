@@ -16,7 +16,7 @@ from proxidtr import dgp, identify
 from proxidtr.bridges import DEFAULT_PSEUDO_SEED, pseudo_bridges, solve_bridges
 from proxidtr.estimators import _summands, count_pmf, empirical_pmf, influence
 from proxidtr.harness import SCENARIO_PSEUDO
-from proxidtr.policy import Regime
+from proxidtr.policy import Regime, class_values
 from proxidtr.tables import JointPmf, TableError
 
 # the methods that read fitted and pseudo components at once, per scenario
@@ -44,7 +44,7 @@ def _method_values(pseudo, index):
     def values(pmf: JointPmf) -> np.ndarray:
         cond, p_y0 = identify.observed_conditional(pmf)
         b = solve_bridges(pmf).merged(pseudo)
-        return np.stack([dgp.class_values(identify.density_from_conditional(m, cond, b).g, p_y0, index)
+        return np.stack([class_values(identify.density_from_conditional(m, cond, b).g, p_y0, index)
                          for m in identify.METHODS], axis=-2)
     return values
 

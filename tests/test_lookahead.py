@@ -23,6 +23,7 @@ import numpy as np
 import pytest
 
 from conftest import rep_alone, same_results
+from test_estimators import fold_assignments
 from proxidtr import dgp, estimators, harness
 from proxidtr.cli import main
 from proxidtr.harness import ExperimentConfig, emit_tables, run_experiment
@@ -178,6 +179,30 @@ def test_the_helper_draws_two_repetitions_ahead(monkeypatch):
                     for event in (("call", rep, min(rep + 2, reps)), ("tail", rep, min(rep + 3, reps)))]
 
 
+def test_a_q_learning_grid_hands_the_helper_the_truth_it_built(monkeypatch):
+    """A Q-learning grid over the linear class searches the Boolean class, and
+    its helper is handed that truth's key: the forked helper builds no truth
+    before its first draw (a build in the helper would end it)."""
+    config = ExperimentConfig(scenarios=("all-correct",), methods=("PMR",), optimizer="q-learning", reps=3)
+    harness._truth.cache_clear()  # so only the truth this grid builds is inherited
+    keys, parent, init = [], os.getpid(), harness._Truth.__init__
+
+    def built_here(self, *args):
+        if os.getpid() != parent:
+            os._exit(9)
+        init(self, *args)
+
+    class Recording(harness.ProcessPoolExecutor):
+        def submit(self, fn, *args):
+            keys.append(args[0])  # (regime class, n, seed, stop)
+            return super().submit(fn, *args)
+
+    monkeypatch.setattr(harness._Truth, "__init__", built_here)
+    monkeypatch.setattr(harness, "ProcessPoolExecutor", Recording)
+    run_experiment(config)
+    assert keys == ["all-boolean"] * config.reps
+
+
 def test_without_affinity_the_cpu_count_decides(monkeypatch):
     monkeypatch.delattr(os, "sched_getaffinity", raising=False)
     monkeypatch.setattr(os, "cpu_count", lambda: 1)
@@ -322,7 +347,7 @@ def test_the_split_settles_where_both_sides_take_as_long(first):
                                             (35000, 5, 1), (35000, 2, 2)])
 def test_fold_counts_equal_a_per_row_reference(params, n, folds, seed):
     data = dgp.sample(params, n, seed)
-    assignments = estimators.fold_assignments(data, folds)
+    assignments = fold_assignments(data, folds)
     observed = data.observed.astype(np.int64) @ (1 << np.arange(8, -1, -1))  # C order over OBSERVED_ORDER
     own = np.zeros((folds, 2 ** 9), dtype=np.int64)
     np.add.at(own, (assignments, observed), 1)

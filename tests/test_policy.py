@@ -3,12 +3,13 @@
 The linear-class membership is re-derived here with an independent
 separability search (different weight grid, different scoring path) to
 confirm the canonical 104 count and that no separable table is missed.
-The array kernel (``dgp.class_values``, reading ``policy.DENSITY_CELLS``,
+The array kernel (``class_values``, reading ``policy.DENSITY_CELLS``,
 + ``first_maximizer``) is checked regime by regime against the test-side
 ``regime_value`` loop and ``value_maximize`` search in ``conftest``. A class is the array of its
 members' Boolean indices; its ``members``, rebuilt from those indices, are
-pinned byte for byte by a hash of their JSON, and the harness's set-up and
-scoring, under either optimizer, are checked to build no ``Regime`` at all.
+pinned byte for byte by a hash of their JSON, and the harness's truth is
+checked to build only its optimum, and its scoring, under either optimizer,
+no ``Regime`` at all.
 Q-learning's stacked greedy rule is checked against a cell-by-cell loop.
 """
 
@@ -31,6 +32,7 @@ from proxidtr.policy import (
     DENSITY_CELLS,
     Regime,
     RegimeClass,
+    class_values,
     enumerate_class,
     first_maximizer,
     q_learning_index,
@@ -120,12 +122,18 @@ def test_members_json_is_pinned(linear_class, boolean_class):
 
 
 @pytest.mark.parametrize("optimizer", ["value-max", "q-learning"])
-def test_truth_and_scoring_build_no_regime(monkeypatch, optimizer):
+def test_truth_builds_one_regime_and_scoring_none(monkeypatch, optimizer):
+    """The truth builds only its optimum (``dgp.optimal_value``'s one member);
+    picking and scoring a repetition build none."""
+    config = harness.ExperimentConfig(optimizer=optimizer)
+    params, tag = dgp.DgpParams.default(), harness._truth_context(config).search_class.tag
     built = []
     post_init = Regime.__post_init__
     monkeypatch.setattr(Regime, "__post_init__", lambda self: built.append(self) or post_init(self))
-    config = harness.ExperimentConfig(optimizer=optimizer)
-    truth = harness._Truth(dgp.DgpParams.default(), config.regime_class)
+    truth = harness._Truth(params, tag)
+    (optimum,) = built
+    assert optimum == dgp.optimal_value(params, truth.search_class)[1]
+    built.clear()
     results = rep_alone(config, truth, 0)
     assert not any(isinstance(r, str) for r in results.values())
     assert built == []
@@ -313,23 +321,23 @@ def test_class_values_equal_regime_value_loop(densities, linear_class, boolean_c
     index, and one shared index over a stack of densities; no index (an empty
     list, which reshapes to a float array) gives no values."""
     for g, p in densities:
-        assert dgp.class_values(g, p, []).shape == (0,)
+        assert class_values(g, p, []).shape == (0,)
         for regime in linear_class.members[::37]:
-            assert dgp.class_values(g, p, [regime.index]).tolist() == [regime_value(g, p, regime)]
-        assert dgp.class_values(g, p, np.arange(BOOLEAN_SIZE)).tolist() == [
+            assert class_values(g, p, [regime.index]).tolist() == [regime_value(g, p, regime)]
+        assert class_values(g, p, np.arange(BOOLEAN_SIZE)).tolist() == [
             regime_value(g, p, r) for r in boolean_class.members]
         for cls in (linear_class, boolean_class):
-            values = dgp.class_values(g, p, cls.index)
+            values = class_values(g, p, cls.index)
             assert values.tolist() == [regime_value(g, p, r) for r in cls.members]
             best = first_maximizer(values)
             regime, value = value_maximize(partial(regime_value, g, p), cls)
             assert cls.members[best] is regime
             assert values[best] == value
     g, p = (np.stack(arrays) for arrays in zip(*densities))
-    values = dgp.class_values(g, p, linear_class.index)
+    values = class_values(g, p, linear_class.index)
     assert values.shape == (len(densities), len(linear_class.members))
     assert values.tolist() == [[regime_value(gk, pk, r) for r in linear_class.members] for gk, pk in densities]
-    assert dgp.class_values(g, p, []).shape == (len(densities), 0)
+    assert class_values(g, p, []).shape == (len(densities), 0)
 
 
 @pytest.mark.parametrize("g_shape, p_shape", [
@@ -341,7 +349,7 @@ def test_class_values_equal_regime_value_loop(densities, linear_class, boolean_c
 ])
 def test_class_values_rejects_densities_that_do_not_match_p_y0(g_shape, p_shape):
     with pytest.raises(ValueError) as err:
-        dgp.class_values(np.full(g_shape, 0.5), np.full(p_shape, 0.5), np.arange(BOOLEAN_SIZE))
+        class_values(np.full(g_shape, 0.5), np.full(p_shape, 0.5), np.arange(BOOLEAN_SIZE))
     assert f"densities of shape {g_shape} do not match P(y0) of shape {p_shape}" in str(err.value)
 
 
@@ -349,13 +357,13 @@ def test_class_values_rejects_densities_that_do_not_match_p_y0(g_shape, p_shape)
 def test_class_values_rejects_indices_outside_the_boolean_range(index):
     """A negative index would otherwise wrap around to the end of the table."""
     with pytest.raises(ValueError, match=r"Boolean indices must lie in \[0, 1024\)"):
-        dgp.class_values(np.full((2,) * 5, 0.5), np.full(2, 0.5), index)
+        class_values(np.full((2,) * 5, 0.5), np.full(2, 0.5), index)
 
 
 def test_equal_keys_give_exactly_equal_class_values(densities, boolean_class):
     keys = np.array([regime_equivalence_key(r) for r in boolean_class.members])
     for g, p in densities:
-        values = dgp.class_values(g, p, boolean_class.index)
+        values = class_values(g, p, boolean_class.index)
         for key in np.unique(keys):
             assert len(set(values[keys == key].tolist())) == 1
 
@@ -363,17 +371,17 @@ def test_equal_keys_give_exactly_equal_class_values(densities, boolean_class):
 def test_constant_density_returns_first_member(linear_class, boolean_class):
     g = np.full((2,) * 5, 0.5)
     for cls in (linear_class, boolean_class):
-        values = dgp.class_values(g, np.array([0.3, 0.7]), cls.index)
+        values = class_values(g, np.array([0.3, 0.7]), cls.index)
         assert first_maximizer(values) == 0
 
 
 def test_nan_cell_follows_value_maximize(oracle, p_y0, linear_class, boolean_class):
     for cls in (linear_class, boolean_class):
-        winner = first_maximizer(dgp.class_values(oracle.g, p_y0, cls.index))
+        winner = first_maximizer(class_values(oracle.g, p_y0, cls.index))
         for member in (0, winner, len(cls.members) - 1):
             g = oracle.g.copy()
             g.flat[DENSITY_CELLS[3, cls.index[member]]] = np.nan
-            values = dgp.class_values(g, p_y0, cls.index)
+            values = class_values(g, p_y0, cls.index)
             regime, _ = value_maximize(partial(regime_value, g, p_y0), cls)
             assert np.isnan(values[member])
             assert cls.members[first_maximizer(values)] is regime
@@ -391,7 +399,7 @@ def test_stacked_class_values_and_maximizer_equal_each_row(oracle, p_y0, linear_
     """One gather over a stack of densities, and the maximizer along its last
     axis, equal the per-density path, NaN rule included."""
     for cls in (linear_class, boolean_class):
-        winner = first_maximizer(dgp.class_values(oracle.g, p_y0, cls.index))
+        winner = first_maximizer(class_values(oracle.g, p_y0, cls.index))
         stack = [oracle.g]
         for members in ([0], [winner], [len(cls.members) - 1], [0, winner, len(cls.members) - 1]):
             g = oracle.g.copy()
@@ -399,8 +407,8 @@ def test_stacked_class_values_and_maximizer_equal_each_row(oracle, p_y0, linear_
             stack.append(g)
         stack.append(np.full((2,) * 5, np.nan))
         p = np.stack([p_y0 * (1 + k / 10) for k in range(len(stack))])
-        values = dgp.class_values(np.stack(stack), p, cls.index)
-        rows = [dgp.class_values(g, pk, cls.index) for g, pk in zip(stack, p)]
+        values = class_values(np.stack(stack), p, cls.index)
+        rows = [class_values(g, pk, cls.index) for g, pk in zip(stack, p)]
         assert values.shape == (len(stack), len(cls.members))
         np.testing.assert_array_equal(values, rows)  # bit for bit, NaN where NaN
         best = first_maximizer(values)

@@ -31,7 +31,11 @@ byte-compiled for this interpreter (``compileall``), and every run gets
 no run writes, so ``setup_s``, timed in fresh processes, compares like
 with like. A checkout whose ``__pycache__`` was written once while the
 other's was not read up to +27% ``setup_s`` on an equal change.
-Standard library only.
+Each run starts in a session of its own, its output going to temporary
+files. A run still going after ``run_timeout(--seconds)`` is killed with
+its session, and so is a session with a live process left after its run
+exits (a stray pool worker, say); either fails the comparison, and the
+error names the pair and the side. Standard library only.
 
     python tools/bench_pairs.py PARENT_DIR CHANGE_DIR --workload estimate-cli \\
         [--seed 1] [--pairs 10] [--seconds 25] [--trace 0] [--out BENCH_label.json]
@@ -43,18 +47,30 @@ from __future__ import annotations
 
 import argparse
 import compileall
+import contextlib
 import json
 import os
 import re
+import signal
 import statistics
 import subprocess
 import sys
+import tempfile
+import time
 from pathlib import Path
 
 UNSCALED_PREFIX = "as measured, unscaled:"
 ENVIRONMENT_PREFIX = "environment "
 WALL_LINE = re.compile(r"(\d+) \S+ in ([0-9.]+) s;")
 WALL_RATE = "wall_ops_per_s"
+# a run is killed, and the comparison fails, when it outlasts this many times
+# its --seconds plus the set-up allowance (a 25 s run: 160 s)
+RUN_TIMEOUT_FACTOR = 4.0
+RUN_TIMEOUT_SETUP_S = 60.0
+
+
+def run_timeout(seconds: float) -> float:
+    return RUN_TIMEOUT_FACTOR * seconds + RUN_TIMEOUT_SETUP_S
 
 
 class RunFailed(RuntimeError):
@@ -178,15 +194,66 @@ def _compile(checkout: Path) -> None:
             raise RunFailed(f"{checkout / name}: byte-compiling failed")
 
 
+def session_members(sid: int) -> list[int]:
+    """The live (not zombie) processes of session ``sid``, read from /proc;
+    where there is no /proc, the process group ``sid`` if it has a member."""
+    if not Path("/proc").is_dir():
+        try:
+            os.killpg(sid, 0)
+        except ProcessLookupError:
+            return []
+        return [sid]
+    members = []
+    for stat in Path("/proc").glob("[0-9]*/stat"):
+        try:
+            state, _, _, session = stat.read_text().rsplit(")", 1)[1].split()[:4]
+        except (OSError, IndexError):  # the process ended while being read
+            continue
+        if state != "Z" and int(session) == sid:
+            members.append(int(stat.parent.name))
+    return members
+
+
+def _kill_session(sid: int) -> None:
+    """Kill every live process of session ``sid`` and wait, up to 10 s, until none is left."""
+    for _ in range(1000):
+        members = session_members(sid)
+        if not members:
+            return
+        for pid in members:
+            with contextlib.suppress(ProcessLookupError):
+                os.kill(pid, signal.SIGKILL)
+        time.sleep(0.01)
+
+
 def _run(checkout: Path, args) -> str:
-    """The standard output of one perfbench run in ``checkout``, which writes no bytecode."""
+    """The standard output of one perfbench run in ``checkout``, which writes
+    no bytecode, run in a session of its own. A run past ``run_timeout``, or
+    one that leaves a live process in its session, is killed with its
+    session and fails."""
     cmd = [sys.executable, "perfbench/run.py", "--workload", args.workload, "--seed", str(args.seed),
            "--seconds", str(args.seconds), "--trace", str(args.trace)]
-    done = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True,
-                          env=dict(os.environ, PYTHONDONTWRITEBYTECODE="1"))
-    if done.returncode != 0:
-        raise RunFailed(f"{checkout}: perfbench exited {done.returncode}: {done.stderr.strip()[-500:]}")
-    return done.stdout
+    timeout = run_timeout(args.seconds)
+    with tempfile.TemporaryFile("w+") as out, tempfile.TemporaryFile("w+") as err:
+        proc = subprocess.Popen(cmd, cwd=checkout, stdout=out, stderr=err, text=True, start_new_session=True,
+                                env=dict(os.environ, PYTHONDONTWRITEBYTECODE="1"))
+        try:
+            proc.wait(timeout=timeout)
+        except BaseException as exc:  # a timeout, or an interrupt, which a run in its own session does not see
+            _kill_session(proc.pid)
+            proc.wait()
+            if isinstance(exc, subprocess.TimeoutExpired):
+                raise RunFailed(f"{checkout}: perfbench ran past {timeout:g} s; its session was killed") from None
+            raise
+        left = session_members(proc.pid)
+        if left:
+            _kill_session(proc.pid)
+            raise RunFailed(f"{checkout}: perfbench exited {proc.returncode} but left processes {left} "
+                            "in its session; they were killed")
+        out.seek(0), err.seek(0)
+        if proc.returncode != 0:
+            raise RunFailed(f"{checkout}: perfbench exited {proc.returncode}: {err.read().strip()[-500:]}")
+        return out.read()
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -210,8 +277,13 @@ def main(argv: list[str] | None = None) -> int:
             _compile(checkout)
         for i in range(args.pairs):
             order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
-            stdout = {side: _run(getattr(args, side), args) for side in order}
-            run = {side: parse_run(text) for side, text in stdout.items()}
+            stdout, run = {}, {}
+            for side in order:
+                try:
+                    stdout[side] = _run(getattr(args, side), args)
+                    run[side] = parse_run(stdout[side])
+                except RunFailed as err:
+                    raise RunFailed(f"pair {i + 1}, {side} run: {err}") from None
             pairs.append((run["parent"], run["change"]))
             runs.append({"order": list(order), **{side: {"metrics": run[side], "environment": environment_of(text)}
                                                   for side, text in stdout.items()}})
