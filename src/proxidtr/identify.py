@@ -58,6 +58,7 @@ these picks against the truth; it does not pick.
 from __future__ import annotations
 
 from functools import reduce
+from itertools import product
 
 import numpy as np
 
@@ -92,6 +93,7 @@ def observed_conditional(pmf: JointPmf) -> tuple[np.ndarray, np.ndarray]:
 #   a=y0 b=y1 c=y2 d=w1 g=w2 e=a1 f=a2 h=z1 i=z2
 # cond axes: [y0 z1 w1 a1 y1 z2 w2 a2 y2] = a h d e b i g f c, counted from the end;
 # ``...`` carries a stack of tables (one per fold) and broadcasts unstacked bridges
+_COND = "ahdebigfc"
 
 
 def _require(method: str, b: BridgeSet) -> tuple[str, ...]:
@@ -124,23 +126,68 @@ class PieceTable:
         return entry[1]
 
 
+def _axes(x: np.ndarray, labels: str, order: str) -> np.ndarray:
+    """``x`` with its trailing binary axes, named by the einsum letters
+    ``labels``, put in the letter order ``order`` after its stack axes: a view."""
+    lead = x.ndim - len(labels)
+    return x.transpose(*range(lead), *(lead + labels.index(c) for c in order))
+
+
+def _layout(x: np.ndarray, labels: str, order: str) -> np.ndarray:
+    """``_axes`` copied to C order: the layout ``_contract`` merges."""
+    return np.ascontiguousarray(_axes(x, labels, order))
+
+
+def _summed(x: np.ndarray, labels: str, over: str, order: str) -> np.ndarray:
+    """``x`` summed over the letters ``over`` cell by cell in C order, left
+    to right (the order of numpy's reduction over those axes of a C-order
+    table), into a fresh C-order array with the other letters in ``order``."""
+    v = _axes(x, labels, order + over)
+    cells = [v[(..., *cell)] for cell in product((0, 1), repeat=len(over))]
+    total = np.add(cells[0], cells[1], out=np.empty(cells[0].shape, v.dtype))
+    for cell in cells[2:]:
+        total += cell
+    return total
+
+
+def _contract(x: np.ndarray, y: np.ndarray, n: int, i: int, j: int, k: int) -> np.ndarray:
+    """The batched matrix product sum_j x[..., n, i, j] y[..., n, j, k] of
+    tables laid out with n batch, i row and j contracted binary axes (x) and
+    n, j contracted and k column binary axes (y), each group merged into one
+    axis for one einsum, its result's binary axes in (n, i, k) order. Each
+    sum runs over the contracted cells in C order, as an einsum over the
+    separate axes of C-order tables does, so the two agree bit for bit; no
+    BLAS call is made."""
+    def merged(t, groups):
+        return t.reshape(t.shape[:t.ndim - sum(groups)] + tuple(1 << g for g in groups))
+
+    out = np.einsum("...nij,...njk->...nik", merged(x, (n, i, j)), merged(y, (n, j, k)))
+    return out.reshape(out.shape[:-3] + (2,) * (n + i + k))
+
+
 # piece -> how it is made from its table and the components it is keyed by, a
-# missing one (None) read as zero: the marginals of the table given Y0, smoothed
-# and mid of an outcome bridge, and PMR's three stage terms in PMR's grouping
+# missing one (None) read as zero: the marginals of the table given Y0 (those
+# ``_contract`` reads in its merged layout), h22 in that layout, smoothed and
+# mid of an outcome bridge, and PMR's three stage terms in PMR's grouping; the
+# layout each piece is held in is given as einsum letters
 _PIECES = {
-    "f_w1z1": lambda t: t.cond.sum(axis=(-5, -4, -3, -2, -1)),  # [y0, z1, w1, a1]
-    "f_w1": lambda t: t.get("f_w1z1").sum(axis=(-3, -1)),  # [y0, w1]
-    "no_y2": lambda t: t.cond.sum(axis=-1),
-    "f_obs": lambda t: t.cond.sum(axis=(-7, -3)),  # [y0, z1, a1, y1, z2, a2, y2]
-    "f_mid": lambda t: t.cond.sum(axis=(-4, -2, -1)),  # [y0, z1, w1, a1, y1, w2]
-    "smoothed": lambda t, h22: np.einsum("...abcdgef,...ahdebigf->...ahebifc", h22, t.get("no_y2")),
-    "f_obs - smoothed": lambda t, h22: t.get("f_obs") - (0.0 if h22 is None else t.get("smoothed", h22)),
-    # mid(h) [y0, z1, y1, a1, a2, y2]
-    "mid22": lambda t, h22: np.einsum("...abcdgef,...ahdebg->...ahbefc", h22, t.get("f_mid")),
-    "mid21": lambda t, h21: np.einsum("...abcdef,...ahde->...ahbefc", h21, t.get("f_w1z1")),
-    "q22-term": lambda t, q22, h22: np.einsum("...abefhi,...ahebifc->...efcba", q22, t.get("f_obs - smoothed", h22)),
+    "f_w1z1": lambda t: t.cond.sum(axis=(-5, -4, -3, -2, -1)),  # [y0, z1, w1, a1] = ahde
+    "f_w1": lambda t: t.get("f_w1z1").sum(axis=(-3, -1)),  # [y0, w1] = ad
+    "no_y2": lambda t: _summed(t.cond, _COND, "c", "abefdghi"),
+    "f_obs": lambda t: _summed(t.cond, _COND, "dg", "abefhic"),
+    # numpy sums the contiguous (a2, y2) cells of each z2 first
+    "f_mid": lambda t: _summed(t.cond.reshape(t.cond.shape[:-2] + (4,)).sum(axis=-1), "ahdebig", "i", "abedgh"),
+    "h22 layout": lambda t, h22: _layout(h22, "abcdgef", "abefcdg"),
+    "smoothed": lambda t, h22: _contract(t.get("h22 layout", h22), t.get("no_y2"), 4, 1, 2, 2),  # abefchi
+    "f_obs - smoothed": lambda t, h22: t.get("f_obs") - (  # abefhic
+        0.0 if h22 is None else _axes(t.get("smoothed", h22), "abefchi", "abefhic")),
+    # mid(h) [y0, y1, a1, a2, y2, z1] = abefch
+    "mid22": lambda t, h22: _contract(t.get("h22 layout", h22), t.get("f_mid"), 3, 2, 2, 1),
+    "mid21": lambda t, h21: np.einsum("...abcdef,...ahde->...abefch", h21, t.get("f_w1z1")),
+    "q22-term": lambda t, q22, h22: _axes(_contract(q22, t.get("f_obs - smoothed", h22), 4, 0, 2, 1),
+                                          "abefc", "efcba"),
     "q11-term": lambda t, q11, h22, h21: np.einsum(
-        "...aeh,...ahbefc->...efcba", q11,
+        "...aeh,...abefch->...efcba", q11,
         (0.0 if h22 is None else t.get("mid22", h22)) - (0.0 if h21 is None else t.get("mid21", h21))),
     "h21-term": lambda t, h21: np.einsum("...abcdef,...ad->...efcba", h21, t.get("f_w1")),
 }

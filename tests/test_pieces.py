@@ -68,11 +68,11 @@ def test_each_distinct_piece_is_made_once_per_repetition(params, folds, monkeypa
     assert not any(isinstance(r, str) for r in results.values())
     assert set(made.values()) == {1}
     # each bridge component is either fitted or the one shared pseudo array, so over the
-    # 13 densities: 5 marginals; smoothed, f_obs - smoothed (and f_obs - 0 for PIPW), mid22
-    # and mid21 of each of 2 outcome bridges; 2 h21-terms; 6 q22-terms (PIPW 2, PMR 4);
-    # 9 q11-terms (PHA 4, PMR 5)
+    # 13 densities: 5 marginals; the h22 layout, smoothed, f_obs - smoothed (and f_obs - 0
+    # for PIPW), mid22 and mid21 of each of 2 outcome bridges; 2 h21-terms; 6 q22-terms
+    # (PIPW 2, PMR 4); 9 q11-terms (PHA 4, PMR 5)
     kinds = Counter(key[0] for key in made)
-    assert kinds == {"f_w1z1": 1, "f_w1": 1, "no_y2": 1, "f_obs": 1, "f_mid": 1, "smoothed": 2,
+    assert kinds == {"f_w1z1": 1, "f_w1": 1, "no_y2": 1, "f_obs": 1, "f_mid": 1, "h22 layout": 2, "smoothed": 2,
                      "f_obs - smoothed": 3, "mid22": 2, "mid21": 2, "h21-term": 2, "q22-term": 6, "q11-term": 9}
 
 
