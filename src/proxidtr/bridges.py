@@ -47,7 +47,8 @@ from typing import Iterable, Mapping
 
 import numpy as np
 
-from .tables import JointPmf, _as_readonly, _locked, _refuse_stack, _refuse_zero, conditional, invert2or4
+from .tables import (JointPmf, _as_readonly, _json_load, _locked, _MarginalTree, _refuse_stack, _refuse_zero,
+                     conditional, invert2or4)
 
 RESIDUAL_TOL = 1e-8
 
@@ -123,7 +124,7 @@ class BridgeSet:
     def from_json(cls, text: str) -> "BridgeSet":
         """The set ``to_json`` writes: only known components, each keyed by
         every cell of its (unstacked) table exactly once."""
-        payload = json.loads(text)
+        payload = _json_load(text, "bridge set")
         if not isinstance(payload, dict):
             raise ValueError(f"a bridge set is a JSON object, got {type(payload).__name__}")
         unknown = sorted(set(payload) - {"provenance", *_SHAPES})
@@ -145,9 +146,10 @@ class BridgeSet:
 #   a=y0 b=y1 c=y2 d=w1 g=w2 e=a1 f=a2 h=z1 i=z2
 
 
-def _reciprocal(pmf: JointPmf, target: tuple[str, ...], given: tuple[str, ...]) -> np.ndarray:
-    """1 / P(target | given), indexed [given..., target...]; positivity must hold."""
-    p = conditional(pmf, target, given)
+def _reciprocal(law: JointPmf | _MarginalTree, target: tuple[str, ...], given: tuple[str, ...]) -> np.ndarray:
+    """1 / P(target | given) of a law or its marginal tree, indexed [given...,
+    target...]; positivity must hold."""
+    p = (law if isinstance(law, _MarginalTree) else _MarginalTree(law)).conditional(target, given)
     zero = p.real <= 0.0
     if zero.any():
         _refuse_zero(zero, given + target,
@@ -155,12 +157,13 @@ def _reciprocal(pmf: JointPmf, target: tuple[str, ...], given: tuple[str, ...]) 
     return 1.0 / p
 
 
-def _inverse(pmf: JointPmf, stack: tuple[int, ...], target: tuple[str, ...], given: tuple[str, ...],
-             batch: tuple[str, ...], role: str) -> np.ndarray:
+def _inverse(tree: _MarginalTree, target: tuple[str, ...], given: tuple[str, ...], batch: tuple[str, ...],
+             role: str) -> np.ndarray:
     """Inverses of the column-stochastic P(target|given) stacked over
     ``batch``, indexed [stack..., batch..., given cell, target cell];
     ``role`` names the matrix in a refusal."""
-    m = conditional(pmf, target, batch + given)
+    m = tree.conditional(target, batch + given)
+    stack = m.shape[:m.ndim - len(batch + given + target)]
     m = m.reshape(stack + (2,) * len(batch) + (2 ** len(given), 2 ** len(target)))
     return invert2or4(m.swapaxes(-1, -2), role, batch).reshape(stack + (2,) * (len(batch) + len(given) + len(target)))
 
@@ -183,26 +186,26 @@ def solve_bridges(pmf: JointPmf, provenance: str = "solved-from-truth") -> Bridg
     where a row vector's ^-1 is the element-wise reciprocal, a square
     matrix's the ordinary inverse, and bars denote the stage-2 pairs. A
     stack of laws is solved in one pass: every product carries its stack
-    axes as ``...``, and every table leads with them. The conditionals are
-    read and checked in a fixed order, so a law that fails several checks
-    meets the same first refusal on every call.
+    axes as ``...``, and every table leads with them. The ten conditionals
+    are read off one marginal tree of the law (11 sums), and read and
+    checked in a fixed order, so a law that fails several checks meets the
+    same first refusal on every call.
     """
-    stack = pmf.mass.shape[:pmf.mass.ndim - len(pmf.names)]
-    inv_w = _inverse(pmf, stack, ("W1", "W2"), ("Z1", "Z2"), _STAGE2, "P(W1,W2|Z1,Z2)")
-    py2 = conditional(pmf, ("Y2",), _STAGE2 + ("Z1", "Z2"))
+    tree = _MarginalTree(pmf)
+    inv_w = _inverse(tree, ("W1", "W2"), ("Z1", "Z2"), _STAGE2, "P(W1,W2|Z1,Z2)")
+    py2 = tree.conditional(("Y2",), _STAGE2 + ("Z1", "Z2"))
     h22 = np.einsum("...abefhic,...abefhidg->...abcdgef", py2, inv_w)
-    inv_w1 = _inverse(pmf, stack, ("W1",), ("Z1",), _STAGE1, "P(W1|Z1)")
-    chain = np.einsum("...abcdgef,...aehdgb->...abcefh", h22,
-                      conditional(pmf, ("W1", "W2", "Y1"), _STAGE1 + ("Z1",)))
+    inv_w1 = _inverse(tree, ("W1",), ("Z1",), _STAGE1, "P(W1|Z1)")
+    chain = np.einsum("...abcdgef,...aehdgb->...abcefh", h22, tree.conditional(("W1", "W2", "Y1"), _STAGE1 + ("Z1",)))
     h21 = np.einsum("...abcefh,...aehd->...abcdef", chain, inv_w1)
-    h11 = np.einsum("...aehb,...aehd->...abde", conditional(pmf, ("Y1",), _STAGE1 + ("Z1",)), inv_w1)
+    h11 = np.einsum("...aehb,...aehd->...abde", tree.conditional(("Y1",), _STAGE1 + ("Z1",)), inv_w1)
 
-    q11 = np.einsum("...ade,...aedh->...aeh", _reciprocal(pmf, ("A1",), ("Y0", "W1")),
-                    _inverse(pmf, stack, ("Z1",), ("W1",), _STAGE1, "P(Z1|W1)"))
-    row_w = np.einsum("...aeh,...abedgh->...abedg", q11, conditional(pmf, ("Z1",), _GIVEN_W2))
-    inv_z = _inverse(pmf, stack, ("Z1", "Z2"), ("W1", "W2"), _STAGE2, "P(Z1,Z2|W1,W2)")
+    q11 = np.einsum("...ade,...aedh->...aeh", _reciprocal(tree, ("A1",), ("Y0", "W1")),
+                    _inverse(tree, ("Z1",), ("W1",), _STAGE1, "P(Z1|W1)"))
+    row_w = np.einsum("...aeh,...abedgh->...abedg", q11, tree.conditional(("Z1",), _GIVEN_W2))
+    inv_z = _inverse(tree, ("Z1", "Z2"), ("W1", "W2"), _STAGE2, "P(Z1,Z2|W1,W2)")
     q22 = np.einsum("...abedg,...abedgf,...abefdghi->...abefhi", row_w,
-                    _reciprocal(pmf, ("A2",), _GIVEN_W2), inv_z)
+                    _reciprocal(tree, ("A2",), _GIVEN_W2), inv_z)
 
     return BridgeSet(*map(_locked, (h22, h21, h11, q11, q22)), dict.fromkeys(_SHAPES, provenance))
 

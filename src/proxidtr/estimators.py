@@ -226,8 +226,10 @@ _CELLS = dict(zip(OBSERVED_ORDER, _locked(np.indices((2,) * 9).reshape(9, -1).as
 
 
 def _count_mean(counts: np.ndarray, summand: np.ndarray) -> float:
-    """Row average of a cell summand, as a count-weighted sum over the cells."""
-    return float(counts @ summand / counts.sum())
+    """Row average of a cell summand, as a count-weighted sum over the cells:
+    numpy's pairwise sum of the products in cell order, never a BLAS dot,
+    whose last bits depend on the host's kernel."""
+    return float(np.add.reduce(counts * summand, axis=-1) / counts.sum())
 
 
 def _cell_index() -> dict[str, np.ndarray]:
@@ -331,9 +333,7 @@ def cross_fit(method: str, data: Dataset, opts: FitOptions, regime: Regime) -> V
     own, b = fold_fits(data, opts)
     if own.ndim == 1:
         return _estimate(method, own, b, regime)
-    # C order, so each fold's row takes the dot-product path of an unstacked summand
-    summands = np.ascontiguousarray(_summands(method, b, regime))
-    fold_values = [_count_mean(*fold) for fold in zip(own, summands)]
+    fold_values = [_count_mean(*fold) for fold in zip(own, _summands(method, b, regime))]
     return ValueEstimate(method, float(np.mean(fold_values)), fold_estimates=tuple(fold_values))
 
 

@@ -61,6 +61,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, fields
 from functools import lru_cache
+from itertools import product
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -143,16 +144,22 @@ def _refuse_stack(shape: tuple[int, ...], trailing: int, message: str, error: ty
         raise error(message.format(stack=shape[:len(shape) - trailing]))
 
 
+def _json_load(text: str, what: str, error: type[Exception] = ValueError):
+    """The JSON value ``text`` holds; a document nested too deeply for the
+    parser (a RecursionError) is refused as ``error``, in one line naming ``what``."""
+    try:
+        return json.loads(text)
+    except RecursionError:
+        raise error(f"{what} JSON is nested too deeply to read") from None
+
+
 def _json_object(text: str, what: str, cls) -> dict:
     """The JSON object ``text`` holds, its keys fields of the dataclass ``cls``.
-    A document nested too deeply for the parser (a RecursionError), one that
+    A document nested too deeply for the parser (``_json_load``), one that
     is not an object and an unknown key are refused as a ValueError naming
     ``what``."""
     names = [f.name for f in fields(cls)]
-    try:
-        payload = json.loads(text)
-    except RecursionError:
-        raise ValueError(f"{what} JSON is nested too deeply to read") from None
+    payload = _json_load(text, what)
     if not isinstance(payload, dict):
         raise ValueError(f"{what} must be a JSON object with keys among {names}")
     unknown = sorted(set(payload) - set(names))
@@ -209,7 +216,7 @@ class JointPmf:
     def from_json(cls, text: str) -> "JointPmf":
         """The table ``to_json`` writes: an object with exactly ``order``, a
         list of names, and ``mass``, a list of numbers."""
-        payload = json.loads(text)
+        payload = _json_load(text, "JointPmf", TableError)
         order, mass = (payload.get("order"), payload.get("mass")) if isinstance(payload, dict) else (None, None)
         if not (isinstance(order, list) and isinstance(mass, list) and len(payload) == 2
                 and all(type(n) is str for n in order) and all(type(x) in (int, float) for x in mass)):
@@ -270,6 +277,85 @@ def conditional(pmf: JointPmf, target: Sequence[str], given: Sequence[str]) -> n
     return joint / den
 
 
+@lru_cache(maxsize=256)
+def _tree_source(names: tuple[str, ...], lead: int, summed: tuple[tuple[str, ...], ...],
+                 key: tuple[str, ...]) -> tuple[tuple[str, ...], tuple[int, ...]]:
+    """The smallest marginal of ``summed`` (the first of them) that holds the
+    variables ``key``, and the axes of it to sum out."""
+    source = min((s for s in summed if set(key) <= set(s)), key=len)
+    return source, tuple(lead + i for i, name in enumerate(source) if name not in key)
+
+
+@lru_cache(maxsize=256)
+def _tree_plan(names: tuple[str, ...], lead: int, target: tuple[str, ...], given: tuple[str, ...]):
+    """How a marginal tree of a law over ``names``, led by ``lead`` stack
+    axes, reads P(target | given) of a signature ``_plan`` accepted: for the
+    denominator and then the joint, the variables of its marginal in
+    ``names`` order and the transpose to given (then target) order; and the
+    index that gives the denominator the target's axes."""
+    plan = []
+    for order in (given, given + target):
+        key = tuple(sorted(order, key=names.index))
+        plan += [key, (*range(lead), *(lead + key.index(name) for name in order))]
+    return (*plan, (...,) + (None,) * len(target))
+
+
+class _MarginalTree:
+    """The marginals of one law, or of a stack of laws, each summed once,
+    from the smallest marginal already summed that holds its variables;
+    ``conditional`` reads P(target | given) off two of them. Solving the
+    bridges from one tree sums 11 marginals where ten ``conditional`` calls
+    sum 36."""
+
+    def __init__(self, pmf: JointPmf):
+        self.names = pmf.names
+        self.lead = pmf.mass.ndim - len(pmf.names)
+        self._sums = {pmf.names: pmf.mass}  # variables, in the law's order -> the mass over them
+
+    def _mass(self, key: tuple[str, ...]) -> np.ndarray:
+        """The mass over the variables ``key``, in the law's order."""
+        arr = self._sums.get(key)
+        if arr is None:
+            source, drop = _tree_source(self.names, self.lead, tuple(self._sums), key)
+            arr = self._sums[key] = np.add.reduce(self._sums[source], axis=drop)
+        return arr
+
+    def conditional(self, target: tuple[str, ...], given: tuple[str, ...]) -> np.ndarray:
+        """``conditional(pmf, target, given)`` read off the tree, refusing what it refuses, with the same text."""
+        message = _plan(self.names, self.lead, target, given)[3]  # refuses unknown and overlapping names
+        den_key, den_axes, key, axes, expand = _tree_plan(self.names, self.lead, target, given)
+        den = self._mass(den_key).transpose(den_axes)
+        if not den.real.all():  # a sum of a law's real parts, which are >= 0: only a zero is not positive
+            _refuse_zero(den.real <= 0.0, given, message)
+        return self._mass(key).transpose(axes) / den[expand]
+
+
+# The closed-form 4x4 inverse reads the 2x2 minors of rows (0, 1), then of
+# rows (2, 3), one per pair of columns in this order.
+_COLUMN_PAIRS = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
+
+
+def _closed_form_plan() -> dict[int, tuple]:
+    """Index arrays into the flat entries r * k + c of a k x k block, per k:
+    for 2x2, the adjugate's entries; for 4x4, the four factors of each minor
+    (first * second - third * fourth), and for each inverse entry (r, c) the
+    cofactor (c, r) as three terms entry x minor, expanded along the row
+    paired with row c. Each with the sign of each inverse entry."""
+    minors = np.array([[4 * r0 + c0, 4 * r1 + c1, 4 * r1 + c0, 4 * r0 + c1]
+                       for r0, r1 in ((0, 1), (2, 3)) for c0, c1 in _COLUMN_PAIRS]).T
+    entries, terms, signs = [], [], []
+    for r, c in product(range(4), repeat=2):
+        row, cols = c ^ 1, [j for j in range(4) if j != r]
+        entries.append([4 * row + j for j in cols])
+        terms.append([(6 if c < 2 else 0) + _COLUMN_PAIRS.index(tuple(x for x in cols if x != j)) for j in cols])
+        signs.append((-1) ** (r + c + [i for i in range(4) if i != c].index(row)))
+    return {2: (np.array([3, 1, 2, 0]), np.array([1.0, -1.0, -1.0, 1.0])),
+            4: (minors, np.array(entries), np.array(terms), np.array(signs, dtype=float))}
+
+
+_CLOSED_FORM = _closed_form_plan()
+
+
 def invert2or4(m: np.ndarray, role: str = "conditional matrix", axes: Sequence[str] = ()) -> np.ndarray:
     """Invert a stack of 2x2 or 4x4 matrices, failing loudly on a singular one.
 
@@ -278,15 +364,37 @@ def invert2or4(m: np.ndarray, role: str = "conditional matrix", axes: Sequence[s
     singular block in C order. A singular matrix here signals a violated
     completeness/rank condition (or an empirical table with too little data),
     which must surface rather than be patched by a pseudo-inverse.
+
+    The inverse is the adjugate over the determinant, in closed form, with
+    every block's entries gathered as one row per entry: for 2x2 the
+    adjugate itself, for 4x4 cofactors and a determinant built from the six
+    2x2 minors of rows (0, 1) and of rows (2, 3). Each entry is a fixed
+    sequence of products and sums, the same for one block as within any
+    stack and on any host; no BLAS or LAPACK call is made.
     """
     m = np.asarray(m, dtype=np.result_type(np.asarray(m).dtype, np.float64))  # float64 or complex128
     if m.ndim < 2 or m.shape[-1] != m.shape[-2] or m.shape[-1] not in (2, 4):
         raise TableError(f"{role}: expected stacked 2x2 or 4x4 matrices, got {m.shape}")
-    det = np.abs(np.linalg.det(m))
-    block = _first_cell(det < DET_TOL)
+    k = m.shape[-1]
+    a = m.reshape(-1, k * k).T  # row r * k + c: entry (r, c) of every block
+    if k == 2:
+        adjugate, signs = a[_CLOSED_FORM[2][0]], _CLOSED_FORM[2][1]
+        det = a[0] * a[3] - a[1] * a[2]
+    else:
+        factors, entries, terms, signs = _CLOSED_FORM[4]
+        f = a[factors]
+        minors = f[0] * f[1] - f[2] * f[3]
+        p = minors[:6] * minors[:5:-1]  # each minor of rows (0, 1) times that of the other two columns
+        det = ((((p[0] - p[1]) + p[2]) + p[3]) - p[4]) + p[5]
+        t = a[entries] * minors[terms]
+        adjugate = (t[:, 0] - t[:, 1]) + t[:, 2]
+    size = np.abs(det).reshape(m.shape[:-2])
+    block = _first_cell(size < DET_TOL)
     if block is not None:
         names = tuple(f"axis{i}" for i in range(len(block) - len(axes))) + tuple(axes)
         where = f" at ({', '.join(f'{n}={v}' for n, v in zip(names, block))})" if block else ""
-        raise SingularMatrixError(f"{role}{where} is singular (|det|={det[block]:.3e}); rank condition fails",
+        raise SingularMatrixError(f"{role}{where} is singular (|det|={size[block]:.3e}); rank condition fails",
                                   f"{role} is singular; rank condition fails")
-    return np.linalg.inv(m)
+    inverse = np.empty((a.shape[1], k * k), m.dtype)  # each block's entries in C order
+    np.divide(adjugate, signs[:, None] * det, out=inverse.T)
+    return inverse.reshape(m.shape)

@@ -256,6 +256,11 @@ def test_bridge_set_from_json_refuses_a_non_object():
         BridgeSet.from_json("[]")
 
 
+def test_bridge_set_from_json_refuses_a_document_nested_too_deeply_in_one_line():
+    with pytest.raises(ValueError, match="^bridge set JSON is nested too deeply to read$"):
+        BridgeSet.from_json("[" * 200000)
+
+
 @pytest.mark.parametrize("name", ["h22", "h21", "h11", "q11", "q22"])
 def test_bridge_set_rejects_wrong_shape(name):
     with pytest.raises(ValueError, match=f"{name} must have shape"):

@@ -17,6 +17,7 @@ A change to the estimate path that keeps every printed byte keeps these pins.
 import hashlib
 import io
 from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
 import pytest
 
@@ -28,10 +29,10 @@ FOLDS = {**dict.fromkeys(BRIDGE_METHODS, (1, 3, 5)), "sra": (1, 3), "oracle": (1
 
 PINS = {
     35000: {
-        "por": "6f6e13667cdf0cf1",
-        "pha": "e4f1146b2bd0c6f4",
-        "pipw": "53a5c07c2ad0a5f5",
-        "pmr": "b61252a99f14ce2c",
+        "por": "0a183ba6e4f8c5fa",
+        "pha": "b39a5ebd11018648",
+        "pipw": "72c38555a7c3df89",
+        "pmr": "19dd8e76198e79f5",
         "sra": "2059c23c781e7853",
         "oracle": "da860d57a0a2a8db",
     },
@@ -47,10 +48,8 @@ PINS = {
 SEEDS = {35000: 7, 600: 3}
 
 
-@pytest.fixture(scope="module")
-def files(tmp_path_factory):
-    """(data CSV per size, the two regime files)."""
-    root = tmp_path_factory.mktemp("estimate-identity")
+def write_files(root: Path) -> tuple[dict[int, Path], list[Path]]:
+    """(data CSV per size, the two regime files), written under ``root``."""
     data = {}
     for n, seed in SEEDS.items():
         data[n] = root / f"d{n}.csv"
@@ -60,6 +59,11 @@ def files(tmp_path_factory):
         regimes.append(root / f"{name}.json")
         regimes[-1].write_text(regime.to_json())
     return data, regimes
+
+
+@pytest.fixture(scope="module")
+def files(tmp_path_factory):
+    return write_files(tmp_path_factory.mktemp("estimate-identity"))
 
 
 def _transcript(data, regimes, method: str) -> tuple[str, list[int]]:

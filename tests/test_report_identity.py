@@ -13,17 +13,17 @@ import pytest
 from proxidtr.harness import ExperimentConfig, emit_tables, run_experiment
 
 CASES = {
-    "vmax": (ExperimentConfig(reps=4), "edfeb5d2ea848bc1"),
-    "vmax-boolean": (ExperimentConfig(reps=4, regime_class="all-boolean"), "87d770698b395d3e"),
-    "vmax-folds5": (ExperimentConfig(reps=4, folds=5), "3ed3d769e8ff5007"),
+    "vmax": (ExperimentConfig(reps=4), "f4d2e3d3ea096f98"),
+    "vmax-boolean": (ExperimentConfig(reps=4, regime_class="all-boolean"), "f2cfcecb3addbebc"),
+    "vmax-folds5": (ExperimentConfig(reps=4, folds=5), "a70ff21ff6d5edc3"),
     "vmax-folds5-boolean": (ExperimentConfig(reps=4, folds=5, regime_class="all-boolean"),
-                            "2eedce15894d0442"),
-    "qlearn": (ExperimentConfig(reps=4, optimizer="q-learning"), "17028275d313ccb7"),
-    "qlearn-folds5": (ExperimentConfig(reps=4, optimizer="q-learning", folds=5), "1e0c5920d5c667e2"),
+                            "56771ced0b7d11db"),
+    "qlearn": (ExperimentConfig(reps=4, optimizer="q-learning"), "d197757acdce8744"),
+    "qlearn-folds5": (ExperimentConfig(reps=4, optimizer="q-learning", folds=5), "a45276fa638cc729"),
     "n600": (ExperimentConfig(n=600, reps=6), "2338af46f0a65948"),
     "n300-laplace": (ExperimentConfig(n=300, reps=6, laplace=0.5), "76740c360e72cd58"),
     # cross-fitted with failed and scored cells mixed: bridge methods 5/6 failed, Oracle 2/6, SRA 0/6
-    "n6000-folds3": (ExperimentConfig(n=6000, reps=6, folds=3), "f8b524eba0e39f28"),
+    "n6000-folds3": (ExperimentConfig(n=6000, reps=6, folds=3), "3062834a95e19238"),
 }
 
 

@@ -67,6 +67,11 @@ def test_json_round_trip(joint):
     np.testing.assert_array_equal(again.mass, joint.mass)
 
 
+def test_from_json_refuses_a_document_nested_too_deeply_in_one_line():
+    with pytest.raises(TableError, match="^JointPmf JSON is nested too deeply to read$"):
+        JointPmf.from_json("[" * 200000)
+
+
 @pytest.mark.parametrize("text", [
     "{}",
     "[]",
