@@ -6,14 +6,18 @@ adjustment. In the all-binary setting they solve small linear systems built
 from conditional-probability matrices of the observed law, so they admit
 closed forms. Each family is one batched product over the proxy matrices
 that ``tables.conditional`` stacks per history cell, inverted together by
-``tables.invert2or4``; the residual checks use the same layout. The same
-formulas applied to an empirical table give the maximum-likelihood plug-in
-estimates. ``solve_bridges`` is straight-line code: it reads its ten
-conditionals through the plans of ``tables.conditional``, checks its two
-propensities and its four proxy stacks (``invert2or4``, looked up on this
-module) in one fixed order, and formats a refusal's text only when a check
-fails, so a law that fails several checks always meets the same first
-refusal.
+``tables.invert2or4`` in closed form; the residual checks use the same
+layout. The same formulas applied to an empirical table give the
+maximum-likelihood plug-in estimates. ``solve_bridges`` is straight-line
+code: it reads its ten conditionals off one marginal tree of the law
+(``tables._MarginalTree``: 11 sums, each from the smallest marginal already
+summed, where reading each conditional off the law took 36), checks its
+two propensities and its four proxy stacks (``invert2or4``, looked up on
+this module) in one fixed order with the refusals ``tables.conditional``
+makes, and formats a refusal's text only when a check fails, so a law that
+fails several checks always meets the same first refusal. No BLAS or
+LAPACK call is made, so the bridges' bits do not depend on the host's BLAS
+kernel.
 
 Table layouts (all axes binary, C order):
 
@@ -47,8 +51,8 @@ from typing import Iterable, Mapping
 
 import numpy as np
 
-from .tables import (JointPmf, _as_readonly, _json_load, _locked, _MarginalTree, _refuse_stack, _refuse_zero,
-                     conditional, invert2or4)
+from .tables import (JointPmf, _as_readonly, _contract, _json_load, _layout, _locked, _MarginalTree, _refuse_stack,
+                     _refuse_zero, conditional, invert2or4)
 
 RESIDUAL_TOL = 1e-8
 
@@ -204,8 +208,8 @@ def solve_bridges(pmf: JointPmf, provenance: str = "solved-from-truth") -> Bridg
                     _inverse(tree, ("Z1",), ("W1",), _STAGE1, "P(Z1|W1)"))
     row_w = np.einsum("...aeh,...abedgh->...abedg", q11, tree.conditional(("Z1",), _GIVEN_W2))
     inv_z = _inverse(tree, ("Z1", "Z2"), ("W1", "W2"), _STAGE2, "P(Z1,Z2|W1,W2)")
-    q22 = np.einsum("...abedg,...abedgf,...abefdghi->...abefhi", row_w,
-                    _reciprocal(tree, ("A2",), _GIVEN_W2), inv_z)
+    weights = _layout(row_w[..., None] * _reciprocal(tree, ("A2",), _GIVEN_W2), "abedgf", "abefdg")
+    q22 = _contract(weights, inv_z, 4, 0, 2, 2)  # abefhi
 
     return BridgeSet(*map(_locked, (h22, h21, h11, q11, q22)), dict.fromkeys(_SHAPES, provenance))
 

@@ -54,7 +54,10 @@ count-weighted mean and, for PMR only, the second moment of the summand
 centred at that mean, its influence-function variance (the other methods'
 summands are not their influence functions). ``v_hat``, ``if_variance`` and
 ``cross_fit`` at one fold call it; ``cross_fit`` with K folds averages the
-K fold estimates of one stacked summand pass.
+K fold estimates of one stacked summand pass. Every count-weighted mean,
+``population_v``'s too, is ``_count_mean``: numpy's pairwise sum of the
+cells' products, never a BLAS dot, so no estimate's bits depend on the
+host's BLAS kernel.
 
 The SRA baseline ignores unmeasured confounding (``sra_from_conditional``, a
 plain g-formula on the observed table given Y0); the Oracle baseline

@@ -29,8 +29,16 @@ table given Y0: its marginals and each bridge product, made on first use and
 kept, keyed by the identity of the components it reads. One table serves
 every method and bridge set read against the same law, so each distinct
 product is computed once (the harness keeps one per repetition), and reading
-through a shared table changes no bit: every piece is the same einsum on the
-same operands. ``density_from_pieces`` reads a density off a table, and
+through a shared table changes no bit: every piece is the same arithmetic on
+the same operands. The three products that sum over four cells (smoothed,
+mid22 and the q22 term) are each one einsum over merged axes
+(``_contract``: batch, row, contracted and column axes each merged into
+one), on operands laid out for it once per table: h22's layout is a keyed
+piece, and the no_y2, f_obs and f_mid marginals are summed straight into
+theirs (``_summed``). Each sums its cells in the order the einsum and the
+reductions over the tables' own axes did, so no bit moved when they
+replaced them; ``tests/test_kernels.py`` holds those references. No BLAS
+call is made. ``density_from_pieces`` reads a density off a table, and
 ``density_from_conditional`` builds a table for its one call.
 
 The PMR combination equals the truth whenever any one of the bridge subsets
@@ -65,7 +73,7 @@ import numpy as np
 from .bridges import BridgeSet
 from .dgp import OBSERVED_ORDER, IdentifiedDensity, marginal_y0
 from .policy import Regime, class_values, first_maximizer, q_learning_index
-from .tables import JointPmf, _mass_over, _refuse_zero
+from .tables import JointPmf, _axes, _contract, _layout, _mass_over, _refuse_zero
 
 # method -> the bridge components it reads; the one list of the bridge methods
 BRIDGES_NEEDED = {
@@ -126,18 +134,6 @@ class PieceTable:
         return entry[1]
 
 
-def _axes(x: np.ndarray, labels: str, order: str) -> np.ndarray:
-    """``x`` with its trailing binary axes, named by the einsum letters
-    ``labels``, put in the letter order ``order`` after its stack axes: a view."""
-    lead = x.ndim - len(labels)
-    return x.transpose(*range(lead), *(lead + labels.index(c) for c in order))
-
-
-def _layout(x: np.ndarray, labels: str, order: str) -> np.ndarray:
-    """``_axes`` copied to C order: the layout ``_contract`` merges."""
-    return np.ascontiguousarray(_axes(x, labels, order))
-
-
 def _summed(x: np.ndarray, labels: str, over: str, order: str) -> np.ndarray:
     """``x`` summed over the letters ``over`` cell by cell in C order, left
     to right (the order of numpy's reduction over those axes of a C-order
@@ -148,21 +144,6 @@ def _summed(x: np.ndarray, labels: str, over: str, order: str) -> np.ndarray:
     for cell in cells[2:]:
         total += cell
     return total
-
-
-def _contract(x: np.ndarray, y: np.ndarray, n: int, i: int, j: int, k: int) -> np.ndarray:
-    """The batched matrix product sum_j x[..., n, i, j] y[..., n, j, k] of
-    tables laid out with n batch, i row and j contracted binary axes (x) and
-    n, j contracted and k column binary axes (y), each group merged into one
-    axis for one einsum, its result's binary axes in (n, i, k) order. Each
-    sum runs over the contracted cells in C order, as an einsum over the
-    separate axes of C-order tables does, so the two agree bit for bit; no
-    BLAS call is made."""
-    def merged(t, groups):
-        return t.reshape(t.shape[:t.ndim - sum(groups)] + tuple(1 << g for g in groups))
-
-    out = np.einsum("...nij,...njk->...nik", merged(x, (n, i, j)), merged(y, (n, j, k)))
-    return out.reshape(out.shape[:-3] + (2,) * (n + i + k))
 
 
 # piece -> how it is made from its table and the components it is keyed by, a

@@ -8,8 +8,19 @@ convention for this package (including JSON serialization).
 Conditionals are dense arrays indexed [given..., target...]: ``conditional``
 returns P(target | given) with one conditional pmf per given cell, so stacks
 of proxy matrices over the remaining history come out as leading axes.
-``invert2or4`` inverts such stacks of 2x2 / 4x4 matrices and refuses
-(near-)singular blocks instead of falling back to a pseudo-inverse.
+``_MarginalTree`` reads many conditionals of one law off its marginals,
+each summed once from the smallest marginal already summed.
+``invert2or4`` inverts such stacks of 2x2 / 4x4 matrices in closed form
+and refuses (near-)singular blocks instead of falling back to a
+pseudo-inverse.
+
+No BLAS or LAPACK call feeds a number the package prints: every sum and
+product here, and in ``bridges``, ``identify`` and ``estimators``, is a
+numpy reduction, elementwise ufunc or plain einsum, each in a fixed order
+that does not depend on the host's BLAS kernel. The report and estimate
+bytes the identity tests pin were checked equal under OpenBLAS's
+SkylakeX (native), Haswell, SandyBridge and Prescott kernels, and with
+numpy's SIMD dispatch limited to AVX2 and to its X86_V2 baseline.
 
 All objects are immutable value types; operations return new tables and never
 mutate their inputs. ``conditional`` sums a table's mass without building and
@@ -277,13 +288,42 @@ def conditional(pmf: JointPmf, target: Sequence[str], given: Sequence[str]) -> n
     return joint / den
 
 
+def _axes(x: np.ndarray, labels: str, order: str) -> np.ndarray:
+    """``x`` with its trailing binary axes, named by the einsum letters
+    ``labels``, put in the letter order ``order`` after its stack axes: a view."""
+    lead = x.ndim - len(labels)
+    return x.transpose(*range(lead), *(lead + labels.index(c) for c in order))
+
+
+def _layout(x: np.ndarray, labels: str, order: str) -> np.ndarray:
+    """``_axes`` copied to C order: the layout ``_contract`` merges."""
+    return np.ascontiguousarray(_axes(x, labels, order))
+
+
+def _contract(x: np.ndarray, y: np.ndarray, n: int, i: int, j: int, k: int) -> np.ndarray:
+    """The batched matrix product sum_j x[..., n, i, j] y[..., n, j, k] of
+    tables laid out with n batch, i row and j contracted binary axes (x) and
+    n, j contracted and k column binary axes (y), each group merged into one
+    axis for one einsum, its result's binary axes in (n, i, k) order. Each
+    sum runs over the contracted cells in C order, as an einsum over the
+    separate axes of C-order tables does, so the two agree bit for bit; no
+    BLAS call is made."""
+    def merged(t, groups):
+        return t.reshape(t.shape[:t.ndim - sum(groups)] + tuple(1 << g for g in groups))
+
+    out = np.einsum("...nij,...njk->...nik", merged(x, (n, i, j)), merged(y, (n, j, k)))
+    return out.reshape(out.shape[:-3] + (2,) * (n + i + k))
+
+
 @lru_cache(maxsize=256)
 def _tree_source(names: tuple[str, ...], lead: int, summed: tuple[tuple[str, ...], ...],
-                 key: tuple[str, ...]) -> tuple[tuple[str, ...], tuple[int, ...]]:
+                 key: tuple[str, ...]) -> tuple[tuple[str, ...], tuple[tuple, ...]]:
     """The smallest marginal of ``summed`` (the first of them) that holds the
-    variables ``key``, and the axes of it to sum out."""
+    variables ``key``, and for each axis of it to sum out, last first, the
+    indices of its two halves."""
     source = min((s for s in summed if set(key) <= set(s)), key=len)
-    return source, tuple(lead + i for i, name in enumerate(source) if name not in key)
+    drop = [lead + i for i, name in enumerate(source) if name not in key]
+    return source, tuple(((slice(None),) * axis + (0,), (slice(None),) * axis + (1,)) for axis in reversed(drop))
 
 
 @lru_cache(maxsize=256)
@@ -313,11 +353,17 @@ class _MarginalTree:
         self._sums = {pmf.names: pmf.mass}  # variables, in the law's order -> the mass over them
 
     def _mass(self, key: tuple[str, ...]) -> np.ndarray:
-        """The mass over the variables ``key``, in the law's order."""
+        """The mass over the variables ``key``, in the law's order: its
+        source summed one axis at a time, last first, each as one addition
+        of the axis's two halves (cell by cell, so a law's bits do not depend
+        on the stack it is in)."""
         arr = self._sums.get(key)
         if arr is None:
-            source, drop = _tree_source(self.names, self.lead, tuple(self._sums), key)
-            arr = self._sums[key] = np.add.reduce(self._sums[source], axis=drop)
+            source, halves = _tree_source(self.names, self.lead, tuple(self._sums), key)
+            arr = self._sums[source]
+            for low, high in halves:
+                arr = arr[low] + arr[high]
+            self._sums[key] = arr
         return arr
 
     def conditional(self, target: tuple[str, ...], given: tuple[str, ...]) -> np.ndarray:
@@ -336,11 +382,12 @@ _COLUMN_PAIRS = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
 
 
 def _closed_form_plan() -> dict[int, tuple]:
-    """Index arrays into the flat entries r * k + c of a k x k block, per k:
-    for 2x2, the adjugate's entries; for 4x4, the four factors of each minor
-    (first * second - third * fourth), and for each inverse entry (r, c) the
-    cofactor (c, r) as three terms entry x minor, expanded along the row
-    paired with row c. Each with the sign of each inverse entry."""
+    """Index arrays into the flat entries r * k + c of a k x k block, per k,
+    and the sign of each inverse entry: for 2x2, the adjugate's entries; for
+    4x4, the four factors of each minor (first * second - third * fourth),
+    and for each inverse entry (r, c) the cofactor (c, r) as three terms
+    entry x minor, expanded along the row paired with row c, whose signs
+    alternate."""
     minors = np.array([[4 * r0 + c0, 4 * r1 + c1, 4 * r1 + c0, 4 * r0 + c1]
                        for r0, r1 in ((0, 1), (2, 3)) for c0, c1 in _COLUMN_PAIRS]).T
     entries, terms, signs = [], [], []

@@ -29,10 +29,10 @@ FOLDS = {**dict.fromkeys(BRIDGE_METHODS, (1, 3, 5)), "sra": (1, 3), "oracle": (1
 
 PINS = {
     35000: {
-        "por": "0a183ba6e4f8c5fa",
-        "pha": "b39a5ebd11018648",
-        "pipw": "72c38555a7c3df89",
-        "pmr": "19dd8e76198e79f5",
+        "por": "3d2099d481d50180",
+        "pha": "42d1f5ea2c243577",
+        "pipw": "a182b3fb886562cf",
+        "pmr": "b6f83a8a32de008d",
         "sra": "2059c23c781e7853",
         "oracle": "da860d57a0a2a8db",
     },

@@ -133,10 +133,10 @@ CASES = [
      "positivity fails: P(A2|Y0,Y1,A1,W1,W2) is zero at {cell}",
      {"Y0": 1, "Y1": 1, "A1": 1, "W1": 1, "W2": 1, "A2": 0}),
     ("singular P(W1,W2|Z1,Z2)", lambda b: _independent(b, (1, 3), Y0=1, Y1=0, A1=0, A2=1), SingularMatrixError,
-     "P(W1,W2|Z1,Z2) at (Y0=1, Y1=0, A1=0, A2=1) is singular (|det|=0.000e+00); rank condition fails",
+     "P(W1,W2|Z1,Z2) at (Y0=1, Y1=0, A1=0, A2=1) is singular (|det|=9.630e-35); rank condition fails",
      _SINGULAR.format("P(W1,W2|Z1,Z2)"), None),
     ("singular P(W1|Z1)", lambda b: _z1_w1(b, 0.0, 1.0), SingularMatrixError,
-     "P(W1|Z1) at (Y0=1, A1=1) is singular (|det|=5.551e-17); rank condition fails",
+     "P(W1|Z1) at (Y0=1, A1=1) is singular (|det|=2.776e-17); rank condition fails",
      _SINGULAR.format("P(W1|Z1)"), None),
     ("singular P(Z1|W1)", lambda b: _z1_w1(b, 1e-10, 1e-4), SingularMatrixError,
      "P(Z1|W1) at (Y0=1, A1=1) is singular (|det|=1.817e-13); rank condition fails",

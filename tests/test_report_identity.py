@@ -13,17 +13,17 @@ import pytest
 from proxidtr.harness import ExperimentConfig, emit_tables, run_experiment
 
 CASES = {
-    "vmax": (ExperimentConfig(reps=4), "f4d2e3d3ea096f98"),
-    "vmax-boolean": (ExperimentConfig(reps=4, regime_class="all-boolean"), "f2cfcecb3addbebc"),
-    "vmax-folds5": (ExperimentConfig(reps=4, folds=5), "a70ff21ff6d5edc3"),
+    "vmax": (ExperimentConfig(reps=4), "2d7ce2087c6a2374"),
+    "vmax-boolean": (ExperimentConfig(reps=4, regime_class="all-boolean"), "d453d04683340157"),
+    "vmax-folds5": (ExperimentConfig(reps=4, folds=5), "373ed00bb9367fc5"),
     "vmax-folds5-boolean": (ExperimentConfig(reps=4, folds=5, regime_class="all-boolean"),
-                            "56771ced0b7d11db"),
-    "qlearn": (ExperimentConfig(reps=4, optimizer="q-learning"), "d197757acdce8744"),
-    "qlearn-folds5": (ExperimentConfig(reps=4, optimizer="q-learning", folds=5), "a45276fa638cc729"),
+                            "772c6c1b61b3b76a"),
+    "qlearn": (ExperimentConfig(reps=4, optimizer="q-learning"), "1399be1603cd8df6"),
+    "qlearn-folds5": (ExperimentConfig(reps=4, optimizer="q-learning", folds=5), "18ea3e3b51f1d865"),
     "n600": (ExperimentConfig(n=600, reps=6), "2338af46f0a65948"),
     "n300-laplace": (ExperimentConfig(n=300, reps=6, laplace=0.5), "76740c360e72cd58"),
     # cross-fitted with failed and scored cells mixed: bridge methods 5/6 failed, Oracle 2/6, SRA 0/6
-    "n6000-folds3": (ExperimentConfig(n=6000, reps=6, folds=3), "3062834a95e19238"),
+    "n6000-folds3": (ExperimentConfig(n=6000, reps=6, folds=3), "2ebb734eef3b2ae4"),
 }
 
 
