@@ -62,11 +62,11 @@ _CHILD = (f"import json, sys; sys.path.insert(0, {str(TESTS)!r}); "
 
 @pytest.fixture(scope="module")
 def children():
-    """Each kernel's child process, started together, and its environment."""
+    """Each kernel's child process, all started at once; one still running at the end is killed."""
     procs = {}
     for kernel in KERNELS:
         env = {**os.environ, "OPENBLAS_CORETYPE": kernel,
-               "PYTHONPATH": os.pathsep.join([str(TESTS.parent / "src"), os.environ.get("PYTHONPATH", "")])}
+               "PYTHONPATH": os.pathsep.join(filter(None, [str(TESTS.parent / "src"), os.environ.get("PYTHONPATH")]))}
         procs[kernel] = subprocess.Popen([sys.executable, "-c", _CHILD], env=env, stdout=subprocess.PIPE,
                                          stderr=subprocess.PIPE, text=True)
     yield procs
