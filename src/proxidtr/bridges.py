@@ -10,9 +10,9 @@ that ``tables.conditional`` stacks per history cell, inverted together by
 layout. The same formulas applied to an empirical table give the
 maximum-likelihood plug-in estimates. ``solve_bridges`` is straight-line
 code: it reads its ten conditionals off one marginal tree of the law
-(``tables._MarginalTree``: 11 sums, each from the smallest marginal already
-summed, where reading each conditional off the law took 36), checks its
-two propensities and its four proxy stacks (``invert2or4``, looked up on
+(``tables._MarginalTree``: 18 marginals, each one halving add, 1404 cells
+per law), each equal bit for bit to ``tables.conditional`` of the law,
+checks its two propensities and its four proxy stacks (``invert2or4``, looked up on
 this module) in one fixed order with the refusals ``tables.conditional``
 makes, and formats a refusal's text only when a check fails, so a law that
 fails several checks always meets the same first refusal. No BLAS or
@@ -30,9 +30,9 @@ Table layouts (all axes binary, C order):
 The defining residual equations (see ``verify_bridges``) hold at 1e-10 when
 solved from an exact law and at 1e-8 (``RESIDUAL_TOL``, the one bound
 ``ResidualReport.all_passed`` applies) when solved from an empirical one.
-``verify_bridges`` and ``bridge_collapse_check`` read a stack of laws, with
-bridges stacked alike or one set for all, and report the largest residual
-over the stack.
+``verify_bridges`` and ``bridge_collapse_check`` read their conditionals off
+one marginal tree of a law or a stack of laws, with bridges stacked alike or
+one set for all, and report the largest residual over the stack.
 Deliberately wrong "pseudo" bridges, drawn at random per component, support
 misspecification studies.
 
@@ -52,7 +52,7 @@ from typing import Iterable, Mapping
 import numpy as np
 
 from .tables import (JointPmf, _as_readonly, _contract, _json_load, _layout, _locked, _MarginalTree, _refuse_stack,
-                     _refuse_zero, conditional, invert2or4)
+                     _refuse_zero, invert2or4)
 
 RESIDUAL_TOL = 1e-8
 
@@ -150,10 +150,10 @@ class BridgeSet:
 #   a=y0 b=y1 c=y2 d=w1 g=w2 e=a1 f=a2 h=z1 i=z2
 
 
-def _reciprocal(law: JointPmf | _MarginalTree, target: tuple[str, ...], given: tuple[str, ...]) -> np.ndarray:
-    """1 / P(target | given) of a law or its marginal tree, indexed [given...,
+def _reciprocal(tree: _MarginalTree, target: tuple[str, ...], given: tuple[str, ...]) -> np.ndarray:
+    """1 / P(target | given) read off a law's marginal tree, indexed [given...,
     target...]; positivity must hold."""
-    p = (law if isinstance(law, _MarginalTree) else _MarginalTree(law)).conditional(target, given)
+    p = tree.conditional(target, given)
     zero = p.real <= 0.0
     if zero.any():
         _refuse_zero(zero, given + target,
@@ -191,7 +191,7 @@ def solve_bridges(pmf: JointPmf, provenance: str = "solved-from-truth") -> Bridg
     matrix's the ordinary inverse, and bars denote the stage-2 pairs. A
     stack of laws is solved in one pass: every product carries its stack
     axes as ``...``, and every table leads with them. The ten conditionals
-    are read off one marginal tree of the law (11 sums), and read and
+    are read off one marginal tree of the law (18 halving adds), and read and
     checked in a fixed order, so a law that fails several checks meets the
     same first refusal on every call.
     """
@@ -275,18 +275,19 @@ def verify_bridges(b: BridgeSet, pmf: JointPmf) -> ResidualReport:
     each field is the largest residual over the stack.
     """
     b.require("h22", "h21", "q11", "q22")
-    fz1a1 = conditional(pmf, ("Z1", "A1"), ("Y0", "W1"))
+    tree = _MarginalTree(pmf)
+    fz1a1 = tree.conditional(("Z1", "A1"), ("Y0", "W1"))
     r_q11 = np.abs(np.einsum("...aeh,...adhe->...aed", b.q11, fz1a1) - 1.0).max()
     given_w2 = ("Y0", "Y1", "A1", "W1", "W2")
-    lhs = np.einsum("...abefhi,...abedghif->...abefdg", b.q22, conditional(pmf, ("Z1", "Z2", "A2"), given_w2))
-    rhs = np.einsum("...aeh,...abedgh->...abedg", b.q11, conditional(pmf, ("Z1",), given_w2))
+    lhs = np.einsum("...abefhi,...abedghif->...abefdg", b.q22, tree.conditional(("Z1", "Z2", "A2"), given_w2))
+    rhs = np.einsum("...aeh,...abedgh->...abedg", b.q11, tree.conditional(("Z1",), given_w2))
     r_q22 = np.abs(lhs - rhs[..., None, :, :]).max()
     given_z2 = ("Y0", "Y1", "A1", "A2", "Z1", "Z2")
-    rhs = np.einsum("...abcdgef,...abefhidg->...abefhic", b.h22, conditional(pmf, ("W1", "W2"), given_z2))
-    r_h22 = np.abs(conditional(pmf, ("Y2",), given_z2) - rhs).max()
+    rhs = np.einsum("...abcdgef,...abefhidg->...abefhic", b.h22, tree.conditional(("W1", "W2"), given_z2))
+    r_h22 = np.abs(tree.conditional(("Y2",), given_z2) - rhs).max()
     given_z1 = ("Y0", "A1", "Z1")
-    lhs = np.einsum("...abcdgef,...aehdgb->...abcefh", b.h22, conditional(pmf, ("W1", "W2", "Y1"), given_z1))
-    rhs = np.einsum("...abcdef,...aehd->...abcefh", b.h21, conditional(pmf, ("W1",), given_z1))
+    lhs = np.einsum("...abcdgef,...aehdgb->...abcefh", b.h22, tree.conditional(("W1", "W2", "Y1"), given_z1))
+    rhs = np.einsum("...abcdef,...aehd->...abcefh", b.h21, tree.conditional(("W1",), given_z1))
     r_h21 = np.abs(lhs - rhs).max()
     return ResidualReport(float(r_q11), float(r_q22), float(r_h22), float(r_h21))
 
@@ -308,9 +309,10 @@ def bridge_collapse_check(b: BridgeSet, pmf: JointPmf) -> CollapseReport:
     laws is checked in one pass; each field is the largest over the stack.
     """
     b.require("h21")
+    tree = _MarginalTree(pmf)
     collapsed = b.h21.sum(axis=-4)  # [..., y0, y1, w1, a1, a2]
     given_z1 = ("Y0", "A1", "Z1")
-    rhs = np.einsum("...abdef,...aehd->...aehbf", collapsed, conditional(pmf, ("W1",), given_z1))
-    eq_res = float(np.abs(conditional(pmf, ("Y1",), given_z1)[..., None] - rhs).max())
+    rhs = np.einsum("...abdef,...aehd->...aehbf", collapsed, tree.conditional(("W1",), given_z1))
+    eq_res = float(np.abs(tree.conditional(("Y1",), given_z1)[..., None] - rhs).max())
     gap = None if b.h11 is None else float(np.abs(collapsed - b.h11[..., None]).max())
     return CollapseReport(eq_res, gap)

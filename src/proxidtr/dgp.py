@@ -69,6 +69,7 @@ the stripping pass.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from typing import Mapping
@@ -76,7 +77,7 @@ from typing import Mapping
 import numpy as np
 
 from .policy import BOOLEAN_SIZE, Regime, RegimeClass, class_values, enumerate_class, first_maximizer
-from .tables import JointPmf, _as_readonly, _locked, _mass_over, _refuse_stack, conditional
+from .tables import JointPmf, _as_readonly, _locked, _MarginalTree, _mass_over, _refuse_stack
 
 CANONICAL_ORDER = ("Y0", "U0", "Z1", "W1", "A1", "Y1", "U1", "Z2", "W2", "A2", "Y2")
 OBSERVED_ORDER = ("Y0", "Z1", "W1", "A1", "Y1", "Z2", "W2", "A2", "Y2")
@@ -86,10 +87,19 @@ HIDDEN_ORDER = ("U0", "U1")
 SAMPLING_ORDER = ("U0", "Y0", "Z1", "A1", "W1", "Y1", "U1", "W2", "Z2", "A2", "Y2")
 
 
+_EXP_LIMIT = 709.782712893384  # log of the largest double: the largest v whose exp is finite; math.exp raises above it
+
+
 def expit(x):
+    """1 / (1 + exp(-x)), with the C library's exp (``math.exp``) on each
+    distinct value of ``x``: numpy's exp picks its loop by the CPU's SIMD
+    features, and its AVX-512 loop rounds some values differently, which
+    would make the law's bits depend on the host. exp(-x) = inf below
+    x = -709.78 gives the exact 0.0; a NaN stays NaN."""
     x = np.asarray(x, dtype=float)
-    with np.errstate(over="ignore"):  # exp(-x) = inf below x = -709 gives the exact 0.0
-        return 1.0 / (1.0 + np.exp(-x))
+    distinct, at = np.unique(-x, return_inverse=True)
+    exp = [math.inf if v > _EXP_LIMIT else math.exp(v) for v in distinct.tolist()]
+    return 1.0 / (1.0 + np.array(exp)[at].reshape(x.shape))
 
 
 @dataclass(frozen=True)
@@ -495,13 +505,15 @@ def oracle_density_from_joint(pmf: JointPmf) -> IdentifiedDensity:
                         P(y1|y0,u0,a1) P(u0|y0)
 
     computed from the (true or empirical) 11-variable joint law, or from a
-    stack of them into a stack of densities. Raises on zero-probability
-    conditioning cells rather than imputing.
+    stack of them into a stack of densities, its four conditionals read off
+    one marginal tree of the law. Raises on zero-probability conditioning
+    cells rather than imputing.
     """
-    p_u0 = conditional(pmf, ("U0",), ("Y0",))                      # [y0, u0]
-    p_y1 = conditional(pmf, ("Y1",), ("Y0", "U0", "A1"))            # [y0, u0, a1, y1]
-    p_u1 = conditional(pmf, ("U1",), ("Y0", "Y1", "U0", "A1"))      # [y0, y1, u0, a1, u1]
-    p_y2 = conditional(pmf, ("Y2",), ("Y0", "Y1", "U0", "U1", "A1", "A2"))  # [y0,y1,u0,u1,a1,a2,y2]
+    tree = _MarginalTree(pmf)
+    p_u0 = tree.conditional(("U0",), ("Y0",))                      # [y0, u0]
+    p_y1 = tree.conditional(("Y1",), ("Y0", "U0", "A1"))            # [y0, u0, a1, y1]
+    p_u1 = tree.conditional(("U1",), ("Y0", "Y1", "U0", "A1"))      # [y0, y1, u0, a1, u1]
+    p_y2 = tree.conditional(("Y2",), ("Y0", "Y1", "U0", "U1", "A1", "A2"))  # [y0,y1,u0,u1,a1,a2,y2]
     # axis letters: a=y0 b=y1 c=u0 d=u1 e=a1 f=a2 g=y2
     g = np.einsum("...abcdefg,...abced,...aceb,...ac->...efgba", p_y2, p_u1, p_y1, p_u0)
     return IdentifiedDensity(g, "ORACLE")

@@ -338,14 +338,15 @@ def _fold_average(densities: list[np.ndarray], p_y0: np.ndarray) -> tuple[np.nda
 def _baseline_table(cells: np.ndarray, observed: np.ndarray, config: ExperimentConfig, method: str,
                     whole=None) -> tuple[np.ndarray, np.ndarray]:
     """(g, p_y0) of SRA (from the observed counts) or the Oracle (from the
-    2^11 cell counts, hidden columns included) for a stack of repetitions,
-    each law conditioned on Y0 once. SRA reads ``whole``, the whole-sample
-    law's (cond, p_y0), when the one-fold fit conditioned it."""
+    2^11 cell counts, hidden columns included) for a stack of repetitions.
+    SRA conditions each law on Y0 once, or reads ``whole``, the whole-sample
+    law's (cond, p_y0), when the one-fold fit conditioned it; the Oracle
+    reads P(Y0) off its law, unconditioned."""
     if method == "SRA":
         cond, p_y0 = whole or identify.observed_conditional(count_pmf(observed, config.laplace))
         return sra_from_conditional(cond).g, p_y0
     pmf = count_pmf(cells, config.laplace, CANONICAL_ORDER)
-    return oracle_density_from_joint(pmf).g, identify.observed_conditional(pmf)[1]
+    return oracle_density_from_joint(pmf).g, dgp.marginal_y0(pmf)
 
 
 def _class_scores(truth: _Truth, g: np.ndarray, p_y0: np.ndarray, optimizer: str) -> list[tuple[float, float]]:

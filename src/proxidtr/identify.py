@@ -73,7 +73,7 @@ import numpy as np
 from .bridges import BridgeSet
 from .dgp import OBSERVED_ORDER, IdentifiedDensity, marginal_y0
 from .policy import Regime, class_values, first_maximizer, q_learning_index
-from .tables import JointPmf, _axes, _contract, _layout, _mass_over, _refuse_zero
+from .tables import JointPmf, _axes, _contract, _layout, _MarginalTree, _refuse_zero, conditional
 
 # method -> the bridge components it reads; the one list of the bridge methods
 BRIDGES_NEEDED = {
@@ -89,10 +89,12 @@ def observed_conditional(pmf: JointPmf) -> tuple[np.ndarray, np.ndarray]:
     """Observed-law table given Y0 and the Y0 marginal.
 
     Returns (cond, p_y0) where cond[y0, z1, w1, a1, y1, z2, w2, a2, y2] is
-    the joint law of the remaining observed variables given Y0 = y0.
+    the joint law of the remaining observed variables given Y0 = y0. Both
+    marginals are read off one marginal tree of the law, so p_y0 is the
+    ``dgp.marginal_y0`` of the law bit for bit.
     """
-    arr = _mass_over(pmf, OBSERVED_ORDER)
-    p_y0 = arr.sum(axis=tuple(range(-8, 0)))
+    tree = _MarginalTree(pmf)
+    arr, p_y0 = tree.marginal(OBSERVED_ORDER), tree.marginal(("Y0",))
     _refuse_zero(p_y0.real <= 0.0, ("Y0",), "P(Y0=y0) = 0 at {cell}; cannot condition")
     return arr / p_y0[(...,) + (None,) * 8], p_y0
 
@@ -225,11 +227,11 @@ def density_pmr(pmf: JointPmf, b: BridgeSet) -> IdentifiedDensity:
 
 
 def pipw_marginal_stage1(pmf: JointPmf, b: BridgeSet) -> np.ndarray:
-    """f(Y1(a1)=y1 | y0) identified with q11 alone; indexed [..., a1, y1, y0],
-    led by the stack axes of a stack of laws."""
+    """f(Y1(a1)=y1 | y0) identified with q11 alone, from P(Z1, A1, Y1 | Y0)
+    of the law; indexed [..., a1, y1, y0], led by the stack axes of a stack
+    of laws."""
     b.require("q11")
-    cond, _ = observed_conditional(pmf)
-    f4 = cond.sum(axis=(-7, -4, -3, -2, -1))  # [..., y0, z1, a1, y1]
+    f4 = conditional(pmf, ("Z1", "A1", "Y1"), ("Y0",))  # [..., y0, z1, a1, y1]
     return np.einsum("...aeh,...aheb->...eba", b.q11, f4)
 
 

@@ -8,19 +8,27 @@ convention for this package (including JSON serialization).
 Conditionals are dense arrays indexed [given..., target...]: ``conditional``
 returns P(target | given) with one conditional pmf per given cell, so stacks
 of proxy matrices over the remaining history come out as leading axes.
-``_MarginalTree`` reads many conditionals of one law off its marginals,
-each summed once from the smallest marginal already summed.
-``invert2or4`` inverts such stacks of 2x2 / 4x4 matrices in closed form
+``_MarginalTree`` is the one place a law's mass is summed, in one fixed
+order: the marginal over a set of variables is the marginal over that set
+and the first variable of the law it lacks, summed over that variable as
+one addition of its two halves, and each marginal is kept once summed. A
+marginal's bits so depend only on the law and the variables kept;
+``conditional``, ``_mass_over`` and ``marginalize`` read a fresh tree, and a
+caller that reads several marginals of one law shares one, with the same
+bits. ``invert2or4`` inverts such stacks of 2x2 / 4x4 matrices in closed form
 and refuses (near-)singular blocks instead of falling back to a
 pseudo-inverse.
 
 No BLAS or LAPACK call feeds a number the package prints: every sum and
 product here, and in ``bridges``, ``identify`` and ``estimators``, is a
-numpy reduction, elementwise ufunc or plain einsum, each in a fixed order
-that does not depend on the host's BLAS kernel. The report and estimate
-bytes the identity tests pin were checked equal under OpenBLAS's
-SkylakeX (native), Haswell, SandyBridge and Prescott kernels, and with
-numpy's SIMD dispatch limited to AVX2 and to its X86_V2 baseline.
+fixed sequence of halving adds, numpy reduction, elementwise ufunc or plain
+einsum, each in a fixed order that does not depend on the host's BLAS
+kernel, and the law's own bits come from ``dgp.expit``, whose exp is the C
+library's, not numpy's SIMD loop. The report and estimate bytes the
+identity tests pin were checked equal under OpenBLAS's SkylakeX (native),
+Haswell, SandyBridge and Prescott kernels, and with numpy's SIMD dispatch
+limited to AVX2 and to its X86_V2 baseline (``tests/test_kernel_identity.py``
+repeats the Prescott, Haswell and X86_V2 checks).
 
 All objects are immutable value types; operations return new tables and never
 mutate their inputs. ``conditional`` sums a table's mass without building and
@@ -44,19 +52,20 @@ it names (the unformatted template of ``_refuse_zero``, the role of
 ``invert2or4``), by which failures group. A NaN compares false, so a NaN
 denominator or determinant is not flagged.
 
-``_mass_over`` and ``conditional`` resolve their axes once per signature.
-``_plan``, cached by (variable names, number of stack axes, target, given),
-holds the axes summed out, the transpose to the requested order, the
-denominator's axes and the zero-cell refusal template. A call then runs
-only the sum, the transpose, the denominator's sum, one zero check and the
-division; the sums and the division are those that deriving the axes from
-names on every call runs, so no bit depends on the cache. The zero check is
-one reduction, ``all`` over the denominators' real parts: a law's real
-parts are >= 0, so a zero is the only denominator that is not positive.
-The refusals keep their order: a signature that overlaps target and given
-or names an unknown variable raises while its plan is built and is not
-kept; a zero conditioning cell is found by the call's zero check and named
-by ``_refuse_zero`` with the plan's template. The cache keeps 256
+A tree resolves each signature's names once: ``_plan``, cached by
+(variable names, number of stack axes, target, given), holds for the
+marginal read (and a conditional's denominator) its chain of marginals down
+from the law, with the two halves each one adds, and its transpose to the
+requested order, and the zero-cell refusal template. A read then runs only
+the adds not yet made, the transposes, one zero check and the division; the
+adds are those of summing the marginal from the whole law, so no bit
+depends on the cache or on the reads before. The zero check is one
+reduction, ``all`` over the denominators' real parts: a law's real parts
+are >= 0, so a zero is the only denominator that is not positive. The
+refusals keep their order: a signature that overlaps target and given,
+repeats a variable or names an unknown one raises while its plan is built
+and is not kept; a zero conditioning cell is found by the read's zero check
+and named by ``_refuse_zero`` with the plan's template. The cache keeps 256
 signatures; the package reads fewer than 64.
 
 A ``JointPmf`` may hold a stack of laws over the same variables (the K
@@ -238,29 +247,88 @@ class JointPmf:
 
 @lru_cache(maxsize=256)  # signatures kept; the package reads fewer than 64
 def _plan(names: tuple[str, ...], lead: int, target: tuple[str, ...], given: tuple[str, ...] | None):
-    """How to read ``target`` (given ``given``, or alone when it is None) off
-    a mass over ``names`` led by ``lead`` stack axes: (the axes summed out,
-    the transpose to stack, given then target order, the denominator's axes,
-    the zero-cell refusal template). Built on the first call of a signature;
-    a signature that raises is not kept."""
+    """How a marginal tree of a mass over ``names``, led by ``lead`` stack
+    axes, reads ``target`` (given ``given``, or alone when it is None): the
+    chain to the marginal over the variables read (``_chain``) and the
+    transpose to stack, given then target order; for a conditional, then the
+    same for the denominator's marginal over ``given``, and the zero-cell
+    refusal template. Built on the first call of a signature; a signature that
+    raises is not kept."""
     order = target if given is None else given + target
     if given is not None and set(target) & set(given):
         raise TableError(f"target {target} and given {given} overlap")
-    axes = [lead + _axis(names, n) for n in order]  # raises UnknownVariableError with the offending name
-    drop = tuple(i for i in range(lead, lead + len(names)) if i not in axes)
-    kept = sorted(axes)
-    perm = (*range(lead), *(lead + kept.index(a) for a in axes))
+    twice = [name for i, name in enumerate(order) if name in order[:i]]
+    if twice:
+        raise TableError(f"variable {twice[0]!r} repeats in {order}")
+
+    def read(keep):
+        key = tuple(sorted(keep, key=lambda n: _axis(names, n)))  # the first unknown name in ``keep`` raises
+        return _chain(names, lead, key), (*range(lead), *(lead + key.index(n) for n in keep))
+
     if given is None:
-        return drop, perm, None, None
-    den = tuple(range(lead + len(given), lead + len(order)))
-    return drop, perm, den, f"zero-probability conditioning cell {{cell}} for P({','.join(target)}|{','.join(given)})"
+        return read(target)
+    message = f"zero-probability conditioning cell {{cell}} for P({','.join(target)}|{','.join(given)})"
+    return (*read(order), *read(given), message)
+
+
+def _chain(names: tuple[str, ...], lead: int, key: tuple[str, ...]) -> tuple[tuple, ...]:
+    """The marginals from a law over ``names`` down to its marginal over
+    ``key`` (variables in ``names`` order), largest first: each is its
+    parent summed over the first variable of the law it lacks, and is given
+    as its variables and the indices of the parent's two halves."""
+    steps = []
+    while key != names:
+        first = next(n for n in names if n not in key)
+        parent = tuple(n for n in names if n in key or n == first)
+        axis = (slice(None),) * (lead + parent.index(first))
+        steps.append((key, axis + (0,), axis + (1,)))
+        key = parent
+    return tuple(reversed(steps))
+
+
+class _MarginalTree:
+    """The marginals of one law, or of a stack of laws, each summed once and
+    kept. The marginal over a set of variables is the marginal over that set
+    and the first variable of the law it lacks, summed over that variable as
+    one addition of its two halves, cell by cell; so its bits depend only on
+    the law and the variables kept, not on the reads before it or the stack
+    the law is in. This is the one place a law's mass is summed:
+    ``conditional`` and ``_mass_over`` read a fresh tree, and a caller that
+    reads several marginals of one law shares one."""
+
+    def __init__(self, pmf: JointPmf):
+        self.names = pmf.names
+        self.lead = pmf.mass.ndim - len(pmf.names)
+        self._sums = {pmf.names: pmf.mass}  # variables, in the law's order -> the mass over them
+
+    def _mass(self, chain: tuple[tuple, ...]) -> np.ndarray:
+        """The last marginal of ``chain`` (the law itself for an empty chain),
+        summing each marginal on the way that is not yet summed."""
+        arr = self._sums[self.names]
+        for key, low, high in chain:
+            if key not in self._sums:
+                self._sums[key] = arr[low] + arr[high]
+            arr = self._sums[key]
+        return arr
+
+    def marginal(self, names: tuple[str, ...]) -> np.ndarray:
+        """The mass over ``names``, axes in ``names`` order after the stack axes."""
+        chain, perm = _plan(self.names, self.lead, names, None)
+        return self._mass(chain).transpose(perm)
+
+    def conditional(self, target: tuple[str, ...], given: tuple[str, ...]) -> np.ndarray:
+        """P(target | given), as ``conditional`` reads it."""
+        chain, perm, den_chain, den_perm, message = _plan(self.names, self.lead, target, given)
+        den = self._mass(den_chain).transpose(den_perm)
+        if not den.real.all():  # a sum of a law's real parts, which are >= 0: only a zero is not positive
+            _refuse_zero(den.real <= 0.0, given, message)
+        return self._mass(chain).transpose(perm) / den[(...,) + (None,) * len(target)]
 
 
 def _mass_over(pmf: JointPmf, names: Sequence[str]) -> np.ndarray:
     """The mass summed over every variable not in ``names``, axes in
-    ``names`` order: a bare array, not a new table."""
-    drop, perm, _, _ = _plan(pmf.names, pmf.mass.ndim - len(pmf.names), tuple(names), None)
-    return (np.add.reduce(pmf.mass, axis=drop) if drop else pmf.mass).transpose(perm)
+    ``names`` order: a bare array off a fresh marginal tree, not a new table."""
+    return _MarginalTree(pmf).marginal(tuple(names))
 
 
 def marginalize(pmf: JointPmf, keep: Sequence[str]) -> JointPmf:
@@ -277,15 +345,10 @@ def conditional(pmf: JointPmf, target: Sequence[str], given: Sequence[str]) -> n
 
     Each slice over the target axes is a conditional pmf; the axes within each
     group follow the requested argument order. A given cell of probability
-    zero raises, naming the first such cell in C order.
+    zero raises, naming the first such cell in C order. Read off a fresh
+    marginal tree, so it equals a shared tree's read bit for bit.
     """
-    target, given = tuple(target), tuple(given)
-    drop, perm, den_axes, message = _plan(pmf.names, pmf.mass.ndim - len(pmf.names), target, given)
-    joint = (np.add.reduce(pmf.mass, axis=drop) if drop else pmf.mass).transpose(perm)
-    den = np.add.reduce(joint, axis=den_axes, keepdims=True)
-    if not den.real.all():  # a sum of a law's real parts, which are >= 0: only a zero is not positive
-        _refuse_zero(den.reshape(joint.shape[:joint.ndim - len(target)]).real <= 0.0, given, message)
-    return joint / den
+    return _MarginalTree(pmf).conditional(tuple(target), tuple(given))
 
 
 def _axes(x: np.ndarray, labels: str, order: str) -> np.ndarray:
@@ -313,67 +376,6 @@ def _contract(x: np.ndarray, y: np.ndarray, n: int, i: int, j: int, k: int) -> n
 
     out = np.einsum("...nij,...njk->...nik", merged(x, (n, i, j)), merged(y, (n, j, k)))
     return out.reshape(out.shape[:-3] + (2,) * (n + i + k))
-
-
-@lru_cache(maxsize=256)
-def _tree_source(names: tuple[str, ...], lead: int, summed: tuple[tuple[str, ...], ...],
-                 key: tuple[str, ...]) -> tuple[tuple[str, ...], tuple[tuple, ...]]:
-    """The smallest marginal of ``summed`` (the first of them) that holds the
-    variables ``key``, and for each axis of it to sum out, last first, the
-    indices of its two halves."""
-    source = min((s for s in summed if set(key) <= set(s)), key=len)
-    drop = [lead + i for i, name in enumerate(source) if name not in key]
-    return source, tuple(((slice(None),) * axis + (0,), (slice(None),) * axis + (1,)) for axis in reversed(drop))
-
-
-@lru_cache(maxsize=256)
-def _tree_plan(names: tuple[str, ...], lead: int, target: tuple[str, ...], given: tuple[str, ...]):
-    """How a marginal tree of a law over ``names``, led by ``lead`` stack
-    axes, reads P(target | given) of a signature ``_plan`` accepted: for the
-    denominator and then the joint, the variables of its marginal in
-    ``names`` order and the transpose to given (then target) order; and the
-    index that gives the denominator the target's axes."""
-    plan = []
-    for order in (given, given + target):
-        key = tuple(sorted(order, key=names.index))
-        plan += [key, (*range(lead), *(lead + key.index(name) for name in order))]
-    return (*plan, (...,) + (None,) * len(target))
-
-
-class _MarginalTree:
-    """The marginals of one law, or of a stack of laws, each summed once,
-    from the smallest marginal already summed that holds its variables;
-    ``conditional`` reads P(target | given) off two of them. Solving the
-    bridges from one tree sums 11 marginals where ten ``conditional`` calls
-    sum 36."""
-
-    def __init__(self, pmf: JointPmf):
-        self.names = pmf.names
-        self.lead = pmf.mass.ndim - len(pmf.names)
-        self._sums = {pmf.names: pmf.mass}  # variables, in the law's order -> the mass over them
-
-    def _mass(self, key: tuple[str, ...]) -> np.ndarray:
-        """The mass over the variables ``key``, in the law's order: its
-        source summed one axis at a time, last first, each as one addition
-        of the axis's two halves (cell by cell, so a law's bits do not depend
-        on the stack it is in)."""
-        arr = self._sums.get(key)
-        if arr is None:
-            source, halves = _tree_source(self.names, self.lead, tuple(self._sums), key)
-            arr = self._sums[source]
-            for low, high in halves:
-                arr = arr[low] + arr[high]
-            self._sums[key] = arr
-        return arr
-
-    def conditional(self, target: tuple[str, ...], given: tuple[str, ...]) -> np.ndarray:
-        """``conditional(pmf, target, given)`` read off the tree, refusing what it refuses, with the same text."""
-        message = _plan(self.names, self.lead, target, given)[3]  # refuses unknown and overlapping names
-        den_key, den_axes, key, axes, expand = _tree_plan(self.names, self.lead, target, given)
-        den = self._mass(den_key).transpose(den_axes)
-        if not den.real.all():  # a sum of a law's real parts, which are >= 0: only a zero is not positive
-            _refuse_zero(den.real <= 0.0, given, message)
-        return self._mass(key).transpose(axes) / den[expand]
 
 
 # The closed-form 4x4 inverse reads the 2x2 minors of rows (0, 1), then of

@@ -489,4 +489,4 @@ def test_expit_saturates_without_warning():
         assert dgp.expit(-800.0) == 0.0
         assert np.array_equal(dgp.expit(np.array([-1e308, -710.0, 0.0, 800.0])), [0.0, 0.0, 0.5, 1.0])
     x = np.linspace(-700.0, 700.0, 10001)
-    assert np.array_equal(dgp.expit(x), 1.0 / (1.0 + np.exp(-x)))
+    assert np.array_equal(dgp.expit(x), [local_expit(v) for v in x])  # the C library's exp, not numpy's SIMD loop

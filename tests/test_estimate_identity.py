@@ -29,12 +29,12 @@ FOLDS = {**dict.fromkeys(BRIDGE_METHODS, (1, 3, 5)), "sra": (1, 3), "oracle": (1
 
 PINS = {
     35000: {
-        "por": "3d2099d481d50180",
+        "por": "3e84d7401819dc8e",
         "pha": "42d1f5ea2c243577",
         "pipw": "a182b3fb886562cf",
-        "pmr": "b6f83a8a32de008d",
-        "sra": "2059c23c781e7853",
-        "oracle": "da860d57a0a2a8db",
+        "pmr": "6cca370657d43401",
+        "sra": "db0274e6f437d1b5",
+        "oracle": "6cb1ec9de14827c3",
     },
     600: {
         "por": "51358a078146a14c",
@@ -42,7 +42,7 @@ PINS = {
         "pipw": "d82c960aaa012059",
         "pmr": "d9eee9d8a6f04e2c",
         "sra": "eeb5df637348b130",
-        "oracle": "a20945529e79365a",
+        "oracle": "3c2be0fed53f3ee8",
     },
 }
 SEEDS = {35000: 7, 600: 3}

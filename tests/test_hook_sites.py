@@ -6,9 +6,10 @@ does) reads a layer as zero when a refactor stops calling through one, so
 the counts are pinned here, counted by wrappers installed the same way: per
 block of repetitions of the grid (``harness.BLOCK``, one stacked
 pass), 1 ``estimators.solve_bridges``, 4 ``bridges.invert2or4``, 13
-``harness._DENSITY_FN`` entries and 2 ``identify.observed_conditional`` at
-one fold (the stack of fitted laws and the Oracle's), 3 with folds (the
-stack of fold laws, SRA's whole-sample laws and the Oracle's), for value
+``harness._DENSITY_FN`` entries and 1 ``identify.observed_conditional`` at
+one fold (the stack of fitted laws; the Oracle reads P(Y0) off its law
+unconditioned), 2 with folds (the stack of fold laws and SRA's
+whole-sample laws), for value
 maximization at 5 folds (grid-crossfit's block) and Q-learning at 3 alike;
 a repetition run alone (a stack of one) counts the same; per
 ``estimate --method pmr`` request, 1 ``estimators.solve_bridges``."""
@@ -81,13 +82,13 @@ def _per_block(monkeypatch, counts, config, laws: int):
 
 def test_a_grid_repetition_calls_each_site_as_often_as_pinned(monkeypatch, counts):
     """Per block of repetitions, or per repetition run alone."""
-    _per_block(monkeypatch, counts, harness.ExperimentConfig(), 2)
+    _per_block(monkeypatch, counts, harness.ExperimentConfig(), 1)
 
 
 @pytest.mark.parametrize("folds, optimizer", [(5, "value-max"), (3, "q-learning")])
 def test_a_cross_fitted_repetition_calls_each_site_as_often_as_pinned(monkeypatch, counts, folds, optimizer):
     """Per block of repetitions, or per repetition run alone."""
-    _per_block(monkeypatch, counts, harness.ExperimentConfig(folds=folds, optimizer=optimizer), 3)
+    _per_block(monkeypatch, counts, harness.ExperimentConfig(folds=folds, optimizer=optimizer), 2)
 
 
 def test_an_estimate_request_solves_once(tmp_path, counts):

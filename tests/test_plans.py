@@ -1,6 +1,9 @@
 """The plans of ``tables._mass_over`` and ``tables.conditional``: cached per
 signature, they give the arrays, layouts and refusals of the algorithm that
-derives every axis from names on each call, kept here as the reference."""
+derives every axis from names on each call and sums each marginal from the
+whole law, uncached, in the marginal tree's order, kept here as the
+reference. A tree shared by many reads gives each the bits of a fresh one,
+in any order of reads, for a law alone and in a stack."""
 
 import io
 import re
@@ -17,10 +20,18 @@ from proxidtr.tables import JointPmf, TableError, UnknownVariableError, _refuse_
 
 
 def _mass_over_reference(pmf, names):
+    """The whole law with every variable not in ``names`` summed out, the
+    last first, each as one addition of its two halves."""
+    names = tuple(names)
+    twice = [n for i, n in enumerate(names) if n in names[:i]]
+    if twice:
+        raise TableError(f"variable {twice[0]!r} repeats in {names}")
     lead = pmf.mass.ndim - len(pmf.names)
     axes = [lead + pmf.axis(n) for n in names]
-    drop_axes = tuple(i for i in range(lead, pmf.mass.ndim) if i not in axes)
-    summed = pmf.mass.sum(axis=drop_axes) if drop_axes else pmf.mass
+    summed = pmf.mass
+    for axis in reversed(range(lead, pmf.mass.ndim)):
+        if axis not in axes:
+            summed = np.take(summed, 0, axis) + np.take(summed, 1, axis)
     kept = sorted(axes)
     return np.transpose(summed, [*range(lead), *(lead + kept.index(a) for a in axes)])
 
@@ -30,11 +41,10 @@ def _conditional_reference(pmf, target, given):
     if set(target) & set(given):
         raise TableError(f"target {target} and given {given} overlap")
     joint = _mass_over_reference(pmf, given + target)
-    lead = joint.ndim - len(target)
-    den = joint.sum(axis=tuple(range(lead, joint.ndim)), keepdims=True)
-    _refuse_zero(den.reshape(joint.shape[:lead]).real <= 0.0, given,
+    den = _mass_over_reference(pmf, given)
+    _refuse_zero(den.real <= 0.0, given,
                  f"zero-probability conditioning cell {{cell}} for P({','.join(target)}|{','.join(given)})")
-    return joint / den
+    return joint / den[(...,) + (None,) * len(target)]
 
 
 def _same_bits(out, ref):
@@ -119,6 +129,30 @@ def test_every_signature_matches_the_reference_bit_for_bit(signatures, stack, co
             _same_bits(tables._mass_over(pmf, keep), _mass_over_reference(pmf, keep))
 
 
+@pytest.mark.parametrize("seed", range(4))
+def test_one_tree_reads_every_signature_as_a_fresh_one_in_any_order(signatures, seed):
+    """Each read off a tree shared in a seeded order of reads equals
+    ``tables.conditional`` (or ``_mass_over``), which reads a fresh tree,
+    bit for bit: for a law alone, for a stack of three, and for each law of
+    that stack by itself."""
+    rng = np.random.default_rng(seed)
+    for names in sorted({names for names, _, _ in signatures}):
+        reads = [(target, given) for n, target, given in signatures if n == names]
+        stack = _random_law(rng, names, (3,), complex_mass=seed % 2 == 1)
+        alone = [JointPmf(names, stack.mass[k]) for k in range(3)]
+        for pmf in (alone[0], stack):
+            tree = tables._MarginalTree(pmf)
+            for i in rng.permutation(len(reads)):
+                target, given = reads[i]
+                if given is None:
+                    got, fresh = tree.marginal(target), lambda law: tables._mass_over(law, target)
+                else:
+                    got, fresh = tree.conditional(target, given), lambda law: tables.conditional(law, target, given)
+                _same_bits(got, fresh(pmf))
+                if pmf is stack:  # each law of the stack reads as it does alone
+                    assert all(got[k].tobytes() == fresh(law).tobytes() for k, law in enumerate(alone))
+
+
 @pytest.mark.parametrize("stack", [(), (3,), (2, 3)], ids=["rank 0", "rank 1", "rank 2"])
 def test_a_zero_conditioning_cell_is_refused_as_by_the_reference(signatures, stack):
     rng = np.random.default_rng(7)
@@ -144,6 +178,9 @@ def test_unknown_names_and_an_overlap_raise_the_reference_errors():
         (tables.conditional, _conditional_reference, (("X", "Y"), ("A",))),
         (tables.conditional, _conditional_reference, (("A", "B"), ("B",))),
         (tables._mass_over, _mass_over_reference, (("C", "Q"),)),
+        (tables.conditional, _conditional_reference, (("B", "B"), ("A",))),
+        (tables.conditional, _conditional_reference, (("C",), ("A", "B", "A"))),
+        (tables._mass_over, _mass_over_reference, (("A", "A"),)),
     ]:
         with pytest.raises(TableError) as expected:
             reference(pmf, *args)
@@ -153,6 +190,13 @@ def test_unknown_names_and_an_overlap_raise_the_reference_errors():
         tables.conditional(pmf, ("A",), ("X",))
     with pytest.raises(TableError, match=r"^target \('A', 'B'\) and given \('B',\) overlap$"):
         tables.conditional(pmf, ("A", "B"), ("B",))
+    observed = _random_law(np.random.default_rng(4), dgp.OBSERVED_ORDER, ())
+    kept = tables._plan.cache_info().currsize
+    with pytest.raises(TableError, match=r"^variable 'W1' repeats in \('Y0', 'W1', 'W1'\)$"):
+        tables.conditional(observed, ("W1", "W1"), ("Y0",))
+    with pytest.raises(TableError, match=r"^variable 'Y0' repeats in \('Y0', 'Y0'\)$"):
+        tables._mass_over(observed, ("Y0", "Y0"))
+    assert tables._plan.cache_info().currsize == kept  # a refused signature is not kept
 
 
 def test_a_grid_and_the_six_estimate_requests_keep_at_most_64_plans(tmp_path):
