@@ -9,14 +9,14 @@ that ``tables.conditional`` stacks per history cell, inverted together by
 ``tables.invert2or4`` in closed form; the residual checks use the same
 layout. The same formulas applied to an empirical table give the
 maximum-likelihood plug-in estimates. ``solve_bridges`` is straight-line
-code: it reads its ten conditionals off one marginal tree of the law
-(``tables._MarginalTree``: 18 marginals, each one halving add, 1404 cells
-per law), each equal bit for bit to ``tables.conditional`` of the law,
-checks its two propensities and its four proxy stacks (``invert2or4``, looked up on
-this module) in one fixed order with the refusals ``tables.conditional``
-makes, and formats a refusal's text only when a check fails, so a law that
-fails several checks always meets the same first refusal. No BLAS or
-LAPACK call is made, so the bridges' bits do not depend on the host's BLAS
+code: it reads its ten conditionals off the law's own marginals
+(``JointPmf.conditional``: 18 marginals, each one halving add, 1404 cells
+per law, kept by the law for its later readers), each equal bit for bit to
+``tables.conditional`` of a fresh law, checks its two propensities and its
+four proxy stacks (``invert2or4``, looked up on this module) in one fixed
+order with the refusals ``tables.conditional`` makes, and formats a
+refusal's text only when a check fails, so a law that fails several checks
+always meets the same first refusal. No BLAS or LAPACK call is made, so the bridges' bits do not depend on the host's BLAS
 kernel.
 
 Table layouts (all axes binary, C order):
@@ -31,7 +31,8 @@ The defining residual equations (see ``verify_bridges``) hold at 1e-10 when
 solved from an exact law and at 1e-8 (``RESIDUAL_TOL``, the one bound
 ``ResidualReport.all_passed`` applies) when solved from an empirical one.
 ``verify_bridges`` and ``bridge_collapse_check`` read their conditionals off
-one marginal tree of a law or a stack of laws, with bridges stacked alike or
+the marginals of a law or a stack of laws, shared with ``solve_bridges``'s
+reads of the same law object, with bridges stacked alike or
 one set for all, and report the largest residual over the stack.
 Deliberately wrong "pseudo" bridges, drawn at random per component, support
 misspecification studies.
@@ -51,8 +52,8 @@ from typing import Iterable, Mapping
 
 import numpy as np
 
-from .tables import (JointPmf, _as_readonly, _contract, _json_load, _layout, _locked, _MarginalTree, _refuse_stack,
-                     _refuse_zero, invert2or4)
+from .tables import (JointPmf, _as_readonly, _contract, _json_load, _layout, _locked, _refuse_stack, _refuse_zero,
+                     invert2or4)
 
 RESIDUAL_TOL = 1e-8
 
@@ -150,10 +151,10 @@ class BridgeSet:
 #   a=y0 b=y1 c=y2 d=w1 g=w2 e=a1 f=a2 h=z1 i=z2
 
 
-def _reciprocal(tree: _MarginalTree, target: tuple[str, ...], given: tuple[str, ...]) -> np.ndarray:
-    """1 / P(target | given) read off a law's marginal tree, indexed [given...,
+def _reciprocal(pmf: JointPmf, target: tuple[str, ...], given: tuple[str, ...]) -> np.ndarray:
+    """1 / P(target | given) read off a law's marginals, indexed [given...,
     target...]; positivity must hold."""
-    p = tree.conditional(target, given)
+    p = pmf.conditional(target, given)
     zero = p.real <= 0.0
     if zero.any():
         _refuse_zero(zero, given + target,
@@ -161,12 +162,12 @@ def _reciprocal(tree: _MarginalTree, target: tuple[str, ...], given: tuple[str, 
     return 1.0 / p
 
 
-def _inverse(tree: _MarginalTree, target: tuple[str, ...], given: tuple[str, ...], batch: tuple[str, ...],
+def _inverse(pmf: JointPmf, target: tuple[str, ...], given: tuple[str, ...], batch: tuple[str, ...],
              role: str) -> np.ndarray:
     """Inverses of the column-stochastic P(target|given) stacked over
     ``batch``, indexed [stack..., batch..., given cell, target cell];
     ``role`` names the matrix in a refusal."""
-    m = tree.conditional(target, batch + given)
+    m = pmf.conditional(target, batch + given)
     stack = m.shape[:m.ndim - len(batch + given + target)]
     m = m.reshape(stack + (2,) * len(batch) + (2 ** len(given), 2 ** len(target)))
     return invert2or4(m.swapaxes(-1, -2), role, batch).reshape(stack + (2,) * (len(batch) + len(given) + len(target)))
@@ -191,24 +192,24 @@ def solve_bridges(pmf: JointPmf, provenance: str = "solved-from-truth") -> Bridg
     matrix's the ordinary inverse, and bars denote the stage-2 pairs. A
     stack of laws is solved in one pass: every product carries its stack
     axes as ``...``, and every table leads with them. The ten conditionals
-    are read off one marginal tree of the law (18 halving adds), and read and
-    checked in a fixed order, so a law that fails several checks meets the
-    same first refusal on every call.
+    are read off the law's own marginals (18 halving adds on a fresh law,
+    kept for the law's later readers), and read and checked in a fixed
+    order, so a law that fails several checks meets the same first refusal
+    on every call.
     """
-    tree = _MarginalTree(pmf)
-    inv_w = _inverse(tree, ("W1", "W2"), ("Z1", "Z2"), _STAGE2, "P(W1,W2|Z1,Z2)")
-    py2 = tree.conditional(("Y2",), _STAGE2 + ("Z1", "Z2"))
+    inv_w = _inverse(pmf, ("W1", "W2"), ("Z1", "Z2"), _STAGE2, "P(W1,W2|Z1,Z2)")
+    py2 = pmf.conditional(("Y2",), _STAGE2 + ("Z1", "Z2"))
     h22 = np.einsum("...abefhic,...abefhidg->...abcdgef", py2, inv_w)
-    inv_w1 = _inverse(tree, ("W1",), ("Z1",), _STAGE1, "P(W1|Z1)")
-    chain = np.einsum("...abcdgef,...aehdgb->...abcefh", h22, tree.conditional(("W1", "W2", "Y1"), _STAGE1 + ("Z1",)))
+    inv_w1 = _inverse(pmf, ("W1",), ("Z1",), _STAGE1, "P(W1|Z1)")
+    chain = np.einsum("...abcdgef,...aehdgb->...abcefh", h22, pmf.conditional(("W1", "W2", "Y1"), _STAGE1 + ("Z1",)))
     h21 = np.einsum("...abcefh,...aehd->...abcdef", chain, inv_w1)
-    h11 = np.einsum("...aehb,...aehd->...abde", tree.conditional(("Y1",), _STAGE1 + ("Z1",)), inv_w1)
+    h11 = np.einsum("...aehb,...aehd->...abde", pmf.conditional(("Y1",), _STAGE1 + ("Z1",)), inv_w1)
 
-    q11 = np.einsum("...ade,...aedh->...aeh", _reciprocal(tree, ("A1",), ("Y0", "W1")),
-                    _inverse(tree, ("Z1",), ("W1",), _STAGE1, "P(Z1|W1)"))
-    row_w = np.einsum("...aeh,...abedgh->...abedg", q11, tree.conditional(("Z1",), _GIVEN_W2))
-    inv_z = _inverse(tree, ("Z1", "Z2"), ("W1", "W2"), _STAGE2, "P(Z1,Z2|W1,W2)")
-    weights = _layout(row_w[..., None] * _reciprocal(tree, ("A2",), _GIVEN_W2), "abedgf", "abefdg")
+    q11 = np.einsum("...ade,...aedh->...aeh", _reciprocal(pmf, ("A1",), ("Y0", "W1")),
+                    _inverse(pmf, ("Z1",), ("W1",), _STAGE1, "P(Z1|W1)"))
+    row_w = np.einsum("...aeh,...abedgh->...abedg", q11, pmf.conditional(("Z1",), _GIVEN_W2))
+    inv_z = _inverse(pmf, ("Z1", "Z2"), ("W1", "W2"), _STAGE2, "P(Z1,Z2|W1,W2)")
+    weights = _layout(row_w[..., None] * _reciprocal(pmf, ("A2",), _GIVEN_W2), "abedgf", "abefdg")
     q22 = _contract(weights, inv_z, 4, 0, 2, 2)  # abefhi
 
     return BridgeSet(*map(_locked, (h22, h21, h11, q11, q22)), dict.fromkeys(_SHAPES, provenance))
@@ -275,19 +276,18 @@ def verify_bridges(b: BridgeSet, pmf: JointPmf) -> ResidualReport:
     each field is the largest residual over the stack.
     """
     b.require("h22", "h21", "q11", "q22")
-    tree = _MarginalTree(pmf)
-    fz1a1 = tree.conditional(("Z1", "A1"), ("Y0", "W1"))
+    fz1a1 = pmf.conditional(("Z1", "A1"), ("Y0", "W1"))
     r_q11 = np.abs(np.einsum("...aeh,...adhe->...aed", b.q11, fz1a1) - 1.0).max()
     given_w2 = ("Y0", "Y1", "A1", "W1", "W2")
-    lhs = np.einsum("...abefhi,...abedghif->...abefdg", b.q22, tree.conditional(("Z1", "Z2", "A2"), given_w2))
-    rhs = np.einsum("...aeh,...abedgh->...abedg", b.q11, tree.conditional(("Z1",), given_w2))
+    lhs = np.einsum("...abefhi,...abedghif->...abefdg", b.q22, pmf.conditional(("Z1", "Z2", "A2"), given_w2))
+    rhs = np.einsum("...aeh,...abedgh->...abedg", b.q11, pmf.conditional(("Z1",), given_w2))
     r_q22 = np.abs(lhs - rhs[..., None, :, :]).max()
     given_z2 = ("Y0", "Y1", "A1", "A2", "Z1", "Z2")
-    rhs = np.einsum("...abcdgef,...abefhidg->...abefhic", b.h22, tree.conditional(("W1", "W2"), given_z2))
-    r_h22 = np.abs(tree.conditional(("Y2",), given_z2) - rhs).max()
+    rhs = np.einsum("...abcdgef,...abefhidg->...abefhic", b.h22, pmf.conditional(("W1", "W2"), given_z2))
+    r_h22 = np.abs(pmf.conditional(("Y2",), given_z2) - rhs).max()
     given_z1 = ("Y0", "A1", "Z1")
-    lhs = np.einsum("...abcdgef,...aehdgb->...abcefh", b.h22, tree.conditional(("W1", "W2", "Y1"), given_z1))
-    rhs = np.einsum("...abcdef,...aehd->...abcefh", b.h21, tree.conditional(("W1",), given_z1))
+    lhs = np.einsum("...abcdgef,...aehdgb->...abcefh", b.h22, pmf.conditional(("W1", "W2", "Y1"), given_z1))
+    rhs = np.einsum("...abcdef,...aehd->...abcefh", b.h21, pmf.conditional(("W1",), given_z1))
     r_h21 = np.abs(lhs - rhs).max()
     return ResidualReport(float(r_q11), float(r_q22), float(r_h22), float(r_h21))
 
@@ -309,10 +309,9 @@ def bridge_collapse_check(b: BridgeSet, pmf: JointPmf) -> CollapseReport:
     laws is checked in one pass; each field is the largest over the stack.
     """
     b.require("h21")
-    tree = _MarginalTree(pmf)
     collapsed = b.h21.sum(axis=-4)  # [..., y0, y1, w1, a1, a2]
     given_z1 = ("Y0", "A1", "Z1")
-    rhs = np.einsum("...abdef,...aehd->...aehbf", collapsed, tree.conditional(("W1",), given_z1))
-    eq_res = float(np.abs(tree.conditional(("Y1",), given_z1)[..., None] - rhs).max())
+    rhs = np.einsum("...abdef,...aehd->...aehbf", collapsed, pmf.conditional(("W1",), given_z1))
+    eq_res = float(np.abs(pmf.conditional(("Y1",), given_z1)[..., None] - rhs).max())
     gap = None if b.h11 is None else float(np.abs(collapsed - b.h11[..., None]).max())
     return CollapseReport(eq_res, gap)

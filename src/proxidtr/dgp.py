@@ -77,7 +77,7 @@ from typing import Mapping
 import numpy as np
 
 from .policy import BOOLEAN_SIZE, Regime, RegimeClass, class_values, enumerate_class, first_maximizer
-from .tables import JointPmf, _as_readonly, _locked, _MarginalTree, _mass_over, _refuse_stack
+from .tables import JointPmf, _as_readonly, _locked, _refuse_stack
 
 CANONICAL_ORDER = ("Y0", "U0", "Z1", "W1", "A1", "Y1", "U1", "Z2", "W2", "A2", "Y2")
 OBSERVED_ORDER = ("Y0", "Z1", "W1", "A1", "Y1", "Z2", "W2", "A2", "Y2")
@@ -184,7 +184,8 @@ class DgpParams:
     def _true_values(self) -> np.ndarray:
         """``true_values`` of this law."""
         joint = true_joint(self)
-        return _locked(class_values(oracle_density_from_joint(joint).g, marginal_y0(joint), np.arange(BOOLEAN_SIZE)))
+        return _locked(class_values(oracle_density_from_joint(joint).g, joint.marginal(("Y0",)),
+                                    np.arange(BOOLEAN_SIZE)))
 
     @classmethod
     def default(cls) -> "DgpParams":
@@ -224,13 +225,16 @@ def _bit_weights(names: tuple[str, ...]) -> np.ndarray:
 class Dataset:
     """Sampled or read rows, held as their canonical cell codes.
 
-    ``cell_code`` is a read-only (n,) int16 copy of the codes given: each
-    row's CANONICAL_ORDER values read as bits, Y0 the most significant, so a
-    code is the row's C-order index in the 2^11 grid. ``observed``,
-    ``hidden`` and ``column`` are read-only int8 arrays masked out of the
-    codes on each access. Estimators other than the Oracle read only the
-    observed bits. ``has_hidden`` is false when the hidden U0, U1 were not
-    recorded (a CSV without u0, u1 columns); their bits are then zero.
+    ``cell_code`` is the read-only (n,) int16 codes given, kept as they
+    stand when read-only, owned and C-contiguous (the fresh codes
+    ``from_csv``, ``sample`` and the grid's draws lock), else a copy
+    (``tables._as_readonly``): each row's CANONICAL_ORDER values read as
+    bits, Y0 the most significant, so a code is the row's C-order index in
+    the 2^11 grid. ``observed``, ``hidden`` and ``column`` are read-only
+    int8 arrays masked out of the codes on each access. Estimators other
+    than the Oracle read only the observed bits. ``has_hidden`` is false
+    when the hidden U0, U1 were not recorded (a CSV without u0, u1
+    columns); their bits are then zero.
     Datasets compare by identity.
     """
 
@@ -246,8 +250,8 @@ class Dataset:
             raise ValueError(f"cell codes must lie in [0, {2 ** len(CANONICAL_ORDER)})")
         if not self.has_hidden and np.any(code & _HIDDEN_BITS):
             raise ValueError("cell codes set hidden bits of a dataset without hidden columns")
-        # a copy, so the caller's array stays writeable and cannot change ours
-        object.__setattr__(self, "cell_code", _locked(code.astype(np.int16)))
+        # kept if read-only, owned and int16, as fresh codes are; else a copy, so a caller's array cannot change ours
+        object.__setattr__(self, "cell_code", _as_readonly(code, np.int16))
 
     def __len__(self) -> int:
         return self.cell_code.shape[0]
@@ -319,7 +323,7 @@ class Dataset:
             code = _csv_codes(body, k)
             if code is None:
                 raise ValueError(_csv_row_error(data.decode("utf-8", "replace"), k))
-        return cls(code, seed, hidden_in_file)
+        return cls(_locked(code), seed, hidden_in_file)
 
 
 _CSV_BLOCK = 4096  # rows decoded at a time, so no temporary grows with the body
@@ -454,7 +458,7 @@ _SAMPLING_TO_CANONICAL = _locked(_bit_weights(SAMPLING_ORDER) @ np.indices((2,) 
 def sample(params: DgpParams, n: int, seed: int) -> Dataset:
     """Ancestral sampling with the counter-based Philox generator: the
     ``Dataset`` of all n rows of ``sample_rows``."""
-    return Dataset(sample_rows(params, n, seed, 0, n), seed)
+    return Dataset(_locked(sample_rows(params, n, seed, 0, n)), seed)
 
 
 def sample_rows(params: DgpParams, n: int, seed: int, start: int, stop: int) -> np.ndarray:
@@ -506,21 +510,16 @@ def oracle_density_from_joint(pmf: JointPmf) -> IdentifiedDensity:
 
     computed from the (true or empirical) 11-variable joint law, or from a
     stack of them into a stack of densities, its four conditionals read off
-    one marginal tree of the law. Raises on zero-probability conditioning
-    cells rather than imputing.
+    the law's own marginals, which its later readers (its P(Y0), for one)
+    share. Raises on zero-probability conditioning cells rather than imputing.
     """
-    tree = _MarginalTree(pmf)
-    p_u0 = tree.conditional(("U0",), ("Y0",))                      # [y0, u0]
-    p_y1 = tree.conditional(("Y1",), ("Y0", "U0", "A1"))            # [y0, u0, a1, y1]
-    p_u1 = tree.conditional(("U1",), ("Y0", "Y1", "U0", "A1"))      # [y0, y1, u0, a1, u1]
-    p_y2 = tree.conditional(("Y2",), ("Y0", "Y1", "U0", "U1", "A1", "A2"))  # [y0,y1,u0,u1,a1,a2,y2]
+    p_u0 = pmf.conditional(("U0",), ("Y0",))                      # [y0, u0]
+    p_y1 = pmf.conditional(("Y1",), ("Y0", "U0", "A1"))            # [y0, u0, a1, y1]
+    p_u1 = pmf.conditional(("U1",), ("Y0", "Y1", "U0", "A1"))      # [y0, y1, u0, a1, u1]
+    p_y2 = pmf.conditional(("Y2",), ("Y0", "Y1", "U0", "U1", "A1", "A2"))  # [y0,y1,u0,u1,a1,a2,y2]
     # axis letters: a=y0 b=y1 c=u0 d=u1 e=a1 f=a2 g=y2
     g = np.einsum("...abcdefg,...abced,...aceb,...ac->...efgba", p_y2, p_u1, p_y1, p_u0)
     return IdentifiedDensity(g, "ORACLE")
-
-
-def marginal_y0(pmf: JointPmf) -> np.ndarray:
-    return _mass_over(pmf, ("Y0",))
 
 
 def true_values(params: DgpParams) -> np.ndarray:

@@ -82,7 +82,7 @@ from .bridges import BridgeSet, solve_bridges
 from .dgp import _HIDDEN_AXES, CANONICAL_ORDER, OBSERVED_ORDER, Dataset, oracle_density_from_joint
 from .identify import METHODS, IdentifiedDensity, _require, observed_conditional, value_from_density
 from .policy import Regime
-from .tables import JointPmf, SingularMatrixError, ZeroProbabilityError, _locked, _mass_over, _refuse_zero
+from .tables import JointPmf, SingularMatrixError, ZeroProbabilityError, _locked, _refuse_zero
 
 ALL_METHODS = METHODS + ("SRA", "ORACLE")  # the bridge methods, then the baselines
 
@@ -356,7 +356,7 @@ def population_v(method: str, pmf: JointPmf, b: BridgeSet, regime: Regime) -> fl
     With ``pmf`` the true law and correct bridges this equals the true value
     (the population mean-zero property of the influence function).
     """
-    return _count_mean(_mass_over(pmf, OBSERVED_ORDER).reshape(-1), _summands(method, b, regime))
+    return _count_mean(pmf.marginal(OBSERVED_ORDER).reshape(-1), _summands(method, b, regime))
 
 
 _STEP = 1e-20  # the complex step of ``influence``: any h far below 1e-8 is exact to rounding

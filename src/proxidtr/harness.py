@@ -71,7 +71,8 @@ True values come from ``dgp.true_values``, the law's one cached table of
 all 1024 Boolean regimes' values; a chosen regime's true value is read at
 its Boolean index, and the optimum is ``dgp.optimal_value`` of the searched
 class. No ``Regime`` is built to score, and the truth is built once per
-searched class and process (``_truth_context``).
+searched class and process (``_truth_context``) on the one law ``_law``,
+which the sampling helper draws from.
 
 Everything is deterministic in the config: repetition seeds are
 base_seed + index, and each repetition's results are folded into per-cell
@@ -139,7 +140,7 @@ from .estimators import (
     sra_from_conditional,
 )
 from .policy import enumerate_class
-from .tables import TableError, _json_object
+from .tables import TableError, _json_object, _locked
 
 EPSILON = 1e-10  # values below this render as "<eps"
 
@@ -346,7 +347,7 @@ def _baseline_table(cells: np.ndarray, observed: np.ndarray, config: ExperimentC
         cond, p_y0 = whole or identify.observed_conditional(count_pmf(observed, config.laplace))
         return sra_from_conditional(cond).g, p_y0
     pmf = count_pmf(cells, config.laplace, CANONICAL_ORDER)
-    return oracle_density_from_joint(pmf).g, dgp.marginal_y0(pmf)
+    return oracle_density_from_joint(pmf).g, pmf.marginal(("Y0",))
 
 
 def _class_scores(truth: _Truth, g: np.ndarray, p_y0: np.ndarray, optimizer: str) -> list[tuple[float, float]]:
@@ -493,31 +494,34 @@ def _run_rep(config: ExperimentConfig, truth: _Truth, rep: int, blocks: _Blocks)
     return blocks.add(rep, _counts(config, blocks.draw(rep)))
 
 
+_law = cache(DgpParams.default)  # the law every grid samples and scores against, built once
+
+
 @cache
 def _truth(regime_class: str) -> _Truth:
-    return _Truth(DgpParams.default(), regime_class)
+    return _Truth(_law(), regime_class)
 
 
 def _truth_context(config: ExperimentConfig) -> _Truth:
     """The ground truth of the class ``config``'s optimizer searches (the
-    Boolean class for Q-learning), built once and kept; the sampling helper,
-    forked, inherits it, and is handed its class's tag (``_Blocks._submit``)."""
+    Boolean class for Q-learning), built once and kept on the one law
+    (``_law``), which the sampling helper, forked, inherits."""
     return _truth("all-boolean" if config.optimizer == "q-learning" else config.regime_class)
 
 
-def _draw(regime_class: str, n: int, seed: int, stop: int) -> tuple[np.ndarray, float, float]:
+def _draw(n: int, seed: int, stop: int) -> tuple[np.ndarray, float, float]:
     """Rows [0, stop) of a repetition's sample as cell codes, drawn in the
-    helper process under the law of the truth ``_truth_context`` keyed by
-    ``regime_class`` (so a forked helper reads the truth it inherited), with
-    its ``time.perf_counter()`` readings at the draw's start and end (the
-    system-wide monotonic clock, which forked processes share).
+    helper process under the one law ``_law`` (so a forked helper reads the
+    law it inherited), with its ``time.perf_counter()`` readings at the
+    draw's start and end (the system-wide monotonic clock, which forked
+    processes share).
 
     Codes cross the process boundary, never a pickled ``Dataset``, whose
     read-only lock does not survive unpickling; the main process joins them
     to its own rows [stop, n).
     """
     began = time.perf_counter()
-    return dgp.sample_rows(_truth(regime_class).params, n, seed, 0, stop), began, time.perf_counter()
+    return dgp.sample_rows(_law(), n, seed, 0, stop), began, time.perf_counter()
 
 
 _GAIN = 4 / 27  # the share of the balancing rows ``_balance`` moves per repetition
@@ -575,8 +579,7 @@ class _Blocks:
     def _submit(self, rep: int) -> None:
         if self.helper is not None and rep < self.config.reps:
             stop = round(self.split)
-            self.heads.append((stop, self.helper.submit(_draw, self.truth.search_class.tag, self.config.n,
-                                                        self.config.base_seed + rep, stop)))
+            self.heads.append((stop, self.helper.submit(_draw, self.config.n, self.config.base_seed + rep, stop)))
 
     def draw(self, rep: int) -> dgp.Dataset:
         """Repetition ``rep``'s sample, drawn whole here without a helper;
@@ -597,7 +600,7 @@ class _Blocks:
         if rep >= BLOCK:
             self.split = _balance(self.split, n, waited, max(asked - head_done, 0.0),
                                   (stop, head_done - head_began), (n - stop, asked - began))
-        return dgp.Dataset(np.concatenate((codes, tail)), seed)
+        return dgp.Dataset(_locked(np.concatenate((codes, tail))), seed)
 
     def add(self, rep: int, counts: tuple) -> list[dict]:
         """Count repetition ``rep`` into its block and run one layer of the
@@ -630,10 +633,12 @@ def _rep_results(config: ExperimentConfig, truth: _Truth):
     is joined when the loop ends, raises or is closed. Under the default
     ``fork`` start method (Linux before Python 3.14) it is forked before the
     executor starts its own threads and inherits the imports and
-    ``_truth``'s cache; under ``forkserver`` (Python 3.14) or ``spawn`` it
-    would import the package and build the truth (the regime class and the
-    true values) before its first draw: the first sample arrived after
-    0.26-0.39 s, against 33-37 ms forked (2-vCPU Xeon, Python 3.11).
+    ``_law``'s cache, and it draws from that law alone, never building a
+    truth. Under ``forkserver`` (Python 3.14) or ``spawn`` it would import
+    the package and build the law before its first draw; when it built the
+    truth as well (the regime class and the true values), the first sample
+    arrived after 0.26-0.39 s, against 33-37 ms forked (2-vCPU Xeon,
+    Python 3.11).
     """
     pseudo = _scenario_pseudo(config)
     overlap = config.reps > 1 and _cpus() > 1

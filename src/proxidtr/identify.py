@@ -71,9 +71,9 @@ from itertools import product
 import numpy as np
 
 from .bridges import BridgeSet
-from .dgp import OBSERVED_ORDER, IdentifiedDensity, marginal_y0
+from .dgp import OBSERVED_ORDER, IdentifiedDensity
 from .policy import Regime, class_values, first_maximizer, q_learning_index
-from .tables import JointPmf, _axes, _contract, _layout, _MarginalTree, _refuse_zero, conditional
+from .tables import JointPmf, _axes, _contract, _layout, _refuse_zero
 
 # method -> the bridge components it reads; the one list of the bridge methods
 BRIDGES_NEEDED = {
@@ -90,11 +90,10 @@ def observed_conditional(pmf: JointPmf) -> tuple[np.ndarray, np.ndarray]:
 
     Returns (cond, p_y0) where cond[y0, z1, w1, a1, y1, z2, w2, a2, y2] is
     the joint law of the remaining observed variables given Y0 = y0. Both
-    marginals are read off one marginal tree of the law, so p_y0 is the
-    ``dgp.marginal_y0`` of the law bit for bit.
+    are read off the law's own marginals, shared with every other reader of
+    the same law object (``solve_bridges`` of a fit's law, for one).
     """
-    tree = _MarginalTree(pmf)
-    arr, p_y0 = tree.marginal(OBSERVED_ORDER), tree.marginal(("Y0",))
+    arr, p_y0 = pmf.marginal(OBSERVED_ORDER), pmf.marginal(("Y0",))
     _refuse_zero(p_y0.real <= 0.0, ("Y0",), "P(Y0=y0) = 0 at {cell}; cannot condition")
     return arr / p_y0[(...,) + (None,) * 8], p_y0
 
@@ -231,7 +230,7 @@ def pipw_marginal_stage1(pmf: JointPmf, b: BridgeSet) -> np.ndarray:
     of the law; indexed [..., a1, y1, y0], led by the stack axes of a stack
     of laws."""
     b.require("q11")
-    f4 = conditional(pmf, ("Z1", "A1", "Y1"), ("Y0",))  # [..., y0, z1, a1, y1]
+    f4 = pmf.conditional(("Z1", "A1", "Y1"), ("Y0",))  # [..., y0, z1, a1, y1]
     return np.einsum("...aeh,...aheb->...eba", b.q11, f4)
 
 
@@ -241,7 +240,7 @@ def value_from_density(g: IdentifiedDensity | np.ndarray, pmf: JointPmf, regime:
     real law; a stack of densities and laws gives one value per law, and a
     complex density its complex value, both as arrays."""
     arr = g.g if isinstance(g, IdentifiedDensity) else np.asarray(g)
-    value = class_values(arr, marginal_y0(pmf), [regime.index])[..., 0]
+    value = class_values(arr, pmf.marginal(("Y0",)), [regime.index])[..., 0]
     return value if value.ndim or np.iscomplexobj(value) else float(value)
 
 

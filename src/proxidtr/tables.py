@@ -8,16 +8,17 @@ convention for this package (including JSON serialization).
 Conditionals are dense arrays indexed [given..., target...]: ``conditional``
 returns P(target | given) with one conditional pmf per given cell, so stacks
 of proxy matrices over the remaining history come out as leading axes.
-``_MarginalTree`` is the one place a law's mass is summed, in one fixed
+A ``JointPmf`` is the one place a law's mass is summed, in one fixed
 order: the marginal over a set of variables is the marginal over that set
 and the first variable of the law it lacks, summed over that variable as
-one addition of its two halves, and each marginal is kept once summed. A
-marginal's bits so depend only on the law and the variables kept;
-``conditional``, ``_mass_over`` and ``marginalize`` read a fresh tree, and a
-caller that reads several marginals of one law shares one, with the same
-bits. ``invert2or4`` inverts such stacks of 2x2 / 4x4 matrices in closed form
-and refuses (near-)singular blocks instead of falling back to a
-pseudo-inverse.
+one addition of its two halves, and the law keeps each marginal once
+summed. A marginal's bits so depend only on the law and the variables
+kept, and every reader of one law object (``conditional``,
+``marginalize``, the bridge solver and checks, ``identify``, the Oracle,
+``estimators.population_v``) shares one set of sums, with the bits each
+would get from a fresh law. ``invert2or4`` inverts such stacks of 2x2 /
+4x4 matrices in closed form and refuses (near-)singular blocks instead of
+falling back to a pseudo-inverse.
 
 No BLAS or LAPACK call feeds a number the package prints: every sum and
 product here, and in ``bridges``, ``identify`` and ``estimators``, is a
@@ -34,17 +35,17 @@ All objects are immutable value types; operations return new tables and never
 mutate their inputs. ``conditional`` sums a table's mass without building and
 validating an intermediate table. Every array the package hands out is
 read-only: ``_locked`` marks a fresh array in place, and is the one place
-that does so, for ``estimators.count_pmf`` and ``_CELLS``,
+that does so, for a law's marginals, ``estimators.count_pmf`` and ``_CELLS``,
 ``bridges.solve_bridges``, ``dgp``'s word bounds, sampling tables,
 prefix-to-canonical table and ``Dataset`` codes, columns and counts, and
-``policy.DENSITY_CELLS`` and ``RegimeClass.index``. A table keeps a
-read-only C-contiguous array it is handed that owns its memory (such a fresh
-array) and copies anything else to C order (``_as_readonly``), so a table's
-bits depend on its values, not on its layout. Tables are float64, or complex128
-for complex-step derivatives; every check reads the real part. Every failure
-check (a zero conditioning cell, a singular block, a total off 1) costs one
-reduction; the first failing cell in C order is located (``_first_cell``)
-only when one exists. Every zero denominator in the package, here and in
+``policy.DENSITY_CELLS`` and ``RegimeClass.index``. A table (and a
+``Dataset``'s codes) keeps a read-only C-contiguous array it is handed that
+owns its memory (such a fresh array) and copies anything else to C order
+(``_as_readonly``), so a table's bits depend on its values, not on its
+layout. Tables are float64, or complex128 for complex-step derivatives;
+every check reads the real part. Every failure check (a zero conditioning
+cell, a singular block, a total off 1) costs one reduction; the first
+failing cell in C order is located (``_first_cell``) only when one exists. Every zero denominator in the package, here and in
 ``bridges``, ``identify`` and ``estimators``, is refused by ``_refuse_zero``,
 which names that cell by its own axes in ``ZeroProbabilityError.assignment``.
 Every ``TableError`` has a ``kind``, its message without the cell or block
@@ -52,7 +53,7 @@ it names (the unformatted template of ``_refuse_zero``, the role of
 ``invert2or4``), by which failures group. A NaN compares false, so a NaN
 denominator or determinant is not flagged.
 
-A tree resolves each signature's names once: ``_plan``, cached by
+A law resolves each signature's names once: ``_plan``, cached by
 (variable names, number of stack axes, target, given), holds for the
 marginal read (and a conditional's denominator) its chain of marginals down
 from the law, with the two halves each one adds, and its transpose to the
@@ -129,13 +130,14 @@ def _locked(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
-def _as_readonly(arr) -> np.ndarray:
-    """A read-only, C-contiguous complex128 array for complex input, else
-    float64: ``arr`` itself when it is read-only, C-contiguous and owns its
-    memory, as the fresh C-order arrays ``_locked`` marks do, else a read-only
-    C-order copy. Einsum's summation order follows its operands' strides, so
-    one layout for every table makes equal values give equal bits."""
-    dtype = complex if np.iscomplexobj(arr) else float
+def _as_readonly(arr, dtype=None) -> np.ndarray:
+    """A read-only, C-contiguous array of ``dtype``, by default complex128 for
+    complex input, else float64: ``arr`` itself when it is read-only,
+    C-contiguous and owns its memory, as the fresh C-order arrays ``_locked``
+    marks do, else a read-only C-order copy. Einsum's summation order follows
+    its operands' strides, so one layout for every table makes equal values
+    give equal bits."""
+    dtype = dtype or (complex if np.iscomplexobj(arr) else float)
     owned = isinstance(arr, np.ndarray) and arr.dtype == dtype and arr.base is None and arr.flags.c_contiguous
     return arr if owned and not arr.flags.writeable else _locked(np.array(arr, dtype=dtype, order="C"))
 
@@ -190,7 +192,10 @@ def _json_object(text: str, what: str, cls) -> dict:
 
 @dataclass(frozen=True)
 class JointPmf:
-    """Joint probability mass table over an ordered set of binary variables."""
+    """Joint probability mass table over an ordered set of binary variables,
+    or a stack of them. It keeps each marginal it sums for ``marginal`` and
+    ``conditional``, in the one fixed order of the module docstring, so every
+    reader of one law shares its sums and gets the bits of a fresh law."""
 
     names: tuple[str, ...]
     mass: np.ndarray
@@ -213,9 +218,37 @@ class JointPmf:
             raise TableError(f"mass sums to {float(totals[bad])!r}, not 1")
         object.__setattr__(self, "names", names)
         object.__setattr__(self, "mass", mass)
+        object.__setattr__(self, "_sums", {names: mass})  # variables, in the law's order -> the mass over them
 
     def axis(self, name: str) -> int:
         return _axis(self.names, name)
+
+    def _sum(self, chain: tuple[tuple, ...]) -> np.ndarray:
+        """The last marginal of ``chain`` (the law itself for an empty chain),
+        summing each marginal on the way that is not yet summed, read-only."""
+        arr = self.mass
+        for key, low, high in chain:
+            if key not in self._sums:
+                total = arr[low] + arr[high]
+                self._sums[key] = _locked(total) if total.ndim else total  # a law's total is a numpy scalar
+            arr = self._sums[key]
+        return arr
+
+    def marginal(self, names: Sequence[str]) -> np.ndarray:
+        """The mass summed over every variable not in ``names``, axes in
+        ``names`` order after the stack axes: a read-only array, not a new table."""
+        chain, perm = _plan(self.names, self.mass.ndim - len(self.names), tuple(names), None)
+        return self._sum(chain).transpose(perm)
+
+    def conditional(self, target: Sequence[str], given: Sequence[str]) -> np.ndarray:
+        """P(target | given) off the law's kept marginals: the array and refusal
+        ``conditional`` documents."""
+        target, given = tuple(target), tuple(given)
+        chain, perm, den_chain, den_perm, message = _plan(self.names, self.mass.ndim - len(self.names), target, given)
+        den = self._sum(den_chain).transpose(den_perm)
+        if not den.real.all():  # a sum of a law's real parts, which are >= 0: only a zero is not positive
+            _refuse_zero(den.real <= 0.0, given, message)
+        return self._sum(chain).transpose(perm) / den[(...,) + (None,) * len(target)]
 
     def _single_law(self, method: str) -> None:
         _refuse_stack(self.mass.shape, len(self.names), method + " reads a single law, not a stack of laws of shape {stack}")
@@ -247,8 +280,8 @@ class JointPmf:
 
 @lru_cache(maxsize=256)  # signatures kept; the package reads fewer than 64
 def _plan(names: tuple[str, ...], lead: int, target: tuple[str, ...], given: tuple[str, ...] | None):
-    """How a marginal tree of a mass over ``names``, led by ``lead`` stack
-    axes, reads ``target`` (given ``given``, or alone when it is None): the
+    """How a law over ``names``, led by ``lead`` stack axes, reads off its
+    marginals ``target`` (given ``given``, or alone when it is None): the
     chain to the marginal over the variables read (``_chain``) and the
     transpose to stack, given then target order; for a conditional, then the
     same for the denominator's marginal over ``given``, and the zero-cell
@@ -286,58 +319,13 @@ def _chain(names: tuple[str, ...], lead: int, key: tuple[str, ...]) -> tuple[tup
     return tuple(reversed(steps))
 
 
-class _MarginalTree:
-    """The marginals of one law, or of a stack of laws, each summed once and
-    kept. The marginal over a set of variables is the marginal over that set
-    and the first variable of the law it lacks, summed over that variable as
-    one addition of its two halves, cell by cell; so its bits depend only on
-    the law and the variables kept, not on the reads before it or the stack
-    the law is in. This is the one place a law's mass is summed:
-    ``conditional`` and ``_mass_over`` read a fresh tree, and a caller that
-    reads several marginals of one law shares one."""
-
-    def __init__(self, pmf: JointPmf):
-        self.names = pmf.names
-        self.lead = pmf.mass.ndim - len(pmf.names)
-        self._sums = {pmf.names: pmf.mass}  # variables, in the law's order -> the mass over them
-
-    def _mass(self, chain: tuple[tuple, ...]) -> np.ndarray:
-        """The last marginal of ``chain`` (the law itself for an empty chain),
-        summing each marginal on the way that is not yet summed."""
-        arr = self._sums[self.names]
-        for key, low, high in chain:
-            if key not in self._sums:
-                self._sums[key] = arr[low] + arr[high]
-            arr = self._sums[key]
-        return arr
-
-    def marginal(self, names: tuple[str, ...]) -> np.ndarray:
-        """The mass over ``names``, axes in ``names`` order after the stack axes."""
-        chain, perm = _plan(self.names, self.lead, names, None)
-        return self._mass(chain).transpose(perm)
-
-    def conditional(self, target: tuple[str, ...], given: tuple[str, ...]) -> np.ndarray:
-        """P(target | given), as ``conditional`` reads it."""
-        chain, perm, den_chain, den_perm, message = _plan(self.names, self.lead, target, given)
-        den = self._mass(den_chain).transpose(den_perm)
-        if not den.real.all():  # a sum of a law's real parts, which are >= 0: only a zero is not positive
-            _refuse_zero(den.real <= 0.0, given, message)
-        return self._mass(chain).transpose(perm) / den[(...,) + (None,) * len(target)]
-
-
-def _mass_over(pmf: JointPmf, names: Sequence[str]) -> np.ndarray:
-    """The mass summed over every variable not in ``names``, axes in
-    ``names`` order: a bare array off a fresh marginal tree, not a new table."""
-    return _MarginalTree(pmf).marginal(tuple(names))
-
-
 def marginalize(pmf: JointPmf, keep: Sequence[str]) -> JointPmf:
     """Sum out every variable not in ``keep``.
 
     The result keeps the pmf's own variable order restricted to ``keep``.
     """
     kept = sorted(set(keep), key=pmf.axis)
-    return JointPmf(tuple(kept), _mass_over(pmf, kept))
+    return JointPmf(tuple(kept), pmf.marginal(kept))
 
 
 def conditional(pmf: JointPmf, target: Sequence[str], given: Sequence[str]) -> np.ndarray:
@@ -345,10 +333,10 @@ def conditional(pmf: JointPmf, target: Sequence[str], given: Sequence[str]) -> n
 
     Each slice over the target axes is a conditional pmf; the axes within each
     group follow the requested argument order. A given cell of probability
-    zero raises, naming the first such cell in C order. Read off a fresh
-    marginal tree, so it equals a shared tree's read bit for bit.
+    zero raises, naming the first such cell in C order. Read off the law's
+    own marginals (``JointPmf.conditional``), which every reader shares.
     """
-    return _MarginalTree(pmf).conditional(tuple(target), tuple(given))
+    return pmf.conditional(target, given)
 
 
 def _axes(x: np.ndarray, labels: str, order: str) -> np.ndarray:

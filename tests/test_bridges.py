@@ -26,7 +26,7 @@ from proxidtr.bridges import (
 )
 from proxidtr.dgp import CANONICAL_ORDER, DgpParams, LogisticModel
 from proxidtr.estimators import FitOptions, fold_fits
-from proxidtr.tables import JointPmf, SingularMatrixError, ZeroProbabilityError, _MarginalTree, conditional
+from proxidtr.tables import JointPmf, SingularMatrixError, ZeroProbabilityError, conditional
 
 
 @pytest.fixture(scope="module")
@@ -290,10 +290,10 @@ def test_reciprocal_on_a_stack_names_the_first_zero_propensity_in_c_order():
                      [[0.5, 0.0], [0.25, 0.25]],   # P(B=1 | A=0) = 0
                      [[0.25, 0.25], [0.5, 0.0]]])  # P(B=1 | A=1) = 0
     with pytest.raises(ZeroProbabilityError) as err:
-        _reciprocal(_MarginalTree(JointPmf(("A", "B"), laws)), ("B",), ("A",))
+        _reciprocal(JointPmf(("A", "B"), laws), ("B",), ("A",))
     assert str(err.value) == "positivity fails: P(B|A) is zero at {'A': 0, 'B': 1}"
     assert err.value.assignment == {"A": 0, "B": 1}
-    assert np.array_equal(_reciprocal(_MarginalTree(JointPmf(("A", "B"), laws[0])), ("B",), ("A",)), np.full((2, 2), 2.0))
+    assert np.array_equal(_reciprocal(JointPmf(("A", "B"), laws[0]), ("B",), ("A",)), np.full((2, 2), 2.0))
 
 
 @pytest.mark.parametrize("family", ["q11", "q22", "h22", "h21"])

@@ -477,6 +477,18 @@ def test_dataset_copies_the_codes_it_is_given():
     assert np.array_equal(data.cell_counts, np.bincount(np.arange(10), minlength=2 ** 11))
 
 
+def test_dataset_keeps_locked_owned_int16_codes(params):
+    """Read-only, owned, C-contiguous int16 codes are kept as they stand, as
+    fresh drawn or read codes are; a view or another dtype is copied."""
+    codes = np.arange(10, dtype=np.int16)
+    codes.flags.writeable = False
+    assert dgp.Dataset(codes, 0).cell_code is codes
+    data = dgp.sample(params, 5, seed=1)
+    assert dgp.Dataset(data.cell_code, 1).cell_code is data.cell_code
+    assert dgp.Dataset(codes[::2], 0).cell_code.base is None
+    assert dgp.Dataset(codes.astype(np.int64), 0).cell_code.dtype == np.int16
+
+
 def test_datasets_compare_by_identity(params):
     data = dgp.sample(params, 5, seed=1)
     assert (data == dgp.sample(params, 5, seed=1)) is False

@@ -10,8 +10,9 @@ layers, against their references, on random stacks drawn by ``hypothesis``
   f_mid marginals, smoothed, mid22 and the q22 term) against the reduction
   or einsum over the table's own axes that it replaces, bit for bit, on
   stacked, unstacked and broadcast operands.
-- Every conditional of ``tables._MarginalTree`` against
-  ``tables.conditional`` bit for bit, on single laws and stacks.
+- Every conditional of one law, which keeps its marginals for its later
+  reads, against ``tables.conditional`` of a fresh law bit for bit, on
+  single laws and stacks.
 """
 
 import numpy as np
@@ -22,7 +23,7 @@ from hypothesis import strategies as st
 from proxidtr import identify
 from proxidtr.dgp import OBSERVED_ORDER
 from proxidtr.identify import PieceTable, _axes
-from proxidtr.tables import JointPmf, SingularMatrixError, _MarginalTree, conditional, invert2or4
+from proxidtr.tables import JointPmf, SingularMatrixError, conditional, invert2or4
 
 SETTINGS = settings(derandomize=True, database=None, deadline=None, max_examples=40)
 STACKS = st.sampled_from([(), (1,), (3,), (2, 3), (4, 5)])
@@ -113,7 +114,7 @@ def test_each_merged_piece_equals_its_einsum_bit_for_bit(seed, stack, bridges, p
     assert np.array_equal(_axes(got, layout, labels), expected)
 
 
-# -- the marginal tree ----------------------------------------------------------
+# -- a law's shared marginals ---------------------------------------------------
 
 # the ten conditionals ``solve_bridges`` reads, in its order, then a few more signatures
 _SIGNATURES = [
@@ -142,7 +143,6 @@ def test_every_tree_conditional_equals_conditional(seed, stack, complex_):
     if complex_:  # a complex step, as ``estimators.influence`` takes
         mass = mass + 1e-20j * (rng.random(mass.shape) - mass)
     law = JointPmf(OBSERVED_ORDER, mass)
-    tree = _MarginalTree(law)
     for target, given_ in _SIGNATURES:
-        got, expected = tree.conditional(target, given_), conditional(law, target, given_)
+        got, expected = law.conditional(target, given_), conditional(JointPmf(OBSERVED_ORDER, mass), target, given_)
         assert got.shape == expected.shape and got.tobytes() == expected.tobytes()

@@ -156,7 +156,7 @@ def test_the_helper_draws_two_repetitions_ahead(monkeypatch):
 
     class Recording(harness.ProcessPoolExecutor):
         def submit(self, fn, *args):
-            submitted.append(args[2] - config.base_seed)  # (regime class, n, seed, stop)
+            submitted.append(args[1] - config.base_seed)  # (n, seed, stop)
             return super().submit(fn, *args)
 
     monkeypatch.setattr(harness, "ProcessPoolExecutor", Recording)
@@ -179,28 +179,34 @@ def test_the_helper_draws_two_repetitions_ahead(monkeypatch):
                     for event in (("call", rep, min(rep + 2, reps)), ("tail", rep, min(rep + 3, reps)))]
 
 
-def test_a_q_learning_grid_hands_the_helper_the_truth_it_built(monkeypatch):
+def test_a_q_learning_grid_helper_builds_no_truth_and_no_law(monkeypatch):
     """A Q-learning grid over the linear class searches the Boolean class, and
-    its helper is handed that truth's key: the forked helper builds no truth
+    its helper is handed only each draw's (n, seed, stop): the forked helper
+    draws from the law the grid built and builds neither a truth nor a law
     before its first draw (a build in the helper would end it)."""
     config = ExperimentConfig(scenarios=("all-correct",), methods=("PMR",), optimizer="q-learning", reps=3)
-    harness._truth.cache_clear()  # so only the truth this grid builds is inherited
-    keys, parent, init = [], os.getpid(), harness._Truth.__init__
+    harness._truth.cache_clear()  # so only the truth and the law this grid builds are inherited
+    harness._law.cache_clear()
+    handed, parent = [], os.getpid()
 
-    def built_here(self, *args):
-        if os.getpid() != parent:
-            os._exit(9)
-        init(self, *args)
+    def only_here(build):
+        def built_here(self, *args):
+            if os.getpid() != parent:
+                os._exit(9)
+            build(self, *args)
+        return built_here
 
     class Recording(harness.ProcessPoolExecutor):
         def submit(self, fn, *args):
-            keys.append(args[0])  # (regime class, n, seed, stop)
+            handed.append(args)
             return super().submit(fn, *args)
 
-    monkeypatch.setattr(harness._Truth, "__init__", built_here)
+    monkeypatch.setattr(harness._Truth, "__init__", only_here(harness._Truth.__init__))
+    monkeypatch.setattr(dgp.DgpParams, "__post_init__", only_here(dgp.DgpParams.__post_init__))
     monkeypatch.setattr(harness, "ProcessPoolExecutor", Recording)
     run_experiment(config)
-    assert keys == ["all-boolean"] * config.reps
+    assert harness._truth_context(config).search_class.tag == "all-boolean"
+    assert handed == [(config.n, config.base_seed + rep, config.n) for rep in range(config.reps)]
 
 
 def test_without_affinity_the_cpu_count_decides(monkeypatch):

@@ -1,9 +1,10 @@
-"""The plans of ``tables._mass_over`` and ``tables.conditional``: cached per
-signature, they give the arrays, layouts and refusals of the algorithm that
-derives every axis from names on each call and sums each marginal from the
-whole law, uncached, in the marginal tree's order, kept here as the
-reference. A tree shared by many reads gives each the bits of a fresh one,
-in any order of reads, for a law alone and in a stack."""
+"""The plans of ``JointPmf.marginal`` and ``JointPmf.conditional``: cached
+per signature, they give the arrays, layouts and refusals of the algorithm
+that derives every axis from names on each call and sums each marginal from
+the whole law, uncached, in the law's own order of halving adds, kept here
+as the reference. A law read many times, which keeps its marginals, gives
+each read the bits of a fresh law, in any order of reads, for a law alone
+and in a stack."""
 
 import io
 import re
@@ -19,7 +20,7 @@ from proxidtr.policy import Regime
 from proxidtr.tables import JointPmf, TableError, UnknownVariableError, _refuse_zero
 
 
-def _mass_over_reference(pmf, names):
+def _marginal_reference(pmf, names):
     """The whole law with every variable not in ``names`` summed out, the
     last first, each as one addition of its two halves."""
     names = tuple(names)
@@ -40,8 +41,8 @@ def _conditional_reference(pmf, target, given):
     target, given = tuple(target), tuple(given)
     if set(target) & set(given):
         raise TableError(f"target {target} and given {given} overlap")
-    joint = _mass_over_reference(pmf, given + target)
-    den = _mass_over_reference(pmf, given)
+    joint = _marginal_reference(pmf, given + target)
+    den = _marginal_reference(pmf, given)
     _refuse_zero(den.real <= 0.0, given,
                  f"zero-probability conditioning cell {{cell}} for P({','.join(target)}|{','.join(given)})")
     return joint / den[(...,) + (None,) * len(target)]
@@ -121,33 +122,32 @@ def test_every_signature_matches_the_reference_bit_for_bit(signatures, stack, co
     for names, target, given in signatures:
         pmf = laws.setdefault(names, _random_law(rng, names, stack, complex_mass))
         if given is None:
-            _same_bits(tables._mass_over(pmf, target), _mass_over_reference(pmf, target))
+            _same_bits(pmf.marginal(target), _marginal_reference(pmf, target))
         else:
             _same_bits(tables.conditional(pmf, target, given), _conditional_reference(pmf, target, given))
     for names, pmf in laws.items():  # the package's marginals keep table order; these reorder too
         for keep in (names[::-1], names[:0:-3], (names[4], names[0])):
-            _same_bits(tables._mass_over(pmf, keep), _mass_over_reference(pmf, keep))
+            _same_bits(pmf.marginal(keep), _marginal_reference(pmf, keep))
 
 
 @pytest.mark.parametrize("seed", range(4))
 def test_one_tree_reads_every_signature_as_a_fresh_one_in_any_order(signatures, seed):
-    """Each read off a tree shared in a seeded order of reads equals
-    ``tables.conditional`` (or ``_mass_over``), which reads a fresh tree,
-    bit for bit: for a law alone, for a stack of three, and for each law of
-    that stack by itself."""
+    """Each read of one law, read in a seeded order of reads, equals the
+    same read of a fresh law over the same mass bit for bit: for a law
+    alone, for a stack of three, and for each law of that stack by itself."""
     rng = np.random.default_rng(seed)
     for names in sorted({names for names, _, _ in signatures}):
         reads = [(target, given) for n, target, given in signatures if n == names]
         stack = _random_law(rng, names, (3,), complex_mass=seed % 2 == 1)
         alone = [JointPmf(names, stack.mass[k]) for k in range(3)]
         for pmf in (alone[0], stack):
-            tree = tables._MarginalTree(pmf)
             for i in rng.permutation(len(reads)):
                 target, given = reads[i]
                 if given is None:
-                    got, fresh = tree.marginal(target), lambda law: tables._mass_over(law, target)
+                    got, fresh = pmf.marginal(target), lambda law: JointPmf(names, law.mass).marginal(target)
                 else:
-                    got, fresh = tree.conditional(target, given), lambda law: tables.conditional(law, target, given)
+                    got, fresh = (pmf.conditional(target, given),
+                                  lambda law: tables.conditional(JointPmf(names, law.mass), target, given))
                 _same_bits(got, fresh(pmf))
                 if pmf is stack:  # each law of the stack reads as it does alone
                     assert all(got[k].tobytes() == fresh(law).tobytes() for k, law in enumerate(alone))
@@ -177,10 +177,10 @@ def test_unknown_names_and_an_overlap_raise_the_reference_errors():
         (tables.conditional, _conditional_reference, (("A",), ("X",))),
         (tables.conditional, _conditional_reference, (("X", "Y"), ("A",))),
         (tables.conditional, _conditional_reference, (("A", "B"), ("B",))),
-        (tables._mass_over, _mass_over_reference, (("C", "Q"),)),
+        (JointPmf.marginal, _marginal_reference, (("C", "Q"),)),
         (tables.conditional, _conditional_reference, (("B", "B"), ("A",))),
         (tables.conditional, _conditional_reference, (("C",), ("A", "B", "A"))),
-        (tables._mass_over, _mass_over_reference, (("A", "A"),)),
+        (JointPmf.marginal, _marginal_reference, (("A", "A"),)),
     ]:
         with pytest.raises(TableError) as expected:
             reference(pmf, *args)
@@ -195,7 +195,7 @@ def test_unknown_names_and_an_overlap_raise_the_reference_errors():
     with pytest.raises(TableError, match=r"^variable 'W1' repeats in \('Y0', 'W1', 'W1'\)$"):
         tables.conditional(observed, ("W1", "W1"), ("Y0",))
     with pytest.raises(TableError, match=r"^variable 'Y0' repeats in \('Y0', 'Y0'\)$"):
-        tables._mass_over(observed, ("Y0", "Y0"))
+        observed.marginal(("Y0", "Y0"))
     assert tables._plan.cache_info().currsize == kept  # a refused signature is not kept
 
 

@@ -12,7 +12,7 @@ from proxidtr.bridges import _reciprocal
 from proxidtr.dgp import OBSERVED_ORDER
 from proxidtr.estimators import FitOptions, fit_counts, sra_from_conditional
 from proxidtr.identify import observed_conditional, q_functions
-from proxidtr.tables import JointPmf, ZeroProbabilityError, _MarginalTree, conditional
+from proxidtr.tables import JointPmf, ZeroProbabilityError, conditional
 
 
 def _conditioning_cell():
@@ -26,7 +26,7 @@ def _conditioning_cell():
 def _positivity():
     fine = np.full((2, 2), 0.25)
     bad = np.array([[0.25, 0.25], [0.5, 0.0]])  # P(B=1 | A=1) = 0
-    return fine, bad, lambda mass: _reciprocal(_MarginalTree(JointPmf(("A", "B"), mass)), ("B",), ("A",))
+    return fine, bad, lambda mass: _reciprocal(JointPmf(("A", "B"), mass), ("B",), ("A",))
 
 
 def _y0_margin():
