@@ -60,7 +60,7 @@ cells' products, never a BLAS dot, so no estimate's bits depend on the
 host's BLAS kernel.
 
 The SRA baseline ignores unmeasured confounding (``sra_from_conditional``, a
-plain g-formula on the observed table given Y0); the Oracle baseline
+plain g-formula on the law's own conditionals); the Oracle baseline
 (``dgp.oracle_density_from_joint``) standardizes over the hidden confounder
 columns, so its empirical law needs sampled rows that carry them
 (``empirical_pmf(data, include_hidden=True)``). ``sra_value`` and
@@ -80,7 +80,7 @@ import numpy as np
 
 from .bridges import BridgeSet, solve_bridges
 from .dgp import _HIDDEN_AXES, CANONICAL_ORDER, OBSERVED_ORDER, Dataset, oracle_density_from_joint
-from .identify import METHODS, IdentifiedDensity, _require, observed_conditional, value_from_density
+from .identify import METHODS, IdentifiedDensity, _require, value_from_density
 from .policy import Regime
 from .tables import JointPmf, SingularMatrixError, ZeroProbabilityError, _locked, _refuse_zero
 
@@ -374,24 +374,21 @@ def influence(fn: Callable[[JointPmf], np.ndarray], pmf: JointPmf) -> np.ndarray
     return np.moveaxis(np.imag(step) / _STEP, 0, -1)
 
 
-def sra_from_conditional(cond: np.ndarray) -> IdentifiedDensity:
-    """No-unmeasured-confounding g-formula on the observed table given Y0,
-    ``observed_conditional(pmf)[0]``: g(a1,a2,y2,y1,y0) = f(y2|y0,y1,a1,a2) f(y1|y0,a1).
-    A stack of tables (..., 2, ..., 2) gives a stack of densities."""
-    joint5 = cond.sum(axis=(-8, -7, -4, -3))  # [y0, a1, y1, a2, y2]
-    den2 = joint5.sum(axis=-1, keepdims=True)
+def sra_from_conditional(pmf: JointPmf) -> IdentifiedDensity:
+    """No-unmeasured-confounding g-formula on a law, read off its own
+    marginals: g(a1,a2,y2,y1,y0) = f(y2|y0,y1,a1,a2) f(y1|y0,a1). A stack of
+    laws gives a stack of densities."""
+    history = ("Y0", "A1", "Y1", "A2")
     # every stage-1 denominator sums positive outcome-model ones, so this refusal covers both models
-    _refuse_zero(den2[..., 0].real <= 0.0, ("Y0", "A1", "Y1", "A2"), "empty cell {cell} in the SRA outcome model")
-    f_y2 = joint5 / den2
-    joint3 = joint5.sum(axis=(-2, -1))  # [y0, a1, y1]
-    f_y1 = joint3 / joint3.sum(axis=-1, keepdims=True)
-    g = np.einsum("...aebfc,...aeb->...efcba", f_y2, f_y1)
-    return IdentifiedDensity(g, "SRA")
+    _refuse_zero(pmf.marginal(history).real <= 0.0, history, "empty cell {cell} in the SRA outcome model")
+    f_y2 = pmf.conditional(("Y2",), history)  # [y0, a1, y1, a2, y2]
+    f_y1 = pmf.conditional(("Y1",), ("Y0", "A1"))  # [y0, a1, y1]
+    return IdentifiedDensity(np.einsum("...aebfc,...aeb->...efcba", f_y2, f_y1), "SRA")
 
 
 def sra_value(pmf: JointPmf, regime: Regime) -> ValueEstimate:
     """SRA's value of ``regime`` on a law, such as ``empirical_pmf(data, laplace)``."""
-    return ValueEstimate("SRA", value_from_density(sra_from_conditional(observed_conditional(pmf)[0]), pmf, regime))
+    return ValueEstimate("SRA", value_from_density(sra_from_conditional(pmf), pmf, regime))
 
 
 def oracle_value(pmf: JointPmf, regime: Regime) -> ValueEstimate:

@@ -7,15 +7,15 @@ one pass (``_Pass``), every array led by a repetition axis, in four layers:
 
   fit        the bridges of every repetition in one ``solve_bridges`` of the
              (R, 512) counts, or of the off-fold counts (R, K, 512) with K
-             folds (``fit_off_fold``), and the law each fit scores (the
-             whole sample's, or each fold's own) conditioned on Y0 once
-  identify   one ``identify.PieceTable`` of those laws, and the first half
-             of the distinct bridge densities read off it
+             folds (``fit_off_fold``), and the piece table of the law each
+             fit scores (the whole sample's, or each fold's own)
+  identify   the first half of the distinct bridge densities, read off that
+             piece table
   identify   the other half; with folds, each repetition's fold tables of
              every density averaged in fold order with P(y0) weights, as one
              stack
-  score      SRA (with one fold, from the fitted law's conditional) and the
-             Oracle, then each repetition's densities scored as one stack
+  score      SRA (with one fold, on the fitted law) and the Oracle, then
+             each repetition's densities scored as one stack
 
 Stacking moves no bit: a repetition's results are those of a pass over a
 stack of one. A bridge method's density depends on the scenario only
@@ -299,10 +299,11 @@ def _bridge_fits(observed: np.ndarray, own: np.ndarray | None,
     """(piece table, p_y0, solved bridges) of a stack of repetitions, shared
     by every scenario, from their observed counts (R, 512) and, with folds,
     each fold's own counts (R, K, 512). The piece table and p_y0 are those
-    of the law each fit scores, conditioned on Y0 once: the whole sample's
-    (the law ``fit_counts`` built) with one fold, each fold's own with more,
-    every array then led by the repetition and fold axes; with folds the
-    bridges are fitted on the off-fold counts (``fit_off_fold``).
+    of the law each fit scores (``identify.observed_conditional``): the whole
+    sample's (the law ``fit_counts`` built, whose sums the table shares) with
+    one fold, each fold's own with more, every array then led by the
+    repetition and fold axes; with folds the bridges are fitted on the
+    off-fold counts (``fit_off_fold``).
     """
     opts = FitOptions(folds=config.folds, laplace=config.laplace)
     if own is None:
@@ -310,8 +311,7 @@ def _bridge_fits(observed: np.ndarray, own: np.ndarray | None,
     else:
         solved = fit_off_fold(observed[:, None] - own, opts)
         law = count_pmf(own, config.laplace)
-    cond, p_y0 = identify.observed_conditional(law)
-    return identify.PieceTable(cond), p_y0, solved
+    return (*identify.observed_conditional(law), solved)
 
 
 def _bridge_densities(fits, merged: dict[tuple, BridgeSet]) -> list[np.ndarray]:
@@ -338,16 +338,15 @@ def _fold_average(densities: list[np.ndarray], p_y0: np.ndarray) -> tuple[np.nda
 
 def _baseline_table(cells: np.ndarray, observed: np.ndarray, config: ExperimentConfig, method: str,
                     whole=None) -> tuple[np.ndarray, np.ndarray]:
-    """(g, p_y0) of SRA (from the observed counts) or the Oracle (from the
-    2^11 cell counts, hidden columns included) for a stack of repetitions.
-    SRA conditions each law on Y0 once, or reads ``whole``, the whole-sample
-    law's (cond, p_y0), when the one-fold fit conditioned it; the Oracle
-    reads P(Y0) off its law, unconditioned."""
+    """(g, p_y0) of SRA or the Oracle for a stack of repetitions, each read
+    off its law: SRA's is ``whole``, the one-fold fit's law, when the fit
+    built it, else the law of the observed counts; the Oracle's that of the
+    2^11 cell counts, hidden columns included."""
     if method == "SRA":
-        cond, p_y0 = whole or identify.observed_conditional(count_pmf(observed, config.laplace))
-        return sra_from_conditional(cond).g, p_y0
-    pmf = count_pmf(cells, config.laplace, CANONICAL_ORDER)
-    return oracle_density_from_joint(pmf).g, pmf.marginal(("Y0",))
+        law, density = (count_pmf(observed, config.laplace) if whole is None else whole), sra_from_conditional
+    else:
+        law, density = count_pmf(cells, config.laplace, CANONICAL_ORDER), oracle_density_from_joint
+    return density(law).g, law.marginal(("Y0",))
 
 
 def _class_scores(truth: _Truth, g: np.ndarray, p_y0: np.ndarray, optimizer: str) -> list[tuple[float, float]]:
@@ -429,8 +428,8 @@ class _Pass:
     def _identify(self):
         """The first half of the bridge densities, or at the second call the
         rest; at the last, each repetition's fold-averaged tables, and the
-        piece table is dropped (with one fold SRA keeps the law's
-        conditional, ``whole``)."""
+        piece table is dropped (with one fold SRA keeps the fit's law,
+        ``whole``)."""
         if self.fits is None:
             return
         keys = list(self.merged)
@@ -441,7 +440,7 @@ class _Pass:
             g, p_y0 = _fold_average(self.densities, p_y0)
             for tables, g_rep, p_rep in zip(self.tables, g, p_y0):
                 tables.update({key: (g_d, p_rep) for key, g_d in zip(self.merged, g_rep)})
-            self.whole = (pieces.cond, p_y0) if self.own is None else None
+            self.whole = pieces.law if self.own is None else None
             self.fits = self.densities = None
 
     def _score(self):
@@ -759,7 +758,7 @@ def identify_check(params: DgpParams | None = None, pseudo: tuple[str, ...] = ()
     if pseudo:
         bridges_hat = bridges_hat.merged(pseudo_bridges(pseudo_seed, pseudo))
     oracle_g = oracle_density_from_joint(joint).g
-    pieces = identify.PieceTable(identify.observed_conditional(joint)[0])
+    pieces = identify.observed_conditional(joint)[0]
     densities = {method: fn(pieces, bridges_hat) for method, fn in _DENSITY_FN.items()}
     deviations = {method: float(np.abs(d.g - oracle_g).max()) for method, d in densities.items()}
     passed = all(dev <= IDENTIFY_TOL for dev in deviations.values())

@@ -9,37 +9,38 @@ density f(Y2(a1,a2)=y2, Y1(a1)=y1 | Y0=y0):
   PIPW  treatment bridges only:      sum_{z1,z2} q22 f(y1,y2,a1,a2,z1,z2|y0)
   PMR   multiply robust combination: PIPW residual + stage-1 correction + POR
 
-Every method reads the law only through its observed table given Y0
-(``observed_conditional``): ``density_from_conditional`` takes that table,
-so one conditioning serves all four, and ``density_por/pha/pipw/pmr`` wrap
-it for a law. All four are one formula, PMR's three stage terms
+Every method reads the law only through its conditionals given Y0, which
+the law itself sums and keeps (``tables.JointPmf``): ``observed_conditional``
+checks P(Y0) and hands back the law's piece table, ``density_from_pieces``
+reads a method's density off it, and ``density_por/pha/pipw/pmr`` wrap the
+two for a law. All four are one formula, PMR's three stage terms
 
   q22 (f_obs - smoothed(h22)) + q11 (mid(h22) - mid(h21)) + h21 f_w1,
 
-with f_obs and f_w1 marginals of the observed table given Y0, smoothed(h22)
-the h22-weighted sum of that table over (w1, w2), and mid(h) an outcome
-bridge summed against its stage-1 marginal. A method computes only the
-terms and inner parts whose component it reads and leaves the others out,
-which is PMR with those components set to zero, bit for bit: POR is
-h21 f_w1, PHA q11 mid(h22) and PIPW q22 f_obs, the k = 0, 1, 2 rungs of the
-hybrid (``_hybrid_density``).
+with f_obs and f_w1 conditionals of the law given Y0, smoothed(h22) the
+h22-weighted sum over (w1, w2) of the law's conditional without y2, and
+mid(h) an outcome bridge summed against its stage-1 conditional. A method
+computes only the terms and inner parts whose component it reads and leaves
+the others out, which is PMR with those components set to zero, bit for
+bit: POR is h21 f_w1, PHA q11 mid(h22) and PIPW q22 f_obs, the k = 0, 1, 2
+rungs of the hybrid (``_hybrid_density``).
 
-Every term and inner part is read through a ``PieceTable`` of the observed
-table given Y0: its marginals and each bridge product, made on first use and
+Every term and inner part is read through a ``PieceTable`` of the law: its
+five conditionals given Y0 and each bridge product, made on first use and
 kept, keyed by the identity of the components it reads. One table serves
 every method and bridge set read against the same law, so each distinct
-product is computed once (the harness keeps one per repetition), and reading
-through a shared table changes no bit: every piece is the same arithmetic on
-the same operands. The three products that sum over four cells (smoothed,
-mid22 and the q22 term) are each one einsum over merged axes
-(``_contract``: batch, row, contracted and column axes each merged into
-one), on operands laid out for it once per table: h22's layout is a keyed
-piece, and the no_y2, f_obs and f_mid marginals are summed straight into
-theirs (``_summed``). Each sums its cells in the order the einsum and the
-reductions over the tables' own axes did, so no bit moved when they
-replaced them; ``tests/test_kernels.py`` holds those references. No BLAS
-call is made. ``density_from_pieces`` reads a density off a table, and
-``density_from_conditional`` builds a table for its one call.
+product is computed once (the harness keeps one per block of repetitions),
+and reading through a shared table changes no bit: every piece is the same
+arithmetic on the same operands. Identification sums no mass itself: each
+conditional is the law's kept marginal divided by its kept P(Y0), so a
+fit's law, which ``solve_bridges`` has summed, adds no sum. The three
+products that sum over four cells (smoothed, mid22 and the q22 term) are
+each one einsum over merged axes (``_contract``: batch, row, contracted and
+column axes each merged into one), on operands laid out for it once per
+table: h22's layout is a keyed piece, and the no_y2, f_obs and f_mid
+conditionals are read in theirs (``PieceTable.given_y0``). Each sums its
+cells in the order an einsum over the separate axes does, bit for bit;
+``tests/test_kernels.py`` holds those references. No BLAS call is made.
 
 The PMR combination equals the truth whenever any one of the bridge subsets
 {h22,h21}, {h22,q11}, {q11,q22} is correct; the other three methods each
@@ -66,12 +67,11 @@ these picks against the truth; it does not pick.
 from __future__ import annotations
 
 from functools import reduce
-from itertools import product
 
 import numpy as np
 
 from .bridges import BridgeSet
-from .dgp import OBSERVED_ORDER, IdentifiedDensity
+from .dgp import IdentifiedDensity
 from .policy import Regime, class_values, first_maximizer, q_learning_index
 from .tables import JointPmf, _axes, _contract, _layout, _refuse_zero
 
@@ -85,24 +85,15 @@ BRIDGES_NEEDED = {
 METHODS = tuple(BRIDGES_NEEDED)
 
 
-def observed_conditional(pmf: JointPmf) -> tuple[np.ndarray, np.ndarray]:
-    """Observed-law table given Y0 and the Y0 marginal.
-
-    Returns (cond, p_y0) where cond[y0, z1, w1, a1, y1, z2, w2, a2, y2] is
-    the joint law of the remaining observed variables given Y0 = y0. Both
-    are read off the law's own marginals, shared with every other reader of
-    the same law object (``solve_bridges`` of a fit's law, for one).
-    """
-    arr, p_y0 = pmf.marginal(OBSERVED_ORDER), pmf.marginal(("Y0",))
+def observed_conditional(pmf: JointPmf) -> tuple[PieceTable, np.ndarray]:
+    """The piece table of a law (or a stack of laws) and its Y0 marginal,
+    once P(Y0 = y0) > 0 is checked for every y0. Nothing is divided here:
+    P(Y0) and every conditional the table reads are the law's own marginals,
+    shared with every other reader of the same law object (``solve_bridges``
+    of a fit's law, for one)."""
+    p_y0 = pmf.marginal(("Y0",))
     _refuse_zero(p_y0.real <= 0.0, ("Y0",), "P(Y0=y0) = 0 at {cell}; cannot condition")
-    return arr / p_y0[(...,) + (None,) * 8], p_y0
-
-
-# einsum letters used below:
-#   a=y0 b=y1 c=y2 d=w1 g=w2 e=a1 f=a2 h=z1 i=z2
-# cond axes: [y0 z1 w1 a1 y1 z2 w2 a2 y2] = a h d e b i g f c, counted from the end;
-# ``...`` carries a stack of tables (one per fold) and broadcasts unstacked bridges
-_COND = "ahdebigfc"
+    return PieceTable(pmf), p_y0
 
 
 def _require(method: str, b: BridgeSet) -> tuple[str, ...]:
@@ -115,15 +106,15 @@ def _require(method: str, b: BridgeSet) -> tuple[str, ...]:
 
 
 class PieceTable:
-    """Every product ``_density`` reads off one observed table given Y0,
-    computed on first use and kept: the table's marginals and each bridge
+    """Every product ``_density`` reads off one law given Y0, computed on
+    first use and kept: the law's conditionals given Y0 and each bridge
     product (``_PIECES``), keyed by the identity of the components it reads.
     The table holds each keyed component, so no id it keys by is reused while
     the table lives. One table serves every bridge set read against the same
     law, and each distinct piece is computed once."""
 
-    def __init__(self, cond: np.ndarray):
-        self.cond = cond
+    def __init__(self, law: JointPmf):
+        self.law = law
         self._memo: dict[tuple, tuple] = {}  # (piece, *ids of its components) -> (components, piece)
 
     def get(self, piece: str, *components) -> np.ndarray:
@@ -134,31 +125,29 @@ class PieceTable:
             entry = self._memo[key] = (components, _PIECES[piece](self, *components))
         return entry[1]
 
+    def given_y0(self, layout: str) -> np.ndarray:
+        """The law's conditional of the variables of the einsum letters
+        ``layout`` after its first, y0, given Y0, in that order and copied to
+        C order: the layout a merged product reads."""
+        return np.ascontiguousarray(self.law.conditional([_VARIABLE[c] for c in layout[1:]], ("Y0",)))
 
-def _summed(x: np.ndarray, labels: str, over: str, order: str) -> np.ndarray:
-    """``x`` summed over the letters ``over`` cell by cell in C order, left
-    to right (the order of numpy's reduction over those axes of a C-order
-    table), into a fresh C-order array with the other letters in ``order``."""
-    v = _axes(x, labels, order + over)
-    cells = [v[(..., *cell)] for cell in product((0, 1), repeat=len(over))]
-    total = np.add(cells[0], cells[1], out=np.empty(cells[0].shape, v.dtype))
-    for cell in cells[2:]:
-        total += cell
-    return total
 
+# the variable of each einsum letter used below; ``...`` carries a stack of
+# laws (repetitions, folds) and broadcasts unstacked bridges
+_VARIABLE = dict(zip("abcdgefhi", ("Y0", "Y1", "Y2", "W1", "W2", "A1", "A2", "Z1", "Z2")))
 
 # piece -> how it is made from its table and the components it is keyed by, a
-# missing one (None) read as zero: the marginals of the table given Y0 (those
-# ``_contract`` reads in its merged layout), h22 in that layout, smoothed and
-# mid of an outcome bridge, and PMR's three stage terms in PMR's grouping; the
-# layout each piece is held in is given as einsum letters
+# missing one (None) read as zero: the law's conditionals given Y0 in the
+# layouts their products read (those ``_contract`` merges are C order), h22
+# in that layout, smoothed and mid of an outcome bridge, and PMR's three stage
+# terms in PMR's grouping; the layout each piece is held in is given as einsum
+# letters
 _PIECES = {
-    "f_w1z1": lambda t: t.cond.sum(axis=(-5, -4, -3, -2, -1)),  # [y0, z1, w1, a1] = ahde
-    "f_w1": lambda t: t.get("f_w1z1").sum(axis=(-3, -1)),  # [y0, w1] = ad
-    "no_y2": lambda t: _summed(t.cond, _COND, "c", "abefdghi"),
-    "f_obs": lambda t: _summed(t.cond, _COND, "dg", "abefhic"),
-    # numpy sums the contiguous (a2, y2) cells of each z2 first
-    "f_mid": lambda t: _summed(t.cond.reshape(t.cond.shape[:-2] + (4,)).sum(axis=-1), "ahdebig", "i", "abedgh"),
+    "f_w1z1": lambda t: t.given_y0("ahde"),
+    "f_w1": lambda t: t.given_y0("ad"),
+    "no_y2": lambda t: t.given_y0("abefdghi"),
+    "f_obs": lambda t: t.given_y0("abefhic"),
+    "f_mid": lambda t: t.given_y0("abedgh"),
     "h22 layout": lambda t, h22: _layout(h22, "abcdgef", "abefcdg"),
     "smoothed": lambda t, h22: _contract(t.get("h22 layout", h22), t.get("no_y2"), 4, 1, 2, 2),  # abefchi
     "f_obs - smoothed": lambda t, h22: t.get("f_obs") - (  # abefhic
@@ -190,39 +179,33 @@ def _density(pieces: PieceTable, b: BridgeSet, read: tuple[str, ...]) -> np.ndar
     return reduce(np.add, [term for term in terms if term is not None])
 
 
-def _hybrid_density(cond: np.ndarray, b: BridgeSet, k: int) -> np.ndarray:
+def _hybrid_density(pieces: PieceTable, b: BridgeSet, k: int) -> np.ndarray:
     """The k = 0, 1, 2 identification rungs: POR, PHA and PIPW, in METHODS order."""
     if k not in (0, 1, 2):
         raise ValueError(f"hybrid rung k must be 0, 1 or 2, got {k}")
-    return _density(PieceTable(cond), b, BRIDGES_NEEDED[METHODS[k]])
+    return _density(pieces, b, BRIDGES_NEEDED[METHODS[k]])
 
 
 def density_from_pieces(method: str, pieces: PieceTable, b: BridgeSet) -> IdentifiedDensity:
-    """The ``method`` density from the piece table of an observed table given
-    Y0, so one table serves every method and bridge set read against it."""
+    """The ``method`` density from the piece table of a law, so one table
+    serves every method and bridge set read against that law."""
     return IdentifiedDensity(_density(pieces, b, _require(method, b)), method, b.provenance)
 
 
-def density_from_conditional(method: str, cond: np.ndarray, b: BridgeSet) -> IdentifiedDensity:
-    """The ``method`` density from the observed table given Y0,
-    ``observed_conditional(pmf)[0]``, read through a piece table of its own."""
-    return density_from_pieces(method, PieceTable(cond), b)
-
-
 def density_por(pmf: JointPmf, b: BridgeSet) -> IdentifiedDensity:
-    return density_from_conditional("POR", observed_conditional(pmf)[0], b)
+    return density_from_pieces("POR", observed_conditional(pmf)[0], b)
 
 
 def density_pha(pmf: JointPmf, b: BridgeSet) -> IdentifiedDensity:
-    return density_from_conditional("PHA", observed_conditional(pmf)[0], b)
+    return density_from_pieces("PHA", observed_conditional(pmf)[0], b)
 
 
 def density_pipw(pmf: JointPmf, b: BridgeSet) -> IdentifiedDensity:
-    return density_from_conditional("PIPW", observed_conditional(pmf)[0], b)
+    return density_from_pieces("PIPW", observed_conditional(pmf)[0], b)
 
 
 def density_pmr(pmf: JointPmf, b: BridgeSet) -> IdentifiedDensity:
-    return density_from_conditional("PMR", observed_conditional(pmf)[0], b)
+    return density_from_pieces("PMR", observed_conditional(pmf)[0], b)
 
 
 def pipw_marginal_stage1(pmf: JointPmf, b: BridgeSet) -> np.ndarray:

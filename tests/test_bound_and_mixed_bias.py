@@ -37,8 +37,8 @@ def test_efficiency_bound_of_the_pmr_value(joint, linear_class, params):
     index = np.array(list(BOUNDS))
 
     def pmr_values(pmf):
-        cond, p_y0 = identify.observed_conditional(pmf)
-        return class_values(identify.density_from_conditional("PMR", cond, solve_bridges(pmf)).g, p_y0, index)
+        pieces, p_y0 = identify.observed_conditional(pmf)
+        return class_values(identify.density_from_pieces("PMR", pieces, solve_bridges(pmf)).g, p_y0, index)
 
     via_influence = influence(pmr_values, law) ** 2 @ mass
     solved = solve_bridges(joint)
@@ -55,11 +55,11 @@ def density_errors(joint, solved, oracle):
     all four bridges PMR reads perturbed by epsilon times one N(0, 1) draw."""
     rng = np.random.default_rng(0)
     delta = {name: rng.standard_normal(getattr(solved, name).shape) for name in ("h22", "h21", "q11", "q22")}
-    cond = identify.observed_conditional(joint)[0]
+    pieces = identify.observed_conditional(joint)[0]
     errors = {}
     for eps in EPSILONS:
         perturbed = solved.merged(BridgeSet(**{name: getattr(solved, name) + eps * d for name, d in delta.items()}))
-        errors[eps] = {m: float(np.abs(identify.density_from_conditional(m, cond, perturbed).g - oracle.g).max())
+        errors[eps] = {m: float(np.abs(identify.density_from_pieces(m, pieces, perturbed).g - oracle.g).max())
                        for m in identify.METHODS}
     return errors
 

@@ -33,7 +33,7 @@ PINS = {
         "pha": "42d1f5ea2c243577",
         "pipw": "a182b3fb886562cf",
         "pmr": "6cca370657d43401",
-        "sra": "db0274e6f437d1b5",
+        "sra": "6e1a82d6714b415b",
         "oracle": "6cb1ec9de14827c3",
     },
     600: {
@@ -41,7 +41,7 @@ PINS = {
         "pha": "d4b3ff1778efaaf8",
         "pipw": "d82c960aaa012059",
         "pmr": "d9eee9d8a6f04e2c",
-        "sra": "eeb5df637348b130",
+        "sra": "907a8607e3e03221",
         "oracle": "3c2be0fed53f3ee8",
     },
 }

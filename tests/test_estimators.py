@@ -162,11 +162,11 @@ def test_complex_step_derivative_of_the_plug_in_value_is_the_centred_pmr_summand
     pmf, bridges_hat = fitted
     h, cells = 1e-20, np.arange(0, 512, 37)
     step = JointPmf(pmf.names, pmf.mass.reshape(-1) + 1j * h * (np.eye(512)[cells] - pmf.mass.reshape(-1)))
-    cond, p_y0 = identify.observed_conditional(step)
-    g = identify.density_from_conditional("PMR", cond, solve_bridges(step)).g
+    pieces, p_y0 = identify.observed_conditional(step)
+    g = identify.density_from_pieces("PMR", pieces, solve_bridges(step)).g
     values = class_values(g, p_y0, linear_class.index)  # (cells, regimes)
-    cond, p_y0 = identify.observed_conditional(pmf)
-    plug_in = class_values(identify.density_from_conditional("PMR", cond, bridges_hat).g, p_y0, linear_class.index)
+    pieces, p_y0 = identify.observed_conditional(pmf)
+    plug_in = class_values(identify.density_from_pieces("PMR", pieces, bridges_hat).g, p_y0, linear_class.index)
     assert np.abs(values.real - plug_in).max() <= 1e-12
     counts = _cell_counts(big_data)
     for k, regime in enumerate(linear_class.members):
@@ -286,7 +286,7 @@ def test_sra_value_is_confounded(params, big_data, joint):
 
 
 def test_sra_density_normalizes(joint):
-    d = sra_from_conditional(identify.observed_conditional(joint)[0])
+    d = sra_from_conditional(joint)
     np.testing.assert_allclose(d.slice_sums(), 1.0, atol=1e-12)
 
 
@@ -381,8 +381,7 @@ def test_sra_from_conditional_equals_test_side_g_formula(big_data):
     f_y2 = conditional(pmf, ("Y2",), ("Y0", "A1", "Y1", "A2"))  # [y0, a1, y1, a2, y2]
     f_y1 = conditional(pmf, ("Y1",), ("Y0", "A1"))  # [y0, a1, y1]
     expected = np.einsum("aebfc,aeb->efcba", f_y2, f_y1)
-    cond, _ = identify.observed_conditional(pmf)
-    np.testing.assert_allclose(sra_from_conditional(cond).g, expected, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(sra_from_conditional(pmf).g, expected, rtol=0, atol=1e-12)
     assert sra_value(pmf, REGIME).estimate == pytest.approx(
         identify.value_from_density(expected, pmf, REGIME), abs=1e-12)
 
@@ -393,10 +392,10 @@ def test_stacked_baselines_equal_each_law_bit_for_bit(params, joint):
     laws = [joint] + [empirical_pmf(dgp.sample(params, 3000, seed), laplace=0.5, include_hidden=True)
                       for seed in (1, 2, 3)]
     stack = JointPmf(joint.names, np.stack([law.mass for law in laws]).reshape((2, 2) + joint.mass.shape))
-    sra = sra_from_conditional(identify.observed_conditional(stack)[0]).g.reshape(4, *(2,) * 5)
+    sra = sra_from_conditional(stack).g.reshape(4, *(2,) * 5)
     oracle = dgp.oracle_density_from_joint(stack).g.reshape(4, *(2,) * 5)
     for k, law in enumerate(laws):
-        assert np.array_equal(sra[k], sra_from_conditional(identify.observed_conditional(law)[0]).g)
+        assert np.array_equal(sra[k], sra_from_conditional(law).g)
         assert np.array_equal(oracle[k], dgp.oracle_density_from_joint(law).g)
 
 

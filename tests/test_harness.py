@@ -360,12 +360,12 @@ def _counting(monkeypatch, owner, name):
     return calls
 
 
-@pytest.mark.parametrize("folds, laws", [(1, 1), (5, 2)])
+@pytest.mark.parametrize("folds, laws", [(1, 1), (5, 1)])
 def test_one_observed_conditional_per_scoring_law(monkeypatch, folds, laws):
-    """The fitted law (the stack of fold laws, conditioned together) and SRA
-    are each conditioned on Y0 once per repetition, however many scenarios
-    and methods read them; with one fold SRA's law is the fitted law and is
-    not conditioned again, and the Oracle reads P(Y0) off its law unconditioned."""
+    """The law each fit scores (the stack of fold laws, together) gets one
+    piece table per repetition, however many scenarios and methods read it;
+    SRA and the Oracle read their densities and P(Y0) off their laws, with
+    one fold SRA off the fitted law."""
     config = ExperimentConfig(n=35000, folds=folds)
     truth = harness._truth_context(config)
     pseudo = harness._scenario_pseudo(config)
@@ -383,9 +383,9 @@ def test_one_fold_fit_builds_the_whole_sample_law_once(params, laplace, monkeypa
     pieces, p_y0, solved = harness._bridge_fits(data.observed_counts[None], None, config)  # a stack of one
     assert len(laws) == 1
     law, expected = estimators.fit_bridges(data, estimators.FitOptions(laplace=laplace))
-    cond, expected_p = identify.observed_conditional(law)
-    assert pieces.cond.shape == (1,) + cond.shape and p_y0.shape == (1,) + expected_p.shape
-    assert pieces.cond.tobytes() == cond.tobytes() and p_y0.tobytes() == expected_p.tobytes()
+    expected_p = identify.observed_conditional(law)[1]
+    assert pieces.law.mass.shape == (1,) + law.mass.shape and p_y0.shape == (1,) + expected_p.shape
+    assert pieces.law.mass.tobytes() == law.mass.tobytes() and p_y0.tobytes() == expected_p.tobytes()
     assert all(np.array_equal(getattr(solved, n)[0], getattr(expected, n)) for n in ("h22", "h21", "h11", "q11", "q22"))
 
 
@@ -443,8 +443,8 @@ def _reference_rep(true_density, config, truth, rep):
             except TableError as err:
                 return f"fit failed: {err.kind}"
             b = b.merged(pseudo_bridges(config.pseudo_seed, SCENARIO_PSEUDO[tag]))
-            cond, p_y0 = identify.observed_conditional(estimators.count_pmf(own, config.laplace))
-            per_fold.append((harness._DENSITY_FN[method](identify.PieceTable(cond), b).g, p_y0))
+            pieces, p_y0 = identify.observed_conditional(estimators.count_pmf(own, config.laplace))
+            per_fold.append((harness._DENSITY_FN[method](pieces, b).g, p_y0))
         if config.folds == 1:
             return per_fold[0]
         p_bar = sum(p for _, p in per_fold) / config.folds
@@ -454,8 +454,8 @@ def _reference_rep(true_density, config, truth, rep):
     def baseline_table(method):
         try:
             if method == "SRA":
-                cond, p_y0 = identify.observed_conditional(estimators.empirical_pmf(data, laplace=config.laplace))
-                return estimators.sra_from_conditional(cond).g, p_y0
+                law = estimators.empirical_pmf(data, laplace=config.laplace)
+                return estimators.sra_from_conditional(law).g, law.marginal(("Y0",))
             pmf = estimators.empirical_pmf(data, laplace=config.laplace, include_hidden=True)
             return dgp.oracle_density_from_joint(pmf).g, identify.observed_conditional(pmf)[1]
         except TableError as err:

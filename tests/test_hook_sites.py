@@ -7,9 +7,8 @@ the counts are pinned here, counted by wrappers installed the same way: per
 block of repetitions of the grid (``harness.BLOCK``, one stacked
 pass), 1 ``estimators.solve_bridges``, 4 ``bridges.invert2or4``, 13
 ``harness._DENSITY_FN`` entries and 1 ``identify.observed_conditional`` at
-one fold (the stack of fitted laws; the Oracle reads P(Y0) off its law
-unconditioned), 2 with folds (the stack of fold laws and SRA's
-whole-sample laws), for value
+every fold count (the piece table of the stack of fitted laws, or of fold
+laws; SRA and the Oracle read their laws without one), for value
 maximization at 5 folds (grid-crossfit's block) and Q-learning at 3 alike;
 a repetition run alone (a stack of one) counts the same; per
 ``estimate --method pmr`` request, 1 ``estimators.solve_bridges``."""
@@ -65,11 +64,11 @@ def _per_call(monkeypatch, counts, config) -> list[Counter]:
     return per_call
 
 
-def _per_block(monkeypatch, counts, config, laws: int):
+def _per_block(monkeypatch, counts, config):
     """Runs of one, two and three blocks (the last one short) each count
     one block's sites per block, all inside ``_run_rep`` calls; a
     repetition run alone counts one block's sites."""
-    block = Counter(solve_bridges=1, invert2or4=4, _DENSITY_FN=13, observed_conditional=laws)
+    block = Counter(solve_bridges=1, invert2or4=4, _DENSITY_FN=13, observed_conditional=1)
     for reps, blocks in ((harness.BLOCK, 1), (2 * harness.BLOCK, 2), (2 * harness.BLOCK + 1, 3)):
         counts.clear()
         per_call = _per_call(monkeypatch, counts, replace(config, reps=reps))
@@ -82,13 +81,13 @@ def _per_block(monkeypatch, counts, config, laws: int):
 
 def test_a_grid_repetition_calls_each_site_as_often_as_pinned(monkeypatch, counts):
     """Per block of repetitions, or per repetition run alone."""
-    _per_block(monkeypatch, counts, harness.ExperimentConfig(), 1)
+    _per_block(monkeypatch, counts, harness.ExperimentConfig())
 
 
 @pytest.mark.parametrize("folds, optimizer", [(5, "value-max"), (3, "q-learning")])
 def test_a_cross_fitted_repetition_calls_each_site_as_often_as_pinned(monkeypatch, counts, folds, optimizer):
     """Per block of repetitions, or per repetition run alone."""
-    _per_block(monkeypatch, counts, harness.ExperimentConfig(folds=folds, optimizer=optimizer), 2)
+    _per_block(monkeypatch, counts, harness.ExperimentConfig(folds=folds, optimizer=optimizer))
 
 
 def test_an_estimate_request_solves_once(tmp_path, counts):

@@ -59,13 +59,13 @@ def test_identified_densities_work_from_observed_margin(joint, solved, oracle):
 def test_hybrid_degenerations_share_code_path(joint, solved):
     from proxidtr.identify import _hybrid_density
 
-    cond, _ = observed_conditional(joint)
-    assert np.array_equal(_hybrid_density(cond, solved, 0), density_por(joint, solved).g)
-    assert np.array_equal(_hybrid_density(cond, solved, 1), density_pha(joint, solved).g)
-    assert np.array_equal(_hybrid_density(cond, solved, 2), density_pipw(joint, solved).g)
+    pieces, _ = observed_conditional(joint)
+    assert np.array_equal(_hybrid_density(pieces, solved, 0), density_por(joint, solved).g)
+    assert np.array_equal(_hybrid_density(pieces, solved, 1), density_pha(joint, solved).g)
+    assert np.array_equal(_hybrid_density(pieces, solved, 2), density_pipw(joint, solved).g)
     for k in (3, -1):  # -1 would read PMR off the end of METHODS
         with pytest.raises(ValueError, match=f"got {k}$"):
-            _hybrid_density(cond, solved, k)
+            _hybrid_density(pieces, solved, k)
 
 
 def test_pipw_marginal_form(joint, solved, oracle):
@@ -243,7 +243,7 @@ def test_missing_bridge_component_is_named(joint):
     with pytest.raises(MissingBridgeError, match="q22"):
         density_pmr(joint, pseudo_bridges(1, ("h22", "h21", "q11")))
     with pytest.raises(ValueError, match=r"^unknown method 'sra'; expected one of \('POR', 'PHA', 'PIPW', 'PMR'\)$"):
-        identify.density_from_conditional("sra", observed_conditional(joint)[0], pseudo_bridges(1))
+        identify.density_from_pieces("sra", observed_conditional(joint)[0], pseudo_bridges(1))
 
 
 def test_identified_density_json(joint, solved):

@@ -42,9 +42,9 @@ def _method_values(pseudo, index):
     each law of a stack, with ``pseudo`` merged into the bridges solved from
     that law, shape (..., 4, K)."""
     def values(pmf: JointPmf) -> np.ndarray:
-        cond, p_y0 = identify.observed_conditional(pmf)
+        pieces, p_y0 = identify.observed_conditional(pmf)
         b = solve_bridges(pmf).merged(pseudo)
-        return np.stack([class_values(identify.density_from_conditional(m, cond, b).g, p_y0, index)
+        return np.stack([class_values(identify.density_from_pieces(m, pieces, b).g, p_y0, index)
                          for m in identify.METHODS], axis=-2)
     return values
 

@@ -6,10 +6,11 @@ layers, against their references, on random stacks drawn by ``hypothesis``
   well-conditioned float64 and complex128 stacks, to 1e-12 relative; a
   singular block refused first in C order with the message and ``kind``
   it always had; a NaN block not refused.
-- Each ``identify`` piece that reads a merged layout (the no_y2, f_obs and
-  f_mid marginals, smoothed, mid22 and the q22 term) against the reduction
-  or einsum over the table's own axes that it replaces, bit for bit, on
-  stacked, unstacked and broadcast operands.
+- Each ``identify`` piece that reads a merged layout (smoothed, mid22 and
+  the q22 term) against the einsum over the law's own axes that it
+  replaces, bit for bit, on stacked, unstacked and broadcast operands; and
+  the no_y2, f_obs and f_mid conditionals, in the layouts those read,
+  against the law's conditionals given Y0 in the law's own order.
 - Every conditional of one law, which keeps its marginals for its later
   reads, against ``tables.conditional`` of a fresh law bit for bit, on
   single laws and stacks.
@@ -22,7 +23,7 @@ from hypothesis import strategies as st
 
 from proxidtr import identify
 from proxidtr.dgp import OBSERVED_ORDER
-from proxidtr.identify import PieceTable, _axes
+from proxidtr.identify import _axes, observed_conditional
 from proxidtr.tables import JointPmf, SingularMatrixError, conditional, invert2or4
 
 SETTINGS = settings(derandomize=True, database=None, deadline=None, max_examples=40)
@@ -75,26 +76,34 @@ def test_a_nan_block_is_not_refused(k):
 
 # -- merged contractions --------------------------------------------------------
 
-def _table(rng, stack):
-    """A random observed table given Y0, C order over OBSERVED_ORDER, led by ``stack``."""
-    cond = rng.random(stack + (2,) * 9)
-    return cond / cond.sum(axis=tuple(range(-8, 0)), keepdims=True)
+def _law(rng, stack) -> JointPmf:
+    """A random law over OBSERVED_ORDER, led by ``stack``."""
+    mass = rng.random(stack + (512,))
+    return JointPmf(OBSERVED_ORDER, mass / mass.sum(axis=-1, keepdims=True))
 
 
-# piece -> (its components' shapes, its layout, the reference over the table's own axes)
+_NAMES = dict(zip("abcdgefhi", ("Y0", "Y1", "Y2", "W1", "W2", "A1", "A2", "Z1", "Z2")))  # einsum letter -> variable
+
+
+def _given_y0(law: JointPmf, labels: str) -> np.ndarray:
+    """The law's conditional of the variables ``labels`` names after y0, given
+    Y0; in the law's own order, C-contiguous."""
+    return law.conditional([_NAMES[c] for c in labels[1:]], ("Y0",))
+
+
+# piece -> (its components' shapes, its layout, the reference over the law's own axes, their letters)
 _REFERENCES = {
-    "no_y2": ((), "abefdghi", lambda cond: cond.sum(axis=-1), "ahdebigf"),
-    "f_obs": ((), "abefhic", lambda cond: cond.sum(axis=(-7, -3)), "ahebifc"),
-    "f_mid": ((), "abedgh", lambda cond: cond.sum(axis=(-4, -2, -1)), "ahdebg"),
+    "no_y2": ((), "abefdghi", lambda f: f("ahdebigf"), "ahdebigf"),
+    "f_obs": ((), "abefhic", lambda f: f("ahebifc"), "ahebifc"),
+    "f_mid": ((), "abedgh", lambda f: f("ahdebg"), "ahdebg"),
     "smoothed": ((7,), "abefchi",
-                 lambda cond, h22: np.einsum("...abcdgef,...ahdebigf->...ahebifc", h22, cond.sum(axis=-1)), "ahebifc"),
+                 lambda f, h22: np.einsum("...abcdgef,...ahdebigf->...ahebifc", h22, f("ahdebigf")), "ahebifc"),
     "mid22": ((7,), "abefch",
-              lambda cond, h22: np.einsum("...abcdgef,...ahdebg->...ahbefc", h22, cond.sum(axis=(-4, -2, -1))),
-              "ahbefc"),
+              lambda f, h22: np.einsum("...abcdgef,...ahdebg->...ahbefc", h22, f("ahdebg")), "ahbefc"),
     "q22-term": ((6, 7), "efcba",
-                 lambda cond, q22, h22: np.einsum(
+                 lambda f, q22, h22: np.einsum(
                      "...abefhi,...ahebifc->...efcba", q22,
-                     cond.sum(axis=(-7, -3)) - np.einsum("...abcdgef,...ahdebigf->...ahebifc", h22, cond.sum(axis=-1))),
+                     f("ahebifc") - np.einsum("...abcdgef,...ahdebigf->...ahebifc", h22, f("ahdebigf"))),
                  "efcba"),
 }
 
@@ -106,11 +115,11 @@ def test_each_merged_piece_equals_its_einsum_bit_for_bit(seed, stack, bridges, p
     """Stacked bridges lead with the table's stack axes; unstacked ones
     broadcast against a stacked table, as pseudo bridges do."""
     rng = _rng(seed)
-    cond = _table(rng, stack)
+    law = _law(rng, stack)
     ranks, layout, reference, labels = _REFERENCES[piece]
     components = [rng.random((stack if bridges == "stacked" else ()) + (2,) * rank) for rank in ranks]
-    got = identify._PIECES[piece](PieceTable(cond), *components)
-    expected = reference(cond, *components)
+    got = identify._PIECES[piece](observed_conditional(law)[0], *components)
+    expected = reference(lambda given: _given_y0(JointPmf(OBSERVED_ORDER, law.mass), given), *components)
     assert np.array_equal(_axes(got, layout, labels), expected)
 
 

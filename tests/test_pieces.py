@@ -1,6 +1,6 @@
-"""The piece table (``identify.PieceTable``): one table per observed table
-given Y0 computes every product the identification formula reads once, and
-reading through a shared table changes no bit.
+"""The piece table (``identify.PieceTable``): one table per law computes
+every product the identification formula reads once, and reading through a
+shared table changes no bit.
 
 Checked on one sample at n = 35000, at one fold and at five: every bridge
 density of a repetition read from the repetition's table equals the density
@@ -40,7 +40,7 @@ def test_shared_table_reads_every_density_bit_for_bit(repetition):
         for b in sets:
             for method in BRIDGE_METHODS:
                 shared = harness._DENSITY_FN[method](pieces, b).g
-                fresh = identify.density_from_conditional(method, pieces.cond, b).g
+                fresh = identify.density_from_pieces(method, identify.PieceTable(pieces.law), b).g
                 assert shared.shape == fresh.shape and shared.tobytes() == fresh.tobytes(), method
 
 
@@ -84,7 +84,7 @@ def test_sets_with_different_arrays_get_their_own_densities(repetition):
     for seed in range(6):
         b = solved.merged(pseudo_bridges(seed, ("h22", "h21", "q11", "q22")[seed % 4:]))
         for method in BRIDGE_METHODS:
-            fresh = identify.density_from_conditional(method, pieces.cond, b).g
+            fresh = identify.density_from_pieces(method, identify.PieceTable(pieces.law), b).g
             assert identify.density_from_pieces(method, pieces, b).g.tobytes() == fresh.tobytes()
     equal_copy = solved.merged(pseudo_bridges(0))
     for method in BRIDGE_METHODS:

@@ -25,7 +25,6 @@ from conftest import regime_value, rep_alone, value_maximize
 
 from proxidtr import dgp, harness
 from proxidtr.estimators import empirical_pmf, sra_from_conditional
-from proxidtr.identify import observed_conditional
 from proxidtr.policy import (
     BOOLEAN_SIZE,
     D2_CELLS,
@@ -298,8 +297,8 @@ def test_equal_keys_imply_equal_true_value(boolean_class, true_values):
 @pytest.fixture(scope="module")
 def densities(oracle, p_y0, big_data):
     """(g, p_y0) pairs: the oracle, the SRA density of ``big_data`` and 5 random tables."""
-    cond, sra_p_y0 = observed_conditional(empirical_pmf(big_data))
-    out = [(oracle.g, p_y0), (sra_from_conditional(cond).g, sra_p_y0)]
+    law = empirical_pmf(big_data)
+    out = [(oracle.g, p_y0), (sra_from_conditional(law).g, law.marginal(("Y0",)))]
     rng = np.random.default_rng(404)
     for _ in range(5):
         p = rng.random(2)

@@ -13,17 +13,17 @@ import pytest
 from proxidtr.harness import ExperimentConfig, emit_tables, run_experiment
 
 CASES = {
-    "vmax": (ExperimentConfig(reps=4), "8760a06ce5211f13"),
-    "vmax-boolean": (ExperimentConfig(reps=4, regime_class="all-boolean"), "506163c59c83a2b5"),
-    "vmax-folds5": (ExperimentConfig(reps=4, folds=5), "737fc794f9007dfd"),
+    "vmax": (ExperimentConfig(reps=4), "96c697eb74d74f9a"),
+    "vmax-boolean": (ExperimentConfig(reps=4, regime_class="all-boolean"), "5f8cd87d2cfa5710"),
+    "vmax-folds5": (ExperimentConfig(reps=4, folds=5), "1519ea73486e1f30"),
     "vmax-folds5-boolean": (ExperimentConfig(reps=4, folds=5, regime_class="all-boolean"),
-                            "6c497fec28f6755a"),
-    "qlearn": (ExperimentConfig(reps=4, optimizer="q-learning"), "1b47c533fa069723"),
-    "qlearn-folds5": (ExperimentConfig(reps=4, optimizer="q-learning", folds=5), "4b1c3f0f8703fd6e"),
-    "n600": (ExperimentConfig(n=600, reps=6), "082b5c2a4f584a1c"),
-    "n300-laplace": (ExperimentConfig(n=300, reps=6, laplace=0.5), "298bc94d07375b15"),
+                            "b8224dc610c59673"),
+    "qlearn": (ExperimentConfig(reps=4, optimizer="q-learning"), "435e10bf11da4080"),
+    "qlearn-folds5": (ExperimentConfig(reps=4, optimizer="q-learning", folds=5), "9e1bb883ece0acd6"),
+    "n600": (ExperimentConfig(n=600, reps=6), "28e6b673037bcc1c"),
+    "n300-laplace": (ExperimentConfig(n=300, reps=6, laplace=0.5), "5165ca29c466aa1f"),
     # cross-fitted with failed and scored cells mixed: bridge methods 5/6 failed, Oracle 2/6, SRA 0/6
-    "n6000-folds3": (ExperimentConfig(n=6000, reps=6, folds=3), "1a237003b417464a"),
+    "n6000-folds3": (ExperimentConfig(n=6000, reps=6, folds=3), "be97425b7b4e85c0"),
 }
 
 

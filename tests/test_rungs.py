@@ -1,6 +1,6 @@
 """The rung identity: POR, PHA and PIPW are PMR with the bridge components they
 do not read set to zero, bit for bit, both in the identified density
-(``identify.density_from_conditional``) and in the estimator summand
+(``identify.density_from_pieces``) and in the estimator summand
 (``estimators._summands``).
 
 Each identity is checked on four bridge sets of one sample at n = 35000:
@@ -18,7 +18,7 @@ import pytest
 from proxidtr import dgp
 from proxidtr.bridges import _SHAPES, BridgeSet, pseudo_bridges
 from proxidtr.estimators import FitOptions, _summands, count_pmf, fit_bridges, fold_fits
-from proxidtr.identify import BRIDGES_NEEDED, METHODS, density_from_conditional, observed_conditional
+from proxidtr.identify import BRIDGES_NEEDED, METHODS, density_from_pieces, observed_conditional
 
 SETS = ("fitted", "all-pseudo", "h21+q22-pseudo", "5-fold")
 PMR_READS = BRIDGES_NEEDED["PMR"]
@@ -26,17 +26,21 @@ PMR_READS = BRIDGES_NEEDED["PMR"]
 
 @pytest.fixture(scope="module")
 def bridge_sets(params):
-    """Set name -> (the observed table given Y0 the set is read against, the set)."""
+    """Set name -> (the law the set is read against, the set)."""
     sample = dgp.sample(params, 35000, seed=1)
     pmf, fitted = fit_bridges(sample)
-    cond = observed_conditional(pmf)[0]
     own, stacked = fold_fits(sample, FitOptions(folds=5))
     return {
-        "fitted": (cond, fitted),
-        "all-pseudo": (cond, fitted.merged(pseudo_bridges(7))),
-        "h21+q22-pseudo": (cond, fitted.merged(pseudo_bridges(7, ("h21", "q22")))),
-        "5-fold": (observed_conditional(count_pmf(own))[0], stacked),
+        "fitted": (pmf, fitted),
+        "all-pseudo": (pmf, fitted.merged(pseudo_bridges(7))),
+        "h21+q22-pseudo": (pmf, fitted.merged(pseudo_bridges(7, ("h21", "q22")))),
+        "5-fold": (count_pmf(own), stacked),
     }
+
+
+def _density(method: str, law, b: BridgeSet) -> np.ndarray:
+    """The ``method`` density of ``b`` on ``law``, read through a piece table of its own."""
+    return density_from_pieces(method, observed_conditional(law)[0], b).g
 
 
 def _zeroed(b: BridgeSet, method: str) -> BridgeSet:
@@ -48,9 +52,8 @@ def _zeroed(b: BridgeSet, method: str) -> BridgeSet:
 @pytest.mark.parametrize("name", SETS)
 @pytest.mark.parametrize("method", METHODS)
 def test_density_is_pmr_with_unread_components_zero(bridge_sets, method, name):
-    cond, b = bridge_sets[name]
-    rung = density_from_conditional(method, cond, b).g
-    assert np.array_equal(rung, density_from_conditional("PMR", cond, _zeroed(b, method)).g)
+    law, b = bridge_sets[name]
+    assert np.array_equal(_density(method, law, b), _density("PMR", law, _zeroed(b, method)))
 
 
 @pytest.mark.parametrize("name", SETS)
@@ -65,11 +68,10 @@ def test_summand_is_pmr_with_unread_components_zero(bridge_sets, linear_class, m
 @pytest.mark.parametrize("name", SETS)
 @pytest.mark.parametrize("component", PMR_READS)
 def test_pmr_density_is_affine_in_each_component(bridge_sets, component, name):
-    cond, b = bridge_sets[name]
+    law, b = bridge_sets[name]
     table = getattr(b, component)
     direction = np.random.default_rng(2026).standard_normal(table.shape)
-    g0, g1, g2 = (density_from_conditional("PMR", cond, b.merged(BridgeSet(**{component: table + t * direction}))).g
-                  for t in (0, 1, 2))
+    g0, g1, g2 = (_density("PMR", law, b.merged(BridgeSet(**{component: table + t * direction}))) for t in (0, 1, 2))
     assert np.abs(g2 - 2 * g1 + g0).max() <= 1e-14
 
 
@@ -80,10 +82,9 @@ def _fortran(b: BridgeSet) -> BridgeSet:
 
 @pytest.mark.parametrize("method", METHODS)
 def test_density_does_not_depend_on_the_bridges_layout(bridge_sets, method):
-    cond, fitted = bridge_sets["fitted"]
-    fold_cond, stacked = bridge_sets["5-fold"]
-    for law, b, copy in ((cond, fitted, BridgeSet.from_json(fitted.to_json())),
-                         (cond, fitted, _fortran(fitted)),
-                         (fold_cond, stacked, _fortran(stacked))):
-        assert np.array_equal(density_from_conditional(method, law, copy).g,
-                              density_from_conditional(method, law, b).g)
+    pmf, fitted = bridge_sets["fitted"]
+    fold_law, stacked = bridge_sets["5-fold"]
+    for law, b, copy in ((pmf, fitted, BridgeSet.from_json(fitted.to_json())),
+                         (pmf, fitted, _fortran(fitted)),
+                         (fold_law, stacked, _fortran(stacked))):
+        assert np.array_equal(_density(method, law, copy), _density(method, law, b))

@@ -2,11 +2,14 @@
 marginals the law keeps (``JointPmf._sum`` is the one place a law's mass is
 summed), so the halving adds are pinned here, counted by a wrapper on that
 method installed the way ``tests/test_hook_sites.py`` wraps its call sites:
-44 per block of repetitions of the grid (``harness.BLOCK``, one stacked
-pass) at one fold, 58 at five folds, and 50 per ``identify_check``. Each
-reader of a shared law gets the bits of a fresh law over the same mass:
-``solve_bridges``, then ``identify.observed_conditional``, then
-``verify_bridges`` and the Oracle."""
+52 per block of repetitions of the grid (``harness.BLOCK``, one stacked
+pass) at one fold, 74 at five folds, and 48 per ``identify_check``. At one
+fold, identifying a block's 13 densities adds none: the piece table reads
+conditionals given Y0 whose marginals ``solve_bridges`` summed on the same
+law. Each reader of a shared law gets the bits of a fresh law over the same
+mass: ``solve_bridges``, then the piece table of
+``identify.observed_conditional``, then ``verify_bridges``, SRA and the
+Oracle."""
 
 import functools
 from collections import Counter
@@ -17,7 +20,7 @@ import pytest
 
 from proxidtr import dgp, harness
 from proxidtr.bridges import solve_bridges, verify_bridges
-from proxidtr.estimators import count_pmf
+from proxidtr.estimators import count_pmf, sra_from_conditional
 from proxidtr.identify import observed_conditional
 from proxidtr.tables import JointPmf
 
@@ -40,11 +43,13 @@ def adds(monkeypatch) -> Counter:
     return counts
 
 
-@pytest.mark.parametrize("folds, per_block", [(1, 44), (5, 58)])
+@pytest.mark.parametrize("folds, per_block", [(1, 52), (5, 74)])
 def test_a_grid_block_sums_each_law_once(adds, folds, per_block):
-    """The fit's law is summed once for ``solve_bridges`` and its P(Y0), and
-    the Oracle's once for its conditionals and its P(Y0); runs of one and of
-    two blocks count one block's adds per block."""
+    """The fit's law is summed once for ``solve_bridges``, its P(Y0), its
+    piece table and, with one fold, SRA; with folds the fold laws once for
+    their P(Y0) and piece table and SRA's law once; the Oracle's once for
+    its conditionals and its P(Y0). Runs of one and of two blocks count one
+    block's adds per block."""
     config = harness.ExperimentConfig(folds=folds)
     harness._truth_context(config)  # the true law is summed when the truth is built, once per process
     for blocks in (1, 2):
@@ -56,7 +61,22 @@ def test_a_grid_block_sums_each_law_once(adds, folds, per_block):
 
 def test_identify_check_sums_the_true_law_once(adds):
     assert harness.identify_check().passed
-    assert adds["adds"] == 50
+    assert adds["adds"] == 48
+
+
+def test_identifying_a_one_fold_block_adds_no_sum_to_the_fit_law(params, adds):
+    """The 13 densities of a block read the conditionals given Y0 off the
+    fit's law, whose marginals ``solve_bridges`` has summed."""
+    config = harness.ExperimentConfig()
+    counts = tuple(harness._counts(config, dgp.sample(params, config.n, config.base_seed + rep))
+                   for rep in range(harness.BLOCK))
+    block = harness._Pass(config, harness._truth_context(config), harness._scenario_pseudo(config),
+                          tuple(range(harness.BLOCK)), counts)
+    fits = harness._bridge_fits(block.observed, None, config)
+    assert adds["adds"] > 0  # the fit summed its law
+    adds.clear()
+    assert len(harness._bridge_densities(fits, block.merged)) == 13
+    assert adds["adds"] == 0
 
 
 def _same_bits(a: np.ndarray, b: np.ndarray) -> bool:
@@ -76,8 +96,11 @@ def test_each_reader_of_one_law_gets_the_bits_of_a_fresh_law(params, stack):
     alone = solve_bridges(fresh())
     for name in ("h22", "h21", "h11", "q11", "q22"):
         assert _same_bits(getattr(shared, name), getattr(alone, name))
-    for got, expected in zip(observed_conditional(law), observed_conditional(fresh())):
-        assert _same_bits(got, expected)
+    (pieces, p_y0), (fresh_pieces, fresh_p_y0) = observed_conditional(law), observed_conditional(fresh())
+    assert _same_bits(p_y0, fresh_p_y0)
+    for piece in ("f_w1z1", "f_w1", "no_y2", "f_obs", "f_mid"):
+        assert _same_bits(pieces.get(piece), fresh_pieces.get(piece))
+    assert _same_bits(sra_from_conditional(law).g, sra_from_conditional(fresh()).g)
     assert verify_bridges(shared, law) == verify_bridges(alone, fresh())
     assert len(law._sums) > len(fresh()._sums) == 1  # the law kept what its readers summed
 

@@ -53,21 +53,28 @@ def _stage1_normalizer():
     return fine, bad, q_functions
 
 
+def _sra(mass):
+    return sra_from_conditional(JointPmf(OBSERVED_ORDER, mass))
+
+
 def _sra_outcome_model():
-    fine = np.full((2,) * 9, 2.0 ** -8)  # cond[y0, z1, w1, a1, y1, z2, w2, a2, y2]
+    fine = np.full((2,) * 9, 2.0 ** -9)  # mass[y0, z1, w1, a1, y1, z2, w2, a2, y2]
     bad = fine.copy()
     bad[0, :, :, 1, 0, :, :, 1, :] = 0.0  # (y0, a1, y1, a2) = (0, 1, 0, 1)
+    bad[0, :, :, 1, 0, :, :, 0, :] *= 2.0  # the emptied cells' mass moves to their other a2: the total stays 1
     bad[1, :, :, 0, 1, :, :, 0, :] = 0.0  # a later cell
-    return fine, bad, sra_from_conditional
+    bad[1, :, :, 0, 1, :, :, 1, :] *= 2.0
+    return fine, bad, _sra
 
 
 def _sra_stage1_model():
     """An empty (y0, a1) stratum empties every outcome-model cell in it, so
     the outcome-model refusal meets it first, at its first (y1, a2) cell."""
-    fine = np.full((2,) * 9, 2.0 ** -8)
+    fine = np.full((2,) * 9, 2.0 ** -9)
     bad = fine.copy()
     bad[1, :, :, 0] = 0.0  # (y0, a1) = (1, 0)
-    return fine, bad, sra_from_conditional
+    bad[1, :, :, 1] *= 2.0  # the emptied cells' mass moves to a1 = 1: the total stays 1
+    return fine, bad, _sra
 
 
 _STAGE2 = "zero stage-2 denominator at (y0={y0}, y1={y1}, a1={a1}, a2={a2}); f(Y1({a1})={y1}|Y0={y0}) is degenerate"
