@@ -24,8 +24,8 @@ parsing leaves a parser unchanged, so in-process calls share it.
 
 ``experiment`` and ``identify-check`` import the harness when they run;
 importing this module, building the parser, ``simulate`` and ``estimate``
-never load it, nor the ``concurrent.futures`` and ``multiprocessing``
-modules behind its sampling helper.
+never load it, nor the ``multiprocessing`` module behind its sampling
+helper.
 """
 
 from __future__ import annotations
@@ -142,14 +142,12 @@ def _cmd_estimate(args) -> int:
 
 
 def _cmd_experiment(args) -> int:
-    from concurrent.futures import BrokenExecutor
-
-    from .harness import ExperimentConfig, emit_tables, run_experiment
+    from .harness import ExperimentConfig, SamplingHelperDied, emit_tables, run_experiment
 
     config = ExperimentConfig.from_json(args.config.read_text())
     try:
         report = run_experiment(config)
-    except BrokenExecutor as err:  # the sampling helper died
+    except SamplingHelperDied as err:
         print(f"error: the sampling helper process died: {err}", file=sys.stderr)
         return USAGE_ERROR
     csv_text, table_text = emit_tables(report)

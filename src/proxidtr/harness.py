@@ -85,20 +85,26 @@ step and the error's kind (``TableError.kind``: its message without the cell
 or block it names), so the repetitions that failed the same way group
 together.
 
-With two or more repetitions and a second CPU, one helper process scoped
-to the loop of ``_rep_results`` draws the first rows [0, split) of the
-samples two repetitions ahead (``_draw``, through ``dgp.sample_rows``);
-inside each ``_run_rep`` call the main process draws the rest, [split, n),
-waits for the helper's rows and joins them. The helper has its own
-interpreter lock, so its draw runs beside the main process's work at its
-solo speed, and two heads in hand keep it drawing through a call with a
-long layer. From the second block on, ``_balance`` moves the split toward
-the point where neither side waits for the other, from the measured wait
-and slack. With one repetition, or one CPU to run on, nothing can overlap:
-there is no helper and each call draws its sample inline. A block of rows
-is drawn alone bit for bit and a sample depends only on its seed, so the
-split moves no bit: the report is the same byte for byte at any split and
-inline. The helper is joined before ``run_experiment`` returns or raises.
+With two or more repetitions and a second CPU, one helper process, forked
+for the loop of ``_rep_results`` (``_Helper``), shares the draws with the
+main process. Each sample is cut into two fixed halves, rows [0, n//2) and
+[n//2, n), each drawn by ``dgp.sample_rows``. Under one lock, the helper
+claims the unclaimed halves of the five repetitions after the main
+process's current one (``_claim_order``: every first half before any second
+half, farthest repetition first), draws each into its slot of a ring of
+``_RING`` repetitions' cell codes in one anonymous shared ``mmap``, and
+reports it on a pipe. Inside each ``_run_rep`` call the main process
+publishes its repetition and takes every half of it still unclaimed in the
+same locked step, draws those halves itself and waits only for halves the
+helper has in flight. So the rows divide by the work itself, with no
+controller: whichever process is ahead draws more. The helper has
+its own interpreter lock, so its draws run beside the main process's work at
+their solo speed. With one repetition, or one CPU to run on, nothing can
+overlap: there is no helper and each call draws its sample inline. A block
+of rows is drawn alone bit for bit and a sample depends only on its seed,
+so the division moves no bit: the report is the same byte for byte whoever
+draws which half, and inline. The helper is reaped before
+``run_experiment`` returns or raises.
 
 The report's columns are stated once, in one column table (``_COLUMNS``):
 the labels and counts, then each metric's CSV prefix with the statistics
@@ -117,11 +123,12 @@ import contextlib
 import csv
 import io
 import json
+import mmap
+import multiprocessing
 import numbers
 import os
-import time
-from collections import Counter, deque
-from concurrent.futures import ProcessPoolExecutor
+import pickle
+from collections import Counter
 from dataclasses import dataclass, field, fields
 from functools import cache, partial
 
@@ -508,49 +515,155 @@ def _truth_context(config: ExperimentConfig) -> _Truth:
     return _truth("all-boolean" if config.optimizer == "q-learning" else config.regime_class)
 
 
-def _draw(n: int, seed: int, stop: int) -> tuple[np.ndarray, float, float]:
-    """Rows [0, stop) of a repetition's sample as cell codes, drawn in the
-    helper process under the one law ``_law`` (so a forked helper reads the
-    law it inherited), with its ``time.perf_counter()`` readings at the
-    draw's start and end (the system-wide monotonic clock, which forked
-    processes share).
-
-    Codes cross the process boundary, never a pickled ``Dataset``, whose
-    read-only lock does not survive unpickling; the main process joins them
-    to its own rows [stop, n).
-    """
-    began = time.perf_counter()
-    return dgp.sample_rows(_law(), n, seed, 0, stop), began, time.perf_counter()
-
-
-_GAIN = 4 / 27  # the share of the balancing rows ``_balance`` moves per repetition
-
-
-def _balance(split: float, n: int, waited: float, slack: float, head: tuple[int, float],
-             tail: tuple[int, float]) -> float:
-    """The helper's next share of a sample's rows: ``split`` moved by 4/27
-    of the rows that would have balanced this repetition, clipped to [0, n].
-
-    ``waited`` is how long the main process blocked on the helper's rows,
-    ``slack`` how long they sat finished before it asked; ``head`` and
-    ``tail`` are the (rows, seconds) each side drew. A row moved from the
-    helper to the main process shortens the wait by about two rows' cost,
-    read from the side that drew more rows, so that it is known at either
-    end of [0, n]. A repetition's timings reach the helper two repetitions
-    late (see ``_rep_results``), so the split s obeys
-    s[m] = s[m-1] - k (s[m-3] - balance), whose poles solve
-    z^3 - z^2 + k = 0. At k = 4/27 they are a double pole at 2/3 and one at
-    -1/3, which settles fastest without overshoot; the quarter step that did
-    so at the one-deep look-ahead's lag now gives two complex poles of
-    modulus 0.77, and overshoots.
-    """
-    rows, seconds = max(head, tail)
-    return min(max(split - _GAIN * (waited - slack) / (2 * seconds / rows), 0.0), float(n))
-
-
 def _cpus() -> int:
     """The CPUs this process may run on (all of them where affinity is unknown)."""
     return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+
+
+_RING = BLOCK + 2  # repetitions in the shared ring: the main process's current one and the five after it
+_CURRENT, _STOP, _IDLE, _CLAIMS = 0, 1, 2, 3  # the words of the shared state; the claims fill the rest
+_WORDS = _CLAIMS + 2 * _RING
+
+
+class SamplingHelperDied(RuntimeError):
+    """The grid's sampling helper process ended before it reported a half it had claimed."""
+
+
+def _claim_order(current: int, last: int) -> list[tuple[int, int]]:
+    """The (repetition, half) pairs the helper may claim while the main
+    process is at repetition ``current``, in the order it claims them: the
+    five repetitions after ``current``, up to repetition ``last``, every
+    first half before any second half, farthest repetition first. The halves
+    the helper has in flight are then the ones the main process reaches last."""
+    reps = range(min(current + _RING - 1, last), current, -1)
+    return [(rep, half) for half in (0, 1) for rep in reps]
+
+
+class _Helper:
+    """One forked process that draws halves of the grid's samples beside the
+    main process, with no thread in either process.
+
+    The two share one anonymous ``mmap``: the state words (the main
+    process's current repetition, the stop word, the helper's idle word and,
+    per ring slot and half, the repetition that claimed it) and a ring of
+    ``_RING`` repetitions' int16 cell codes, repetition r in slot r % _RING.
+    The state is read and written only under one lock, which the fork
+    shares. The helper claims a half by ``_claim_order``, draws it into its
+    slot outside the lock and reports it, with its error if the draw raised,
+    as one pickle on the report pipe (``_serve``). With nothing to claim it
+    marks itself idle and sleeps on the wake pipe; the main process writes a
+    byte there only when it clears that mark, so at most one byte is ever
+    unread and waking never blocks. Repetition r + 5 enters the helper's
+    window only when the main process publishes r, after it copied r - 1's
+    codes out of the slot r + 5 shares, so a slot is never written while it
+    is read.
+    """
+
+    def __init__(self, config: ExperimentConfig):
+        self.config, n = config, config.n
+        self.cuts = (0, n // 2, n)  # the halves: rows [0, n//2) and [n//2, n)
+        shared = mmap.mmap(-1, 8 * _WORDS + 2 * _RING * n)
+        self.state = np.frombuffer(shared, np.int64, _WORDS)
+        self.claimed = self.state[_CLAIMS:].reshape(_RING, 2)
+        self.ring = np.frombuffer(shared, np.int16, _RING * n, 8 * _WORDS).reshape(_RING, n)
+        self.state[_CURRENT] = -1
+        self.claimed[:] = -1
+        self.lock = multiprocessing.get_context("fork").Lock()
+        wake, self.wake = os.pipe()
+        reports, report = os.pipe()
+        self.pid = os.fork()
+        if not self.pid:  # the helper: it never returns into the caller's code
+            code = 1
+            try:
+                os.close(self.wake)
+                os.close(reports)
+                self._serve(wake, os.fdopen(report, "wb"))
+                code = 0
+            finally:
+                os._exit(code)
+        os.close(wake)
+        os.close(report)
+        self.reports = os.fdopen(reports, "rb")
+        self.reported = {}  # (repetition, half) -> None when drawn, else the helper's error, until read
+
+    def _serve(self, wake: int, report) -> None:
+        """The helper's loop, until the stop word is set or the wake pipe closes."""
+        config, state, claimed = self.config, self.state, self.claimed
+        while True:
+            with self.lock:
+                if state[_STOP]:
+                    return
+                claim = next(((rep, half) for rep, half in _claim_order(int(state[_CURRENT]), config.reps - 1)
+                              if claimed[rep % _RING, half] != rep), None)
+                if claim is None:
+                    state[_IDLE] = 1
+                else:
+                    claimed[claim[0] % _RING, claim[1]] = claim[0]
+            if claim is None:
+                if not os.read(wake, 1):
+                    return
+                continue
+            rep, half = claim
+            start, stop = self.cuts[half:half + 2]
+            error = None
+            try:
+                self.ring[rep % _RING, start:stop] = dgp.sample_rows(_law(), config.n, config.base_seed + rep,
+                                                                     start, stop)
+            except Exception as err:
+                error = err
+            pickle.dump((rep, half, error), report)
+            report.flush()
+
+    def _wake(self) -> None:
+        """One byte on the wake pipe, written only where the idle mark was cleared."""
+        with contextlib.suppress(BrokenPipeError):  # a helper that ended idle holds no half
+            os.write(self.wake, b"\0")
+
+    def draw(self, rep: int, params: DgpParams) -> np.ndarray:
+        """Repetition ``rep``'s cell codes. ``rep`` is published as the main
+        process's current repetition and its unclaimed halves are taken in
+        one locked step; those are drawn here, then the helper's are awaited
+        and copied out of the ring."""
+        slot, n, seed = rep % _RING, self.config.n, self.config.base_seed + rep
+        with self.lock:
+            self.state[_CURRENT] = rep
+            mine = [half for half in (0, 1) if self.claimed[slot, half] != rep]
+            self.claimed[slot, mine] = rep
+            idle, self.state[_IDLE] = self.state[_IDLE], 0
+        if idle:
+            self._wake()
+        codes = np.empty(n, np.int16)
+        for half in mine:
+            start, stop = self.cuts[half:half + 2]
+            codes[start:stop] = dgp.sample_rows(params, n, seed, start, stop)
+        for half in (half for half in (0, 1) if half not in mine):
+            start, stop = self.cuts[half:half + 2]
+            while (rep, half) not in self.reported:
+                try:
+                    drawn, which, error = pickle.load(self.reports)
+                except EOFError:
+                    pid, self.pid = self.pid, None
+                    code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+                    raise SamplingHelperDied(f"it ended with exit code {code} before it reported rows "
+                                             f"[{start}, {stop}) of repetition {rep}") from None
+                self.reported[drawn, which] = error
+            error = self.reported.pop((rep, half))
+            if error is not None:
+                raise error
+            codes[start:stop] = self.ring[slot, start:stop]
+        return codes
+
+    def close(self) -> None:
+        """Stop the helper once the half it is drawing, if any, is drawn, and reap it."""
+        if self.pid is not None:
+            with self.lock:
+                self.state[_STOP] = 1
+                idle = self.state[_IDLE]
+            if idle:
+                self._wake()
+            os.waitpid(self.pid, 0)
+        os.close(self.wake)
+        self.reports.close()
 
 
 class _Blocks:
@@ -560,46 +673,23 @@ class _Blocks:
 
     A block is ``BLOCK`` repetitions, one per layer, so a block's pass ends in
     the call that completes the next block, which then starts its own; the
-    last call also finishes the final block. The helper process, if any,
-    draws the first ``split`` rows of each sample, two repetitions ahead of
-    the call that reads them (``draw``); without one (``helper`` None) each
-    sample is drawn inline.
+    last call also finishes the final block. Each sample is drawn inline
+    without a helper (``helper`` None), and with one its halves are divided
+    between the helper and this process (``_Helper.draw``).
     """
 
-    def __init__(self, config: ExperimentConfig, truth: _Truth, pseudo: dict[str, BridgeSet], helper):
+    def __init__(self, config: ExperimentConfig, truth: _Truth, pseudo: dict[str, BridgeSet], helper: _Helper | None):
         self.config, self.truth, self.pseudo, self.helper = config, truth, pseudo, helper
-        self.split = float(config.n)  # the helper draws rows [0, split) of each sample
-        self.heads = deque()  # (stop, the helper's future) of the repetitions handed to it, in order
         self.block = []  # (rep, counts) of the block being drawn
         self.running = None  # the previous block's pass
-        for rep in range(2):
-            self._submit(rep)
-
-    def _submit(self, rep: int) -> None:
-        if self.helper is not None and rep < self.config.reps:
-            stop = round(self.split)
-            self.heads.append((stop, self.helper.submit(_draw, self.config.n, self.config.base_seed + rep, stop)))
 
     def draw(self, rep: int) -> dgp.Dataset:
-        """Repetition ``rep``'s sample, drawn whole here without a helper;
-        with one, the helper's rows [0, stop), handed to it two repetitions
-        ahead, joined to the rows [stop, n) drawn here. From the second
-        block on, ``_balance`` moves the split by the wait and slack
-        measured here; the first block's calls run no layer."""
-        self._submit(rep + 2)
+        """Repetition ``rep``'s sample: drawn whole here without a helper,
+        else its halves as the helper and this process divide them."""
         n, seed = self.config.n, self.config.base_seed + rep
         if self.helper is None:
             return sample(self.truth.params, n, seed)
-        stop, head = self.heads.popleft()
-        began = time.perf_counter()
-        tail = dgp.sample_rows(self.truth.params, n, seed, stop, n)
-        asked = time.perf_counter()
-        codes, head_began, head_done = head.result()
-        waited = time.perf_counter() - asked
-        if rep >= BLOCK:
-            self.split = _balance(self.split, n, waited, max(asked - head_done, 0.0),
-                                  (stop, head_done - head_began), (n - stop, asked - began))
-        return dgp.Dataset(_locked(np.concatenate((codes, tail))), seed)
+        return dgp.Dataset(_locked(self.helper.draw(rep, self.truth.params)), seed)
 
     def add(self, rep: int, counts: tuple) -> list[dict]:
         """Count repetition ``rep`` into its block and run one layer of the
@@ -619,29 +709,19 @@ def _rep_results(config: ExperimentConfig, truth: _Truth):
     """Each repetition's per-cell results, in index order, from the
     pipeline (``_Blocks``).
 
-    With two or more repetitions and a second CPU, one helper process draws
-    the first ``split`` rows of the samples two repetitions ahead, and the
-    main process draws the rest inside each ``_run_rep`` call
-    (``_Blocks.draw``); both sides draw through ``dgp.sample_rows``, never
-    ``sample``, which the benchmark's layer hook wraps. ``split`` starts at
-    n (the helper draws every row), and from the second block on
-    ``_balance`` moves it by each repetition's wait and slack. Repetition
-    r's timings first reach repetition r + 3, as r + 1 and r + 2 were handed
-    to the helper before r ran. When nothing can overlap (one repetition, or
-    one CPU) no process starts and each sample is drawn inline. The helper
-    is joined when the loop ends, raises or is closed. Under the default
-    ``fork`` start method (Linux before Python 3.14) it is forked before the
-    executor starts its own threads and inherits the imports and
-    ``_law``'s cache, and it draws from that law alone, never building a
-    truth. Under ``forkserver`` (Python 3.14) or ``spawn`` it would import
-    the package and build the law before its first draw; when it built the
-    truth as well (the regime class and the true values), the first sample
-    arrived after 0.26-0.39 s, against 33-37 ms forked (2-vCPU Xeon,
-    Python 3.11).
+    With two or more repetitions and a second CPU, one helper process
+    (``_Helper``) is forked for the loop, and it and the main process divide
+    each sample's halves between them; both draw through
+    ``dgp.sample_rows``, never ``sample``, which the benchmark's layer hook
+    wraps. When nothing can overlap (one repetition, or one CPU) no process
+    starts and each sample is drawn inline. The helper is reaped when the
+    loop ends, raises or is closed. Forked after ``run_experiment`` built
+    the truth, it inherits the imports and ``_law``'s cache, and it draws
+    from that law alone, never building a truth or a law.
     """
     pseudo = _scenario_pseudo(config)
     overlap = config.reps > 1 and _cpus() > 1
-    with ProcessPoolExecutor(max_workers=1) if overlap else contextlib.nullcontext() as helper:
+    with contextlib.closing(_Helper(config)) if overlap else contextlib.nullcontext() as helper:
         blocks = _Blocks(config, truth, pseudo, helper)
         for rep in range(config.reps):
             yield from _run_rep(config, truth, rep, blocks)

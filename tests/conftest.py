@@ -1,5 +1,7 @@
 """Shared fixtures: the exact law, solved bridges, and regime classes;
 ``serial_on_two_cpus``, the grid with its helper process on any host;
+``forks``, the processes forked during a test, and ``unreaped``, those of
+them not yet reaped;
 ``cell_codes``, the encoder of column blocks into ``Dataset`` rows;
 ``same_results``, bit-for-bit equality of one repetition's results;
 ``rep_alone``, one repetition's results from a pass over a stack of one,
@@ -53,6 +55,33 @@ def serial_on_two_cpus(monkeypatch):
     """Two CPUs to run on whatever the host has, so the grid's helper
     process draws beside the main process."""
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+
+
+@pytest.fixture
+def forks(monkeypatch) -> list[int]:
+    """The pids of the processes ``os.fork`` starts while the test runs, in order."""
+    pids, fork = [], os.fork
+
+    def recorded():
+        pid = fork()
+        if pid:
+            pids.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", recorded)
+    return pids
+
+
+def unreaped(pids: list[int]) -> list[int]:
+    """The pids of ``pids`` still running or ended but not yet reaped."""
+    left = []
+    for pid in pids:
+        try:
+            os.waitpid(pid, os.WNOHANG)
+        except ChildProcessError:
+            continue
+        left.append(pid)
+    return left
 
 
 def regime_value(g: np.ndarray, p_y0: np.ndarray, regime: Regime) -> float:

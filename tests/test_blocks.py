@@ -20,7 +20,7 @@ import weakref
 import pytest
 
 import proxidtr
-from conftest import rep_alone, same_results
+from conftest import rep_alone, same_results, unreaped
 from proxidtr import dgp, estimators, harness
 from proxidtr.harness import ExperimentConfig, emit_tables, run_experiment
 
@@ -196,22 +196,14 @@ STALE_VARIABLE = f"{proxidtr.__name__.upper()}_THREADS"
 @pytest.mark.parametrize("stale", [False, True], ids=["clean", "stale-variable"])
 @pytest.mark.parametrize("cpus, reps, helpers", [({0, 1}, 9, 1), ({0}, 9, 0), ({0, 1}, 1, 0)],
                          ids=["two-cpus", "one-cpu", "one-rep"])
-def test_a_grid_starts_at_most_the_one_sampling_helper(cpus, reps, helpers, stale, monkeypatch):
-    """One ``max_workers=1`` helper with two CPUs and repetitions to overlap,
-    none on one CPU or for one repetition; a stale worker-count variable
-    changes neither that nor a byte of the report."""
+def test_a_grid_starts_at_most_the_one_sampling_helper(cpus, reps, helpers, stale, monkeypatch, forks):
+    """One forked helper with two CPUs and repetitions to overlap, none on
+    one CPU or for one repetition, reaped when the grid returns; a stale
+    worker-count variable changes neither that nor a byte of the report."""
     config = ExperimentConfig(n=6000, reps=reps, folds=3)  # failed and scored cells mixed
     expected = _expected_text(config, _alone(config), monkeypatch)
-    built = []
-
-    class Recording(harness.ProcessPoolExecutor):
-        def __init__(self, *args, **kwargs):
-            built.append((args, kwargs))
-            super().__init__(*args, **kwargs)
-
-    monkeypatch.setattr(harness, "ProcessPoolExecutor", Recording)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus, raising=False)
     if stale:
         monkeypatch.setenv(STALE_VARIABLE, "2")
     assert _report_text(config) == expected
-    assert built == [((), {"max_workers": 1})] * helpers
+    assert len(forks) == helpers and unreaped(forks) == []

@@ -509,7 +509,7 @@ def test_main_shares_one_parser_and_prints_what_a_fresh_parser_does(tmp_path, re
 
 _IMPORT_PROBE = textwrap.dedent("""
     import json, sys
-    POOL = ("proxidtr.harness", "concurrent.futures", "multiprocessing")
+    POOL = ("proxidtr.harness", "concurrent.futures", "multiprocessing", "mmap")
     loaded = lambda: [name for name in POOL if name in sys.modules]
     import proxidtr
     package = loaded()
@@ -532,8 +532,8 @@ _IMPORT_PROBE = textwrap.dedent("""
 def test_package_and_cli_import_without_the_harness_or_its_pool():
     """A fresh interpreter: importing the package, or the CLI and building its
     parser (all that ``estimate`` and ``simulate`` need before they run),
-    loads neither the harness nor ``concurrent.futures`` or
-    ``multiprocessing``; the harness's re-exports resolve on first access."""
+    loads neither the harness nor ``concurrent.futures``, ``multiprocessing``
+    or ``mmap``; the harness's re-exports resolve on first access."""
     env = dict(os.environ, PYTHONPATH=str(Path(proxidtr.__file__).resolve().parents[1]))
     done = subprocess.run([sys.executable, "-c", _IMPORT_PROBE], env=env, capture_output=True, text=True, timeout=60)
     assert done.returncode == 0, done.stderr

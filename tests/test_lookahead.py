@@ -1,28 +1,33 @@
-"""The grid's look-ahead: one helper process draws the first rows of the
-samples two repetitions ahead, and the main process draws the rest when a
-repetition's call starts (``harness._Blocks.draw``); ``harness._balance``
-moves the split toward balance.
+"""The grid's sampling helper: one forked process and the main process
+divide the halves of each sample, rows [0, n//2) and [n//2, n), through one
+shared ring (``harness._Helper``). The helper claims halves of the five
+repetitions after the main process's current one (``harness._claim_order``);
+the main process takes every half of its own repetition still unclaimed
+and waits only for the helper's.
 
-The look-ahead changes where and when rows are drawn, never what is drawn,
+The division changes where and when rows are drawn, never what is drawn,
 so every repetition's results equal those of a stack of one sampling
-inline, and a report is byte-identical at any split and with inline draws
-(one repetition or one CPU). The parent process draws only tails, rows
-[split, n). The helper lives
-inside ``run_experiment`` only, also when a head or a tail draw fails, the
-results are abandoned or the helper dies, and a wrapper on
-``harness.sample`` (the benchmark's layer hook) is never called for the
-look-ahead's draws. ``fold_counts`` is checked here against a per-row
-reference.
+inline, and a report is byte-identical whoever draws which half and with
+inline draws (one repetition or one CPU). Every half is drawn exactly once,
+by one process. The helper lives inside ``run_experiment`` only and is
+reaped also when a draw on either side fails, the results are abandoned or
+the helper dies; no thread starts, waking the helper never leaves a second
+byte unread on its wake pipe, and a wrapper on ``harness.sample`` (the
+benchmark's layer hook) is never called for the helper's draws.
+``fold_counts`` is checked here against a per-row reference.
 """
 
-import multiprocessing
+import array
+import fcntl
 import os
+import termios
 import threading
+import time
 
 import numpy as np
 import pytest
 
-from conftest import rep_alone, same_results
+from conftest import rep_alone, same_results, unreaped
 from test_estimators import fold_assignments
 from proxidtr import dgp, estimators, harness
 from proxidtr.cli import main
@@ -30,13 +35,13 @@ from proxidtr.harness import ExperimentConfig, emit_tables, run_experiment
 
 pytestmark = pytest.mark.usefixtures("serial_on_two_cpus")  # the helper is used
 
-# enough repetitions that the last two are drawn at a split the controller chose: two blocks and one more
+# two blocks and one more, so that the helper's window slides past every ring slot
 CONFIGS = {
     "default": ExperimentConfig(reps=9),
     # cross-fitted, with failed and scored cells mixed
     "n6000-folds3": ExperimentConfig(n=6000, reps=9, folds=3),
 }
-AT_N = harness.BLOCK + 3  # repetitions drawn before the controller's first split reaches the helper
+AHEAD = 5  # the farthest the helper draws past the main process's current repetition
 
 
 def _report_text(config: ExperimentConfig) -> str:
@@ -44,150 +49,210 @@ def _report_text(config: ExperimentConfig) -> str:
     return "".join(emit_tables(report)) + report.to_json()
 
 
-def _parent_draws(monkeypatch) -> list[tuple[int, int, int]]:
-    """(seed, start, stop) of each ``dgp.sample_rows`` call made in this
-    process, in call order; the helper's calls append to its own copy of
-    the list. An inline draw is (seed, 0, n), a tail (seed, split, n)."""
-    calls = []
-    original = dgp.sample_rows
-
-    def recorded(params, n, seed, start, stop):
-        calls.append((seed, start, stop))
-        return original(params, n, seed, start, stop)
-
-    monkeypatch.setattr(dgp, "sample_rows", recorded)
-    return calls
+def _halves(config: ExperimentConfig) -> dict[int, tuple[int, int]]:
+    """Each half's rows by half: [0, n//2) and [n//2, n)."""
+    n = config.n
+    return {0: (0, n // 2), 1: (n // 2, n)}
 
 
-def _inline(config: ExperimentConfig) -> list[tuple[int, int, int]]:
-    return [(config.base_seed + rep, 0, config.n) for rep in range(config.reps)]
+def _recorded(monkeypatch, tmp_path):
+    """Record, in both processes, each ``dgp.sample_rows`` call as ("draw",
+    pid, seed, start, stop) and each ``_run_rep`` call as ("call", pid, rep),
+    appended to one file when the call starts; returns the reader of the
+    events, in the order they were appended."""
+    path = tmp_path / "events"
+    path.write_text("")
+    sample_rows, run_rep = dgp.sample_rows, harness._run_rep
+
+    def append(*event):
+        with open(path, "a") as out:
+            out.write(" ".join(map(str, event)) + "\n")
+
+    def drawn(params, n, seed, start, stop):
+        append("draw", os.getpid(), seed, start, stop)
+        return sample_rows(params, n, seed, start, stop)
+
+    def called(config, truth, rep, *args):
+        append("call", os.getpid(), rep)
+        return run_rep(config, truth, rep, *args)
+
+    monkeypatch.setattr(dgp, "sample_rows", drawn)
+    monkeypatch.setattr(harness, "_run_rep", called)
+    return lambda: [(kind, *map(int, rest))
+                    for kind, *rest in (line.split() for line in path.read_text().splitlines())]
 
 
-def _forced_split(monkeypatch, split: int):
-    """The controller pinned at ``split``. Repetitions 0 to 6 still split at
-    n: the first block's measurements are not used, and repetitions r + 1 and
-    r + 2 are handed to the helper before repetition r is measured."""
-    monkeypatch.setattr(harness, "_balance", lambda *args: float(split))
+def _draws(events, config: ExperimentConfig) -> dict[str, list[tuple[int, int]]]:
+    """The (repetition, half) of each half drawn by the main process
+    ("main") and by another process ("helper"), in drawing order; an inline
+    draw of a whole sample is (repetition, None)."""
+    parent, halves = os.getpid(), {rows: half for half, rows in _halves(config).items()}
+    halves[(0, config.n)] = None
+    by = {"main": [], "helper": []}
+    for kind, pid, *rest in events:
+        if kind == "draw":
+            seed, start, stop = rest
+            by["main" if pid == parent else "helper"].append((seed - config.base_seed, halves[start, stop]))
+    return by
 
 
-def _tails(config: ExperimentConfig, split: int) -> list[tuple[int, int, int]]:
-    """The parent's draws at a forced split, the first ``AT_N`` at n."""
-    return [(config.base_seed + rep, config.n if rep < AT_N else split, config.n) for rep in range(config.reps)]
+def _helper_draws(monkeypatch, halves: tuple[int, ...]):
+    """Make the helper, if the grid starts one, draw exactly ``halves`` of
+    every sample: it claims no other half, and each ``_run_rep`` call waits
+    until it has claimed them before the main process takes the rest."""
+    order, run_rep = harness._claim_order, harness._run_rep
+
+    def waiting(config, truth, rep, blocks):
+        deadline, helper = time.monotonic() + 60, blocks.helper
+        while helper is not None and not all(helper.claimed[rep % harness._RING, half] == rep for half in halves):
+            assert time.monotonic() < deadline, f"the helper claimed no half {halves} of repetition {rep}"
+            time.sleep(1e-4)
+        return run_rep(config, truth, rep, blocks)
+
+    monkeypatch.setattr(harness, "_claim_order",
+                        lambda current, last: [claim for claim in order(current, last) if claim[1] in halves])
+    monkeypatch.setattr(harness, "_run_rep", waiting)
 
 
 def _no_helper(monkeypatch):
     """Fail a test that starts a process for its draws."""
-    def refuse(*args, **kwargs):
+    def refuse():
         raise AssertionError("a process was started")
 
-    monkeypatch.setattr(harness, "ProcessPoolExecutor", refuse)
+    monkeypatch.setattr(os, "fork", refuse)
 
 
-def _dies_in_a_child(monkeypatch, seed: int):
-    """``dgp.sample_rows``, which the helper's heads draw through, ending its
-    process abruptly when it draws ``seed`` outside this process."""
-    parent, original = os.getpid(), dgp.sample_rows
+def _one_cpu(monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
 
-    def dying(params, n, drawn_seed, start, stop):
-        if drawn_seed == seed and os.getpid() != parent:
-            os._exit(9)
-        return original(params, n, drawn_seed, start, stop)
 
-    monkeypatch.setattr(dgp, "sample_rows", dying)
+def _inline(config: ExperimentConfig) -> list[tuple[int, None]]:
+    return [(rep, None) for rep in range(config.reps)]
 
 
 @pytest.mark.parametrize("case", sorted(CONFIGS))
-def test_look_ahead_results_equal_inline_draws(case, monkeypatch):
+def test_look_ahead_results_equal_inline_draws(case, monkeypatch, tmp_path, forks):
     config = CONFIGS[case]
     truth = harness._truth_context(config)
-    split = config.n // 3
-    _forced_split(monkeypatch, split)
-    draws = _parent_draws(monkeypatch)
+    events = _recorded(monkeypatch, tmp_path)
     ahead = list(harness._rep_results(config, truth))
-    assert draws == _tails(config, split)  # rows [0, split) drawn by the helper process
-    del draws[:]
+    draws = _draws(events(), config)
+    assert sorted(draws["main"] + draws["helper"]) == [(rep, half) for rep in range(config.reps) for half in (0, 1)]
+    assert len(forks) == 1 and unreaped(forks) == []
     pseudo = harness._scenario_pseudo(config)
     inline = [rep_alone(config, truth, rep, pseudo) for rep in range(config.reps)]
-    assert draws == _inline(config)
     assert all(same_results(a, b) for a, b in zip(ahead, inline, strict=True))
 
 
 @pytest.mark.parametrize("case", sorted(CONFIGS))
-@pytest.mark.parametrize("at", ["0", "1", "n//3", "n-1", "n"])
-def test_reports_are_the_same_at_any_split(case, at, monkeypatch):
+@pytest.mark.parametrize("at", ["0", "n//2", "n"])
+def test_reports_are_the_same_at_any_split(case, at, monkeypatch, tmp_path):
+    """The helper made to draw rows [0, split) of every sample, and the main
+    process the rest: no half, the first halves, or every half."""
     config = CONFIGS[case]
-    n = config.n
-    split = {"0": 0, "1": 1, "n//3": n // 3, "n-1": n - 1, "n": n}[at]
     with monkeypatch.context() as inline:
-        inline.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        _one_cpu(inline)
         _no_helper(inline)
         text = _report_text(config)
-    _forced_split(monkeypatch, split)
-    draws = _parent_draws(monkeypatch)
+    halves = {"0": (), "n//2": (0,), "n": (0, 1)}[at]
+    _helper_draws(monkeypatch, halves)
+    events = _recorded(monkeypatch, tmp_path)
     assert _report_text(config) == text
-    assert draws == _tails(config, split)
+    draws = _draws(events(), config)
+    assert sorted(draws["helper"]) == [(rep, half) for rep in range(config.reps) for half in halves]
+    assert draws["main"] == [(rep, half) for rep in range(config.reps) for half in (0, 1) if half not in halves]
 
 
 @pytest.mark.parametrize("case", sorted(CONFIGS))
-def test_one_cpu_draws_inline_with_the_same_report(case, monkeypatch):
+def test_one_cpu_draws_inline_with_the_same_report(case, monkeypatch, tmp_path):
     config = CONFIGS[case]
     text = _report_text(config)
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    _one_cpu(monkeypatch)
     _no_helper(monkeypatch)
-    draws = _parent_draws(monkeypatch)
+    events = _recorded(monkeypatch, tmp_path)
     assert _report_text(config) == text
-    assert draws == _inline(config)
+    assert _draws(events(), config) == {"main": _inline(config), "helper": []}
 
 
-def test_one_repetition_draws_inline(monkeypatch):
+def test_one_repetition_draws_inline(monkeypatch, tmp_path):
     config = ExperimentConfig(reps=1)
     _no_helper(monkeypatch)
-    draws = _parent_draws(monkeypatch)
+    events = _recorded(monkeypatch, tmp_path)
     run_experiment(config)
-    assert draws == _inline(config)
+    assert _draws(events(), config) == {"main": _inline(config), "helper": []}
 
 
-def test_the_helper_draws_two_repetitions_ahead(monkeypatch):
-    """When repetition r's call starts, the heads of r + 1 and r + 2 are
-    already handed to the helper, or r + 1's only at r = 0; r + 2's is handed
-    over inside the call, before its own rows are drawn."""
-    config = CONFIGS["default"]
-    submitted, seen = [], []
-
-    class Recording(harness.ProcessPoolExecutor):
-        def submit(self, fn, *args):
-            submitted.append(args[1] - config.base_seed)  # (n, seed, stop)
-            return super().submit(fn, *args)
-
-    monkeypatch.setattr(harness, "ProcessPoolExecutor", Recording)
-    run_rep, sample_rows = harness._run_rep, dgp.sample_rows
-
-    def recorded(config, truth, rep, *args):
-        seen.append(("call", rep, len(submitted)))
-        return run_rep(config, truth, rep, *args)
-
-    def tail(params, n, seed, start, stop):
-        seen.append(("tail", seed - config.base_seed, len(submitted)))
-        return sample_rows(params, n, seed, start, stop)
-
-    monkeypatch.setattr(harness, "_run_rep", recorded)
-    monkeypatch.setattr(dgp, "sample_rows", tail)
+@pytest.mark.parametrize("config", [ExperimentConfig(reps=13), ExperimentConfig(n=6000, reps=13, folds=3),
+                                    # draws of 20 rows: the two processes contend for the lock at every step
+                                    ExperimentConfig(scenarios=("all-correct",), methods=("SRA",), n=40, reps=200)],
+                         ids=["one-fold", "folds3", "tiny-draws"])
+def test_every_half_is_drawn_once_and_the_helper_at_most_five_ahead(config, monkeypatch, tmp_path):
+    """The main process draws only halves of its current repetition, the
+    helper only halves of the five repetitions after it, and between them
+    each half is drawn exactly once, so neither draws a half the other took.
+    The repetition the main process has published is that of its latest
+    ``_run_rep`` call (-1 before the first) or the one before it, so the
+    helper's draws lie within five of the latest call on either side."""
+    events = _recorded(monkeypatch, tmp_path)
     run_experiment(config)
-    reps = config.reps
-    assert submitted == list(range(reps))
-    assert seen == [event for rep in range(reps)
-                    for event in (("call", rep, min(rep + 2, reps)), ("tail", rep, min(rep + 3, reps)))]
+    parent, current, drawn = os.getpid(), -1, []
+    for kind, pid, *rest in events():
+        if kind == "call":
+            assert pid == parent and rest == [current + 1]
+            current = rest[0]
+            continue
+        rep = rest[0] - config.base_seed
+        if pid == parent:
+            assert rep == current
+        else:
+            assert current <= rep <= current + AHEAD
+        drawn.append((rep, rest[1]))
+    assert current == config.reps - 1
+    assert sorted(drawn) == sorted((rep, start) for rep in range(config.reps) for start, _ in _halves(config).values())
+    assert any(pid != parent for kind, pid, *_ in events() if kind == "draw")
 
 
-def test_a_q_learning_grid_helper_builds_no_truth_and_no_law(monkeypatch):
-    """A Q-learning grid over the linear class searches the Boolean class, and
-    its helper is handed only each draw's (n, seed, stop): the forked helper
-    draws from the law the grid built and builds neither a truth nor a law
-    before its first draw (a build in the helper would end it)."""
+def test_the_claim_order_takes_first_halves_farthest_first():
+    assert harness._RING == harness.BLOCK + 2 == AHEAD + 1
+    assert harness._claim_order(3, 100) == [(8, 0), (7, 0), (6, 0), (5, 0), (4, 0),
+                                            (8, 1), (7, 1), (6, 1), (5, 1), (4, 1)]
+    assert harness._claim_order(-1, 1) == [(1, 0), (0, 0), (1, 1), (0, 1)]
+    assert harness._claim_order(1, 1) == []
+
+
+def test_waking_the_helper_never_leaves_a_second_byte_unread(monkeypatch):
+    """The main process writes the wake byte only when it clears the
+    helper's idle mark, so the pipe, which nothing would read while the
+    helper draws, never fills. Small samples leave the helper idle often."""
+    write, run_rep, wakes = os.write, harness._run_rep, []
+
+    def watched(config, truth, rep, blocks):
+        wakes.append(("fd", blocks.helper.wake))
+        return run_rep(config, truth, rep, blocks)
+
+    def written(fd, data):
+        if ("fd", fd) in wakes:
+            unread = array.array("i", [0])
+            fcntl.ioctl(fd, termios.FIONREAD, unread)
+            wakes.append(("unread", unread[0]))
+        return write(fd, data)
+
+    monkeypatch.setattr(harness, "_run_rep", watched)
+    monkeypatch.setattr(os, "write", written)
+    run_experiment(ExperimentConfig(n=2000, reps=40))
+    unread = [count for kind, count in wakes if kind == "unread"]
+    assert unread and set(unread) == {0}
+
+
+def test_a_q_learning_grid_helper_builds_no_truth_and_no_law(monkeypatch, tmp_path):
+    """A Q-learning grid over the linear class searches the Boolean class.
+    The forked helper, made to draw every half, draws from the law the grid
+    built and builds neither a truth nor a law (a build in the helper would
+    end it)."""
     config = ExperimentConfig(scenarios=("all-correct",), methods=("PMR",), optimizer="q-learning", reps=3)
     harness._truth.cache_clear()  # so only the truth and the law this grid builds are inherited
     harness._law.cache_clear()
-    handed, parent = [], os.getpid()
+    parent = os.getpid()
 
     def only_here(build):
         def built_here(self, *args):
@@ -196,17 +261,14 @@ def test_a_q_learning_grid_helper_builds_no_truth_and_no_law(monkeypatch):
             build(self, *args)
         return built_here
 
-    class Recording(harness.ProcessPoolExecutor):
-        def submit(self, fn, *args):
-            handed.append(args)
-            return super().submit(fn, *args)
-
     monkeypatch.setattr(harness._Truth, "__init__", only_here(harness._Truth.__init__))
     monkeypatch.setattr(dgp.DgpParams, "__post_init__", only_here(dgp.DgpParams.__post_init__))
-    monkeypatch.setattr(harness, "ProcessPoolExecutor", Recording)
+    _helper_draws(monkeypatch, (0, 1))
+    events = _recorded(monkeypatch, tmp_path)
     run_experiment(config)
     assert harness._truth_context(config).search_class.tag == "all-boolean"
-    assert handed == [(config.n, config.base_seed + rep, config.n) for rep in range(config.reps)]
+    assert _draws(events(), config) == {"main": [],
+                                        "helper": [(rep, half) for half in (0, 1) for rep in range(2, -1, -1)]}
 
 
 def test_without_affinity_the_cpu_count_decides(monkeypatch):
@@ -219,35 +281,45 @@ def test_without_affinity_the_cpu_count_decides(monkeypatch):
     assert harness._cpus() == 4
 
 
-def test_no_thread_outlives_the_experiment():
-    before = threading.active_count()
+def test_no_thread_outlives_the_experiment(monkeypatch, forks):
+    """Nor does any start inside it: each ``_run_rep`` call sees the threads
+    there were before the grid."""
+    before, run_rep, seen = threading.active_count(), harness._run_rep, []
+
+    def counted(*args):
+        seen.append(threading.active_count())
+        return run_rep(*args)
+
+    monkeypatch.setattr(harness, "_run_rep", counted)
     run_experiment(CONFIGS["default"])
+    assert seen == [before] * CONFIGS["default"].reps
     assert threading.active_count() == before
-    assert multiprocessing.active_children() == []
+    assert len(forks) == 1 and unreaped(forks) == []
 
 
-def test_abandoned_results_leave_no_thread():
-    """Nor a process: the helper, drawing repetition 1, is joined on close."""
+def test_abandoned_results_leave_no_thread(forks):
+    """Nor a process: the helper, still running, is reaped on close."""
     config = CONFIGS["default"]
     before = threading.active_count()
     results = harness._rep_results(config, harness._truth_context(config))
     next(results)
-    assert len(multiprocessing.active_children()) == 1
+    assert len(forks) == 1 and unreaped(forks) == forks
     results.close()
     assert threading.active_count() == before
-    assert multiprocessing.active_children() == []
+    assert unreaped(forks) == []
 
 
-def test_a_failing_draw_reaches_the_caller_and_leaves_no_thread(monkeypatch):
-    """The error repetition 7's head (drawn in the helper) or tail (drawn in
-    this process), both holding half the rows, raises reaches the caller
-    with its type and message."""
+def test_a_failing_draw_reaches_the_caller_and_leaves_no_thread(monkeypatch, forks):
+    """The error repetition 7's first half (drawn in the helper) or second
+    half (drawn in this process) raises reaches the caller with its type and
+    message."""
     config = ExperimentConfig(methods=("PMR", "SRA"), n=4000, reps=9, base_seed=77)
+    failing_rep = 7
     parent, original = os.getpid(), dgp.sample_rows
-    _forced_split(monkeypatch, config.n // 2)
-    for side, rows in (("head", "0-2000"), ("tail", "2000-4000")):
+    _helper_draws(monkeypatch, (0,))
+    for side, rows in (("helper", "0-2000"), ("main", "2000-4000")):
         def failing(params, n, seed, start, stop):
-            if seed == config.base_seed + AT_N and (os.getpid() != parent) == (side == "head"):
+            if seed == config.base_seed + failing_rep and (os.getpid() != parent) == (side == "helper"):
                 raise ValueError(f"no {start}-{stop} rows for seed {seed}")
             return original(params, n, seed, start, stop)
 
@@ -255,34 +327,48 @@ def test_a_failing_draw_reaches_the_caller_and_leaves_no_thread(monkeypatch):
         before = threading.active_count()
         with pytest.raises(ValueError) as info:
             run_experiment(config)
-        assert type(info.value) is ValueError and str(info.value) == f"no {rows} rows for seed {config.base_seed + AT_N}"
+        assert type(info.value) is ValueError
+        assert str(info.value) == f"no {rows} rows for seed {config.base_seed + failing_rep}"
         assert threading.active_count() == before
-        assert multiprocessing.active_children() == []
+        assert unreaped(forks) == []
+    assert len(forks) == 2
 
 
 @pytest.mark.parametrize("process", ["helper"])  # the one process a grid starts
-def test_a_dead_process_leaves_nothing_running_and_exits_one_with_one_line(process, monkeypatch, tmp_path, capsys):
+def test_a_dead_process_leaves_nothing_running_and_exits_one_with_one_line(process, monkeypatch, tmp_path, capsys,
+                                                                           forks):
+    """The helper, made to draw the first halves, ends abruptly on repetition
+    0's, after it drew those of repetitions 4 to 1."""
     config = ExperimentConfig(methods=("PMR", "SRA"), n=4000, reps=5, base_seed=77)
-    _dies_in_a_child(monkeypatch, config.base_seed + 2)
+    parent, original = os.getpid(), dgp.sample_rows
+
+    def dying(params, n, seed, start, stop):
+        if seed == config.base_seed and os.getpid() != parent:
+            os._exit(9)
+        return original(params, n, seed, start, stop)
+
+    monkeypatch.setattr(dgp, "sample_rows", dying)
+    _helper_draws(monkeypatch, (0,))
     before = threading.active_count()
     path = tmp_path / "config.json"
     path.write_text(config.to_json())
     assert main(["experiment", "--config", str(path), "-o", str(tmp_path / "out.csv")]) == 1
     err = capsys.readouterr().err
-    assert err.startswith(f"error: the sampling {process} process died: ") and err.count("\n") == 1
+    assert err == (f"error: the sampling {process} process died: it ended with exit code 9 "
+                   f"before it reported rows [0, 2000) of repetition 0\n")
     assert not (tmp_path / "out.csv").exists()
     assert threading.active_count() == before
-    assert multiprocessing.active_children() == []
+    assert len(forks) == 1 and unreaped(forks) == []
 
 
 def test_a_wrapper_on_harness_sample_is_never_called_from_the_helper(monkeypatch):
     """As the benchmark's layer hook wraps it: the helper process and the
-    main process draw their blocks through ``dgp.sample_rows``, so a grid
+    main process draw their halves through ``dgp.sample_rows``, so a grid
     with a helper never calls the wrapper (a call in the helper would end it
     and break the run), and inline draws (one CPU) call it in this
     process."""
     config = CONFIGS["default"]
-    _forced_split(monkeypatch, config.n // 2)
+    _helper_draws(monkeypatch, (0,))
     seeds = []
     parent, original = os.getpid(), harness.sample
 
@@ -295,58 +381,9 @@ def test_a_wrapper_on_harness_sample_is_never_called_from_the_helper(monkeypatch
     monkeypatch.setattr(harness, "sample", wrapper)
     run_experiment(config)
     assert seeds == []
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    _one_cpu(monkeypatch)
     run_experiment(config)
     assert seeds == [config.base_seed + rep for rep in range(config.reps)]
-
-
-N = 35000
-ROW_S = 1.4e-7  # seconds to draw one row, on either side
-
-
-def test_the_controller_moves_rows_to_the_main_process_while_it_waits():
-    step = 4 / 27 * 1e-3 / (2 * ROW_S)  # 4/27 of the rows that would have balanced a 1 ms wait
-    head, tail = (30000, 30000 * ROW_S), (5000, 5000 * ROW_S)
-    assert harness._balance(30000.0, N, 1e-3, 0.0, head, tail) == pytest.approx(30000 - step)
-    # and back to the helper while the helper idles
-    assert harness._balance(30000.0, N, 0.0, 1e-3, head, tail) == pytest.approx(30000 + step)
-    assert harness._balance(30000.0, N, 1e-3, 1e-3, head, tail) == 30000.0
-
-
-def test_the_split_never_leaves_the_rows_nor_stalls_at_an_end():
-    head, tail = (30000, 30000 * ROW_S), (5000, 5000 * ROW_S)
-    assert harness._balance(30000.0, N, 1.0, 0.0, head, tail) == 0.0
-    assert harness._balance(30000.0, N, 0.0, 1.0, head, tail) == float(N)
-    # at an end one side drew no rows, in whatever time its call took; the row cost is the other side's
-    step = 4 / 27 * 1e-3 / (2 * ROW_S)
-    assert harness._balance(0.0, N, 0.0, 1e-3, (0, 5e-5), (N, N * ROW_S)) == pytest.approx(step)
-    assert harness._balance(float(N), N, 1e-3, 0.0, (N, N * ROW_S), (0, 5e-5)) == pytest.approx(N - step)
-
-
-def _settle(work_s: float, first: float, reps: int = 60) -> list[float]:
-    """Each repetition's split under ``_balance`` when each side draws a row
-    in ROW_S and the main process also works ``work_s`` per repetition. As in
-    the loop, repetition r + 3 is the first drawn at the split repetition r's
-    timings give, the first block's timings are not used, and repetitions 0
-    to 6 split at ``first``."""
-    splits = [first] * AT_N
-    for rep in range(harness.BLOCK, reps):
-        stop = round(splits[rep])
-        helper, main = stop * ROW_S, work_s + (N - stop) * ROW_S
-        splits.append(harness._balance(splits[-1], N, max(helper - main, 0.0), max(main - helper, 0.0),
-                                       (stop, helper), (N - stop, (N - stop) * ROW_S)))
-    return splits
-
-
-@pytest.mark.parametrize("first", [0.0, N / 2, float(N)])
-def test_the_split_settles_where_both_sides_take_as_long(first):
-    # the main process's own work takes half a whole draw (one fold): it draws a quarter of the rows,
-    # and the split reaches that share from its own side without overshooting it
-    splits = _settle(0.5 * N * ROW_S, first)
-    assert all(abs(split - 0.75 * N) < 10 for split in splits[-10:])
-    assert all((split - 0.75 * N) * (first - 0.75 * N) > -10 * N for split in splits)
-    # it takes longer than a whole draw (five folds): the helper draws every row
-    assert _settle(1.1 * N * ROW_S, first)[-10:] == [float(N)] * 10
 
 
 @pytest.mark.parametrize("n, folds, seed", [(5, 5, 1), (7, 3, 2), (7, 2, 3), (9, 4, 4), (6000, 3, 9),
