@@ -14,9 +14,8 @@ one-fold estimate carries a ``variance``, since only PMR's summand is its
 influence function. SRA and the Oracle are plug-in values on the empirical
 law and refuse ``--folds``.
 
-Exit codes: 0 success, 1 usage error (or an ``experiment`` whose sampling
-helper process died), 2 numerical failure (rank/positivity or an
-identification check that exceeds tolerance).
+Exit codes: 0 success, 1 usage error, 2 numerical failure (rank/positivity
+or an identification check that exceeds tolerance).
 
 ``main`` parses with one parser per process, built on its first call:
 parsing leaves a parser unchanged, so in-process calls share it.
@@ -142,15 +141,10 @@ def _cmd_estimate(args) -> int:
 
 
 def _cmd_experiment(args) -> int:
-    from .harness import ExperimentConfig, SamplingHelperDied, emit_tables, run_experiment
+    from .harness import ExperimentConfig, emit_tables, run_experiment
 
     config = ExperimentConfig.from_json(args.config.read_text())
-    try:
-        report = run_experiment(config)
-    except SamplingHelperDied as err:
-        print(f"error: the sampling helper process died: {err}", file=sys.stderr)
-        return USAGE_ERROR
-    csv_text, table_text = emit_tables(report)
+    csv_text, table_text = emit_tables(run_experiment(config))
     args.output.write_text(csv_text)
     if not args.quiet:
         print(table_text)

@@ -93,18 +93,19 @@ claims the unclaimed halves of the five repetitions after the main
 process's current one (``_claim_order``: every first half before any second
 half, farthest repetition first), draws each into its slot of a ring of
 ``_RING`` repetitions' cell codes in one anonymous shared ``mmap``, and
-reports it on a pipe. Inside each ``_run_rep`` call the main process
-publishes its repetition and takes every half of it still unclaimed in the
-same locked step, draws those halves itself and waits only for halves the
-helper has in flight. So the rows divide by the work itself, with no
-controller: whichever process is ahead draws more. The helper has
-its own interpreter lock, so its draws run beside the main process's work at
-their solo speed. With one repetition, or one CPU to run on, nothing can
-overlap: there is no helper and each call draws its sample inline. A block
-of rows is drawn alone bit for bit and a sample depends only on its seed,
-so the division moves no bit: the report is the same byte for byte whoever
-draws which half, and inline. The helper is reaped before
-``run_experiment`` returns or raises.
+marks it drawn. Inside each ``_run_rep`` call the main process publishes
+its repetition and reads which of its halves are marked in the same locked
+step, copies those out of the ring and draws every other half itself, one
+the helper still has in flight included: it never waits for the helper. So
+the rows divide by the work itself, with no controller: whichever process
+is ahead draws more, and a slow or dead helper costs only speed. The
+helper has its own interpreter lock, so its draws run beside the main
+process's work at their solo speed. With one repetition, or one CPU to run
+on, nothing can overlap: there is no helper and each call draws its sample
+inline. A block of rows is drawn alone bit for bit and a sample depends
+only on its seed, so the division moves no bit: the report is the same
+byte for byte whoever draws which half, and inline. The helper is killed
+and reaped before ``run_experiment`` returns or raises.
 
 The report's columns are stated once, in one column table (``_COLUMNS``):
 the labels and counts, then each metric's CSV prefix with the statistics
@@ -127,7 +128,7 @@ import mmap
 import multiprocessing
 import numbers
 import os
-import pickle
+import signal
 from collections import Counter
 from dataclasses import dataclass, field, fields
 from functools import cache, partial
@@ -521,12 +522,8 @@ def _cpus() -> int:
 
 
 _RING = BLOCK + 2  # repetitions in the shared ring: the main process's current one and the five after it
-_CURRENT, _STOP, _IDLE, _CLAIMS = 0, 1, 2, 3  # the words of the shared state; the claims fill the rest
-_WORDS = _CLAIMS + 2 * _RING
-
-
-class SamplingHelperDied(RuntimeError):
-    """The grid's sampling helper process ended before it reported a half it had claimed."""
+_CURRENT, _IDLE, _MARKS = 0, 1, 2  # the words of the shared state; the claimed and drawn marks fill the rest
+_WORDS = _MARKS + 4 * _RING
 
 
 def _claim_order(current: int, last: int) -> list[tuple[int, int]]:
@@ -540,23 +537,32 @@ def _claim_order(current: int, last: int) -> list[tuple[int, int]]:
 
 
 class _Helper:
-    """One forked process that draws halves of the grid's samples beside the
-    main process, with no thread in either process.
+    """One forked process that draws halves of the grid's samples ahead of
+    the main process, with no thread in either process and no wait in the
+    main process.
 
     The two share one anonymous ``mmap``: the state words (the main
-    process's current repetition, the stop word, the helper's idle word and,
-    per ring slot and half, the repetition that claimed it) and a ring of
-    ``_RING`` repetitions' int16 cell codes, repetition r in slot r % _RING.
-    The state is read and written only under one lock, which the fork
-    shares. The helper claims a half by ``_claim_order``, draws it into its
-    slot outside the lock and reports it, with its error if the draw raised,
-    as one pickle on the report pipe (``_serve``). With nothing to claim it
-    marks itself idle and sleeps on the wake pipe; the main process writes a
-    byte there only when it clears that mark, so at most one byte is ever
-    unread and waking never blocks. Repetition r + 5 enters the helper's
-    window only when the main process publishes r, after it copied r - 1's
-    codes out of the slot r + 5 shares, so a slot is never written while it
-    is read.
+    process's current repetition, the helper's idle word and, per ring slot
+    and half, the repetition that claimed it and the one whose rows it
+    holds) and a ring of ``_RING`` repetitions' int16 cell codes, repetition
+    r in slot r % _RING. The state is read and written only under one lock,
+    which the fork shares. The helper claims a half by ``_claim_order``,
+    draws it into its slot outside the lock and marks it drawn
+    (``_serve``). With nothing to claim it marks itself idle and sleeps on
+    the wake pipe; the main process writes a byte there only when it clears
+    that mark, so at most one byte is ever unread and waking never blocks.
+
+    The main process publishes its repetition r and reads r's drawn marks in
+    one locked step, so the helper's window, the five repetitions after r,
+    never again holds r; it copies the marked halves out of the ring before
+    it publishes r + 1, which is when r + 6, the next repetition in r's
+    slot, enters the window, and draws every other half itself, one still
+    in flight included. A late helper is harmless: it writes only the slot
+    of a repetition the main process has drawn for itself, and it cannot
+    claim that slot's next repetition until it finishes. A helper that
+    raises or dies only stops marking halves, so a draw error surfaces from
+    the main process's own draw, and ``close`` kills and reaps the helper
+    wherever it is.
     """
 
     def __init__(self, config: ExperimentConfig):
@@ -564,35 +570,26 @@ class _Helper:
         self.cuts = (0, n // 2, n)  # the halves: rows [0, n//2) and [n//2, n)
         shared = mmap.mmap(-1, 8 * _WORDS + 2 * _RING * n)
         self.state = np.frombuffer(shared, np.int64, _WORDS)
-        self.claimed = self.state[_CLAIMS:].reshape(_RING, 2)
+        self.claimed, self.drawn = self.state[_MARKS:].reshape(2, _RING, 2)
         self.ring = np.frombuffer(shared, np.int16, _RING * n, 8 * _WORDS).reshape(_RING, n)
         self.state[_CURRENT] = -1
-        self.claimed[:] = -1
+        self.state[_MARKS:] = -1
         self.lock = multiprocessing.get_context("fork").Lock()
         wake, self.wake = os.pipe()
-        reports, report = os.pipe()
         self.pid = os.fork()
         if not self.pid:  # the helper: it never returns into the caller's code
-            code = 1
             try:
                 os.close(self.wake)
-                os.close(reports)
-                self._serve(wake, os.fdopen(report, "wb"))
-                code = 0
+                self._serve(wake)
             finally:
-                os._exit(code)
+                os._exit(0)
         os.close(wake)
-        os.close(report)
-        self.reports = os.fdopen(reports, "rb")
-        self.reported = {}  # (repetition, half) -> None when drawn, else the helper's error, until read
 
-    def _serve(self, wake: int, report) -> None:
-        """The helper's loop, until the stop word is set or the wake pipe closes."""
+    def _serve(self, wake: int) -> None:
+        """The helper's loop, until it is killed or the wake pipe closes."""
         config, state, claimed = self.config, self.state, self.claimed
         while True:
             with self.lock:
-                if state[_STOP]:
-                    return
                 claim = next(((rep, half) for rep, half in _claim_order(int(state[_CURRENT]), config.reps - 1)
                               if claimed[rep % _RING, half] != rep), None)
                 if claim is None:
@@ -605,65 +602,37 @@ class _Helper:
                 continue
             rep, half = claim
             start, stop = self.cuts[half:half + 2]
-            error = None
-            try:
-                self.ring[rep % _RING, start:stop] = dgp.sample_rows(_law(), config.n, config.base_seed + rep,
-                                                                     start, stop)
-            except Exception as err:
-                error = err
-            pickle.dump((rep, half, error), report)
-            report.flush()
-
-    def _wake(self) -> None:
-        """One byte on the wake pipe, written only where the idle mark was cleared."""
-        with contextlib.suppress(BrokenPipeError):  # a helper that ended idle holds no half
-            os.write(self.wake, b"\0")
+            self.ring[rep % _RING, start:stop] = dgp.sample_rows(_law(), config.n, config.base_seed + rep, start, stop)
+            with self.lock:
+                self.drawn[rep % _RING, half] = rep
 
     def draw(self, rep: int, params: DgpParams) -> np.ndarray:
-        """Repetition ``rep``'s cell codes. ``rep`` is published as the main
-        process's current repetition and its unclaimed halves are taken in
-        one locked step; those are drawn here, then the helper's are awaited
-        and copied out of the ring."""
+        """Repetition ``rep``'s cell codes: ``rep`` is published as the main
+        process's current repetition and its drawn marks read in one locked
+        step; the marked halves are copied out of the ring and the others
+        drawn here."""
         slot, n, seed = rep % _RING, self.config.n, self.config.base_seed + rep
         with self.lock:
             self.state[_CURRENT] = rep
-            mine = [half for half in (0, 1) if self.claimed[slot, half] != rep]
-            self.claimed[slot, mine] = rep
+            copied = self.drawn[slot] == rep
             idle, self.state[_IDLE] = self.state[_IDLE], 0
         if idle:
-            self._wake()
+            with contextlib.suppress(BrokenPipeError):  # a helper that ended idle holds no half
+                os.write(self.wake, b"\0")
         codes = np.empty(n, np.int16)
-        for half in mine:
+        for half in (0, 1):
             start, stop = self.cuts[half:half + 2]
-            codes[start:stop] = dgp.sample_rows(params, n, seed, start, stop)
-        for half in (half for half in (0, 1) if half not in mine):
-            start, stop = self.cuts[half:half + 2]
-            while (rep, half) not in self.reported:
-                try:
-                    drawn, which, error = pickle.load(self.reports)
-                except EOFError:
-                    pid, self.pid = self.pid, None
-                    code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
-                    raise SamplingHelperDied(f"it ended with exit code {code} before it reported rows "
-                                             f"[{start}, {stop}) of repetition {rep}") from None
-                self.reported[drawn, which] = error
-            error = self.reported.pop((rep, half))
-            if error is not None:
-                raise error
-            codes[start:stop] = self.ring[slot, start:stop]
+            if copied[half]:
+                codes[start:stop] = self.ring[slot, start:stop]
+            else:
+                codes[start:stop] = dgp.sample_rows(params, n, seed, start, stop)
         return codes
 
     def close(self) -> None:
-        """Stop the helper once the half it is drawing, if any, is drawn, and reap it."""
-        if self.pid is not None:
-            with self.lock:
-                self.state[_STOP] = 1
-                idle = self.state[_IDLE]
-            if idle:
-                self._wake()
-            os.waitpid(self.pid, 0)
+        """Kill the helper, wherever it is, and reap it."""
+        os.kill(self.pid, signal.SIGKILL)
+        os.waitpid(self.pid, 0)
         os.close(self.wake)
-        self.reports.close()
 
 
 class _Blocks:
@@ -711,11 +680,12 @@ def _rep_results(config: ExperimentConfig, truth: _Truth):
 
     With two or more repetitions and a second CPU, one helper process
     (``_Helper``) is forked for the loop, and it and the main process divide
-    each sample's halves between them; both draw through
-    ``dgp.sample_rows``, never ``sample``, which the benchmark's layer hook
-    wraps. When nothing can overlap (one repetition, or one CPU) no process
-    starts and each sample is drawn inline. The helper is reaped when the
-    loop ends, raises or is closed. Forked after ``run_experiment`` built
+    each sample's halves between them, the main process drawing every half
+    the helper has not marked drawn; both draw through ``dgp.sample_rows``,
+    never ``sample``, which the benchmark's layer hook wraps. When nothing
+    can overlap (one repetition, or one CPU) no process starts and each
+    sample is drawn inline. The helper is killed and reaped when the loop
+    ends, raises or is closed. Forked after ``run_experiment`` built
     the truth, it inherits the imports and ``_law``'s cache, and it draws
     from that law alone, never building a truth or a law.
     """

@@ -1,19 +1,20 @@
 """The grid's sampling helper: one forked process and the main process
 divide the halves of each sample, rows [0, n//2) and [n//2, n), through one
 shared ring (``harness._Helper``). The helper claims halves of the five
-repetitions after the main process's current one (``harness._claim_order``);
-the main process takes every half of its own repetition still unclaimed
-and waits only for the helper's.
+repetitions after the main process's current one (``harness._claim_order``)
+and marks each it has drawn; the main process copies the marked halves of
+its own repetition and draws every other half itself, never waiting for
+the helper.
 
 The division changes where and when rows are drawn, never what is drawn,
 so every repetition's results equal those of a stack of one sampling
 inline, and a report is byte-identical whoever draws which half and with
-inline draws (one repetition or one CPU). Every half is drawn exactly once,
-by one process. The helper lives inside ``run_experiment`` only and is
-reaped also when a draw on either side fails, the results are abandoned or
-the helper dies; no thread starts, waking the helper never leaves a second
-byte unread on its wake pipe, and a wrapper on ``harness.sample`` (the
-benchmark's layer hook) is never called for the helper's draws.
+inline draws (one repetition or one CPU), also when the helper is stuck,
+dies or fails a draw. The helper lives inside ``run_experiment`` only and
+is killed and reaped also when a draw fails, the results are abandoned or
+the helper is stuck; no thread starts, waking the helper never leaves a
+second byte unread on its wake pipe, and a wrapper on ``harness.sample``
+(the benchmark's layer hook) is never called for the helper's draws.
 ``fold_counts`` is checked here against a per-row reference.
 """
 
@@ -57,12 +58,14 @@ def _halves(config: ExperimentConfig) -> dict[int, tuple[int, int]]:
 
 def _recorded(monkeypatch, tmp_path):
     """Record, in both processes, each ``dgp.sample_rows`` call as ("draw",
-    pid, seed, start, stop) and each ``_run_rep`` call as ("call", pid, rep),
-    appended to one file when the call starts; returns the reader of the
-    events, in the order they were appended."""
+    pid, seed, start, stop), each ``_run_rep`` call as ("call", pid, rep)
+    and each ``_claim_order`` call, made by the helper under the lock before
+    it claims, as ("claim", pid, current), appended to one file when the
+    call starts; returns the reader of the events, in the order they were
+    appended."""
     path = tmp_path / "events"
     path.write_text("")
-    sample_rows, run_rep = dgp.sample_rows, harness._run_rep
+    sample_rows, run_rep, claim_order = dgp.sample_rows, harness._run_rep, harness._claim_order
 
     def append(*event):
         with open(path, "a") as out:
@@ -76,8 +79,13 @@ def _recorded(monkeypatch, tmp_path):
         append("call", os.getpid(), rep)
         return run_rep(config, truth, rep, *args)
 
+    def claiming(current, last):
+        append("claim", os.getpid(), current)
+        return claim_order(current, last)
+
     monkeypatch.setattr(dgp, "sample_rows", drawn)
     monkeypatch.setattr(harness, "_run_rep", called)
+    monkeypatch.setattr(harness, "_claim_order", claiming)
     return lambda: [(kind, *map(int, rest))
                     for kind, *rest in (line.split() for line in path.read_text().splitlines())]
 
@@ -96,16 +104,19 @@ def _draws(events, config: ExperimentConfig) -> dict[str, list[tuple[int, int]]]
     return by
 
 
-def _helper_draws(monkeypatch, halves: tuple[int, ...]):
+def _helper_draws(monkeypatch, halves: tuple[int, ...], until: str = "drawn", reps: set[int] | None = None):
     """Make the helper, if the grid starts one, draw exactly ``halves`` of
-    every sample: it claims no other half, and each ``_run_rep`` call waits
-    until it has claimed them before the main process takes the rest."""
+    every sample: it claims no other half, and each ``_run_rep`` call of
+    ``reps`` (every repetition by default) waits until the helper has marked
+    them ``until`` ("drawn", or "claimed" where its draw is to end it or
+    fail) before the main process takes the rest."""
     order, run_rep = harness._claim_order, harness._run_rep
 
     def waiting(config, truth, rep, blocks):
         deadline, helper = time.monotonic() + 60, blocks.helper
-        while helper is not None and not all(helper.claimed[rep % harness._RING, half] == rep for half in halves):
-            assert time.monotonic() < deadline, f"the helper claimed no half {halves} of repetition {rep}"
+        while helper is not None and (reps is None or rep in reps) and not all(
+                getattr(helper, until)[rep % harness._RING, half] == rep for half in halves):
+            assert time.monotonic() < deadline, f"the helper left halves {halves} of repetition {rep} not {until}"
             time.sleep(1e-4)
         return run_rep(config, truth, rep, blocks)
 
@@ -137,7 +148,7 @@ def test_look_ahead_results_equal_inline_draws(case, monkeypatch, tmp_path, fork
     events = _recorded(monkeypatch, tmp_path)
     ahead = list(harness._rep_results(config, truth))
     draws = _draws(events(), config)
-    assert sorted(draws["main"] + draws["helper"]) == [(rep, half) for rep in range(config.reps) for half in (0, 1)]
+    assert set(draws["main"] + draws["helper"]) == {(rep, half) for rep in range(config.reps) for half in (0, 1)}
     assert len(forks) == 1 and unreaped(forks) == []
     pseudo = harness._scenario_pseudo(config)
     inline = [rep_alone(config, truth, rep, pseudo) for rep in range(config.reps)]
@@ -186,30 +197,37 @@ def test_one_repetition_draws_inline(monkeypatch, tmp_path):
                                     # draws of 20 rows: the two processes contend for the lock at every step
                                     ExperimentConfig(scenarios=("all-correct",), methods=("SRA",), n=40, reps=200)],
                          ids=["one-fold", "folds3", "tiny-draws"])
-def test_every_half_is_drawn_once_and_the_helper_at_most_five_ahead(config, monkeypatch, tmp_path):
-    """The main process draws only halves of its current repetition, the
-    helper only halves of the five repetitions after it, and between them
-    each half is drawn exactly once, so neither draws a half the other took.
-    The repetition the main process has published is that of its latest
-    ``_run_rep`` call (-1 before the first) or the one before it, so the
-    helper's draws lie within five of the latest call on either side."""
+def test_every_half_is_drawn_by_the_main_process_or_once_by_the_helper_at_most_five_ahead(config, monkeypatch,
+                                                                                          tmp_path):
+    """The main process draws only halves of its current repetition, each
+    at most once, in its own ``_run_rep`` call; every other half it copies
+    from the helper's one draw of it. The helper draws each half at most
+    once, of the five repetitions after the one the main process had
+    published when it claimed the half (its latest ``_claim_order`` call),
+    so a half that both processes drew was claimed by the helper before the
+    main process published its repetition."""
     events = _recorded(monkeypatch, tmp_path)
     run_experiment(config)
-    parent, current, drawn = os.getpid(), -1, []
+    parent, current, seen, main, helper = os.getpid(), -1, None, [], []
     for kind, pid, *rest in events():
         if kind == "call":
             assert pid == parent and rest == [current + 1]
             current = rest[0]
-            continue
-        rep = rest[0] - config.base_seed
-        if pid == parent:
-            assert rep == current
+        elif kind == "claim":
+            assert pid != parent
+            seen = rest[0]
+        elif pid == parent:
+            assert rest[0] - config.base_seed == current
+            main.append((current, rest[1]))
         else:
-            assert current <= rep <= current + AHEAD
-        drawn.append((rep, rest[1]))
+            rep = rest[0] - config.base_seed
+            assert seen < rep <= seen + AHEAD  # claimed before the main process published rep
+            helper.append((rep, rest[1]))
     assert current == config.reps - 1
-    assert sorted(drawn) == sorted((rep, start) for rep in range(config.reps) for start, _ in _halves(config).values())
-    assert any(pid != parent for kind, pid, *_ in events() if kind == "draw")
+    halves = {(rep, start) for rep in range(config.reps) for start, _ in _halves(config).values()}
+    assert len(set(main)) == len(main) and set(main) <= halves
+    assert len(set(helper)) == len(helper) and halves - set(main) <= set(helper)
+    assert helper
 
 
 def test_the_claim_order_takes_first_halves_farthest_first():
@@ -310,23 +328,26 @@ def test_abandoned_results_leave_no_thread(forks):
 
 
 def test_a_failing_draw_reaches_the_caller_and_leaves_no_thread(monkeypatch, forks):
-    """The error repetition 7's first half (drawn in the helper) or second
-    half (drawn in this process) raises reaches the caller with its type and
-    message."""
+    """The error that repetition 7's draw raises in this process (its second
+    half, the helper drawing the first halves) or in both processes (its
+    first half, which the helper then never marks drawn) reaches the caller
+    with its type and message."""
     config = ExperimentConfig(methods=("PMR", "SRA"), n=4000, reps=9, base_seed=77)
     failing_rep = 7
     parent, original = os.getpid(), dgp.sample_rows
-    _helper_draws(monkeypatch, (0,))
-    for side, rows in (("helper", "0-2000"), ("main", "2000-4000")):
+    for side, rows in (("main", "2000-4000"), ("both", "0-2000")):
         def failing(params, n, seed, start, stop):
-            if seed == config.base_seed + failing_rep and (os.getpid() != parent) == (side == "helper"):
+            if seed == config.base_seed + failing_rep and (side == "both" or os.getpid() == parent):
                 raise ValueError(f"no {start}-{stop} rows for seed {seed}")
             return original(params, n, seed, start, stop)
 
-        monkeypatch.setattr(dgp, "sample_rows", failing)
-        before = threading.active_count()
-        with pytest.raises(ValueError) as info:
-            run_experiment(config)
+        with monkeypatch.context() as patched:
+            patched.setattr(dgp, "sample_rows", failing)
+            if side == "main":
+                _helper_draws(patched, (0,))
+            before = threading.active_count()
+            with pytest.raises(ValueError) as info:
+                run_experiment(config)
         assert type(info.value) is ValueError
         assert str(info.value) == f"no {rows} rows for seed {config.base_seed + failing_rep}"
         assert threading.active_count() == before
@@ -334,30 +355,77 @@ def test_a_failing_draw_reaches_the_caller_and_leaves_no_thread(monkeypatch, for
     assert len(forks) == 2
 
 
-@pytest.mark.parametrize("process", ["helper"])  # the one process a grid starts
-def test_a_dead_process_leaves_nothing_running_and_exits_one_with_one_line(process, monkeypatch, tmp_path, capsys,
-                                                                           forks):
-    """The helper, made to draw the first halves, ends abruptly on repetition
-    0's, after it drew those of repetitions 4 to 1."""
-    config = ExperimentConfig(methods=("PMR", "SRA"), n=4000, reps=5, base_seed=77)
+def _ending_in_the_helper(monkeypatch, config: ExperimentConfig, rep: int, end) -> None:
+    """Make the helper claim repetition ``rep``'s first half, after the first
+    halves of the repetitions after it in its window, and ``end()`` in its
+    draw of it."""
     parent, original = os.getpid(), dgp.sample_rows
 
-    def dying(params, n, seed, start, stop):
-        if seed == config.base_seed and os.getpid() != parent:
-            os._exit(9)
+    def ending(params, n, seed, start, stop):
+        if seed == config.base_seed + rep and os.getpid() != parent:
+            end()
         return original(params, n, seed, start, stop)
 
-    monkeypatch.setattr(dgp, "sample_rows", dying)
-    _helper_draws(monkeypatch, (0,))
+    monkeypatch.setattr(dgp, "sample_rows", ending)
+    _helper_draws(monkeypatch, (0,), until="claimed", reps={rep})
+
+
+def _fail():
+    raise ValueError("a draw failing in the helper")
+
+
+@pytest.mark.parametrize("case", sorted(CONFIGS))
+def test_a_draw_failing_in_the_helper_leaves_the_report_unchanged(case, monkeypatch, forks):
+    """The helper fails repetition 7's first half and ends; the main process,
+    finding it unmarked, draws it and every half after it."""
+    config = CONFIGS[case]
+    with monkeypatch.context() as inline:
+        _one_cpu(inline)
+        text = _report_text(config)
+    _ending_in_the_helper(monkeypatch, config, 7, _fail)
     before = threading.active_count()
+    assert _report_text(config) == text
+    assert threading.active_count() == before
+    assert len(forks) == 1 and unreaped(forks) == []
+
+
+def test_a_dead_helper_leaves_nothing_running_and_the_experiment_writes_the_one_cpu_csv(monkeypatch, tmp_path,
+                                                                                          forks):
+    """The helper, made to draw the first halves, ends abruptly on repetition
+    0's, after it drew those of repetitions 4 to 1: ``proxidtr experiment``
+    exits 0 with the CSV of a one-CPU run."""
+    config = ExperimentConfig(methods=("PMR", "SRA"), n=4000, reps=5, base_seed=77)
     path = tmp_path / "config.json"
     path.write_text(config.to_json())
-    assert main(["experiment", "--config", str(path), "-o", str(tmp_path / "out.csv")]) == 1
-    err = capsys.readouterr().err
-    assert err == (f"error: the sampling {process} process died: it ended with exit code 9 "
-                   f"before it reported rows [0, 2000) of repetition 0\n")
-    assert not (tmp_path / "out.csv").exists()
+    with monkeypatch.context() as inline:
+        _one_cpu(inline)
+        assert main(["experiment", "--config", str(path), "-o", str(tmp_path / "inline.csv"), "--quiet"]) == 0
+    _ending_in_the_helper(monkeypatch, config, 0, lambda: os._exit(9))
+    before = threading.active_count()
+    assert main(["experiment", "--config", str(path), "-o", str(tmp_path / "out.csv"), "--quiet"]) == 0
+    assert (tmp_path / "out.csv").read_text() == (tmp_path / "inline.csv").read_text()
     assert threading.active_count() == before
+    assert len(forks) == 1 and unreaped(forks) == []
+
+
+def test_the_main_process_never_waits_for_the_helper(monkeypatch, forks):
+    """A helper stuck 30 s in its first draw: the grid still returns the
+    one-CPU report well within that, the helper killed and reaped."""
+    config = CONFIGS["default"]
+    with monkeypatch.context() as inline:
+        _one_cpu(inline)
+        text = _report_text(config)
+    parent, original = os.getpid(), dgp.sample_rows
+
+    def stuck(params, n, seed, start, stop):
+        if os.getpid() != parent:
+            time.sleep(30)
+        return original(params, n, seed, start, stop)
+
+    monkeypatch.setattr(dgp, "sample_rows", stuck)
+    began = time.monotonic()
+    assert _report_text(config) == text
+    assert time.monotonic() - began < 15
     assert len(forks) == 1 and unreaped(forks) == []
 
 
