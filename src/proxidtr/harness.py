@@ -553,16 +553,16 @@ class _Helper:
     that mark, so at most one byte is ever unread and waking never blocks.
 
     The main process publishes its repetition r and reads r's drawn marks in
-    one locked step, so the helper's window, the five repetitions after r,
-    never again holds r; it copies the marked halves out of the ring before
-    it publishes r + 1, which is when r + 6, the next repetition in r's
-    slot, enters the window, and draws every other half itself, one still
-    in flight included. A late helper is harmless: it writes only the slot
-    of a repetition the main process has drawn for itself, and it cannot
-    claim that slot's next repetition until it finishes. A helper that
-    raises or dies only stops marking halves, so a draw error surfaces from
-    the main process's own draw, and ``close`` kills and reaps the helper
-    wherever it is.
+    one locked step; from then on the helper's window, the five
+    repetitions after r, never holds r. It copies the marked halves out of
+    the ring and draws every other half itself, one still in flight
+    included, all before it publishes r + 1, which is when r + 6, the next
+    repetition in r's slot, enters the window. A late helper is harmless:
+    it writes only the slot of a repetition the main process has drawn for
+    itself, and it cannot claim that slot's next repetition until it
+    finishes. A helper that raises or dies only stops marking halves, so a
+    draw error surfaces from the main process's own draw, and ``close``
+    kills and reaps the helper wherever it is.
     """
 
     def __init__(self, config: ExperimentConfig):
