@@ -1,63 +1,52 @@
 """Sample-level value estimators, cross-fitting, and baseline comparators.
 
-Every estimator is an empirical average of a summand built from the bridge
-tables. The summand depends on a row only through its observed cell, so it
-is evaluated once per cell of the 512 of ``_CELLS`` and the average is a
-count-weighted sum over them; no estimate depends on row order:
+Every value estimate is identify's plug-in value (``_plug_in``): the
+method's density of the bridges read off the sample's own unsmoothed law
+(``identify.density_from_pieces``) and valued by ``value_from_density``,
+the path the experiment and ``identify.pick`` read. ``v_hat`` reads it on
+the sample's law, ``population_v`` on any law (the true joint law, say),
+and ``cross_fit`` on the law of the bridges it fits: with one fold the law
+``fit_bridges`` returns, so its kept sums are shared, or the raw law when
+``laplace`` smooths the fit; with K folds each fold's own law, as one
+stack. ``laplace`` so smooths the law the bridges are fitted on, never the
+law the value is read on.
 
-  POR   the h21-weighted stage-1 term alone
-  PHA   stage-1 compliance * q11 * the y2-weighted h22 term
-  PIPW  full compliance * q22 * Y2
-  PMR   the three-term multiply robust combination (the influence function
-        without its centering constant)
-
-All four are one summand, the cell-level twin of ``identify``'s formula:
+PMR's estimator summand (``_pmr_summand``) is kept for its variance only.
+It depends on a row only through its observed cell, so it is evaluated once
+per cell of the 512 of ``_CELLS``:
 
   c2 (y2 - j2_obs) + c1 (j2c - j1) + j1,
 
 with c2 = full compliance * q22, c1 = stage-1 compliance * q11, j2_obs and
 j2c the h22 terms at the observed and at the regime's a2, and j1 the h21
-term. A method leaves out every term and inner part whose component it does
-not read, which is PMR with those components set to zero, bit for bit.
-The summands read the bridge tables by ``np.take`` on each flattened table,
-led by any fold axis, at flat indices of the 512 cells computed once
-(``_CELL_INDEX``); only the regime's actions are added per call. The
-gathered values, and so the arithmetic, are those of indexing each table by
-its axes. A row's summand is its cell's.
-
-In the categorical setting each empirical average coincides exactly with the
-corresponding plug-in value on the empirical cell-frequency table, which the
-test suite exploits as an algebraic cross-check. A telescoped rearrangement
-of the PMR summand is implemented separately and must agree to 1e-12 cell by
-cell; it shares only the regime indexing (``_regime_cells``). Each summand
-refuses an unknown method and a set without the components
-``identify.BRIDGES_NEEDED`` lists for its method, by ``identify._require``.
+term. Centred at the value it is PMR's influence function, and its
+second moment weighted by the law's mass is the ``variance`` that ``v_hat``
+and one-fold ``cross_fit`` give PMR's estimate (``if_variance``); the other
+methods' summands are not their influence functions, so they carry none.
+The summand reads the bridge tables by ``np.take`` on each flattened
+table, led by any fold axis, at flat indices of the 512 cells computed
+once (``_CELL_INDEX``); only the regime's actions are added per call. A
+telescoped rearrangement (``_pmr_telescoped``) is implemented separately,
+sharing only the regime indexing (``_regime_cells``); its count-weighted
+mean (``v_hat_pmr_alt``) must agree with the value to 1e-12, and with the
+components a method does not read set to zero it is that method's
+independent reference. Every count-weighted mean is ``_count_mean``:
+numpy's pairwise sum of the cells' products, never a BLAS dot, so no
+estimate's bits depend on the host's BLAS kernel.
 
 ``influence`` reads the influence function of any plug-in functional of one
 law off a single stacked complex step P + ih(delta_c - P) over its cells;
 with bridges solved from the law, that of each method's value is the PMR
 summand centred at its mean.
 
-``fit_bridges`` solves the bridges on the whole sample. ``fold_fits`` is
-``cross_fit``'s one fit path for every fold count: with one fold it returns
-the whole sample's counts and ``fit_bridges``' bridges; with K,
+``fit_bridges`` solves the bridges on the whole sample. With K folds,
 ``fold_counts`` gathers the cell codes in fold order once and counts each
 fold's strided slice, and the K off-fold laws (the total counts minus each
 fold's own) are solved as one stack (``fit_off_fold``, which the harness
-also calls on the off-fold counts of a block of repetitions), its tables led
-by a fold axis that the summands index through. The K fold laws are left to
-the harness, which reads them. Fitting never substitutes pseudo bridges; the
-harness merges each scenario's into the fitted set.
-
-``_estimate`` is the one estimate kernel: one summand pass gives the
-count-weighted mean and, for PMR only, the second moment of the summand
-centred at that mean, its influence-function variance (the other methods'
-summands are not their influence functions). ``v_hat``, ``if_variance`` and
-``cross_fit`` at one fold call it; ``cross_fit`` with K folds averages the
-K fold estimates of one stacked summand pass. Every count-weighted mean,
-``population_v``'s too, is ``_count_mean``: numpy's pairwise sum of the
-cells' products, never a BLAS dot, so no estimate's bits depend on the
-host's BLAS kernel.
+also calls on the off-fold counts of a block of repetitions), its tables
+led by a fold axis. A failed stacked fit is redone fold by fold to name the
+first failing fold. Fitting never substitutes pseudo bridges; the harness
+merges each scenario's into the fitted set.
 
 The SRA baseline ignores unmeasured confounding (``sra_from_conditional``, a
 plain g-formula on the law's own conditionals); the Oracle baseline
@@ -80,7 +69,8 @@ import numpy as np
 
 from .bridges import BridgeSet, solve_bridges
 from .dgp import _HIDDEN_AXES, CANONICAL_ORDER, OBSERVED_ORDER, Dataset, oracle_density_from_joint
-from .identify import METHODS, IdentifiedDensity, _require, value_from_density
+from .identify import (METHODS, IdentifiedDensity, _require, density_from_pieces, observed_conditional,
+                       value_from_density)
 from .policy import Regime
 from .tables import JointPmf, SingularMatrixError, ZeroProbabilityError, _locked, _refuse_zero
 
@@ -196,18 +186,6 @@ def fit_counts(counts: np.ndarray, opts: FitOptions) -> tuple[JointPmf, BridgeSe
     return pmf, solved
 
 
-def fold_fits(data: Dataset, opts: FitOptions) -> tuple[np.ndarray, BridgeSet]:
-    """(the counts each fit scores, its bridges) at every fold count: with
-    one fold the whole sample's counts and ``fit_bridges``' bridges; with
-    more, each fold's own observed counts and the bridges fitted on the
-    other folds, led by the fold axis. A failed stacked fit is redone fold
-    by fold to name the first failing fold."""
-    if opts.folds == 1:
-        return _cell_counts(data), fit_bridges(data, opts)[1]
-    own, off_fold = fold_counts(data, opts.folds)
-    return own, fit_off_fold(off_fold, opts)
-
-
 def fit_off_fold(off_fold: np.ndarray, opts: FitOptions) -> BridgeSet:
     """The bridges fitted on off-fold counts (..., folds, 512), solved as one
     stack, their tables led by the same axes. A failed stacked fit is redone
@@ -279,21 +257,20 @@ def _regime_cells(b: BridgeSet, regime: Regime):
     return d2_obs, a1_star, comply1, comply2, j1_star
 
 
-def _summands(method: str, b: BridgeSet, regime: Regime) -> np.ndarray:
-    """Estimator summand per observed cell (``_CELLS``); its count-weighted
-    mean is the value estimate, PMR's with every term or inner part whose
-    component ``method`` does not read left out (0.0). Bridges led by a fold
-    axis give one row of summands per fold."""
-    read = _require(method, b)
+def _pmr_summand(b: BridgeSet, regime: Regime) -> np.ndarray:
+    """PMR's estimator summand per observed cell (``_CELLS``),
+
+      c2 (y2 - j2_obs) + c1 (j2c - j1) + j1;
+
+    centred at the value, it is PMR's influence function. Bridges led by a
+    fold axis give one row of summands per fold."""
+    _require("PMR", b)
     d2_obs, _, comply1, comply2, j1_star = _regime_cells(b, regime)
-    term2 = term1 = 0.0
-    j1 = j1_star() if "h21" in read else 0.0
-    if "q22" in read:
-        j2_obs = _gather(b.h22, _CELL_INDEX["h22"], 7) if "h22" in read else 0.0
-        term2 = comply2 * _gather(b.q22, _CELL_INDEX["q22"], 6) * (_CELLS["Y2"] - j2_obs)
-    if "q11" in read:
-        j2c = _gather(b.h22, _CELL_INDEX["h22 a2=0"] + d2_obs, 7) if "h22" in read else 0.0
-        term1 = comply1 * _gather(b.q11, _CELL_INDEX["q11"], 3) * (j2c - j1)
+    j1 = j1_star()
+    j2_obs = _gather(b.h22, _CELL_INDEX["h22"], 7)
+    j2c = _gather(b.h22, _CELL_INDEX["h22 a2=0"] + d2_obs, 7)
+    term2 = comply2 * _gather(b.q22, _CELL_INDEX["q22"], 6) * (_CELLS["Y2"] - j2_obs)
+    term1 = comply1 * _gather(b.q11, _CELL_INDEX["q11"], 3) * (j2c - j1)
     return term2 + term1 + j1
 
 
@@ -309,20 +286,27 @@ def _pmr_telescoped(b: BridgeSet, regime: Regime) -> np.ndarray:
     return c2 * y2 + (c1 - c2) * j2 + (1.0 - c1) * j1_star()
 
 
-def _estimate(method: str, counts: np.ndarray, b: BridgeSet, regime: Regime) -> ValueEstimate:
-    """One summand pass: its count-weighted mean and, for PMR only, the second
-    moment of the summand centred at that mean (its influence-function
-    variance; the other methods' summands are not their influence functions)."""
-    summand = _summands(method, b, regime)
-    mean = _count_mean(counts, summand)
-    variance = _count_mean(counts, (summand - mean) ** 2) if method == "PMR" else None
-    return ValueEstimate(method, mean, variance)
+def _plug_in(method: str, law: JointPmf, b: BridgeSet, regime: Regime) -> float | np.ndarray:
+    """identify's plug-in value of ``regime``: ``method``'s density of ``b``
+    read off a law, valued by ``value_from_density``; a stack of laws and
+    bridges gives one value per law."""
+    return value_from_density(density_from_pieces(method, observed_conditional(law)[0], b), law, regime)
+
+
+def _on_law(method: str, law: JointPmf, b: BridgeSet, regime: Regime) -> ValueEstimate:
+    """The plug-in value on one observed law and, for PMR only, the
+    law-weighted second moment of its summand centred at that value, its
+    influence-function variance (the other methods' summands are not their
+    influence functions)."""
+    value = _plug_in(method, law, b, regime)
+    variance = _count_mean(law.mass.reshape(-1), (_pmr_summand(b, regime) - value) ** 2) if method == "PMR" else None
+    return ValueEstimate(method, value, variance)
 
 
 def v_hat(method: str, data: Dataset, b: BridgeSet, regime: Regime) -> ValueEstimate:
-    """Empirical-average value estimate for one method; PMR's carries its
-    influence-function variance (``if_variance``)."""
-    return _estimate(method, _cell_counts(data), b, regime)
+    """Plug-in value estimate for one method on the sample's law; PMR's
+    carries its influence-function variance (``if_variance``)."""
+    return _on_law(method, empirical_pmf(data), b, regime)
 
 
 def v_hat_pmr_alt(data: Dataset, b: BridgeSet, regime: Regime) -> ValueEstimate:
@@ -331,32 +315,35 @@ def v_hat_pmr_alt(data: Dataset, b: BridgeSet, regime: Regime) -> ValueEstimate:
 
 
 def cross_fit(method: str, data: Dataset, opts: FitOptions, regime: Regime) -> ValueEstimate:
-    """``v_hat`` on ``fold_fits``: with one fold the whole-sample estimate,
-    with more the off-fold-fitted fold estimates averaged in fold order."""
-    own, b = fold_fits(data, opts)
-    if own.ndim == 1:
-        return _estimate(method, own, b, regime)
-    fold_values = [_count_mean(*fold) for fold in zip(own, _summands(method, b, regime))]
-    return ValueEstimate(method, float(np.mean(fold_values)), fold_estimates=tuple(fold_values))
+    """The plug-in value on the sample's own unsmoothed law, the bridges
+    fitted as ``opts`` asks: with one fold on the whole sample
+    (``fit_bridges``, whose law is read itself when unsmoothed), with more
+    off each fold (``fit_off_fold``), each fold's value read on its own law
+    and the fold values averaged in fold order."""
+    if opts.folds == 1:
+        law, b = fit_bridges(data, opts)
+        return _on_law(method, law if opts.laplace == 0 else empirical_pmf(data), b, regime)
+    own, off_fold = fold_counts(data, opts.folds)
+    fold_values = tuple(_plug_in(method, count_pmf(own), fit_off_fold(off_fold, opts), regime).tolist())
+    return ValueEstimate(method, float(np.mean(fold_values)), fold_estimates=fold_values)
 
 
 def if_variance(data: Dataset, b: BridgeSet, regime: Regime) -> float:
     """Influence-function variance: second moment of the centered PMR summand.
 
     Centering uses the plug-in point estimate, so the empirical mean of the
-    influence terms is zero by construction.
+    influence terms is zero up to rounding.
     """
     return v_hat("PMR", data, b, regime).variance
 
 
 def population_v(method: str, pmf: JointPmf, b: BridgeSet, regime: Regime) -> float:
-    """Expected estimator summand under a law: ``_count_mean`` of the summand
-    weighted by the law's observed mass, as a sample's mean is by its counts.
+    """identify's plug-in value on a law, such as the true joint law.
 
     With ``pmf`` the true law and correct bridges this equals the true value
     (the population mean-zero property of the influence function).
     """
-    return _count_mean(pmf.marginal(OBSERVED_ORDER).reshape(-1), _summands(method, b, regime))
+    return _plug_in(method, pmf, b, regime)
 
 
 _STEP = 1e-20  # the complex step of ``influence``: any h far below 1e-8 is exact to rounding

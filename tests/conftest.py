@@ -5,7 +5,9 @@ them not yet reaped;
 ``cell_codes``, the encoder of column blocks into ``Dataset`` rows;
 ``same_results``, bit-for-bit equality of one repetition's results;
 ``rep_alone``, one repetition's results from a pass over a stack of one,
-the reference the grid's stacked blocks are checked against; and the
+the reference the grid's stacked blocks are checked against;
+``zeroed``, a bridge set with the components a method does not read set to
+zero, which makes PMR that method; and the
 references the array kernel (``policy.class_values`` + ``first_maximizer``)
 is checked against: ``regime_value``, one regime's value by a loop over
 (y0, y1), and ``value_maximize``, the member-by-member search."""
@@ -17,6 +19,7 @@ import numpy as np
 import pytest
 
 from proxidtr import bridges, dgp, harness
+from proxidtr.identify import BRIDGES_NEEDED
 from proxidtr.policy import Regime, RegimeClass, enumerate_class
 from proxidtr.tables import marginalize
 
@@ -82,6 +85,12 @@ def unreaped(pids: list[int]) -> list[int]:
             continue
         left.append(pid)
     return left
+
+
+def zeroed(b: bridges.BridgeSet, method: str) -> bridges.BridgeSet:
+    """``b`` with every component PMR reads and ``method`` does not set to zero."""
+    unread = [name for name in BRIDGES_NEEDED["PMR"] if name not in BRIDGES_NEEDED[method]]
+    return b.merged(bridges.BridgeSet(**{name: np.zeros_like(getattr(b, name)) for name in unread}))
 
 
 def regime_value(g: np.ndarray, p_y0: np.ndarray, regime: Regime) -> float:

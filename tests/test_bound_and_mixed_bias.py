@@ -20,7 +20,7 @@ import pytest
 
 from proxidtr import dgp, identify
 from proxidtr.bridges import BridgeSet, solve_bridges
-from proxidtr.estimators import _summands, influence
+from proxidtr.estimators import _pmr_summand, influence
 from proxidtr.policy import Regime, class_values, first_maximizer
 from proxidtr.tables import marginalize
 
@@ -43,7 +43,7 @@ def test_efficiency_bound_of_the_pmr_value(joint, linear_class, params):
     via_influence = influence(pmr_values, law) ** 2 @ mass
     solved = solve_bridges(joint)
     for k, (i, bound) in enumerate(BOUNDS.items()):
-        summand = _summands("PMR", solved, Regime.from_index(i))
+        summand = _pmr_summand(solved, Regime.from_index(i))
         second_moment = mass @ (summand - mass @ summand) ** 2
         assert abs(second_moment - via_influence[k]) <= 1e-12
         assert abs(second_moment - bound) <= 1e-6

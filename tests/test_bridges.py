@@ -25,7 +25,7 @@ from proxidtr.bridges import (
     verify_bridges,
 )
 from proxidtr.dgp import CANONICAL_ORDER, DgpParams, LogisticModel
-from proxidtr.estimators import FitOptions, fold_fits
+from proxidtr.estimators import FitOptions, fit_off_fold, fold_counts
 from proxidtr.tables import JointPmf, SingularMatrixError, ZeroProbabilityError, conditional
 
 
@@ -245,7 +245,7 @@ def test_bridge_set_from_json_accepts_only_the_keys_to_json_writes(solved, edit,
 
 
 def test_stacked_bridge_set_to_json_is_refused(big_data):
-    stacked = fold_fits(big_data, FitOptions(folds=2))[1]
+    stacked = fit_off_fold(fold_counts(big_data, 2)[1], FitOptions(folds=2))
     assert stacked.h22.shape == (2,) + (2,) * 7
     with pytest.raises(ValueError, match=r"^to_json reads a single bridge set, not a stack of bridge sets of shape \(2,\)$"):
         stacked.to_json()

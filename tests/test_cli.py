@@ -12,10 +12,10 @@ from pathlib import Path
 import pytest
 
 import proxidtr
-from proxidtr import cli, harness
+from proxidtr import cli, harness, identify
 from proxidtr.cli import build_parser, main
 from proxidtr.dgp import Dataset, sample
-from proxidtr.estimators import FitOptions, cross_fit, fit_bridges, if_variance
+from proxidtr.estimators import FitOptions, cross_fit, empirical_pmf, fit_bridges, if_variance
 from proxidtr.harness import ALL_METHODS
 from proxidtr.identify import METHODS
 from proxidtr.policy import Regime
@@ -244,6 +244,38 @@ def test_cross_fit_estimate_prints_what_cross_fit_returns(tmp_path, regime_file,
         if folds == 1:  # only PMR's summand is its influence function, so only PMR carries a variance
             variance = json.loads(printed).get("variance")
             assert variance == (if_variance(in_memory, fitted, regime) if method == "PMR" else None)
+
+
+@pytest.fixture(scope="module")
+def pick_samples(params, tmp_path_factory):
+    """Ten 35000-row samples, each with the CSV it is written to."""
+    root = tmp_path_factory.mktemp("pick")
+    samples = []
+    for seed in range(10):
+        data = sample(params, 35000, 100 + seed)
+        (root / f"d{seed}.csv").write_text(data.to_csv())
+        samples.append((data, root / f"d{seed}.csv"))
+    return samples
+
+
+@pytest.mark.parametrize("laplace", ["0", "0.5"])
+@pytest.mark.parametrize("method", METHODS)
+def test_one_fold_estimate_prints_the_value_pick_returns(pick_samples, linear_class, tmp_path, capsys, method,
+                                                        laplace):
+    """At one fold ``estimate`` prints, bit for bit, the value ``identify.pick``
+    returns for its own value-max pick over the linear class, under the
+    method's density identified on the sample's law with the bridges the
+    request fits (smoothed by ``--laplace``)."""
+    regime_file = tmp_path / "pick.json"
+    for data, data_file in pick_samples:
+        law, b = empirical_pmf(data), fit_bridges(data, FitOptions(laplace=float(laplace)))[1]
+        pieces, p_y0 = identify.observed_conditional(law)
+        chosen, value = identify.pick(identify.density_from_pieces(method, pieces, b), p_y0, linear_class.index,
+                                      "value-max")
+        regime_file.write_text(Regime.from_index(chosen).to_json())
+        assert main(["estimate", "--data", str(data_file), "--method", method.lower(),
+                     "--regime", str(regime_file), "--laplace", laplace]) == 0
+        assert json.loads(capsys.readouterr().out)["estimate"] == value, data_file.name
 
 
 def test_unknown_config_key_is_usage_error(tmp_path, capsys):

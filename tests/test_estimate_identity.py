@@ -29,10 +29,10 @@ FOLDS = {**dict.fromkeys(BRIDGE_METHODS, (1, 3, 5)), "sra": (1, 3), "oracle": (1
 
 PINS = {
     35000: {
-        "por": "3e84d7401819dc8e",
-        "pha": "42d1f5ea2c243577",
-        "pipw": "a182b3fb886562cf",
-        "pmr": "6cca370657d43401",
+        "por": "2bb70f4ab51339f0",
+        "pha": "5b28d27e413dc208",
+        "pipw": "3e158298b16cf432",
+        "pmr": "2e9c4ae2514f2561",
         "sra": "6e1a82d6714b415b",
         "oracle": "6cb1ec9de14827c3",
     },

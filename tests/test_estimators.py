@@ -1,9 +1,9 @@
 """Sample-level estimators: algebraic identities, consistency, cross-fitting.
 
-The load-bearing identities are exact, not statistical: the empirical-average
-forms must coincide with plug-in evaluation on the empirical table, and the
-telescoped PMR rearrangement must match the three-term form row for row, for
-arbitrary (even corrupted) bridges.
+The load-bearing identities are exact, not statistical: every value
+estimate is identify's plug-in value on the sample's own table, bit for bit,
+and the telescoped PMR rearrangement must match it to 1e-12, for arbitrary
+(even corrupted) bridges.
 """
 
 import inspect
@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 from conftest import cell_codes
 
-from proxidtr import dgp, estimators, identify
+from proxidtr import dgp, estimators, harness, identify
 from proxidtr.bridges import pseudo_bridges, solve_bridges, verify_bridges
 from proxidtr.dgp import Dataset
 from proxidtr.estimators import (
@@ -23,8 +23,8 @@ from proxidtr.estimators import (
     empirical_pmf,
     fit_bridges,
     fit_counts,
+    fit_off_fold,
     fold_counts,
-    fold_fits,
     if_variance,
     oracle_value,
     population_v,
@@ -92,8 +92,7 @@ def test_plug_in_equivalence_all_methods(small_data, solved):
     }
     for method in METHODS:
         direct = v_hat(method, small_data, corrupted, REGIME).estimate
-        plug = identify.value_from_density(density_fn[method](pmf, corrupted), pmf, REGIME)
-        assert direct == pytest.approx(plug, abs=1e-12)
+        assert direct == identify.value_from_density(density_fn[method](pmf, corrupted), pmf, REGIME)
     with pytest.raises(ValueError, match=r"^unknown method 'SRA'; expected one of \('POR', 'PHA', 'PIPW', 'PMR'\)$"):
         v_hat("SRA", small_data, corrupted, REGIME)  # a baseline has no summand
 
@@ -144,10 +143,10 @@ def test_if_variance_nonnegative_and_centering(big_data, fitted):
     var = if_variance(big_data, bridges_hat, REGIME)
     assert var >= 0.0
     # centering at the plug-in estimate makes the IF mean vanish identically
-    from proxidtr.estimators import _summands
+    from proxidtr.estimators import _pmr_summand
 
     codes = np.ravel_multi_index(tuple(big_data.observed.T), (2,) * 9)  # each row's cell, C order over OBSERVED_ORDER
-    summand = _summands("PMR", bridges_hat, REGIME)[codes]
+    summand = _pmr_summand(bridges_hat, REGIME)[codes]
     point = v_hat("PMR", big_data, bridges_hat, REGIME).estimate
     assert (summand - point).mean() == pytest.approx(0.0, abs=1e-12)
 
@@ -157,7 +156,7 @@ def test_complex_step_derivative_of_the_plug_in_value_is_the_centred_pmr_summand
     of the plug-in value. One complex step P + ih(delta_c - P), h = 1e-20,
     per 37th cell c, solved as one stack, reads it off the imaginary part:
     the real part is the float plug-in and Im / h the centred summand at c."""
-    from proxidtr.estimators import _count_mean, _summands
+    from proxidtr.estimators import _count_mean, _pmr_summand
 
     pmf, bridges_hat = fitted
     h, cells = 1e-20, np.arange(0, 512, 37)
@@ -170,7 +169,7 @@ def test_complex_step_derivative_of_the_plug_in_value_is_the_centred_pmr_summand
     assert np.abs(values.real - plug_in).max() <= 1e-12
     counts = _cell_counts(big_data)
     for k, regime in enumerate(linear_class.members):
-        summand = _summands("PMR", bridges_hat, regime)
+        summand = _pmr_summand(bridges_hat, regime)
         centred = summand[cells] - _count_mean(counts, summand)
         assert np.abs(values[:, k].imag / h - centred).max() <= 1e-12
 
@@ -196,10 +195,10 @@ def test_fit_options_accept_the_largest_laplace_with_a_finite_total(big_data):
     assert np.isfinite(empirical_pmf(big_data, laplace=largest, include_hidden=True).mass).all()
 
 
-def test_fold_fits_name_the_failing_fold(params):
+def test_cross_fit_names_the_failing_fold(params):
     tiny = dgp.sample(params, 300, seed=5)
     with pytest.raises((SingularMatrixError, ZeroProbabilityError), match="off-fold fit failed for fold 0"):
-        fold_fits(tiny, FitOptions(folds=5))
+        cross_fit("PMR", tiny, FitOptions(folds=5), REGIME)
 
 
 def test_cross_fit_degenerate_single_fold(big_data):
@@ -436,14 +435,19 @@ def test_cross_fit_equals_masked_off_fold_fits(big_data):
     assert cross_fit("PMR", big_data, opts, REGIME).fold_estimates == tuple(expected)
 
 
-def test_cross_fit_builds_only_the_off_fold_laws(big_data, monkeypatch):
-    """The fold laws are built where they are read, so a cross-fit estimate
-    builds one stack of laws: the off-fold laws its bridges are solved on."""
-    laws = []
-    original = estimators.count_pmf
-    monkeypatch.setattr(estimators, "count_pmf", lambda counts, *args: laws.append(counts) or original(counts, *args))
-    cross_fit("PMR", big_data, FitOptions(folds=5), REGIME)
-    assert len(laws) == 1 and np.array_equal(laws[0], fold_counts(big_data, 5)[1])
+def test_cross_fit_fold_values_are_the_experiment_fold_values(big_data, linear_class):
+    """Each fold value of ``cross_fit`` is ``class_values`` of that fold's
+    density as the experiment builds it (``harness._bridge_fits`` at
+    laplace 0, one repetition), bit for bit, so ``estimate --folds K`` and
+    ``experiment`` read the same fold values."""
+    own = fold_counts(big_data, 5)[0]
+    pieces, p_y0, solved = harness._bridge_fits(_cell_counts(big_data)[None], own[None],
+                                                harness.ExperimentConfig(folds=5))
+    for method in METHODS:
+        values = class_values(identify.density_from_pieces(method, pieces, solved).g, p_y0, linear_class.index)[0]
+        for k in range(0, len(linear_class.index), 38):
+            fold_values = cross_fit(method, big_data, FitOptions(folds=5), linear_class.members[k]).fold_estimates
+            assert fold_values == tuple(values[:, k].tolist()), (method, k)
 
 
 @pytest.mark.parametrize("folds", [2, 3, 5])
@@ -452,7 +456,8 @@ def test_stacked_fold_fits_equal_fold_by_fold_fits(big_data, folds, laplace):
     """Every fold of the one-pass fit equals a fit of that fold's off-fold
     counts alone, bit for bit; the counts come from a test-side bincount."""
     opts = FitOptions(folds=folds, laplace=laplace)
-    own, b = fold_fits(big_data, opts)
+    own, off_fold = fold_counts(big_data, folds)
+    b = fit_off_fold(off_fold, opts)
     assignments = fold_assignments(big_data, folds)
     assert own.shape == (folds, 2 ** 9)
     for fold in range(folds):
@@ -485,7 +490,7 @@ def test_stacked_fold_fit_failure_names_the_first_failing_fold(params, n, seed, 
     expected = _fold_by_fold_failure(data, opts)
     assert expected is not None
     with pytest.raises((SingularMatrixError, ZeroProbabilityError)) as info:
-        fold_fits(data, opts)
+        fit_off_fold(fold_counts(data, folds)[1], opts)
     assert (type(info.value), str(info.value), info.value.kind) == expected
     assert "fold" not in info.value.kind and "increase n" not in info.value.kind
 

@@ -19,7 +19,7 @@ from conftest import regime_value, value_maximize
 
 from proxidtr import dgp, identify
 from proxidtr.bridges import MissingBridgeError, pseudo_bridges
-from proxidtr.estimators import FitOptions, count_pmf, fit_counts, fold_counts, fold_fits
+from proxidtr.estimators import FitOptions, count_pmf, fit_counts, fit_off_fold, fold_counts
 from proxidtr.identify import (
     IdentifiedDensity,
     density_pha,
@@ -257,7 +257,7 @@ def test_identified_density_json(joint, solved):
 
 def test_stacked_identified_density_to_json_is_refused(big_data):
     _, off_fold = fold_counts(big_data, 2)
-    density = density_pmr(count_pmf(off_fold), fold_fits(big_data, FitOptions(folds=2))[1])
+    density = density_pmr(count_pmf(off_fold), fit_off_fold(off_fold, FitOptions(folds=2)))
     assert density.g.shape == (2,) + (2,) * 5
     with pytest.raises(ValueError, match=r"^to_json reads a single density, not a stack of densities of shape \(2,\)$"):
         density.to_json()
@@ -281,7 +281,7 @@ def test_value_from_density_of_a_fold_stack_gives_one_value_per_fold(big_data):
     opts = FitOptions(folds=3)
     _, off_fold = fold_counts(big_data, opts.folds)
     laws = count_pmf(off_fold)
-    values = value_from_density(density_pmr(laws, fold_fits(big_data, opts)[1]), laws, regime)
+    values = value_from_density(density_pmr(laws, fit_off_fold(off_fold, opts)), laws, regime)
     assert values.shape == (3,) and values.dtype == np.float64
     for fold, counts in enumerate(off_fold):
         law, b = fit_counts(counts, opts)

@@ -4,7 +4,8 @@ The influence function (IF) of a plug-in functional at the law P is its
 Gateaux derivative along delta_c - P at every cell c. With bridges solved
 from the law itself the four methods are one functional, whose IF is the PMR
 summand centred at its P-mean; a method whose every component is a fixed
-(pseudo) bridge is linear in P, so its IF is its own centred summand; a
+(pseudo) bridge is linear in P, so its IF is its own centred summand, the
+PMR summand with the components it does not read set to zero; a
 method that mixes fitted and pseudo components has neither form, and is
 checked against a central real difference instead.
 """
@@ -14,7 +15,9 @@ import pytest
 
 from proxidtr import dgp, identify
 from proxidtr.bridges import DEFAULT_PSEUDO_SEED, pseudo_bridges, solve_bridges
-from proxidtr.estimators import _summands, count_pmf, empirical_pmf, influence
+from conftest import zeroed
+
+from proxidtr.estimators import _pmr_summand, count_pmf, empirical_pmf, influence
 from proxidtr.harness import SCENARIO_PSEUDO
 from proxidtr.policy import Regime, class_values
 from proxidtr.tables import JointPmf, TableError
@@ -49,8 +52,8 @@ def _method_values(pseudo, index):
     return values
 
 
-def _centred(method, b, regime, mass):
-    summand = _summands(method, b, regime)
+def _centred(b, regime, mass):
+    summand = _pmr_summand(b, regime)
     return summand - mass @ summand
 
 
@@ -78,7 +81,7 @@ def test_influence_of_each_method_value(scenario, law, members):
         assert not replaced or replaced == set(identify.BRIDGES_NEEDED[method])
         for k, regime in enumerate(regimes):
             # fitted components: the one plug-in functional; all pseudo: linear in P
-            expected = _centred(method, merged, regime, mass) if replaced else _centred("PMR", fitted, regime, mass)
+            expected = _centred(zeroed(merged, method), regime, mass) if replaced else _centred(fitted, regime, mass)
             assert np.abs(infl[m, k] - expected).max() <= 1e-12, (method, regime)
 
 
@@ -86,7 +89,7 @@ def test_influence_of_the_pmr_plug_in_value_through_value_from_density(law):
     regime = Regime((1, 0), (0, 1, 1, 0, 1, 0, 0, 1))
     infl = influence(lambda p: identify.value_from_density(identify.density_pmr(p, solve_bridges(p)), p, regime), law)
     assert infl.shape == (512,)
-    assert np.abs(infl - _centred("PMR", solve_bridges(law), regime, law.mass.reshape(-1))).max() <= 1e-12
+    assert np.abs(infl - _centred(solve_bridges(law), regime, law.mass.reshape(-1))).max() <= 1e-12
 
 
 def test_influence_refuses_a_stack_of_laws():

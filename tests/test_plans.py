@@ -15,7 +15,7 @@ import pytest
 
 from proxidtr import cli, dgp, harness, tables
 from proxidtr.bridges import bridge_collapse_check, solve_bridges, verify_bridges
-from proxidtr.estimators import FitOptions, fold_fits
+from proxidtr.estimators import FitOptions, fit_off_fold, fold_counts
 from proxidtr.policy import Regime
 from proxidtr.tables import JointPmf, TableError, UnknownVariableError, _refuse_zero
 
@@ -101,7 +101,7 @@ def signatures(tmp_path_factory):
         solved = solve_bridges(law)
         verify_bridges(solved, law)
         bridge_collapse_check(solved, law)
-        fold_fits(data, FitOptions(folds=2))
+        fit_off_fold(fold_counts(data, 2)[1], FitOptions(folds=2))
         tables.marginalize(law, ("Y0", "U0"))
     finally:
         tables._plan = plan

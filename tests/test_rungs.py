@@ -1,7 +1,10 @@
 """The rung identity: POR, PHA and PIPW are PMR with the bridge components they
-do not read set to zero, bit for bit, both in the identified density
-(``identify.density_from_pieces``) and in the estimator summand
-(``estimators._summands``).
+do not read set to zero, bit for bit, in the identified density
+(``identify.density_from_pieces``). Each method's value estimate (``v_hat``,
+and ``cross_fit``'s fold values) is checked against an independent
+reference: the count-weighted mean of the telescoped PMR summand
+(``estimators._pmr_telescoped``) with those components set to zero, to
+1e-12.
 
 Each identity is checked on four bridge sets of one sample at n = 35000:
 fitted, all-pseudo, h21+q22-pseudo, and the 5-fold stack of off-fold fits
@@ -17,7 +20,20 @@ import pytest
 
 from proxidtr import dgp
 from proxidtr.bridges import _SHAPES, BridgeSet, pseudo_bridges
-from proxidtr.estimators import FitOptions, _summands, count_pmf, fit_bridges, fold_fits
+from conftest import zeroed
+
+from proxidtr.estimators import (
+    FitOptions,
+    _cell_counts,
+    _count_mean,
+    _pmr_telescoped,
+    count_pmf,
+    cross_fit,
+    fit_bridges,
+    fit_off_fold,
+    fold_counts,
+    v_hat,
+)
 from proxidtr.identify import BRIDGES_NEEDED, METHODS, density_from_pieces, observed_conditional
 
 SETS = ("fitted", "all-pseudo", "h21+q22-pseudo", "5-fold")
@@ -25,16 +41,20 @@ PMR_READS = BRIDGES_NEEDED["PMR"]
 
 
 @pytest.fixture(scope="module")
-def bridge_sets(params):
+def sample(params):
+    return dgp.sample(params, 35000, seed=1)
+
+
+@pytest.fixture(scope="module")
+def bridge_sets(sample):
     """Set name -> (the law the set is read against, the set)."""
-    sample = dgp.sample(params, 35000, seed=1)
     pmf, fitted = fit_bridges(sample)
-    own, stacked = fold_fits(sample, FitOptions(folds=5))
+    own, off_fold = fold_counts(sample, 5)
     return {
         "fitted": (pmf, fitted),
         "all-pseudo": (pmf, fitted.merged(pseudo_bridges(7))),
         "h21+q22-pseudo": (pmf, fitted.merged(pseudo_bridges(7, ("h21", "q22")))),
-        "5-fold": (count_pmf(own), stacked),
+        "5-fold": (count_pmf(own), fit_off_fold(off_fold, FitOptions(folds=5))),
     }
 
 
@@ -43,26 +63,29 @@ def _density(method: str, law, b: BridgeSet) -> np.ndarray:
     return density_from_pieces(method, observed_conditional(law)[0], b).g
 
 
-def _zeroed(b: BridgeSet, method: str) -> BridgeSet:
-    """``b`` with every component PMR reads and ``method`` does not set to zero."""
-    unread = [name for name in PMR_READS if name not in BRIDGES_NEEDED[method]]
-    return b.merged(BridgeSet(**{name: np.zeros_like(getattr(b, name)) for name in unread}))
-
-
 @pytest.mark.parametrize("name", SETS)
 @pytest.mark.parametrize("method", METHODS)
 def test_density_is_pmr_with_unread_components_zero(bridge_sets, method, name):
     law, b = bridge_sets[name]
-    assert np.array_equal(_density(method, law, b), _density("PMR", law, _zeroed(b, method)))
+    assert np.array_equal(_density(method, law, b), _density("PMR", law, zeroed(b, method)))
 
 
 @pytest.mark.parametrize("name", SETS)
 @pytest.mark.parametrize("method", METHODS)
-def test_summand_is_pmr_with_unread_components_zero(bridge_sets, linear_class, method, name):
+def test_value_is_the_telescoped_pmr_mean_with_unread_components_zero(sample, bridge_sets, linear_class, method,
+                                                                      name):
+    """``v_hat`` on the set, or for the 5-fold stack each of ``cross_fit``'s
+    fold values, against each fold's own counts."""
     _, b = bridge_sets[name]
-    zeroed = _zeroed(b, method)
+    counts = fold_counts(sample, 5)[0] if name == "5-fold" else [_cell_counts(sample)]
     for regime in linear_class.members[::29]:
-        assert np.array_equal(_summands(method, b, regime), _summands("PMR", zeroed, regime))
+        if name == "5-fold":
+            values = cross_fit(method, sample, FitOptions(folds=5), regime).fold_estimates
+        else:
+            values = [v_hat(method, sample, b, regime).estimate]
+        telescoped = _pmr_telescoped(zeroed(b, method), regime).reshape(len(counts), -1)
+        expected = [_count_mean(fold, summand) for fold, summand in zip(counts, telescoped)]
+        assert np.abs(np.subtract(values, expected)).max() <= 1e-12, regime
 
 
 @pytest.mark.parametrize("name", SETS)

@@ -1,6 +1,6 @@
 """The bridge checks on a stack of laws: ``verify_bridges``,
 ``bridge_collapse_check`` and ``identify.pipw_marginal_stage1`` read the
-fold stacks of ``fold_fits`` in one call.
+fold stacks of ``fold_counts`` and ``fit_off_fold`` in one call.
 
 Each report field of a stacked call is the largest of the per-fold calls,
 and the stacked stage-1 table is the per-fold tables stacked, bit for bit.
@@ -14,7 +14,7 @@ import pytest
 
 from proxidtr.bridges import _SHAPES, BridgeSet, bridge_collapse_check, verify_bridges
 from proxidtr.dgp import sample
-from proxidtr.estimators import FitOptions, count_pmf, fold_counts, fold_fits
+from proxidtr.estimators import FitOptions, count_pmf, fit_off_fold, fold_counts
 from proxidtr.identify import pipw_marginal_stage1
 from proxidtr.tables import JointPmf
 
@@ -25,9 +25,10 @@ FOLDS = 3
 def fold_stack(request, params):
     """(own counts, off-fold counts, off-fold bridges, each fold's bridges alone)."""
     data = sample(params, 35000, request.param)
-    own, solved = fold_fits(data, FitOptions(folds=FOLDS))
+    own, off_fold = fold_counts(data, FOLDS)
+    solved = fit_off_fold(off_fold, FitOptions(folds=FOLDS))
     per_fold = [BridgeSet(**{name: getattr(solved, name)[k] for name in _SHAPES}) for k in range(FOLDS)]
-    return own, fold_counts(data, FOLDS)[1], solved, per_fold
+    return own, off_fold, solved, per_fold
 
 
 @pytest.mark.parametrize("law", ["off-fold", "own"])
