@@ -25,10 +25,12 @@ and a baseline's not at all, so each distinct density is keyed once, as
 scored once. Each scenario swaps its pseudo components into the fit,
 broadcast over the repetitions and folds. Only the fit, a baseline's table
 and the scoring can fail; identifying a density after a successful fit
-cannot. In a stack of one a failure is its repetition's reason; in a larger
-stack a fit or baseline that fails splits the block into stacks of one,
-which rerun the layers run so far, so that only the failing repetitions are
-charged, with the reasons they get alone.
+cannot. Each of the three runs through ``tables.by_law``: a refusal flags
+every law of the stack that fails its check (``TableError.laws``), those
+repetitions (or densities) are dropped with that reason, and only that call
+reruns without them. A block is never split: every live law passed every
+earlier check, so each failing one is charged alone, with the reason it gets
+alone, and the others are computed as in a stack of one.
 
 Every grid runs as one pipeline that lags one block (``_Blocks``). A block
 is ``BLOCK`` repetitions, one per layer. ``_run_rep(config, truth, rep,
@@ -42,13 +44,13 @@ identification or scoring runs outside the calls: a timer around each call
 pass, never a whole block, and leaves no work out. One repetition is a block
 of one, run whole in its call.
 
-The harness does not pick a regime; it scores picks. A repetition's
-densities are picked from as one stack by ``identify.pick``, which returns
-each density's Boolean index and estimated value without the truth, and
-``_class_scores`` scores them. A stack that fails to pick (a zero Q
-denominator) is rescored density by density, as stacks of one, so the
-failure is charged to its own density only. Each (scenario, method) cell's
-regime is scored two ways:
+The harness does not pick a regime; it scores picks. The densities of every
+repetition of a block are picked from as one stack by ``identify.pick``,
+which returns each density's Boolean index and estimated value without the
+truth, and ``_class_scores`` scores them, once per block. A density that
+fails to pick (a zero Q denominator) is dropped from the stack by
+``by_law``, so the failure is charged to its own density only. Each
+(scenario, method) cell's regime is scored two ways:
 
   regret         V(d*) - V(d_hat), both under the true law, where d* is the
                  optimum of the class the optimizer searches: the regime
@@ -148,7 +150,7 @@ from .estimators import (
     sra_from_conditional,
 )
 from .policy import enumerate_class
-from .tables import TableError, _json_object, _locked
+from .tables import _json_object, _locked, by_law
 
 EPSILON = 1e-10  # values below this render as "<eps"
 
@@ -281,15 +283,6 @@ class _Truth:
         self.optimum = optimal_value(params, self.search_class)[0]
 
 
-def _attempt(step: str, fn, *args):
-    """``fn(*args)``, or the failure message a cell records instead: the
-    step and the error's kind, without the cell or block it names."""
-    try:
-        return fn(*args)
-    except TableError as err:
-        return f"{step} failed: {err.kind}"
-
-
 def _scenario_pseudo(config: ExperimentConfig) -> dict[str, BridgeSet]:
     """Each scenario's pseudo bridges, drawn once per experiment, every
     scenario holding the same array of each component; none are needed
@@ -366,19 +359,20 @@ def _class_scores(truth: _Truth, g: np.ndarray, p_y0: np.ndarray, optimizer: str
     return list(zip(regret.tolist(), np.abs(truth.optimum - estimated).tolist()))
 
 
-def _scores(truth: _Truth, tables: dict, optimizer: str) -> dict:
-    """Each density's (regret, overall error), or its failure message. The
-    densities of a repetition are scored as one stack; when that fails, each
-    is rescored alone, as a stack of one, so only its own density is charged."""
-    fitted = [key for key, entry in tables.items() if not isinstance(entry, str)]
-    if not fitted:
-        return tables
-    g, p_y0 = (np.stack(arrays) for arrays in zip(*(tables[key] for key in fitted)))
-    scores = _attempt("scoring", _class_scores, truth, g, p_y0, optimizer)
-    if isinstance(scores, str):
-        scores = [_attempt("scoring", lambda i: _class_scores(truth, g[i:i + 1], p_y0[i:i + 1], optimizer)[0], i)
-                  for i in range(len(fitted))]
-    return {**tables, **dict(zip(fitted, scores))}
+def _scores(truth: _Truth, tables: list[dict], optimizer: str) -> list[dict]:
+    """Each repetition's densities' (regret, overall error), or failure
+    messages. Every density of every repetition is picked as one stack, run
+    ``by_law`` over the densities, so a density that fails is charged alone,
+    with the message it gets alone."""
+    scores = [dict(entries) for entries in tables]
+    fitted = [(entries, key) for entries in scores for key, entry in entries.items() if not isinstance(entry, str)]
+    if fitted:
+        g, p_y0 = (np.stack(arrays) for arrays in zip(*(entries[key] for entries, key in fitted)))
+        live, picked, failed = by_law(lambda live: _class_scores(truth, g[live], p_y0[live], optimizer), len(fitted))
+        outcomes = {**{j: f"scoring failed: {err.kind}" for j, err in failed.items()}, **dict(zip(live, picked or ()))}
+        for j, (entries, key) in enumerate(fitted):
+            entries[key] = outcomes[j]
+    return scores
 
 
 def _counts(config: ExperimentConfig, data: dgp.Dataset) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
@@ -395,12 +389,11 @@ class _Pass:
     the Oracle and the scoring. Every array is led by a repetition axis.
 
     Each distinct (method, replaced components) density of a repetition is
-    keyed once (``density_of``) and computed once; each repetition's
-    densities are scored as their own stack (``_scores``). In a stack of one
-    a failed fit or baseline is its repetition's failure reason
-    (``_attempt``). In a larger stack it splits the block: each repetition
-    reruns the layers run so far as a stack of one, and runs the rest so, so
-    that only the failing repetitions are charged, with their own reasons.
+    keyed once (``density_of``) and computed once. The fit and each baseline
+    run ``by_law`` over the block's repetitions, and the scoring over every
+    density of the block as one stack (``_scores``): a repetition or density
+    that fails is dropped with its failure reason and the rest rerun without
+    it, so only it is charged, with the reason it gets alone.
     """
 
     def __init__(self, config: ExperimentConfig, truth: _Truth, pseudo: dict[str, BridgeSet],
@@ -415,29 +408,31 @@ class _Pass:
         self.merged = {key: pseudo[tag] for (tag, method), key in self.density_of.items() if method in BRIDGE_METHODS}
         # per repetition: density -> (g, p_y0) or its failure reason, first seen first
         self.tables = [dict.fromkeys(self.density_of.values()) for _ in reps]
-        self.fits = self.densities = self.whole = None
+        self.fits = self.densities = self.whole = self.live = None  # live: the repetitions the fit kept
         self.results = []  # per repetition: (scenario, method) -> scores or failure reason
         self.done = 0  # layers run
-        self.parts = None  # the stacks of one that replaced this stack when a layer failed
 
-    def _attempt(self, step: str, fn, *args):
-        """``_attempt`` in a stack of one; in a larger stack an error propagates and splits it."""
-        return _attempt(step, fn, *args) if len(self.reps) == 1 else fn(*args)
+    def _by_rep(self, fn, keys) -> tuple[np.ndarray, object]:
+        """``by_law`` of ``fn`` over the block's repetitions: the live ones
+        and ``fn``'s result on them; each dropped one's ``keys`` get its
+        failure reason."""
+        live, result, failed = by_law(fn, len(self.reps))
+        for i, err in failed.items():
+            self.tables[i].update(dict.fromkeys(keys, f"fit failed: {err.kind}"))
+        return live, result
 
     def _fit(self):
         if self.merged:
-            fits = self._attempt("fit", _bridge_fits, self.observed, self.own, self.config)
-            if isinstance(fits, str):
-                for tables in self.tables:
-                    tables.update(dict.fromkeys(self.merged, fits))
-            else:
-                self.fits, self.densities = fits, []
+            self.live, self.fits = self._by_rep(
+                lambda live: _bridge_fits(self.observed[live], None if self.own is None else self.own[live],
+                                          self.config), self.merged)
+            self.densities = []
 
     def _identify(self):
         """The first half of the bridge densities, or at the second call the
         rest; at the last, each repetition's fold-averaged tables, and the
         piece table is dropped (with one fold SRA keeps the fit's law,
-        ``whole``)."""
+        ``whole``, a stack over the repetitions the fit kept)."""
         if self.fits is None:
             return
         keys = list(self.merged)
@@ -446,48 +441,35 @@ class _Pass:
         if len(self.densities) == len(self.merged):
             pieces, p_y0, _ = self.fits
             g, p_y0 = _fold_average(self.densities, p_y0)
-            for tables, g_rep, p_rep in zip(self.tables, g, p_y0):
-                tables.update({key: (g_d, p_rep) for key, g_d in zip(self.merged, g_rep)})
+            for i, g_rep, p_rep in zip(self.live, g, p_y0):
+                self.tables[i].update({key: (g_d, p_rep) for key, g_d in zip(self.merged, g_rep)})
             self.whole = pieces.law if self.own is None else None
             self.fits = self.densities = None
 
     def _score(self):
         for method in ("SRA", "ORACLE"):
             if method in self.config.methods:
-                table = self._attempt("fit", _baseline_table, self.cells, self.observed, self.config, method,
-                                      self.whole)
-                for i, tables in enumerate(self.tables):
-                    tables[(method, ())] = table if isinstance(table, str) else (table[0][i], table[1][i])
-        for tables in self.tables:
-            scores = _scores(self.truth, tables, self.config.optimizer)
-            self.results.append({cell: scores[key] for cell, key in self.density_of.items()})
+                live, table = self._by_rep(
+                    lambda live: _baseline_table(self.cells[live], self.observed[live], self.config, method,
+                                                 self.whole if np.array_equal(live, self.live) else None),
+                    [(method, ())])
+                for j, i in enumerate(live):
+                    self.tables[i][(method, ())] = (table[0][j], table[1][j])
+        self.results = [{cell: scores[key] for cell, key in self.density_of.items()}
+                        for scores in _scores(self.truth, self.tables, self.config.optimizer)]
 
     LAYERS = (_fit, _identify, _identify, _score)
 
     def step(self) -> None:
-        """Run the next layer, on each stack of one if this stack was split."""
-        if self.parts is None:
-            try:
-                self.LAYERS[self.done](self)
-            except TableError:
-                if len(self.reps) == 1:
-                    raise
-                self.parts = [_Pass(self.config, self.truth, self.pseudo, (rep,),
-                                    ((self.cells[i], self.observed[i], None if self.own is None else self.own[i]),))
-                              for i, rep in enumerate(self.reps)]
-                for part in self.parts:
-                    while part.done <= self.done:
-                        part.step()
-        else:
-            for part in self.parts:
-                part.step()
+        """Run the next layer."""
+        self.LAYERS[self.done](self)
         self.done += 1
 
     def finish(self) -> list[dict]:
         """Each repetition's per-cell results, in index order, once the layers left have run."""
         while self.done < len(self.LAYERS):
             self.step()
-        return self.results if self.parts is None else [r for part in self.parts for r in part.results]
+        return self.results
 
 
 BLOCK = len(_Pass.LAYERS)  # repetitions per stacked pass: one layer of the previous block's pass per call

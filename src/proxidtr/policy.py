@@ -25,9 +25,12 @@ value maximization returns the first maximizer in canonical enumeration order
 (ascending Boolean index: d1 index, then d2 truth-table integer).
 
 ``class_values`` is the package's one plug-in value kernel: the values of
-any regimes under one density, or under each of a stack, are a single array
-gather of their cells in ``DENSITY_CELLS``, which holds, for every Boolean
-index, the flat indices of the four density cells its value reads.
+any regimes under one density, or under each of a stack, are four array
+gathers, one per (y0, y1), of their cells in ``DENSITY_CELLS``, which
+holds, for every Boolean index, the flat indices of the four density cells
+its value reads. Each gather reads the densities with their cell axis
+first, so it copies a whole stack per regime, and the four terms are built
+one at a time.
 ``first_maximizer`` picks the first maximum, as an exhaustive loop with a
 strict ``>`` would. Q-learning's greedy rule picks from Q tables instead:
 ``q_learning_index`` gives the greedy regime's Boolean index for each law of
@@ -41,7 +44,7 @@ from __future__ import annotations
 import itertools
 import json
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, reduce
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -92,8 +95,9 @@ def class_values(g: np.ndarray, p_y0: np.ndarray, index: int | np.ndarray) -> np
     if index.size and not 0 <= index.min() <= index.max() < BOOLEAN_SIZE:  # a negative index would wrap around
         raise ValueError(f"Boolean indices must lie in [0, {BOOLEAN_SIZE}), got {index.min()} to {index.max()}")
     cells = np.take(DENSITY_CELLS, index, axis=1)  # (4, K); np.take gathers faster than [:, index]
-    terms = p_y0[..., [0, 0, 1, 1], None] * np.take(g.reshape(p_y0.shape[:-1] + (-1,)), cells, axis=-1)
-    return ((terms[..., 0, :] + terms[..., 1, :]) + terms[..., 2, :]) + terms[..., 3, :]
+    flat, p_t = g.reshape(p_y0.shape[:-1] + (-1,)).T, p_y0.T  # cells first: a row's gather copies whole stacks
+    terms = (p_t[y0] * flat[row] for y0, row in zip((0, 0, 1, 1), cells))  # one (K, ...) term at a time
+    return reduce(np.add, terms).T
 
 
 def _read_bits(bits: Iterable[int]) -> int:

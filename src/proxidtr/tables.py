@@ -51,7 +51,16 @@ which names that cell by its own axes in ``ZeroProbabilityError.assignment``.
 Every ``TableError`` has a ``kind``, its message without the cell or block
 it names (the unformatted template of ``_refuse_zero``, the role of
 ``invert2or4``), by which failures group. A NaN compares false, so a NaN
-denominator or determinant is not flagged.
+denominator or determinant is not flagged. A refusal of either also carries
+``laws``: the mask the check already computed, reduced by ``any`` over the
+check's own axes to one flag per law of the stack, every law that fails
+that same check; it is built only when raising. ``by_law`` runs a stacked
+call over the laws still live, and when a refusal flags laws it drops them
+with that error and calls again on the rest, until the call returns. A live
+law passed every check before the one that raised, so each law is dropped
+at the first check it fails on its own, with the kind it gets alone; the
+harness runs its fits, baselines and scoring so. A caller of a single law
+(the CLI, ``identify_check``) sees the refusal as before.
 
 A law resolves each signature's names once: ``_plan``, cached by
 (variable names, number of stack axes, target, given), holds for the
@@ -86,7 +95,7 @@ import json
 from dataclasses import dataclass, fields
 from functools import lru_cache
 from itertools import product
-from typing import Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
@@ -97,11 +106,14 @@ DET_TOL = 1e-12         # below this |det| a matrix is treated as singular
 class TableError(ValueError):
     """Base class for probability-table failures. ``kind`` is the message
     without the cell or block it names (the message itself by default), so
-    failures of one kind group together."""
+    failures of one kind group together. ``laws``, for a refusal of
+    ``_refuse_zero`` or ``invert2or4``, is the boolean mask over the stack
+    axes of every law that fails that same check (None otherwise)."""
 
-    def __init__(self, message: str, kind: str | None = None):
+    def __init__(self, message: str, kind: str | None = None, laws: np.ndarray | None = None):
         super().__init__(message)
         self.kind = message if kind is None else kind
+        self.laws = laws
 
 
 class UnknownVariableError(TableError):
@@ -111,8 +123,9 @@ class UnknownVariableError(TableError):
 class ZeroProbabilityError(TableError):
     """A conditioning event has probability zero."""
 
-    def __init__(self, message: str, assignment: Mapping[str, int] | None = None, kind: str | None = None):
-        super().__init__(message, kind)
+    def __init__(self, message: str, assignment: Mapping[str, int] | None = None, kind: str | None = None,
+                 laws: np.ndarray | None = None):
+        super().__init__(message, kind, laws)
         self.assignment = dict(assignment) if assignment else {}
 
 
@@ -151,15 +164,22 @@ def _first_cell(mask: np.ndarray) -> tuple[int, ...] | None:
     return tuple(map(int, np.unravel_index(int(np.argmax(mask)), np.shape(mask)))) if mask.any() else None
 
 
+def _stack_any(mask: np.ndarray, trailing: int) -> np.ndarray:
+    """``mask`` reduced by ``any`` over its ``trailing`` last axes: a flag per law of the stack."""
+    return mask.any(axis=tuple(range(mask.ndim - trailing, mask.ndim)))
+
+
 def _refuse_zero(mask: np.ndarray, names: Sequence[str], message: str) -> None:
     """Raise ``ZeroProbabilityError`` at the first true cell of ``mask`` in C
     order, named by the trailing axes ``names`` (any stack axes before them
-    dropped); ``message`` is formatted with that cell as ``{cell}`` and by
-    name, and is the error's ``kind`` as it stands."""
+    dropped, and flagged in ``laws`` where any cell is true); ``message`` is
+    formatted with that cell as ``{cell}`` and by name, and is the error's
+    ``kind`` as it stands."""
     cell = _first_cell(mask)
     if cell is not None:
         assignment = dict(zip(names, cell[len(cell) - len(names):]))
-        raise ZeroProbabilityError(message.format(cell=assignment, **assignment), assignment, message)
+        raise ZeroProbabilityError(message.format(cell=assignment, **assignment), assignment, message,
+                                   _stack_any(mask, len(names)))
 
 
 def _refuse_stack(shape: tuple[int, ...], trailing: int, message: str, error: type[Exception] = TableError) -> None:
@@ -403,7 +423,9 @@ def invert2or4(m: np.ndarray, role: str = "conditional matrix", axes: Sequence[s
     further leading ones are numbered) so the error can name the first
     singular block in C order. A singular matrix here signals a violated
     completeness/rank condition (or an empirical table with too little data),
-    which must surface rather than be patched by a pseudo-inverse.
+    which must surface rather than be patched by a pseudo-inverse. The
+    error's ``laws`` flags each law of the stack (the axes before ``axes``)
+    that has a singular block.
 
     The inverse is the adjugate over the determinant, in closed form, with
     every block's entries gathered as one row per entry: for 2x2 the
@@ -434,7 +456,29 @@ def invert2or4(m: np.ndarray, role: str = "conditional matrix", axes: Sequence[s
         names = tuple(f"axis{i}" for i in range(len(block) - len(axes))) + tuple(axes)
         where = f" at ({', '.join(f'{n}={v}' for n, v in zip(names, block))})" if block else ""
         raise SingularMatrixError(f"{role}{where} is singular (|det|={size[block]:.3e}); rank condition fails",
-                                  f"{role} is singular; rank condition fails")
+                                  f"{role} is singular; rank condition fails", _stack_any(size < DET_TOL, len(axes)))
     inverse = np.empty((a.shape[1], k * k), m.dtype)  # each block's entries in C order
     np.divide(adjugate, signs[:, None] * det, out=inverse.T)
     return inverse.reshape(m.shape)
+
+
+def by_law(fn: Callable[[np.ndarray], object], count: int) -> tuple[np.ndarray, object, dict[int, TableError]]:
+    """``fn`` run on a stack of ``count`` laws until it returns: called on
+    the indices of the laws still live, and when it raises a refusal that
+    flags laws (``TableError.laws``, its leading axis over those indices),
+    called again without them. Returns the live indices, ``fn``'s result on
+    them (None when no law is left) and each dropped law's error. A live law
+    passed every check before the one that raised, so each law is dropped at
+    the first check it fails on its own, with the error it gets alone. A
+    refusal without ``laws`` propagates."""
+    live, failed = np.arange(count), {}
+    while live.size:
+        try:
+            return live, fn(live), failed
+        except TableError as err:
+            if err.laws is None:
+                raise
+            flagged = np.reshape(err.laws, (live.size, -1)).any(axis=1)
+            failed.update(dict.fromkeys(live[flagged].tolist(), err))
+            live = live[~flagged]
+    return live, None, failed

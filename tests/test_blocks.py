@@ -6,8 +6,9 @@ repetitions as one stacked pass over their counts, one layer per
 Stacking changes how the repetitions are computed, never what: every
 repetition's results equal those of a pass over a stack of one, bit for bit,
 and reports are byte-identical with the helper and inline (one CPU). A
-block in which one repetition fails is split into stacks of one, so that
-only that repetition is charged, with the reasons it gets alone. Every call
+block is never split: a repetition that fails a step is dropped from it
+and the step reruns without it (``tables.by_law``), so that only that
+repetition is charged, with the reasons it gets alone. Every call
 but the last runs at most one layer, every fit, identification and scoring
 runs inside a ``_run_rep`` call, and no call keeps its repetition's sample.
 A grid starts no process but the one helper, and none on one CPU or for
@@ -45,10 +46,14 @@ def _expected_text(config: ExperimentConfig, alone: list[dict], monkeypatch) -> 
         return _report_text(config)
 
 
+# (reps, n): at n = 5000 the blocks drop several repetitions, one step after another
+SIZES = [(reps, 35000) for reps in (1, 2, 3, 4, 5, 8, 9)] + [(8, 5000)]
+
+
 @pytest.mark.parametrize("folds", [1, 5])
-@pytest.mark.parametrize("reps", [1, 2, 3, 4, 5, 8, 9])
-def test_reports_equal_stacks_of_one_on_every_path(reps, folds, monkeypatch):
-    config = ExperimentConfig(reps=reps, folds=folds)
+@pytest.mark.parametrize("reps, n", SIZES, ids=[str(reps) if n == 35000 else f"{reps}-n{n}" for reps, n in SIZES])
+def test_reports_equal_stacks_of_one_on_every_path(reps, n, folds, monkeypatch):
+    config = ExperimentConfig(n=n, reps=reps, folds=folds)
     alone = _alone(config)
     expected = _expected_text(config, alone, monkeypatch)
     truth = harness._truth_context(config)
@@ -63,8 +68,8 @@ def test_reports_equal_stacks_of_one_on_every_path(reps, folds, monkeypatch):
 
 # (n, folds, base_seed, the one repetition of the first block that fails, and where)
 FAILING = {
-    "oracle": (6000, 1, 45, 0),  # the Oracle's law has a zero conditioning cell: the last layer splits
-    "fit": (6000, 1, 53, 2),  # the fit fails: the first layer splits
+    "oracle": (6000, 1, 45, 0),  # the Oracle's law has a zero conditioning cell
+    "fit": (6000, 1, 53, 2),  # the fit fails
     "fit-folds5": (8000, 5, 49, 0),
     "fit-folds3": (9000, 3, 41, 3),
 }
@@ -72,6 +77,8 @@ FAILING = {
 
 @pytest.mark.parametrize("case", sorted(FAILING))
 def test_a_block_with_one_failing_repetition_charges_only_it(case, monkeypatch):
+    """The block is not split: the grid builds only its two full-block
+    passes, and the failing repetition is dropped from the step it fails."""
     n, folds, base_seed, failing = FAILING[case]
     config = ExperimentConfig(n=n, folds=folds, base_seed=base_seed, reps=2 * harness.BLOCK)
     stacks = []
@@ -84,7 +91,7 @@ def test_a_block_with_one_failing_repetition_charges_only_it(case, monkeypatch):
     monkeypatch.setattr(harness._Pass, "__init__", recorded)
     got = list(harness._rep_results(config, harness._truth_context(config)))
     first_block = tuple(range(harness.BLOCK))
-    assert stacks[:1 + harness.BLOCK] == [first_block] + [(rep,) for rep in first_block]  # the block was split
+    assert stacks == [first_block, tuple(range(harness.BLOCK, 2 * harness.BLOCK))]  # no stack of one
     alone = _alone(config)
     assert all(same_results(a, b) for a, b in zip(got, alone, strict=True))
     charged = [rep for rep in first_block if any(isinstance(r, str) for r in got[rep].values())]

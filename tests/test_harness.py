@@ -269,8 +269,9 @@ def test_pick_matches_loops_on_one_repetition(optimizer, true_density, linear_cl
 
 
 def test_a_density_that_fails_scoring_is_charged_alone(true_density):
-    """In a stack where one density has a zero stage-2 denominator, Q-learning
-    still scores every other density, and that one records the message it gets
+    """In a block where one density of one repetition has a zero stage-2
+    denominator, Q-learning still scores every other density, of that
+    repetition and of another one, and that one records the message it gets
     when scored alone; value maximization needs no Q tables and scores it."""
     truth = harness._truth_context(ExperimentConfig(optimizer="q-learning"))
     densities = _one_repetition_densities(ExperimentConfig(n=35000))
@@ -278,20 +279,19 @@ def test_a_density_that_fails_scoring_is_charged_alone(true_density):
     degenerate[1, 0, :, 1, 0] = 0.0  # f(Y1(1)=1 | Y0=0) is zero at a2 = 0
     with pytest.raises(TableError) as alone:
         identify.q_functions(degenerate)
-    densities[4] = (degenerate, densities[4][1])
-    tables = {("density", i): density for i, density in enumerate(densities)}
-    tables["failed fit"] = "fit failed: singular"
+    healthy = {("density", i): density for i, density in enumerate(densities)}
+    tables = {**healthy, ("density", 4): (degenerate, densities[4][1]), "failed fit": "fit failed: singular"}
     optimum = _loop_optimum(true_density, truth, "q-learning")
     expected = {key: _loop_score(true_density, truth, *density, "q-learning", optimum)
-                for key, density in tables.items() if key != ("density", 4) and not isinstance(density, str)}
-    scores = harness._scores(truth, tables, "q-learning")
-    assert scores == {**expected, ("density", 4): f"scoring failed: {alone.value.kind}",
-                      "failed fit": "fit failed: singular"}
+                for key, density in healthy.items()}
+    scores = harness._scores(truth, [tables, healthy], "q-learning")
+    assert scores == [{**expected, ("density", 4): f"scoring failed: {alone.value.kind}",
+                       "failed fit": "fit failed: singular"}, expected]
     assert str(alone.value) == "zero stage-2 denominator at (y0=0, y1=1, a1=1, a2=0); f(Y1(1)=1|Y0=0) is degenerate"
     assert alone.value.kind == ("zero stage-2 denominator at (y0={y0}, y1={y1}, a1={a1}, a2={a2}); "
                                 "f(Y1({a1})={y1}|Y0={y0}) is degenerate")
-    assert not any(isinstance(s, str) for key, s in harness._scores(truth, tables, "value-max").items()
-                   if key != "failed fit")
+    scores = harness._scores(truth, [tables], "value-max")[0]
+    assert not any(isinstance(s, str) for key, s in scores.items() if key != "failed fit")
 
 
 def test_truth_reads_values_and_optima_at_boolean_indices(monkeypatch, boolean_class, p_y0):
