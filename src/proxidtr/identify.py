@@ -72,7 +72,7 @@ import numpy as np
 
 from .bridges import BridgeSet
 from .dgp import IdentifiedDensity
-from .policy import Regime, class_values, first_maximizer, q_learning_index
+from .policy import DENSITY_CELLS, Regime, class_values, first_maximizer, q_learning_index
 from .tables import JointPmf, _axes, _contract, _layout, _refuse_zero
 
 # method -> the bridge components it reads; the one list of the bridge methods
@@ -277,5 +277,7 @@ def pick(g: IdentifiedDensity | np.ndarray, p_y0: np.ndarray, index: np.ndarray,
         chosen = q_learning_index(*q_functions(stack))
     else:
         chosen = np.asarray(index)[first_maximizer(class_values(stack, p_stack, index))]
-    value = np.diagonal(class_values(stack, p_stack, chosen))  # density d's value of its own pick chosen[d]
+    # density d's value of its own pick chosen[d]: its four cells, P(y0)-weighted and added as class_values adds them
+    t = p_stack[:, [0, 0, 1, 1]] * np.take_along_axis(stack.reshape(len(stack), -1), DENSITY_CELLS[:, chosen].T, 1)
+    value = ((t[:, 0] + t[:, 1]) + t[:, 2]) + t[:, 3]
     return (chosen, value) if arr.ndim == 6 else (int(chosen[0]), float(value[0]))
