@@ -19,6 +19,9 @@ row (no helper, or one that drew nothing), 0 when the helper drew them
 all. A slow or dead helper costs only speed, and shows here. Standard
 library and the package only.
 
+Each CPU share is computed from the printed three-decimal figures, so it
+can be recomputed from the output exactly.
+
     PYTHONPATH=src python tools/grid_cpu.py [--reps 800] [--folds 1] [--n 35000]
 """
 
@@ -70,11 +73,11 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--n", type=int, default=35000)
     args = parser.parse_args(argv)
     config = ExperimentConfig(n=args.n, reps=args.reps, folds=args.folds)
-    ms = measure(config)
+    ms = {name: float(f"{value:.3f}") for name, value in measure(config).items()}  # the printed figures
     print(f"{config.reps} repetitions at n = {config.n}, folds = {config.folds}, ms per repetition:")
     print(f"wall {ms['wall']:.3f}")
     for name in ("main", "helper"):
-        print(f"{name} cpu {ms[name]:.3f} ({100 * ms[name] / ms['wall']:.0f}% of wall)")
+        print(f"{name} cpu {ms[name]:.3f} ({round(100 * ms[name] / ms['wall'])}% of wall)")
     print(f"main drew {ms['halves']:.3f} of 2 halves per repetition")
     return 0
 
