@@ -222,9 +222,9 @@ DEFAULT_PSEUDO_SEED = 20  # the seed experiments and identify-check draw pseudo 
 _OUTCOME_AXES = {"h22": 2, "h21": (1, 2)}
 
 
-def _component_rng(seed: int, index: int) -> np.random.Generator:
-    ss = np.random.SeedSequence(entropy=int(seed), spawn_key=(index,))
-    return np.random.Generator(np.random.Philox(seed=ss))
+def substream(seed: int, *key: int) -> np.random.Generator:
+    """The Philox generator of substream ``key`` of a seed."""
+    return np.random.Generator(np.random.Philox(seed=np.random.SeedSequence(entropy=int(seed), spawn_key=key)))
 
 
 def pseudo_bridges(seed: int, which: Iterable[str] = _COMPONENTS) -> BridgeSet:
@@ -243,7 +243,7 @@ def pseudo_bridges(seed: int, which: Iterable[str] = _COMPONENTS) -> BridgeSet:
     for index, name in enumerate(_COMPONENTS):
         if name not in which:
             continue
-        rng = _component_rng(seed, index)
+        rng = substream(seed, index)
         if name in _OUTCOME_AXES:
             raw = rng.uniform(0.0, 1.0, size=_SHAPES[name])
             arrays[name] = raw / raw.sum(axis=_OUTCOME_AXES[name], keepdims=True)

@@ -40,13 +40,16 @@ with bridges solved from the law, that of each method's value is the PMR
 summand centred at its mean.
 
 ``fit_bridges`` solves the bridges on the whole sample. With K folds,
-``fold_counts`` gathers the cell codes in fold order once and counts each
-fold's strided slice, and the K off-fold laws (the total counts minus each
-fold's own) are solved as one stack (``fit_off_fold``, which the harness
-also calls on the off-fold counts of a block of repetitions), its tables
-led by a fold axis. A failed stacked fit is redone fold by fold to name the
-first failing fold. Fitting never substitutes pseudo bridges; the harness
-merges each scenario's into the fitted set.
+``fold_counts`` splits the sample's observed cell counts into the folds'
+own counts, one multivariate hypergeometric draw per fold, and reads no
+row: rows of one cell are exchangeable, so the split has the law a uniform
+permutation of the rows dealt round the folds gives it. The K off-fold
+laws (the total counts minus each fold's own) are solved as one stack
+(``fit_off_fold``, which the harness also calls on the off-fold counts of
+a block of repetitions), its tables led by a fold axis. A failed stacked
+fit is redone fold by fold to name the first failing fold. Fitting never
+substitutes pseudo bridges; the harness merges each scenario's into the
+fitted set.
 
 The SRA baseline ignores unmeasured confounding (``sra_from_conditional``, a
 plain g-formula on the law's own conditionals); the Oracle baseline
@@ -67,8 +70,8 @@ from typing import Callable
 
 import numpy as np
 
-from .bridges import BridgeSet, solve_bridges
-from .dgp import _HIDDEN_AXES, CANONICAL_ORDER, OBSERVED_ORDER, Dataset, oracle_density_from_joint
+from .bridges import BridgeSet, solve_bridges, substream
+from .dgp import CANONICAL_ORDER, OBSERVED_ORDER, Dataset, oracle_density_from_joint
 from .identify import (METHODS, IdentifiedDensity, _require, density_from_pieces, observed_conditional,
                        value_from_density)
 from .policy import Regime
@@ -143,24 +146,25 @@ def count_pmf(counts: np.ndarray, laplace: float = 0.0, names: tuple[str, ...] =
     return JointPmf(names, _locked(counts / counts.sum(axis=-1, keepdims=True)))
 
 
-def _fold_order(data: Dataset, folds: int) -> np.ndarray:
-    """The rows in fold order, a permutation drawn from (data seed, folds):
-    row ``order[i]`` belongs to fold ``i % folds``, so every fold gets a row."""
-    if folds > len(data):
-        raise ValueError(f"{folds} folds need at least {folds} rows, got {len(data)}")
-    ss = np.random.SeedSequence(entropy=int(data.seed), spawn_key=(int(folds), 0xF01D))
-    return np.random.Generator(np.random.Philox(seed=ss)).permutation(len(data))
-
-
 def fold_counts(data: Dataset, folds: int) -> tuple[np.ndarray, np.ndarray]:
     """(each fold's own observed counts, its off-fold counts), both (folds,
-    512) in fold order: the cell codes gathered in fold order, one bincount
-    of each fold's strided slice, the off-fold tables by subtraction from
-    the total."""
-    bits = len(CANONICAL_ORDER)
-    codes = data.cell_code[_fold_order(data, folds)]
-    own = np.stack([np.bincount(codes[fold::folds], minlength=1 << bits) for fold in range(folds)])
-    own = own.reshape((folds,) + (2,) * bits).sum(axis=_HIDDEN_AXES).reshape(folds, -1)
+    512) in fold order, drawn from the sample's cell counts alone. Fold f
+    holds ``len(range(f, n, folds))`` rows, so every fold gets one; folds
+    0 .. folds-2 are drawn in turn without replacement from the rows left
+    (a multivariate hypergeometric draw over the non-zero cells left, from a
+    Philox stream of (data seed, folds)) and the last fold takes the rest.
+    Rows of one cell are exchangeable, so the (fold, cell) table has the law
+    a uniform permutation of the rows dealt round the folds gives it. The
+    off-fold tables are the total minus each fold's own."""
+    n, left = len(data), _cell_counts(data)
+    if folds > n:
+        raise ValueError(f"{folds} folds need at least {folds} rows, got {n}")
+    rng = substream(data.seed, int(folds), 0xF01D)
+    own = np.zeros((folds, left.size), dtype=np.int64)
+    for fold in range(folds - 1):  # over the non-zero cells left: the sampler spends a variate on a zero one
+        own[fold, left > 0] = rng.multivariate_hypergeometric(left[left > 0], len(range(fold, n, folds)), method="marginals")
+        left = left - own[fold]
+    own[-1] = left
     return own, _cell_counts(data) - own
 
 

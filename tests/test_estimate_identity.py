@@ -29,18 +29,18 @@ FOLDS = {**dict.fromkeys(BRIDGE_METHODS, (1, 3, 5)), "sra": (1, 3), "oracle": (1
 
 PINS = {
     35000: {
-        "por": "2bb70f4ab51339f0",
-        "pha": "5b28d27e413dc208",
-        "pipw": "3e158298b16cf432",
-        "pmr": "2e9c4ae2514f2561",
+        "por": "99f84069f31b8b26",
+        "pha": "2f56444909d197d7",
+        "pipw": "5c5643837d4da7b8",
+        "pmr": "db2e8c6f83e2f56b",
         "sra": "6e1a82d6714b415b",
         "oracle": "6cb1ec9de14827c3",
     },
     600: {
-        "por": "51358a078146a14c",
-        "pha": "d4b3ff1778efaaf8",
-        "pipw": "d82c960aaa012059",
-        "pmr": "d9eee9d8a6f04e2c",
+        "por": "4e58edc29f870e9c",
+        "pha": "07f6a32ca2ce6130",
+        "pipw": "c470ec04df326595",
+        "pmr": "fa6a14378558641a",
         "sra": "907a8607e3e03221",
         "oracle": "3c2be0fed53f3ee8",
     },

@@ -6,7 +6,9 @@ and the telescoped PMR rearrangement must match it to 1e-12, for arbitrary
 (even corrupted) bridges.
 """
 
+import collections
 import inspect
+import itertools
 import math
 import sys
 
@@ -224,27 +226,64 @@ def test_off_fold_bridge_sets_differ(big_data):
 
 
 def fold_assignments(data: Dataset, folds: int) -> np.ndarray:
-    """Fold id of each row, read off ``estimators._fold_order``: row
-    ``order[i]`` belongs to fold ``i % folds``."""
+    """A fold id for each row that gives every fold the counts
+    ``fold_counts`` draws: each observed cell's rows, in row order, dealt to
+    folds 0, 1, ... by that cell's own counts. Rows of one cell are
+    exchangeable, so any such assignment serves the row-level references;
+    counts that are negative or miss a cell's row total cannot be dealt."""
+    own = fold_counts(data, folds)[0]
+    cells = data.observed.astype(np.int64) @ (1 << np.arange(8, -1, -1))  # C order over OBSERVED_ORDER
     out = np.empty(len(data), dtype=np.int64)
-    out[estimators._fold_order(data, folds)] = np.arange(len(data)) % folds
+    out[np.argsort(cells, kind="stable")] = np.repeat(np.tile(np.arange(folds), own.shape[1]), own.T.reshape(-1))
     return out
 
 
-def test_fold_assignment_deterministic_and_balanced(big_data):
-    a = fold_assignments(big_data, 5)
-    b = fold_assignments(big_data, 5)
-    np.testing.assert_array_equal(a, b)
-    counts = np.bincount(a)
-    assert counts.max() - counts.min() <= 1
+def test_fold_counts_deterministic_and_balanced(big_data):
+    own, off_fold = fold_counts(big_data, 5)
+    again = fold_counts(big_data, 5)
+    assert np.array_equal(own, again[0]) and np.array_equal(off_fold, again[1])
+    sizes = own.sum(axis=1)
+    assert sizes.tolist() == [len(range(fold, len(big_data), 5)) for fold in range(5)]
+    assert sizes.max() - sizes.min() <= 1 and own.min() >= 0
+    assert np.array_equal(own.sum(axis=0), _cell_counts(big_data))
+    assert not np.array_equal(own, fold_counts(Dataset(big_data.cell_code, big_data.seed + 1), 5)[0])  # seeded
 
 
-def test_fold_assignments_refuse_more_folds_than_rows(params):
+def test_fold_counts_refuse_more_folds_than_rows(params):
     data = dgp.sample(params, 4, seed=3)
-    np.testing.assert_array_equal(np.sort(fold_assignments(data, 4)), np.arange(4))  # one row per fold
-    for fn in (fold_assignments, fold_counts):
-        with pytest.raises(ValueError, match="5 folds need at least 5 rows, got 4"):
-            fn(data, 5)
+    own, off_fold = fold_counts(data, 4)
+    assert own.sum(axis=1).tolist() == [1] * 4 and off_fold.sum(axis=1).tolist() == [3] * 4  # one row per fold
+    with pytest.raises(ValueError, match="5 folds need at least 5 rows, got 4"):
+        fold_counts(data, 5)
+
+
+def _permutation_split_law(cells: tuple[int, ...], folds: int) -> dict[bytes, float]:
+    """The exact law of the (fold, cell) count table when rows in ``cells``
+    are put in a uniform random order and position i goes to fold i % folds:
+    every ordering enumerated, nothing drawn."""
+    tables = collections.Counter()
+    for order in itertools.permutations(cells):
+        table = np.zeros((folds, max(cells) + 1), dtype=np.int64)
+        np.add.at(table, (np.arange(len(order)) % folds, order), 1)
+        tables[table.tobytes()] += 1
+    return {table: count / math.factorial(len(cells)) for table, count in tables.items()}
+
+
+def test_fold_counts_have_the_row_permutation_law():
+    """7 rows over 3 observed cells in 3 folds: the split of 4000 seeds is
+    within total variation 0.07 of the 7! orderings' exact law (25 tables).
+    The bound is fixed in advance: the mean distance is at most
+    sum_t sqrt(p_t (1 - p_t) / N) / 2 = 0.036, and one seed moves it by at
+    most 1 / N, so it exceeds the bound with chance below exp(-2 N 0.034^2) < 1e-4."""
+    cells, folds, seeds = (0, 0, 0, 1, 1, 2, 2), 3, 4000
+    exact = _permutation_split_law(cells, folds)
+    observed = np.zeros((len(cells), 9), dtype=np.int64)
+    observed[[3, 4], 8] = observed[[5, 6], 7] = 1  # cells 0, 1 (Y2 = 1) and 2 (A2 = 1) of OBSERVED_ORDER
+    codes = cell_codes(observed)
+    drawn = collections.Counter(fold_counts(Dataset(codes, seed), folds)[0][:, :3].tobytes() for seed in range(seeds))
+    assert sum(drawn.values()) == seeds
+    tv = sum(abs(drawn[table] / seeds - exact.get(table, 0.0)) for table in exact.keys() | drawn.keys()) / 2
+    assert tv <= 0.07, tv
 
 
 def test_estimate_order_invariance_under_row_permutation(small_data, fitted):
@@ -481,9 +520,10 @@ def _fold_by_fold_failure(data, opts):
     return None
 
 
-# (n, seed, folds): fold 0 fails; fold 1 is singular while fold 3 has a zero
-# conditioning cell (which a stacked solve meets first); later folds fail
-@pytest.mark.parametrize("n, seed, folds", [(300, 5, 5), (4000, 29, 5), (6000, 9, 3), (4000, 14, 5)])
+# (n, seed, folds): fold 0 fails; fold 1 is singular while folds 2 and 4 have
+# a zero conditioning cell (which a stacked solve meets first); the same in
+# three folds; only later folds fail
+@pytest.mark.parametrize("n, seed, folds", [(300, 5, 5), (4000, 46, 5), (6000, 141, 3), (4000, 18, 5)])
 def test_stacked_fold_fit_failure_names_the_first_failing_fold(params, n, seed, folds):
     data = dgp.sample(params, n, seed=seed)
     opts = FitOptions(folds=folds)

@@ -6,11 +6,10 @@ from functools import partial
 import numpy as np
 import pytest
 from conftest import regime_value, rep_alone, value_maximize
-from test_estimators import fold_assignments
 
 from proxidtr import dgp, estimators, harness, identify
 from proxidtr.bridges import pseudo_bridges
-from proxidtr.dgp import Dataset, DgpParams, sample
+from proxidtr.dgp import DgpParams, sample
 from proxidtr.harness import (
     ALL_METHODS,
     BRIDGE_METHODS,
@@ -421,19 +420,16 @@ def test_config_rejects_wrongly_typed_values(payload):
 
 def _reference_rep(true_density, config, truth, rep):
     """Every (scenario, method) cell of one repetition on its own: bridges fitted
-    fold by fold on masked counts, each cell identified through ``_DENSITY_FN``
+    fold by fold on the total minus that fold's ``fold_counts``, each cell identified through ``_DENSITY_FN``
     per fold, on a piece table of its own, and scored by the test-side loops of ``_loop_score``; nothing is
     shared between cells. A failure is recorded as its step and the error's
     kind, without the cell, block or fold it names."""
     data = sample(truth.params, config.n, config.base_seed + rep)
     opts = estimators.FitOptions(config.folds, config.laplace)
-    assignments = fold_assignments(data, config.folds)
     total = estimators._cell_counts(data)
-    # (scoring counts, fitting counts) per fold
+    # (scoring counts, fitting counts) per fold: each fold's own counts and the rest
     folds = [(total, total)] if config.folds == 1 else [
-        tuple(estimators._cell_counts(Dataset(data.cell_code[mask], data.seed))
-              for mask in (assignments == f, assignments != f))
-        for f in range(config.folds)]
+        (own, total - own) for own in estimators.fold_counts(data, config.folds)[0]]
 
     def bridge_table(tag, method):
         per_fold = []

