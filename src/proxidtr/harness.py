@@ -7,15 +7,17 @@ one pass (``_Pass``), every array led by a repetition axis, in four layers:
 
   fit        the bridges of every repetition in one ``solve_bridges`` of the
              (R, 512) counts, or of the off-fold counts (R, K, 512) with K
-             folds (``fit_off_fold``), and the piece table of the law each
-             fit scores (the whole sample's, or each fold's own)
+             folds (``fit_off_fold``), on the law ``laplace`` smooths, and
+             the piece table of the unsmoothed law each fit scores (the
+             whole sample's, or each fold's own), as ``cross_fit`` reads it
   identify   the first half of the distinct bridge densities, read off that
              piece table
   identify   the other half; with folds, each repetition's fold tables of
              every density averaged in fold order with P(y0) weights, as one
              stack
-  score      SRA (with one fold, on the fitted law) and the Oracle, then
-             each repetition's densities scored as one stack
+  score      SRA and the Oracle on their smoothed laws (SRA's, with one
+             fold and no smoothing, the fitted law), then each
+             repetition's densities scored as one stack
 
 Stacking moves no bit: a repetition's results are those of a pass over a
 stack of one. A bridge method's density depends on the scenario only
@@ -300,18 +302,20 @@ def _bridge_fits(observed: np.ndarray, own: np.ndarray | None,
     """(piece table, p_y0, solved bridges) of a stack of repetitions, shared
     by every scenario, from their observed counts (R, 512) and, with folds,
     each fold's own counts (R, K, 512). The piece table and p_y0 are those
-    of the law each fit scores (``identify.observed_conditional``): the whole
-    sample's (the law ``fit_counts`` built, whose sums the table shares) with
-    one fold, each fold's own with more, every array then led by the
-    repetition and fold axes; with folds the bridges are fitted on the
+    of the unsmoothed law each fit scores (``identify.observed_conditional``),
+    as ``cross_fit`` reads them: the whole sample's with one fold (unsmoothed,
+    the law ``fit_counts`` built, whose sums the table shares), each fold's
+    own with more, every array then led by the repetition and fold axes. The
+    bridges are fitted on the law ``laplace`` smooths, with folds on the
     off-fold counts (``fit_off_fold``).
     """
     opts = FitOptions(folds=config.folds, laplace=config.laplace)
     if own is None:
         law, solved = fit_counts(observed, opts)
+        law = law if config.laplace == 0 else count_pmf(observed)
     else:
         solved = fit_off_fold(observed[:, None] - own, opts)
-        law = count_pmf(own, config.laplace)
+        law = count_pmf(own)
     return (*identify.observed_conditional(law), solved)
 
 
@@ -340,9 +344,9 @@ def _fold_average(densities: list[np.ndarray], p_y0: np.ndarray) -> tuple[np.nda
 def _baseline_table(cells: np.ndarray, observed: np.ndarray, config: ExperimentConfig, method: str,
                     whole=None) -> tuple[np.ndarray, np.ndarray]:
     """(g, p_y0) of SRA or the Oracle for a stack of repetitions, each read
-    off its law: SRA's is ``whole``, the one-fold fit's law, when the fit
-    built it, else the law of the observed counts; the Oracle's that of the
-    2^11 cell counts, hidden columns included."""
+    off its law, smoothed by ``laplace``: SRA's is ``whole``, the one-fold
+    fit's law, when the fit built it, else the law of the observed counts;
+    the Oracle's that of the 2^11 cell counts, hidden columns included."""
     if method == "SRA":
         law, density = (count_pmf(observed, config.laplace) if whole is None else whole), sra_from_conditional
     else:
@@ -431,8 +435,8 @@ class _Pass:
     def _identify(self):
         """The first half of the bridge densities, or at the second call the
         rest; at the last, each repetition's fold-averaged tables, and the
-        piece table is dropped (with one fold SRA keeps the fit's law,
-        ``whole``, a stack over the repetitions the fit kept)."""
+        piece table is dropped (with one fold and no smoothing SRA keeps the
+        fit's law, ``whole``, a stack over the repetitions the fit kept)."""
         if self.fits is None:
             return
         keys = list(self.merged)
@@ -443,7 +447,7 @@ class _Pass:
             g, p_y0 = _fold_average(self.densities, p_y0)
             for i, g_rep, p_rep in zip(self.live, g, p_y0):
                 self.tables[i].update({key: (g_d, p_rep) for key, g_d in zip(self.merged, g_rep)})
-            self.whole = pieces.law if self.own is None else None
+            self.whole = pieces.law if self.own is None and self.config.laplace == 0 else None
             self.fits = self.densities = None
 
     def _score(self):

@@ -23,7 +23,8 @@ from proxidtr.harness import (
     parse_report_csv,
     run_experiment,
 )
-from proxidtr.policy import enumerate_class, q_learning_regime
+from proxidtr.estimators import FitOptions
+from proxidtr.policy import Regime, class_values, enumerate_class, q_learning_regime
 from proxidtr.tables import TableError
 
 SMALL = ExperimentConfig(
@@ -376,16 +377,48 @@ def test_one_observed_conditional_per_scoring_law(monkeypatch, folds, laws):
 
 @pytest.mark.parametrize("laplace", [0.0, 0.5])
 def test_one_fold_fit_builds_the_whole_sample_law_once(params, laplace, monkeypatch):
+    """The bridges are fitted on the smoothed law and the piece table is read
+    off the raw one; without smoothing the two are one law, built once."""
     data = sample(params, 6000, 3)
     config = ExperimentConfig(n=6000, laplace=laplace)
     laws = _counting(monkeypatch, estimators, "count_pmf")
+    monkeypatch.setattr(harness, "count_pmf", estimators.count_pmf)  # the harness's own builds counted too
     pieces, p_y0, solved = harness._bridge_fits(data.observed_counts[None], None, config)  # a stack of one
-    assert len(laws) == 1
-    law, expected = estimators.fit_bridges(data, estimators.FitOptions(laplace=laplace))
+    assert len(laws) == (1 if laplace == 0 else 2)
+    law, expected = estimators.empirical_pmf(data), estimators.fit_bridges(data, FitOptions(laplace=laplace))[1]
     expected_p = identify.observed_conditional(law)[1]
     assert pieces.law.mass.shape == (1,) + law.mass.shape and p_y0.shape == (1,) + expected_p.shape
     assert pieces.law.mass.tobytes() == law.mass.tobytes() and p_y0.tobytes() == expected_p.tobytes()
     assert all(np.array_equal(getattr(solved, n)[0], getattr(expected, n)) for n in ("h22", "h21", "h11", "q11", "q22"))
+
+
+@pytest.mark.parametrize("folds", [1, 3])
+@pytest.mark.parametrize("laplace", [0.0, 0.5])
+def test_bridge_values_are_cross_fit_values(folds, laplace, linear_class):
+    """Each bridge method's value of its pick, read off the harness's tables
+    of one repetition, is ``cross_fit``'s value of that regime on the
+    repetition's sample (rebuilt from its cell counts, with its seed): the
+    bridges fitted on the law ``laplace`` smooths, the value read on the raw
+    law, as ``estimate`` reads it. With one fold ``identify.pick``'s value
+    is the estimate bit for bit; with folds each fold table's value is that
+    fold's estimate bit for bit, and the fold-averaged density's value their
+    mean to rounding."""
+    config = ExperimentConfig(folds=folds, laplace=laplace, reps=1)
+    truth, seed = harness._truth_context(config), config.base_seed
+    cells, observed, own = harness._counts(config, sample(truth.params, config.n, seed))
+    run = harness._Pass(config, truth, harness._scenario_pseudo(config), (0,), ((cells, observed, own),))
+    run.finish()
+    pieces, p_y0, solved = harness._bridge_fits(observed[None], None if own is None else own[None], config)
+    data = dgp.Dataset(np.repeat(np.arange(2 ** 11), cells), seed)
+    for method in BRIDGE_METHODS:
+        chosen, value = identify.pick(*run.tables[0][(method, ())], linear_class.index, "value-max")
+        got = estimators.cross_fit(method, data, FitOptions(folds, laplace), Regime.from_index(chosen))
+        if folds == 1:
+            assert got.estimate == value
+        else:
+            fold_values = class_values(harness._DENSITY_FN[method](pieces, solved).g[0], p_y0[0], chosen)[:, 0]
+            assert fold_values.tolist() == list(got.fold_estimates)
+            assert got.estimate == pytest.approx(value, rel=1e-15, abs=0)
 
 
 def test_pseudo_bridges_drawn_once_per_experiment_and_shared_by_scenarios(monkeypatch):
@@ -439,7 +472,7 @@ def _reference_rep(true_density, config, truth, rep):
             except TableError as err:
                 return f"fit failed: {err.kind}"
             b = b.merged(pseudo_bridges(config.pseudo_seed, SCENARIO_PSEUDO[tag]))
-            pieces, p_y0 = identify.observed_conditional(estimators.count_pmf(own, config.laplace))
+            pieces, p_y0 = identify.observed_conditional(estimators.count_pmf(own))
             per_fold.append((harness._DENSITY_FN[method](pieces, b).g, p_y0))
         if config.folds == 1:
             return per_fold[0]
