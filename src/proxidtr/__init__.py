@@ -9,8 +9,9 @@ Carlo harness for regret / overall-error studies.
 Every module is imported with the package except ``harness``: it and its
 re-exports (``ExperimentConfig``, ``ExperimentReport``, ``emit_tables``,
 ``identify_check``, ``run_experiment``) load on first access, so a process
-that never runs an experiment does not import the harness or the
-``multiprocessing`` machinery behind its sampling helper.
+that never runs an experiment does not import the harness. The harness
+draws each repetition as its 2^11 cell counts (``dgp.sample_counts``), in
+one process.
 """
 
 import importlib

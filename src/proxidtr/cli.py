@@ -23,8 +23,8 @@ parsing leaves a parser unchanged, so in-process calls share it.
 
 ``experiment`` and ``identify-check`` import the harness when they run;
 importing this module, building the parser, ``simulate`` and ``estimate``
-never load it, nor the ``multiprocessing`` module behind its sampling
-helper.
+never load it. ``simulate`` writes rows (``dgp.sample``); ``experiment``
+draws each repetition as its cell counts (``dgp.sample_counts``).
 """
 
 from __future__ import annotations

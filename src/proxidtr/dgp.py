@@ -10,8 +10,9 @@ model in its causal parents; the defaults encode the benchmark generative
 law used throughout the tests, including the third-order interactions of the
 terminal-outcome score.
 
-The module constructs the exact 2^11 joint law, samples ancestrally with a
-counter-based generator, and evaluates ground truth by sequential
+The module constructs the exact 2^11 joint law, samples rows ancestrally
+with a counter-based generator or draws a sample's cell counts in one
+multinomial draw, and evaluates ground truth by sequential
 standardization (g-formula) over the hidden confounders: the conditional
 joint density of potential outcomes and, from it, ``true_values``, the true
 value of every Boolean regime at its Boolean index, built once per
@@ -39,10 +40,18 @@ counter-based, so any block of a sample's rows is drawn alone, bit for bit
 one generator skips from each variable's block of words to the next.
 ``sample`` is the block of all n rows.
 
+``sample_counts`` draws the 2^11 cell counts of n rows without a row: one
+``Generator.multinomial(n, p)`` draw from a Philox stream keyed by the seed,
+p the true joint's mass in C order (``DgpParams._joint``, built once and
+shared with ``true_values``). The counts of n iid rows are Multinomial(n,
+p), so these have the law of ``sample``'s counts (to the 2^-53 rounding of
+its word bounds), not its bits. The experiment grid draws its repetitions
+so; rows are drawn where rows are read (``simulate``, a CSV, the tests).
+
 A ``Dataset`` holds its rows only as canonical cell codes: each row's
 CANONICAL_ORDER values read as bits, Y0 the most significant. Its 2^11 cell
 counts are the sufficient statistic of every estimator; they and the 2^9
-observed counts are counted once per dataset. Its columns are read-only
+observed counts (``sum_hidden`` of them) are counted once per dataset. Its columns are read-only
 arrays masked out of the codes on each access. The table of each
 variable's bit in the code turns the sampler's prefix codes, a CSV's value
 matrix and a column name alike into codes or masks.
@@ -181,9 +190,15 @@ class DgpParams:
         return tuple(_word_bounds(table) for table in self.sampling_tables)
 
     @cached_property
+    def _joint(self) -> JointPmf:
+        """``true_joint`` of this law, built once: ``_true_values`` and
+        ``sample_counts`` read it."""
+        return true_joint(self)
+
+    @cached_property
     def _true_values(self) -> np.ndarray:
         """``true_values`` of this law."""
-        joint = true_joint(self)
+        joint = self._joint
         return _locked(class_values(oracle_density_from_joint(joint).g, joint.marginal(("Y0",)),
                                     np.arange(BOOLEAN_SIZE)))
 
@@ -219,6 +234,13 @@ _HIDDEN_AXES = tuple(CANONICAL_ORDER.index(n) - len(CANONICAL_ORDER) for n in HI
 def _bit_weights(names: tuple[str, ...]) -> np.ndarray:
     """The int16 cell-code bit of each of ``names``."""
     return np.array([_CELL_BIT[name] for name in names], dtype=np.int16)
+
+
+def sum_hidden(cell_counts: np.ndarray) -> np.ndarray:
+    """2^11 cell counts summed over U0 and U1: the row count of each of the
+    2^9 observed cells, in C order over OBSERVED_ORDER, read-only."""
+    counts = cell_counts.reshape((2,) * len(CANONICAL_ORDER)).sum(axis=_HIDDEN_AXES)
+    return _locked(counts.reshape(-1))
 
 
 @dataclass(frozen=True, eq=False)
@@ -281,10 +303,8 @@ class Dataset:
 
     @cached_property
     def observed_counts(self) -> np.ndarray:
-        """``cell_counts`` summed over U0 and U1: the row count of each of the
-        2^9 observed cells, in C order over OBSERVED_ORDER."""
-        counts = self.cell_counts.reshape((2,) * len(CANONICAL_ORDER)).sum(axis=_HIDDEN_AXES)
-        return _locked(counts.reshape(-1))
+        """``sum_hidden`` of ``cell_counts``."""
+        return sum_hidden(self.cell_counts)
 
     def to_csv(self, include_hidden: bool = False) -> str:
         if include_hidden and not self.has_hidden:
@@ -461,6 +481,26 @@ def sample(params: DgpParams, n: int, seed: int) -> Dataset:
     return Dataset(_locked(sample_rows(params, n, seed, 0, n)), seed)
 
 
+def _refuse_draw(n: int, seed: int) -> None:
+    """Refuse a sample size or a seed that no draw takes."""
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    if not 0 <= seed < 2 ** 64:
+        raise ValueError(f"seed must be in [0, 2**64), got {seed}")
+
+
+def sample_counts(params: DgpParams, n: int, seed: int) -> np.ndarray:
+    """The read-only (2048,) cell counts of n rows of the law, in C order over
+    CANONICAL_ORDER: one ``Generator.multinomial(n, p)`` draw from a Philox
+    stream keyed by ``seed``, p the true joint's mass. The counts of n iid
+    rows are Multinomial(n, p), so this has the law of ``sample(params, n,
+    seed).cell_counts`` (to the 2^-53 rounding of the rows sampler's word
+    bounds), not its bits."""
+    _refuse_draw(n, seed)
+    rng = np.random.Generator(np.random.Philox(key=np.uint64(seed)))
+    return _locked(rng.multinomial(n, params._joint.mass.reshape(-1)))
+
+
 def sample_rows(params: DgpParams, n: int, seed: int, start: int, stop: int) -> np.ndarray:
     """The int16 cell codes of rows [start, stop) of ``sample(params, n, seed)``,
     drawn alone, bit for bit.
@@ -474,10 +514,7 @@ def sample_rows(params: DgpParams, n: int, seed: int, start: int, stop: int) -> 
     the rest of its current 4-word counter block, then advances whole blocks
     and reads the words left. The finished prefix code gives the cell codes.
     """
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    if not 0 <= seed < 2 ** 64:
-        raise ValueError(f"seed must be in [0, 2**64), got {seed}")
+    _refuse_draw(n, seed)
     if not 0 <= start <= stop <= n:
         raise ValueError(f"rows [start, stop) must satisfy 0 <= start <= stop <= n = {n}, got [{start}, {stop})")
     code = np.zeros(stop - start, dtype=np.intp)

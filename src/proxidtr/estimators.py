@@ -40,10 +40,12 @@ with bridges solved from the law, that of each method's value is the PMR
 summand centred at its mean.
 
 ``fit_bridges`` solves the bridges on the whole sample. With K folds,
-``fold_counts`` splits the sample's observed cell counts into the folds'
-own counts, one multivariate hypergeometric draw per fold, and reads no
-row: rows of one cell are exchangeable, so the split has the law a uniform
-permutation of the rows dealt round the folds gives it. The K off-fold
+``fold_counts`` splits a sample's observed cell counts into the folds' own
+counts, one multivariate hypergeometric draw per fold from a stream of the
+sample's seed, and reads no row (``cross_fit`` passes a dataset's counts
+and seed, the harness a repetition's): rows of one cell are exchangeable,
+so the split has the law a uniform permutation of the rows dealt round the
+folds gives it. The K off-fold
 laws (the total counts minus each fold's own) are solved as one stack
 (``fit_off_fold``, which the harness also calls on the off-fold counts of
 a block of repetitions), its tables led by a fold axis. A failed stacked
@@ -146,26 +148,26 @@ def count_pmf(counts: np.ndarray, laplace: float = 0.0, names: tuple[str, ...] =
     return JointPmf(names, _locked(counts / counts.sum(axis=-1, keepdims=True)))
 
 
-def fold_counts(data: Dataset, folds: int) -> tuple[np.ndarray, np.ndarray]:
+def fold_counts(counts: np.ndarray, seed: int, folds: int) -> tuple[np.ndarray, np.ndarray]:
     """(each fold's own observed counts, its off-fold counts), both (folds,
-    512) in fold order, drawn from the sample's cell counts alone. Fold f
-    holds ``len(range(f, n, folds))`` rows, so every fold gets one; folds
-    0 .. folds-2 are drawn in turn without replacement from the rows left
-    (a multivariate hypergeometric draw over the non-zero cells left, from a
-    Philox stream of (data seed, folds)) and the last fold takes the rest.
-    Rows of one cell are exchangeable, so the (fold, cell) table has the law
-    a uniform permutation of the rows dealt round the folds gives it. The
-    off-fold tables are the total minus each fold's own."""
-    n, left = len(data), _cell_counts(data)
+    512) in fold order, drawn from a sample's observed counts and its seed
+    alone. Fold f holds ``len(range(f, n, folds))`` of the n rows, so every
+    fold gets one; folds 0 .. folds-2 are drawn in turn without replacement
+    from the rows left (a multivariate hypergeometric draw over the non-zero
+    cells left, from a Philox stream of (seed, folds)) and the last fold
+    takes the rest. Rows of one cell are exchangeable, so the (fold, cell)
+    table has the law a uniform permutation of the rows dealt round the
+    folds gives it. The off-fold tables are the total minus each fold's own."""
+    n, left = int(counts.sum()), counts
     if folds > n:
         raise ValueError(f"{folds} folds need at least {folds} rows, got {n}")
-    rng = substream(data.seed, int(folds), 0xF01D)
+    rng = substream(seed, int(folds), 0xF01D)
     own = np.zeros((folds, left.size), dtype=np.int64)
     for fold in range(folds - 1):  # over the non-zero cells left: the sampler spends a variate on a zero one
         own[fold, left > 0] = rng.multivariate_hypergeometric(left[left > 0], len(range(fold, n, folds)), method="marginals")
         left = left - own[fold]
     own[-1] = left
-    return own, _cell_counts(data) - own
+    return own, counts - own
 
 
 def fit_bridges(data: Dataset, opts: FitOptions = FitOptions()) -> tuple[JointPmf, BridgeSet]:
@@ -327,7 +329,7 @@ def cross_fit(method: str, data: Dataset, opts: FitOptions, regime: Regime) -> V
     if opts.folds == 1:
         law, b = fit_bridges(data, opts)
         return _on_law(method, law if opts.laplace == 0 else empirical_pmf(data), b, regime)
-    own, off_fold = fold_counts(data, opts.folds)
+    own, off_fold = fold_counts(data.observed_counts, data.seed, opts.folds)
     fold_values = tuple(_plug_in(method, count_pmf(own), fit_off_fold(off_fold, opts), regime).tolist())
     return ValueEstimate(method, float(np.mean(fold_values)), fold_estimates=fold_values)
 

@@ -1,9 +1,11 @@
 """Monte Carlo experiment orchestration: scenarios x methods x repetitions.
 
-A repetition's sample is counted once and then dropped: its 2^11 cell
-counts, its 2^9 observed counts and, with folds, each fold's own observed
-counts (``_counts``) feed every table. Repetitions are computed in stacks by
-one pass (``_Pass``), every array led by a repetition axis, in four layers:
+A repetition is read only through its counts (``_counts``): its 2^11 cell
+counts, drawn in one multinomial draw (``dgp.sample_counts``; no row is
+drawn), its 2^9 observed counts and, with folds, each fold's own observed
+counts (``fold_counts``), which feed every table. Repetitions are computed
+in stacks by one pass (``_Pass``), every array led by a repetition axis, in
+four layers:
 
   fit        the bridges of every repetition in one ``solve_bridges`` of the
              (R, 512) counts, or of the off-fold counts (R, K, 512) with K
@@ -36,15 +38,14 @@ alone, and the others are computed as in a stack of one.
 
 Every grid runs as one pipeline that lags one block (``_Blocks``). A block
 is ``BLOCK`` repetitions, one per layer. ``_run_rep(config, truth, rep,
-blocks)`` is called once per repetition, in index order, in the main
-process: each call draws and counts its own repetition's sample, then runs
-one layer of the previous block's pass, so call 4b + j runs layer j of
-block b - 1, and the last call also finishes the final block. Each call thus
-does its own draw and count plus at most one layer, and no fit,
-identification or scoring runs outside the calls: a timer around each call
-(the benchmark's) charges a repetition its own draw and a share of a block's
-pass, never a whole block, and leaves no work out. One repetition is a block
-of one, run whole in its call.
+blocks)`` is called once per repetition, in index order, in one process:
+each call draws its own repetition's counts, then runs one layer of the
+previous block's pass, so call 4b + j runs layer j of block b - 1, and the
+last call also finishes the final block. Each call thus does its own draw
+plus at most one layer, and no fit, identification or scoring runs outside
+the calls: a timer around each call (the benchmark's) charges a repetition
+its own draw and a share of a block's pass, never a whole block, and leaves
+no work out. One repetition is a block of one, run whole in its call.
 
 The harness does not pick a regime; it scores picks. The densities of every
 repetition of a block are picked from as one stack by ``identify.pick``,
@@ -76,7 +77,7 @@ all 1024 Boolean regimes' values; a chosen regime's true value is read at
 its Boolean index, and the optimum is ``dgp.optimal_value`` of the searched
 class. No ``Regime`` is built to score, and the truth is built once per
 searched class and process (``_truth_context``) on the one law ``_law``,
-which the sampling helper draws from.
+which every repetition is drawn from.
 
 Everything is deterministic in the config: repetition seeds are
 base_seed + index, and each repetition's results are folded into per-cell
@@ -88,28 +89,6 @@ pairs in first-seen order that sum to ``failures``. A reason is the failing
 step and the error's kind (``TableError.kind``: its message without the cell
 or block it names), so the repetitions that failed the same way group
 together.
-
-With two or more repetitions and a second CPU, one helper process, forked
-for the loop of ``_rep_results`` (``_Helper``), shares the draws with the
-main process. Each sample is cut into two fixed halves, rows [0, n//2) and
-[n//2, n), each drawn by ``dgp.sample_rows``. Under one lock, the helper
-claims the unclaimed halves of the five repetitions after the main
-process's current one (``_claim_order``: every first half before any second
-half, farthest repetition first), draws each into its slot of a ring of
-``_RING`` repetitions' cell codes in one anonymous shared ``mmap``, and
-marks it drawn. Inside each ``_run_rep`` call the main process publishes
-its repetition and reads which of its halves are marked in the same locked
-step, copies those out of the ring and draws every other half itself, one
-the helper still has in flight included: it never waits for the helper. So
-the rows divide by the work itself, with no controller: whichever process
-is ahead draws more, and a slow or dead helper costs only speed. The
-helper has its own interpreter lock, so its draws run beside the main
-process's work at their solo speed. With one repetition, or one CPU to run
-on, nothing can overlap: there is no helper and each call draws its sample
-inline. A block of rows is drawn alone bit for bit and a sample depends
-only on its seed, so the division moves no bit: the report is the same
-byte for byte whoever draws which half, and inline. The helper is killed
-and reaped before ``run_experiment`` returns or raises.
 
 The report's columns are stated once, in one column table (``_COLUMNS``):
 the labels and counts, then each metric's CSV prefix with the statistics
@@ -124,24 +103,20 @@ reasons. ``identify_check`` passes a deviation from the Oracle density up to
 
 from __future__ import annotations
 
-import contextlib
 import csv
 import io
 import json
-import mmap
-import multiprocessing
 import numbers
-import os
-import signal
 from collections import Counter
 from dataclasses import dataclass, field, fields
 from functools import cache, partial
 
 import numpy as np
 
-from . import dgp, identify
+from . import identify
 from .bridges import DEFAULT_PSEUDO_SEED, BridgeSet, pseudo_bridges, solve_bridges, verify_bridges
-from .dgp import CANONICAL_ORDER, DgpParams, optimal_value, oracle_density_from_joint, sample, true_joint, true_values
+from .dgp import (CANONICAL_ORDER, DgpParams, optimal_value, oracle_density_from_joint, sample_counts, sum_hidden,
+                  true_joint, true_values)
 from .estimators import (
     ALL_METHODS,
     FitOptions,
@@ -152,7 +127,7 @@ from .estimators import (
     sra_from_conditional,
 )
 from .policy import enumerate_class
-from .tables import _json_object, _locked, by_law
+from .tables import _json_object, by_law
 
 EPSILON = 1e-10  # values below this render as "<eps"
 
@@ -379,11 +354,15 @@ def _scores(truth: _Truth, tables: list[dict], optimizer: str) -> list[dict]:
     return scores
 
 
-def _counts(config: ExperimentConfig, data: dgp.Dataset) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
-    """What a pass reads of a repetition's sample: its 2^11 cell counts, its
-    2^9 observed counts and, with folds, each fold's own observed counts."""
-    own = fold_counts(data, config.folds)[0] if config.folds > 1 else None
-    return data.cell_counts, data.observed_counts, own
+def _counts(config: ExperimentConfig, params: DgpParams, rep: int) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
+    """What a pass reads of repetition ``rep``'s sample: its 2^11 cell counts
+    (``sample_counts`` at seed base_seed + rep), its 2^9 observed counts and,
+    with folds, each fold's own observed counts."""
+    seed = config.base_seed + rep
+    cells = sample_counts(params, config.n, seed)
+    observed = sum_hidden(cells)
+    own = fold_counts(observed, seed, config.folds)[0] if config.folds > 1 else None
+    return cells, observed, own
 
 
 class _Pass:
@@ -480,11 +459,11 @@ BLOCK = len(_Pass.LAYERS)  # repetitions per stacked pass: one layer of the prev
 
 
 def _run_rep(config: ExperimentConfig, truth: _Truth, rep: int, blocks: _Blocks) -> list[dict]:
-    """Repetition ``rep``'s call in the grid's pipeline: its sample drawn
-    (``_Blocks.draw``) and counted, then one layer of the previous block's
-    pass; returns the per-cell results (errors per cell) of each repetition
-    that finished, in index order. The sample is dropped once counted."""
-    return blocks.add(rep, _counts(config, blocks.draw(rep)))
+    """Repetition ``rep``'s call in the grid's pipeline: its sample counted
+    (``_counts``), then one layer of the previous block's pass; returns the
+    per-cell results (errors per cell) of each repetition that finished, in
+    index order."""
+    return blocks.add(rep, _counts(config, truth.params, rep))
 
 
 _law = cache(DgpParams.default)  # the law every grid samples and scores against, built once
@@ -498,153 +477,24 @@ def _truth(regime_class: str) -> _Truth:
 def _truth_context(config: ExperimentConfig) -> _Truth:
     """The ground truth of the class ``config``'s optimizer searches (the
     Boolean class for Q-learning), built once and kept on the one law
-    (``_law``), which the sampling helper, forked, inherits."""
+    (``_law``)."""
     return _truth("all-boolean" if config.optimizer == "q-learning" else config.regime_class)
 
 
-def _cpus() -> int:
-    """The CPUs this process may run on (all of them where affinity is unknown)."""
-    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
-
-
-_RING = BLOCK + 2  # repetitions in the shared ring: the main process's current one and the five after it
-_CURRENT, _IDLE, _MARKS = 0, 1, 2  # the words of the shared state; the claimed and drawn marks fill the rest
-_WORDS = _MARKS + 4 * _RING
-
-
-def _claim_order(current: int, last: int) -> list[tuple[int, int]]:
-    """The (repetition, half) pairs the helper may claim while the main
-    process is at repetition ``current``, in the order it claims them: the
-    five repetitions after ``current``, up to repetition ``last``, every
-    first half before any second half, farthest repetition first. The halves
-    the helper has in flight are then the ones the main process reaches last."""
-    reps = range(min(current + _RING - 1, last), current, -1)
-    return [(rep, half) for half in (0, 1) for rep in reps]
-
-
-class _Helper:
-    """One forked process that draws halves of the grid's samples ahead of
-    the main process, with no thread in either process and no wait in the
-    main process.
-
-    The two share one anonymous ``mmap``: the state words (the main
-    process's current repetition, the helper's idle word and, per ring slot
-    and half, the repetition that claimed it and the one whose rows it
-    holds) and a ring of ``_RING`` repetitions' int16 cell codes, repetition
-    r in slot r % _RING. The state is read and written only under one lock,
-    which the fork shares. The helper claims a half by ``_claim_order``,
-    draws it into its slot outside the lock and marks it drawn
-    (``_serve``). With nothing to claim it marks itself idle and sleeps on
-    the wake pipe; the main process writes a byte there only when it clears
-    that mark, so at most one byte is ever unread and waking never blocks.
-
-    The main process publishes its repetition r and reads r's drawn marks in
-    one locked step; from then on the helper's window, the five
-    repetitions after r, never holds r. It copies the marked halves out of
-    the ring and draws every other half itself, one still in flight
-    included, all before it publishes r + 1, which is when r + 6, the next
-    repetition in r's slot, enters the window. A late helper is harmless:
-    it writes only the slot of a repetition the main process has drawn for
-    itself, and it cannot claim that slot's next repetition until it
-    finishes. A helper that raises or dies only stops marking halves, so a
-    draw error surfaces from the main process's own draw, and ``close``
-    kills and reaps the helper wherever it is.
-    """
-
-    def __init__(self, config: ExperimentConfig):
-        self.config, n = config, config.n
-        self.cuts = (0, n // 2, n)  # the halves: rows [0, n//2) and [n//2, n)
-        shared = mmap.mmap(-1, 8 * _WORDS + 2 * _RING * n)
-        self.state = np.frombuffer(shared, np.int64, _WORDS)
-        self.claimed, self.drawn = self.state[_MARKS:].reshape(2, _RING, 2)
-        self.ring = np.frombuffer(shared, np.int16, _RING * n, 8 * _WORDS).reshape(_RING, n)
-        self.state[_CURRENT] = -1
-        self.state[_MARKS:] = -1
-        self.lock = multiprocessing.get_context("fork").Lock()
-        wake, self.wake = os.pipe()
-        self.pid = os.fork()
-        if not self.pid:  # the helper: it never returns into the caller's code
-            try:
-                os.close(self.wake)
-                self._serve(wake)
-            finally:
-                os._exit(0)
-        os.close(wake)
-
-    def _serve(self, wake: int) -> None:
-        """The helper's loop, until it is killed or the wake pipe closes."""
-        config, state, claimed = self.config, self.state, self.claimed
-        while True:
-            with self.lock:
-                claim = next(((rep, half) for rep, half in _claim_order(int(state[_CURRENT]), config.reps - 1)
-                              if claimed[rep % _RING, half] != rep), None)
-                if claim is None:
-                    state[_IDLE] = 1
-                else:
-                    claimed[claim[0] % _RING, claim[1]] = claim[0]
-            if claim is None:
-                if not os.read(wake, 1):
-                    return
-                continue
-            rep, half = claim
-            start, stop = self.cuts[half:half + 2]
-            self.ring[rep % _RING, start:stop] = dgp.sample_rows(_law(), config.n, config.base_seed + rep, start, stop)
-            with self.lock:
-                self.drawn[rep % _RING, half] = rep
-
-    def draw(self, rep: int, params: DgpParams) -> np.ndarray:
-        """Repetition ``rep``'s cell codes: ``rep`` is published as the main
-        process's current repetition and its drawn marks read in one locked
-        step; the marked halves are copied out of the ring and the others
-        drawn here."""
-        slot, n, seed = rep % _RING, self.config.n, self.config.base_seed + rep
-        with self.lock:
-            self.state[_CURRENT] = rep
-            copied = self.drawn[slot] == rep
-            idle, self.state[_IDLE] = self.state[_IDLE], 0
-        if idle:
-            with contextlib.suppress(BrokenPipeError):  # a helper that ended idle holds no half
-                os.write(self.wake, b"\0")
-        codes = np.empty(n, np.int16)
-        for half in (0, 1):
-            start, stop = self.cuts[half:half + 2]
-            if copied[half]:
-                codes[start:stop] = self.ring[slot, start:stop]
-            else:
-                codes[start:stop] = dgp.sample_rows(params, n, seed, start, stop)
-        return codes
-
-    def close(self) -> None:
-        """Kill the helper, wherever it is, and reap it."""
-        os.kill(self.pid, signal.SIGKILL)
-        os.waitpid(self.pid, 0)
-        os.close(self.wake)
-
-
 class _Blocks:
-    """The grid's pipeline: each call of ``_run_rep`` draws its own
-    repetition's sample and counts it into the block being drawn, then runs
-    one layer of the previous block's stacked pass.
+    """The grid's pipeline: each call of ``_run_rep`` counts its own
+    repetition's sample into the block being counted, then runs one layer
+    of the previous block's stacked pass.
 
     A block is ``BLOCK`` repetitions, one per layer, so a block's pass ends in
     the call that completes the next block, which then starts its own; the
-    last call also finishes the final block. Each sample is drawn inline
-    without a helper (``helper`` None), and with one its halves are divided
-    between the helper and this process (``_Helper.draw``).
+    last call also finishes the final block.
     """
 
-    def __init__(self, config: ExperimentConfig, truth: _Truth, pseudo: dict[str, BridgeSet], helper: _Helper | None):
-        self.config, self.truth, self.pseudo, self.helper = config, truth, pseudo, helper
-        self.block = []  # (rep, counts) of the block being drawn
+    def __init__(self, config: ExperimentConfig, truth: _Truth, pseudo: dict[str, BridgeSet]):
+        self.config, self.truth, self.pseudo = config, truth, pseudo
+        self.block = []  # (rep, counts) of the block being counted
         self.running = None  # the previous block's pass
-
-    def draw(self, rep: int) -> dgp.Dataset:
-        """Repetition ``rep``'s sample: drawn whole here without a helper,
-        else its halves as the helper and this process divide them."""
-        n, seed = self.config.n, self.config.base_seed + rep
-        if self.helper is None:
-            return sample(self.truth.params, n, seed)
-        return dgp.Dataset(_locked(self.helper.draw(rep, self.truth.params)), seed)
 
     def add(self, rep: int, counts: tuple) -> list[dict]:
         """Count repetition ``rep`` into its block and run one layer of the
@@ -662,25 +512,10 @@ class _Blocks:
 
 def _rep_results(config: ExperimentConfig, truth: _Truth):
     """Each repetition's per-cell results, in index order, from the
-    pipeline (``_Blocks``).
-
-    With two or more repetitions and a second CPU, one helper process
-    (``_Helper``) is forked for the loop, and it and the main process divide
-    each sample's halves between them, the main process drawing every half
-    the helper has not marked drawn; both draw through ``dgp.sample_rows``,
-    never ``sample``, which the benchmark's layer hook wraps. When nothing
-    can overlap (one repetition, or one CPU) no process starts and each
-    sample is drawn inline. The helper is killed and reaped when the loop
-    ends, raises or is closed. Forked after ``run_experiment`` built
-    the truth, it inherits the imports and ``_law``'s cache, and it draws
-    from that law alone, never building a truth or a law.
-    """
-    pseudo = _scenario_pseudo(config)
-    overlap = config.reps > 1 and _cpus() > 1
-    with contextlib.closing(_Helper(config)) if overlap else contextlib.nullcontext() as helper:
-        blocks = _Blocks(config, truth, pseudo, helper)
-        for rep in range(config.reps):
-            yield from _run_rep(config, truth, rep, blocks)
+    pipeline (``_Blocks``)."""
+    blocks = _Blocks(config, truth, _scenario_pseudo(config))
+    for rep in range(config.reps):
+        yield from _run_rep(config, truth, rep, blocks)
 
 
 def run_experiment(config: ExperimentConfig) -> ExperimentReport:
@@ -690,14 +525,13 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
     scores = np.zeros((len(keys), 2, config.reps))  # [cell, (regret, overall error), rep]
     scored = np.zeros((len(keys), config.reps), dtype=bool)
     reasons = [Counter() for _ in keys]  # failure reason -> repetitions, in first-seen order
-    with contextlib.closing(_rep_results(config, truth)) as rep_results:
-        for rep, results in enumerate(rep_results):
-            for i, key in enumerate(keys):
-                if isinstance(results[key], str):
-                    reasons[i][results[key]] += 1
-                else:
-                    scores[i, :, rep] = results[key]
-                    scored[i, rep] = True
+    for rep, results in enumerate(_rep_results(config, truth)):
+        for i, key in enumerate(keys):
+            if isinstance(results[key], str):
+                reasons[i][results[key]] += 1
+            else:
+                scores[i, :, rep] = results[key]
+                scored[i, rep] = True
     cells = []
     for i, (tag, method) in enumerate(keys):
         regret, overall = scores[i][:, scored[i]]

@@ -1,7 +1,5 @@
 """Shared fixtures: the exact law, solved bridges, and regime classes;
-``serial_on_two_cpus``, the grid with its helper process on any host;
-``forks``, the processes forked during a test, and ``unreaped``, those of
-them not yet reaped;
+``forks``, the processes forked during a test;
 ``cell_codes``, the encoder of column blocks into ``Dataset`` rows;
 ``same_results``, bit-for-bit equality of one repetition's results;
 ``rep_alone``, one repetition's results from a pass over a stack of one,
@@ -46,18 +44,10 @@ def same_results(a: dict, b: dict) -> bool:
 
 def rep_alone(config: harness.ExperimentConfig, truth, rep: int, pseudo: dict | None = None) -> dict:
     """Repetition ``rep``'s per-cell results from a pass over a stack of one,
-    its sample drawn whole through ``harness.sample``; ``pseudo`` defaults to
-    the experiment's pseudo bridges."""
+    its counts drawn through ``dgp.sample_counts`` (``harness._counts``);
+    ``pseudo`` defaults to the experiment's pseudo bridges."""
     pseudo = harness._scenario_pseudo(config) if pseudo is None else pseudo
-    data = harness.sample(truth.params, config.n, config.base_seed + rep)
-    return harness._Pass(config, truth, pseudo, (rep,), (harness._counts(config, data),)).finish()[0]
-
-
-@pytest.fixture
-def serial_on_two_cpus(monkeypatch):
-    """Two CPUs to run on whatever the host has, so the grid's helper
-    process draws beside the main process."""
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    return harness._Pass(config, truth, pseudo, (rep,), (harness._counts(config, truth.params, rep),)).finish()[0]
 
 
 @pytest.fixture
@@ -73,18 +63,6 @@ def forks(monkeypatch) -> list[int]:
 
     monkeypatch.setattr(os, "fork", recorded)
     return pids
-
-
-def unreaped(pids: list[int]) -> list[int]:
-    """The pids of ``pids`` still running or ended but not yet reaped."""
-    left = []
-    for pid in pids:
-        try:
-            os.waitpid(pid, os.WNOHANG)
-        except ChildProcessError:
-            continue
-        left.append(pid)
-    return left
 
 
 def zeroed(b: bridges.BridgeSet, method: str) -> bridges.BridgeSet:

@@ -63,7 +63,7 @@ def test_workload_runs_checks_and_traces(name, tmp_path):
     assert any(span[0] not in ("harness", "cli") for span in traced.recorder.spans)  # layer spans were recorded
 
 
-def test_traced_grid_records_every_identification(tmp_path, serial_on_two_cpus):
+def test_traced_grid_records_every_identification(tmp_path):
     for name in ("grid-vmax", "grid-crossfit"):
         traced = _sized(name, tmp_path).run(Recorder(), traced=True)
         # the 13 distinct (method, replaced components) densities of a repetition over the five

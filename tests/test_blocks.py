@@ -1,31 +1,28 @@
 """Stacked repetitions: every grid runs each block of ``harness.BLOCK``
 repetitions as one stacked pass over their counts, one layer per
 ``_run_rep`` call, one block behind the calls that draw
-(``harness._Blocks``), with its sampling helper or, on one CPU, without.
+(``harness._Blocks``).
 
 Stacking changes how the repetitions are computed, never what: every
-repetition's results equal those of a pass over a stack of one, bit for bit,
-and reports are byte-identical with the helper and inline (one CPU). A
-block is never split: a repetition that fails a step is dropped from it
+repetition's results equal those of a pass over a stack of one, bit for bit.
+A block is never split: a repetition that fails a step is dropped from it
 and the step reruns without it (``tables.by_law``), so that only that
-repetition is charged, with the reasons it gets alone. Every call
-but the last runs at most one layer, every fit, identification and scoring
-runs inside a ``_run_rep`` call, and no call keeps its repetition's sample.
-A grid starts no process but the one helper, and none on one CPU or for
-one repetition, whatever the environment holds.
+repetition is charged, with the reasons it gets alone. Every call but the
+last runs at most one layer, every fit, identification and scoring runs
+inside a ``_run_rep`` call, and no call builds a ``Dataset``: a repetition
+is drawn as its counts. A grid starts no process and no thread, whatever
+the environment holds.
 """
 
 import os
-import weakref
+import threading
 
 import pytest
 
 import proxidtr
-from conftest import rep_alone, same_results, unreaped
+from conftest import rep_alone, same_results
 from proxidtr import dgp, estimators, harness
 from proxidtr.harness import ExperimentConfig, emit_tables, run_experiment
-
-pytestmark = pytest.mark.usefixtures("serial_on_two_cpus")  # repetitions run in blocks
 
 
 def _alone(config: ExperimentConfig) -> list[dict]:
@@ -52,26 +49,21 @@ SIZES = [(reps, 35000) for reps in (1, 2, 3, 4, 5, 8, 9)] + [(8, 5000)]
 
 @pytest.mark.parametrize("folds", [1, 5])
 @pytest.mark.parametrize("reps, n", SIZES, ids=[str(reps) if n == 35000 else f"{reps}-n{n}" for reps, n in SIZES])
-def test_reports_equal_stacks_of_one_on_every_path(reps, n, folds, monkeypatch):
+def test_reports_equal_stacks_of_one(reps, n, folds, monkeypatch):
     config = ExperimentConfig(n=n, reps=reps, folds=folds)
     alone = _alone(config)
     expected = _expected_text(config, alone, monkeypatch)
-    truth = harness._truth_context(config)
-    for path in ("helper", "inline"):
-        with monkeypatch.context() as m:
-            if path == "inline":
-                m.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
-            got = list(harness._rep_results(config, truth))
-            assert all(same_results(a, b) for a, b in zip(got, alone, strict=True)), path
-            assert _report_text(config) == expected, path
+    got = list(harness._rep_results(config, harness._truth_context(config)))
+    assert all(same_results(a, b) for a, b in zip(got, alone, strict=True))
+    assert _report_text(config) == expected
 
 
 # (n, folds, base_seed, the one repetition of the first block that fails, and where)
 FAILING = {
-    "oracle": (6000, 1, 45, 0),  # the Oracle's law has a zero conditioning cell
-    "fit": (6000, 1, 53, 2),  # the fit fails
-    "fit-folds5": (8000, 5, 20, 0),
-    "fit-folds3": (9000, 3, 4, 3),
+    "oracle": (6000, 1, 54, 0),  # the Oracle's law has a zero conditioning cell
+    "fit": (6000, 1, 2, 2),  # the fit fails
+    "fit-folds5": (8000, 5, 14, 0),
+    "fit-folds3": (9000, 3, 1, 3),
 }
 
 
@@ -102,14 +94,6 @@ def test_a_block_with_one_failing_repetition_charges_only_it(case, monkeypatch):
 
 @pytest.mark.parametrize("reps", [5, 8, 9, 13])
 def test_every_call_but_the_last_runs_at_most_one_layer(reps, monkeypatch):
-    """With the helper and inline (one CPU) alike."""
-    for cpus in ({0, 1}, {0}):
-        with monkeypatch.context() as m:
-            m.setattr(os, "sched_getaffinity", lambda pid: cpus, raising=False)
-            _check_one_layer_per_call(reps, m)
-
-
-def _check_one_layer_per_call(reps: int, monkeypatch):
     ran = []
 
     def counted(layer):
@@ -139,9 +123,7 @@ def _check_one_layer_per_call(reps: int, monkeypatch):
     assert len(ran) == block * -(-reps // block)  # the last call finishes every block
 
 
-@pytest.mark.parametrize("cpus", [{0, 1}, {0}], ids=["helper", "inline"])
-def test_no_fit_identification_or_scoring_runs_outside_a_call(cpus, monkeypatch):
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus, raising=False)
+def test_no_fit_identification_or_scoring_runs_outside_a_call(monkeypatch):
     inside, calls = [False], []
 
     def watched(name, fn):
@@ -169,30 +151,27 @@ def test_no_fit_identification_or_scoring_runs_outside_a_call(cpus, monkeypatch)
     assert all(within for _, within in calls)
 
 
-@pytest.mark.parametrize("cpus", [{0, 1}, {0}], ids=["helper", "inline"])
-def test_no_call_keeps_its_sample(cpus, monkeypatch):
-    """Each call's ``Dataset`` is freed when the call returns: a block's pass
-    holds only counts."""
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus, raising=False)
-    refs = []
+def test_no_call_builds_a_dataset(monkeypatch):
+    """A repetition is drawn as its counts: a block's pass holds only
+    counts, and no call builds the rows of a sample."""
+    built = []
 
     class Tracked(dgp.Dataset):
         def __post_init__(self):
             super().__post_init__()
-            refs.append(weakref.ref(self))
+            built.append(self)
 
     monkeypatch.setattr(dgp, "Dataset", Tracked)
-    run_rep, live = harness._run_rep, []
+    run_rep, calls = harness._run_rep, []
 
-    def checked(config, truth, rep, *args, **kwargs):
-        result = run_rep(config, truth, rep, *args, **kwargs)
-        live.append((len(refs), sum(ref() is not None for ref in refs)))
-        return result
+    def checked(*args, **kwargs):
+        calls.append(None)
+        return run_rep(*args, **kwargs)
 
     monkeypatch.setattr(harness, "_run_rep", checked)
     config = ExperimentConfig(reps=9, folds=5)
     run_experiment(config)
-    assert live == [(rep + 1, 0) for rep in range(config.reps)]
+    assert len(calls) == config.reps and built == []
 
 
 # the worker-count variable of the retired process pool, spelled from the package name so that a search
@@ -201,16 +180,21 @@ STALE_VARIABLE = f"{proxidtr.__name__.upper()}_THREADS"
 
 
 @pytest.mark.parametrize("stale", [False, True], ids=["clean", "stale-variable"])
-@pytest.mark.parametrize("cpus, reps, helpers", [({0, 1}, 9, 1), ({0}, 9, 0), ({0, 1}, 1, 0)],
-                         ids=["two-cpus", "one-cpu", "one-rep"])
-def test_a_grid_starts_at_most_the_one_sampling_helper(cpus, reps, helpers, stale, monkeypatch, forks):
-    """One forked helper with two CPUs and repetitions to overlap, none on
-    one CPU or for one repetition, reaped when the grid returns; a stale
-    worker-count variable changes neither that nor a byte of the report."""
+@pytest.mark.parametrize("reps", [9, 1])
+def test_a_grid_forks_no_process_and_starts_no_thread(reps, stale, monkeypatch, forks):
+    """Whatever the CPUs and the environment hold: a stale worker-count
+    variable or more CPUs change neither that nor a byte of the report."""
     config = ExperimentConfig(n=6000, reps=reps, folds=3)  # failed and scored cells mixed
     expected = _expected_text(config, _alone(config), monkeypatch)
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus, raising=False)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)), raising=False)
     if stale:
         monkeypatch.setenv(STALE_VARIABLE, "2")
+    before, run_rep, seen = threading.active_count(), harness._run_rep, []
+
+    def counted(*args):
+        seen.append(threading.active_count())
+        return run_rep(*args)
+
+    monkeypatch.setattr(harness, "_run_rep", counted)
     assert _report_text(config) == expected
-    assert len(forks) == helpers and unreaped(forks) == []
+    assert forks == [] and seen == [before] * reps and threading.active_count() == before

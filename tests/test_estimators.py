@@ -220,7 +220,7 @@ def test_cross_fit_five_folds(big_data):
 
 def test_off_fold_bridge_sets_differ(big_data):
     opts = FitOptions(folds=5)
-    sets = [fit_counts(off_fold, opts)[1] for off_fold in fold_counts(big_data, 5)[1]]
+    sets = [fit_counts(off_fold, opts)[1] for off_fold in fold_counts(big_data.observed_counts, big_data.seed, 5)[1]]
     for i in range(4):
         assert np.abs(sets[i].h21 - sets[i + 1].h21).max() > 1e-12
 
@@ -231,7 +231,7 @@ def fold_assignments(data: Dataset, folds: int) -> np.ndarray:
     folds 0, 1, ... by that cell's own counts. Rows of one cell are
     exchangeable, so any such assignment serves the row-level references;
     counts that are negative or miss a cell's row total cannot be dealt."""
-    own = fold_counts(data, folds)[0]
+    own = fold_counts(data.observed_counts, data.seed, folds)[0]
     cells = data.observed.astype(np.int64) @ (1 << np.arange(8, -1, -1))  # C order over OBSERVED_ORDER
     out = np.empty(len(data), dtype=np.int64)
     out[np.argsort(cells, kind="stable")] = np.repeat(np.tile(np.arange(folds), own.shape[1]), own.T.reshape(-1))
@@ -239,22 +239,40 @@ def fold_assignments(data: Dataset, folds: int) -> np.ndarray:
 
 
 def test_fold_counts_deterministic_and_balanced(big_data):
-    own, off_fold = fold_counts(big_data, 5)
-    again = fold_counts(big_data, 5)
+    own, off_fold = fold_counts(big_data.observed_counts, big_data.seed, 5)
+    again = fold_counts(big_data.observed_counts, big_data.seed, 5)
     assert np.array_equal(own, again[0]) and np.array_equal(off_fold, again[1])
     sizes = own.sum(axis=1)
     assert sizes.tolist() == [len(range(fold, len(big_data), 5)) for fold in range(5)]
     assert sizes.max() - sizes.min() <= 1 and own.min() >= 0
     assert np.array_equal(own.sum(axis=0), _cell_counts(big_data))
-    assert not np.array_equal(own, fold_counts(Dataset(big_data.cell_code, big_data.seed + 1), 5)[0])  # seeded
+    assert not np.array_equal(own, fold_counts(big_data.observed_counts, big_data.seed + 1, 5)[0])  # seeded
 
 
 def test_fold_counts_refuse_more_folds_than_rows(params):
     data = dgp.sample(params, 4, seed=3)
-    own, off_fold = fold_counts(data, 4)
+    own, off_fold = fold_counts(data.observed_counts, data.seed, 4)
     assert own.sum(axis=1).tolist() == [1] * 4 and off_fold.sum(axis=1).tolist() == [3] * 4  # one row per fold
     with pytest.raises(ValueError, match="5 folds need at least 5 rows, got 4"):
-        fold_counts(data, 5)
+        fold_counts(data.observed_counts, data.seed, 5)
+
+
+@pytest.mark.parametrize("n, folds, seed", [(5, 5, 1), (7, 3, 2), (7, 2, 3), (9, 4, 4), (6000, 3, 9),
+                                            (35000, 5, 1), (35000, 2, 2)])
+def test_fold_counts_equal_a_per_row_reference(params, n, folds, seed):
+    """Each fold's own counts are non-negative, hold ``len(range(f, n,
+    folds))`` rows and add up over the folds to a per-row count of every
+    cell; each off-fold table is that count minus the fold's own."""
+    data = dgp.sample(params, n, seed)
+    observed = data.observed.astype(np.int64) @ (1 << np.arange(8, -1, -1))  # C order over OBSERVED_ORDER
+    total = np.zeros(2 ** 9, dtype=np.int64)
+    np.add.at(total, observed, 1)
+    got_own, got_off = fold_counts(data.observed_counts, data.seed, folds)
+    assert got_own.shape == (folds, 2 ** 9) and got_own.min() >= 0
+    assert got_own.sum(axis=1).tolist() == [len(range(fold, n, folds)) for fold in range(folds)]
+    assert np.array_equal(got_own.sum(axis=0), total)
+    assert np.array_equal(got_off, total - got_own)
+    assert got_own.dtype == total.dtype
 
 
 def _permutation_split_law(cells: tuple[int, ...], folds: int) -> dict[bytes, float]:
@@ -277,10 +295,8 @@ def test_fold_counts_have_the_row_permutation_law():
     most 1 / N, so it exceeds the bound with chance below exp(-2 N 0.034^2) < 1e-4."""
     cells, folds, seeds = (0, 0, 0, 1, 1, 2, 2), 3, 4000
     exact = _permutation_split_law(cells, folds)
-    observed = np.zeros((len(cells), 9), dtype=np.int64)
-    observed[[3, 4], 8] = observed[[5, 6], 7] = 1  # cells 0, 1 (Y2 = 1) and 2 (A2 = 1) of OBSERVED_ORDER
-    codes = cell_codes(observed)
-    drawn = collections.Counter(fold_counts(Dataset(codes, seed), folds)[0][:, :3].tobytes() for seed in range(seeds))
+    counts = np.bincount(cells, minlength=2 ** 9)  # cells 0, 1 (Y2 = 1) and 2 (A2 = 1) of OBSERVED_ORDER
+    drawn = collections.Counter(fold_counts(counts, seed, folds)[0][:, :3].tobytes() for seed in range(seeds))
     assert sum(drawn.values()) == seeds
     tv = sum(abs(drawn[table] / seeds - exact.get(table, 0.0)) for table in exact.keys() | drawn.keys()) / 2
     assert tv <= 0.07, tv
@@ -440,7 +456,7 @@ def test_stacked_baselines_equal_each_law_bit_for_bit(params, joint):
 def test_off_fold_fit_equals_fit_on_the_other_folds_rows(big_data):
     opts = FitOptions(folds=5)
     assignments = fold_assignments(big_data, 5)
-    for fold, off_fold in enumerate(fold_counts(big_data, 5)[1]):
+    for fold, off_fold in enumerate(fold_counts(big_data.observed_counts, big_data.seed, 5)[1]):
         pmf, b = fit_counts(off_fold, opts)
         pmf_rows, b_rows = fit_bridges(Dataset(big_data.cell_code[assignments != fold], big_data.seed), opts)
         assert np.array_equal(pmf.mass, pmf_rows.mass)
@@ -449,7 +465,7 @@ def test_off_fold_fit_equals_fit_on_the_other_folds_rows(big_data):
 
 def test_fold_counts_subtract_each_fold_from_the_total(big_data):
     assignments = fold_assignments(big_data, 5)
-    pairs = list(zip(*fold_counts(big_data, 5)))
+    pairs = list(zip(*fold_counts(big_data.observed_counts, big_data.seed, 5)))
     assert len(pairs) == 5
     for fold, (own, off_fold) in enumerate(pairs):
         rows = assignments == fold
@@ -479,7 +495,7 @@ def test_cross_fit_fold_values_are_the_experiment_fold_values(big_data, linear_c
     density as the experiment builds it (``harness._bridge_fits`` at
     laplace 0, one repetition), bit for bit, so ``estimate --folds K`` and
     ``experiment`` read the same fold values."""
-    own = fold_counts(big_data, 5)[0]
+    own = fold_counts(big_data.observed_counts, big_data.seed, 5)[0]
     pieces, p_y0, solved = harness._bridge_fits(_cell_counts(big_data)[None], own[None],
                                                 harness.ExperimentConfig(folds=5))
     for method in METHODS:
@@ -495,7 +511,7 @@ def test_stacked_fold_fits_equal_fold_by_fold_fits(big_data, folds, laplace):
     """Every fold of the one-pass fit equals a fit of that fold's off-fold
     counts alone, bit for bit; the counts come from a test-side bincount."""
     opts = FitOptions(folds=folds, laplace=laplace)
-    own, off_fold = fold_counts(big_data, folds)
+    own, off_fold = fold_counts(big_data.observed_counts, big_data.seed, folds)
     b = fit_off_fold(off_fold, opts)
     assignments = fold_assignments(big_data, folds)
     assert own.shape == (folds, 2 ** 9)
@@ -530,7 +546,7 @@ def test_stacked_fold_fit_failure_names_the_first_failing_fold(params, n, seed, 
     expected = _fold_by_fold_failure(data, opts)
     assert expected is not None
     with pytest.raises((SingularMatrixError, ZeroProbabilityError)) as info:
-        fit_off_fold(fold_counts(data, folds)[1], opts)
+        fit_off_fold(fold_counts(data.observed_counts, data.seed, folds)[1], opts)
     assert (type(info.value), str(info.value), info.value.kind) == expected
     assert "fold" not in info.value.kind and "increase n" not in info.value.kind
 

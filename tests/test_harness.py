@@ -36,6 +36,10 @@ SMALL = ExperimentConfig(
 )
 
 
+# every bridge and Oracle cell fails 6 of 6 and SRA 1 of 6: full and partial failures, each failing step's kinds
+N600 = ExperimentConfig(n=600, reps=6, base_seed=0)
+
+
 @pytest.fixture(scope="module")
 def small_report():
     return run_experiment(SMALL)
@@ -128,10 +132,10 @@ def test_emit_tables_empty_report():
 def test_csv_round_trips(small_report):
     """Every column of every row parses back to the cell's own value and type;
     NaN compares as NaN. At n = 600 every bridge and Oracle cell fails 6 of 6
-    (NaN metrics) and SRA scores 4 of 6."""
-    n600_report = run_experiment(ExperimentConfig(n=600, reps=6))
+    (NaN metrics) and SRA scores 5 of 6."""
+    n600_report = run_experiment(N600)
     assert {(c.method, c.count, c.failures) for c in n600_report.cells} == {
-        *((m, 0, 6) for m in (*BRIDGE_METHODS, "ORACLE")), ("SRA", 4, 2)}
+        *((m, 0, 6) for m in (*BRIDGE_METHODS, "ORACLE")), ("SRA", 5, 1)}
     for report in (small_report, n600_report):
         config = report.config
         rows = parse_report_csv(emit_tables(report)[0])
@@ -229,7 +233,7 @@ def _loop_score(true_density, truth, g, p_y0, optimizer, optimum):
 def _one_repetition_densities(config):
     """(g, p_y0) of every distinct density of the first repetition of ``config``,
     from a pass over a stack of one."""
-    cells, observed, own = harness._counts(config, sample(DgpParams.default(), config.n, config.base_seed))
+    cells, observed, own = harness._counts(config, DgpParams.default(), 0)
     fits = harness._bridge_fits(observed[None], None if own is None else own[None], config)
     pseudo = harness._scenario_pseudo(config)
     tables = [harness._baseline_table(cells[None], observed[None], config, m) for m in ("SRA", "ORACLE")]
@@ -329,7 +333,7 @@ def _list_summary(values):
 
 
 def test_streamed_aggregation_matches_list_aggregation():
-    config = ExperimentConfig(n=600, reps=6, laplace=0.0)
+    config = N600
     truth = harness._truth_context(config)
     pseudo = harness._scenario_pseudo(config)
     per_rep = [rep_alone(config, truth, rep, pseudo) for rep in range(config.reps)]
@@ -405,7 +409,7 @@ def test_bridge_values_are_cross_fit_values(folds, laplace, linear_class):
     mean to rounding."""
     config = ExperimentConfig(folds=folds, laplace=laplace, reps=1)
     truth, seed = harness._truth_context(config), config.base_seed
-    cells, observed, own = harness._counts(config, sample(truth.params, config.n, seed))
+    cells, observed, own = harness._counts(config, truth.params, 0)
     run = harness._Pass(config, truth, harness._scenario_pseudo(config), (0,), ((cells, observed, own),))
     run.finish()
     pieces, p_y0, solved = harness._bridge_fits(observed[None], None if own is None else own[None], config)
@@ -457,12 +461,13 @@ def _reference_rep(true_density, config, truth, rep):
     per fold, on a piece table of its own, and scored by the test-side loops of ``_loop_score``; nothing is
     shared between cells. A failure is recorded as its step and the error's
     kind, without the cell, block or fold it names."""
-    data = sample(truth.params, config.n, config.base_seed + rep)
+    seed = config.base_seed + rep
+    data = dgp.Dataset(np.repeat(np.arange(2 ** 11), dgp.sample_counts(truth.params, config.n, seed)), seed)
     opts = estimators.FitOptions(config.folds, config.laplace)
     total = estimators._cell_counts(data)
     # (scoring counts, fitting counts) per fold: each fold's own counts and the rest
     folds = [(total, total)] if config.folds == 1 else [
-        (own, total - own) for own in estimators.fold_counts(data, config.folds)[0]]
+        (own, total - own) for own in estimators.fold_counts(data.observed_counts, data.seed, config.folds)[0]]
 
     def bridge_table(tag, method):
         per_fold = []
@@ -522,9 +527,6 @@ def test_deduplicated_repetition_equals_cell_by_cell_reference(optimizer, folds,
         assert failures and len(failures) < reps * len(got)  # failed and scored cells mixed
 
 
-N600 = ExperimentConfig(n=600, reps=6)  # every bridge and Oracle cell fails 6 of 6, SRA 2 of 6
-
-
 @pytest.fixture(scope="module")
 def n600_report():
     return run_experiment(N600)
@@ -554,14 +556,14 @@ def test_failure_reasons_group_by_kind(n600_report):
     that failed the same way at different cells count as one reason. At
     n = 2000 a singular proxy block is told apart from a zero cell."""
     expected = {method: ((_ZERO_CELL + "P(W1,W2|Y0,Y1,A1,A2,Z1,Z2)", 6),) for method in BRIDGE_METHODS}
-    expected["SRA"] = (("fit failed: empty cell {cell} in the SRA outcome model", 2),)
-    expected["ORACLE"] = ((_ZERO_CELL + "P(Y2|Y0,Y1,U0,U1,A1,A2)", 3), (_ZERO_CELL + "P(U1|Y0,Y1,U0,A1)", 3))
+    expected["SRA"] = (("fit failed: empty cell {cell} in the SRA outcome model", 1),)
+    expected["ORACLE"] = ((_ZERO_CELL + "P(Y2|Y0,Y1,U0,U1,A1,A2)", 5), (_ZERO_CELL + "P(U1|Y0,Y1,U0,A1)", 1))
     assert {c.method for c in n600_report.cells} == set(expected)
     for c in n600_report.cells:
         assert c.failure_reasons == expected[c.method]
     n2000 = run_experiment(ExperimentConfig(n=2000, reps=20, methods=("PMR",), scenarios=("all-correct",)))
     assert n2000.cell("all-correct", "PMR").failure_reasons == (
-        (_ZERO_CELL + "P(W1,W2|Y0,Y1,A1,A2,Z1,Z2)", 17), ("fit failed: P(W1,W2|Z1,Z2) is singular; rank condition fails", 3))
+        (_ZERO_CELL + "P(W1,W2|Y0,Y1,A1,A2,Z1,Z2)", 17), ("fit failed: P(W1,W2|Z1,Z2) is singular; rank condition fails", 2))
 
 
 def test_scored_cells_have_no_failure_reasons(small_report):

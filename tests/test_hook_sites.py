@@ -25,9 +25,6 @@ from conftest import rep_alone
 from proxidtr import bridges, cli, dgp, estimators, harness, identify
 from proxidtr.policy import Regime
 
-pytestmark = pytest.mark.usefixtures("serial_on_two_cpus")  # repetitions run in blocks
-
-
 def _count(counts: Counter, name: str, fn):
     @functools.wraps(fn)
     def wrapper(*args, **kwargs):

@@ -256,7 +256,7 @@ def test_identified_density_json(joint, solved):
 
 
 def test_stacked_identified_density_to_json_is_refused(big_data):
-    _, off_fold = fold_counts(big_data, 2)
+    _, off_fold = fold_counts(big_data.observed_counts, big_data.seed, 2)
     density = density_pmr(count_pmf(off_fold), fit_off_fold(off_fold, FitOptions(folds=2)))
     assert density.g.shape == (2,) + (2,) * 5
     with pytest.raises(ValueError, match=r"^to_json reads a single density, not a stack of densities of shape \(2,\)$"):
@@ -279,7 +279,7 @@ def test_value_and_q_functions_read_a_complex_density(joint, oracle, boolean_cla
 def test_value_from_density_of_a_fold_stack_gives_one_value_per_fold(big_data):
     regime = Regime((1, 0), (0, 1, 1, 0, 1, 0, 0, 1))
     opts = FitOptions(folds=3)
-    _, off_fold = fold_counts(big_data, opts.folds)
+    _, off_fold = fold_counts(big_data.observed_counts, big_data.seed, opts.folds)
     laws = count_pmf(off_fold)
     values = value_from_density(density_pmr(laws, fit_off_fold(off_fold, opts)), laws, regime)
     assert values.shape == (3,) and values.dtype == np.float64

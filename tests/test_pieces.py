@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 
 from conftest import rep_alone
-from proxidtr import dgp, harness, identify
+from proxidtr import harness, identify
 from proxidtr.bridges import pseudo_bridges
 from proxidtr.harness import BRIDGE_METHODS, ExperimentConfig
 
@@ -28,7 +28,7 @@ FOLDS = (1, 5)
 def repetition(request, params):
     """(config, fits, each scenario's pseudo set) of the first repetition, as a stack of one."""
     config = ExperimentConfig(folds=request.param)
-    _, observed, own = harness._counts(config, dgp.sample(params, config.n, config.base_seed))
+    _, observed, own = harness._counts(config, params, 0)
     fits = harness._bridge_fits(observed[None], None if own is None else own[None], config)
     return config, fits, harness._scenario_pseudo(config)
 

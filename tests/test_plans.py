@@ -101,7 +101,7 @@ def signatures(tmp_path_factory):
         solved = solve_bridges(law)
         verify_bridges(solved, law)
         bridge_collapse_check(solved, law)
-        fit_off_fold(fold_counts(data, 2)[1], FitOptions(folds=2))
+        fit_off_fold(fold_counts(data.observed_counts, data.seed, 2)[1], FitOptions(folds=2))
         tables.marginalize(law, ("Y0", "U0"))
     finally:
         tables._plan = plan

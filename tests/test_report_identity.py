@@ -1,7 +1,7 @@
 """Report byte identity: the sha256 of ``emit_tables`` for fixed configs.
 
-Each prefix pins the CSV and the text tables of one configuration, under
-the default rows sampler. A change that moves any float bit of any cell, or
+Each prefix pins the CSV and the text tables of one configuration, each
+repetition's counts drawn by ``dgp.sample_counts``. A change that moves any float bit of any cell, or
 the rendering, turns its case red; a change that must move them updates the
 prefix and says why in CHANGES.md.
 """
@@ -13,17 +13,17 @@ import pytest
 from proxidtr.harness import ExperimentConfig, emit_tables, run_experiment
 
 CASES = {
-    "vmax": (ExperimentConfig(reps=4), "96c697eb74d74f9a"),
-    "vmax-boolean": (ExperimentConfig(reps=4, regime_class="all-boolean"), "5f8cd87d2cfa5710"),
-    "vmax-folds5": (ExperimentConfig(reps=4, folds=5), "1c50aab2fd30b450"),
+    "vmax": (ExperimentConfig(reps=4), "234325481f06c76d"),
+    "vmax-boolean": (ExperimentConfig(reps=4, regime_class="all-boolean"), "fe44fc195e5d359d"),
+    "vmax-folds5": (ExperimentConfig(reps=4, folds=5), "7650acc83124e626"),
     "vmax-folds5-boolean": (ExperimentConfig(reps=4, folds=5, regime_class="all-boolean"),
-                            "24e922afc367aa1c"),
-    "qlearn": (ExperimentConfig(reps=4, optimizer="q-learning"), "435e10bf11da4080"),
-    "qlearn-folds5": (ExperimentConfig(reps=4, optimizer="q-learning", folds=5), "d3a1d6169d530669"),
-    "n600": (ExperimentConfig(n=600, reps=6), "28e6b673037bcc1c"),
-    "n300-laplace": (ExperimentConfig(n=300, reps=6, laplace=0.5), "5165ca29c466aa1f"),
-    # cross-fitted with failed and scored cells mixed: bridge methods 5/6 failed, Oracle 2/6, SRA 0/6
-    "n6000-folds3": (ExperimentConfig(n=6000, reps=6, folds=3), "318fef9bdf2901d2"),
+                            "e8ad85d6307b91ed"),
+    "qlearn": (ExperimentConfig(reps=4, optimizer="q-learning"), "98ac4108bc445234"),
+    "qlearn-folds5": (ExperimentConfig(reps=4, optimizer="q-learning", folds=5), "8c1729550d61f54f"),
+    "n600": (ExperimentConfig(n=600, reps=6), "2ab0f82fe079e022"),
+    "n300-laplace": (ExperimentConfig(n=300, reps=6, laplace=0.5), "93ffbc09ee6ae7e9"),
+    # cross-fitted with failed and scored cells mixed: bridge methods 6/6 failed, Oracle 1/6, SRA 0/6
+    "n6000-folds3": (ExperimentConfig(n=6000, reps=6, folds=3), "7fd7f5048732e1a2"),
 }
 
 

@@ -49,7 +49,7 @@ def sample(params):
 def bridge_sets(sample):
     """Set name -> (the law the set is read against, the set)."""
     pmf, fitted = fit_bridges(sample)
-    own, off_fold = fold_counts(sample, 5)
+    own, off_fold = fold_counts(sample.observed_counts, sample.seed, 5)
     return {
         "fitted": (pmf, fitted),
         "all-pseudo": (pmf, fitted.merged(pseudo_bridges(7))),
@@ -77,7 +77,7 @@ def test_value_is_the_telescoped_pmr_mean_with_unread_components_zero(sample, br
     """``v_hat`` on the set, or for the 5-fold stack each of ``cross_fit``'s
     fold values, against each fold's own counts."""
     _, b = bridge_sets[name]
-    counts = fold_counts(sample, 5)[0] if name == "5-fold" else [_cell_counts(sample)]
+    counts = fold_counts(sample.observed_counts, sample.seed, 5)[0] if name == "5-fold" else [_cell_counts(sample)]
     for regime in linear_class.members[::29]:
         if name == "5-fold":
             values = cross_fit(method, sample, FitOptions(folds=5), regime).fold_estimates

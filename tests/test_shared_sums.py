@@ -68,8 +68,7 @@ def test_identifying_a_one_fold_block_adds_no_sum_to_the_fit_law(params, adds):
     """The 13 densities of a block read the conditionals given Y0 off the
     fit's law, whose marginals ``solve_bridges`` has summed."""
     config = harness.ExperimentConfig()
-    counts = tuple(harness._counts(config, dgp.sample(params, config.n, config.base_seed + rep))
-                   for rep in range(harness.BLOCK))
+    counts = tuple(harness._counts(config, params, rep) for rep in range(harness.BLOCK))
     block = harness._Pass(config, harness._truth_context(config), harness._scenario_pseudo(config),
                           tuple(range(harness.BLOCK)), counts)
     fits = harness._bridge_fits(block.observed, None, config)

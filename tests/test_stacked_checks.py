@@ -30,7 +30,7 @@ FOLDS = 3
 def fold_stack(request, params):
     """(own counts, off-fold counts, off-fold bridges, each fold's bridges alone)."""
     data = sample(params, 35000, request.param)
-    own, off_fold = fold_counts(data, FOLDS)
+    own, off_fold = fold_counts(data.observed_counts, data.seed, FOLDS)
     solved = fit_off_fold(off_fold, FitOptions(folds=FOLDS))
     per_fold = [BridgeSet(**{name: getattr(solved, name)[k] for name in _SHAPES}) for k in range(FOLDS)]
     return own, off_fold, solved, per_fold
