@@ -3,7 +3,8 @@ output: medians and quartiles, wins out of the pairs, the nine-tenths and
 interquartile-range rule, the direction of each metric, the wall rate read
 from the ``<ops> <operations> in <wall> s`` line, and the refusal of a run
 that reads ``correct: false``; and, on canned runs, the ``--out`` record of
-every run, the pair order, the environment lines and the verdicts, and the
+every run, the pair order, the environment lines and the verdicts (or, for
+a comparison a failed run stopped, the failure and no summary), and the
 one byte-compiling of both checkouts before the first pair, with runs that
 write no bytecode."""
 
@@ -218,13 +219,21 @@ def test_out_records_every_run_the_pair_order_and_the_verdicts(monkeypatch, tmp_
     assert [(c["seed"], c["pairs"]) for c in json.loads(out.read_text())["comparisons"]] == [(1, 4), (2, 2)]
 
 
-def test_a_failed_run_writes_no_record(monkeypatch, tmp_path, capsys):
+def test_a_failed_run_is_recorded_with_the_runs_before_it_and_no_summary(monkeypatch, tmp_path, capsys):
+    """Call 3 is pair 2's second run, the parent's: the record keeps pair 1,
+    pair 2's change run and the parent's failure, and no summary."""
     parent, change = _with_canned_runs(monkeypatch, tmp_path, fail_at=3)
     out = tmp_path / "BENCH_label.json"
     assert bench_pairs.main([str(parent), str(change), "--workload", "grid-vmax", "--pairs", "4",
                              "--out", str(out)]) == 1
     assert "no summary" in capsys.readouterr().err
-    assert not out.exists()
+    (comparison,) = json.loads(out.read_text())["comparisons"]
+    assert comparison["summary"] == []
+    first, second = comparison["runs"]
+    assert set(first) == {"order", "parent", "change"}
+    assert second["order"] == ["change", "parent"] and set(second) == {"order", "change", "failed"}
+    assert second["change"]["metrics"] == bench_pairs.parse_run(_canned("change", 1))
+    assert second["failed"] == {"side": "parent", "error": f"{parent}: perfbench exited 1", "output": ""}
 
 
 def test_both_checkouts_are_compiled_once_before_the_first_pair(monkeypatch, tmp_path):

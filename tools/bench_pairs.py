@@ -24,7 +24,10 @@ comparison: no summary is printed. With ``--out BENCH_<label>.json`` the
 comparison is also added to that file's list of comparisons (``add_record``):
 the settings, each pair's order and each run's metrics, scaled, unscaled
 and the wall rate, with the run's ``environment`` line, then every summary
-row with its verdict; one file so holds a change's workloads and seeds.
+row with its verdict; one file so holds a change's workloads and seeds. A
+comparison that a failed run stopped is added too, with the runs before it
+and, in its pair, the failed side, its error and the tail of its output,
+and no summary.
 Before the first pair, each checkout's ``src`` and ``perfbench`` are
 byte-compiled for this interpreter (``compileall``), and every run gets
 ``PYTHONDONTWRITEBYTECODE=1``: both sides then import from bytecode that
@@ -278,18 +281,21 @@ def main(argv: list[str] | None = None) -> int:
         for i in range(args.pairs):
             order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
             stdout, run = {}, {}
+            runs.append({"order": list(order)})
             for side in order:
                 try:
                     stdout[side] = _run(getattr(args, side), args)
                     run[side] = parse_run(stdout[side])
                 except RunFailed as err:
+                    runs[-1]["failed"] = {"side": side, "error": str(err), "output": stdout.get(side, "")[-2000:]}
                     raise RunFailed(f"pair {i + 1}, {side} run: {err}") from None
+                runs[-1][side] = {"metrics": run[side], "environment": environment_of(stdout[side])}
             pairs.append((run["parent"], run["change"]))
-            runs.append({"order": list(order), **{side: {"metrics": run[side], "environment": environment_of(text)}
-                                                  for side, text in stdout.items()}})
             print(f"pair {i + 1} ({order[0]} first): " + json.dumps(run), flush=True)
     except RunFailed as err:
         print(f"error: {err}; no summary", file=sys.stderr)
+        if args.out:
+            add_record(args.out, args, runs, [])
         return 1
     print(f"{args.workload}, seed {args.seed}, {args.pairs} pairs of {args.seconds:g} s runs, trace {args.trace}")
     rows = summarize(pairs, better, bounds)
