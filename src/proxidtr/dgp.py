@@ -51,8 +51,8 @@ so; rows are drawn where rows are read (``simulate``, a CSV, the tests).
 A ``Dataset`` holds its rows only as canonical cell codes: each row's
 CANONICAL_ORDER values read as bits, Y0 the most significant. Its 2^11 cell
 counts are the sufficient statistic of every estimator; they and the 2^9
-observed counts (``sum_hidden`` of them) are counted once per dataset. Its columns are read-only
-arrays masked out of the codes on each access. The table of each
+observed counts (``sum_hidden`` of them) are counted once per dataset. Its
+columns are read-only arrays masked out of the codes on each access. The table of each
 variable's bit in the code turns the sampler's prefix codes, a CSV's value
 matrix and a column name alike into codes or masks.
 
@@ -249,7 +249,7 @@ class Dataset:
 
     ``cell_code`` is the read-only (n,) int16 codes given, kept as they
     stand when read-only, owned and C-contiguous (the fresh codes
-    ``from_csv``, ``sample`` and the grid's draws lock), else a copy
+    ``from_csv`` and ``sample`` lock), else a copy
     (``tables._as_readonly``): each row's CANONICAL_ORDER values read as
     bits, Y0 the most significant, so a code is the row's C-order index in
     the 2^11 grid. ``observed``, ``hidden`` and ``column`` are read-only

@@ -459,7 +459,7 @@ BLOCK = len(_Pass.LAYERS)  # repetitions per stacked pass: one layer of the prev
 
 
 def _run_rep(config: ExperimentConfig, truth: _Truth, rep: int, blocks: _Blocks) -> list[dict]:
-    """Repetition ``rep``'s call in the grid's pipeline: its sample counted
+    """Repetition ``rep``'s call in the grid's pipeline: its counts drawn
     (``_counts``), then one layer of the previous block's pass; returns the
     per-cell results (errors per cell) of each repetition that finished, in
     index order."""

@@ -26,9 +26,12 @@ def test_counts_sum_to_n_read_only_and_seeded(params):
     assert int(dgp.sample_counts(params, 1, 2 ** 64 - 1).sum()) == 1
 
 
+SEED_RANGE = r"seed must be in \[0, 2\*\*64\), got "
+
+
 @pytest.mark.parametrize("n, seed, message", [(0, 1, "n must be >= 1"), (-3, 1, "n must be >= 1"),
-                                              (5, -1, r"seed must be in \[0, 2\*\*64\), got -1"),
-                                              (5, 2 ** 64, r"seed must be in \[0, 2\*\*64\), got 18446744073709551616")])
+                                              (5, -1, SEED_RANGE + "-1"), (5, 2 ** 64, SEED_RANGE + str(2 ** 64))],
+                         ids=["n0", "n-3", "seed-1", "seed2**64"])
 def test_bad_n_or_seed_is_refused_as_sample_rows_refuses_it(params, n, seed, message):
     for draw in (lambda: dgp.sample_counts(params, n, seed), lambda: dgp.sample_rows(params, n, seed, 0, 0)):
         with pytest.raises(ValueError, match=message):
