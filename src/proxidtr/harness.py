@@ -278,11 +278,11 @@ def _bridge_fits(observed: np.ndarray, own: np.ndarray | None,
     by every scenario, from their observed counts (R, 512) and, with folds,
     each fold's own counts (R, K, 512). The piece table and p_y0 are those
     of the unsmoothed law each fit scores (``identify.observed_conditional``),
-    as ``cross_fit`` reads them: the whole sample's with one fold (unsmoothed,
-    the law ``fit_counts`` built, whose sums the table shares), each fold's
-    own with more, every array then led by the repetition and fold axes. The
-    bridges are fitted on the law ``laplace`` smooths, with folds on the
-    off-fold counts (``fit_off_fold``).
+    as ``cross_fit`` reads them: the whole sample's with one fold (without
+    smoothing the law ``fit_counts`` built, whose sums the table shares),
+    each fold's own with more, every array then led by the repetition and
+    fold axes. The bridges are fitted on the law ``laplace`` smooths, with
+    folds on the off-fold counts (``fit_off_fold``).
     """
     opts = FitOptions(folds=config.folds, laplace=config.laplace)
     if own is None:
@@ -482,9 +482,9 @@ def _truth_context(config: ExperimentConfig) -> _Truth:
 
 
 class _Blocks:
-    """The grid's pipeline: each call of ``_run_rep`` counts its own
-    repetition's sample into the block being counted, then runs one layer
-    of the previous block's stacked pass.
+    """The grid's pipeline: each call of ``_run_rep`` adds its own
+    repetition's counts to the block being filled, then runs one layer of
+    the previous block's stacked pass.
 
     A block is ``BLOCK`` repetitions, one per layer, so a block's pass ends in
     the call that completes the next block, which then starts its own; the
@@ -493,12 +493,12 @@ class _Blocks:
 
     def __init__(self, config: ExperimentConfig, truth: _Truth, pseudo: dict[str, BridgeSet]):
         self.config, self.truth, self.pseudo = config, truth, pseudo
-        self.block = []  # (rep, counts) of the block being counted
+        self.block = []  # (rep, counts) of the block being filled
         self.running = None  # the previous block's pass
 
     def add(self, rep: int, counts: tuple) -> list[dict]:
-        """Count repetition ``rep`` into its block and run one layer of the
-        previous block's pass; the results of every repetition finished."""
+        """Add repetition ``rep``'s counts to its block and run one layer of
+        the previous block's pass; the results of every repetition finished."""
         self.block.append((rep, counts))
         if self.running is not None:
             self.running.step()
