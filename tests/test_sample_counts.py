@@ -3,7 +3,9 @@ draw, the grid's sample. The counts are read-only, sum to n, depend only on
 the seed, and follow Multinomial(n, p) for p the true joint's mass: a
 chi-square statistic over cells pooled to an expected count of at least 5,
 summed over a fixed range of seeds, stays below a bound fixed in advance,
-and the same statistic rejects counts drawn from a nearby law.
+and the same statistic rejects counts drawn from a nearby law. Each law
+draws from its own mass, and the cell counts of the rows sampler pass the
+same test, so both samplers draw the counts of the one law.
 """
 
 import dataclasses
@@ -62,15 +64,28 @@ def _pooled_bins(expected: np.ndarray) -> np.ndarray:
     return bins
 
 
-def _chi_square(params: dgp.DgpParams, p: np.ndarray) -> tuple[float, int]:
-    """(the pooled chi-square statistic of ``params``' counts against the cell
-    law ``p``, summed over ``GOF_SEEDS``, its degrees of freedom)."""
+def _chi_square(params: dgp.DgpParams, p: np.ndarray, draw=dgp.sample_counts) -> tuple[float, int]:
+    """(the pooled chi-square statistic of ``draw``'s counts of ``params``
+    against the cell law ``p``, summed over ``GOF_SEEDS``, its degrees of
+    freedom)."""
     expected = GOF_N * p
     bins = _pooled_bins(expected)
     pooled = np.bincount(bins, expected)
-    stat = sum(float(((np.bincount(bins, dgp.sample_counts(params, GOF_N, seed), pooled.size) - pooled) ** 2
+    stat = sum(float(((np.bincount(bins, draw(params, GOF_N, seed), pooled.size) - pooled) ** 2
                       / pooled).sum()) for seed in GOF_SEEDS)
     return stat, len(GOF_SEEDS) * (pooled.size - 1)
+
+
+def _bound(df: int) -> float:
+    """Five standard deviations above the mean of chi-square with ``df``
+    degrees of freedom."""
+    return df + 5 * np.sqrt(2 * df)
+
+
+def _shifted(params: dgp.DgpParams) -> dgp.DgpParams:
+    """``params`` with U0's intercept moved from 0.5 to 0.6."""
+    return dgp.DgpParams(tuple(dataclasses.replace(m, intercept=0.6) if m.target == "U0" else m
+                               for m in params.models))
 
 
 def test_counts_follow_the_multinomial_law(params, joint):
@@ -80,8 +95,22 @@ def test_counts_follow_the_multinomial_law(params, joint):
     P(U0 = 1) by 0.023 and the statistic far past the bound."""
     p = joint.mass.reshape(-1)
     stat, df = _chi_square(params, p)
-    bound = df + 5 * np.sqrt(2 * df)
+    bound = _bound(df)
     assert stat <= bound, (stat, bound)
-    shifted = dgp.DgpParams(tuple(dataclasses.replace(m, intercept=0.6) if m.target == "U0" else m
-                                  for m in params.models))
-    assert _chi_square(shifted, p)[0] > bound
+    assert _chi_square(_shifted(params), p)[0] > bound
+
+
+def test_each_law_draws_from_its_own_mass(params, joint):
+    """The shifted law's counts pass against its own joint and fail against
+    the default one's: the mass is kept per law, not once for all."""
+    shifted = _shifted(params)
+    stat, df = _chi_square(shifted, dgp.true_joint(shifted).mass.reshape(-1))
+    assert stat <= _bound(df), (stat, _bound(df))
+    assert _chi_square(shifted, joint.mass.reshape(-1))[0] > _bound(df)
+
+
+def test_the_rows_sampler_draws_the_same_law(params, joint):
+    """The cell counts of ``sample``'s rows pass the test ``sample_counts``
+    passes, at the same bound."""
+    stat, df = _chi_square(params, joint.mass.reshape(-1), lambda *args: dgp.sample(*args).cell_counts)
+    assert stat <= _bound(df), (stat, _bound(df))
