@@ -5,21 +5,29 @@ counts, drawn in one multinomial draw (``dgp.sample_counts``; no row is
 drawn), its 2^9 observed counts and, with folds, each fold's own observed
 counts (``fold_counts``), which feed every table. Repetitions are computed
 in stacks by one pass (``_Pass``), every array led by a repetition axis, in
-four layers:
+steps (``_steps``, built from the config):
 
   fit        the bridges of every repetition in one ``solve_bridges`` of the
              (R, 512) counts, or of the off-fold counts (R, K, 512) with K
              folds (``fit_off_fold``), on the law ``laplace`` smooths, and
              the piece table of the unsmoothed law each fit scores (the
              whole sample's, or each fold's own), as ``cross_fit`` reads it
-  identify   the first half of the distinct bridge densities, read off that
-             piece table
-  identify   the other half; with folds, each repetition's fold tables of
-             every density averaged in fold order with P(y0) weights, as one
-             stack
+  identify   bridge densities read off that piece table: with one fold one
+             step per distinct density; with folds the first half, then the
+             rest; the last step averages each repetition's fold tables of
+             every density in fold order with P(y0) weights, as one stack,
+             and drops the piece table
   score      SRA and the Oracle on their smoothed laws (SRA's, with one
              fold and no smoothing, the fitted law), then each
              repetition's densities scored as one stack
+
+With one fold the block is fitted once: the fit, one identification per
+distinct density and the scoring, 15 steps at the default config. With
+folds the fit and its two identifications run per sub-stack of at most
+``SUB_STACK`` repetitions, each on a piece table of its own that is dropped
+before the next sub-stack's fit, so the fold laws of at most four
+repetitions are held at a time; 13 steps at five folds (sub-stacks of 4, 4,
+4 and 1, and the scoring).
 
 Stacking moves no bit: a repetition's results are those of a pass over a
 stack of one. A bridge method's density depends on the scenario only
@@ -37,20 +45,24 @@ earlier check, so each failing one is charged alone, with the reason it gets
 alone, and the others are computed as in a stack of one.
 
 Every grid runs as one pipeline that lags one block (``_Blocks``). A block
-is ``BLOCK`` repetitions, one per layer. ``_run_rep(config, truth, rep,
-blocks)`` is called once per repetition, in index order, in one process:
-each call draws its own repetition's counts, then runs one layer of the
-previous block's pass, so call 4b + j runs layer j of block b - 1, and the
-last call also finishes the final block. Each call thus does its own draw
-plus at most one layer, and no fit, identification or scoring runs outside
-the calls: a timer around each call (the benchmark's) charges a repetition
-its own draw and a share of a block's pass, never a whole block, and leaves
-no work out. One repetition is a block of one, run whole in its call.
+is as many repetitions as its pass has steps (``block_length``).
+``_run_rep(config, truth, rep, blocks)`` is called once per repetition, in
+index order, in one process: each call draws its own repetition's counts,
+then runs one step of the previous block's pass, so with blocks of L call
+Lb + j runs step j of block b - 1, and the last call also finishes the
+final block. Each call thus does its own draw plus at most one step, and no
+fit, identification or scoring runs outside the calls: a timer around each
+call (the benchmark's) charges a repetition its own draw and a share of a
+block's pass, never a whole block, and leaves no work out. One repetition
+is a block of one, run whole in its call.
 
 The harness does not pick a regime; it scores picks. The densities of every
 repetition of a block are picked from as one stack by ``identify.pick``,
 which returns each density's Boolean index and estimated value without the
-truth, and ``_class_scores`` scores them, once per block. A density that
+truth, and ``_class_scores`` scores them, once per block. Value
+maximization searches only the class's ``representatives``, the first
+member of each on-path behaviour, whose first maximizer is the class's: 56
+of the linear class's 416 members, 64 of the Boolean class's 1024. A density that
 fails to pick (a zero Q denominator) is dropped from the stack by
 ``by_law``, so the failure is charged to its own density only. Each
 (scenario, method) cell's regime is scored two ways:
@@ -332,8 +344,9 @@ def _baseline_table(cells: np.ndarray, observed: np.ndarray, config: ExperimentC
 def _class_scores(truth: _Truth, g: np.ndarray, p_y0: np.ndarray, optimizer: str) -> list[tuple[float, float]]:
     """(regret, overall error) of the regime ``identify.pick`` picks under
     each of a stack of densities (D, 2, 2, 2, 2, 2) with P(y0) (D, 2), over
-    the searched class, scored against its true value and the class optimum."""
-    chosen, estimated = identify.pick(g, p_y0, truth.search_class.index, optimizer)
+    the searched class's representatives (the class's own pick), scored
+    against its true value and the class optimum."""
+    chosen, estimated = identify.pick(g, p_y0, truth.search_class.representatives, optimizer)
     regret = truth.optimum - truth.true_values[chosen]
     return list(zip(regret.tolist(), np.abs(truth.optimum - estimated).tolist()))
 
@@ -365,15 +378,52 @@ def _counts(config: ExperimentConfig, params: DgpParams, rep: int) -> tuple[np.n
     return cells, observed, own
 
 
+SUB_STACK = 4  # with folds, the most repetitions one fit and its piece table hold
+
+
+def _density_keys(config: ExperimentConfig) -> dict[tuple[str, str], tuple]:
+    """(scenario, method) -> its density's key, (method, replaced components)."""
+    return {(tag, method): (method, tuple(c for c in identify.BRIDGES_NEEDED.get(method, ())
+                                          if c in SCENARIO_PSEUDO[tag]))
+            for tag in config.scenarios for method in config.methods}
+
+
+def _steps(config: ExperimentConfig, reps: int) -> list[tuple]:
+    """The steps of a pass over ``reps`` repetitions, each (method name,
+    *arguments): with one fold the fit, then one identification per distinct
+    bridge density; with folds, per sub-stack of at most ``SUB_STACK``
+    repetitions the fit and two halves of the densities; then the scoring.
+    Without a bridge method, the scoring alone."""
+    keys = list(dict.fromkeys(key for key in _density_keys(config).values() if key[0] in BRIDGE_METHODS))
+    if config.folds == 1:
+        subs, groups = [slice(None)], [[key] for key in keys]
+    else:
+        subs = [slice(start, start + SUB_STACK) for start in range(0, reps, SUB_STACK)]
+        groups = [keys[:(len(keys) + 1) // 2], keys[(len(keys) + 1) // 2:]]
+    fits = [step for sub in subs if keys for step in [("_fit", sub)] + [("_identify", group) for group in groups]]
+    return fits + [("_score",)]
+
+
+def block_length(config: ExperimentConfig) -> int:
+    """Repetitions per block: the most whose pass has as many steps, so that
+    each call of the next block runs one. 15 at the default config (the fit,
+    13 identifications and the scoring), 13 with folds (sub-stacks of 4, 4, 4
+    and 1, three steps each, and the scoring), 1 without a bridge method."""
+    return max(reps for reps in range(1, 64) if len(_steps(config, reps)) == reps)
+
+
 class _Pass:
     """The stacked pass over the counts of a block of repetitions, run one
-    layer at a time (``LAYERS``): the fit; the identification of the first
-    half of the bridge densities; the rest of them and the fold average; SRA,
-    the Oracle and the scoring. Every array is led by a repetition axis.
+    step at a time (``steps``, built from the config by ``_steps``): the fit,
+    the identification of the bridge densities, whose last step averages the
+    folds, then SRA, the Oracle and the scoring. With folds the fit and the
+    identification run per sub-stack of at most ``SUB_STACK`` repetitions,
+    each on its own piece table, dropped before the next sub-stack's fit.
+    Every array is led by a repetition axis.
 
     Each distinct (method, replaced components) density of a repetition is
     keyed once (``density_of``) and computed once. The fit and each baseline
-    run ``by_law`` over the block's repetitions, and the scoring over every
+    run ``by_law`` over their repetitions, and the scoring over every
     density of the block as one stack (``_scores``): a repetition or density
     that fails is dropped with its failure reason and the rest rerun without
     it, so only it is charged, with the reason it gets alone.
@@ -384,42 +434,39 @@ class _Pass:
         self.config, self.truth, self.pseudo, self.reps = config, truth, pseudo, reps
         self.cells, self.observed, self.own = (None if arrays[0] is None else np.stack(arrays)
                                                for arrays in zip(*counts))
-        self.density_of = {(tag, method): (method, tuple(c for c in identify.BRIDGES_NEEDED.get(method, ())
-                                                           if c in SCENARIO_PSEUDO[tag]))
-                           for tag in config.scenarios for method in config.methods}
+        self.density_of = _density_keys(config)
         # each bridge density's pseudo bridges: the scenarios that replace its components hold the same arrays
         self.merged = {key: pseudo[tag] for (tag, method), key in self.density_of.items() if method in BRIDGE_METHODS}
         # per repetition: density -> (g, p_y0) or its failure reason, first seen first
         self.tables = [dict.fromkeys(self.density_of.values()) for _ in reps]
         self.fits = self.densities = self.whole = self.live = None  # live: the repetitions the fit kept
         self.results = []  # per repetition: (scenario, method) -> scores or failure reason
-        self.done = 0  # layers run
+        self.steps = _steps(config, len(reps))
+        self.done = 0  # steps run
 
-    def _by_rep(self, fn, keys) -> tuple[np.ndarray, object]:
-        """``by_law`` of ``fn`` over the block's repetitions: the live ones
-        and ``fn``'s result on them; each dropped one's ``keys`` get its
-        failure reason."""
-        live, result, failed = by_law(fn, len(self.reps))
+    def _by_rep(self, fn, keys, sub=slice(None)) -> tuple[np.ndarray, object]:
+        """``by_law`` of ``fn`` over the block's repetitions ``sub``: the
+        live ones and ``fn``'s result on them; each dropped one's ``keys``
+        get its failure reason."""
+        index = np.arange(len(self.reps))[sub]
+        live, result, failed = by_law(lambda live: fn(index[live]), len(index))
         for i, err in failed.items():
-            self.tables[i].update(dict.fromkeys(keys, f"fit failed: {err.kind}"))
-        return live, result
+            self.tables[index[i]].update(dict.fromkeys(keys, f"fit failed: {err.kind}"))
+        return index[live], result
 
-    def _fit(self):
-        if self.merged:
-            self.live, self.fits = self._by_rep(
-                lambda live: _bridge_fits(self.observed[live], None if self.own is None else self.own[live],
-                                          self.config), self.merged)
-            self.densities = []
+    def _fit(self, sub: slice):
+        self.live, self.fits = self._by_rep(
+            lambda live: _bridge_fits(self.observed[live], None if self.own is None else self.own[live],
+                                      self.config), self.merged, sub)
+        self.densities = []
 
-    def _identify(self):
-        """The first half of the bridge densities, or at the second call the
-        rest; at the last, each repetition's fold-averaged tables, and the
-        piece table is dropped (with one fold and no smoothing SRA keeps the
-        fit's law, ``whole``, a stack over the repetitions the fit kept)."""
+    def _identify(self, keys: list[tuple]):
+        """The bridge densities ``keys`` of the repetitions the fit kept; after
+        the last, each one's fold-averaged tables, and the piece table is
+        dropped (with one fold and no smoothing SRA keeps the fit's law,
+        ``whole``, a stack over the repetitions the fit kept)."""
         if self.fits is None:
             return
-        keys = list(self.merged)
-        keys = keys[len(self.densities):len(keys) if self.densities else (len(keys) + 1) // 2]
         self.densities += _bridge_densities(self.fits, {key: self.merged[key] for key in keys})
         if len(self.densities) == len(self.merged):
             pieces, p_y0, _ = self.fits
@@ -441,26 +488,22 @@ class _Pass:
         self.results = [{cell: scores[key] for cell, key in self.density_of.items()}
                         for scores in _scores(self.truth, self.tables, self.config.optimizer)]
 
-    LAYERS = (_fit, _identify, _identify, _score)
-
     def step(self) -> None:
-        """Run the next layer."""
-        self.LAYERS[self.done](self)
+        """Run the next step."""
+        name, *args = self.steps[self.done]
+        getattr(self, name)(*args)
         self.done += 1
 
     def finish(self) -> list[dict]:
-        """Each repetition's per-cell results, in index order, once the layers left have run."""
-        while self.done < len(self.LAYERS):
+        """Each repetition's per-cell results, in index order, once the steps left have run."""
+        while self.done < len(self.steps):
             self.step()
         return self.results
 
 
-BLOCK = len(_Pass.LAYERS)  # repetitions per stacked pass: one layer of the previous block's pass per call
-
-
 def _run_rep(config: ExperimentConfig, truth: _Truth, rep: int, blocks: _Blocks) -> list[dict]:
     """Repetition ``rep``'s call in the grid's pipeline: its counts drawn
-    (``_counts``), then one layer of the previous block's pass; returns the
+    (``_counts``), then one step of the previous block's pass; returns the
     per-cell results (errors per cell) of each repetition that finished, in
     index order."""
     return blocks.add(rep, _counts(config, truth.params, rep))
@@ -483,29 +526,30 @@ def _truth_context(config: ExperimentConfig) -> _Truth:
 
 class _Blocks:
     """The grid's pipeline: each call of ``_run_rep`` adds its own
-    repetition's counts to the block being filled, then runs one layer of
+    repetition's counts to the block being filled, then runs one step of
     the previous block's stacked pass.
 
-    A block is ``BLOCK`` repetitions, one per layer, so a block's pass ends in
-    the call that completes the next block, which then starts its own; the
-    last call also finishes the final block.
+    A block is ``block_length(config)`` repetitions, one per step, so a
+    block's pass ends in the call that completes the next block, which then
+    starts its own; the last call also finishes the final block.
     """
 
     def __init__(self, config: ExperimentConfig, truth: _Truth, pseudo: dict[str, BridgeSet]):
         self.config, self.truth, self.pseudo = config, truth, pseudo
+        self.length = block_length(config)
         self.block = []  # (rep, counts) of the block being filled
         self.running = None  # the previous block's pass
 
     def add(self, rep: int, counts: tuple) -> list[dict]:
-        """Add repetition ``rep``'s counts to its block and run one layer of
+        """Add repetition ``rep``'s counts to its block and run one step of
         the previous block's pass; the results of every repetition finished."""
         self.block.append((rep, counts))
         if self.running is not None:
             self.running.step()
         last = rep + 1 == self.config.reps
-        if len(self.block) < BLOCK and not last:
+        if len(self.block) < self.length and not last:
             return []
-        done = [] if self.running is None else self.running.finish()  # at a full block its last layer has just run
+        done = [] if self.running is None else self.running.finish()  # at a full block its last step has just run
         self.running, self.block = _Pass(self.config, self.truth, self.pseudo, *zip(*self.block)), []
         return done + self.running.finish() if last else done
 

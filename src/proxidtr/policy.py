@@ -197,7 +197,13 @@ class RegimeClass:
 
     ``index`` is a read-only (K,) integer array; two classes are equal when
     their tags and indices are. Members of the ``"linear"`` class carry
-    their threshold certificates.
+    their threshold certificates. ``representatives`` is the read-only
+    ascending array of the first member of each distinct ``DENSITY_CELLS``
+    column: one per on-path behaviour (``regime_equivalence_key``), 56 of
+    the linear class's 416 and 64 of the Boolean class's 1024. Members of
+    one column have bit-equal values under any density, and the first
+    maximizer of the class is the first member of its column, so
+    ``first_maximizer`` over the representatives picks the same regime.
     """
 
     tag: str
@@ -225,6 +231,11 @@ class RegimeClass:
     @cached_property
     def members(self) -> tuple[Regime, ...]:
         return tuple(map(self.member, range(len(self.index))))
+
+    @cached_property
+    def representatives(self) -> np.ndarray:
+        _, first = np.unique(DENSITY_CELLS[:, self.index], axis=1, return_index=True)  # first occurrences
+        return _locked(self.index[np.sort(first)])
 
 
 def _unit(vec: Sequence[int]) -> tuple[float, ...]:

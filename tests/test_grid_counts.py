@@ -11,17 +11,18 @@ class's truth once on it, whichever optimizer the grid runs.
 
 import itertools
 import threading
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from proxidtr import dgp, estimators, harness
-from proxidtr.harness import BLOCK, ExperimentConfig, run_experiment
+from proxidtr.harness import ExperimentConfig, block_length, run_experiment
 
 CONFIGS = {
-    "one-fold": ExperimentConfig(reps=13),
-    # cross-fitted, with failed and scored cells mixed
-    "folds3": ExperimentConfig(n=6000, reps=13, folds=3),
+    "one-fold": ExperimentConfig(reps=32),  # blocks of 15, 15 and 2
+    # cross-fitted, with failed and scored cells mixed: blocks of 13, 13 and 4
+    "folds3": ExperimentConfig(n=6000, reps=30, folds=3),
     # many blocks of small draws
     "tiny-draws": ExperimentConfig(scenarios=("all-correct",), methods=("SRA",), n=40, reps=200),
 }
@@ -81,12 +82,17 @@ def test_a_pass_reads_the_counts_and_folds_of_a_sample_of_those_counts(folds):
             assert np.array_equal(own, estimators.fold_counts(data.observed_counts, data.seed, folds)[0])
 
 
+# a pass of four steps (the fit, PMR's two distinct densities, the scoring), so blocks of four
+FOUR_STEPS = ExperimentConfig(methods=("PMR", "SRA"), scenarios=("all-correct", "all-wrong"), n=4000, base_seed=77)
+BLOCK = block_length(FOUR_STEPS)
+
+
 @pytest.mark.parametrize("failing", [0, BLOCK - 1, BLOCK, BLOCK + 2, 2 * BLOCK - 1])
 def test_a_failing_draw_reaches_the_caller_and_draws_nothing_after_it(failing, monkeypatch, forks):
     """The first call, the call that completes the first block, the first
-    call that runs a layer, one in the middle of a block, and the last call,
+    call that runs a step, one in the middle of a block, and the last call,
     which would finish both blocks."""
-    config = ExperimentConfig(methods=("PMR", "SRA"), n=4000, reps=2 * BLOCK, base_seed=77)
+    config = replace(FOUR_STEPS, reps=2 * BLOCK)
     events = _recorded(monkeypatch)
     draw = harness.sample_counts
 
@@ -110,7 +116,7 @@ def test_abandoned_results_draw_no_further_repetition(taken, monkeypatch, forks)
     """A block's results come in the call that fills the next block, or in
     the last call: taking ``taken`` results draws up to that call's
     repetition and no further, and closing the results leaves no thread."""
-    config = ExperimentConfig(reps=13)
+    config = replace(FOUR_STEPS, reps=13)  # blocks of 4, 4, 4 and 1
     events = _recorded(monkeypatch)
     before = threading.active_count()
     results = harness._rep_results(config, harness._truth_context(config))

@@ -4,13 +4,15 @@ called, and how often per operation.
 A benchmark that times layers by wrapping these attributes (``perfbench``
 does) reads a layer as zero when a refactor stops calling through one, so
 the counts are pinned here, counted by wrappers installed the same way: per
-block of repetitions of the grid (``harness.BLOCK``, one stacked
-pass), 1 ``estimators.solve_bridges``, 4 ``bridges.invert2or4``, 13
-``harness._DENSITY_FN`` entries and 1 ``identify.observed_conditional`` at
-every fold count (the piece table of the stack of fitted laws, or of fold
-laws; SRA and the Oracle read their laws without one), for value
-maximization at 5 folds (grid-crossfit's block) and Q-learning at 3 alike;
-a repetition run alone (a stack of one) counts the same; per
+fit of a stack of repetitions, 1 ``estimators.solve_bridges``, 4
+``bridges.invert2or4``, 13 ``harness._DENSITY_FN`` entries and 1
+``identify.observed_conditional`` (the piece table of the stack of fitted
+laws, or of fold laws; SRA and the Oracle read their laws without one). A
+block of the grid (``harness.block_length``, one stacked pass) fits once at
+one fold, a block of 15, and once per sub-stack of at most
+``harness.SUB_STACK`` repetitions with folds, four in a block of 13, for
+value maximization at 5 folds (grid-crossfit's block) and Q-learning at 3
+alike; a repetition run alone (a stack of one) fits once; per
 ``estimate --method pmr`` request, 1 ``estimators.solve_bridges``."""
 
 import functools
@@ -61,30 +63,33 @@ def _per_call(monkeypatch, counts, config) -> list[Counter]:
     return per_call
 
 
-def _per_block(monkeypatch, counts, config):
-    """Runs of one, two and three blocks (the last one short) each count
-    one block's sites per block, all inside ``_run_rep`` calls; a
-    repetition run alone counts one block's sites."""
-    block = Counter(solve_bridges=1, invert2or4=4, _DENSITY_FN=13, observed_conditional=1)
-    for reps, blocks in ((harness.BLOCK, 1), (2 * harness.BLOCK, 2), (2 * harness.BLOCK + 1, 3)):
+def _per_block(monkeypatch, counts, config, fits_per_block):
+    """Runs of one, two and three blocks (the last one a repetition) count
+    one fit's sites per fit: ``fits_per_block`` per full block and one for
+    the short one, all inside ``_run_rep`` calls; a repetition run alone
+    counts one fit's sites."""
+    fit = Counter(solve_bridges=1, invert2or4=4, _DENSITY_FN=13, observed_conditional=1)
+    block = harness.block_length(config)
+    for reps, fits in ((block, fits_per_block), (2 * block, 2 * fits_per_block),
+                       (2 * block + 1, 2 * fits_per_block + 1)):
         counts.clear()
         per_call = _per_call(monkeypatch, counts, replace(config, reps=reps))
         assert len(per_call) == reps
-        assert sum(per_call, Counter()) == counts == Counter({site: blocks * k for site, k in block.items()})
+        assert sum(per_call, Counter()) == counts == Counter({site: fits * k for site, k in fit.items()})
     counts.clear()
     rep_alone(config, harness._truth_context(config), 0)
-    assert counts == block
+    assert counts == fit
 
 
 def test_a_grid_repetition_calls_each_site_as_often_as_pinned(monkeypatch, counts):
     """Per block of repetitions, or per repetition run alone."""
-    _per_block(monkeypatch, counts, harness.ExperimentConfig())
+    _per_block(monkeypatch, counts, harness.ExperimentConfig(), 1)
 
 
 @pytest.mark.parametrize("folds, optimizer", [(5, "value-max"), (3, "q-learning")])
 def test_a_cross_fitted_repetition_calls_each_site_as_often_as_pinned(monkeypatch, counts, folds, optimizer):
     """Per block of repetitions, or per repetition run alone."""
-    _per_block(monkeypatch, counts, harness.ExperimentConfig(folds=folds, optimizer=optimizer))
+    _per_block(monkeypatch, counts, harness.ExperimentConfig(folds=folds, optimizer=optimizer), 4)
 
 
 def test_an_estimate_request_solves_once(tmp_path, counts):

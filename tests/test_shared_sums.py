@@ -2,8 +2,10 @@
 marginals the law keeps (``JointPmf._sum`` is the one place a law's mass is
 summed), so the halving adds are pinned here, counted by a wrapper on that
 method installed the way ``tests/test_hook_sites.py`` wraps its call sites:
-52 per block of repetitions of the grid (``harness.BLOCK``, one stacked
-pass) at one fold, 74 at five folds, and 48 per ``identify_check``. At one
+per block of repetitions of the grid (``harness.block_length``, one stacked
+pass), 52 at one fold (a block of 15) and 164 at five folds (a block of 13:
+30 for each of its four sub-stacks' fits and 44 for SRA and the Oracle), and
+48 per ``identify_check``. At one
 fold, identifying a block's 13 densities adds none: the piece table reads
 conditionals given Y0 whose marginals ``solve_bridges`` summed on the same
 law. Each reader of a shared law gets the bits of a fresh law over the same
@@ -43,18 +45,19 @@ def adds(monkeypatch) -> Counter:
     return counts
 
 
-@pytest.mark.parametrize("folds, per_block", [(1, 52), (5, 74)])
+@pytest.mark.parametrize("folds, per_block", [(1, 52), (5, 4 * 30 + 44)])
 def test_a_grid_block_sums_each_law_once(adds, folds, per_block):
     """The fit's law is summed once for ``solve_bridges``, its P(Y0), its
-    piece table and, with one fold, SRA; with folds the fold laws once for
-    their P(Y0) and piece table and SRA's law once; the Oracle's once for
+    piece table and, with one fold, SRA; with folds, per sub-stack, the
+    off-fold laws once for ``solve_bridges`` and the fold laws once for their
+    P(Y0) and piece table, and SRA's law once; the Oracle's once for
     its conditionals and its P(Y0). Runs of one and of two blocks count one
     block's adds per block."""
     config = harness.ExperimentConfig(folds=folds)
     harness._truth_context(config)  # the true law is summed when the truth is built, once per process
     for blocks in (1, 2):
         adds.clear()
-        report = harness.run_experiment(replace(config, reps=blocks * harness.BLOCK))
+        report = harness.run_experiment(replace(config, reps=blocks * harness.block_length(config)))
         assert all(cell.failures == 0 for cell in report.cells)
         assert adds["adds"] == blocks * per_block
 
@@ -68,9 +71,9 @@ def test_identifying_a_one_fold_block_adds_no_sum_to_the_fit_law(params, adds):
     """The 13 densities of a block read the conditionals given Y0 off the
     fit's law, whose marginals ``solve_bridges`` has summed."""
     config = harness.ExperimentConfig()
-    counts = tuple(harness._counts(config, params, rep) for rep in range(harness.BLOCK))
-    block = harness._Pass(config, harness._truth_context(config), harness._scenario_pseudo(config),
-                          tuple(range(harness.BLOCK)), counts)
+    reps = tuple(range(harness.block_length(config)))
+    counts = tuple(harness._counts(config, params, rep) for rep in reps)
+    block = harness._Pass(config, harness._truth_context(config), harness._scenario_pseudo(config), reps, counts)
     fits = harness._bridge_fits(block.observed, None, config)
     assert adds["adds"] > 0  # the fit summed its law
     adds.clear()

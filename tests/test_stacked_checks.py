@@ -19,7 +19,7 @@ import pytest
 from proxidtr.bridges import _SHAPES, BridgeSet, bridge_collapse_check, solve_bridges, verify_bridges
 from proxidtr.dgp import sample
 from proxidtr.estimators import FitOptions, count_pmf, fit_off_fold, fold_counts
-from proxidtr.harness import BLOCK, ExperimentConfig
+from proxidtr.harness import ExperimentConfig
 from proxidtr.identify import pipw_marginal_stage1, q_functions
 from proxidtr.tables import JointPmf, SingularMatrixError, TableError, ZeroProbabilityError, by_law, invert2or4
 
@@ -74,11 +74,11 @@ def _refusal(fn, *args) -> TableError | None:
 
 
 def _block_counts(params) -> np.ndarray:
-    """The observed counts of the first block of a default grid at n = 5000:
-    the fit meets law 3's zero cell first, then the singular blocks of laws
-    0 and 2."""
+    """The observed counts of the first four repetitions of a default grid at
+    n = 5000: the fit meets law 3's zero cell first, then the singular blocks
+    of laws 0 and 2."""
     config = ExperimentConfig(n=5000)
-    return np.stack([sample(params, config.n, config.base_seed + rep).observed_counts for rep in range(BLOCK)])
+    return np.stack([sample(params, config.n, config.base_seed + rep).observed_counts for rep in range(4)])
 
 
 def _degenerate_densities(oracle) -> np.ndarray:
